@@ -1,12 +1,13 @@
 # Developer entry points. `make check` is the tier-1 gate used by CI and
 # by ROADMAP.md; `make race` covers the packages with real concurrency
 # (the TCP transport, the nemesis fault injector, the parallel
-# experiment harness and the client gateway); `make chaos` is the seeded
-# fault-injection gate and `make loadtest` the gateway smoke gate.
+# experiment harness, the client gateway and the commit path's barrier
+# and recovery tests); `make chaos` is the seeded fault-injection gate
+# and `make loadtest` the gateway smoke gate.
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-wire bench-hotpath bench-observability bench-durable trace-check trace-e2e chaos loadtest bench-gateway bench-shard golden campaign-smoke campaign campaign-live recovery-check shard-check
+.PHONY: check build vet test race bench bench-wire bench-hotpath bench-observability bench-durable trace-check trace-e2e chaos loadtest bench-gateway bench-shard bench-stack-smoke bench-stack golden campaign-smoke campaign campaign-live recovery-check shard-check
 
 check: build vet test
 
@@ -20,7 +21,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -count=1 ./internal/net/... ./internal/nemesis/... ./internal/bench/... ./internal/gateway/... ./internal/locks/... ./internal/store/... ./internal/durable/... ./internal/campaign/... ./internal/trace/... ./cmd/vpchaos/... ./cmd/vpcampaign/...
+	$(GO) test -race -count=1 ./internal/net/... ./internal/nemesis/... ./internal/bench/... ./internal/gateway/... ./internal/locks/... ./internal/store/... ./internal/durable/... ./internal/campaign/... ./internal/trace/... ./internal/node/... ./internal/core/... ./cmd/vpchaos/... ./cmd/vpcampaign/...
 
 # Run every benchmark in the repository.
 bench:
@@ -113,6 +114,18 @@ bench-gateway:
 	$(GO) run ./cmd/vpload -local 3 -compare -codec-compare -clients 32 -rate 1500 \
 		-duration 8s -read-fraction 0 -objects 1 -out BENCH_gateway.json
 	@cat BENCH_gateway.json
+
+# Deployed-stack harness (benchmark/README.md): separate vpnode and
+# vpgateway processes with real journals on loopback, four named
+# workloads, outputs verified. The smoke run proves the plumbing in well
+# under a minute and is used by CI; the full run takes a few minutes and
+# prints the end-to-end metrics and the per-layer table of every
+# workload. Both leave benchmark/out/results.json.
+bench-stack-smoke:
+	bash benchmark/run.sh -smoke
+
+bench-stack:
+	bash benchmark/run.sh
 
 # Shard subsystem gate: shard-map determinism, per-shard view isolation,
 # cross-shard 2PC atomicity (incl. coordinator crash mid-decide), the

@@ -168,6 +168,15 @@ func (g *Gateway) routeShard(s model.ShardID, sess model.ProcID) model.ProcID {
 	return mem[int(g.shardRR.Add(1))%len(mem)]
 }
 
+// laneDepth is how many processors can coordinate a conveyor lane's
+// rounds: the shard's members when sharded, the whole cluster otherwise.
+func (g *Gateway) laneDepth(s model.ShardID) int {
+	if g.smap != nil && s != model.NoShard {
+		return len(g.smap.MemberList(s))
+	}
+	return len(g.cfg.Cluster)
+}
+
 // mintRoot returns a fresh root trace context when this request is
 // sampled in, and the zero context (no allocation, nothing recorded)
 // otherwise.
@@ -189,7 +198,7 @@ func New(cfg Config) *Gateway {
 	g := newWithBackend(cfg, nil)
 	g.pool = newPool(cfg.Cluster, cfg.Health, cfg.PerTry, cfg.Codec, cfg.Metrics)
 	g.backend = g.pool
-	g.batch = newBatcher(cfg.BatchWindow, cfg.BatchMax, g.pool, g.tags, g.spans,
+	g.batch = newBatcher(cfg.BatchWindow, cfg.BatchMax, g.laneDepth, g.pool, g.tags, g.spans,
 		cfg.Deadline, g.reg, g.tr, g.clock)
 	return g
 }
@@ -222,7 +231,7 @@ func newWithBackend(cfg Config, backend submitter) *Gateway {
 		g.smap = m
 	}
 	if backend != nil {
-		g.batch = newBatcher(cfg.BatchWindow, cfg.BatchMax, backend, g.tags, g.spans,
+		g.batch = newBatcher(cfg.BatchWindow, cfg.BatchMax, g.laneDepth, backend, g.tags, g.spans,
 			cfg.Deadline, g.reg, g.tr, g.clock)
 	}
 	g.mux = http.NewServeMux()
@@ -252,7 +261,8 @@ func (g *Gateway) Serve(addr string) (*http.Server, string, error) {
 	return srv, l.Addr().String(), nil
 }
 
-// Close flushes the open batch round and tears down the pool.
+// Close stops the batcher (writes still queued fail with
+// errGatewayClosed) and tears down the pool.
 func (g *Gateway) Close() {
 	if g.batch != nil {
 		g.batch.close()

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -193,6 +194,40 @@ func (r *Registry) String() string {
 	return b.String()
 }
 
+// Family names the per-label members of one counter family
+// ("net.msg.sent" → "net.msg.sent.lockreq"), building each name once: a
+// hot path that counts by message kind pays a map lookup per event, not
+// a string concatenation. The label set is small and fixed after
+// warm-up, so the names live in an immutable map that is copied on the
+// rare miss and read without a lock. Safe for concurrent use.
+type Family struct {
+	base  string
+	names atomic.Pointer[map[string]string]
+}
+
+// NewFamily returns the family of counters named base+"."+label.
+func NewFamily(base string) *Family {
+	f := &Family{base: base}
+	f.names.Store(&map[string]string{})
+	return f
+}
+
+// Name returns base+"."+label.
+func (f *Family) Name(label string) string {
+	for {
+		old := f.names.Load()
+		if name, ok := (*old)[label]; ok {
+			return name
+		}
+		grown := make(map[string]string, len(*old)+1)
+		for k, v := range *old {
+			grown[k] = v
+		}
+		grown[label] = f.base + "." + label
+		f.names.CompareAndSwap(old, &grown)
+	}
+}
+
 // Well-known counter names used across the harness. Protocol code uses
 // these so experiments can compare like with like.
 const (
@@ -229,6 +264,7 @@ const (
 	CGwFailed         = "gateway.failed"
 	CGwBatchRounds    = "gateway.batch.rounds"
 	CGwBatchedWrites  = "gateway.batch.writes"
+	CGwBatchOverlap   = "gateway.batch.overlap" // rounds that departed with another round of their lane in flight
 	CGwWriteTxns      = "gateway.backend.write.txns"
 	CGwWriteCommitted = "gateway.write.committed"
 	CGwReadCommitted  = "gateway.read.committed"

@@ -187,3 +187,30 @@ func TestWritePrometheus(t *testing.T) {
 		t.Error("scrape output not stable across calls")
 	}
 }
+
+// Family names must be exactly base+"."+label (the /metrics and
+// /gw/stats surface is pinned on them), cost nothing once built, and
+// survive concurrent first uses.
+func TestFamilyNames(t *testing.T) {
+	f := NewFamily(CMsgSent)
+	if got, want := f.Name("lockreq"), CMsgSent+".lockreq"; got != want {
+		t.Fatalf("Name = %q, want %q", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = f.Name("lockreq") }); allocs != 0 {
+		t.Errorf("Name of a known label allocates %v times, want 0", allocs)
+	}
+	labels := []string{"probe", "vote", "decide", "shard:vote"}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, l := range labels {
+				if got, want := f.Name(l), CMsgSent+"."+l; got != want {
+					t.Errorf("Name(%q) = %q, want %q", l, got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

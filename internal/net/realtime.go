@@ -189,7 +189,7 @@ func (n *realNode) SendCtx(to model.ProcID, m wire.Message, ctx model.TraceCtx) 
 	}
 	kind := wire.Kind(m)
 	c.Reg.Inc(metrics.CMsgSent, 1)
-	c.Reg.Inc(metrics.CMsgSent+"."+kind, 1)
+	c.Reg.Inc(sentByKind.Name(kind), 1)
 	c.Rec.Record(trace.Event{At: n.Now(), Proc: n.id, Kind: trace.EvMsgSend, Peer: to, Msg: kind})
 	if to == model.NoProc {
 		if c.OnClientResult != nil {
@@ -243,7 +243,7 @@ func (n *realNode) deliverTo(dst *realNode, to model.ProcID, m wire.Message, kin
 		return
 	}
 	c.Reg.Inc(metrics.CMsgDelivered, 1)
-	c.Reg.Inc(metrics.CMsgDelivered+"."+kind, 1)
+	c.Reg.Inc(deliveredByKind.Name(kind), 1)
 	c.Rec.Record(trace.Event{At: n.Now(), Proc: to, Kind: trace.EvMsgRecv, Peer: n.id, Msg: kind})
 	dst.enqueue(rtEvent{from: n.id, msg: m, ctx: ctx})
 }

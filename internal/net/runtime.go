@@ -10,6 +10,12 @@ import (
 	"github.com/virtualpartitions/vp/internal/wire"
 )
 
+// Per-kind message counter names, shared by the three engines.
+var (
+	sentByKind      = metrics.NewFamily(metrics.CMsgSent)
+	deliveredByKind = metrics.NewFamily(metrics.CMsgDelivered)
+)
+
 // TimerID identifies a pending timer for cancellation.
 type TimerID uint64
 

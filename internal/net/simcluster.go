@@ -155,7 +155,7 @@ func (c *SimCluster) deliver(from, to model.ProcID, m wire.Message, ctx model.Tr
 	}
 	kind := wire.Kind(m)
 	c.Reg.Inc(metrics.CMsgSent, 1)
-	c.Reg.Inc(metrics.CMsgSent+"."+kind, 1)
+	c.Reg.Inc(sentByKind.Name(kind), 1)
 	c.Rec.Record(trace.Event{At: c.Engine.Now(), Proc: from, Kind: trace.EvMsgSend, Peer: to, Msg: kind})
 	if to == model.NoProc {
 		// Client sink: local, reliable.
@@ -187,7 +187,7 @@ func (c *SimCluster) deliver(from, to model.ProcID, m wire.Message, ctx model.Tr
 			return
 		}
 		c.Reg.Inc(metrics.CMsgDelivered, 1)
-		c.Reg.Inc(metrics.CMsgDelivered+"."+kind, 1)
+		c.Reg.Inc(deliveredByKind.Name(kind), 1)
 		c.Rec.Record(trace.Event{At: c.Engine.Now(), Proc: to, Kind: trace.EvMsgRecv, Peer: from, Msg: kind})
 		rt := c.runtimes[to]
 		rt.cur = ctx

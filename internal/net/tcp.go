@@ -295,7 +295,7 @@ func (n *TCPNode) readLoop(ac *acceptedConn) {
 		}
 		kind := wire.Kind(env.Msg)
 		n.reg.Inc(metrics.CMsgDelivered, 1)
-		n.reg.Inc(metrics.CMsgDelivered+"."+kind, 1)
+		n.reg.Inc(deliveredByKind.Name(kind), 1)
 		n.rec.Record(trace.Event{At: n.Now(), Proc: n.id, Kind: trace.EvMsgRecv, Peer: env.From, Msg: kind})
 		n.enqueue(rtEvent{from: env.From, msg: env.Msg, ctx: env.Ctx})
 	}
@@ -590,7 +590,7 @@ func (n *TCPNode) SendCtx(to model.ProcID, m wire.Message, ctx model.TraceCtx) {
 	}
 	kind := wire.Kind(m)
 	n.reg.Inc(metrics.CMsgSent, 1)
-	n.reg.Inc(metrics.CMsgSent+"."+kind, 1)
+	n.reg.Inc(sentByKind.Name(kind), 1)
 	n.rec.Record(trace.Event{At: n.Now(), Proc: n.id, Kind: trace.EvMsgSend, Peer: to, Msg: kind})
 	if to == model.NoProc {
 		res, ok := m.(wire.ClientResult)

@@ -575,7 +575,9 @@ func (b *Base) decide(rt net.Runtime, t *txn, commit bool, reason string) {
 		// Sync barrier: the decision must be durable before any participant
 		// can learn it, or a coordinator crash between the sends below and
 		// the next group commit would restart with an undecided journal
-		// while participants already applied the outcome. On sync failure
+		// while participants already applied the outcome. (The same flush
+		// lands this processor's own stage records, which handlePrepare
+		// appended unsynced, ahead of the decision record.) On sync failure
 		// the decision must therefore not be externalized at all: with no
 		// durable Decide record a restart never resumes retransmission
 		// (b.resumed stays empty), so any participant that missed the

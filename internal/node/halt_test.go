@@ -122,9 +122,10 @@ func TestOrphanedPreparedTxnResolvesByPresumedAbort(t *testing.T) {
 // through the whole run — the sweep queries it sends are swallowed.
 func TestCoordinatorHaltsOnDecideSyncFailure(t *testing.T) {
 	f := newFixture(t, 3, "x")
-	// Node 1 is both a participant (prepare barrier, sync #1) and the
-	// coordinator (decide barrier, sync #2, fails).
-	f.bases[1].Journal = &failingJournal{okSyncs: 1}
+	// Node 1 is both a participant and the coordinator; its own stage
+	// needs no barrier, so the decide barrier is its first sync — and
+	// fails.
+	f.bases[1].Journal = &failingJournal{okSyncs: 0}
 	tag := f.submit(0, 1, wire.IncrementOps("x", 5))
 	f.run(time.Second)
 	if res, ok := f.results[tag]; ok && res.Committed {

@@ -192,24 +192,39 @@ func (b *Base) handlePrepare(rt net.Runtime, from model.ProcID, p wire.Prepare) 
 		// crash here. A failed sync means this journal (and processor) is
 		// dead to the protocol: vote no and drop the stage so a later
 		// restart cannot resurrect a write the coordinator never counted.
-		if err := b.Journal.Sync(); err != nil {
-			rt.Logf("prepare %v: journal sync failed: %v", p.Txn, err)
-			b.Store.DropAllStagedBy(p.Txn)
-			b.Journal.DropStage(p.Txn, "")
-			vote(false)
-			return
-		}
-		if traced {
-			// In a durable deployment this is the staged-write fsync cost,
-			// split from part-stage so the critical path can tell the store
-			// from the disk.
-			rt.Tracer().Span(b.ID, ctx.Child(b.NextSpan()), "part-journal", jStart, rt.Now(), p.Txn)
+		//
+		// A vote to this processor's own coordinator leaves nothing: the
+		// stage records precede the decide record in this same journal, so
+		// the coordinator's decide barrier — which nothing externalizes
+		// ahead of — makes them durable with it, and a crash before that
+		// barrier is an undecided transaction (presumed abort).
+		if !b.coordinates(p.Txn) {
+			if err := b.Journal.Sync(); err != nil {
+				rt.Logf("prepare %v: journal sync failed: %v", p.Txn, err)
+				b.Store.DropAllStagedBy(p.Txn)
+				b.Journal.DropStage(p.Txn, "")
+				vote(false)
+				return
+			}
+			if traced {
+				// In a durable deployment this is the staged-write fsync cost,
+				// split from part-stage so the critical path can tell the store
+				// from the disk.
+				rt.Tracer().Span(b.ID, ctx.Child(b.NextSpan()), "part-journal", jStart, rt.Now(), p.Txn)
+			}
 		}
 	}
 	b.prepared[p.Txn] = &preparedTxn{coord: from, writes: p.Writes}
 	b.touch(rt, p.Txn)
 	vote(true)
 }
+
+// coordinates reports whether this processor coordinates txn, i.e. the
+// participant-side promises it makes about txn never leave the
+// processor (and, sharded, its one shared journal). Such promises need
+// no sync barrier of their own: a barrier precedes a promise that leaves
+// the processor, and the coordinator's decide barrier is that one.
+func (b *Base) coordinates(txn model.TxnID) bool { return txn.P == b.ID }
 
 func (b *Base) handleDecide(rt net.Runtime, from model.ProcID, d wire.Decide) {
 	if st, ok := b.prepared[d.Txn]; ok {
@@ -241,10 +256,17 @@ func (b *Base) handleDecide(rt net.Runtime, from model.ProcID, d wire.Decide) {
 			// processor crashed here. A restart resurrects the transaction
 			// from the journal's durable prefix and the retransmitted
 			// Decide finishes the job against a working disk.
-			if err := b.Journal.Sync(); err != nil {
-				rt.Logf("decide %v: journal sync failed; halting node: %v", d.Txn, err)
-				b.halted = true
-				return
+			//
+			// An ack to this processor's own coordinator leaves nothing: the
+			// DecideDone it licenses follows the DropStage in this same
+			// journal, so no durable prefix forgets the decision while still
+			// holding the stage.
+			if !b.coordinates(d.Txn) {
+				if err := b.Journal.Sync(); err != nil {
+					rt.Logf("decide %v: journal sync failed; halting node: %v", d.Txn, err)
+					b.halted = true
+					return
+				}
 			}
 		}
 		delete(b.prepared, d.Txn)
