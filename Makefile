@@ -1,13 +1,13 @@
 # Developer entry points. `make check` is the tier-1 gate used by CI and
 # by ROADMAP.md; `make race` covers the packages with real concurrency
 # (the TCP transport, the nemesis fault injector, the parallel
-# experiment harness, the client gateway and the commit path's barrier
-# and recovery tests); `make chaos` is the seeded fault-injection gate
-# and `make loadtest` the gateway smoke gate.
+# experiment harness, the client gateway, the journal's committer and
+# the commit path's barrier and recovery tests); `make chaos` is the
+# seeded fault-injection gate and `make loadtest` the gateway smoke gate.
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-wire bench-hotpath bench-observability bench-durable trace-check trace-e2e chaos loadtest bench-gateway bench-shard bench-stack-smoke bench-stack golden campaign-smoke campaign campaign-live recovery-check shard-check
+.PHONY: check build vet test race bench bench-wire bench-hotpath bench-observability bench-durable trace-check trace-e2e chaos loadtest bench-gateway bench-shard bench-stack-smoke bench-stack bench-pairs stress golden campaign-smoke campaign campaign-live recovery-check shard-check
 
 check: build vet test
 
@@ -22,6 +22,12 @@ test:
 
 race:
 	$(GO) test -race -count=1 ./internal/net/... ./internal/nemesis/... ./internal/bench/... ./internal/gateway/... ./internal/locks/... ./internal/store/... ./internal/durable/... ./internal/campaign/... ./internal/trace/... ./internal/node/... ./internal/core/... ./cmd/vpchaos/... ./cmd/vpcampaign/...
+
+# Repeat the packages whose tests cross goroutines on the commit path —
+# the journal's committer releasing barriers into node event loops — to
+# catch an ordering that only sometimes goes wrong. Used by CI.
+stress:
+	$(GO) test -count=20 ./internal/durable/ ./internal/node/
 
 # Run every benchmark in the repository.
 bench:
@@ -85,13 +91,16 @@ chaos:
 	$(GO) run ./cmd/vpchaos -n 5 -seed $(CHAOS_SEED) -partitions 3 -crashes 2
 	$(GO) run ./cmd/vpchaos -n 5 -seed $(CHAOS_SEED) -partitions 1 -crashes 2 -kill9 -skip-sim
 
-# Crash-recovery gate: the every-byte-offset truncation property test
-# and the disk-fault suite under the race detector, then a kill -9
-# chaos run (fsync faults, frozen disk mid group-commit, torn journal
-# tails) and the kill9 campaign cell, both gated on 1SR, S1–S3/R2/R3
-# replay and post-heal liveness. Used by CI.
+# Crash-recovery gate: the every-byte-offset truncation property test,
+# the disk-fault suite and the max-id barrier regression under the race
+# detector, then a kill -9 chaos run (fsync faults, frozen disk mid
+# group-commit, torn journal tails) and the kill9 campaign cell, both
+# gated on 1SR, S1–S3/R2/R3 replay and post-heal liveness. Used by CI.
+# `make recovery-check CHAOS_SEED=1` runs the seed PR 13 reported; it is
+# not in the gate because the harness's tail chop still eats an fsynced
+# max-id record there about 1 run in 60 (EXPERIMENTS.md, "Durable outbox").
 recovery-check:
-	$(GO) test -race -count=1 -run 'EveryOffsetTruncation|Snapshot|Torn|DiskFaults|DeltaRejoin' \
+	$(GO) test -race -count=1 -run 'EveryOffsetTruncation|Snapshot|Torn|DiskFaults|DeltaRejoin|MaxIDNeverLeaves' \
 		./internal/durable ./internal/nemesis ./internal/core
 	$(GO) run ./cmd/vpchaos -n 5 -seed $(CHAOS_SEED) -partitions 1 -crashes 2 -kill9 -skip-sim
 	$(GO) run ./cmd/vpcampaign -spec specs/campaign-recovery.json
@@ -126,6 +135,17 @@ bench-stack-smoke:
 
 bench-stack:
 	bash benchmark/run.sh
+
+# Before/after protocol for a claimed gain: N alternating pairs of
+# harness runs of workload W, the committed revision BASE against the
+# working tree, a fresh seed per pair; prints each side's median and
+# quartiles and the pairs the working tree won, per end-to-end metric.
+# ~1.5 min per pair. `make bench-pairs W=write_n3 BASE=HEAD~1 N=12`
+W ?= write_n3
+BASE ?= HEAD
+N ?= 12
+bench-pairs:
+	$(GO) run ./cmd/benchpairs -w $(W) -base $(BASE) -n $(N)
 
 # Shard subsystem gate: shard-map determinism, per-shard view isolation,
 # cross-shard 2PC atomicity (incl. coordinator crash mid-decide), the

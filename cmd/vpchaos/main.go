@@ -216,7 +216,10 @@ func runLive(opt *options, sched nemesis.Schedule) error {
 			disks[id] = nemesis.NewDiskFaults(nil)
 			fs = disks[id]
 		}
-		state, journal, err := durable.OpenOptions(dirs[id], durable.Options{FS: fs})
+		// The journal runs as vpnode's does by default: committer goroutine,
+		// 2ms age bound on unsynced records.
+		state, journal, err := durable.OpenOptions(dirs[id], durable.Options{
+			FS: fs, Committer: true, FlushInterval: 2 * time.Millisecond})
 		if err != nil {
 			return fmt.Errorf("open journal for %v: %w", id, err)
 		}

@@ -78,7 +78,7 @@ func parseArgs(args []string) (*options, error) {
 		pi        = fs.Duration("pi", 0, "probe period π (default 20δ)")
 		dataDir   = fs.String("data", "", "durable state directory (empty: in-memory only; with it, the node survives restarts)")
 		fsync     = fs.Bool("fsync", false, "fsync the journal on every record (overrides -fsync-interval)")
-		fsyncInt  = fs.Duration("fsync-interval", 2*time.Millisecond, "group-commit flush interval; 0 flushes only at protocol barriers (prepare-ack, decide)")
+		fsyncInt  = fs.Duration("fsync-interval", 2*time.Millisecond, "maximum age of an unsynced journal record: promises nobody waits on (decide acks) ride the next urgent fsync or this deadline; 0 makes every promise urgent")
 		r5        = fs.String("r5", "log", "R5 refresh path: log (stream missed-write deltas, full-copy fallback) or full")
 		verbose   = fs.Bool("v", false, "log view changes")
 		debugAddr = fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
@@ -197,7 +197,7 @@ func main() {
 	if opt.dataDir != "" {
 		var state *durable.State
 		var err error
-		dopts := durable.Options{FlushInterval: opt.fsyncEvery}
+		dopts := durable.Options{Committer: true, FlushInterval: opt.fsyncEvery}
 		if smap != nil {
 			// Scope the journal to the objects of this node's hosted
 			// shards: snapshots then attest the universe they covered, so
@@ -239,60 +239,65 @@ func main() {
 	if opt.debugAddr != "" {
 		health = &debughttp.Health{}
 	}
+	// The observers feed /healthz (health may be nil: its methods then do
+	// nothing) and make a halt loud: a halted node is otherwise exactly as
+	// silent as a partitioned one.
+	halted := func(e core.HaltEvent) {
+		health.SetHalted(e.Err.Error())
+		fmt.Fprintf(os.Stderr, "vpnode %v: HALTED, journal barrier failed: %v\n", e.Proc, e.Err)
+	}
+	me, verbose := opt.id, opt.verbose
 	switch h := handler.(type) {
 	case *core.Node:
-		if health != nil {
-			health.Set(h.Assigned(), h.CurID(), h.View().Sorted())
-		}
-		if opt.verbose || health != nil {
-			me, verbose := opt.id, opt.verbose
-			h.Observer = func(ev any) {
-				switch e := ev.(type) {
-				case core.JoinEvent:
-					health.Set(true, e.VP, e.View.Sorted())
-					if verbose {
-						fmt.Printf("vpnode %v: joined %v view=%v\n", me, e.VP, e.View)
-					}
-				case core.DepartEvent:
-					health.Set(false, e.VP, nil)
-					if verbose {
-						fmt.Printf("vpnode %v: departed %v\n", me, e.VP)
-					}
+		health.Set(h.Assigned(), h.CurID(), h.View().Sorted())
+		h.Observer = func(ev any) {
+			switch e := ev.(type) {
+			case core.JoinEvent:
+				health.Set(true, e.VP, e.View.Sorted())
+				if verbose {
+					fmt.Printf("vpnode %v: joined %v view=%v\n", me, e.VP, e.View)
 				}
+			case core.DepartEvent:
+				health.Set(false, e.VP, nil)
+				if verbose {
+					fmt.Printf("vpnode %v: departed %v\n", me, e.VP)
+				}
+			case core.HaltEvent:
+				halted(e)
 			}
 		}
 	case *shard.Router:
-		if opt.verbose || health != nil {
-			me, verbose := opt.id, opt.verbose
-			hosted := len(h.Hosted())
-			var mu sync.Mutex
-			up := make(map[model.ShardID]bool)
-			h.Observer = func(s model.ShardID, ev any) {
-				switch e := ev.(type) {
-				case core.JoinEvent:
-					mu.Lock()
-					up[s] = true
-					n := len(up)
-					mu.Unlock()
-					// Healthy once every hosted shard sits in a partition;
-					// the reported view is the latest shard's.
-					health.Set(n == hosted, e.VP, e.View.Sorted())
-					if verbose {
-						fmt.Printf("vpnode %v: shard %v joined %v view=%v\n", me, s, e.VP, e.View)
-					}
-				case core.DepartEvent:
-					mu.Lock()
-					delete(up, s)
-					mu.Unlock()
-					health.Set(false, e.VP, nil)
-					if verbose {
-						fmt.Printf("vpnode %v: shard %v departed %v\n", me, s, e.VP)
-					}
+		hosted := len(h.Hosted())
+		var mu sync.Mutex
+		up := make(map[model.ShardID]bool)
+		h.Observer = func(s model.ShardID, ev any) {
+			switch e := ev.(type) {
+			case core.JoinEvent:
+				mu.Lock()
+				up[s] = true
+				n := len(up)
+				mu.Unlock()
+				// Healthy once every hosted shard sits in a partition;
+				// the reported view is the latest shard's.
+				health.Set(n == hosted, e.VP, e.View.Sorted())
+				if verbose {
+					fmt.Printf("vpnode %v: shard %v joined %v view=%v\n", me, s, e.VP, e.View)
 				}
+			case core.DepartEvent:
+				mu.Lock()
+				delete(up, s)
+				mu.Unlock()
+				health.Set(false, e.VP, nil)
+				if verbose {
+					fmt.Printf("vpnode %v: shard %v departed %v\n", me, s, e.VP)
+				}
+			case core.HaltEvent:
+				halted(e)
 			}
 		}
 	}
 	tcp := net.NewTCPNodeConfig(opt.id, opt.addrs, handler, opt.tcp)
+	tcp.Metrics().Set(metrics.CNodeHalted, 0) // exported from the first scrape on
 	if journal != nil {
 		journal.SetMetrics(tcp.Metrics())
 		tcp.Metrics().ObserveDuration(metrics.SRecovery, journal.Recovery().Duration)

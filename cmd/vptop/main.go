@@ -152,6 +152,9 @@ func snapshot(opt *options, client *http.Client, w io.Writer) {
 		state, vp := "DOWN", "-"
 		if r.up {
 			state = "serving"
+			if r.metrics["vp_node_halted"] > 0 {
+				state = "HALTED" // silent like a partitioned node, but for good: see below the table
+			}
 			if r.health.OK {
 				vp = fmt.Sprintf("%d/%v", r.health.VPN, r.health.VPP)
 			} else if r.health.Assigned {
@@ -169,6 +172,12 @@ func snapshot(opt *options, client *http.Client, w io.Writer) {
 			meanOf(r.metrics, "vp_journal_batch_size", "%.1f"),
 			meanOf(r.metrics, "vp_journal_lag_ms", "%.2fms"),
 			meanOf(r.metrics, "vp_journal_recovery_ms", "%.1fms"))
+	}
+
+	for _, r := range rows {
+		if r.health.Halted != "" {
+			fmt.Fprintf(w, "node %s halted, journal barrier failed: %s\n", r.id, r.health.Halted)
+		}
 	}
 
 	if opt.gw != "" {

@@ -77,6 +77,17 @@ func TestSnapshotAgainstLiveEndpoints(t *testing.T) {
 		}
 	}
 
+	// A halted node answers its debug endpoints but says so.
+	reg.Set(metrics.CNodeHalted, 1)
+	h.SetHalted("injected fsync failure")
+	out.Reset()
+	snapshot(opt, &http.Client{Timeout: time.Second}, &out)
+	for _, want := range []string{"HALTED", "injected fsync failure"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("halted snapshot missing %q:\n%s", want, out.String())
+		}
+	}
+
 	// An unreachable node renders DOWN instead of failing the snapshot.
 	out.Reset()
 	opt.nodes[2] = "127.0.0.1:1"

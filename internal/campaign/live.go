@@ -140,7 +140,10 @@ func (p *livePlatform) boot(id model.ProcID) error {
 		p.disks[id] = nemesis.NewDiskFaults(nil)
 		fs = p.disks[id]
 	}
-	state, journal, err := durable.OpenOptions(p.dirs[id], durable.Options{FS: fs})
+	// The journal runs as vpnode's does by default: committer goroutine,
+	// 2ms age bound on unsynced records.
+	state, journal, err := durable.OpenOptions(p.dirs[id], durable.Options{
+		FS: fs, Committer: true, FlushInterval: 2 * time.Millisecond})
 	if err != nil {
 		return fmt.Errorf("open journal for %v: %w", id, err)
 	}

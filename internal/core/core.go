@@ -142,7 +142,8 @@ type Node struct {
 	vcCtx model.TraceCtx
 
 	// Observer, when set (tests, experiments), receives a JoinEvent or
-	// DepartEvent after each assignment change.
+	// DepartEvent after each assignment change, and a HaltEvent if a
+	// failed journal barrier takes the node out of the protocol.
 	Observer func(ev any)
 }
 
@@ -159,6 +160,14 @@ type DepartEvent struct {
 	Proc model.ProcID
 	VP   model.VPID
 	At   time.Duration
+}
+
+// HaltEvent reports that a failed journal barrier halted the node
+// (node.Base.Halted): it is silent from now on, whatever the network
+// does, until the process restarts.
+type HaltEvent struct {
+	Proc model.ProcID
+	Err  error
 }
 
 // timer keys
@@ -189,6 +198,11 @@ func New(id model.ProcID, cfg Config, cat *model.Catalog, hist *onecopy.History)
 		refreshing: make(map[model.ObjectID]*refreshState),
 	}
 	n.Base = node.NewBase(id, cfg.Config, cat, (*vpStrategy)(n), hist)
+	n.Base.OnHalt = func(err error) {
+		if n.Observer != nil {
+			n.Observer(HaltEvent{Proc: id, Err: err})
+		}
+	}
 	return n
 }
 

@@ -51,8 +51,15 @@ func (n *Node) CreateNewVP(rt net.Runtime) {
 }
 
 // startCreateVP runs phase one of Create-VP (Figure 5): invite everyone
-// and collect acceptances for 2δ.
+// and collect acceptances for 2δ. The identifier leaves the processor
+// here, so the invitations wait for its max-id record to be durable: a
+// processor killed after inviting must restart above every identifier it
+// ever announced, or it would reuse one and forge S3's order.
 func (n *Node) startCreateVP(rt net.Runtime, id model.VPID) {
+	n.Promise(rt, true, func(rt net.Runtime) { n.invite(rt, id) })
+}
+
+func (n *Node) invite(rt net.Runtime, id model.VPID) {
 	n.creating = true
 	n.createID = id
 	n.accepts = map[model.ProcID]model.VPID{rt.ID(): n.myPrev}
@@ -118,9 +125,14 @@ func (n *Node) onNewVP(rt net.Runtime, from model.ProcID, m wire.NewVP) {
 	n.bumpMaxID(m.ID)
 	n.depart(rt, "departed to join "+m.ID.String())
 	// Accepting cancels any lower-numbered creation of our own: its 2δ
-	// window will find createID ≠ maxID and stand down.
-	rt.Send(m.ID.P, wire.AcceptVP{ID: m.ID, From: rt.ID(), Prev: n.myPrev})
-	rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvVPAccept, VP: m.ID, Peer: m.ID.P})
+	// window will find createID ≠ maxID and stand down. The acceptance
+	// tells the initiator this processor has seen m.ID, so it waits for
+	// the max-id record like an invitation does (see startCreateVP).
+	prev := n.myPrev
+	n.Promise(rt, true, func(rt net.Runtime) {
+		rt.Send(m.ID.P, wire.AcceptVP{ID: m.ID, From: rt.ID(), Prev: prev})
+		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvVPAccept, VP: m.ID, Peer: m.ID.P})
+	})
 	n.resetAcceptTimer(rt)
 }
 

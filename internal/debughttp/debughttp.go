@@ -34,6 +34,7 @@ type Health struct {
 	vp       model.VPID
 	view     []model.ProcID
 	since    time.Time
+	halted   string // why the node halted; empty while it has not
 }
 
 // HealthState is the JSON body served by /healthz.
@@ -44,6 +45,9 @@ type HealthState struct {
 	VPP      model.ProcID   `json:"vpp"`
 	View     []model.ProcID `json:"view,omitempty"`
 	SinceMS  int64          `json:"since_ms"` // ms since the last state change
+	// Halted carries the error of the failed journal barrier that took
+	// the node out of the protocol; a halted node is never OK again.
+	Halted string `json:"halted,omitempty"`
 }
 
 // Set records a state change: whether the node is assigned to a virtual
@@ -61,6 +65,19 @@ func (h *Health) Set(assigned bool, vp model.VPID, view []model.ProcID) {
 	h.mu.Unlock()
 }
 
+// SetHalted records that the node halted and why. It is final: the node
+// reports not-OK from now on, so health-polling clients route away from
+// it instead of timing out against its silence.
+func (h *Health) SetHalted(reason string) {
+	if h == nil {
+		return
+	}
+	h.mu.Lock()
+	h.halted = reason
+	h.since = time.Now()
+	h.mu.Unlock()
+}
+
 // State snapshots the current readiness state. OK is true only for an
 // assigned node: a processor between partitions (departed, mid-refresh
 // of a new view) is serving but should not be preferred by clients.
@@ -71,11 +88,12 @@ func (h *Health) State() HealthState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := HealthState{
-		OK:       h.known && h.assigned,
+		OK:       h.known && h.assigned && h.halted == "",
 		Assigned: h.assigned,
 		VPN:      h.vp.N,
 		VPP:      h.vp.P,
 		View:     append([]model.ProcID(nil), h.view...),
+		Halted:   h.halted,
 	}
 	if h.known {
 		st.SinceMS = time.Since(h.since).Milliseconds()

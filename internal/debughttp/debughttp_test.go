@@ -164,4 +164,15 @@ func TestHealthz(t *testing.T) {
 	if code, _ = get(t, "http://"+addr+"/healthz"); code != http.StatusServiceUnavailable {
 		t.Errorf("departed: status %d, want 503", code)
 	}
+
+	// A halted node is not ready whatever its view says, and says why.
+	h.Set(true, model.VPID{N: 4, P: 2}, []model.ProcID{1, 2, 3})
+	h.SetHalted("disk gone")
+	code, body = get(t, "http://"+addr+"/healthz")
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatalf("bad /healthz body %q: %v", body, err)
+	}
+	if code != http.StatusServiceUnavailable || st.OK || st.Halted != "disk gone" {
+		t.Errorf("halted: status %d, state %+v; want 503, not ok, the reason", code, st)
+	}
 }

@@ -22,9 +22,9 @@
 //
 // A Journal receives every state change. FileJournal (wal.go) is a
 // segmented, checksummed, group-committed write-ahead log: appends ride
-// an in-memory batch that one fsync makes durable, the Sync barrier
-// sits exactly where the protocol externalizes a promise, snapshots
-// bound restart replay, and the retained segment tail doubles as the §6
+// an in-memory batch that one fsync makes durable, a Barrier sits
+// exactly where the protocol externalizes a promise, snapshots bound
+// restart replay, and the retained segment tail doubles as the §6
 // missed-write log for rule R5 catch-up. Open returns the replayed
 // State used to seed a restarted node.
 package durable
@@ -77,11 +77,10 @@ func NewState() *State {
 // valid everywhere and means "not durable".
 //
 // Record methods (MaxID, Apply, Stage, ...) may buffer; a record is
-// only promised to disk after a Sync returns nil. Protocol code places
-// Sync exactly where a promise escapes the processor: before a
-// participant's prepare-ack (it vowed to hold the staged writes) and
-// before a coordinator sends its decision (participants will act on
-// it). Everything else rides the group-commit batch.
+// only promised to disk once a Barrier registered after it reports nil.
+// Protocol code places a Barrier exactly where a promise escapes the
+// processor (DESIGN §12 lists them). Everything else rides the
+// group-commit batch.
 type Journal interface {
 	// MaxID records a new high-water virtual partition identifier.
 	MaxID(v model.VPID)
@@ -98,10 +97,23 @@ type Journal interface {
 	Decide(txn model.TxnID, commit bool, pending []model.ProcID, shards []model.ShardID)
 	// DecideDone forgets a fully acknowledged decision.
 	DecideDone(txn model.TxnID)
-	// Sync makes every record passed so far durable (one group-commit
-	// fsync). A non-nil error means durability is gone for good and the
-	// caller must treat the processor as crashed.
-	Sync() error
+	// Barrier is the durable outbox: it gates whatever the caller wants
+	// to let out of the processor on every record passed so far being
+	// durable. A journal with no committer (MemJournal, a FileJournal
+	// opened without Options.Committer) makes them durable on the
+	// caller's goroutine and returns done=true with the outcome; release
+	// is then never called. A committing journal returns done=false at
+	// once and calls release(err) later, from its committer goroutine,
+	// after the fsync that covers the records — one fsync shared by
+	// every barrier registered while the previous one was in flight. An
+	// urgent barrier starts that fsync immediately; a lazy one (nobody's
+	// latency waits on it) rides the next urgent barrier's fsync, or the
+	// FlushInterval deadline of the oldest unsynced record. A non-nil
+	// error means durability is gone for good: nothing gated on it may
+	// ever be sent and the caller must treat the processor as crashed.
+	// A journal closed or hard-crashed before the fsync drops release
+	// without calling it.
+	Barrier(urgent bool, release func(err error)) (done bool, err error)
 }
 
 // record is the on-disk envelope. Exactly one field is set.
@@ -218,7 +230,7 @@ func (m *MemJournal) Decide(txn model.TxnID, commit bool, pending []model.ProcID
 // DecideDone implements Journal.
 func (m *MemJournal) DecideDone(txn model.TxnID) { m.apply(&record{DoneTxn: &txn}) }
 
-// Sync implements Journal: memory is always "durable".
-func (m *MemJournal) Sync() error { return nil }
+// Barrier implements Journal: memory is always "durable".
+func (m *MemJournal) Barrier(bool, func(error)) (bool, error) { return true, nil }
 
 var _ Journal = (*MemJournal)(nil)

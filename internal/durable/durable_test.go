@@ -275,8 +275,8 @@ func TestMemJournal(t *testing.T) {
 	m.Apply("x", 9, ver(5, 1))
 	m.Stage(txn(1), "x", StagedWrite{Val: 10, Ver: ver(5, 2)})
 	m.Decide(txn(1), true, []model.ProcID{2}, nil)
-	if err := m.Sync(); err != nil {
-		t.Fatal(err)
+	if done, err := m.Barrier(true, nil); !done || err != nil {
+		t.Fatalf("Barrier = %v, %v; memory is always durable", done, err)
 	}
 	if m.St.MaxID != v(5, 1) || m.St.Copies["x"].Val != 9 {
 		t.Fatalf("state = %+v", m.St)

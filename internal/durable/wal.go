@@ -31,9 +31,12 @@ import (
 // objects. Everything older is pruned.
 //
 // Writes are group-committed: Journal methods append to an in-memory
-// batch; Sync (the protocol's durability barrier: prepare-ack, decide)
-// or the background flusher writes the batch and fsyncs once. A torn
-// final batch is exactly what recovery's torn-tail rule repairs.
+// batch; a flush swaps the batch out under the journal lock, writes it
+// and fsyncs once outside the lock, so appends never wait for the disk.
+// With Options.Committer one goroutine does every flush and releases
+// the barriers that waited on it (see Journal.Barrier); without it a
+// Barrier flushes on the caller's goroutine. A torn final batch is
+// exactly what recovery's torn-tail rule repairs.
 
 const (
 	defaultSegmentBytes    = 1 << 20
@@ -58,9 +61,15 @@ type Options struct {
 	// Larger values cheapen steady-state writing (fewer full-state
 	// encodes) at the cost of replaying more segments on restart.
 	SnapshotEvery int
-	// FlushInterval, when positive, starts a background goroutine that
-	// group-commits the pending batch every interval. Zero leaves
-	// flushing to Sync callers (and Close).
+	// Committer starts the journal's committer goroutine: Barrier then
+	// returns at once and its continuation runs after a shared fsync.
+	// Without it every Barrier flushes on the caller's goroutine — what
+	// the deterministic simulation and single-goroutine tools need.
+	Committer bool
+	// FlushInterval is the maximum age of an unsynced record: the
+	// committer flushes no later than this after the oldest pending append
+	// even when no urgent barrier asks. Zero sets no deadline and makes
+	// every barrier urgent. Setting it without Committer is an error.
 	FlushInterval time.Duration
 	// Scope, when non-nil, is the hosted-object universe of the owning
 	// processor (partial replication: the objects of its hosted shards).
@@ -121,18 +130,25 @@ type snapInfo struct {
 }
 
 // FileJournal is a segmented, checksummed, group-committed write-ahead
-// log. Safe for concurrent use; all appends land in a batch that a Sync
-// barrier or the background flusher makes durable with one fsync.
+// log. Safe for concurrent use; all appends land in a batch that one
+// flush makes durable with one fsync.
 type FileJournal struct {
 	dir  string
 	opts Options
 
+	// ioMu serializes flushes: one writer to the live segment at a time.
+	// It is taken before mu and held across the write and the fsync; mu
+	// is not, so appends proceed while the disk works.
+	ioMu sync.Mutex
+
 	mu        sync.Mutex
 	seg       File
 	segIndex  uint64
-	segSize   int64
-	sinceSnap int // segment rolls since the last snapshot
+	segSize   int64 // bytes of the live segment known durable
+	sinceSnap int   // segment rolls since the last snapshot
 	buf       []byte
+	spare     []byte // the idle half of the double buffer
+	flying    []byte // the batch a flush is writing right now, else nil
 	pending   int
 	oldest    time.Time // append time of the oldest unsynced record
 	shadow    *State
@@ -140,12 +156,20 @@ type FileJournal struct {
 	stats     RecoveryStats
 	reg       *metrics.Registry
 	err       error
+	// waiters are the barrier continuations not yet released; urgent
+	// says one of them wants the flush now.
+	waiters []func(error)
+	urgent  bool
 
 	// SyncEveryWrite forces a write+fsync per record (safest, slowest).
 	SyncEveryWrite bool
 
-	stop chan struct{}
-	done chan struct{}
+	// Committer goroutine (Options.Committer): wake re-evaluates what it
+	// is waiting for, stop ends it, done reports it gone.
+	wake     chan struct{}
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
 }
 
 func segName(idx uint64) string  { return fmt.Sprintf("wal-%08d.seg", idx) }
@@ -169,6 +193,9 @@ func Open(dir string) (*State, *FileJournal, error) {
 // OpenOptions is Open with explicit tuning.
 func OpenOptions(dir string, o Options) (*State, *FileJournal, error) {
 	start := time.Now()
+	if o.FlushInterval > 0 && !o.Committer {
+		return nil, nil, errors.New("durable: FlushInterval needs Committer: nothing else flushes on a deadline")
+	}
 	o = o.withDefaults()
 	fs := o.FS
 	if err := fs.MkdirAll(dir); err != nil {
@@ -311,10 +338,11 @@ func OpenOptions(dir string, o Options) (*State, *FileJournal, error) {
 	j.pruneLocked()
 	j.mu.Unlock()
 	j.stats.Duration = time.Since(start)
-	if o.FlushInterval > 0 {
+	if o.Committer {
+		j.wake = make(chan struct{}, 1)
 		j.stop = make(chan struct{})
 		j.done = make(chan struct{})
-		go j.flushLoop(o.FlushInterval)
+		go j.commitLoop()
 	}
 	return st, j, nil
 }
@@ -557,57 +585,79 @@ func (j *FileJournal) Recovery() RecoveryStats { return j.stats }
 // state that feeds snapshots). SyncEveryWrite flushes immediately.
 func (j *FileJournal) write(r *record) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.err != nil {
+		j.mu.Unlock()
 		return
 	}
 	j.shadow.apply(r)
 	j.buf = appendFrame(j.buf, r)
 	j.pending++
+	first := j.pending == 1
+	if first {
+		j.oldest = time.Now()
+	}
 	if j.reg != nil {
 		j.reg.Inc(metrics.CJournalRecords, 1)
-		if j.pending == 1 {
-			j.oldest = time.Now()
-		}
 	}
-	if j.SyncEveryWrite {
-		j.flushLocked()
+	every := j.SyncEveryWrite
+	j.mu.Unlock()
+	if every {
+		j.Sync() //nolint:errcheck // sticky: the next barrier reports it
+	} else if first && j.opts.FlushInterval > 0 {
+		j.signal() // the committer arms this batch's age deadline
 	}
 }
 
-// flushLocked writes the pending batch, fsyncs once, and rolls the
-// segment (snapshotting) past the size threshold. Callers hold j.mu.
-func (j *FileJournal) flushLocked() {
-	if j.err != nil || len(j.buf) == 0 {
-		return
+// flush makes the pending batch durable: it swaps the double buffer
+// under mu, writes and fsyncs outside it, publishes the new durable
+// size (rolling the segment past the threshold) under mu again, and
+// returns the journal's sticky error; synced says this call completed an
+// fsync (false for an empty batch). Callers hold ioMu.
+func (j *FileJournal) flush() (synced bool, err error) {
+	j.mu.Lock()
+	if j.err != nil || len(j.buf) == 0 || j.seg == nil {
+		err := j.err
+		j.mu.Unlock()
+		return false, err
 	}
-	n := len(j.buf)
-	recs := j.pending
-	if _, err := j.seg.Write(j.buf); err != nil {
+	batch, recs, oldest, seg := j.buf, j.pending, j.oldest, j.seg
+	j.buf, j.spare, j.pending, j.flying = j.spare[:0], nil, 0, batch
+	j.mu.Unlock()
+
+	if _, err = seg.Write(batch); err == nil {
+		err = seg.Sync()
+	}
+
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.spare, j.flying = batch[:0], nil
+	if j.seg != seg {
+		return false, j.err // hard-crashed under the flush: the outcome is moot
+	}
+	if err != nil {
 		j.err = err
-		return
+		return false, err
 	}
-	if err := j.seg.Sync(); err != nil {
-		j.err = err
-		return
-	}
-	j.segSize += int64(n)
-	j.buf = j.buf[:0]
-	j.pending = 0
+	j.segSize += int64(len(batch))
 	if j.reg != nil {
-		j.reg.Inc(metrics.CJournalBytes, int64(n))
+		j.reg.Inc(metrics.CJournalBytes, int64(len(batch)))
 		j.reg.Inc(metrics.CJournalFsyncs, 1)
 		j.reg.Observe(metrics.SJournalBatch, float64(recs))
-		j.reg.ObserveDuration(metrics.SJournalLag, time.Since(j.oldest))
+		j.reg.ObserveDuration(metrics.SJournalLag, time.Since(oldest))
 	}
 	if j.segSize >= j.opts.SegmentBytes {
 		j.rollLocked()
 	}
+	return true, j.err
 }
 
 // rollLocked closes the current segment and opens the next. Every
 // SnapshotEvery rolls it also snapshots the shadow state at the
-// boundary and prunes generations past retention.
+// boundary and prunes generations past retention. The shadow may be
+// ahead of the boundary by the records appended during the flush that
+// triggered the roll; they land in the new segment too, and replaying a
+// record over a state that already reflects it changes nothing (every
+// record sets or deletes by key, max-id merges monotonically).
 func (j *FileJournal) rollLocked() {
 	if err := j.seg.Close(); err != nil {
 		j.err = err
@@ -659,32 +709,119 @@ func (j *FileJournal) pruneLocked() {
 	}
 }
 
-func (j *FileJournal) flushLoop(every time.Duration) {
+// signal asks the committer to look again; a signal already pending
+// covers this one.
+func (j *FileJournal) signal() {
+	select {
+	case j.wake <- struct{}{}:
+	default:
+	}
+}
+
+// commitLoop is the committer goroutine: it sleeps until a barrier
+// needs releasing or the oldest unsynced record reaches FlushInterval,
+// flushes once, and releases every barrier registered before the flush
+// began — however many piled up behind the previous fsync.
+func (j *FileJournal) commitLoop() {
 	defer close(j.done)
-	t := time.NewTicker(every)
-	defer t.Stop()
 	for {
+		j.mu.Lock()
+		// Barriers over an empty batch are released without disk work:
+		// their records went out with an earlier flush.
+		due := j.urgent || (len(j.waiters) > 0 && j.pending == 0)
+		var age *time.Timer
+		if !due && j.pending > 0 && j.opts.FlushInterval > 0 {
+			if left := time.Until(j.oldest.Add(j.opts.FlushInterval)); left > 0 {
+				age = time.NewTimer(left)
+			} else {
+				due = true
+			}
+		}
+		var waiters []func(error)
+		if due {
+			waiters, j.waiters, j.urgent = j.waiters, nil, false
+		}
+		j.mu.Unlock()
+		if !due {
+			var aged <-chan time.Time
+			if age != nil {
+				aged = age.C
+			}
+			select {
+			case <-j.stop:
+				return
+			case <-j.wake:
+			case <-aged:
+			}
+			if age != nil {
+				age.Stop()
+			}
+			continue
+		}
+		j.ioMu.Lock()
+		synced, err := j.flush()
+		j.ioMu.Unlock()
 		select {
 		case <-j.stop:
-			return
-		case <-t.C:
-			j.mu.Lock()
-			j.flushLocked()
-			j.mu.Unlock()
+			return // closed or crashed under the flush: waiters are abandoned
+		default:
+		}
+		j.mu.Lock()
+		reg := j.reg
+		j.mu.Unlock()
+		if reg != nil && synced && len(waiters) > 0 {
+			reg.Observe(metrics.SJournalWaiters, float64(len(waiters)))
+		}
+		for _, release := range waiters {
+			release(err)
 		}
 	}
 }
 
-// Sync makes every record appended so far durable: it group-commits the
-// pending batch with a single fsync. This is the barrier the protocol
-// places before externalizing a promise (prepare-ack, decide). The
-// error is sticky: a journal that failed a sync stays failed, and the
-// caller must treat the processor as crashed.
-func (j *FileJournal) Sync() error {
+// stopCommitter ends the committer goroutine, waiting out a flush in
+// progress. Barriers it had not released are dropped uncalled.
+func (j *FileJournal) stopCommitter() {
+	if j.stop == nil {
+		return
+	}
+	j.stopOnce.Do(func() { close(j.stop) })
+	<-j.done
+}
+
+// Committing reports whether barriers are released from the committer
+// goroutine (Options.Committer) rather than run on the caller's.
+func (j *FileJournal) Committing() bool { return j.opts.Committer }
+
+// Barrier implements Journal.
+func (j *FileJournal) Barrier(urgent bool, release func(error)) (bool, error) {
+	if !j.opts.Committer {
+		return true, j.Sync()
+	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.flushLocked()
-	return j.err
+	j.waiters = append(j.waiters, release)
+	if urgent || j.opts.FlushInterval <= 0 {
+		j.urgent = true
+	}
+	// A lazy barrier over pending records rides their age deadline, which
+	// the first append of the batch already armed.
+	wake := j.urgent || j.pending == 0
+	j.mu.Unlock()
+	if wake {
+		j.signal()
+	}
+	return false, nil
+}
+
+// Sync makes every record appended so far durable on the caller's
+// goroutine, waiting out a flush in progress. The error is sticky: a
+// journal that failed a sync stays failed, and the caller must treat the
+// processor as crashed. Barriers waiting on a committing journal stay
+// with its committer.
+func (j *FileJournal) Sync() error {
+	j.ioMu.Lock()
+	defer j.ioMu.Unlock()
+	_, err := j.flush()
+	return err
 }
 
 // Err reports the first write or sync error.
@@ -726,21 +863,32 @@ func (j *FileJournal) LogSince(obj model.ObjectID, since model.Version) ([]LogRe
 		j.mu.Unlock()
 		return nil, false
 	}
-	j.flushLocked() // segments on disk must include the pending batch
-	if j.err != nil {
-		j.mu.Unlock()
-		return nil, false
-	}
+	// The store only asks about writes it has applied, and those were
+	// appended before this call — but maybe not flushed yet. Rather than
+	// fsync on the caller's (the node's handler) thread, the unflushed
+	// records are read from memory: the batch a flush is writing, then the
+	// pending one, copied because both buffers are recycled.
+	unflushed := append(append([]byte(nil), j.flying...), j.buf...)
 	first, last, lastSize := j.ring[0].base, j.segIndex, j.segSize
 	reg := j.reg
 	j.mu.Unlock()
 	// The disk scan runs without j.mu so rejoin storms never stall the
-	// group-commit path: rolled segments are immutable, and of the live
-	// segment only the lastSize bytes the flush above made durable are
-	// read, so concurrent appends past that point are invisible. A
+	// append path: rolled segments are immutable, and of the live segment
+	// only the lastSize bytes a completed flush made durable are read —
+	// what the committer is writing past that point is in unflushed. A
 	// segment pruned by a concurrent roll reads as missing; completeness
 	// can no longer be proven then, and the caller falls back.
 	var out []LogRec
+	collect := func(payload []byte) error {
+		var r record
+		if !parseRecord(payload, &r) {
+			return errors.New("malformed record")
+		}
+		if r.ApplyVer != nil && r.ApplyObj == obj && since.Less(*r.ApplyVer) {
+			out = append(out, LogRec{Val: r.ApplyVal, Ver: *r.ApplyVer})
+		}
+		return nil
+	}
 	for idx := first; idx <= last; idx++ {
 		data, err := j.opts.FS.ReadFile(filepath.Join(j.dir, segName(idx)))
 		if err != nil {
@@ -749,19 +897,12 @@ func (j *FileJournal) LogSince(obj model.ObjectID, since model.Version) ([]LogRe
 		if idx == last && int64(len(data)) > lastSize {
 			data = data[:lastSize]
 		}
-		_, torn, werr := walkFrames(data, func(payload []byte) error {
-			var r record
-			if !parseRecord(payload, &r) {
-				return errors.New("malformed record")
-			}
-			if r.ApplyVer != nil && r.ApplyObj == obj && since.Less(*r.ApplyVer) {
-				out = append(out, LogRec{Val: r.ApplyVal, Ver: *r.ApplyVer})
-			}
-			return nil
-		})
-		if werr != nil || torn {
+		if _, torn, werr := walkFrames(data, collect); werr != nil || torn {
 			return nil, false
 		}
+	}
+	if _, torn, werr := walkFrames(unflushed, collect); werr != nil || torn {
+		return nil, false
 	}
 	if reg != nil {
 		reg.Inc(metrics.CJournalCatchupScans, 1)
@@ -769,20 +910,18 @@ func (j *FileJournal) LogSince(obj model.ObjectID, since model.Version) ([]LogRe
 	return out, true
 }
 
-// Close flushes, syncs, and closes the journal.
+// Close flushes, syncs, and closes the journal. Barriers the committer
+// had not released are dropped uncalled.
 func (j *FileJournal) Close() error {
-	if j.stop != nil {
-		close(j.stop)
-		<-j.done
-		j.stop = nil
-	}
+	j.stopCommitter()
+	j.ioMu.Lock()
+	defer j.ioMu.Unlock()
+	_, err := j.flush()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.seg == nil {
 		return nil
 	}
-	j.flushLocked()
-	err := j.err
 	if cerr := j.seg.Close(); err == nil {
 		err = cerr
 	}
@@ -796,11 +935,7 @@ func (j *FileJournal) Close() error {
 // whatever the last group commit made durable, possibly with a torn
 // batch behind it.
 func (j *FileJournal) HardCrash() {
-	if j.stop != nil {
-		close(j.stop)
-		<-j.done
-		j.stop = nil
-	}
+	j.stopCommitter()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.seg != nil {

@@ -70,6 +70,14 @@ func (r *Registry) Inc(name string, delta int64) {
 	r.mu.Unlock()
 }
 
+// Set overwrites the named counter, for the few that are states rather
+// than tallies (CNodeHalted).
+func (r *Registry) Set(name string, v int64) {
+	r.mu.Lock()
+	r.counters[name] = v
+	r.mu.Unlock()
+}
+
 // Get returns the current value of a counter (0 if never incremented).
 func (r *Registry) Get(name string) int64 {
 	r.mu.Lock()
@@ -279,6 +287,9 @@ const (
 	CJournalFsyncs       = "journal.fsync"
 	CJournalSnapshots    = "journal.snapshots"
 	CJournalCatchupScans = "journal.catchup.scans"
+	// CNodeHalted is 0 until a failed durability barrier takes the node
+	// out of the protocol (node.Base.Halted), 1 from then on.
+	CNodeHalted = "node.halted"
 )
 
 // Well-known sample (distribution) names.
@@ -298,6 +309,12 @@ const (
 	// SJournalLag is how long the oldest record of a batch waited
 	// between append and fsync, in milliseconds.
 	SJournalLag = "journal.lag.ms"
+	// SJournalWaiters is the number of barriers released per fsync: how
+	// many promises shared one disk flush.
+	SJournalWaiters = "journal.waiters.per.fsync"
+	// SJournalBarrierWait is the time from a node registering a barrier
+	// to its continuation running on the event loop, in milliseconds.
+	SJournalBarrierWait = "journal.barrier.wait.ms"
 	// SRecovery is the duration of a journal replay at startup, in
 	// milliseconds (observed once per Open).
 	SRecovery = "journal.recovery.ms"

@@ -21,10 +21,11 @@ var (
 
 // DiskFaults is a durable.VFS that wraps another VFS and injects the
 // disk half of the fault model: fsync failures (the device lies or
-// dies under the group-commit barrier), torn writes (power loss mid
-// append — a prefix of the buffer is persisted, the rest is not), and
-// whole-disk crashes (every operation fails, as when the process is
-// killed and the harness wants no further writes to escape). Recovery
+// dies under the group-commit barrier), frozen fsyncs (the device stalls:
+// every sync blocks until thawed), torn writes (power loss mid append —
+// a prefix of the buffer is persisted, the rest is not), and whole-disk
+// crashes (every operation fails, as when the process is killed and the
+// harness wants no further writes to escape). Recovery
 // code never sees this type; it sees a journal directory with exactly
 // the damage a hostile disk would leave.
 type DiskFaults struct {
@@ -32,7 +33,9 @@ type DiskFaults struct {
 
 	mu        sync.Mutex
 	failFsync bool
-	tearKeep  int // bytes of the next write to let through; -1 = no tear armed
+	frozen    chan struct{} // non-nil while frozen; closed by Thaw
+	blocked   int           // syncs currently held by the freeze
+	tearKeep  int           // bytes of the next write to let through; -1 = no tear armed
 	crashed   bool
 	torn      int
 	syncFails int
@@ -51,6 +54,34 @@ func (d *DiskFaults) FailFsync(on bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.failFsync = on
+}
+
+// Freeze makes every File.Sync block until Thaw: a stalled device, not
+// a failed one. Syncs already past the check are unaffected.
+func (d *DiskFaults) Freeze() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.frozen == nil {
+		d.frozen = make(chan struct{})
+	}
+}
+
+// Blocked returns how many syncs a freeze is holding right now, so a
+// test can wait for a flush to be in flight instead of sleeping.
+func (d *DiskFaults) Blocked() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.blocked
+}
+
+// Thaw releases every sync blocked by Freeze and lets new ones through.
+func (d *DiskFaults) Thaw() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.frozen != nil {
+		close(d.frozen)
+		d.frozen = nil
+	}
 }
 
 // TearNextWrite arms a one-shot torn write: the next File.Write on any
@@ -76,6 +107,7 @@ func (d *DiskFaults) Crash() {
 
 // Heal clears all armed and active faults.
 func (d *DiskFaults) Heal() {
+	d.Thaw()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.failFsync = false
@@ -207,6 +239,13 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 
 func (ff *faultFile) Sync() error {
 	ff.d.mu.Lock()
+	if frozen := ff.d.frozen; frozen != nil {
+		ff.d.blocked++
+		ff.d.mu.Unlock()
+		<-frozen
+		ff.d.mu.Lock()
+		ff.d.blocked--
+	}
 	if ff.d.crashed {
 		ff.d.mu.Unlock()
 		return ErrDiskGone

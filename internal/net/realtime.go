@@ -49,6 +49,7 @@ type rtEvent struct {
 	ctx   model.TraceCtx
 	timer any // non-nil: timer event with this key
 	tid   TimerID
+	post  func(rt Runtime) // non-nil: posted continuation (Poster)
 }
 
 type realNode struct {
@@ -146,6 +147,11 @@ func (n *realNode) loop() {
 			return
 		case ev = <-n.mbox:
 		}
+		if ev.post != nil {
+			n.cur = model.TraceCtx{}
+			ev.post(n)
+			continue
+		}
 		if ev.timer != nil {
 			n.tmu.Lock()
 			_, live := n.timers[ev.tid]
@@ -162,7 +168,13 @@ func (n *realNode) loop() {
 	}
 }
 
-var _ Runtime = (*realNode)(nil)
+var (
+	_ Runtime = (*realNode)(nil)
+	_ Poster  = (*realNode)(nil)
+)
+
+// Post implements Poster.
+func (n *realNode) Post(fn func(rt Runtime)) { n.enqueue(rtEvent{post: fn}) }
 
 func (n *realNode) ID() model.ProcID      { return n.id }
 func (n *realNode) Procs() []model.ProcID { return n.c.Topo.Procs() }

@@ -65,6 +65,18 @@ type Runtime interface {
 	Logf(format string, args ...any)
 }
 
+// Poster is the re-entry seam of the engines that run each handler on
+// its own goroutine (RealCluster, TCPNode): Post queues fn behind the
+// events already in the node's mailbox and runs it there, with the
+// runtime the loop hands its handler and no ambient trace context. It is
+// safe from any goroutine and is how work finished elsewhere — a
+// journal's committer releasing a barrier — gets back onto the handler's
+// single thread. A runtime value may be retained past its event for this
+// call alone. SimCluster has one goroutine and nothing to post from.
+type Poster interface {
+	Post(fn func(rt Runtime))
+}
+
 // Handler is a node: a deterministic state machine driven by messages and
 // timers. The engine guarantees the three methods are never invoked
 // concurrently for the same node, so handlers need no internal locking.

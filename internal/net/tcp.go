@@ -312,6 +312,11 @@ func (n *TCPNode) eventLoop() {
 		case <-n.stopped:
 			return
 		case ev := <-n.mbox:
+			if ev.post != nil {
+				n.cur = model.TraceCtx{}
+				ev.post(n)
+				continue
+			}
 			if ev.timer != nil {
 				n.tmu.Lock()
 				_, live := n.timers[ev.tid]
@@ -549,7 +554,13 @@ func (n *TCPNode) peerDown(to model.ProcID) {
 	n.rec.Record(trace.Event{At: n.Now(), Proc: n.id, Kind: trace.EvPeerDown, Peer: to})
 }
 
-var _ Runtime = (*TCPNode)(nil)
+var (
+	_ Runtime = (*TCPNode)(nil)
+	_ Poster  = (*TCPNode)(nil)
+)
+
+// Post implements Poster.
+func (n *TCPNode) Post(fn func(rt Runtime)) { n.enqueue(rtEvent{post: fn}) }
 
 // ID implements Runtime.
 func (n *TCPNode) ID() model.ProcID { return n.id }

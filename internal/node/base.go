@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/virtualpartitions/vp/internal/durable"
@@ -49,11 +50,15 @@ type Base struct {
 	spanSeq uint32
 
 	// halted marks the processor as crashed to the protocol: a journal
-	// Sync failed at a barrier whose outcome had already been applied, so
-	// no further promise this node makes can be backed by disk. A halted
-	// node goes silent (messages and timers are dropped) until a real
-	// restart replays the journal's last durable prefix.
+	// barrier failed (see Promise), so no further promise this node makes
+	// can be backed by disk. A halted node goes silent (messages and
+	// timers are dropped) until a real restart replays the journal's last
+	// durable prefix.
 	halted bool
+	// OnHalt, when set, is told the error that halted the node — the
+	// embedding process logs it and fails its health check, so an
+	// operator can tell a halted node from a partitioned one.
+	OnHalt func(err error)
 }
 
 // Halted reports whether a failed durability barrier has taken this node
@@ -93,6 +98,9 @@ type deferredAccess struct {
 type preparedTxn struct {
 	coord  model.ProcID
 	writes []wire.ObjWrite
+	// voted is set once the stage records are durable and the yes-vote
+	// has left; until then a retransmitted Prepare must not be answered.
+	voted bool
 }
 
 // timer keys
@@ -128,11 +136,20 @@ func NewBase(id model.ProcID, cfg Config, cat *model.Catalog, strat Strategy, hi
 // decisions that were not fully acknowledged before a crash. Concrete
 // nodes call it from their Init.
 func (b *Base) InitBase(rt net.Runtime) {
+	// A committing journal releases promises from its own goroutine and
+	// needs the engine's way back onto this one; say so now, not from the
+	// committer at the first barrier.
+	if c, ok := b.Journal.(interface{ Committing() bool }); ok && c.Committing() {
+		if _, ok := rt.(net.Poster); !ok {
+			panic(fmt.Sprintf("node: journal with a committer needs a runtime implementing net.Poster, have %T", rt))
+		}
+	}
 	rt.SetTimer(b.Cfg.LockTimeout, leaseSweep{})
 	for id, rec := range b.resumed {
 		t := &txn{
 			id:          id,
 			phase:       phaseDeciding,
+			announced:   true, // the record was replayed, so it is durable
 			commit:      rec.Commit,
 			pendingAcks: newPartSet(),
 		}
@@ -144,6 +161,9 @@ func (b *Base) InitBase(rt net.Runtime) {
 			t.pendingAcks.Add(k)
 		}
 		b.active[id] = t
+		if b.Hist != nil {
+			b.Hist.Resolve(id, rec.Commit) // decided, then killed before it could say so
+		}
 		for _, k := range t.pendingAcks.Sorted() {
 			b.sendPartPlain(rt, k, wire.Decide{Txn: id, Commit: rec.Commit})
 		}
@@ -167,7 +187,7 @@ func (b *Base) RestoreDurable(st *durable.State) {
 			w := objs[o]
 			writes = append(writes, wire.ObjWrite{Obj: o, Val: w.Val, Ver: w.Ver, MissedBy: w.MissedBy})
 		}
-		b.prepared[txnID] = &preparedTxn{writes: writes}
+		b.prepared[txnID] = &preparedTxn{writes: writes, voted: true}
 		// The participant re-holds the exclusive locks its promise
 		// implies, so nothing else can touch the copies before Decide.
 		for _, o := range objSet.Sorted() {

@@ -67,6 +67,9 @@ type txn struct {
 	votesNeeded partSet
 	voteTimer   net.TimerID
 	commit      bool
+	// announced is set once the decision's journal record is durable and
+	// the Decide fan-out has left; until then nobody may learn it.
+	announced   bool
 	pendingAcks partSet
 	retryTimer  net.TimerID
 	// prepare payload per participant, retained so a weak-R4 migration
@@ -568,55 +571,45 @@ func (b *Base) decide(rt net.Runtime, t *txn, commit bool, reason string) {
 	t.phase = phaseDeciding
 	t.commit = commit
 	t.pendingAcks = t.votesNeeded.Clone()
+	jStart := rt.Now()
 	if b.Journal != nil {
-		jStart := rt.Now()
 		procs, shards := splitParts(t.pendingAcks.Sorted())
 		b.Journal.Decide(t.id, commit, procs, shards)
-		// Sync barrier: the decision must be durable before any participant
-		// can learn it, or a coordinator crash between the sends below and
-		// the next group commit would restart with an undecided journal
-		// while participants already applied the outcome. (The same flush
-		// lands this processor's own stage records, which handlePrepare
-		// appended unsynced, ahead of the decision record.) On sync failure
-		// the decision must therefore not be externalized at all: with no
-		// durable Decide record a restart never resumes retransmission
-		// (b.resumed stays empty), so any participant that missed the
-		// first send would stay prepared forever, holding exclusive locks.
-		// Halt instead — the same treat-as-crashed rule the participant
-		// barriers apply. Participants that voted yes stay prepared,
-		// exactly as for a coordinator that crashed an instant earlier,
-		// until their lease-sweep DecideQuery reaches this processor's
-		// restart, which finds no record and answers abort (presumed
-		// abort, see handleDecideQuery). That is strictly better than
-		// externalizing an outcome this processor can neither remember
-		// nor finish driving.
-		if err := b.Journal.Sync(); err != nil {
-			rt.Logf("decide %v: journal sync failed; halting node: %v", t.id, err)
-			b.halted = true
-			return
+		if b.Hist != nil && commit {
+			// From here a restart carries the commit out (InitBase) even if
+			// this incarnation never gets to announce it.
+			b.Hist.InDoubt(b.histRecord(t, true))
 		}
-		if !t.ctx.IsZero() {
-			// In a durable deployment this span is the decision-record
-			// fsync — often the commit path's dominant cost.
+	}
+	// The decision must be durable before anyone — participant or client —
+	// can learn it: a coordinator that restarts without the record answers
+	// "abort" to every query (presumed abort, see handleDecideQuery). The
+	// same flush lands this processor's own stage records, appended
+	// unsynced ahead of the decide record.
+	b.Promise(rt, true, func(rt net.Runtime) {
+		if b.Journal != nil && !t.ctx.IsZero() {
+			// The wait for the decision record's fsync — often the commit
+			// path's dominant cost.
 			rt.Tracer().Span(b.ID, t.ctx.Child(b.NextSpan()), "coord-journal", jStart, rt.Now(), t.id)
 		}
-	}
-	// Read-only participants are released outright.
-	for _, k := range t.sParts.Sorted() {
-		if !t.votesNeeded.Has(k) {
-			b.sendPartPlain(rt, k, wire.Release{Txn: t.id})
+		t.announced = true
+		// Read-only participants are released outright.
+		for _, k := range t.sParts.Sorted() {
+			if !t.votesNeeded.Has(k) {
+				b.sendPartPlain(rt, k, wire.Release{Txn: t.id})
+			}
 		}
-	}
-	if !t.ctx.IsZero() && t.pendingAcks.Len() > 0 {
-		t.decCtx, t.decStart = t.ctx.Child(b.NextSpan()), rt.Now()
-	}
-	for _, k := range t.pendingAcks.Sorted() {
-		b.sendPart(rt, k, wire.Decide{Txn: t.id, Commit: commit}, t.decCtx)
-	}
-	if t.pendingAcks.Len() > 0 {
-		t.retryTimer = rt.SetTimer(b.Cfg.DecideRetry, decideRetry{txn: t.id})
-	}
-	b.finish(rt, t, commit, reason)
+		if !t.ctx.IsZero() && t.pendingAcks.Len() > 0 {
+			t.decCtx, t.decStart = t.ctx.Child(b.NextSpan()), rt.Now()
+		}
+		for _, k := range t.pendingAcks.Sorted() {
+			b.sendPart(rt, k, wire.Decide{Txn: t.id, Commit: commit}, t.decCtx)
+		}
+		if t.pendingAcks.Len() > 0 {
+			t.retryTimer = rt.SetTimer(b.Cfg.DecideRetry, decideRetry{txn: t.id})
+		}
+		b.finish(rt, t, commit, reason)
+	})
 }
 
 func (b *Base) handleDecideAck(rt net.Runtime, from model.ProcID, s model.ShardID, a wire.DecideAck) {
@@ -640,8 +633,8 @@ func (b *Base) handleDecideAck(rt net.Runtime, from model.ProcID, s model.ShardI
 }
 
 // handleDecideQuery answers a participant stuck in the prepared state
-// (see sweepLeases). The coordinator syncs its Decide record before the
-// first Decide send (see decide), which makes the journal authoritative:
+// (see sweepLeases). The coordinator's Decide record is durable before
+// the first Decide send (see decide), which makes the journal authoritative:
 // if this node holds no record of the transaction, no commit decision
 // was ever externalized, so answering abort is sound — presumed abort.
 // The other direction is covered too: a participant only stays prepared
@@ -655,11 +648,11 @@ func (b *Base) handleDecideQuery(rt net.Runtime, from model.ProcID, s model.Shar
 		return // misrouted: only the transaction's coordinator may answer
 	}
 	if t, ok := b.active[q.Txn]; ok {
-		if t.phase == phaseDeciding {
+		if t.phase == phaseDeciding && t.announced {
 			b.sendPart(rt, partKey{P: from, S: s}, wire.Decide{Txn: t.id, Commit: t.commit}, t.decCtx)
 		}
-		// Running or voting: the decision is still being made and will be
-		// delivered by the normal protocol; stay silent.
+		// Running, voting or waiting for the decision record's fsync: the
+		// outcome will be delivered by the normal protocol; stay silent.
 		return
 	}
 	b.sendPartPlain(rt, partKey{P: from, S: s}, wire.Decide{Txn: q.Txn, Commit: false})
@@ -708,6 +701,26 @@ func (b *Base) abortTxn(rt net.Runtime, t *txn, reason string) {
 	b.finish(rt, t, false, reason)
 }
 
+// histRecord is what the 1SR checker needs to know about t.
+func (b *Base) histRecord(t *txn, committed bool) onecopy.TxnRecord {
+	rec := onecopy.TxnRecord{
+		ID:        t.id,
+		Epoch:     t.epoch.VP,
+		Committed: committed,
+		Reads:     make(map[model.ObjectID]model.Version, len(t.readVers)),
+		Writes:    make(map[model.ObjectID]model.Version, len(t.writeVers)),
+	}
+	for o, v := range t.readVers {
+		rec.Reads[o] = v
+	}
+	if committed {
+		for o, v := range t.writeVers {
+			rec.Writes[o] = v
+		}
+	}
+	return rec
+}
+
 // finish reports the outcome to the client and the history. For commits
 // with pending acks the txn stays active (retransmitting Decide) but is
 // already reported: the decision is durable.
@@ -720,22 +733,7 @@ func (b *Base) finish(rt net.Runtime, t *txn, committed bool, reason string) {
 		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnAbort, VP: t.epoch.VP, Txn: t.id, Msg: reason})
 	}
 	if b.Hist != nil {
-		rec := onecopy.TxnRecord{
-			ID:        t.id,
-			Epoch:     t.epoch.VP,
-			Committed: committed,
-			Reads:     make(map[model.ObjectID]model.Version, len(t.readVers)),
-			Writes:    make(map[model.ObjectID]model.Version, len(t.writeVers)),
-		}
-		for o, v := range t.readVers {
-			rec.Reads[o] = v
-		}
-		if committed {
-			for o, v := range t.writeVers {
-				rec.Writes[o] = v
-			}
-		}
-		b.Hist.Record(rec)
+		b.Hist.Record(b.histRecord(t, committed))
 	}
 	var reads, writes []wire.ObjVal
 	if committed {

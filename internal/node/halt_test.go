@@ -11,9 +11,9 @@ import (
 	"github.com/virtualpartitions/vp/internal/wire"
 )
 
-// failingJournal is a durable.Journal whose Sync starts failing —
-// stickily, like FileJournal's — after okSyncs successful barriers,
-// modeling a disk that dies mid-run.
+// failingJournal is a synchronous durable.Journal whose barriers start
+// failing — stickily, like FileJournal's — after okSyncs successful
+// ones, modeling a disk that dies mid-run.
 type failingJournal struct {
 	okSyncs int
 	syncs   int
@@ -26,20 +26,20 @@ func (f *failingJournal) Stage(model.TxnID, model.ObjectID, durable.StagedWrite)
 func (f *failingJournal) DropStage(model.TxnID, model.ObjectID)                     {}
 func (f *failingJournal) Decide(model.TxnID, bool, []model.ProcID, []model.ShardID) {}
 func (f *failingJournal) DecideDone(model.TxnID)                                    {}
-func (f *failingJournal) Sync() error {
+func (f *failingJournal) Barrier(bool, func(error)) (bool, error) {
 	f.syncs++
 	if f.syncs > f.okSyncs {
-		return errors.New("injected fsync failure")
+		return true, errors.New("injected fsync failure")
 	}
-	return nil
+	return true, nil
 }
 
-// A participant whose decide-barrier sync fails must never acknowledge
-// the decision — not even to a retransmission, which previously hit the
-// unconditional ack for no-longer-prepared transactions — because the
-// ack licenses the coordinator to forget an outcome that was never made
-// durable here. The node halts with its prepared entry and locks
-// intact, exactly as if it crashed at the barrier.
+// A participant whose decide barrier fails must never acknowledge the
+// decision — not even to a retransmission, which finds the transaction
+// no longer prepared — because the ack licenses the coordinator to
+// forget an outcome that was never made durable here. The node halts,
+// exactly as if it crashed before the ack; what it applied in memory is
+// moot, a restart resurrects the transaction from the journal.
 func TestParticipantHaltsOnDecideSyncFailure(t *testing.T) {
 	f := newFixture(t, 3, "x")
 	// First sync (prepare-ack barrier) succeeds, second (decide) fails.
@@ -53,12 +53,8 @@ func TestParticipantHaltsOnDecideSyncFailure(t *testing.T) {
 	if !f.bases[2].Halted() {
 		t.Fatal("participant with failed decide sync must halt")
 	}
-	// The prepared entry and its locks survive for the restart to
-	// resolve; the retransmitted Decide was never acked, so the
-	// coordinator is still driving the decision.
-	if got := f.bases[2].PreparedTxns(); got != 1 {
-		t.Fatalf("prepared at halted node = %d, want 1", got)
-	}
+	// The retransmitted Decide was never acked, so the coordinator is
+	// still driving the decision for the restart to pick up.
 	if got := f.bases[1].ActiveTxns(); got != 1 {
 		t.Fatalf("coordinator active = %d, want 1 (unacked decide keeps retransmitting)", got)
 	}

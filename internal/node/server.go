@@ -147,27 +147,29 @@ func (b *Base) RecoveryUnlocked(rt net.Runtime, obj model.ObjectID) {
 }
 
 func (b *Base) handlePrepare(rt net.Runtime, from model.ProcID, p wire.Prepare) {
-	vote := func(ok bool) {
-		rt.Send(from, wire.Vote{Txn: p.Txn, From: b.ID, OK: ok,
-			Epoch: p.Epoch, HasEpoch: p.HasEpoch})
+	ctx := rt.TraceCtx()
+	vote := func(rt net.Runtime, ok bool) {
+		rt.SendCtx(from, wire.Vote{Txn: p.Txn, From: b.ID, OK: ok,
+			Epoch: p.Epoch, HasEpoch: p.HasEpoch}, ctx)
 	}
-	if _, dup := b.prepared[p.Txn]; dup {
-		vote(true) // retransmitted prepare
-		return
+	if pt, dup := b.prepared[p.Txn]; dup {
+		if pt.voted {
+			vote(rt, true) // retransmitted prepare
+		}
+		return // else the pending barrier will vote
 	}
 	if !b.Strat.AcceptAccess(rt, Epoch{VP: p.Epoch, Has: p.HasEpoch}) {
-		vote(false)
+		vote(rt, false)
 		return
 	}
 	// The transaction must still hold an exclusive lock on every copy it
 	// wants to write here; a partition change released them (rule R4).
 	for _, w := range p.Writes {
 		if !b.Store.Has(w.Obj) || !b.Locks.Holds(w.Obj, p.Txn, model.LockExclusive) {
-			vote(false)
+			vote(rt, false)
 			return
 		}
 	}
-	ctx := rt.TraceCtx()
 	traced := !ctx.IsZero() && len(p.Writes) > 0
 	stageStart := rt.Now()
 	for _, w := range p.Writes {
@@ -180,50 +182,46 @@ func (b *Base) handlePrepare(rt net.Runtime, from model.ProcID, p wire.Prepare) 
 	if traced {
 		rt.Tracer().Span(b.ID, ctx.Child(b.NextSpan()), "part-stage", stageStart, rt.Now(), p.Txn)
 	}
-	if b.Journal != nil {
-		jStart := rt.Now()
-		for _, w := range p.Writes {
-			b.Journal.Stage(p.Txn, w.Obj, durable.StagedWrite{
-				Val: w.Val, Ver: w.Ver, Delta: w.Delta, MissedBy: w.MissedBy,
-			})
-		}
-		// Sync barrier: the yes-vote is a durability promise — after it the
-		// coordinator may decide commit, so the staged writes must survive a
-		// crash here. A failed sync means this journal (and processor) is
-		// dead to the protocol: vote no and drop the stage so a later
-		// restart cannot resurrect a write the coordinator never counted.
-		//
-		// A vote to this processor's own coordinator leaves nothing: the
-		// stage records precede the decide record in this same journal, so
-		// the coordinator's decide barrier — which nothing externalizes
-		// ahead of — makes them durable with it, and a crash before that
-		// barrier is an undecided transaction (presumed abort).
-		if !b.coordinates(p.Txn) {
-			if err := b.Journal.Sync(); err != nil {
-				rt.Logf("prepare %v: journal sync failed: %v", p.Txn, err)
-				b.Store.DropAllStagedBy(p.Txn)
-				b.Journal.DropStage(p.Txn, "")
-				vote(false)
-				return
-			}
-			if traced {
-				// In a durable deployment this is the staged-write fsync cost,
-				// split from part-stage so the critical path can tell the store
-				// from the disk.
-				rt.Tracer().Span(b.ID, ctx.Child(b.NextSpan()), "part-journal", jStart, rt.Now(), p.Txn)
-			}
-		}
-	}
-	b.prepared[p.Txn] = &preparedTxn{coord: from, writes: p.Writes}
+	pt := &preparedTxn{coord: from, writes: p.Writes}
+	b.prepared[p.Txn] = pt
 	b.touch(rt, p.Txn)
-	vote(true)
+	yes := func(rt net.Runtime) {
+		pt.voted = true
+		vote(rt, true)
+	}
+	if b.Journal == nil {
+		yes(rt)
+		return
+	}
+	jStart := rt.Now()
+	for _, w := range p.Writes {
+		b.Journal.Stage(p.Txn, w.Obj, durable.StagedWrite{
+			Val: w.Val, Ver: w.Ver, Delta: w.Delta, MissedBy: w.MissedBy,
+		})
+	}
+	if b.coordinates(p.Txn) {
+		yes(rt)
+		return
+	}
+	b.Promise(rt, true, func(rt net.Runtime) {
+		if b.prepared[p.Txn] != pt {
+			return // a decision overtook the vote
+		}
+		if traced {
+			// The wait for the stage records' fsync, split from part-stage
+			// so the critical path can tell the store from the disk.
+			rt.Tracer().Span(b.ID, ctx.Child(b.NextSpan()), "part-journal", jStart, rt.Now(), p.Txn)
+		}
+		yes(rt)
+	})
 }
 
 // coordinates reports whether this processor coordinates txn, i.e. the
 // participant-side promises it makes about txn never leave the
 // processor (and, sharded, its one shared journal). Such promises need
-// no sync barrier of their own: a barrier precedes a promise that leaves
-// the processor, and the coordinator's decide barrier is that one.
+// no barrier of their own: the stage, drop-stage and decide-done records
+// sit in the one journal in the order the coordinator's decide barrier
+// needs (DESIGN §12).
 func (b *Base) coordinates(txn model.TxnID) bool { return txn.P == b.ID }
 
 func (b *Base) handleDecide(rt net.Runtime, from model.ProcID, d wire.Decide) {
@@ -244,30 +242,6 @@ func (b *Base) handleDecide(rt net.Runtime, from model.ProcID, d wire.Decide) {
 		}
 		if b.Journal != nil {
 			b.Journal.DropStage(d.Txn, "")
-			// Sync barrier: the DecideAck below licenses the coordinator to
-			// forget the decision, so the outcome must be durable here first
-			// — a restart that resurrects this transaction as prepared would
-			// hold its exclusive locks forever, with no coordinator left to
-			// resolve it. On sync failure the ack must never be sent — not
-			// now and not for any retransmission (the ack below is
-			// unconditional for transactions no longer prepared, so merely
-			// withholding it once is not enough). Halt: keep the prepared
-			// entry and its locks and go silent, exactly as if the
-			// processor crashed here. A restart resurrects the transaction
-			// from the journal's durable prefix and the retransmitted
-			// Decide finishes the job against a working disk.
-			//
-			// An ack to this processor's own coordinator leaves nothing: the
-			// DecideDone it licenses follows the DropStage in this same
-			// journal, so no durable prefix forgets the decision while still
-			// holding the stage.
-			if !b.coordinates(d.Txn) {
-				if err := b.Journal.Sync(); err != nil {
-					rt.Logf("decide %v: journal sync failed; halting node: %v", d.Txn, err)
-					b.halted = true
-					return
-				}
-			}
 		}
 		delete(b.prepared, d.Txn)
 		b.releaseTxnLocally(rt, d.Txn)
@@ -276,7 +250,20 @@ func (b *Base) handleDecide(rt net.Runtime, from model.ProcID, d wire.Decide) {
 		b.Store.DropAllStagedBy(d.Txn)
 		b.releaseTxnLocally(rt, d.Txn)
 	}
-	rt.Send(from, wire.DecideAck{Txn: d.Txn, From: b.ID})
+	ctx := rt.TraceCtx()
+	ack := func(rt net.Runtime) {
+		rt.SendCtx(from, wire.DecideAck{Txn: d.Txn, From: b.ID}, ctx)
+	}
+	if b.coordinates(d.Txn) {
+		ack(rt) // leaves nothing: see coordinates
+		return
+	}
+	// The ack alone waits for the disk — lazily, the coordinator has
+	// already answered its client. It licenses the coordinator to forget
+	// the decision, so the outcome recorded above must be durable first;
+	// that holds for the ack of a retransmitted Decide as well, which
+	// finds nothing prepared while the first ack may still be waiting.
+	b.Promise(rt, false, ack)
 }
 
 func (b *Base) handleRelease(rt net.Runtime, from model.ProcID, rel wire.Release) {

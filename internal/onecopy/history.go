@@ -37,16 +37,51 @@ type TxnRecord struct {
 type History struct {
 	mu      sync.Mutex
 	records []TxnRecord
+	inDoubt map[model.TxnID]TxnRecord // see InDoubt
 }
 
 // NewHistory returns an empty history.
 func NewHistory() *History { return &History{} }
 
-// Record appends one transaction outcome.
+// Record appends one transaction outcome, superseding an in-doubt
+// record of the same transaction.
 func (h *History) Record(r TxnRecord) {
 	h.mu.Lock()
+	delete(h.inDoubt, r.ID)
 	h.records = append(h.records, r)
 	h.mu.Unlock()
+}
+
+// InDoubt parks the record of a transaction whose coordinator has
+// written its decision to a journal but not yet announced it. If the
+// coordinator dies in between, nobody that knows what the transaction
+// read and wrote survives — yet the restarted coordinator finds the
+// decision and carries it out. It then calls Resolve, and the parked
+// record joins the history with that outcome. A record never resolved
+// (the decision did not reach the disk: presumed abort) stays out of it.
+func (h *History) InDoubt(r TxnRecord) {
+	h.mu.Lock()
+	if h.inDoubt == nil {
+		h.inDoubt = make(map[model.TxnID]TxnRecord)
+	}
+	h.inDoubt[r.ID] = r
+	h.mu.Unlock()
+}
+
+// Resolve records the in-doubt transaction id, if there is one, with the
+// outcome its coordinator's journal held.
+func (h *History) Resolve(id model.TxnID, committed bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	r, ok := h.inDoubt[id]
+	if !ok {
+		return
+	}
+	delete(h.inDoubt, id)
+	if r.Committed = committed; !committed {
+		r.Writes = nil
+	}
+	h.records = append(h.records, r)
 }
 
 // All returns a copy of every record, in arrival order.

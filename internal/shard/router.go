@@ -55,7 +55,8 @@ type Router struct {
 	tracerRoot *trace.Recorder
 
 	// Observer, when set (tests, campaign probes), receives every hosted
-	// shard's core.JoinEvent / core.DepartEvent together with its shard.
+	// shard's core.JoinEvent / core.DepartEvent / core.HaltEvent together
+	// with its shard; a halt of the coordinator comes with model.NoShard.
 	Observer func(s model.ShardID, ev any)
 }
 
@@ -105,6 +106,11 @@ func newRouter(id model.ProcID, cfg core.Config, m *Map, hist *onecopy.History,
 		tracers: make(map[model.ShardID]*trace.Recorder),
 	}
 	r.coord = node.NewBase(id, cfg.Config, m.Catalog(), &routerStrategy{r: r}, hist)
+	r.coord.OnHalt = func(err error) {
+		if r.Observer != nil {
+			r.Observer(model.NoShard, core.HaltEvent{Proc: id, Err: err})
+		}
+	}
 
 	var shardStates map[model.ShardID]*durable.State
 	var coordState *durable.State

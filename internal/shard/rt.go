@@ -45,6 +45,16 @@ func (w shardRT) SetTimer(d time.Duration, key any) net.TimerID {
 	return w.Runtime.SetTimer(d, shardTimer{S: w.s, Key: key})
 }
 
+// Post implements net.Poster over a posting engine: the continuation
+// comes back through the router to this shard's lens, so a barrier a
+// shard node registered releases into that same shard node.
+func (w shardRT) Post(fn func(rt net.Runtime)) {
+	w.Runtime.(net.Poster).Post(func(rt net.Runtime) {
+		w.r.rt = rt
+		fn(w.r.shardRT(rt, w.s))
+	})
+}
+
 func (w shardRT) Tracer() *trace.Recorder {
 	return w.r.shardTracer(w.s, w.Runtime.Tracer())
 }
