@@ -23,24 +23,29 @@ test:
 race:
 	$(GO) test -race -count=1 ./internal/net/... ./internal/nemesis/... ./internal/bench/... ./internal/gateway/... ./internal/locks/... ./internal/store/... ./internal/durable/... ./internal/campaign/... ./internal/trace/... ./internal/node/... ./internal/core/... ./cmd/vpchaos/... ./cmd/vpcampaign/...
 
-# Repeat the packages whose tests cross goroutines on the commit path —
-# the journal's committer releasing barriers into node event loops — to
-# catch an ordering that only sometimes goes wrong. Used by CI.
+# Repeat the packages whose tests cross goroutines on the request path —
+# the journal's committer releasing barriers into handler turns, the
+# transport's readers, timers and peer loops, the gateway's lanes, the
+# shard router — to catch an ordering that only sometimes goes wrong.
+# Used by CI.
 stress:
-	$(GO) test -count=20 ./internal/durable/ ./internal/node/
+	$(GO) test -count=20 ./internal/durable/ ./internal/node/ ./internal/net/ ./internal/gateway/ ./internal/shard/
 
 # Run every benchmark in the repository.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Smoke-run the wire/locks/store microbenchmarks: -benchtime=100x keeps
-# it to seconds, there are no thresholds — the point is that every bench
-# still compiles and runs, with the output kept as a CI artifact. The
-# contended lock/store benches run at -cpu 4 (striping only pays off
-# with parallel callers).
+# Smoke-run the wire/transport/locks/store microbenchmarks:
+# -benchtime=100x keeps it to seconds, there are no thresholds — the
+# point is that every bench still compiles and runs, with the output kept
+# as a CI artifact. TCPRoundTrip (two TCPNodes, one message there and one
+# back, warm) is the hop cost next to the end-to-end numbers of
+# benchmark/. The contended lock/store benches run at -cpu 4 (striping
+# only pays off with parallel callers).
 BENCH_WIRE_OUT ?= bench-wire.txt
 bench-wire:
 	( $(GO) test -run '^$$' -bench 'WireRoundTrip' -benchmem -benchtime=100x -count=1 ./internal/wire ; \
+	  $(GO) test -run '^$$' -bench 'TCPRoundTrip' -benchmem -benchtime=2000x -count=1 ./internal/net ; \
 	  $(GO) test -run '^$$' -bench 'LocksContended|StoreContended' -benchmem -benchtime=100x -count=1 -cpu 4 ./internal/locks ./internal/store ) \
 		| tee $(BENCH_WIRE_OUT)
 

@@ -18,7 +18,8 @@ package gateway
 
 import (
 	"encoding/base64"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"github.com/virtualpartitions/vp/internal/model"
@@ -45,22 +46,22 @@ const DefaultSessionMarks = 32
 // would un-happen a write the client already saw acknowledged — and the
 // gateway retries it elsewhere rather than return it.
 type Session struct {
-	Node  model.ProcID `json:"n,omitempty"` // last node that served a commit
-	Seq   uint64       `json:"q,omitempty"` // touch counter driving mark LRU
-	Marks []Mark       `json:"m,omitempty"`
+	Node  model.ProcID // last node that served a commit
+	Seq   uint64       // touch counter driving mark LRU
+	Marks []Mark
 	limit int
 }
 
 // Mark is one object's version high-water mark: the newest version this
 // session has written or observed for the object.
 type Mark struct {
-	Obj model.ObjectID `json:"o"`
+	Obj model.ObjectID
 	// The version's ordering fields (model.Version less Writer, which
 	// ordering ignores), kept flat so tokens stay compact.
-	DateN uint64       `json:"d,omitempty"`
-	DateP model.ProcID `json:"p,omitempty"`
-	Ctr   uint64       `json:"c,omitempty"`
-	Touch uint64       `json:"t,omitempty"` // Seq when last touched
+	DateN uint64
+	DateP model.ProcID
+	Ctr   uint64
+	Touch uint64 // Seq when last touched
 }
 
 // ver reconstructs the comparable version of a mark.
@@ -77,6 +78,19 @@ func NewSession(limit int) *Session {
 	return &Session{limit: limit}
 }
 
+// tokenV1 is the first byte of a token body and names its layout: after
+// it, uvarints for Node, Seq and the mark count, then per mark the
+// object id (uvarint length, bytes) and uvarints DateN, DateP, Ctr,
+// Touch. The body travels base64url-encoded. A body in any other layout
+// is malformed.
+const tokenV1 = 1
+
+// minMarkLen is the shortest a mark can be encoded: five one-byte
+// uvarints around an empty object id.
+const minMarkLen = 5
+
+var errBadToken = errors.New("gateway: bad session token")
+
 // ParseSession decodes a session token. An empty token yields a fresh
 // session; a malformed one is an error (a client sending garbage should
 // hear about it, not silently lose its consistency guarantees).
@@ -87,21 +101,65 @@ func ParseSession(token string, limit int) (*Session, error) {
 	}
 	raw, err := base64.RawURLEncoding.DecodeString(token)
 	if err != nil {
-		return nil, fmt.Errorf("gateway: bad session token: %w", err)
+		return nil, fmt.Errorf("%w: %v", errBadToken, err)
 	}
-	if err := json.Unmarshal(raw, s); err != nil {
-		return nil, fmt.Errorf("gateway: bad session token: %w", err)
+	if len(raw) == 0 || raw[0] != tokenV1 {
+		return nil, fmt.Errorf("%w: unknown format", errBadToken)
+	}
+	raw = raw[1:]
+	ids := string(raw) // object ids are substrings of this one copy
+	off, ok := 0, true
+	next := func() uint64 {
+		v, n := binary.Uvarint(raw[off:])
+		if n <= 0 {
+			ok = false
+			return 0
+		}
+		off += n
+		return v
+	}
+	s.Node, s.Seq = model.ProcID(next()), next()
+	// The count is the client's claim; the bytes that follow bound what
+	// it may make us allocate.
+	if count := next(); count > uint64((len(raw)-off)/minMarkLen) {
+		ok = false
+	} else if count > 0 {
+		s.Marks = make([]Mark, count)
+	}
+	for i := 0; ok && i < len(s.Marks); i++ {
+		m := &s.Marks[i]
+		n := next()
+		if n > uint64(len(raw)-off) {
+			ok = false
+			break
+		}
+		m.Obj = model.ObjectID(ids[off : off+int(n)])
+		off += int(n)
+		m.DateN, m.DateP, m.Ctr, m.Touch = next(), model.ProcID(next()), next(), next()
+	}
+	if !ok || off != len(raw) {
+		return nil, fmt.Errorf("%w: malformed body", errBadToken)
 	}
 	return s, nil
 }
 
 // Token encodes the session for the response header.
 func (s *Session) Token() string {
-	raw, err := json.Marshal(s)
-	if err != nil { // fixed shape; cannot fail
-		panic(err)
+	b := make([]byte, 0, 64+24*len(s.Marks))
+	b = append(b, tokenV1)
+	b = binary.AppendUvarint(b, uint64(s.Node))
+	b = binary.AppendUvarint(b, s.Seq)
+	b = binary.AppendUvarint(b, uint64(len(s.Marks)))
+	for i := range s.Marks {
+		m := &s.Marks[i]
+		b = binary.AppendUvarint(b, uint64(len(m.Obj)))
+		b = append(b, m.Obj...)
+		b = binary.AppendUvarint(b, m.DateN)
+		b = binary.AppendUvarint(b, uint64(m.DateP))
+		b = binary.AppendUvarint(b, m.Ctr)
+		b = binary.AppendUvarint(b, m.Touch)
 	}
-	return base64.RawURLEncoding.EncodeToString(raw)
+	return base64.RawURLEncoding.EncodeToString(b)
 }
 
 // Observe folds one object's returned version into the session: the

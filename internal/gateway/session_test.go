@@ -1,6 +1,10 @@
 package gateway
 
 import (
+	"encoding/base64"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/virtualpartitions/vp/internal/model"
@@ -89,5 +93,120 @@ func TestSessionObserveResult(t *testing.T) {
 	}})
 	if len(stale) != 1 || stale[0] != "x" {
 		t.Errorf("StaleReads = %v, want [x]", stale)
+	}
+}
+
+// randomSession builds a session by observing n random versions of up to
+// objs objects through a mark limit, so eviction is part of what the
+// token must carry.
+func randomSession(rng *rand.Rand, limit, objs, n int) *Session {
+	s := NewSession(limit)
+	s.Node = model.ProcID(rng.Intn(9))
+	for i := 0; i < n; i++ {
+		obj := model.ObjectID(fmt.Sprintf("obj/%d", rng.Intn(objs)))
+		s.Observe(obj, ver(rng.Uint64()>>uint(rng.Intn(64)), model.ProcID(rng.Intn(9)), rng.Uint64()>>uint(rng.Intn(64))))
+	}
+	return s
+}
+
+// TestSessionTokenRoundTripRandom: every field of every mark survives
+// the token, at and beyond the LRU limit, and the parsed session goes on
+// evicting exactly as the original would.
+func TestSessionTokenRoundTripRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < 500; i++ {
+		limit := 1 + rng.Intn(DefaultSessionMarks)
+		s := randomSession(rng, limit, 1+rng.Intn(3*limit), rng.Intn(4*limit))
+		got, err := ParseSession(s.Token(), limit)
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		if len(s.Marks) > limit {
+			t.Fatalf("round %d: %d marks exceed the limit %d", i, len(s.Marks), limit)
+		}
+		if !reflect.DeepEqual(got, s) {
+			t.Fatalf("round %d:\n got %+v\nwant %+v", i, got, s)
+		}
+		s.Observe("fresh", ver(1, 1, 1))
+		got.Observe("fresh", ver(1, 1, 1))
+		if !reflect.DeepEqual(got, s) {
+			t.Fatalf("round %d: sessions diverge on the next observation", i)
+		}
+	}
+}
+
+// fullSession is a session at the default mark limit with object ids and
+// versions of the size the deployed stack produces.
+func fullSession() *Session {
+	s := NewSession(0)
+	s.Node = 3
+	for i := 0; i < DefaultSessionMarks; i++ {
+		s.Observe(model.ObjectID(fmt.Sprintf("o%d", 100+i)), ver(12, 3, uint64(40_000+i)))
+	}
+	return s
+}
+
+func TestSessionTokenFitsAHeader(t *testing.T) {
+	if n := len(fullSession().Token()); n > 700 {
+		t.Fatalf("a %d-mark token is %d bytes, want <= 700", DefaultSessionMarks, n)
+	}
+}
+
+func TestSessionTokenRejectsOtherFormats(t *testing.T) {
+	enc := base64.RawURLEncoding.EncodeToString
+	for name, body := range map[string][]byte{
+		"json (the retired format)": []byte(`{"n":2,"q":1,"m":[{"o":"x","c":7,"t":1}]}`),
+		"unknown version":           {9, 0, 0, 0},
+		"version only":              {tokenV1},
+		"count beyond the bytes":    {tokenV1, 1, 1, 200},
+		"id beyond the bytes":       {tokenV1, 1, 1, 1, 50, 'x', 0, 0, 0, 0},
+		"truncated mark":            {tokenV1, 1, 1, 1, 1, 'x', 0, 0},
+		"trailing bytes":            {tokenV1, 1, 1, 0, 0},
+		"unterminated uvarint":      {tokenV1, 0x80},
+	} {
+		if s, err := ParseSession(enc(body), 8); err == nil {
+			t.Errorf("%s: accepted as %+v", name, s)
+		}
+	}
+}
+
+// FuzzParseSession: no input panics, no input makes the parser allocate
+// marks the input's length does not pay for, and what parses re-encodes
+// to a token that parses to the same session.
+func FuzzParseSession(f *testing.F) {
+	f.Add(fullSession().Token())
+	f.Add(NewSession(4).Token())
+	f.Add(base64.RawURLEncoding.EncodeToString([]byte{tokenV1, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}))
+	f.Add("!!not-base64!!")
+	f.Fuzz(func(t *testing.T, token string) {
+		s, err := ParseSession(token, 8)
+		if err != nil {
+			return
+		}
+		if max := base64.RawURLEncoding.DecodedLen(len(token)) / minMarkLen; len(s.Marks) > max {
+			t.Fatalf("%d marks from a %d-byte token", len(s.Marks), len(token))
+		}
+		again, err := ParseSession(s.Token(), 8)
+		if err != nil || !reflect.DeepEqual(again, s) {
+			t.Fatalf("re-encoded token: %+v (%v), want %+v", again, err, s)
+		}
+	})
+}
+
+var sinkSession *Session
+
+// BenchmarkSessionRoundTrip is what every gateway request pays for its
+// session: parse the header, encode the reply's, at the full mark limit.
+func BenchmarkSessionRoundTrip(b *testing.B) {
+	token := fullSession().Token()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := ParseSession(token, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		token = s.Token()
+		sinkSession = s
 	}
 }

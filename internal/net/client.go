@@ -23,15 +23,13 @@ var ErrClientClosed = errors.New("net: client closed")
 // particular — paying the dial once per connection instead of once per
 // transaction.
 //
-// Writes are combined: Submit only encodes its frame (under the lock)
-// and enqueues it; a per-connection flusher drains everything queued and
-// writes the batch with one vectored write (net.Buffers / writev).
-// Concurrent submitters therefore share syscalls instead of serializing
-// on conn.Write. A write failure surfaces as a connection teardown,
-// which fails every in-flight Submit — the same omission-failure
-// contract as before (a submission whose result was lost may or may not
-// have executed; callers retry under the same at-least-once rules as
-// SubmitTCPRetry).
+// Each Submit encodes and writes its own frame under the lock, so frames
+// of concurrent submitters never interleave and nothing is handed to
+// another goroutine on the way out. The write is bounded by the dial
+// timeout. A write failure tears the connection down, which fails every
+// in-flight Submit — the omission-failure contract of the transport (a
+// submission whose result was lost may or may not have executed;
+// callers retry under the same at-least-once rules as SubmitTCPRetry).
 type Client struct {
 	addr        string
 	dialTimeout time.Duration
@@ -40,9 +38,6 @@ type Client struct {
 	codec   wire.CodecID
 	conn    stdnet.Conn
 	enc     wire.FrameEncoder
-	wq      stdnet.Buffers // frames awaiting flush
-	wheld   []*frameBuf    // pooled backing buffers for wq
-	wsig    chan struct{}  // flush doorbell; closed on teardown
 	pending map[uint64]chan wire.ClientResult
 	closed  bool
 }
@@ -94,31 +89,25 @@ func (c *Client) SubmitCtx(t wire.ClientTxn, ctx model.TraceCtx, timeout time.Du
 		}
 		c.conn = conn
 		c.enc = wire.NewFrameEncoder(c.codec)
-		c.wsig = make(chan struct{}, 1)
 		c.pending = make(map[uint64]chan wire.ClientResult)
 		go c.readLoop(conn)
-		go c.writeLoop(conn, c.wsig)
 	}
 	if _, dup := c.pending[t.Tag]; dup {
 		c.mu.Unlock()
 		return wire.ClientResult{}, fmt.Errorf("net: client tag %d already in flight", t.Tag)
 	}
-	fb := frameScratch.Get().(*frameBuf)
-	b, err := c.enc.AppendFrame(fb.b[:0], &wire.Envelope{From: model.NoProc, To: model.NoProc, Msg: t, Ctx: ctx})
+	frame, err := c.enc.EncodeFrame(&wire.Envelope{From: model.NoProc, To: model.NoProc, Msg: t, Ctx: ctx})
 	if err != nil {
-		frameScratch.Put(fb)
 		c.mu.Unlock()
 		return wire.ClientResult{}, err
 	}
-	fb.b = b
 	c.pending[t.Tag] = ch
-	c.wq = append(c.wq, b)
-	c.wheld = append(c.wheld, fb)
-	// Ring the flusher's doorbell (it drains everything queued per wake,
-	// so one pending signal covers any number of enqueues).
-	select {
-	case c.wsig <- struct{}{}:
-	default:
+	c.conn.SetWriteDeadline(time.Now().Add(c.dialTimeout)) //nolint:errcheck // a dead conn fails the write below
+	if _, err := c.conn.Write(frame); err != nil {
+		// Possibly half-written: the stream is unusable for everyone.
+		c.teardownLocked()
+		c.mu.Unlock()
+		return wire.ClientResult{}, fmt.Errorf("net: write to %s: %w", c.addr, err)
 	}
 	c.mu.Unlock()
 
@@ -138,44 +127,14 @@ func (c *Client) SubmitCtx(t wire.ClientTxn, ctx model.TraceCtx, timeout time.Du
 	}
 }
 
-// writeLoop flushes queued frames in batches: each doorbell ring drains
-// the whole queue into one vectored write. It exits when the doorbell
-// channel is closed (teardown). A stalled flush is bounded by the dial
-// timeout and tears the connection down like any other write failure.
-func (c *Client) writeLoop(conn stdnet.Conn, sig chan struct{}) {
-	for range sig {
-		c.mu.Lock()
-		vec, held := c.wq, c.wheld
-		c.wq, c.wheld = nil, nil
-		c.mu.Unlock()
-		if len(vec) == 0 {
-			continue
-		}
-		conn.SetWriteDeadline(time.Now().Add(c.dialTimeout)) //nolint:errcheck
-		_, err := vec.WriteTo(conn)
-		for _, fb := range held {
-			frameScratch.Put(fb)
-		}
-		if err != nil {
-			c.mu.Lock()
-			if c.conn == conn {
-				c.teardownLocked()
-			}
-			c.mu.Unlock()
-			// teardown closed sig; keep ranging to drain it and exit.
-		}
-	}
-}
-
 // readLoop owns the connection's decoder, dispatching each result to the
 // Submit waiting on its tag. Any read error tears the connection down,
 // failing all in-flight submissions; the next Submit re-dials.
 func (c *Client) readLoop(conn stdnet.Conn) {
 	dec := wire.NewDecoder()
-	fb := frameScratch.Get().(*frameBuf)
-	defer frameScratch.Put(fb)
+	fr := newFrameReader(conn)
 	for {
-		frame, err := readFrame(conn, fb)
+		frame, err := fr.next()
 		if err != nil {
 			break
 		}
@@ -204,23 +163,14 @@ func (c *Client) readLoop(conn stdnet.Conn) {
 	c.mu.Unlock()
 }
 
-// teardownLocked closes the live connection, stops its flusher, recycles
-// any unflushed frames, and fails every in-flight submission. Callers
-// hold c.mu.
+// teardownLocked closes the live connection and fails every in-flight
+// submission. Callers hold c.mu.
 func (c *Client) teardownLocked() {
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn = nil
 	}
 	c.enc = nil
-	if c.wsig != nil {
-		close(c.wsig)
-		c.wsig = nil
-	}
-	for _, fb := range c.wheld {
-		frameScratch.Put(fb)
-	}
-	c.wq, c.wheld = nil, nil
 	for tag, ch := range c.pending {
 		close(ch)
 		delete(c.pending, tag)

@@ -65,21 +65,28 @@ type Runtime interface {
 	Logf(format string, args ...any)
 }
 
-// Poster is the re-entry seam of the engines that run each handler on
-// its own goroutine (RealCluster, TCPNode): Post queues fn behind the
-// events already in the node's mailbox and runs it there, with the
-// runtime the loop hands its handler and no ambient trace context. It is
-// safe from any goroutine and is how work finished elsewhere — a
-// journal's committer releasing a barrier — gets back onto the handler's
-// single thread. A runtime value may be retained past its event for this
-// call alone. SimCluster has one goroutine and nothing to post from.
+// Poster is the re-entry seam of the engines whose handlers run beside
+// other goroutines (RealCluster, TCPNode): Post runs fn as one handler
+// turn of the node — never concurrently with OnMessage, OnTimer or
+// another fn — with the runtime the engine hands its handler and no
+// ambient trace context. It is how work finished elsewhere — a journal's
+// committer releasing a barrier — gets back into the handler's
+// single-threaded world, and is safe from any goroutine not itself
+// inside a turn of that node. RealCluster queues fn behind the node's
+// mailbox; TCPNode runs it before Post returns, on the caller's
+// goroutine under the handler mutex. A runtime value may be retained
+// past its event for this call alone. SimCluster has one goroutine and
+// nothing to post from.
 type Poster interface {
 	Post(fn func(rt Runtime))
 }
 
 // Handler is a node: a deterministic state machine driven by messages and
-// timers. The engine guarantees the three methods are never invoked
-// concurrently for the same node, so handlers need no internal locking.
+// timers. The engine guarantees the three methods (and posted functions)
+// are never invoked concurrently for the same node — one goroutine per
+// node, or in TCPNode a mutex around each invocation — so handlers need
+// no internal locking. Successive invocations may be on different
+// goroutines, and none may wait for another of the same node.
 type Handler interface {
 	// Init is called once before any message or timer.
 	Init(rt Runtime)

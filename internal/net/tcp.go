@@ -1,6 +1,7 @@
 package net
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -8,7 +9,9 @@ import (
 	"io"
 	"math/rand"
 	stdnet "net"
+	"slices"
 	"sync"
+	"syscall"
 	"time"
 
 	"github.com/virtualpartitions/vp/internal/metrics"
@@ -68,14 +71,27 @@ func (c TCPConfig) withDefaults() TCPConfig {
 // exponential backoff and jitter, so a transient blip degrades to a
 // bounded burst of omissions instead of permanently severing the link.
 //
-// Every connection carries one persistent encoder per direction
-// (wire.FrameEncoder on the writer, selected by TCPConfig.Codec) and one
-// auto-detecting wire.Decoder on the reader, so mixed-codec clusters
-// interoperate frame by frame. Outbound envelopes are coalesced: the
-// write loop drains everything queued for a peer and flushes the batch
-// with a single vectored write (net.Buffers / writev), so a protocol
-// round's burst to one peer costs one syscall. A reconnect starts a
-// fresh codec pair.
+// There is no mailbox: whoever has an event runs the handler for it — a
+// connection's reader for the frame it decoded, a timer's goroutine for
+// its firing, a Post caller (a committing journal's committer) for its
+// continuation — under the one handler mutex hmu, which is what keeps
+// Handler's "never concurrently" contract. Messages the handler sends
+// its own processor go to a local FIFO that the mutex holder drains, in
+// order, before unlocking (no recursion). Runtime methods are for the
+// mutex holder; only remote Send/SendCtx is safe from other goroutines.
+//
+// A remote send is encoded and written by the sender, with ONE
+// non-blocking write, when the peer's connection is up and nothing is
+// queued ahead of it. What the kernel refuses, and everything sent while
+// the peer is down, goes to the peer's bounded queue, which the peer's
+// loop — otherwise left with dialing and back-off — writes out. So a
+// sender never blocks on the network, overflow is a counted drop, and a
+// peer sees frames in the order they were sent. A connection that failed
+// a write, possibly mid-frame, is closed and never written again; its
+// successor starts a fresh encoder.
+//
+// Lock order: hmu → peerConn.mu or acceptedConn.mu, never back; the peer
+// loops never take hmu.
 //
 // Clients connect to the same port, send a wire.ClientTxn envelope (From
 // = model.NoProc) and receive wire.ClientResult envelopes back on the
@@ -91,7 +107,6 @@ type TCPNode struct {
 	start   time.Time
 
 	listener stdnet.Listener
-	mbox     chan rtEvent
 	wg       sync.WaitGroup
 	stopOnce sync.Once
 	stopped  chan struct{}
@@ -110,32 +125,45 @@ type TCPNode struct {
 	timers map[TimerID]*time.Timer
 	rng    *rand.Rand
 
-	// cur is the trace context of the event being handled. Only the
-	// event-loop goroutine touches it (Send is handler code on that
-	// goroutine), so it needs no lock.
-	cur model.TraceCtx
+	// hmu is held for every handler turn and nothing else. cur (trace
+	// context of the event being handled) and local (this turn's
+	// self-addressed messages, undelivered) belong to its holder.
+	hmu   sync.Mutex
+	cur   model.TraceCtx
+	local []rtEvent
 }
 
-// peerConn is the persistent outbound state for one peer: a bounded
-// envelope queue drained by the peer's reconnect loop, plus the live
-// connection (nil while the peer is unreachable). The loop owns the
-// connection's encoder, so Send never blocks on the network or the
-// encoder.
+// peerConn is the persistent outbound state for one peer, shared by
+// senders and the peer's loop under mu. The loop alone dials and makes
+// blocking writes — with mu released and flushing set, so that senders
+// queue behind it instead of writing past it.
 type peerConn struct {
-	out chan wire.Envelope
+	wake chan struct{} // the loop's doorbell: work queued, or conn torn down
 
 	mu   sync.Mutex
-	conn stdnet.Conn
+	conn stdnet.Conn       // nil while the peer is unreachable
+	raw  syscall.RawConn   // conn's descriptor, for tryWrite
+	enc  wire.FrameEncoder // conn's encoder
+	env  wire.Envelope     // the envelope a sender is encoding
+	// queue holds the envelopes that could not be written at once, at
+	// most TCPConfig.QueueLen. It survives reconnects.
+	queue []wire.Envelope
+	// rest is the unwritten tail of the one frame the kernel took only
+	// part of; it goes out before queue and dies with the connection.
+	rest     []byte
+	restKind string
+	flushing bool // the loop is writing what it took from rest and queue
 }
 
-func (pc *peerConn) setConn(c stdnet.Conn) {
-	pc.mu.Lock()
-	pc.conn = c
-	pc.mu.Unlock()
+func (pc *peerConn) ring() {
+	select {
+	case pc.wake <- struct{}{}:
+	default:
+	}
 }
 
-// closeConn closes the live connection if any (unblocking a writer stuck
-// in conn.Write). The reconnect loop decides what happens next.
+// closeConn closes the live connection if any (unblocking a loop stuck
+// in conn.Write). The next write fails, and the loop redials.
 func (pc *peerConn) closeConn() {
 	pc.mu.Lock()
 	if pc.conn != nil {
@@ -174,7 +202,6 @@ func NewTCPNodeConfig(id model.ProcID, addrs map[model.ProcID]string, h Handler,
 		cfg:      cfg.withDefaults(),
 		reg:      metrics.NewRegistry(),
 		start:    time.Now(),
-		mbox:     make(chan rtEvent, 4096),
 		stopped:  make(chan struct{}),
 		dialCtx:  ctx,
 		dialStop: cancel,
@@ -209,24 +236,25 @@ func (n *TCPNode) Addr() string {
 	return n.listener.Addr().String()
 }
 
-// Run starts the listener and the node's event loop. It returns once the
-// node is serving; call Stop to shut down.
+// Run starts the listener. It returns once the node is serving; call
+// Stop to shut down.
 func (n *TCPNode) Run() error {
 	l, err := stdnet.Listen("tcp", n.addrs[n.id])
 	if err != nil {
 		return fmt.Errorf("net: listen %s: %w", n.addrs[n.id], err)
 	}
 	n.listener = l
-	n.handler.Init(n)
-	n.wg.Add(2)
+	n.turn(rtEvent{post: n.handler.Init})
+	n.wg.Add(1)
 	go n.acceptLoop()
-	go n.eventLoop()
 	return nil
 }
 
-// Stop shuts the node down and waits for its goroutines. Reconnect loops
-// abort promptly: in-flight dials are cancelled and backoff sleeps are
-// interrupted.
+// Stop shuts the node down: it waits for the handler turn in progress,
+// after which no other begins, and for the node's goroutines. Reconnect
+// loops abort promptly: in-flight dials are cancelled and backoff sleeps
+// are interrupted. Events that had not been handled are dropped — an
+// omission failure, which the protocol tolerates.
 func (n *TCPNode) Stop() {
 	n.stopOnce.Do(func() {
 		close(n.stopped)
@@ -243,6 +271,9 @@ func (n *TCPNode) Stop() {
 		}
 		n.connMu.Unlock()
 	})
+	// Wait out the turn in progress; every later one finds stopped closed.
+	n.hmu.Lock()
+	n.hmu.Unlock() //nolint:staticcheck // the empty critical section is the wait
 	n.wg.Wait()
 }
 
@@ -273,14 +304,12 @@ func (n *TCPNode) readLoop(ac *acceptedConn) {
 	// One persistent decoder per connection, auto-detecting the codec
 	// per frame (binary frames set the payload high bit; everything else
 	// belongs to the connection's gob stream). Decoded messages are
-	// fully owned: the mailbox is asynchronous and handlers retain
-	// message slices past delivery, so borrowed decoding is not safe
-	// here.
+	// fully owned: handlers retain message slices past delivery, so
+	// borrowed decoding is not safe here.
 	dec := wire.NewDecoder()
-	fb := frameScratch.Get().(*frameBuf)
-	defer frameScratch.Put(fb)
+	fr := newFrameReader(ac.conn)
 	for {
-		frame, err := readFrame(ac.conn, fb)
+		frame, err := fr.next()
 		if err != nil {
 			return
 		}
@@ -297,77 +326,69 @@ func (n *TCPNode) readLoop(ac *acceptedConn) {
 		n.reg.Inc(metrics.CMsgDelivered, 1)
 		n.reg.Inc(deliveredByKind.Name(kind), 1)
 		n.rec.Record(trace.Event{At: n.Now(), Proc: n.id, Kind: trace.EvMsgRecv, Peer: env.From, Msg: kind})
-		n.enqueue(rtEvent{from: env.From, msg: env.Msg, ctx: env.Ctx})
+		n.turn(rtEvent{from: env.From, msg: env.Msg, ctx: env.Ctx})
 	}
 }
 
-func (n *TCPNode) eventLoop() {
-	defer n.wg.Done()
-	// The mailbox is never closed: closing would race with concurrent
-	// enqueues from read loops and timers. Shutdown is signalled through
-	// the stopped channel instead, and undelivered events are dropped —
-	// an omission failure, which the protocol tolerates.
-	for {
-		select {
-		case <-n.stopped:
-			return
-		case ev := <-n.mbox:
-			if ev.post != nil {
-				n.cur = model.TraceCtx{}
-				ev.post(n)
-				continue
+// turn runs the handler on the caller's goroutine, under hmu, for one
+// event and then for every message the node sent itself meanwhile, in
+// the order sent.
+func (n *TCPNode) turn(ev rtEvent) {
+	n.hmu.Lock()
+	defer n.hmu.Unlock()
+	select {
+	case <-n.stopped:
+		return
+	default:
+	}
+	n.local = append(n.local[:0], ev)
+	for i := 0; i < len(n.local); i++ {
+		ev, n.local[i] = n.local[i], rtEvent{}
+		n.cur = ev.ctx
+		switch {
+		case ev.post != nil:
+			ev.post(n)
+		case ev.timer != nil:
+			n.tmu.Lock()
+			_, live := n.timers[ev.tid]
+			delete(n.timers, ev.tid)
+			n.tmu.Unlock()
+			if live {
+				n.handler.OnTimer(n, ev.timer)
 			}
-			if ev.timer != nil {
-				n.tmu.Lock()
-				_, live := n.timers[ev.tid]
-				delete(n.timers, ev.tid)
-				n.tmu.Unlock()
-				if live {
-					n.cur = model.TraceCtx{}
-					n.handler.OnTimer(n, ev.timer)
-				}
-				continue
-			}
-			n.cur = ev.ctx
+		default:
 			n.handler.OnMessage(n, ev.from, ev.msg)
 		}
 	}
 }
 
-func (n *TCPNode) enqueue(ev rtEvent) {
-	select {
-	case <-n.stopped:
-	case n.mbox <- ev:
-	}
+// frameReader de-frames one inbound stream through a buffered reader: a
+// frame costs one read(2), and under load one read(2) brings several.
+type frameReader struct {
+	br  *bufio.Reader
+	buf []byte // payload scratch, grown to the largest frame seen
 }
 
-// frameBuf is a reusable scratch buffer for de-framing inbound messages.
-// Pooled so concurrent read loops recycle payload buffers instead of
-// allocating one per message.
-type frameBuf struct{ b []byte }
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, 16<<10)}
+}
 
-var frameScratch = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 4096)} }}
-
-// readFrame reads one length-prefixed frame into fb's buffer, growing it
-// as needed. The returned slice aliases fb.b and is valid until the next
-// call with the same fb.
-func readFrame(r io.Reader, fb *frameBuf) ([]byte, error) {
-	var lenBuf [wire.FrameHeaderLen]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+// next returns the next frame's payload, valid until the call after.
+func (f *frameReader) next() ([]byte, error) {
+	hdr, err := f.br.Peek(wire.FrameHeaderLen)
+	if err != nil {
 		return nil, err
 	}
-	size := binary.BigEndian.Uint32(lenBuf[:])
+	size := int(binary.BigEndian.Uint32(hdr))
 	if size > wire.MaxFrame {
 		return nil, errors.New("net: oversized frame")
 	}
-	if cap(fb.b) < int(size) {
-		fb.b = make([]byte, size)
+	f.br.Discard(wire.FrameHeaderLen) //nolint:errcheck // just peeked
+	if cap(f.buf) < size {
+		f.buf = make([]byte, size)
 	}
-	buf := fb.b[:size]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	_, err = io.ReadFull(f.br, f.buf[:size])
+	return f.buf[:size], err
 }
 
 // peer returns the persistent outbound state for a peer, spawning its
@@ -388,7 +409,7 @@ func (n *TCPNode) peer(to model.ProcID) *peerConn {
 		return nil
 	default:
 	}
-	pc := &peerConn{out: make(chan wire.Envelope, n.cfg.QueueLen)}
+	pc := &peerConn{wake: make(chan struct{}, 1)}
 	n.conns[to] = pc
 	n.wg.Add(1)
 	go n.peerLoop(to, addr, pc)
@@ -396,15 +417,14 @@ func (n *TCPNode) peer(to model.ProcID) *peerConn {
 }
 
 // peerLoop keeps one peer reachable: dial (with exponential backoff and
-// jitter), drain the outbound queue onto the connection, and on any
-// failure tear the connection down and redial. The loop exits only when
-// the node stops; Stop interrupts both in-flight dials (context) and
-// backoff sleeps (stopped channel).
+// jitter), hand the connection to senders, write what they had to queue,
+// and on any write failure — its own or a sender's — tear it down and
+// redial. The loop exits only when the node stops; Stop interrupts both
+// in-flight dials (context) and backoff sleeps (stopped channel).
 func (n *TCPNode) peerLoop(to model.ProcID, addr string, pc *peerConn) {
 	defer n.wg.Done()
-	defer pc.closeConn()
 	// Jitter source local to this loop: n.rng belongs to the handler
-	// event loop (Runtime.Rand) and must not be shared across goroutines.
+	// (Runtime.Rand) and must not be shared across goroutines.
 	rng := rand.New(rand.NewSource(int64(n.id)*1_000_003 + int64(to)*7919 + time.Now().UnixNano()))
 	backoff := n.cfg.ReconnectMin
 	attempts := int64(0)
@@ -442,13 +462,25 @@ func (n *TCPNode) peerLoop(to model.ProcID, addr string, pc *peerConn) {
 			}
 			continue
 		}
-		pc.setConn(conn)
+		raw, err := conn.(syscall.Conn).SyscallConn()
+		if err != nil {
+			panic(fmt.Sprintf("net: no descriptor for a dialed TCP connection: %v", err))
+		}
+		pc.mu.Lock()
+		pc.conn, pc.raw, pc.enc = conn, raw, wire.NewFrameEncoder(n.cfg.Codec)
+		pc.mu.Unlock()
 		n.peerUp(to, attempts+1, everUp)
 		everUp = true
 		attempts = 0
 		backoff = n.cfg.ReconnectMin
-		alive := n.writeLoop(to, pc, conn)
-		pc.setConn(nil)
+		alive := n.flushLoop(to, pc, conn)
+		pc.mu.Lock()
+		pc.conn, pc.raw, pc.enc, pc.flushing = nil, nil, nil, false
+		if len(pc.rest) > 0 {
+			n.drop(to, pc.restKind) // its head may have gone out: lost with the connection
+			pc.rest = pc.rest[:0]
+		}
+		pc.mu.Unlock()
 		conn.Close()
 		if !alive {
 			return
@@ -457,83 +489,64 @@ func (n *TCPNode) peerLoop(to model.ProcID, addr string, pc *peerConn) {
 	}
 }
 
-// maxWriteBatch bounds how many queued envelopes one flush coalesces.
-// 64 comfortably covers a protocol round's burst to one peer while
-// keeping the iovec far below the kernel's writev limit (IOV_MAX 1024).
-const maxWriteBatch = 64
+// maxFlushBytes bounds what one blocking write takes from the queue, so
+// a long queue of large frames is not encoded into memory at once.
+const maxFlushBytes = 64 << 10
 
-// writeLoop drains the peer's queue onto conn until the connection
-// breaks (returns true: redial) or the node stops (returns false).
-//
-// Queued envelopes are coalesced: after blocking for the first one, the
-// loop non-blockingly drains whatever else is waiting (up to
-// maxWriteBatch), encodes each frame into its own pooled buffer, and
-// flushes the batch with one vectored write — a round's fan-in of
-// messages to one peer costs one writev instead of one syscall per
-// message.
-func (n *TCPNode) writeLoop(to model.ProcID, pc *peerConn, conn stdnet.Conn) bool {
-	// The loop owns this connection's encoder. A reconnect starts a
-	// fresh pair (which for the gob fallback re-handshakes the type
-	// descriptors; the binary codec is stateless per frame).
-	enc := wire.NewFrameEncoder(n.cfg.Codec)
-	held := make([]*frameBuf, 0, maxWriteBatch)
-	bufs := make(stdnet.Buffers, 0, maxWriteBatch)
-	kinds := make([]string, 0, maxWriteBatch)
-	encode := func(env *wire.Envelope) bool {
-		fb := frameScratch.Get().(*frameBuf)
-		b, err := enc.AppendFrame(fb.b[:0], env)
-		if err != nil {
-			frameScratch.Put(fb)
-			n.drop(to, wire.Kind(env.Msg))
-			return false
-		}
-		fb.b = b
-		held = append(held, fb)
-		bufs = append(bufs, b)
-		kinds = append(kinds, wire.Kind(env.Msg))
-		return true
-	}
+// flushLoop writes onto conn what senders could not — the tail of a
+// refused frame, then the queue in order — and sleeps when there is
+// nothing, until the connection breaks (true: redial) or the node stops.
+func (n *TCPNode) flushLoop(to model.ProcID, pc *peerConn, conn stdnet.Conn) bool {
+	var out []byte
+	var kinds []string
 	for {
-		select {
-		case <-n.stopped:
-			return false
-		case env := <-pc.out:
-			ok := encode(&env)
-		drain:
-			for ok && len(bufs) < maxWriteBatch {
-				select {
-				case env = <-pc.out:
-					ok = encode(&env)
-				default:
-					break drain
-				}
+		pc.mu.Lock()
+		if pc.conn != conn {
+			pc.mu.Unlock()
+			return true // a sender's write failed and tore it down
+		}
+		out, kinds = append(out[:0], pc.rest...), kinds[:0]
+		if len(pc.rest) > 0 {
+			kinds = append(kinds, pc.restKind)
+			pc.rest = pc.rest[:0]
+		}
+		taken, encErr := 0, error(nil)
+		for taken < len(pc.queue) && len(out) < maxFlushBytes && encErr == nil {
+			env := &pc.queue[taken]
+			taken++
+			var b []byte
+			if b, encErr = pc.enc.AppendFrame(out, env); encErr != nil {
+				n.drop(to, wire.Kind(env.Msg))
+			} else {
+				out, kinds = b, append(kinds, wire.Kind(env.Msg))
 			}
-			// WriteTo consumes its receiver (advancing the slice and
-			// nilling written entries), so it gets a scratch copy; held
-			// keeps the pooled buffers reachable until recycled below.
-			vec := bufs
-			_, werr := vec.WriteTo(conn)
-			for _, fb := range held {
-				frameScratch.Put(fb)
-			}
-			if werr != nil {
-				// Possibly half-written: the whole batch is lost
-				// (omission) and accounted as dropped.
+		}
+		rem := copy(pc.queue, pc.queue[taken:])
+		clear(pc.queue[rem:])
+		pc.queue = pc.queue[:rem]
+		pc.flushing = len(out) > 0
+		pc.mu.Unlock()
+		if len(out) > 0 {
+			if _, err := conn.Write(out); err != nil {
+				// Possibly half-written: the whole batch is lost.
 				for _, k := range kinds {
 					n.drop(to, k)
 				}
-			}
-			held, bufs, kinds = held[:0], bufs[:0], kinds[:0]
-			if !ok {
-				// Encoder failure: the stream is suspect (a gob encoder
-				// may have half-written state); that message is lost and
-				// the connection reconnects with fresh codecs. Frames
-				// encoded before the failure were still flushed above.
 				return true
 			}
-			if werr != nil {
-				return true
-			}
+		}
+		if encErr != nil {
+			// The stream is suspect (a gob encoder may hold half-written
+			// state): restart with fresh codecs, less that one message.
+			return true
+		}
+		if len(out) > 0 {
+			continue // more may have queued behind the write
+		}
+		select {
+		case <-n.stopped:
+			return false
+		case <-pc.wake:
 		}
 	}
 }
@@ -560,7 +573,7 @@ var (
 )
 
 // Post implements Poster.
-func (n *TCPNode) Post(fn func(rt Runtime)) { n.enqueue(rtEvent{post: fn}) }
+func (n *TCPNode) Post(fn func(rt Runtime)) { n.turn(rtEvent{post: fn}) }
 
 // ID implements Runtime.
 func (n *TCPNode) ID() model.ProcID { return n.id }
@@ -571,11 +584,7 @@ func (n *TCPNode) Procs() []model.ProcID {
 	for p := range n.addrs {
 		out = append(out, p)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -596,7 +605,7 @@ func (n *TCPNode) TraceCtx() model.TraceCtx { return n.cur }
 // SendCtx implements Runtime.
 func (n *TCPNode) SendCtx(to model.ProcID, m wire.Message, ctx model.TraceCtx) {
 	if to == n.id {
-		n.enqueue(rtEvent{from: n.id, msg: m, ctx: ctx}) // local, free
+		n.local = append(n.local, rtEvent{from: n.id, msg: m, ctx: ctx}) // free; this turn delivers it
 		return
 	}
 	kind := wire.Kind(m)
@@ -639,24 +648,50 @@ func (n *TCPNode) SendCtx(to model.ProcID, m wire.Message, ctx model.TraceCtx) {
 			return
 		}
 		if v.Duplicate {
-			n.queueOut(pc, to, env, kind)
+			n.sendTo(pc, env, kind)
 		}
 		if v.Delay > 0 {
-			time.AfterFunc(v.Delay, func() { n.queueOut(pc, to, env, kind) })
+			time.AfterFunc(v.Delay, func() { n.sendTo(pc, env, kind) })
 			return
 		}
 	}
-	n.queueOut(pc, to, env, kind)
+	n.sendTo(pc, env, kind)
 }
 
-// queueOut hands one envelope to the peer's bounded queue, dropping (with
-// accounting) on backpressure — a performance failure, never a block.
-func (n *TCPNode) queueOut(pc *peerConn, to model.ProcID, env wire.Envelope, kind string) {
-	select {
-	case <-n.stopped:
-	case pc.out <- env:
-	default:
-		n.drop(to, kind)
+// sendTo puts one envelope on its way to a peer without ever blocking:
+// written here and now if the connection is up and nothing is ahead of
+// it, else queued for the peer's loop, else — queue full — dropped and
+// accounted, a performance failure the protocol tolerates.
+func (n *TCPNode) sendTo(pc *peerConn, env wire.Envelope, kind string) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.conn == nil || pc.flushing || len(pc.rest) > 0 || len(pc.queue) > 0 {
+		if len(pc.queue) >= n.cfg.QueueLen {
+			n.drop(env.To, kind)
+			return
+		}
+		pc.queue = append(pc.queue, env)
+		pc.ring()
+		return
+	}
+	pc.env = env // the encoder is behind an interface: keep env off the heap
+	frame, err := pc.enc.EncodeFrame(&pc.env)
+	written := 0
+	if err == nil {
+		written, err = tryWrite(pc.raw, frame)
+	}
+	if err != nil {
+		// Broken, possibly mid-frame: the message is lost and nothing
+		// more is written here. The loop accounts the outage and redials.
+		n.drop(env.To, kind)
+		pc.conn.Close()
+		pc.conn = nil
+		pc.ring()
+		return
+	}
+	if written < len(frame) {
+		pc.rest, pc.restKind = append(pc.rest[:0], frame[written:]...), kind
+		pc.ring()
 	}
 }
 
@@ -672,7 +707,7 @@ func (n *TCPNode) SetTimer(d time.Duration, key any) TimerID {
 	n.nextT++
 	id := n.nextT
 	n.timers[id] = time.AfterFunc(d, func() {
-		n.enqueue(rtEvent{timer: key, tid: id})
+		n.turn(rtEvent{timer: key, tid: id})
 	})
 	n.tmu.Unlock()
 	return id
@@ -708,42 +743,14 @@ func (n *TCPNode) Logf(format string, args ...any) {
 }
 
 // SubmitTCP sends a transaction to a node at addr and waits for its
-// result. It is the client side of the TCP transport, used by vpctl.
-// Requests go out in the binary codec (servers auto-detect per frame,
-// so this is always safe regardless of the node's configured codec).
+// result: a Client for one request, dialed and closed here. It is the
+// client side of the TCP transport, used by vpctl. Requests go out in
+// the binary codec (servers auto-detect per frame, so this is always
+// safe regardless of the node's configured codec).
 func SubmitTCP(addr string, t wire.ClientTxn, timeout time.Duration) (wire.ClientResult, error) {
-	conn, err := stdnet.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return wire.ClientResult{}, err
-	}
-	defer conn.Close()
-	enc := wire.NewBinaryEncoder()
-	frame, err := enc.EncodeFrame(&wire.Envelope{From: model.NoProc, To: model.NoProc, Msg: t})
-	if err != nil {
-		return wire.ClientResult{}, err
-	}
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return wire.ClientResult{}, fmt.Errorf("net: set submit deadline: %w", err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		return wire.ClientResult{}, err
-	}
-	dec := wire.NewDecoder()
-	fb := frameScratch.Get().(*frameBuf)
-	defer frameScratch.Put(fb)
-	for {
-		raw, err := readFrame(conn, fb)
-		if err != nil {
-			return wire.ClientResult{}, err
-		}
-		env, err := dec.Decode(raw)
-		if err != nil {
-			return wire.ClientResult{}, err
-		}
-		if res, ok := env.Msg.(wire.ClientResult); ok && res.Tag == t.Tag {
-			return res, nil
-		}
-	}
+	c := NewClient(addr, timeout)
+	defer c.Close()
+	return c.Submit(t, timeout)
 }
 
 // SubmitTCPRetry submits a transaction with deadline-aware backoff: each

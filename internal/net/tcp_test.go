@@ -2,7 +2,9 @@ package net
 
 import (
 	"fmt"
+	"math/rand"
 	stdnet "net"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,16 +12,26 @@ import (
 	"github.com/virtualpartitions/vp/internal/wire"
 )
 
-func freePorts(t *testing.T, n int) []string {
+// freePorts returns n loopback addresses nobody listens on, for nodes
+// that will listen there a moment later. The ports are drawn from below
+// the kernel's ephemeral range: one handed out by Listen(":0") can be
+// taken again, as the source port of any dial on the machine, before
+// the node binds it.
+func freePorts(t testing.TB, n int) []string {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		l, err := stdnet.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	addrs := make([]string, 0, n)
+	for tries := 0; len(addrs) < n; tries++ {
+		if tries > 100*n {
+			t.Fatal("no free port below the ephemeral range")
 		}
-		addrs[i] = l.Addr().String()
-		l.Close()
+		addr := fmt.Sprintf("127.0.0.1:%d", 10000+rand.Intn(20000))
+		if slices.Contains(addrs, addr) {
+			continue
+		}
+		if l, err := stdnet.Listen("tcp", addr); err == nil {
+			l.Close()
+			addrs = append(addrs, addr)
+		}
 	}
 	return addrs
 }

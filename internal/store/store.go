@@ -9,12 +9,14 @@
 // object id), each behind its own mutex, so concurrent operations on
 // different objects proceed in parallel. Every exported method is safe
 // for concurrent use; single-object operations are atomic, and compound
-// operations spanning objects (DropAllStagedBy, UnlockAllRecovery,
-// Restore) sweep the stripes one at a time.
+// operations spanning objects (UnlockAllRecovery, Restore) sweep the
+// stripes one at a time. Staged writes are also indexed by transaction,
+// so DropAllStagedBy costs what the transaction staged here, not a sweep.
 package store
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/virtualpartitions/vp/internal/durable"
@@ -78,6 +80,11 @@ type Store struct {
 	// journal, when set, receives every committed physical write for
 	// crash-restart durability.
 	journal durable.Journal
+	// stagedObjs lists, per transaction, the objects whose staged write
+	// is its own: exactly the objects with staged != nil && stagedBy ==
+	// txn. stagedMu is taken inside a stripe's mutex, never around one.
+	stagedMu   sync.Mutex
+	stagedObjs map[model.TxnID][]model.ObjectID
 }
 
 // SetJournal attaches a durability journal (nil disables).
@@ -108,6 +115,8 @@ func newStore(p model.ProcID, initVal model.Value, logCap, stripes int) *Store {
 		stripes: make([]stripe, stripes),
 		logCap:  logCap,
 		initVal: initVal,
+
+		stagedObjs: make(map[model.TxnID][]model.ObjectID),
 	}
 	for i := range s.stripes {
 		s.stripes[i].objects = make(map[model.ObjectID]*objectState)
@@ -225,9 +234,7 @@ func (s *Store) Restore(copies map[model.ObjectID]model.Copy,
 	for txn, objs := range staged {
 		for obj, w := range objs {
 			if sp, st, ok := s.tryLock(obj); ok {
-				st.staged = &LoggedWrite{Val: w.Val, Ver: w.Ver}
-				st.stagedBy = txn
-				st.stagedDelta = w.Delta
+				s.stageLocked(st, obj, txn, w.Val, w.Ver, w.Delta)
 				sp.mu.Unlock()
 			}
 		}
@@ -302,21 +309,53 @@ func (s *Store) LockedObjects() []model.ObjectID {
 // Prepared (staged) transactional writes
 // ---------------------------------------------------------------------------
 
+// stageLocked sets obj's staged write with its stripe held, replacing
+// whatever was staged there, and keeps the per-transaction index exact.
+func (s *Store) stageLocked(st *objectState, obj model.ObjectID, txn model.TxnID, val model.Value, ver model.Version, delta bool) {
+	if st.staged == nil || st.stagedBy != txn {
+		s.unstageLocked(st, obj)
+		s.stagedMu.Lock()
+		s.stagedObjs[txn] = append(s.stagedObjs[txn], obj)
+		s.stagedMu.Unlock()
+	}
+	st.staged = &LoggedWrite{Val: val, Ver: ver}
+	st.stagedBy = txn
+	st.stagedDelta = delta
+}
+
+// unstageLocked clears obj's staged write, if any, with its stripe held.
+func (s *Store) unstageLocked(st *objectState, obj model.ObjectID) {
+	if st.staged == nil {
+		return
+	}
+	s.stagedMu.Lock()
+	objs := s.stagedObjs[st.stagedBy]
+	if i := slices.Index(objs, obj); i >= 0 {
+		objs = slices.Delete(objs, i, i+1)
+	}
+	if len(objs) == 0 {
+		delete(s.stagedObjs, st.stagedBy)
+	} else {
+		s.stagedObjs[st.stagedBy] = objs
+	}
+	s.stagedMu.Unlock()
+	st.staged = nil
+	st.stagedBy = model.TxnID{}
+	st.stagedDelta = false
+}
+
 // Stage records a prepared write for a transaction. It replaces any write
 // the same transaction staged earlier for the object.
 func (s *Store) Stage(obj model.ObjectID, txn model.TxnID, val model.Value, ver model.Version) {
 	sp, st := s.lock(obj)
-	st.staged = &LoggedWrite{Val: val, Ver: ver}
-	st.stagedBy = txn
+	s.stageLocked(st, obj, txn, val, ver, false)
 	sp.mu.Unlock()
 }
 
 // StageDelta records a prepared component increment (mergeable mode).
 func (s *Store) StageDelta(obj model.ObjectID, txn model.TxnID, delta model.Value, ver model.Version) {
 	sp, st := s.lock(obj)
-	st.staged = &LoggedWrite{Val: delta, Ver: ver}
-	st.stagedBy = txn
-	st.stagedDelta = true
+	s.stageLocked(st, obj, txn, delta, ver, true)
 	sp.mu.Unlock()
 }
 
@@ -347,9 +386,7 @@ func (s *Store) CommitStaged(obj model.ObjectID, txn model.TxnID) bool {
 	}
 	w := *st.staged
 	isDelta := st.stagedDelta
-	st.staged = nil
-	st.stagedBy = model.TxnID{}
-	st.stagedDelta = false
+	s.unstageLocked(st, obj)
 	if isDelta {
 		s.applyDeltaLocked(st, obj, txn.P, w.Val, w.Ver)
 	} else {
@@ -432,26 +469,23 @@ func (s *Store) MergeComps(obj model.ObjectID, remote map[model.ProcID]Comp, ver
 // DropStaged discards the staged write of txn on obj (abort path).
 func (s *Store) DropStaged(obj model.ObjectID, txn model.TxnID) {
 	if sp, st, ok := s.tryLock(obj); ok {
-		if st.staged != nil && st.stagedBy == txn {
-			st.staged = nil
-			st.stagedBy = model.TxnID{}
+		if st.stagedBy == txn {
+			s.unstageLocked(st, obj)
 		}
 		sp.mu.Unlock()
 	}
 }
 
-// DropAllStagedBy discards every staged write of txn.
+// DropAllStagedBy discards every staged write of txn. It costs the
+// writes txn has staged here; for a transaction with none — every
+// read-only one — that is a map miss.
 func (s *Store) DropAllStagedBy(txn model.TxnID) {
-	for i := range s.stripes {
-		sp := &s.stripes[i]
-		sp.mu.Lock()
-		for _, st := range sp.objects {
-			if st.staged != nil && st.stagedBy == txn {
-				st.staged = nil
-				st.stagedBy = model.TxnID{}
-			}
-		}
-		sp.mu.Unlock()
+	s.stagedMu.Lock()
+	objs := s.stagedObjs[txn]
+	delete(s.stagedObjs, txn) // objs is ours now; DropStaged finds nothing left to unlist
+	s.stagedMu.Unlock()
+	for _, obj := range objs {
+		s.DropStaged(obj, txn)
 	}
 }
 
