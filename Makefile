@@ -26,10 +26,10 @@ race:
 # Repeat the packages whose tests cross goroutines on the request path —
 # the journal's committer releasing barriers into handler turns, the
 # transport's readers, timers and peer loops, the gateway's lanes, the
-# shard router — to catch an ordering that only sometimes goes wrong.
-# Used by CI.
+# shard router, view formation over real sockets — to catch an ordering
+# that only sometimes goes wrong. Used by CI.
 stress:
-	$(GO) test -count=20 ./internal/durable/ ./internal/node/ ./internal/net/ ./internal/gateway/ ./internal/shard/
+	$(GO) test -count=20 ./internal/durable/ ./internal/node/ ./internal/net/ ./internal/gateway/ ./internal/shard/ ./internal/core/
 
 # Run every benchmark in the repository.
 bench:

@@ -254,6 +254,7 @@ func main() {
 			switch e := ev.(type) {
 			case core.JoinEvent:
 				health.Set(true, e.VP, e.View.Sorted())
+				health.SetCause(e.Cause)
 				if verbose {
 					fmt.Printf("vpnode %v: joined %v view=%v\n", me, e.VP, e.View)
 				}
@@ -280,6 +281,7 @@ func main() {
 				// Healthy once every hosted shard sits in a partition;
 				// the reported view is the latest shard's.
 				health.Set(n == hosted, e.VP, e.View.Sorted())
+				health.SetCause(e.Cause)
 				if verbose {
 					fmt.Printf("vpnode %v: shard %v joined %v view=%v\n", me, s, e.VP, e.View)
 				}

@@ -54,6 +54,7 @@ vp_viewchange_ms{quantile="0.5"} 1.25
 func TestSnapshotAgainstLiveEndpoints(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Inc(metrics.CTxnCommit, 12)
+	reg.Inc(metrics.CVPCreated, 3)
 	rec := trace.New(64)
 	rec.SetEnabled(true)
 	ctx := model.TraceCtx{Trace: 9, Span: 1}
@@ -61,6 +62,8 @@ func TestSnapshotAgainstLiveEndpoints(t *testing.T) {
 	rec.Span(1, ctx.Child(2), "coord-lock", 0, time.Millisecond, model.TxnID{})
 	h := &debughttp.Health{}
 	h.Set(true, model.VPID{N: 4, P: 1}, []model.ProcID{1})
+	h.SetCause("probe-mismatch")
+	h.SetCause("") // invited since: the last cause of its own stands
 	srv, addr, err := debughttp.Serve("127.0.0.1:0", reg, h, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +74,7 @@ func TestSnapshotAgainstLiveEndpoints(t *testing.T) {
 	opt := &options{nodes: map[model.ProcID]string{1: addr}, interval: time.Second}
 	snapshot(opt, &http.Client{Timeout: time.Second}, &out)
 	got := out.String()
-	for _, want := range []string{"serving", "4/P1", "12", "coord-txn", "coord-lock"} {
+	for _, want := range []string{"serving", "4/P1", "3 probe-mismatch", "12", "coord-txn", "coord-lock"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("snapshot missing %q:\n%s", want, got)
 		}

@@ -103,9 +103,11 @@ type Node struct {
 	myPrev model.VPID
 
 	// --- Create-VP task state (Figure 5) ---
-	creating bool
-	createID model.VPID
-	accepts  map[model.ProcID]model.VPID // accepting processor → its prev
+	creating    bool
+	createID    model.VPID
+	createCause string                      // why (one of the cause constants)
+	createTimer net.TimerID                 // the 2δ window of createID
+	accepts     map[model.ProcID]model.VPID // accepting processor → its prev
 
 	// --- Monitor-VP-Creations state (Figure 6) ---
 	acceptTimer    net.TimerID
@@ -115,8 +117,13 @@ type Node struct {
 	probeSeq    uint64
 	probeAcks   model.ProcSet
 	probeOpen   bool
+	probeVP     model.VPID // the partition the open round was sent in
 	probeArmed  bool
 	probeJitter time.Duration
+
+	// heard[p] is when p last sent this processor anything at all: what
+	// tells a processor that makes us wait from one that is gone.
+	heard map[model.ProcID]time.Duration
 
 	// --- Update-Copies-in-View state (Figure 9) ---
 	refreshing   map[model.ObjectID]*refreshState
@@ -153,6 +160,9 @@ type JoinEvent struct {
 	VP   model.VPID
 	View model.ProcSet
 	At   time.Duration
+	// Cause is why the partition was created (probe-mismatch, restart,
+	// …), at the processor that created it; empty at those it invited.
+	Cause string
 }
 
 // DepartEvent reports that the node left its virtual partition.
@@ -195,6 +205,7 @@ func New(id model.ProcID, cfg Config, cat *model.Catalog, hist *onecopy.History)
 		assigned:   true, // Figure 3 line 4
 		lview:      model.NewProcSet(id),
 		prevs:      map[model.ProcID]model.VPID{},
+		heard:      map[model.ProcID]time.Duration{},
 		refreshing: make(map[model.ObjectID]*refreshState),
 	}
 	n.Base = node.NewBase(id, cfg.Config, cat, (*vpStrategy)(n), hist)
@@ -265,8 +276,7 @@ func (n *Node) Init(rt net.Runtime) {
 		// A restarted processor is unassigned and nobody will invite it
 		// into a stable partition spontaneously: initiate one (its
 		// probes and the others' will take it from there).
-		n.bumpMaxID(model.VPID{N: n.maxID.N + 1, P: rt.ID()})
-		n.startCreateVP(rt, n.maxID)
+		n.startCreateVP(rt, causeRestart)
 	}
 }
 
@@ -298,6 +308,7 @@ func (n *Node) OnMessage(rt net.Runtime, from model.ProcID, m wire.Message) {
 		// journal can no longer preserve across the real restart.
 		return
 	}
+	n.heard[from] = rt.Now()
 	switch msg := m.(type) {
 	case wire.NewVP:
 		n.onNewVP(rt, from, msg)

@@ -250,22 +250,13 @@ func TestCrashedNodeLeavesView(t *testing.T) {
 	f.checkS1S2()
 }
 
-// TestS3CreationOrder verifies property S3 on the recorded join/depart
-// events: taking << to be the order ≺ on vp-ids, every processor that
-// appears in the view of a later partition w and was a member of an
-// earlier partition v departed v before anyone joined w.
-func TestS3CreationOrder(t *testing.T) {
-	cat := model.FullyReplicated(5, "x")
-	f := newFixture(t, cat, 5, 6)
-	f.cluster.At(100*time.Millisecond, "split", func() {
-		f.topo.Partition([]model.ProcID{1, 2, 3}, []model.ProcID{4, 5})
-	})
-	f.cluster.At(300*time.Millisecond, "resplit", func() {
-		f.topo.Partition([]model.ProcID{1, 2}, []model.ProcID{3, 4, 5})
-	})
-	f.cluster.At(500*time.Millisecond, "heal", func() { f.topo.FullMesh() })
-	f.run(time.Second)
-
+// checkS3 verifies property S3 on recorded join/depart events and
+// returns the number of joins: taking << to be the order ≺ on vp-ids,
+// every processor that appears in the view of a later partition w and
+// was a member of an earlier partition v departed v before anyone
+// joined w.
+func checkS3(t *testing.T, events []any) int {
+	t.Helper()
 	type joinRec struct {
 		idx  int
 		proc model.ProcID
@@ -280,7 +271,7 @@ func TestS3CreationOrder(t *testing.T) {
 	var joins []joinRec
 	departs := map[model.ProcID][]departRec{}
 	members := map[model.VPID]model.ProcSet{}
-	for i, ev := range f.events {
+	for i, ev := range events {
 		switch e := ev.(type) {
 		case JoinEvent:
 			joins = append(joins, joinRec{i, e.Proc, e.VP, e.View})
@@ -318,8 +309,25 @@ func TestS3CreationOrder(t *testing.T) {
 			}
 		}
 	}
-	if len(joins) < 5 {
-		t.Fatalf("scenario too quiet: only %d joins", len(joins))
+	return len(joins)
+}
+
+// TestS3CreationOrder holds a split, a re-split and a heal against S3.
+func TestS3CreationOrder(t *testing.T) {
+	cat := model.FullyReplicated(5, "x")
+	f := newFixture(t, cat, 5, 6)
+	f.cluster.At(100*time.Millisecond, "split", func() {
+		f.topo.Partition([]model.ProcID{1, 2, 3}, []model.ProcID{4, 5})
+	})
+	f.cluster.At(300*time.Millisecond, "resplit", func() {
+		f.topo.Partition([]model.ProcID{1, 2}, []model.ProcID{3, 4, 5})
+	})
+	f.cluster.At(500*time.Millisecond, "heal", func() { f.topo.FullMesh() })
+	f.run(time.Second)
+
+	joins := checkS3(t, f.events)
+	if joins < 5 {
+		t.Fatalf("scenario too quiet: only %d joins", joins)
 	}
 }
 

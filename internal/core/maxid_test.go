@@ -87,7 +87,7 @@ func TestMaxIDNeverLeavesBeforeItIsDurable(t *testing.T) {
 		n := nodes[victim].n
 		stalled := stalledJournal{journals[victim]}
 		n.journal, n.Base.Journal = stalled, stalled
-		n.CreateNewVP(cluster.RuntimeFor(victim))
+		n.CreateNewVP(cluster.RuntimeFor(victim), causeNoResponse)
 		lost = n.maxID
 	})
 	cluster.At(T+time.Millisecond, "kill", func() {

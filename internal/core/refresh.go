@@ -267,7 +267,7 @@ func (n *Node) onRecoverReadResp(rt net.Runtime, from model.ProcID, m wire.Recov
 		st.refusals++
 		if st.refusals > maxRefreshRefusals {
 			rt.Logf("refresh %s: %v keeps refusing; creating new partition", m.Obj, from)
-			n.CreateNewVP(rt)
+			n.CreateNewVP(rt, causeRefreshRefused)
 			return
 		}
 		st.pending.Remove(from)
@@ -305,7 +305,7 @@ func (n *Node) onRecoverLogResp(rt net.Runtime, from model.ProcID, m wire.Recove
 		st.refusals++
 		if st.refusals > maxRefreshRefusals {
 			rt.Logf("refresh %s: %v keeps refusing; creating new partition", m.Obj, from)
-			n.CreateNewVP(rt)
+			n.CreateNewVP(rt, causeRefreshRefused)
 			return
 		}
 		st.pending.Remove(from)
@@ -359,7 +359,7 @@ func (n *Node) onRefreshWindow(rt net.Runtime, k refreshWindow) {
 	}
 	if st.pending.Len() > 0 {
 		rt.Logf("refresh %s: no response from %v", k.obj, st.pending)
-		n.CreateNewVP(rt)
+		n.CreateNewVP(rt, causeRefreshTimeout)
 	}
 }
 

@@ -117,16 +117,22 @@ func (s *vpStrategy) InTransition(rt net.Runtime) bool {
 func (n *Node) Strategy() node.Strategy { return (*vpStrategy)(n) }
 
 // OnNoResponse implements node.Strategy: the no-response exception of
-// Figures 10–11 triggers the creation of a new virtual partition.
+// Figures 10–11 triggers the creation of a new virtual partition. The
+// accesses went out one LockTimeout ago; a suspect heard from since then
+// is not missing, it is keeping the access waiting — behind a lock, or
+// behind the R5 refresh of a copy whose last write is still in doubt.
+// That costs the transaction. A new partition would not end the wait,
+// only abort everybody else, once per LockTimeout.
 func (s *vpStrategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID) {
 	n := s.node()
 	if !n.assigned {
 		return
 	}
+	sent := rt.Now() - n.cfg.LockTimeout
 	for _, p := range suspects {
-		if n.lview.Has(p) {
+		if p != rt.ID() && n.lview.Has(p) && n.heard[p] <= sent {
 			rt.Logf("no response from %v: creating new partition", suspects)
-			n.CreateNewVP(rt)
+			n.CreateNewVP(rt, causeNoResponse)
 			return
 		}
 	}

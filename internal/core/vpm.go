@@ -13,9 +13,26 @@ import (
 // Create-new-VP (Figure 4), Create-VP (Figure 5), Monitor-VP-Creations
 // (Figure 6), Send-Probes (Figure 7) and Monitor-Probes (Figure 8).
 
+// Why a processor set out to create a partition. Each committed creation
+// is counted once in vp.created and once under its cause.
+const (
+	causeProbeMismatch   = "probe-mismatch"   // a probe round's acks differ from the view (Figure 7)
+	causeHigherProbe     = "higher-probe"     // probed from a higher-numbered partition (Figure 8)
+	causeNoResponse      = "no-response"      // a physical access went unanswered (Figures 10–11)
+	causeRefreshTimeout  = "refresh-timeout"  // an R5 recovery read went unanswered (Figure 9)
+	causeRefreshRefused  = "refresh-refused"  // a view member kept refusing R5 recovery reads
+	causeAcceptTimeout   = "accept-timeout"   // no commit within 3δ of an acceptance (Figure 6)
+	causeStaleInvitation = "stale-invitation" // invited, under a spent number, from outside the view
+	causeRestart         = "restart"          // recovered from the journal, unassigned
+)
+
+var createdByCause = metrics.NewFamily(metrics.CVPCreated)
+
 // depart leaves the current virtual partition: assigned ← false, and
 // everything predicated on membership is torn down (rule R4). Departure
-// is autonomous — no messages are needed, exactly as §4 requires.
+// is autonomous — no messages are needed, exactly as §4 requires. The
+// reason is the cause of the creation being started, or the invitation
+// being followed.
 func (n *Node) depart(rt net.Runtime, reason string) {
 	if !n.assigned {
 		return
@@ -34,34 +51,37 @@ func (n *Node) depart(rt net.Runtime, reason string) {
 		// Begin fail while unassigned). Nothing is aborted yet.
 		return
 	}
-	n.EpochChanged(rt, reason)
+	n.EpochChanged(rt, "departed partition ("+reason+")")
 }
 
 // CreateNewVP is the procedure of Figure 4: depart and start an attempt
 // to form a new, higher-numbered virtual partition.
-func (n *Node) CreateNewVP(rt net.Runtime) {
+func (n *Node) CreateNewVP(rt net.Runtime, cause string) {
 	if !n.assigned {
 		// A creation or join is already in progress somewhere (we have
 		// departed); let it run its course (Figure 4 line 2).
 		return
 	}
-	n.depart(rt, "departed partition (inconsistency detected)")
+	n.depart(rt, cause)
+	n.startCreateVP(rt, cause)
+}
+
+// startCreateVP takes the next identifier and runs phase one of
+// Create-VP (Figure 5): invite everyone and collect acceptances, for 2δ
+// at most. The identifier leaves the processor here, so the invitations
+// wait for its max-id record to be durable: a processor killed after
+// inviting must restart above every identifier it ever announced, or it
+// would reuse one and forge S3's order.
+func (n *Node) startCreateVP(rt net.Runtime, cause string) {
 	n.bumpMaxID(model.VPID{N: n.maxID.N + 1, P: rt.ID()})
-	n.startCreateVP(rt, n.maxID)
+	id := n.maxID
+	n.Promise(rt, true, func(rt net.Runtime) { n.invite(rt, id, cause) })
 }
 
-// startCreateVP runs phase one of Create-VP (Figure 5): invite everyone
-// and collect acceptances for 2δ. The identifier leaves the processor
-// here, so the invitations wait for its max-id record to be durable: a
-// processor killed after inviting must restart above every identifier it
-// ever announced, or it would reuse one and forge S3's order.
-func (n *Node) startCreateVP(rt net.Runtime, id model.VPID) {
-	n.Promise(rt, true, func(rt net.Runtime) { n.invite(rt, id) })
-}
-
-func (n *Node) invite(rt net.Runtime, id model.VPID) {
+func (n *Node) invite(rt net.Runtime, id model.VPID, cause string) {
 	n.creating = true
 	n.createID = id
+	n.createCause = cause
 	n.accepts = map[model.ProcID]model.VPID{rt.ID(): n.myPrev}
 	rt.Metrics().Inc(metrics.CVPInvites, 1)
 	rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvVPInvite, VP: id})
@@ -70,20 +90,36 @@ func (n *Node) invite(rt net.Runtime, id model.VPID) {
 			rt.Send(p, wire.NewVP{ID: id})
 		}
 	}
-	rt.SetTimer(2*n.cfg.Delta, createWindow{id: id})
-	rt.Logf("create-vp %v: inviting", id)
+	n.createTimer = rt.SetTimer(2*n.cfg.Delta, createWindow{id: id})
+	rt.Logf("create-vp %v: inviting (%s)", id, cause)
+	n.closeWindowIfUnanimous(rt)
 }
 
 // onAcceptVP collects acceptances ("OK" messages, Figure 5 lines 8–9).
 func (n *Node) onAcceptVP(rt net.Runtime, from model.ProcID, m wire.AcceptVP) {
 	if n.creating && m.ID == n.createID {
 		n.accepts[m.From] = m.Prev
+		n.closeWindowIfUnanimous(rt)
 	}
 }
 
-// onCreateWindow ends phase one and, if this creation is still the
-// highest-numbered attempt this processor knows of, commits phase two
-// (Figure 5 lines 14–19).
+// closeWindowIfUnanimous ends phase one as soon as every processor has
+// accepted: the 2δ window bounds the wait for a processor that does not
+// answer, and nobody is left to wait for.
+func (n *Node) closeWindowIfUnanimous(rt net.Runtime) {
+	for _, p := range rt.Procs() {
+		if _, ok := n.accepts[p]; !ok {
+			return
+		}
+	}
+	rt.CancelTimer(n.createTimer)
+	n.onCreateWindow(rt, n.createID)
+}
+
+// onCreateWindow ends phase one — when the 2δ timer fires, or earlier
+// with every processor's acceptance — and, if this creation is still
+// the highest-numbered attempt this processor knows of, commits phase
+// two (Figure 5 lines 14–19).
 func (n *Node) onCreateWindow(rt net.Runtime, id model.VPID) {
 	if !n.creating || n.createID != id {
 		return
@@ -102,6 +138,7 @@ func (n *Node) onCreateWindow(rt net.Runtime, id model.VPID) {
 		prevs[p] = prev
 	}
 	rt.Metrics().Inc(metrics.CVPCreated, 1)
+	rt.Metrics().Inc(createdByCause.Name(n.createCause), 1)
 	// Send the commits before joining locally: join starts rule R5
 	// recovery, whose reads must not overtake the commit messages.
 	viewSet := model.NewProcSet(view...)
@@ -113,17 +150,27 @@ func (n *Node) onCreateWindow(rt net.Runtime, id model.VPID) {
 			rt.Send(p, wire.CommitVP{ID: id, View: viewSet.Sorted(), Prevs: prevs})
 		}
 	}
-	n.join(rt, id, viewSet, prevs)
+	n.join(rt, id, viewSet, prevs, n.createCause)
 }
 
 // onNewVP handles an invitation (Figure 6 lines 5–10): accept iff it is
 // higher-numbered than everything seen so far.
 func (n *Node) onNewVP(rt net.Runtime, from model.ProcID, m wire.NewVP) {
 	if !n.maxID.Less(m.ID) {
+		// The number is spent and the invitation void, but its arrival
+		// says what a higher partition's probe says (Figure 8 line 7): a
+		// processor outside our view can reach us. It cannot know our
+		// number — a restarted processor counts on from its journal — so
+		// we out-number it instead of leaving the merge to the next probe
+		// period. One creation per message at most, as for probes: having
+		// departed, this processor ignores the rest.
+		if n.assigned && !n.lview.Has(from) {
+			n.CreateNewVP(rt, causeStaleInvitation)
+		}
 		return
 	}
 	n.bumpMaxID(m.ID)
-	n.depart(rt, "departed to join "+m.ID.String())
+	n.depart(rt, "invited to "+m.ID.String())
 	// Accepting cancels any lower-numbered creation of our own: its 2δ
 	// window will find createID ≠ maxID and stand down. The acceptance
 	// tells the initiator this processor has seen m.ID, so it waits for
@@ -143,7 +190,7 @@ func (n *Node) onCommitVP(rt net.Runtime, from model.ProcID, m wire.CommitVP) {
 		return
 	}
 	n.cancelAcceptTimer(rt)
-	n.join(rt, m.ID, model.ProcSetOf(m.View), m.Prevs)
+	n.join(rt, m.ID, model.ProcSetOf(m.View), m.Prevs, "")
 }
 
 // onAcceptTimeout fires when a commit never arrived within 3δ of an
@@ -154,8 +201,7 @@ func (n *Node) onAcceptTimeout(rt net.Runtime) {
 	if n.assigned {
 		return
 	}
-	n.bumpMaxID(model.VPID{N: n.maxID.N + 1, P: rt.ID()})
-	n.startCreateVP(rt, n.maxID)
+	n.startCreateVP(rt, causeAcceptTimeout)
 }
 
 func (n *Node) resetAcceptTimer(rt net.Runtime) {
@@ -175,8 +221,9 @@ func (n *Node) cancelAcceptTimer(rt net.Runtime) {
 
 // join assigns this processor to partition id with the given common view
 // (the second half of phase two, shared by initiator and acceptors), and
-// kicks off rule R5 recovery for the accessible local copies.
-func (n *Node) join(rt net.Runtime, id model.VPID, view model.ProcSet, prevs map[model.ProcID]model.VPID) {
+// kicks off rule R5 recovery for the accessible local copies. cause is
+// why the partition was created, which only its initiator knows.
+func (n *Node) join(rt net.Runtime, id model.VPID, view model.ProcSet, prevs map[model.ProcID]model.VPID, cause string) {
 	oldView := n.lview
 	n.curID = id
 	n.bumpMaxID(id)
@@ -210,7 +257,7 @@ func (n *Node) join(rt net.Runtime, id model.VPID, view model.ProcSet, prevs map
 	}
 	rt.Logf("joined %v view=%v", id, view)
 	if n.Observer != nil {
-		n.Observer(JoinEvent{Proc: rt.ID(), VP: id, View: view.Clone(), At: rt.Now()})
+		n.Observer(JoinEvent{Proc: rt.ID(), VP: id, View: view.Clone(), At: rt.Now(), Cause: cause})
 	}
 
 	if n.cfg.WeakR4 {
@@ -302,6 +349,7 @@ func (n *Node) onProbeTick(rt net.Runtime) {
 	n.probeSeq++
 	n.probeAcks = model.NewProcSet(rt.ID())
 	n.probeOpen = true
+	n.probeVP = n.curID
 	rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvProbeSend, VP: n.curID, Aux: int64(n.probeSeq)})
 	for _, p := range rt.Procs() {
 		if p != rt.ID() {
@@ -317,13 +365,15 @@ func (n *Node) onProbeWindow(rt net.Runtime, seq uint64) {
 	}
 	n.probeOpen = false
 	// Figure 7 line 21: any discrepancy between the acknowledging set
-	// and the view triggers a new partition.
-	if n.assigned && !n.probeAcks.Equal(n.lview) {
+	// and the view triggers a new partition. The acks answer the
+	// partition the round was opened in; a processor that has changed
+	// partitions since holds them against nothing.
+	if n.assigned && n.curID == n.probeVP && !n.probeAcks.Equal(n.lview) {
 		rt.Logf("probe %d: acks %v ≠ view %v", seq, n.probeAcks, n.lview)
-		n.CreateNewVP(rt)
+		n.CreateNewVP(rt, causeProbeMismatch)
 	}
 	// Figure 7 line 24: wait π−2δ before the next round (the window
-	// already consumed 2δ).
+	// already consumed 2δ), whatever became of this one.
 	n.armProbe(rt, n.cfg.Pi-2*n.cfg.Delta)
 }
 
@@ -345,7 +395,7 @@ func (n *Node) onProbe(rt net.Runtime, from model.ProcID, m wire.Probe) {
 		// solo partitions would keep out-numbering our creations and
 		// merging would take one probe period per missed number.
 		n.bumpMaxID(m.VP)
-		n.CreateNewVP(rt)
+		n.CreateNewVP(rt, causeHigherProbe)
 	}
 }
 

@@ -34,6 +34,7 @@ type Health struct {
 	vp       model.VPID
 	view     []model.ProcID
 	since    time.Time
+	cause    string // why this node last created a partition
 	halted   string // why the node halted; empty while it has not
 }
 
@@ -45,6 +46,9 @@ type HealthState struct {
 	VPP      model.ProcID   `json:"vpp"`
 	View     []model.ProcID `json:"view,omitempty"`
 	SinceMS  int64          `json:"since_ms"` // ms since the last state change
+	// Cause is why this node created the last partition it created
+	// (core.JoinEvent.Cause); empty while it has only ever been invited.
+	Cause string `json:"cause,omitempty"`
 	// Halted carries the error of the failed journal barrier that took
 	// the node out of the protocol; a halted node is never OK again.
 	Halted string `json:"halted,omitempty"`
@@ -62,6 +66,17 @@ func (h *Health) Set(assigned bool, vp model.VPID, view []model.ProcID) {
 	h.vp = vp
 	h.view = append(h.view[:0], view...)
 	h.since = time.Now()
+	h.mu.Unlock()
+}
+
+// SetCause records why the node created a partition; an empty cause (a
+// partition it was invited to) leaves the last one standing.
+func (h *Health) SetCause(cause string) {
+	if h == nil || cause == "" {
+		return
+	}
+	h.mu.Lock()
+	h.cause = cause
 	h.mu.Unlock()
 }
 
@@ -93,6 +108,7 @@ func (h *Health) State() HealthState {
 		VPN:      h.vp.N,
 		VPP:      h.vp.P,
 		View:     append([]model.ProcID(nil), h.view...),
+		Cause:    h.cause,
 		Halted:   h.halted,
 	}
 	if h.known {

@@ -68,8 +68,13 @@ func (c TCPConfig) withDefaults() TCPConfig {
 // tolerates by design — the transport never retries a message on behalf
 // of the protocol. It does, however, keep trying to restore the
 // *connection*: each peer has a persistent reconnect loop with
-// exponential backoff and jitter, so a transient blip degrades to a
-// bounded burst of omissions instead of permanently severing the link.
+// exponential backoff and jitter, so a transient blip degrades to late
+// frames instead of permanently severing the link. A peer that dials us
+// while our connection to it is down is evidently back: its first frame
+// cuts the backoff short. What had been waiting through more than one
+// redial by then is an outage's backlog and is dropped, counted: to the
+// protocol a lost message is an omission, a seconds-old one a lie about
+// the present.
 //
 // There is no mailbox: whoever has an event runs the handler for it — a
 // connection's reader for the frame it decoded, a timer's goroutine for
@@ -86,9 +91,9 @@ func (c TCPConfig) withDefaults() TCPConfig {
 // the peer is down, goes to the peer's bounded queue, which the peer's
 // loop — otherwise left with dialing and back-off — writes out. So a
 // sender never blocks on the network, overflow is a counted drop, and a
-// peer sees frames in the order they were sent. A connection that failed
-// a write, possibly mid-frame, is closed and never written again; its
-// successor starts a fresh encoder.
+// peer sees the frames it gets in the order they were sent. A connection
+// that failed a write, possibly mid-frame, is closed and never written
+// again; its successor starts a fresh encoder.
 //
 // Lock order: hmu → peerConn.mu or acceptedConn.mu, never back; the peer
 // loops never take hmu.
@@ -138,7 +143,8 @@ type TCPNode struct {
 // blocking writes — with mu released and flushing set, so that senders
 // queue behind it instead of writing past it.
 type peerConn struct {
-	wake chan struct{} // the loop's doorbell: work queued, or conn torn down
+	wake   chan struct{} // the loop's doorbell: work queued, or conn torn down
+	redial chan struct{} // the peer dialed us: end the backoff sleep now
 
 	mu   sync.Mutex
 	conn stdnet.Conn       // nil while the peer is unreachable
@@ -146,8 +152,14 @@ type peerConn struct {
 	enc  wire.FrameEncoder // conn's encoder
 	env  wire.Envelope     // the envelope a sender is encoding
 	// queue holds the envelopes that could not be written at once, at
-	// most TCPConfig.QueueLen. It survives reconnects.
-	queue []wire.Envelope
+	// most TCPConfig.QueueLen. While the connection is down it only
+	// grows, and its first stale envelopes have waited through a failed
+	// redial: they are dropped when the connection returns. What a
+	// connection back on its first redial finds queued — one ReconnectMin
+	// of traffic — is delivered.
+	queue  []wire.Envelope
+	stale  int
+	failed int64 // dials failed since the connection was last up
 	// rest is the unwritten tail of the one frame the kernel took only
 	// part of; it goes out before queue and dies with the connection.
 	rest     []byte
@@ -159,6 +171,15 @@ func (pc *peerConn) ring() {
 	select {
 	case pc.wake <- struct{}{}:
 	default:
+	}
+}
+
+// condemn marks everything queued so far as the outage's backlog, once
+// the first redial has failed. Called with mu held when a backoff sleep
+// ends, by whoever ends it.
+func (pc *peerConn) condemn() {
+	if pc.failed > 1 {
+		pc.stale = len(pc.queue)
 	}
 }
 
@@ -308,7 +329,7 @@ func (n *TCPNode) readLoop(ac *acceptedConn) {
 	// borrowed decoding is not safe here.
 	dec := wire.NewDecoder()
 	fr := newFrameReader(ac.conn)
-	for {
+	for first := true; ; first = false {
 		frame, err := fr.next()
 		if err != nil {
 			return
@@ -316,6 +337,9 @@ func (n *TCPNode) readLoop(ac *acceptedConn) {
 		env, err := dec.Decode(frame)
 		if err != nil {
 			return // corrupted peer; drop the connection
+		}
+		if first {
+			n.heard(env.From)
 		}
 		if ct, ok := env.Msg.(wire.ClientTxn); ok && env.From == model.NoProc {
 			n.clientMu.Lock()
@@ -328,6 +352,28 @@ func (n *TCPNode) readLoop(ac *acceptedConn) {
 		n.rec.Record(trace.Event{At: n.Now(), Proc: n.id, Kind: trace.EvMsgRecv, Peer: env.From, Msg: kind})
 		n.turn(rtEvent{from: env.From, msg: env.Msg, ctx: env.Ctx})
 	}
+}
+
+// heard takes the first frame of a connection a peer dialed as evidence
+// that the peer is up: if our own connection to it is down, the backlog
+// is condemned as of now — before the handler can queue its answer to
+// this very frame — and the peer's loop redials at once.
+func (n *TCPNode) heard(from model.ProcID) {
+	n.connMu.Lock()
+	pc := n.conns[from]
+	n.connMu.Unlock()
+	if pc == nil {
+		return // a client, or a peer we never sent to
+	}
+	pc.mu.Lock()
+	if pc.conn == nil {
+		pc.condemn()
+		select {
+		case pc.redial <- struct{}{}:
+		default:
+		}
+	}
+	pc.mu.Unlock()
 }
 
 // turn runs the handler on the caller's goroutine, under hmu, for one
@@ -409,7 +455,7 @@ func (n *TCPNode) peer(to model.ProcID) *peerConn {
 		return nil
 	default:
 	}
-	pc := &peerConn{wake: make(chan struct{}, 1)}
+	pc := &peerConn{wake: make(chan struct{}, 1), redial: make(chan struct{}, 1)}
 	n.conns[to] = pc
 	n.wg.Add(1)
 	go n.peerLoop(to, addr, pc)
@@ -420,14 +466,14 @@ func (n *TCPNode) peer(to model.ProcID) *peerConn {
 // jitter), hand the connection to senders, write what they had to queue,
 // and on any write failure — its own or a sender's — tear it down and
 // redial. The loop exits only when the node stops; Stop interrupts both
-// in-flight dials (context) and backoff sleeps (stopped channel).
+// in-flight dials (context) and backoff sleeps (stopped channel), and so
+// does the peer by dialing us (heard).
 func (n *TCPNode) peerLoop(to model.ProcID, addr string, pc *peerConn) {
 	defer n.wg.Done()
 	// Jitter source local to this loop: n.rng belongs to the handler
 	// (Runtime.Rand) and must not be shared across goroutines.
 	rng := rand.New(rand.NewSource(int64(n.id)*1_000_003 + int64(to)*7919 + time.Now().UnixNano()))
 	backoff := n.cfg.ReconnectMin
-	attempts := int64(0)
 	everUp := false
 	for {
 		select {
@@ -438,8 +484,11 @@ func (n *TCPNode) peerLoop(to model.ProcID, addr string, pc *peerConn) {
 		dialer := stdnet.Dialer{Timeout: n.cfg.DialTimeout}
 		conn, err := dialer.DialContext(n.dialCtx, "tcp", addr)
 		if err != nil {
-			attempts++
-			if attempts == 1 {
+			pc.mu.Lock()
+			pc.failed++
+			failed := pc.failed
+			pc.mu.Unlock()
+			if failed == 1 {
 				// One peer-down event per outage, on its first failed dial.
 				n.peerDown(to)
 			}
@@ -458,7 +507,13 @@ func (n *TCPNode) peerLoop(to model.ProcID, addr string, pc *peerConn) {
 			case <-n.stopped:
 				t.Stop()
 				return
+			case <-pc.redial:
+				t.Stop()
+				backoff = n.cfg.ReconnectMin
 			case <-t.C:
+				pc.mu.Lock()
+				pc.condemn()
+				pc.mu.Unlock()
 			}
 			continue
 		}
@@ -468,10 +523,19 @@ func (n *TCPNode) peerLoop(to model.ProcID, addr string, pc *peerConn) {
 		}
 		pc.mu.Lock()
 		pc.conn, pc.raw, pc.enc = conn, raw, wire.NewFrameEncoder(n.cfg.Codec)
+		for i := range pc.queue[:pc.stale] {
+			n.drop(to, wire.Kind(pc.queue[i].Msg))
+		}
+		pc.queue = slices.Delete(pc.queue, 0, pc.stale)
+		dials := pc.failed + 1
+		pc.failed, pc.stale = 0, 0
 		pc.mu.Unlock()
-		n.peerUp(to, attempts+1, everUp)
+		select {
+		case <-pc.redial: // rung while this dial was under way
+		default:
+		}
+		n.peerUp(to, dials, everUp)
 		everUp = true
-		attempts = 0
 		backoff = n.cfg.ReconnectMin
 		alive := n.flushLoop(to, pc, conn)
 		pc.mu.Lock()
