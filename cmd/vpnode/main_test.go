@@ -136,8 +136,8 @@ func TestMetricsEndpointOverTCPCluster(t *testing.T) {
 		t.Errorf("/metrics missing the commit:\n%s", body)
 	}
 	for _, want := range []string{
-		`vp_net_msg_sent{kind="lockreq"}`,
 		`vp_net_msg_sent{kind="prepare"}`,
+		`vp_net_msg_sent{kind="decide"}`,
 		"# TYPE vp_net_msg_delivered counter",
 	} {
 		if !strings.Contains(body, want) {

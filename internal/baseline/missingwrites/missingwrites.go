@@ -178,7 +178,7 @@ func (s *strategy) AcceptAccess(rt net.Runtime, e node.Epoch) bool { return true
 // OnNoResponse records failed processors so subsequent writes route
 // around them (creating missing-write marks) instead of timing out
 // again.
-func (s *strategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID) {
+func (s *strategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID, sent time.Duration) {
 	for _, p := range suspects {
 		s.suspects[p] = rt.Now() + s.ttl
 	}

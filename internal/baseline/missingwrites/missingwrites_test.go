@@ -74,6 +74,11 @@ func TestWriteAllWhenHealthy(t *testing.T) {
 	if got := f.cluster.Reg.Get(metrics.CPhysWrite); got != 5 {
 		t.Fatalf("healthy write reached %d copies, want all 5", got)
 	}
+	// The lock round is how the coordinator learns which copies missed the
+	// write: this protocol keeps it.
+	if got := f.cluster.Reg.Get(metrics.CMsgSent + ".lockreq"); got != 4 {
+		t.Fatalf("lock requests sent = %d, want one per remote copy", got)
+	}
 	for _, p := range f.topo.Procs() {
 		if f.nodes[p].Store.HasMissing("x") {
 			t.Fatalf("healthy write left missing marks at %v", p)

@@ -92,4 +92,5 @@ func (s *strategy) EscalateRead(rt net.Runtime, obj model.ObjectID, got map[mode
 // heart of why the naive protocol is broken.
 func (s *strategy) AcceptAccess(rt net.Runtime, e node.Epoch) bool { return true }
 
-func (s *strategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID) {}
+func (s *strategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID, sent time.Duration) {
+}

@@ -53,7 +53,9 @@ func (s *strategy) WritePlan(rt net.Runtime, obj model.ObjectID) (node.Plan, err
 	if copies == nil {
 		return node.Plan{}, errUnknown
 	}
-	return node.AllOf(s.cat, obj, copies.Sorted()), nil
+	plan := node.AllOf(s.cat, obj, copies.Sorted())
+	plan.LockAtPrepare = true // write-all: every copy carries every write
+	return plan, nil
 }
 
 func (s *strategy) EscalateRead(rt net.Runtime, obj model.ObjectID, got map[model.ProcID]wire.LockResp) []model.ProcID {
@@ -62,4 +64,5 @@ func (s *strategy) EscalateRead(rt net.Runtime, obj model.ObjectID, got map[mode
 
 func (s *strategy) AcceptAccess(rt net.Runtime, e node.Epoch) bool { return true }
 
-func (s *strategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID) {}
+func (s *strategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID, sent time.Duration) {
+}

@@ -71,6 +71,23 @@ func TestWritesNeedEveryCopy(t *testing.T) {
 	}
 }
 
+// Write-all keeps every copy the same, so a write of something the
+// transaction has read needs no lock round of its own.
+func TestIncrementSendsNoLockRequests(t *testing.T) {
+	_, cluster, hist, results := newCluster(t, 3, 4)
+	cluster.Submit(0, 1, wire.ClientTxn{Tag: 1, Ops: wire.IncrementOps("x", 5)})
+	cluster.Run(time.Second)
+	if !results[1].Committed {
+		t.Fatal("increment aborted")
+	}
+	if got := cluster.Reg.Get(metrics.CMsgSent + ".lockreq"); got != 0 {
+		t.Fatalf("lock requests sent = %d, want 0", got)
+	}
+	if r := onecopy.Check(hist); !r.OK {
+		t.Fatal(r.Reason)
+	}
+}
+
 func TestUnknownObject(t *testing.T) {
 	_, cluster, _, results := newCluster(t, 2, 3)
 	cluster.Submit(0, 1, wire.ClientTxn{Tag: 1, Ops: []wire.Op{wire.ReadOp("nope")}})

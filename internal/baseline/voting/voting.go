@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"github.com/virtualpartitions/vp/internal/model"
 	"github.com/virtualpartitions/vp/internal/net"
@@ -129,4 +130,5 @@ func (s *strategy) EscalateRead(rt net.Runtime, obj model.ObjectID, got map[mode
 
 func (s *strategy) AcceptAccess(rt net.Runtime, e node.Epoch) bool { return true }
 
-func (s *strategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID) {}
+func (s *strategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID, sent time.Duration) {
+}

@@ -61,6 +61,12 @@ func TestMajorityReadWriteCosts(t *testing.T) {
 	if got := f.cluster.Reg.Get(metrics.CPhysWrite); got != 3 {
 		t.Fatalf("physical writes = %d, want 3", got)
 	}
+	// The write needs the maximum over its quorum, which no single read
+	// gives it: it keeps its lock round (two remote copies each for the
+	// read and the write; VP and ROWA send none for the write).
+	if got := f.cluster.Reg.Get(metrics.CMsgSent + ".lockreq"); got != 4 {
+		t.Fatalf("lock requests sent = %d, want 4", got)
+	}
 }
 
 func TestVersionsIntersectAcrossQuorums(t *testing.T) {

@@ -102,6 +102,10 @@ func TestCrashMidCommitRestartsFromJournal(t *testing.T) {
 	// Let views form, then freeze the 2PC window: node 3 will stage and
 	// vote, but never learn the outcome.
 	submit(1, 1, []wire.Op{wire.WriteOp("x", 1)})
+	// The client has its answer at the commit point, ahead of the remote
+	// Decide; a read through node 3 commits once that Decide has landed
+	// there, so the blocker freezes the next write's window, not this one's.
+	submit(3, 11, []wire.Op{wire.ReadOp("x")})
 	blocker.arm(true)
 
 	// This write commits — the coordinator has all votes — while node 3

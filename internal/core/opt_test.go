@@ -158,10 +158,11 @@ func TestWeakR4ReducesAborts(t *testing.T) {
 		f.requireCommonView(1, 2, 3, 4)
 		// ~100 operations at ~2ms each: runs from 200ms well past the
 		// ~250ms partition re-formation that follows the 210ms crash.
+		// (Blind writes: each runs a lock round, where a write of something
+		// the transaction has read costs no round trip until the prepare.)
 		var ops []wire.Op
-		for i := 0; i < 25; i++ {
-			ops = append(ops, wire.IncrementOps("x", 1)...)
-			ops = append(ops, wire.IncrementOps("y", 1)...)
+		for i := 0; i < 50; i++ {
+			ops = append(ops, wire.WriteOp("x", int64(i)), wire.WriteOp("y", int64(i)))
 		}
 		tag := f.submit(200*time.Millisecond, 1, ops)
 		f.cluster.At(210*time.Millisecond, "crash", func() { f.topo.Crash(4) })

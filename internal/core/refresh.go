@@ -236,8 +236,20 @@ func (n *Node) onCatchupResp(rt net.Runtime, from model.ProcID, m wire.CatchupRe
 // X-locked still holds its last committed value and is safe to read; the
 // only dangerous state is a prepared-but-undecided staged write, whose
 // outcome is unknown.
+//
+// Unknown, that is, to a reader the write does not go through. A write
+// dated with the current partition goes to every copy in its view (rule
+// R3), the requester's included — requester and responder are in that
+// partition, or the read is refused — and cannot commit without the
+// requester's own vote, which it casts only with its copy at the version
+// the write was derived from: the committed one, served here. Such a
+// copy is not busy. It must not be: a prepare that takes its locks
+// itself waits at the requester for this very refresh (Figure 12, "wait
+// until l ∉ locked") while its peers have already staged, and each would
+// wait for the other until the vote timeout.
 func (n *Node) copyBusy(obj model.ObjectID) bool {
-	return n.HasPrepared(obj)
+	ver, staged := n.Store.StagedVer(obj)
+	return staged && ver.Date != n.curID
 }
 
 func (n *Node) refreshFor(obj model.ObjectID, seq uint64) *refreshState {

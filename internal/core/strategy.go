@@ -86,7 +86,13 @@ func (s *vpStrategy) WritePlan(rt net.Runtime, obj model.ObjectID) (node.Plan, e
 		return node.Plan{}, ErrInaccessible
 	}
 	targets := n.Cat.Copies(obj).Intersect(n.lview).Sorted()
-	return node.AllOf(n.Cat, obj, targets), nil
+	plan := node.AllOf(n.Cat, obj, targets)
+	// Rule R5 made every copy in the view current before it became
+	// readable and rule R3 has kept them in step since, so the version a
+	// read returned is every target's version. Not so for mergeable
+	// counters, whose copies merge by component and need not agree on it.
+	plan.LockAtPrepare = !n.cfg.Mergeable
+	return plan, nil
 }
 
 // EscalateRead implements node.Strategy: the VP protocol never escalates
@@ -118,17 +124,17 @@ func (n *Node) Strategy() node.Strategy { return (*vpStrategy)(n) }
 
 // OnNoResponse implements node.Strategy: the no-response exception of
 // Figures 10–11 triggers the creation of a new virtual partition. The
-// accesses went out one LockTimeout ago; a suspect heard from since then
-// is not missing, it is keeping the access waiting — behind a lock, or
-// behind the R5 refresh of a copy whose last write is still in doubt.
-// That costs the transaction. A new partition would not end the wait,
-// only abort everybody else, once per LockTimeout.
-func (s *vpStrategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID) {
+// accesses — lock requests, or prepares with locks to take — went out at
+// sent; a suspect heard from since then is not missing, it is keeping the
+// access waiting — behind a lock, or behind the R5 refresh of a copy
+// whose last write is still in doubt. That costs the transaction. A new
+// partition would not end the wait, only abort everybody else, once per
+// LockTimeout.
+func (s *vpStrategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID, sent time.Duration) {
 	n := s.node()
 	if !n.assigned {
 		return
 	}
-	sent := rt.Now() - n.cfg.LockTimeout
 	for _, p := range suspects {
 		if p != rt.ID() && n.lview.Has(p) && n.heard[p] <= sent {
 			rt.Logf("no response from %v: creating new partition", suspects)

@@ -52,6 +52,11 @@ type HealthState struct {
 	// Halted carries the error of the failed journal barrier that took
 	// the node out of the protocol; a halted node is never OK again.
 	Halted string `json:"halted,omitempty"`
+	// InDoubt is how many transactions this node coordinates whose vote
+	// record is journaled with no decision behind it yet (metrics
+	// txn.indoubt): a handful in passing under load, and after a restart
+	// the ones it is asking the participants about again.
+	InDoubt int64 `json:"indoubt"`
 }
 
 // Set records a state change: whether the node is assigned to a virtual
@@ -212,6 +217,7 @@ func Mux(reg *metrics.Registry, health *Health, rec *trace.Recorder) *http.Serve
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		st := health.State()
+		st.InDoubt = reg.Get(metrics.CTxnInDoubt)
 		w.Header().Set("Content-Type", "application/json")
 		if !st.OK {
 			w.WriteHeader(http.StatusServiceUnavailable)

@@ -147,6 +147,7 @@ func TestHealthz(t *testing.T) {
 	}
 
 	h.Set(true, model.VPID{N: 3, P: 2}, []model.ProcID{1, 2, 3})
+	reg.Inc(metrics.CTxnInDoubt, 2) // two coordinated transactions voted on, not decided
 	code, body := get(t, "http://"+addr+"/healthz")
 	if code != http.StatusOK {
 		t.Errorf("assigned: status %d, want 200", code)
@@ -155,7 +156,7 @@ func TestHealthz(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("bad /healthz body %q: %v", body, err)
 	}
-	if !st.OK || st.VPN != 3 || st.VPP != 2 || len(st.View) != 3 {
+	if !st.OK || st.VPN != 3 || st.VPP != 2 || len(st.View) != 3 || st.InDoubt != 2 {
 		t.Errorf("state = %+v", st)
 	}
 

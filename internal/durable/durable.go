@@ -54,12 +54,26 @@ type DecideRec struct {
 	Shards  []model.ShardID
 }
 
+// VoteRec is a coordinator's own vote: the transaction's prepares are
+// out and this processor is bound to whatever the participants' durable
+// votes add up to. A restart that finds one with no DecideRec asks the
+// participants again, under the epochs the prepares carried. Shards and
+// Epochs parallel Parts; nil Shards means unsharded, nil Epochs a
+// protocol without partitions.
+type VoteRec struct {
+	Parts  []model.ProcID
+	Shards []model.ShardID
+	Epochs []model.VPID
+}
+
 // State is the replayed durable state of one processor.
 type State struct {
 	MaxID   model.VPID
 	Copies  map[model.ObjectID]model.Copy
 	Staged  map[model.TxnID]map[model.ObjectID]StagedWrite
 	Decides map[model.TxnID]DecideRec
+	// Votes holds the coordinator votes no decision has superseded.
+	Votes map[model.TxnID]VoteRec
 }
 
 // NewState returns an empty state.
@@ -68,6 +82,7 @@ func NewState() *State {
 		Copies:  make(map[model.ObjectID]model.Copy),
 		Staged:  make(map[model.TxnID]map[model.ObjectID]StagedWrite),
 		Decides: make(map[model.TxnID]DecideRec),
+		Votes:   make(map[model.TxnID]VoteRec),
 	}
 }
 
@@ -91,6 +106,10 @@ type Journal interface {
 	// DropStage forgets a staged write (committed or aborted). An empty
 	// obj drops every staged write of the transaction.
 	DropStage(txn model.TxnID, obj model.ObjectID)
+	// Vote records the coordinator's own vote for a transaction whose
+	// prepares have left (see VoteRec). The transaction's Decide record
+	// supersedes it.
+	Vote(txn model.TxnID, v VoteRec)
 	// Decide records a coordinator decision awaiting acknowledgements.
 	// shards, when non-nil, parallels pending with each participant's
 	// shard (see DecideRec); nil means unsharded.
@@ -145,6 +164,9 @@ type record struct {
 	DecideShards  []model.ShardID
 
 	DoneTxn *model.TxnID
+
+	VoteTxn *model.TxnID
+	VoteRec VoteRec
 }
 
 func (s *State) apply(r *record) {
@@ -159,6 +181,9 @@ func (s *State) apply(r *record) {
 		}
 		if s.Decides == nil {
 			s.Decides = map[model.TxnID]DecideRec{}
+		}
+		if s.Votes == nil {
+			s.Votes = map[model.TxnID]VoteRec{}
 		}
 	case r.SetMaxID != nil:
 		if s.MaxID.Less(*r.SetMaxID) {
@@ -182,8 +207,11 @@ func (s *State) apply(r *record) {
 		}
 	case r.DecideTxn != nil:
 		s.Decides[*r.DecideTxn] = DecideRec{Commit: r.DecideCommit, Pending: r.DecidePending, Shards: r.DecideShards}
+		delete(s.Votes, *r.DecideTxn)
 	case r.DoneTxn != nil:
 		delete(s.Decides, *r.DoneTxn)
+	case r.VoteTxn != nil:
+		s.Votes[*r.VoteTxn] = r.VoteRec
 	}
 }
 
@@ -221,6 +249,9 @@ func (m *MemJournal) Stage(txn model.TxnID, obj model.ObjectID, w StagedWrite) {
 func (m *MemJournal) DropStage(txn model.TxnID, obj model.ObjectID) {
 	m.apply(&record{DropTxn: &txn, DropObj: obj})
 }
+
+// Vote implements Journal.
+func (m *MemJournal) Vote(txn model.TxnID, v VoteRec) { m.apply(&record{VoteTxn: &txn, VoteRec: v}) }
 
 // Decide implements Journal.
 func (m *MemJournal) Decide(txn model.TxnID, commit bool, pending []model.ProcID, shards []model.ShardID) {

@@ -1,6 +1,7 @@
 package durable_test
 
 import (
+	stdnet "net"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -309,35 +310,120 @@ func (lc *liveCluster) sent(kind string) int64 {
 	return lc.c.Reg.Get(metrics.CMsgSent + "." + kind)
 }
 
-// A committed write on three replicas costs three urgent barriers — the
-// two remote yes-votes and the coordinator's decision — and the client
-// has its answer after them. The two decide acknowledgements start no
-// fsync: they wait for the next flush that something else asks for.
+// A committed write on three replicas costs three urgent barriers, side
+// by side — the two remote yes-votes and the coordinator's own vote — and
+// the client has its answer after them. Neither the decision record nor
+// the two decide acknowledgements start an fsync: they wait for the next
+// flush that something else asks for.
 func TestCommittedWriteCostsThreeUrgentBarriers(t *testing.T) {
-	lc := newLiveCluster(t, model.FullyReplicated(3, "x", "y"), 3, never)
-	if res := lc.result(lc.submit(1, wire.IncrementOps("x", 5))); !res.Committed {
-		t.Fatalf("first write aborted: %+v", res)
+	lc := newLiveCluster(t, model.FullyReplicated(3, "x", "y", "z"), 3, never)
+	fsyncs := func() int64 { return lc.c.Reg.Get(metrics.CJournalFsyncs) }
+	write := func(obj model.ObjectID) {
+		t.Helper()
+		if res := lc.result(lc.submit(1, wire.IncrementOps(obj, 1))); !res.Committed {
+			t.Fatalf("write of %s aborted: %+v", obj, res)
+		}
 	}
-	if got := lc.c.Reg.Get(metrics.CJournalFsyncs); got != 3 {
+	write("x")
+	if got := fsyncs(); got != 3 {
 		t.Fatalf("first write answered after %d fsyncs, want 3", got)
 	}
-	if got := lc.sent("decideack"); got != 0 {
-		t.Fatalf("%d decide acks left without a flush behind them", got)
+	if got := lc.sent("decide"); got != 0 {
+		t.Fatalf("%d Decides left ahead of the decision record's flush", got)
 	}
-	// The second write's vote barriers are that next flush: they carry the
-	// first write's drop-stage records and release its acks. (Another
-	// object: x stays locked until the first Decide lands.)
-	if res := lc.result(lc.submit(1, wire.IncrementOps("y", 1))); !res.Committed {
-		t.Fatalf("second write aborted: %+v", res)
-	}
-	if got := lc.c.Reg.Get(metrics.CJournalFsyncs); got != 6 {
+	// The second write's vote barrier at the coordinator is that next
+	// flush: it carries the first write's decision record and lets its
+	// Decide go. (Other objects: x stays locked until that Decide lands.)
+	write("y")
+	// (Delivered, not just sent: RealCluster times every message on its
+	// own, and the third write's prepares must not overtake them.)
+	eventually(t, "the first write's Decide to follow the second write's flush", func() bool {
+		return lc.c.Reg.Get(metrics.CMsgDelivered+".decide") == 2
+	})
+	if got := fsyncs(); got != 6 {
 		t.Fatalf("two writes cost %d fsyncs, want 6", got)
 	}
-	if got := lc.sent("decideack"); got != 2 {
-		t.Fatalf("%d decide acks sent after the second write's barriers, want the first write's 2", got)
+	// And the third write's vote barriers at the participants carry the
+	// first write's drop-stage records and release its acks (the second
+	// write's too, where its Decide got there before the flush began).
+	write("z")
+	eventually(t, "the first write's acks to follow the third write's flushes", func() bool { return lc.sent("decideack") >= 2 })
+	if got := fsyncs(); got != 9 {
+		t.Fatalf("three writes cost %d fsyncs, want 9", got)
 	}
 	if r := onecopy.Check(lc.hist); !r.OK {
 		t.Fatalf("not 1SR: %s", r.Reason)
+	}
+}
+
+// A transaction submitted for an object whose last commit has not told
+// the other copies yet is held at the coordinator — behind that Decide,
+// on the same connections, it finds the locks free where wait-die would
+// have killed it — and being waited for makes the lazy flush urgent. So
+// does a lock request that runs into the commit's lock at another copy.
+// (Over TCP: a connection keeps the order the hold relies on, RealCluster
+// times every message on its own.)
+func TestWriteBehindAnUntoldCommitWaitsForItsDecide(t *testing.T) {
+	addrs := map[model.ProcID]string{}
+	for id := model.ProcID(1); id <= 3; id++ {
+		l, err := stdnet.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[id] = l.Addr().String()
+		l.Close()
+	}
+	cat := model.FullyReplicated(3, "x")
+	var coord *net.TCPNode
+	for id := model.ProcID(1); id <= 3; id++ {
+		_, j, err := durable.OpenOptions(t.TempDir(), durable.Options{Committer: true, FlushInterval: never})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd := rowa.New(id, node.Config{Delta: 50 * time.Millisecond}, cat, nil)
+		nd.Journal = j
+		nd.Store.SetJournal(j)
+		tn := net.NewTCPNode(id, addrs, nd)
+		if err := tn.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if id == 1 {
+			coord = tn
+		}
+		t.Cleanup(func() {
+			tn.Stop()
+			j.Close() //nolint:errcheck // nothing was injected
+		})
+	}
+	submit := func(to model.ProcID, tag uint64, ops []wire.Op) wire.ClientResult {
+		t.Helper()
+		res, err := net.SubmitTCP(addrs[to], wire.ClientTxn{Tag: tag, Ops: ops}, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for i := uint64(1); i <= 5; i++ {
+		if res := submit(1, i, wire.IncrementOps("x", 1)); !res.Committed {
+			t.Fatalf("write %d aborted: %+v", i, res)
+		}
+	}
+	if got := coord.Metrics().Get(metrics.CTxnAbort); got != 0 {
+		t.Fatalf("%d aborts among back-to-back writes of one object", got)
+	}
+	// A reader elsewhere runs into the last write's lock at its own copy:
+	// the request dies (it is younger), and nudges that write's coordinator
+	// — long before the lease sweep (1.5 s here) would ask.
+	began := time.Now()
+	res := submit(2, 10, []wire.Op{wire.ReadOp("x")})
+	for tag := uint64(11); !res.Committed; tag++ {
+		res = submit(2, tag, []wire.Op{wire.ReadOp("x")})
+	}
+	if got := res.Reads[0].Val; got != 5 {
+		t.Fatalf("read x = %d after five increments", got)
+	}
+	if took := time.Since(began); took > time.Second {
+		t.Fatalf("the reader waited %v for a Decide nobody hurried", took)
 	}
 }
 

@@ -50,6 +50,8 @@ const (
 	// scope keep emitting tagSnapshot, so unsharded snapshot bytes are
 	// unchanged.
 	tagSnapshotScoped = byte(9)
+	// tagVote is a coordinator's own vote (VoteRec).
+	tagVote = byte(10)
 )
 
 // appendFrame appends the framed encoding of r to dst.
@@ -66,13 +68,21 @@ func appendFrame(dst []byte, r *record) []byte {
 func appendRecord(dst []byte, r *record) []byte {
 	switch {
 	case r.Snapshot != nil:
+		// Undecided coordinator votes close the record, after everything
+		// older readers know, and only when there are any: a snapshot
+		// without them keeps its bytes. The sections before must then all
+		// be present, or the reader would take the votes for one of them.
+		votes := len(r.Snapshot.Votes) > 0
 		if r.SnapScoped {
 			dst = append(dst, tagSnapshotScoped)
 			dst = appendStateBody(dst, r.Snapshot, true)
 			dst = appendObjs(dst, r.SnapUniverse)
 		} else {
 			dst = append(dst, tagSnapshot)
-			dst = appendState(dst, r.Snapshot)
+			dst = appendStateBody(dst, r.Snapshot, votes)
+		}
+		if votes {
+			dst = appendVotes(dst, r.Snapshot.Votes)
 		}
 	case r.SetMaxID != nil:
 		dst = append(dst, tagMaxID)
@@ -107,20 +117,49 @@ func appendRecord(dst []byte, r *record) []byte {
 	case r.DoneTxn != nil:
 		dst = append(dst, tagDone)
 		dst = appendTxnID(dst, *r.DoneTxn)
+	case r.VoteTxn != nil:
+		dst = append(dst, tagVote)
+		dst = appendTxnID(dst, *r.VoteTxn)
+		dst = appendVoteRec(dst, r.VoteRec)
 	}
 	return dst
 }
 
-// appendState encodes a full State. Map keys are sorted so the same
-// state always encodes to the same bytes (snapshot files diff cleanly
-// and tests can compare them).
+func appendVoteRec(dst []byte, v VoteRec) []byte {
+	dst = appendProcs(dst, v.Parts)
+	dst = appendShards(dst, v.Shards)
+	dst = appendUvarint(dst, uint64(len(v.Epochs)))
+	for _, e := range v.Epochs {
+		dst = appendVPID(dst, e)
+	}
+	return dst
+}
+
+func appendVotes(dst []byte, votes map[model.TxnID]VoteRec) []byte {
+	txns := make([]model.TxnID, 0, len(votes))
+	for t := range votes {
+		txns = append(txns, t)
+	}
+	sort.Slice(txns, func(i, j int) bool { return txns[i].Less(txns[j]) })
+	dst = appendUvarint(dst, uint64(len(txns)))
+	for _, t := range txns {
+		dst = appendTxnID(dst, t)
+		dst = appendVoteRec(dst, votes[t])
+	}
+	return dst
+}
+
+// appendState encodes a full State, votes aside (appendRecord puts
+// those last). Map keys are sorted so the same state always encodes to
+// the same bytes (snapshot files diff cleanly and tests can compare
+// them).
 func appendState(dst []byte, s *State) []byte {
 	return appendStateBody(dst, s, false)
 }
 
 // appendStateBody is appendState with the sharded-decision trailer
-// forced when forceTrailer is set (scoped snapshots append a universe
-// list after the state, so every section before it must be present).
+// forced when forceTrailer is set: more sections follow the state, so
+// every one before them must be present.
 func appendStateBody(dst []byte, s *State, forceTrailer bool) []byte {
 	dst = appendVPID(dst, s.MaxID)
 
@@ -370,6 +409,32 @@ func (c *walCursor) procs() []model.ProcID {
 	return ps
 }
 
+// voteRec reads a VoteRec; its lists parallel Parts or are empty.
+func (c *walCursor) voteRec() VoteRec {
+	v := VoteRec{Parts: c.procs(), Shards: c.shards()}
+	if n := c.count(2); n > 0 {
+		v.Epochs = make([]model.VPID, n)
+		for i := range v.Epochs {
+			v.Epochs[i] = c.vpid()
+		}
+	}
+	if (v.Shards != nil && len(v.Shards) != len(v.Parts)) || (v.Epochs != nil && len(v.Epochs) != len(v.Parts)) {
+		c.bad = true
+	}
+	return v
+}
+
+// votes reads the snapshot section appendVotes wrote, if any bytes remain.
+func (c *walCursor) votes(st *State) {
+	if len(c.b) == 0 {
+		return
+	}
+	for i, n := 0, c.count(4); i < n && !c.bad; i++ {
+		t := c.txn()
+		st.Votes[t] = c.voteRec()
+	}
+}
+
 func (c *walCursor) shards() []model.ShardID {
 	n := c.count(1)
 	if n == 0 {
@@ -452,6 +517,7 @@ func parseRecord(payload []byte, r *record) bool {
 		if !ok {
 			return false
 		}
+		c.votes(st)
 		r.Snapshot = st
 	case tagSnapshotScoped:
 		st, ok := parseStateBody(&c, true)
@@ -463,6 +529,7 @@ func parseRecord(payload []byte, r *record) bool {
 		for i := 0; i < n; i++ {
 			objs = append(objs, model.ObjectID(c.str()))
 		}
+		c.votes(st)
 		if c.bad {
 			return false
 		}
@@ -504,6 +571,10 @@ func parseRecord(payload []byte, r *record) bool {
 	case tagDone:
 		t := c.txn()
 		r.DoneTxn = &t
+	case tagVote:
+		t := c.txn()
+		r.VoteTxn = &t
+		r.VoteRec = c.voteRec()
 	default:
 		return false
 	}

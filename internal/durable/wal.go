@@ -567,6 +567,9 @@ func cloneState(s *State) *State {
 	for t, d := range s.Decides {
 		c.Decides[t] = d
 	}
+	for t, v := range s.Votes {
+		c.Votes[t] = v
+	}
 	return c
 }
 
@@ -999,6 +1002,9 @@ func (j *FileJournal) Stage(txn model.TxnID, obj model.ObjectID, w StagedWrite) 
 func (j *FileJournal) DropStage(txn model.TxnID, obj model.ObjectID) {
 	j.write(&record{DropTxn: &txn, DropObj: obj})
 }
+
+// Vote implements Journal.
+func (j *FileJournal) Vote(txn model.TxnID, v VoteRec) { j.write(&record{VoteTxn: &txn, VoteRec: v}) }
 
 // Decide implements Journal.
 func (j *FileJournal) Decide(txn model.TxnID, commit bool, pending []model.ProcID, shards []model.ShardID) {

@@ -32,7 +32,8 @@ func stateEqual(a, b *State) bool {
 	return a.MaxID == b.MaxID &&
 		reflect.DeepEqual(a.Copies, b.Copies) &&
 		reflect.DeepEqual(a.Staged, b.Staged) &&
-		reflect.DeepEqual(a.Decides, b.Decides)
+		reflect.DeepEqual(a.Decides, b.Decides) &&
+		reflect.DeepEqual(a.Votes, b.Votes)
 }
 
 // frameOffsets parses the frame boundaries of a segment's bytes: the
@@ -85,6 +86,9 @@ func TestEveryOffsetTruncation(t *testing.T) {
 		})
 		step(func(q Journal) {
 			q.Stage(tx, "b", StagedWrite{Val: model.Value(-i), Ver: ver(1, uint64(2*i+2)), Delta: i%2 == 0})
+		})
+		step(func(q Journal) {
+			q.Vote(tx, VoteRec{Parts: []model.ProcID{1, 2, 3}, Epochs: []model.VPID{v(1, 1), v(1, 1), v(1, 1)}})
 		})
 		step(func(q Journal) { q.Decide(tx, i%3 != 0, []model.ProcID{2, 3}, nil) })
 		step(func(q Journal) { q.Apply("a", model.Value(i), ver(1, uint64(2*i+1))) })
@@ -246,6 +250,9 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		{DropTxn: &model.TxnID{Start: 1, P: 1, Seq: 1}, DropObj: ""},
 		{DecideTxn: &model.TxnID{Start: 2, P: 2, Seq: 2}, DecideCommit: true, DecidePending: []model.ProcID{1}},
 		{DoneTxn: &model.TxnID{Start: 3, P: 3, Seq: 3}},
+		{VoteTxn: &model.TxnID{Start: 4, P: 1, Seq: 4}, VoteRec: VoteRec{Parts: []model.ProcID{1, 2}}},
+		{VoteTxn: &model.TxnID{Start: 4, P: 1, Seq: 5}, VoteRec: VoteRec{Parts: []model.ProcID{1, 2},
+			Shards: []model.ShardID{3, 4}, Epochs: []model.VPID{v(2, 1), v(5, 2)}}},
 	}
 	st := NewState()
 	st.MaxID = v(9, 1)
@@ -253,6 +260,10 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	st.Staged[txn(1)] = map[model.ObjectID]StagedWrite{"x": {Val: 5, Ver: vv}}
 	st.Decides[txn(2)] = DecideRec{Commit: false, Pending: []model.ProcID{2, 3}}
 	recs = append(recs, &record{Snapshot: st})
+	// Undecided coordinator votes ride behind everything else in a snapshot.
+	withVotes := cloneState(st)
+	withVotes.Votes[txn(3)] = VoteRec{Parts: []model.ProcID{2, 3}, Epochs: []model.VPID{v(2, 1), v(2, 1)}}
+	recs = append(recs, &record{Snapshot: withVotes})
 
 	for i, r := range recs {
 		frame := appendFrame(nil, r)
@@ -506,6 +517,8 @@ func TestScopedSnapshotRecordRoundTrip(t *testing.T) {
 	st.Copies["x"] = model.Copy{Val: 4, Ver: vv}
 	st.Decides[txn(2)] = DecideRec{Commit: true, Pending: []model.ProcID{2, 3},
 		Shards: []model.ShardID{1, 2}}
+	st.Votes[txn(3)] = VoteRec{Parts: []model.ProcID{1, 4}, Shards: []model.ShardID{1, 2},
+		Epochs: []model.VPID{v(2, 1), v(3, 4)}}
 	for _, universe := range [][]model.ObjectID{{"a", "x"}, {}} {
 		frame := appendFrame(nil, &record{Snapshot: st, SnapScoped: true, SnapUniverse: universe})
 		var back record

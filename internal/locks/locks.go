@@ -154,6 +154,18 @@ func (m *Manager) unnote(txn model.TxnID, obj model.ObjectID) {
 // exclusive attempts an upgrade, which follows the same wait-die rule
 // against the other holders.
 func (m *Manager) Acquire(obj model.ObjectID, txn model.TxnID, mode model.LockMode) Outcome {
+	return m.acquire(obj, txn, mode, false)
+}
+
+// AcquirePatient is Acquire for a transaction that holds no lock
+// anywhere: wait-die lets it wait for anybody, older or not, because no
+// cycle of waiting transactions can pass through one that nobody can be
+// waiting for. It never returns Died.
+func (m *Manager) AcquirePatient(obj model.ObjectID, txn model.TxnID, mode model.LockMode) Outcome {
+	return m.acquire(obj, txn, mode, true)
+}
+
+func (m *Manager) acquire(obj model.ObjectID, txn model.TxnID, mode model.LockMode, patient bool) Outcome {
 	s := m.objStripe(obj)
 	s.mu.Lock()
 	st, ok := s.table[obj]
@@ -177,7 +189,7 @@ func (m *Manager) Acquire(obj model.ObjectID, txn model.TxnID, mode model.LockMo
 			conflict = true
 			// Wait-die: if the requester is younger than any conflicting
 			// holder, it dies immediately.
-			if holder.Less(txn) {
+			if holder.Less(txn) && !patient {
 				s.mu.Unlock()
 				return Died
 			}
@@ -189,7 +201,7 @@ func (m *Manager) Acquire(obj model.ObjectID, txn model.TxnID, mode model.LockMo
 	for _, w := range st.queue {
 		if w.txn != txn && w.mode.Conflicts(mode) {
 			conflict = true
-			if w.txn.Less(txn) {
+			if w.txn.Less(txn) && !patient {
 				s.mu.Unlock()
 				return Died
 			}

@@ -33,6 +33,17 @@ func TestExclusiveConflict(t *testing.T) {
 	if got := m.Acquire("x", tx(3), model.LockExclusive); got != Died {
 		t.Fatalf("younger requester: %v, want died", got)
 	}
+	// Unless it holds nothing anywhere and says so: then it waits its
+	// turn, behind the older waiter.
+	if got := m.AcquirePatient("x", tx(3), model.LockExclusive); got != Queued {
+		t.Fatalf("younger patient requester: %v, want queued", got)
+	}
+	if grants := m.Release("x", tx(2)); len(grants) != 1 || grants[0].Txn != tx(1) {
+		t.Fatalf("grants = %v, want the older waiter first", grants)
+	}
+	if grants := m.Release("x", tx(1)); len(grants) != 1 || grants[0].Txn != tx(3) {
+		t.Fatalf("grants = %v, want the patient waiter", grants)
+	}
 }
 
 func TestReleaseGrantsWaiter(t *testing.T) {

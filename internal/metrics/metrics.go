@@ -290,6 +290,12 @@ const (
 	// CNodeHalted is 0 until a failed durability barrier takes the node
 	// out of the protocol (node.Base.Halted), 1 from then on.
 	CNodeHalted = "node.halted"
+	// CTxnInDoubt is a level too: the transactions this node coordinates
+	// whose vote record is in the journal with no decision behind it yet.
+	// CTxnRecollect counts those a restart found that way and asked the
+	// participants about again.
+	CTxnInDoubt   = "txn.indoubt"
+	CTxnRecollect = "txn.recollect"
 )
 
 // Well-known sample (distribution) names.

@@ -15,12 +15,14 @@ import (
 
 // These tests pin where the commit path places its journal sync
 // barriers — before a promise that leaves the processor, and nowhere
-// else — and that every crash point the coordinator's unsynced own-stage
-// opens recovers by prefix durability. Each node journals to a real
-// FileJournal over a nemesis.DiskFaults disk; the simulated cluster
-// makes the crash instants exact (link latency is 1ms, so an increment
-// submitted at T prepares at T+2ms, is staged remotely at T+3ms and
-// decided at T+4ms).
+// else — and what a coordinator killed at each point of the commit path
+// restarts into. Each node journals to a real FileJournal over a
+// nemesis.DiskFaults disk; the simulated cluster makes the crash
+// instants exact (link latency is 1ms, so an increment submitted at T
+// to a coordinator holding a copy prepares at T — the coordinator's own
+// vote is cast and, journal willing, durable at T too — is staged
+// remotely at T+1ms, reaches its commit point at T+2ms when the votes
+// arrive, and is applied remotely at T+3ms).
 
 // restartable is a node that can be killed and booted again inside one
 // simulated cluster. While down it swallows everything, including the
@@ -144,19 +146,53 @@ func (f *durableFixture) expectX(val model.Value, ctr uint64) {
 	}
 }
 
-// A committed write on three replicas costs exactly five journal syncs:
-// the coordinator's decide barrier, and at each remote participant the
-// prepare barrier (before its yes-vote) and the decide barrier (before
-// its ack). The coordinator's own stage and drop-stage ride its decide
-// barrier and the next group commit.
-func TestCommittedWriteCostsFiveSyncs(t *testing.T) {
+// stuckJournal models a committing journal whose committer stops getting
+// to its barriers: the first *left flush inline (the simulation has one
+// goroutine), the rest stay queued until the node is killed, so what was
+// appended behind them is lost with the batch.
+type stuckJournal struct {
+	*durable.FileJournal
+	left *int
+}
+
+func (j stuckJournal) Barrier(urgent bool, release func(error)) (bool, error) {
+	if *j.left <= 0 {
+		return false, nil
+	}
+	*j.left--
+	return j.FileJournal.Barrier(urgent, release)
+}
+
+// stickAfter lets p's journal flush n more barriers and no more.
+func (f *durableFixture) stickAfter(p model.ProcID, n int) {
+	f.bases[p].Journal = stuckJournal{FileJournal: f.journals[p], left: &n}
+}
+
+// A committed write on three replicas costs six journal syncs, of which
+// the client waits for three at once: the coordinator's vote barrier
+// beside the two remote participants' prepare barriers. Behind the
+// answer come the coordinator's decision barrier (before the remote
+// Decide) and each remote participant's (before its ack). The
+// coordinator's own stage and drop-stage ride its vote and decision
+// barriers.
+func TestCommittedWriteCostsSixSyncs(t *testing.T) {
 	f := newDurableFixture(t, 3, "x")
 	tag := f.submit(0, 1, wire.IncrementOps("x", 5))
+	f.cluster.At(1500*time.Microsecond, "voting", func() {
+		if got := f.cluster.Reg.Get(metrics.CTxnInDoubt); got != 1 {
+			t.Errorf("%d transactions in doubt with the coordinator's vote cast and no decision, want 1", got)
+		}
+	})
+	f.cluster.At(2500*time.Microsecond, "answered", func() {
+		if res := f.results[tag]; !res.Committed {
+			t.Errorf("no commit at the client one round trip after the submit: %+v", res)
+		}
+		if got := f.cluster.Reg.Get(metrics.CTxnInDoubt); got != 0 {
+			t.Errorf("%d transactions still in doubt after the decision", got)
+		}
+	})
 	f.run(time.Second)
-	if res := f.results[tag]; !res.Committed {
-		t.Fatalf("write did not commit: %+v", res)
-	}
-	for p, want := range map[model.ProcID]int64{1: 1, 2: 2, 3: 2} {
+	for p, want := range map[model.ProcID]int64{1: 2, 2: 2, 3: 2} {
 		if got := f.syncs(p); got != want {
 			t.Errorf("node %v performed %d journal syncs, want %d", p, got, want)
 		}
@@ -164,127 +200,108 @@ func TestCommittedWriteCostsFiveSyncs(t *testing.T) {
 	f.expectX(5, 1)
 }
 
-// The coordinator dies after staging its own write — unsynced — and
-// before its decide barrier. Whatever prefix of its journal survived, no
-// decision was ever durable, so none was externalized: the restart
-// coordinates nothing, the remote participants (durably prepared) and a
-// resurrected own stage resolve by presumed abort, and the write is
-// absent everywhere.
-func TestCoordinatorKilledBeforeDecideSync(t *testing.T) {
+// The coordinator is killed at each point of the commit path in turn. An
+// outcome the restart could reverse was never told to anyone; an
+// acknowledged commit is never lost; a write nobody was promised is never
+// applied.
+func TestCoordinatorKilledAlongTheCommitPath(t *testing.T) {
 	const T = 100 * time.Millisecond
 	for _, tc := range []struct {
-		name       string
-		flushed    bool  // the interval flusher reached the stage record before the kill
-		chop       int64 // bytes torn off the journal tail by the kill
-		wantStaged int   // transactions the restart resurrects as prepared
+		name string
+		// flushes is how many barriers the coordinator's journal still
+		// flushes from T on (-1: all of them); cut isolates node 3 from
+		// the coordinator so its prepare is lost; killAt is the instant.
+		flushes int
+		cut     bool
+		killAt  time.Duration
+		// at the kill
+		answered bool
+		// what the restart replays and where it ends up
+		votes, decides, staged int
+		commit                 bool
 	}{
-		{name: "stage lost with the unflushed batch", wantStaged: 1}, // the warm-up write's own stage: decided, re-driven
-		{name: "stage torn", flushed: true, chop: 3},
-		{name: "stage durable", flushed: true, wantStaged: 1},
+		{name: "vote appended, not durable", flushes: 0, killAt: T + 1500*time.Microsecond},
+		{name: "vote durable, votes out, all yes", flushes: -1, killAt: T + 1500*time.Microsecond,
+			votes: 1, staged: 1, commit: true},
+		{name: "vote durable, votes out, one never prepared", flushes: -1, cut: true, killAt: T + 1500*time.Microsecond,
+			votes: 1, staged: 1},
+		{name: "committed and answered, decision not durable", flushes: 1, killAt: T + 2500*time.Microsecond,
+			answered: true, votes: 1, staged: 1, commit: true},
+		{name: "decision durable", flushes: -1, killAt: T + 2500*time.Microsecond,
+			answered: true, decides: 1, staged: 1, commit: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newDurableFixture(t, 3, "x")
 			f.submit(0, 1, wire.IncrementOps("x", 1)) // warm-up: x = 1 everywhere
-			doomed := f.submit(T, 1, wire.IncrementOps("x", 5))
-			f.cluster.At(T+3500*time.Microsecond, "kill", func() {
-				for _, p := range f.topo.Procs() {
-					if got := f.bases[p].PreparedTxns(); got != 1 {
-						t.Errorf("at the kill node %v has %d prepared transactions, want 1", p, got)
-					}
+			f.cluster.At(T-time.Millisecond, "arm", func() {
+				if err := f.journals[1].Sync(); err != nil { // the warm-up's tail, so the restart replays this write alone
+					t.Error(err)
 				}
-				if got := f.syncs(1); got != 1 {
-					t.Errorf("coordinator synced %d times before its second decide, want 1", got)
+				if tc.flushes >= 0 {
+					f.stickAfter(1, tc.flushes)
 				}
-				if tc.flushed {
-					if err := f.journals[1].Sync(); err != nil {
-						t.Error(err)
-					}
+				if tc.cut {
+					f.topo.SetLink(1, 3, false)
+				}
+			})
+			tag := f.submit(T, 1, wire.IncrementOps("x", 5))
+			f.cluster.At(tc.killAt, "kill", func() {
+				if res := f.results[tag]; res.Committed != tc.answered {
+					t.Errorf("at the kill the client holds %+v, want committed=%v", res, tc.answered)
+				}
+				// Two Decides went out for the warm-up. This write's may only
+				// follow its decision record's flush: a participant that
+				// applied and forgot would answer a restart's question with no.
+				wantDecides := int64(2 + 2*tc.decides)
+				if got := f.cluster.Reg.Get("net.msg.sent.decide"); got != wantDecides {
+					t.Errorf("at the kill %d Decide messages have left, want %d", got, wantDecides)
 				}
 				f.kill(1)
-				if tc.chop > 0 {
-					if _, err := durable.ChopTail(f.disks[1], f.dirs[1], tc.chop); err != nil {
-						t.Error(err)
-					}
-				}
+				f.topo.FullMesh()
+				f.topo.Crash(1)
 			})
 			f.restartAt(T+10*time.Millisecond, 1)
 			f.run(T + 11*time.Millisecond)
-			if got := len(f.restored[1].Staged); got != tc.wantStaged {
-				t.Fatalf("restart resurrected %d staged transactions, want %d", got, tc.wantStaged)
+			st := f.restored[1]
+			if len(st.Votes) != tc.votes || len(st.Decides) != tc.decides || len(st.Staged) != tc.staged {
+				t.Fatalf("restart replayed %d votes, %d decisions, %d staged transactions, want %d, %d, %d",
+					len(st.Votes), len(st.Decides), len(st.Staged), tc.votes, tc.decides, tc.staged)
 			}
-			if tc.chop > 0 && !f.journals[1].Recovery().Torn {
-				t.Fatal("restart found no torn tail")
+			f.run(T + 2*time.Second) // past the lock lease, for the case nobody is left to ask
+			if tc.commit {
+				f.expectX(6, 2)
+			} else {
+				f.expectX(1, 1)
 			}
-			f.run(T + 2*time.Second) // past the lock lease: DecideQuery, presumed abort
-			if res, ok := f.results[doomed]; ok && res.Committed {
-				t.Fatalf("undecided write was reported committed: %+v", res)
+			if got := int(f.cluster.Reg.Get(metrics.CTxnRecollect)); got != tc.votes {
+				t.Errorf("restart asked again about %d transactions, want %d", got, tc.votes)
 			}
-			f.expectX(1, 1)
-			// The freed locks admit new work on every copy.
+			// Either way the locks are free again.
 			next := f.submit(T+2*time.Second, 2, wire.IncrementOps("x", 2))
 			f.run(T + 3*time.Second)
 			if res := f.results[next]; !res.Committed {
-				t.Fatalf("writer blocked after presumed abort: %+v", res)
+				t.Fatalf("writer blocked after the restart: %+v", res)
 			}
-			f.expectX(3, 2)
 		})
 	}
 }
 
-// The coordinator dies after its decide barrier — the client has its
-// answer — but before the drop of its own stage is durable and before
-// any peer received the decision. Its journal's durable prefix ends at
-// the decide record, behind the stage records: the restart resurrects
-// its own stage as prepared, resumes the decision, re-drives Decide to
-// itself and the peers, and every copy holds the write exactly once.
-func TestCoordinatorKilledAfterDecideSync(t *testing.T) {
-	const T = 100 * time.Millisecond
-	f := newDurableFixture(t, 3, "x")
-	f.submit(0, 1, wire.IncrementOps("x", 1))
-	acked := f.submit(T, 1, wire.IncrementOps("x", 5))
-	f.cluster.At(T+4500*time.Microsecond, "kill", func() {
-		if res := f.results[acked]; !res.Committed {
-			t.Errorf("at the kill the decision is not yet externalized: %+v", res)
-		}
-		if got := f.bases[1].PreparedTxns(); got != 0 {
-			t.Errorf("at the kill the coordinator still holds %d own stages, want 0 (applied, dropped unsynced)", got)
-		}
-		for _, p := range []model.ProcID{2, 3} {
-			if got := f.bases[p].PreparedTxns(); got != 1 {
-				t.Errorf("at the kill node %v has %d prepared transactions, want 1 (Decide in flight)", p, got)
-			}
-		}
-		f.kill(1)
-	})
-	f.restartAt(T+10*time.Millisecond, 1)
-	f.run(T + 11*time.Millisecond)
-	st := f.restored[1]
-	if len(st.Staged) != 1 || len(st.Decides) != 1 {
-		t.Fatalf("restart replayed %d staged and %d decided transactions, want 1 and 1", len(st.Staged), len(st.Decides))
-	}
-	if c := st.Copies["x"]; c.Val != 1 {
-		t.Fatalf("restart replayed x = %d, want 1 (the apply was not durable)", c.Val)
-	}
-	f.run(T + time.Second)
-	f.expectX(6, 2)
-}
-
-// A disk that fails the coordinator's decide barrier — now the first
-// sync it attempts — still halts it with nothing externalized: no client
-// result, no Decide, participants left prepared with the write unapplied.
-func TestFailedDecideBarrierOnDiskHaltsCoordinator(t *testing.T) {
+// A disk that fails the coordinator's vote barrier — the first sync it
+// attempts — halts it with nothing externalized: no client result, no
+// Decide, participants left prepared with the write unapplied.
+func TestFailedVoteBarrierOnDiskHaltsCoordinator(t *testing.T) {
 	f := newDurableFixture(t, 3, "x")
 	f.disks[1].FailFsync(true)
 	tag := f.submit(0, 1, wire.IncrementOps("x", 5))
 	f.run(time.Second)
 	if res, ok := f.results[tag]; ok {
-		t.Fatalf("a result was externalized past a failed decide barrier: %+v", res)
+		t.Fatalf("a result was externalized past a failed vote barrier: %+v", res)
 	}
 	if !f.bases[1].Halted() {
-		t.Fatal("coordinator with a failed decide barrier must halt")
+		t.Fatal("coordinator with a failed vote barrier must halt")
 	}
 	if got := f.disks[1].FsyncFailures(); got != 1 {
-		t.Fatalf("coordinator attempted %d syncs, want 1 (the decide barrier)", got)
+		t.Fatalf("coordinator attempted %d syncs, want 1 (the vote barrier)", got)
 	}
 	for _, p := range []model.ProcID{2, 3} {
 		if got := f.bases[p].PreparedTxns(); got != 1 {

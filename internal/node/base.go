@@ -2,10 +2,12 @@ package node
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"github.com/virtualpartitions/vp/internal/durable"
 	"github.com/virtualpartitions/vp/internal/locks"
+	"github.com/virtualpartitions/vp/internal/metrics"
 	"github.com/virtualpartitions/vp/internal/model"
 	"github.com/virtualpartitions/vp/internal/net"
 	"github.com/virtualpartitions/vp/internal/onecopy"
@@ -42,8 +44,18 @@ type Base struct {
 	// --- coordinator side ---
 	active map[model.TxnID]*txn
 	seq    uint64
-	// resumed decisions restored from the journal, re-driven by InitBase.
-	resumed map[model.TxnID]durable.DecideRec
+	// stamped is the highest transaction age handed out here or seen on
+	// another coordinator's request (see stamp).
+	stamped int64
+	// telling counts, per object, the commits decided here whose Decide
+	// is still waiting for its record's flush; held are the transactions
+	// submitted meanwhile that touch such an object (see startTxn).
+	telling map[model.ObjectID]int
+	held    []heldTxn
+	// resumed decisions and undecided votes restored from the journal,
+	// re-driven by InitBase.
+	resumed      map[model.TxnID]durable.DecideRec
+	resumedVotes map[model.TxnID]durable.VoteRec
 
 	// spanSeq counts spans minted at this node. Only advanced for traced
 	// transactions, so untraced runs stay byte-identical.
@@ -81,18 +93,24 @@ type lockKey struct {
 	obj model.ObjectID
 }
 
-type pendingLock struct {
-	from model.ProcID
-	req  wire.LockReq
-	// ctx and queuedAt record the trace context and arrival time of a
-	// queued request so the grant can close a part-lock-wait span.
-	ctx      model.TraceCtx
-	queuedAt time.Duration
-}
-
+// deferredAccess is a physical access that waits: parked until the node
+// joins a partition or finishes refreshing the object, or (pendingLock)
+// queued for a lock. It is a lock request, or a prepare with locks to
+// take: then prep is set, req names the transaction and the object it
+// waits for, and whoever ends the wait resumes the prepare instead of
+// answering req. ctx is the trace context the access arrived with.
 type deferredAccess struct {
 	from model.ProcID
 	req  wire.LockReq
+	prep *wire.Prepare
+	ctx  model.TraceCtx
+}
+
+// pendingLock is an access queued in the lock table; queuedAt lets the
+// grant close a part-lock-wait span.
+type pendingLock struct {
+	deferredAccess
+	queuedAt time.Duration
 }
 
 type preparedTxn struct {
@@ -127,14 +145,16 @@ func NewBase(id model.ProcID, cfg Config, cat *model.Catalog, strat Strategy, hi
 		prepared: make(map[model.TxnID]*preparedTxn),
 		activity: make(map[model.TxnID]int64),
 		active:   make(map[model.TxnID]*txn),
+		telling:  make(map[model.ObjectID]int),
 	}
 	b.sharded, _ = strat.(ShardedStrategy)
 	return b
 }
 
-// InitBase arms the lock-lease sweeper and resumes any journaled commit
-// decisions that were not fully acknowledged before a crash. Concrete
-// nodes call it from their Init.
+// InitBase arms the lock-lease sweeper, resumes any journaled commit
+// decisions that were not fully acknowledged before a crash, and asks
+// again for the votes of transactions whose vote record has no decision.
+// Concrete nodes call it from their Init.
 func (b *Base) InitBase(rt net.Runtime) {
 	// A committing journal releases promises from its own goroutine and
 	// needs the engine's way back onto this one; say so now, not from the
@@ -170,12 +190,59 @@ func (b *Base) InitBase(rt net.Runtime) {
 		t.retryTimer = rt.SetTimer(b.Cfg.DecideRetry, decideRetry{txn: id})
 	}
 	b.resumed = nil
+	// A vote record without a decision: the dead incarnation may have
+	// reached its commit point and answered its client, or not. Either
+	// way the participants' durable votes say which — each repeats the
+	// vote it is bound to, all yes commits, any no aborts — so ask them,
+	// under the epochs the prepares carried, until all have answered.
+	ids := make([]model.TxnID, 0, len(b.resumedVotes))
+	for id := range b.resumedVotes {
+		ids = append(ids, id)
+	}
+	sortTxnIDs(ids)
+	for _, id := range ids {
+		rec := b.resumedVotes[id]
+		t := &txn{
+			id:          id,
+			phase:       phaseVoting,
+			recollect:   true,
+			voteCast:    true,
+			voteDurable: true,
+			votesNeeded: newPartSet(),
+			voteFrom:    newPartSet(),
+			sParts:      newPartSet(),
+		}
+		for i, p := range rec.Parts {
+			k := partKey{P: p}
+			ep := Epoch{}
+			if rec.Epochs != nil {
+				ep = Epoch{VP: rec.Epochs[i], Has: true}
+			}
+			if rec.Shards != nil {
+				k.S = rec.Shards[i]
+				if t.epochs == nil {
+					t.epochs = make(map[model.ShardID]Epoch)
+				}
+				t.epochs[k.S] = ep
+			} else {
+				t.epoch = ep
+			}
+			t.votesNeeded.Add(k)
+		}
+		b.active[id] = t
+		rt.Metrics().Inc(metrics.CTxnRecollect, 1)
+		rt.Metrics().Inc(metrics.CTxnInDoubt, 1)
+		b.askAgain(rt, t)
+		t.retryTimer = rt.SetTimer(b.Cfg.DecideRetry, decideRetry{txn: id})
+	}
+	b.resumedVotes = nil
 }
 
 // RestoreDurable seeds the node from journaled state before it starts:
-// staged participant writes become prepared transactions again, and
-// unacknowledged coordinator decisions resume retransmission. The store
-// must be restored separately (Store.Restore).
+// staged participant writes become prepared transactions again,
+// unacknowledged coordinator decisions resume retransmission and
+// undecided coordinator votes are collected again. The store must be
+// restored separately (Store.Restore).
 func (b *Base) RestoreDurable(st *durable.State) {
 	for txnID, objs := range st.Staged {
 		writes := make([]wire.ObjWrite, 0, len(objs))
@@ -200,6 +267,12 @@ func (b *Base) RestoreDurable(st *durable.State) {
 	for id, rec := range st.Decides {
 		b.resumed[id] = rec
 	}
+	if b.resumedVotes == nil {
+		b.resumedVotes = make(map[model.TxnID]durable.VoteRec)
+	}
+	for id, rec := range st.Votes {
+		b.resumedVotes[id] = rec
+	}
 }
 
 // HandleMessage processes a transaction-related message. It returns
@@ -211,12 +284,14 @@ func (b *Base) HandleMessage(rt net.Runtime, from model.ProcID, m wire.Message) 
 	}
 	switch msg := m.(type) {
 	case wire.ClientTxn:
-		b.startTxn(rt, msg)
+		b.startTxn(rt, msg, rt.TraceCtx())
 	case wire.LockReq:
+		b.Witness(msg.Txn)
 		b.handleLockReq(rt, from, msg)
 	case wire.LockResp:
 		b.handleLockResp(rt, from, model.NoShard, msg)
 	case wire.Prepare:
+		b.Witness(msg.Txn)
 		b.handlePrepare(rt, from, msg)
 	case wire.Vote:
 		b.handleVote(rt, from, model.NoShard, msg)
@@ -276,11 +351,10 @@ func (b *Base) EpochChanged(rt net.Runtime, reason string) {
 	}
 	sortTxnIDs(ids)
 	for _, id := range ids {
-		t := b.active[id]
-		if t.phase == phaseDeciding || t.phase == phaseDone {
-			continue // decision already made; keep retransmitting it
+		if t := b.active[id]; t.undecided() {
+			b.abortTxn(rt, t, abortEpochChanged, reason)
 		}
-		b.abortTxn(rt, t, reason)
+		// else the decision is made, or the votes' to make: keep at it
 	}
 	// Server side: release locks of non-prepared transactions.
 	for _, id := range b.Locks.Txns() {
@@ -291,18 +365,32 @@ func (b *Base) EpochChanged(rt net.Runtime, reason string) {
 		b.processGrants(rt, b.Locks.ReleaseAll(id))
 		delete(b.activity, id)
 	}
-	// Deferred accesses belong to the old partition: refuse them.
+	// Parked accesses belong to the old partition: refuse them, echoing
+	// the epoch they came with — a refusal without it reads as stale to
+	// its coordinator, which then sits out its whole timeout.
 	for _, d := range b.deferred {
-		rt.Send(d.from, wire.LockResp{Txn: d.req.Txn, Obj: d.req.Obj, Status: wire.LockWrongEpoch})
+		b.refuse(rt, d)
 	}
 	b.deferred = nil
-	// Queued waiters were dropped by ReleaseAll above; the waiting map
-	// may still hold entries for prepared... no: prepared txns hold, not
-	// wait. Clear any stragglers for released txns.
+	// So do the requests still queued behind a prepared transaction's
+	// locks (the others were answered by processGrants as the locks in
+	// front of them went).
+	var queued []lockKey
 	for k := range b.waiting {
 		if _, isPrepared := b.prepared[k.txn]; !isPrepared {
-			delete(b.waiting, k)
+			queued = append(queued, k)
 		}
+	}
+	sort.Slice(queued, func(i, j int) bool {
+		if queued[i].txn != queued[j].txn {
+			return queued[i].txn.Less(queued[j].txn)
+		}
+		return queued[i].obj < queued[j].obj
+	})
+	for _, k := range queued {
+		p := b.waiting[k]
+		delete(b.waiting, k)
+		b.refuse(rt, p.deferredAccess)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/virtualpartitions/vp/internal/durable"
 	"github.com/virtualpartitions/vp/internal/metrics"
 	"github.com/virtualpartitions/vp/internal/model"
 	"github.com/virtualpartitions/vp/internal/net"
@@ -16,6 +17,20 @@ import (
 // transaction's operations sequentially (Logical-Read / Logical-Write of
 // Figures 10–11, generalized to access plans), buffers writes, and runs
 // two-phase commit over the participants.
+
+// Why a transaction aborted; each abort is counted once in txn.abort and
+// once under its cause.
+const (
+	abortWaitDie       = "wait_die"       // lost a lock conflict to an older transaction
+	abortEpochChanged  = "epoch_changed"  // a partition it ran in changed, here or at a participant
+	abortVoteTimeout   = "vote_timeout"   // a prepare went unanswered
+	abortLockTimeout   = "lock_timeout"   // a lock request went unanswered
+	abortParticipantNo = "participant_no" // a participant refused the prepare
+	abortBaseVersion   = "base_version"   // a copy was not at the version the write was derived from
+	abortInaccessible  = "inaccessible"   // rule R1, or no plan for the access
+)
+
+var abortByCause = metrics.NewFamily(metrics.CTxnAbort)
 
 type txnPhase uint8
 
@@ -57,18 +72,40 @@ type txn struct {
 	opTimer   net.TimerID
 	escalated bool
 
+	// sentAt is when the accesses the armed timer waits for — the current
+	// operation's lock requests, or the prepares — went out: what the
+	// no-response exception measures a suspect's silence from.
+	sentAt time.Duration
+
 	// participants, keyed (processor, shard); see shard.go
 	sParts     partSet                           // participants granted any shared lock
-	writeParts map[model.ObjectID][]model.ProcID // granted write targets per object
+	writeParts map[model.ObjectID][]model.ProcID // write targets per object: granted, or (lockLate) planned
 	missedBy   map[model.ObjectID][]model.ProcID // write targets that never granted
+	// lockLate holds the writes that ran no lock round: the transaction
+	// already holds the object's version under a read lock, so the
+	// exclusive locks are taken by the Prepare (wire.ObjWrite.Lock). Nil
+	// until there is one.
+	lockLate model.ObjSet
 
 	// two-phase commit
 	voteFrom    partSet
 	votesNeeded partSet
 	voteTimer   net.TimerID
-	commit      bool
-	// announced is set once the decision's journal record is durable and
-	// the Decide fan-out has left; until then nobody may learn it.
+	// selfVotes counts the votes still out at this processor's own copies
+	// (shard by shard); the coordinator's vote record follows the last
+	// one, behind their stage records in the one journal. voteCast: the
+	// record is appended; voteDurable: its barrier has released.
+	selfVotes   int
+	voteCast    bool
+	voteDurable bool
+	// recollect marks a transaction a restart found as a vote record
+	// without a decision: it has no client and no operations, only votes
+	// to collect again — and no epoch change, timeout or validity check
+	// may abort it, because its last incarnation may have committed.
+	recollect bool
+	commit    bool
+	// announced is set once the decision's journal record is durable;
+	// until then no remote participant and no DecideQuery may learn it.
 	announced   bool
 	pendingAcks partSet
 	retryTimer  net.TimerID
@@ -89,7 +126,64 @@ type txn struct {
 	decStart  time.Duration
 }
 
-func (b *Base) startTxn(rt net.Runtime, ct wire.ClientTxn) {
+// stamp is the age of a transaction starting now — what wait-die orders
+// by. Processors read different clocks (a real-time engine counts from
+// its own start), and one whose clock runs ahead would have the youngest
+// transaction in every conflict, for ever; so the clock is Lamport's: no
+// stamp is below one this processor has seen on a request (Witness) or
+// handed out.
+func (b *Base) stamp(rt net.Runtime) int64 {
+	if now := int64(rt.Now()); now > b.stamped {
+		b.stamped = now
+	} else {
+		b.stamped++
+	}
+	return b.stamped
+}
+
+// Witness takes note of a transaction this processor serves a request
+// of; see stamp. A sharded processor's router calls it for its
+// coordinator, which serves none itself.
+func (b *Base) Witness(txn model.TxnID) { b.stamped = max(b.stamped, txn.Start) }
+
+// heldTxn is a submitted transaction waiting for the Decide of a commit
+// on one of its objects to leave (see Base.telling); ctx is the trace
+// context it arrived with.
+type heldTxn struct {
+	ct  wire.ClientTxn
+	ctx model.TraceCtx
+}
+
+// awaitsDecide reports whether a commit decided here still owes the
+// remote copies of one of the transaction's objects its Decide.
+func (b *Base) awaitsDecide(ops []wire.Op) bool {
+	if len(b.telling) == 0 {
+		return false
+	}
+	for _, op := range ops {
+		if b.telling[op.Obj] > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// told ends the hold t's commit put on its objects — its Decide has left
+// — and starts, in arrival order, whatever was waiting for that.
+func (b *Base) told(rt net.Runtime, t *txn) {
+	for o := range t.writes {
+		if b.telling[o]--; b.telling[o] == 0 {
+			delete(b.telling, o)
+		}
+	}
+	held := b.held
+	b.held = nil
+	for _, h := range held {
+		b.startTxn(rt, h.ct, h.ctx)
+	}
+}
+
+func (b *Base) startTxn(rt net.Runtime, ct wire.ClientTxn, parent model.TraceCtx) {
 	deny := func(reason string) {
 		rt.Metrics().Inc(metrics.CTxnDenied, 1)
 		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnDeny, Msg: reason, Aux: int64(ct.Tag)})
@@ -99,6 +193,15 @@ func (b *Base) startTxn(rt net.Runtime, ct wire.ClientTxn) {
 	}
 	if err := validateOps(ct.Ops); err != nil {
 		deny(err.Error())
+		return
+	}
+	if b.awaitsDecide(ct.Ops) {
+		// The client of the last commit on one of these objects has its
+		// answer; the remote copies have not heard yet and still hold that
+		// transaction's locks, where wait-die would kill this younger one.
+		// Behind the Decide, on the same connections, it finds them free.
+		b.held = append(b.held, heldTxn{ct: ct, ctx: parent})
+		b.hurry(rt)
 		return
 	}
 	epoch, err := b.Strat.Begin(rt)
@@ -132,7 +235,7 @@ func (b *Base) startTxn(rt net.Runtime, ct wire.ClientTxn) {
 	}
 	b.seq++
 	t := &txn{
-		id:         model.TxnID{Start: int64(rt.Now()), P: b.ID, Seq: b.seq},
+		id:         model.TxnID{Start: b.stamp(rt), P: b.ID, Seq: b.seq},
 		tag:        ct.Tag,
 		epoch:      epoch,
 		epochs:     epochs,
@@ -149,7 +252,6 @@ func (b *Base) startTxn(rt net.Runtime, ct wire.ClientTxn) {
 	}
 	b.active[t.id] = t
 	if rt.Tracer().Enabled() {
-		parent := rt.TraceCtx()
 		if parent.IsZero() && b.Cfg.TraceSample > 0 && b.seq%uint64(b.Cfg.TraceSample) == 0 {
 			// No client-minted context (vpsim, vpctl): derive a
 			// deterministic root trace id from the transaction id so
@@ -193,54 +295,88 @@ func validateOps(ops []wire.Op) error {
 	return nil
 }
 
-// step launches the next operation or, when all are done, the commit.
+// step launches the next operation that needs a lock round or, when
+// none is left, the commit.
 func (b *Base) step(rt net.Runtime, t *txn) {
-	if t.opIdx >= len(t.ops) {
-		b.beginCommit(rt, t)
+	for t.opIdx < len(t.ops) {
+		op := t.ops[t.opIdx]
+		var (
+			plan Plan
+			err  error
+			mode model.LockMode
+		)
+		switch op.Kind {
+		case wire.OpRead:
+			rt.Metrics().Inc(metrics.CLogicalRead, 1)
+			plan, err = b.Strat.ReadPlan(rt, op.Obj)
+			mode = model.LockShared
+		case wire.OpWrite:
+			rt.Metrics().Inc(metrics.CLogicalWrite, 1)
+			plan, err = b.Strat.WritePlan(rt, op.Obj)
+			mode = model.LockExclusive
+		}
+		if err != nil {
+			// Rule R1 denial ("signal abort" in Figures 10–11).
+			b.abortTxn(rt, t, abortInaccessible, "inaccessible: "+err.Error())
+			return
+		}
+		if len(plan.Targets) == 0 {
+			b.abortTxn(rt, t, abortInaccessible, "empty access plan for "+string(op.Obj))
+			return
+		}
+		if _, held := t.readVers[op.Obj]; held && op.Kind == wire.OpWrite && plan.LockAtPrepare {
+			// Figure 11 as written: one physical-write request per copy.
+			// The version to derive the new one from is in hand, read
+			// under a lock this transaction still holds, and every target
+			// either has that version or votes no.
+			t.bufferWrite(op, plan.Targets, nil)
+			if t.lockLate == nil {
+				t.lockLate = model.NewObjSet()
+			}
+			t.lockLate.Add(op.Obj)
+			t.opIdx++
+			continue
+		}
+		t.plan = plan
+		t.planObj = op.Obj
+		t.planShard = b.shardOf(op.Obj)
+		t.planMode = mode
+		t.got = make(map[model.ProcID]wire.LockResp)
+		t.escalated = false
+		if !t.ctx.IsZero() {
+			t.opCtx, t.opStart = t.ctx.Child(b.NextSpan()), rt.Now()
+		}
+		ep := t.epochFor(t.planShard)
+		// The transaction's first request, if it goes to one copy, finds
+		// it holding nothing: it may wait where wait-die would kill it.
+		patient := t.opIdx == 0 && len(plan.Targets) == 1
+		for _, p := range plan.Targets {
+			b.sendPart(rt, partKey{P: p, S: t.planShard}, wire.LockReq{
+				Txn: t.id, Obj: op.Obj, Mode: mode,
+				Epoch: ep.VP, HasEpoch: ep.Has, Patient: patient,
+			}, t.opCtx)
+		}
+		b.armOpTimer(rt, t)
 		return
 	}
-	op := t.ops[t.opIdx]
-	var (
-		plan Plan
-		err  error
-		mode model.LockMode
-	)
-	switch op.Kind {
-	case wire.OpRead:
-		rt.Metrics().Inc(metrics.CLogicalRead, 1)
-		plan, err = b.Strat.ReadPlan(rt, op.Obj)
-		mode = model.LockShared
-	case wire.OpWrite:
-		rt.Metrics().Inc(metrics.CLogicalWrite, 1)
-		plan, err = b.Strat.WritePlan(rt, op.Obj)
-		mode = model.LockExclusive
-	}
-	if err != nil {
-		// Rule R1 denial ("signal abort" in Figures 10–11).
-		b.abortTxn(rt, t, "inaccessible: "+err.Error())
-		return
-	}
-	if len(plan.Targets) == 0 {
-		b.abortTxn(rt, t, "empty access plan for "+string(op.Obj))
-		return
-	}
-	t.plan = plan
-	t.planObj = op.Obj
-	t.planShard = b.shardOf(op.Obj)
-	t.planMode = mode
-	t.got = make(map[model.ProcID]wire.LockResp)
-	t.escalated = false
-	if !t.ctx.IsZero() {
-		t.opCtx, t.opStart = t.ctx.Child(b.NextSpan()), rt.Now()
-	}
-	ep := t.epochFor(t.planShard)
-	for _, p := range plan.Targets {
-		b.sendPart(rt, partKey{P: p, S: t.planShard}, wire.LockReq{
-			Txn: t.id, Obj: op.Obj, Mode: mode,
-			Epoch: ep.VP, HasEpoch: ep.Has,
-		}, t.opCtx)
-	}
+	b.beginCommit(rt, t)
+}
+
+func (b *Base) armOpTimer(rt net.Runtime, t *txn) {
+	t.sentAt = rt.Now()
 	t.opTimer = rt.SetTimer(b.Cfg.LockTimeout, opTimeout{txn: t.id, op: t.opIdx})
+}
+
+// bufferWrite records a logical write: its value, the copies it goes to
+// and the copies it could not reach.
+func (t *txn) bufferWrite(op wire.Op, targets, missed []model.ProcID) {
+	val := model.Value(op.Const)
+	if op.UseSrc {
+		val += t.regs[op.Src]
+	}
+	t.writes[op.Obj] = val
+	t.writeParts[op.Obj] = targets
+	t.missedBy[op.Obj] = missed
 }
 
 func (b *Base) handleLockResp(rt net.Runtime, from model.ProcID, s model.ShardID, resp wire.LockResp) {
@@ -268,7 +404,7 @@ func (b *Base) handleLockResp(rt net.Runtime, from model.ProcID, s model.ShardID
 	stale := resp.HasEpoch != ep.Has || (resp.HasEpoch && resp.Epoch != ep.VP)
 	switch resp.Status {
 	case wire.LockDenied:
-		b.abortTxn(rt, t, "lock denied (wait-die)")
+		b.abortTxn(rt, t, abortWaitDie, "lock denied (wait-die)")
 		return
 	case wire.LockWrongEpoch:
 		if stale {
@@ -280,7 +416,7 @@ func (b *Base) handleLockResp(rt net.Runtime, from model.ProcID, s model.ShardID
 			// is the backstop if it does not.
 			return
 		}
-		b.abortTxn(rt, t, "physical access refused: different partition")
+		b.abortTxn(rt, t, abortEpochChanged, "physical access refused: different partition")
 		return
 	}
 	inPlan := false
@@ -339,16 +475,16 @@ func (b *Base) handleOpTimeout(rt net.Runtime, k opTimeout) {
 		// suspect implies granted < MinWeight, so the VP strategy only
 		// ever sees this on its abort path, as in Figures 10–11.)
 		if b.sharded != nil {
-			b.sharded.ShardNoResponse(rt, t.planShard, suspects)
+			b.sharded.ShardNoResponse(rt, t.planShard, suspects, t.sentAt)
 		} else {
-			b.Strat.OnNoResponse(rt, suspects)
+			b.Strat.OnNoResponse(rt, suspects, t.sentAt)
 		}
 	}
 	if granted >= t.plan.MinWeight && granted > 0 {
 		b.completeOp(rt, t)
 		return
 	}
-	b.abortTxn(rt, t, fmt.Sprintf("no response from %v", suspects))
+	b.abortTxn(rt, t, abortLockTimeout, fmt.Sprintf("no response from %v", suspects))
 }
 
 // completeOp finishes the current operation with the responses in t.got
@@ -422,12 +558,6 @@ func (b *Base) completeOp(rt net.Runtime, t *txn) {
 				Procs: append([]model.ProcID(nil), grantedProcs...)})
 		}
 	case wire.OpWrite:
-		val := model.Value(op.Const)
-		if op.UseSrc {
-			val += t.regs[op.Src]
-		}
-		t.writes[op.Obj] = val
-		t.writeParts[op.Obj] = grantedProcs
 		var missed []model.ProcID
 		for _, p := range t.plan.Targets {
 			if _, ok := t.got[p]; !ok {
@@ -436,7 +566,7 @@ func (b *Base) completeOp(rt net.Runtime, t *txn) {
 				b.sendPartPlain(rt, partKey{P: p, S: t.planShard}, wire.Release{Txn: t.id, Obj: op.Obj})
 			}
 		}
-		t.missedBy[op.Obj] = missed
+		t.bufferWrite(op, grantedProcs, missed)
 		if tr := rt.Tracer(); tr.Enabled() {
 			tr.Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnWrite, VP: ep.VP, Shard: t.planShard, Txn: t.id, Obj: op.Obj,
 				Procs: append([]model.ProcID(nil), grantedProcs...)})
@@ -460,11 +590,11 @@ func (b *Base) beginCommit(rt net.Runtime, t *txn) {
 		for _, k := range t.sParts.Sorted() {
 			b.sendPartPlain(rt, k, wire.Release{Txn: t.id})
 		}
-		b.finish(rt, t, true, "")
+		b.finish(rt, t, true, "", "")
 		return
 	}
 	if !b.stillValid(rt, t) {
-		b.abortTxn(rt, t, "partition changed before commit")
+		b.abortTxn(rt, t, abortEpochChanged, "partition changed before commit")
 		return
 	}
 	// Assign versions and group writes per participant.
@@ -491,16 +621,18 @@ func (b *Base) beginCommit(rt net.Runtime, t *txn) {
 			// the transaction read (read-modify-write required).
 			base, read := t.regs[o]
 			if !read {
-				b.abortTxn(rt, t, "mergeable write of "+string(o)+" without a prior read")
+				b.abortTxn(rt, t, abortInaccessible, "mergeable write of "+string(o)+" without a prior read")
 				return
 			}
 			val -= base
 		}
+		w := wire.ObjWrite{Obj: o, Val: val, Ver: ver, Delta: deltaMode, MissedBy: t.missedBy[o]}
+		if t.lockLate.Has(o) {
+			w.Lock, w.Base = true, t.maxSeen[o]
+		}
 		for _, p := range t.writeParts[o] {
 			k := partKey{P: p, S: s}
-			perPart[k] = append(perPart[k], wire.ObjWrite{
-				Obj: o, Val: val, Ver: ver, Delta: deltaMode, MissedBy: t.missedBy[o],
-			})
+			perPart[k] = append(perPart[k], w)
 		}
 	}
 	t.phase = phaseVoting
@@ -513,20 +645,96 @@ func (b *Base) beginCommit(rt net.Runtime, t *txn) {
 	if !t.ctx.IsZero() && t.votesNeeded.Len() > 0 {
 		t.prepCtx, t.prepStart = t.ctx.Child(b.NextSpan()), rt.Now()
 	}
+	b.sendPrepares(rt, t, t.prepCtx)
+}
+
+// sendPrepares fans the prepares out (again, after a weak-R4 migration),
+// arms the vote timer and gets the coordinator's own vote under way.
+func (b *Base) sendPrepares(rt net.Runtime, t *txn, ctx model.TraceCtx) {
+	if t.voteCast && b.Journal != nil {
+		rt.Metrics().Inc(metrics.CTxnInDoubt, -1) // voting afresh; castVote counts it again
+	}
+	t.selfVotes, t.voteCast, t.voteDurable = 0, false, false
 	for _, k := range t.votesNeeded.Sorted() {
+		if k.P == b.ID {
+			t.selfVotes++
+		}
 		ep := t.epochFor(k.S)
 		b.sendPart(rt, k, wire.Prepare{
 			Txn: t.id, Epoch: ep.VP, HasEpoch: ep.Has,
-			Writes: perPart[k],
-		}, t.prepCtx)
+			Writes: t.prepares[k],
+		}, ctx)
 	}
-	t.voteTimer = rt.SetTimer(b.Cfg.VoteTimeout, voteTimeout{txn: t.id})
+	// A prepare that has locks to take may wait in a queue as a lock
+	// request does, and gets a lock request's time to answer.
+	wait := b.Cfg.VoteTimeout
+	if t.lockLate.Len() > 0 {
+		wait = b.Cfg.LockTimeout
+	}
+	t.sentAt = rt.Now()
+	t.voteTimer = rt.SetTimer(wait, voteTimeout{txn: t.id})
+	if t.selfVotes == 0 {
+		b.castVote(rt, t)
+	}
+}
+
+// castVote is the coordinator voting: it journals that the prepares are
+// out — behind the stage records of its own copies, already in the same
+// journal — and starts the barrier that makes both durable, beside the
+// participants' barriers and not after them. From this record on the
+// outcome belongs to the votes: a restart that finds it collects them
+// again (InitBase), so the only way left to abort is a decision forced
+// to disk before anyone hears it.
+func (b *Base) castVote(rt net.Runtime, t *txn) {
+	t.voteCast = true
+	if b.Journal != nil {
+		b.Journal.Vote(t.id, t.voteRec())
+		rt.Metrics().Inc(metrics.CTxnInDoubt, 1)
+		if b.Hist != nil {
+			b.Hist.InDoubt(b.histRecord(t, true))
+		}
+	}
+	jStart := rt.Now()
+	b.Promise(rt, true, func(rt net.Runtime) {
+		if t.phase != phaseVoting || !t.voteCast {
+			return // decided meanwhile, or migrated and voting afresh
+		}
+		if b.Journal != nil && !t.ctx.IsZero() {
+			// The wait for the coordinator's own vote; runs beside
+			// coord-prepare, no longer behind it.
+			rt.Tracer().Span(b.ID, t.ctx.Child(b.NextSpan()), "coord-journal", jStart, rt.Now(), t.id)
+		}
+		t.voteDurable = true
+		b.tryCommit(rt, t)
+	})
+}
+
+// voteRec is the journal's view of the prepares that are out.
+func (t *txn) voteRec() durable.VoteRec {
+	parts := t.votesNeeded.Sorted()
+	rec := durable.VoteRec{}
+	rec.Parts, rec.Shards = splitParts(parts)
+	if t.epoch.Has || t.epochs != nil {
+		rec.Epochs = make([]model.VPID, len(parts))
+		for i, k := range parts {
+			rec.Epochs[i] = t.epochFor(k.S).VP
+		}
+	}
+	return rec
+}
+
+// noVotes maps what a refused prepare ran into to the abort it causes.
+var noVotes = [...]struct{ cause, reason string }{
+	wire.NoOther:       {abortParticipantNo, "participant voted no"},
+	wire.NoWaitDie:     {abortWaitDie, "participant voted no (wait-die)"},
+	wire.NoBaseVersion: {abortBaseVersion, "participant voted no (copy not at the version read)"},
+	wire.NoWrongEpoch:  {abortEpochChanged, "participant voted no (different partition)"},
 }
 
 func (b *Base) handleVote(rt net.Runtime, from model.ProcID, s model.ShardID, v wire.Vote) {
 	t, ok := b.active[v.Txn]
 	k := partKey{P: from, S: s}
-	if !ok || t.phase != phaseVoting || !t.votesNeeded.Has(k) {
+	if !ok || t.phase != phaseVoting || !t.votesNeeded.Has(k) || t.voteFrom.Has(k) {
 		return
 	}
 	ep := t.epochFor(s)
@@ -534,35 +742,91 @@ func (b *Base) handleVote(rt net.Runtime, from model.ProcID, s model.ShardID, v 
 		return // stale vote for a pre-migration prepare
 	}
 	if !v.OK {
-		if b.inTransition(rt) {
+		if !t.recollect && b.inTransition(rt) {
 			return // may predate an imminent migration; timeout is the backstop
 		}
-		b.decide(rt, t, false, "participant voted no")
+		why := noVotes[wire.NoOther]
+		if int(v.Why) < len(noVotes) {
+			why = noVotes[v.Why]
+		}
+		b.decide(rt, t, false, why.cause, why.reason)
 		return
 	}
 	t.voteFrom.Add(k)
-	if t.voteFrom.Equal(t.votesNeeded) {
-		if !b.stillValid(rt, t) {
-			b.decide(rt, t, false, "partition changed during commit")
-			return
+	if k.P == b.ID && !t.voteCast {
+		if t.selfVotes--; t.selfVotes == 0 {
+			b.castVote(rt, t)
+			return // tryCommit follows the barrier
 		}
-		b.decide(rt, t, true, "")
 	}
+	b.tryCommit(rt, t)
+}
+
+// tryCommit commits the transaction once its commit point is reached:
+// every participant's yes-vote is durable where it was cast — the remote
+// ones arrived, the coordinator's own barrier has released. Nothing else
+// is waited for; the decision record is appended, not forced.
+func (b *Base) tryCommit(rt net.Runtime, t *txn) {
+	if !t.voteDurable || !t.voteFrom.Equal(t.votesNeeded) {
+		return
+	}
+	if !t.recollect && !b.stillValid(rt, t) {
+		b.decide(rt, t, false, abortEpochChanged, "partition changed during commit")
+		return
+	}
+	b.decide(rt, t, true, "", "")
 }
 
 func (b *Base) handleVoteTimeout(rt net.Runtime, k voteTimeout) {
 	t, ok := b.active[k.txn]
-	if !ok || t.phase != phaseVoting {
+	if !ok || t.phase != phaseVoting || t.recollect {
 		return
 	}
-	b.decide(rt, t, false, "prepare timed out")
+	// With the locks riding the prepare this is the only place a dead
+	// write target shows: report who did not vote, shard by shard.
+	silent := make(map[model.ShardID][]model.ProcID)
+	for _, k := range t.votesNeeded.Sorted() {
+		if !t.voteFrom.Has(k) {
+			silent[k.S] = append(silent[k.S], k.P)
+		}
+	}
+	sent := t.sentAt
+	b.decide(rt, t, false, abortVoteTimeout, "prepare timed out")
+	if b.sharded == nil {
+		if s := silent[model.NoShard]; len(s) > 0 {
+			b.Strat.OnNoResponse(rt, s, sent)
+		}
+		return
+	}
+	for _, s := range t.shards {
+		if len(silent[s]) > 0 {
+			b.sharded.ShardNoResponse(rt, s, silent[s], sent)
+		}
+	}
 }
 
 // decide fixes the transaction's fate and drives phase two. The decision
 // is retransmitted until every participant acknowledges: a participant
 // that voted yes blocks until it learns the outcome, so the coordinator
 // must keep telling it (across partition heals if necessary).
-func (b *Base) decide(rt net.Runtime, t *txn, commit bool, reason string) {
+//
+// Who may learn what, and when: a commit is decided at its commit point
+// (tryCommit), where the votes alone determine it — a restart collects
+// them again and decides the same — so the client, and this processor's
+// own copies behind the decision record in the one journal, learn it at
+// once. A remote participant may apply and then forget, and a forgotten
+// vote would read as "no" to that restart, so remote participants and
+// DecideQuery learn it only once the decision record is durable. An
+// abort contradicts what the votes may add up to, so nobody learns it
+// before its record is durable.
+//
+// A commit's record is flushed lazily — the client has its answer; it
+// rides the next flush anything else asks for — until somebody is seen
+// waiting for what it holds back: a transaction held here behind it
+// (startTxn) or a lock request that ran into the prepared transaction at
+// a participant (nudge, handleDecideQuery) makes it urgent (hurry). An
+// abort's is urgent from the start: the client waits for it.
+func (b *Base) decide(rt net.Runtime, t *txn, commit bool, cause, reason string) {
 	rt.CancelTimer(t.voteTimer)
 	if !t.prepCtx.IsZero() {
 		rt.Tracer().Span(b.ID, t.prepCtx, "coord-prepare", t.prepStart, rt.Now(), t.id)
@@ -571,44 +835,54 @@ func (b *Base) decide(rt net.Runtime, t *txn, commit bool, reason string) {
 	t.phase = phaseDeciding
 	t.commit = commit
 	t.pendingAcks = t.votesNeeded.Clone()
-	jStart := rt.Now()
 	if b.Journal != nil {
 		procs, shards := splitParts(t.pendingAcks.Sorted())
 		b.Journal.Decide(t.id, commit, procs, shards)
-		if b.Hist != nil && commit {
-			// From here a restart carries the commit out (InitBase) even if
-			// this incarnation never gets to announce it.
-			b.Hist.InDoubt(b.histRecord(t, true))
+		if t.voteCast {
+			rt.Metrics().Inc(metrics.CTxnInDoubt, -1)
 		}
 	}
-	// The decision must be durable before anyone — participant or client —
-	// can learn it: a coordinator that restarts without the record answers
-	// "abort" to every query (presumed abort, see handleDecideQuery). The
-	// same flush lands this processor's own stage records, appended
-	// unsynced ahead of the decide record.
-	b.Promise(rt, true, func(rt net.Runtime) {
-		if b.Journal != nil && !t.ctx.IsZero() {
-			// The wait for the decision record's fsync — often the commit
-			// path's dominant cost.
-			rt.Tracer().Span(b.ID, t.ctx.Child(b.NextSpan()), "coord-journal", jStart, rt.Now(), t.id)
-		}
-		t.announced = true
-		// Read-only participants are released outright.
+	// local is everything that stays on this processor or reveals nothing:
+	// read-only participants are released outright, the client answered,
+	// the Decide to the coordinator's own copies.
+	local := func(rt net.Runtime) {
 		for _, k := range t.sParts.Sorted() {
 			if !t.votesNeeded.Has(k) {
 				b.sendPartPlain(rt, k, wire.Release{Txn: t.id})
 			}
 		}
-		if !t.ctx.IsZero() && t.pendingAcks.Len() > 0 {
-			t.decCtx, t.decStart = t.ctx.Child(b.NextSpan()), rt.Now()
-		}
 		for _, k := range t.pendingAcks.Sorted() {
-			b.sendPart(rt, k, wire.Decide{Txn: t.id, Commit: commit}, t.decCtx)
+			if k.P == b.ID {
+				b.sendPartPlain(rt, k, wire.Decide{Txn: t.id, Commit: commit})
+			}
 		}
-		if t.pendingAcks.Len() > 0 {
+		b.finish(rt, t, commit, cause, reason)
+	}
+	if commit {
+		for o := range t.writes {
+			b.telling[o]++
+		}
+		local(rt)
+	}
+	b.Promise(rt, !commit, func(rt net.Runtime) {
+		t.announced = true
+		if !commit {
+			local(rt)
+		}
+		if t.pendingAcks.Len() > 0 { // else only own copies took part, and they have answered
+			if !t.ctx.IsZero() {
+				t.decCtx, t.decStart = t.ctx.Child(b.NextSpan()), rt.Now()
+			}
+			for _, k := range t.pendingAcks.Sorted() {
+				if k.P != b.ID {
+					b.sendPart(rt, k, wire.Decide{Txn: t.id, Commit: commit}, t.decCtx)
+				}
+			}
 			t.retryTimer = rt.SetTimer(b.Cfg.DecideRetry, decideRetry{txn: t.id})
 		}
-		b.finish(rt, t, commit, reason)
+		if commit {
+			b.told(rt, t)
+		}
 	})
 }
 
@@ -633,16 +907,16 @@ func (b *Base) handleDecideAck(rt net.Runtime, from model.ProcID, s model.ShardI
 }
 
 // handleDecideQuery answers a participant stuck in the prepared state
-// (see sweepLeases). The coordinator's Decide record is durable before
-// the first Decide send (see decide), which makes the journal authoritative:
-// if this node holds no record of the transaction, no commit decision
-// was ever externalized, so answering abort is sound — presumed abort.
-// The other direction is covered too: a participant only stays prepared
-// while its DecideAck is unsent, and the ack is only sent after the
-// outcome is durable there, so a transaction this coordinator already
-// forgot (fully acknowledged, DecideDone) can never be the subject of a
-// legitimate query — a stale one gets an abort answer that the
-// no-longer-prepared participant treats as a no-op.
+// (see sweepLeases) from the journal's point of view. A decision is told
+// once its record is durable. A transaction still collecting votes — for
+// the first time, or again after a restart found its vote record — gets
+// no answer: the protocol in progress will deliver the outcome. A
+// transaction this node holds nothing of was never committed: no vote
+// record means no commit point was reached (presumed abort), and a
+// decision is only forgotten (DecideDone) after every participant's ack,
+// which a participant sends after the outcome is durable there — a stale
+// query from one of them gets an abort answer that the no-longer-prepared
+// participant treats as a no-op.
 func (b *Base) handleDecideQuery(rt net.Runtime, from model.ProcID, s model.ShardID, q wire.DecideQuery) {
 	if q.Txn.P != b.ID {
 		return // misrouted: only the transaction's coordinator may answer
@@ -650,43 +924,81 @@ func (b *Base) handleDecideQuery(rt net.Runtime, from model.ProcID, s model.Shar
 	if t, ok := b.active[q.Txn]; ok {
 		if t.phase == phaseDeciding && t.announced {
 			b.sendPart(rt, partKey{P: from, S: s}, wire.Decide{Txn: t.id, Commit: t.commit}, t.decCtx)
+		} else if t.phase == phaseDeciding {
+			b.hurry(rt) // the Decide follows the flush
 		}
-		// Running, voting or waiting for the decision record's fsync: the
-		// outcome will be delivered by the normal protocol; stay silent.
 		return
 	}
 	b.sendPartPlain(rt, partKey{P: from, S: s}, wire.Decide{Txn: q.Txn, Commit: false})
 }
 
+// handleDecideRetry retransmits what the transaction still waits for:
+// the decision to participants that have not acknowledged it, or — for a
+// restarted coordinator collecting votes again — the question to those
+// that have not answered.
 func (b *Base) handleDecideRetry(rt net.Runtime, k decideRetry) {
 	t, ok := b.active[k.txn]
-	if !ok || t.phase != phaseDeciding {
+	if !ok {
 		return
 	}
-	for _, k := range t.pendingAcks.Sorted() {
-		b.sendPart(rt, k, wire.Decide{Txn: t.id, Commit: t.commit}, t.decCtx)
+	switch {
+	case t.phase == phaseDeciding:
+		for _, k := range t.pendingAcks.Sorted() {
+			b.sendPart(rt, k, wire.Decide{Txn: t.id, Commit: t.commit}, t.decCtx)
+		}
+	case t.phase == phaseVoting && t.recollect:
+		b.askAgain(rt, t)
+	default:
+		return
 	}
 	t.retryTimer = rt.SetTimer(b.Cfg.DecideRetry, decideRetry{txn: t.id})
 }
 
+// hurry makes the flush that lazy promises are waiting for happen now:
+// an urgent promise with nothing of its own to release.
+func (b *Base) hurry(rt net.Runtime) {
+	b.Promise(rt, true, func(net.Runtime) {})
+}
+
+// askAgain sends a recollecting transaction's question to every
+// participant whose vote is still out.
+func (b *Base) askAgain(rt net.Runtime, t *txn) {
+	for _, k := range t.votesNeeded.Sorted() {
+		if !t.voteFrom.Has(k) {
+			ep := t.epochFor(k.S)
+			b.sendPartPlain(rt, k, wire.Prepare{Txn: t.id, Epoch: ep.VP, HasEpoch: ep.Has, Recollect: true})
+		}
+	}
+}
+
+// undecided reports whether a partition change may still abort t: it is
+// running, or voting for the first time.
+func (t *txn) undecided() bool {
+	return t.phase == phaseRunning || t.phase == phaseVoting && !t.recollect
+}
+
 // abortTxn aborts a transaction that has not yet decided.
-func (b *Base) abortTxn(rt net.Runtime, t *txn, reason string) {
+func (b *Base) abortTxn(rt net.Runtime, t *txn, cause, reason string) {
 	rt.CancelTimer(t.opTimer)
 	rt.CancelTimer(t.voteTimer)
 	switch t.phase {
 	case phaseVoting:
 		// Prepares are out: participants may have staged writes. Decide
 		// abort reliably.
-		b.decide(rt, t, false, reason)
+		b.decide(rt, t, false, cause, reason)
 		return
 	case phaseDeciding, phaseDone:
 		return // decision already made
 	}
 	// Running: release everything we touched (best-effort; the lease
-	// sweep covers lost Release messages).
+	// sweep covers lost Release messages). The targets of a write whose
+	// locks were left to the prepare have not been touched.
 	t.phase = phaseDone
 	touched := t.sParts.Clone()
 	for o, procs := range t.writeParts {
+		if t.lockLate.Has(o) {
+			continue
+		}
 		s := b.shardOf(o)
 		for _, p := range procs {
 			touched.Add(partKey{P: p, S: s})
@@ -698,7 +1010,7 @@ func (b *Base) abortTxn(rt net.Runtime, t *txn, reason string) {
 	for _, k := range touched.Sorted() {
 		b.sendPartPlain(rt, k, wire.Release{Txn: t.id})
 	}
-	b.finish(rt, t, false, reason)
+	b.finish(rt, t, false, cause, reason)
 }
 
 // histRecord is what the 1SR checker needs to know about t.
@@ -724,12 +1036,30 @@ func (b *Base) histRecord(t *txn, committed bool) onecopy.TxnRecord {
 // finish reports the outcome to the client and the history. For commits
 // with pending acks the txn stays active (retransmitting Decide) but is
 // already reported: the decision is durable.
-func (b *Base) finish(rt net.Runtime, t *txn, committed bool, reason string) {
+func (b *Base) finish(rt net.Runtime, t *txn, committed bool, cause, reason string) {
+	if t.recollect {
+		// No client to answer and nothing known of what it read: the
+		// history record the dead incarnation parked gets its outcome.
+		rt.Logf("recollected %v: commit=%v", t.id, committed)
+		if b.Hist != nil {
+			b.Hist.Resolve(t.id, committed)
+		}
+		return
+	}
 	if committed {
 		rt.Metrics().Inc(metrics.CTxnCommit, 1)
+		if tr := rt.Tracer(); tr.Enabled() {
+			// The copies that voted yes are the copies written (rule R3).
+			for _, o := range t.lockLate.Sorted() {
+				s := b.shardOf(o)
+				tr.Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnWrite, VP: t.epochFor(s).VP, Shard: s, Txn: t.id, Obj: o,
+					Procs: append([]model.ProcID(nil), t.writeParts[o]...)})
+			}
+		}
 		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnCommit, VP: t.epoch.VP, Txn: t.id})
 	} else {
 		rt.Metrics().Inc(metrics.CTxnAbort, 1)
+		rt.Metrics().Inc(abortByCause.Name(cause), 1)
 		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnAbort, VP: t.epoch.VP, Txn: t.id, Msg: reason})
 	}
 	if b.Hist != nil {

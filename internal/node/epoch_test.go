@@ -39,7 +39,9 @@ func (s *epochStrategy) ReadPlan(rt net.Runtime, obj model.ObjectID) (Plan, erro
 }
 
 func (s *epochStrategy) WritePlan(rt net.Runtime, obj model.ObjectID) (Plan, error) {
-	return AllOf(s.cat, obj, s.cat.Copies(obj).Sorted()), nil
+	plan := AllOf(s.cat, obj, s.cat.Copies(obj).Sorted())
+	plan.LockAtPrepare = true // as the VP strategy: the view's copies are one copy
+	return plan, nil
 }
 
 func (s *epochStrategy) EscalateRead(rt net.Runtime, obj model.ObjectID, got map[model.ProcID]wire.LockResp) []model.ProcID {
@@ -50,7 +52,8 @@ func (s *epochStrategy) AcceptAccess(rt net.Runtime, e Epoch) bool {
 	return e.Has && e.VP == *s.epoch
 }
 
-func (s *epochStrategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID) {}
+func (s *epochStrategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID, sent time.Duration) {
+}
 
 func (s *epochStrategy) InTransition(rt net.Runtime) bool { return *s.transition }
 
@@ -98,12 +101,13 @@ func (f *epochFixture) submit(at time.Duration, p model.ProcID, ops []wire.Op) u
 
 func TestEpochChangedAbortsActive(t *testing.T) {
 	f := newEpochFixture(t, 3)
-	// A long transaction: many ops so it is surely in flight at the flip.
+	// A long transaction: many ops, coordinated away from the copy the
+	// reads go to (a round trip each), so it is surely in flight at the flip.
 	var ops []wire.Op
 	for i := 0; i < 20; i++ {
 		ops = append(ops, wire.IncrementOps("x", 1)...)
 	}
-	tag := f.submit(0, 1, ops)
+	tag := f.submit(0, 2, ops)
 	f.cluster.At(5*time.Millisecond, "flip", func() {
 		// Flip the epoch and notify every node, exactly as a VP node does
 		// when it departs its partition (rule R4).
@@ -120,8 +124,8 @@ func TestEpochChangedAbortsActive(t *testing.T) {
 	if res.Reason == "" {
 		t.Fatal("abort must carry a reason")
 	}
-	if f.bases[1].ActiveTxns() != 0 {
-		t.Fatalf("active txns leaked: %d", f.bases[1].ActiveTxns())
+	if f.bases[2].ActiveTxns() != 0 {
+		t.Fatalf("active txns leaked: %d", f.bases[2].ActiveTxns())
 	}
 	// Server-side locks of the aborted transaction are gone everywhere.
 	for _, p := range []model.ProcID{1, 2, 3} {

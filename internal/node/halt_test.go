@@ -24,6 +24,7 @@ func (f *failingJournal) Apply(model.ObjectID, model.Value, model.Version) {}
 func (f *failingJournal) Stage(model.TxnID, model.ObjectID, durable.StagedWrite) {
 }
 func (f *failingJournal) DropStage(model.TxnID, model.ObjectID)                     {}
+func (f *failingJournal) Vote(model.TxnID, durable.VoteRec)                         {}
 func (f *failingJournal) Decide(model.TxnID, bool, []model.ProcID, []model.ShardID) {}
 func (f *failingJournal) DecideDone(model.TxnID)                                    {}
 func (f *failingJournal) Barrier(bool, func(error)) (bool, error) {

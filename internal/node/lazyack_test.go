@@ -77,12 +77,14 @@ func (j deafJournal) Barrier(bool, func(error)) (bool, error) {
 	return false, nil
 }
 
-// A coordinator killed with its commit decision durable but unannounced
-// told neither the participants, the client nor the 1SR oracle. Its
-// restart finds the decision and carries it out, and the oracle learns
-// of the commit from the record parked at decision time — a later read of
-// that write is a read from a known, committed transaction.
-func TestCoordinatorKilledBetweenDecideFsyncAndAnnouncement(t *testing.T) {
+// A coordinator killed with its vote durable but the barrier's release
+// still on its way to the event loop never reached its commit point: it
+// told neither the participants, the client nor the 1SR oracle anything.
+// Its restart finds the vote record, asks the participants again, hears
+// yes from all and commits — and the oracle learns of the commit from
+// the record parked when the vote was cast, so a later read of that
+// write is a read from a known, committed transaction.
+func TestCoordinatorKilledBetweenVoteFsyncAndCommitPoint(t *testing.T) {
 	const T = 100 * time.Millisecond
 	f := newDurableFixture(t, 3, "x")
 	f.bases[1].Journal = deafJournal{f.journals[1]}
@@ -98,8 +100,8 @@ func TestCoordinatorKilledBetweenDecideFsyncAndAnnouncement(t *testing.T) {
 	})
 	f.restartAt(T+12*time.Millisecond, 1)
 	f.run(T + 13*time.Millisecond)
-	if got := len(f.restored[1].Decides); got != 1 {
-		t.Fatalf("restart replayed %d decisions, want 1", got)
+	if st := f.restored[1]; len(st.Votes) != 1 || len(st.Decides) != 0 {
+		t.Fatalf("restart replayed %d votes and %d decisions, want 1 and 0", len(st.Votes), len(st.Decides))
 	}
 	read := f.submit(T+200*time.Millisecond, 2, wire.IncrementOps("x", 1))
 	f.run(T + time.Second)
@@ -107,7 +109,7 @@ func TestCoordinatorKilledBetweenDecideFsyncAndAnnouncement(t *testing.T) {
 		t.Fatalf("follow-up transaction aborted: %s", res.Reason)
 	}
 	if got := len(f.hist.Committed()); got != 2 {
-		t.Errorf("history holds %d committed transactions, want the re-driven one and its reader", got)
+		t.Errorf("history holds %d committed transactions, want the recollected one and its reader", got)
 	}
 	f.expectX(6, 2)
 }

@@ -30,12 +30,12 @@ func (b *Base) MigrateActive(rt net.Runtime, newEpoch Epoch,
 	sortTxnIDs(ids)
 	for _, id := range ids {
 		t := b.active[id]
-		if t.phase == phaseDeciding || t.phase == phaseDone {
-			continue // decision made; retransmission continues regardless
+		if !t.undecided() {
+			continue // decided, or the votes' to decide; retransmission continues regardless
 		}
 		objs, procs := t.footprint()
 		if !canMigrate(objs, procs) {
-			b.abortTxn(rt, t, reason)
+			b.abortTxn(rt, t, abortEpochChanged, reason)
 			continue
 		}
 		t.epoch = newEpoch
@@ -58,16 +58,12 @@ func (b *Base) MigrateActive(rt net.Runtime, newEpoch Epoch,
 			// Re-issue prepares to participants that have not voted yet;
 			// already-collected votes stay valid only if they carry the
 			// new epoch, so reset the tally and re-prepare everyone
-			// (duplicate prepares are votes "yes" at prepared servers).
+			// (duplicate prepares are votes "yes" at prepared servers). The
+			// coordinator votes again as well: its record names the epoch
+			// a restart would ask under.
 			t.voteFrom = newPartSet()
-			for _, k := range t.votesNeeded.Sorted() {
-				b.sendPartPlain(rt, k, wire.Prepare{
-					Txn: t.id, Epoch: newEpoch.VP, HasEpoch: newEpoch.Has,
-					Writes: t.prepares[k],
-				})
-			}
 			rt.CancelTimer(t.voteTimer)
-			t.voteTimer = rt.SetTimer(b.Cfg.VoteTimeout, voteTimeout{txn: t.id})
+			b.sendPrepares(rt, t, rt.TraceCtx())
 		}
 	}
 }

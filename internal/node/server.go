@@ -15,10 +15,6 @@ import (
 // control implicit) and two-phase commit participation.
 
 func (b *Base) handleLockReq(rt net.Runtime, from model.ProcID, req wire.LockReq) {
-	refuse := func() {
-		rt.Send(from, wire.LockResp{Txn: req.Txn, Obj: req.Obj, Status: wire.LockWrongEpoch,
-			Epoch: req.Epoch, HasEpoch: req.HasEpoch})
-	}
 	// Rule R4 guard: only accept accesses from the same virtual
 	// partition (Figure 12 lines 6 and 10: "if assigned & v=cur-id").
 	if !b.Strat.AcceptAccess(rt, Epoch{VP: req.Epoch, Has: req.HasEpoch}) {
@@ -28,11 +24,11 @@ func (b *Base) handleLockReq(rt net.Runtime, from model.ProcID, req wire.LockReq
 			b.deferred = append(b.deferred, deferredAccess{from: from, req: req})
 			return
 		}
-		refuse()
+		b.refuse(rt, deferredAccess{from: from, req: req, ctx: rt.TraceCtx()})
 		return
 	}
 	if !b.Store.Has(req.Obj) {
-		refuse()
+		b.refuse(rt, deferredAccess{from: from, req: req, ctx: rt.TraceCtx()})
 		return
 	}
 	// Rule R5 guard: "wait until l ∉ locked" (Figure 12 lines 5 and 9).
@@ -43,19 +39,53 @@ func (b *Base) handleLockReq(rt net.Runtime, from model.ProcID, req wire.LockReq
 	b.admitLock(rt, from, req)
 }
 
+// refuse turns away a physical access of another partition: a lock
+// request, or (prep set) the prepare that carried it. The answer echoes
+// the epoch the access came with, so its coordinator can tell it from a
+// stale one.
+func (b *Base) refuse(rt net.Runtime, a deferredAccess) {
+	if a.prep != nil {
+		b.vote(rt, a.from, a.prep, false, wire.NoWrongEpoch, a.ctx)
+		return
+	}
+	rt.SendCtx(a.from, wire.LockResp{Txn: a.req.Txn, Obj: a.req.Obj, Status: wire.LockWrongEpoch,
+		Epoch: a.req.Epoch, HasEpoch: a.req.HasEpoch}, a.ctx)
+}
+
 func (b *Base) admitLock(rt net.Runtime, from model.ProcID, req wire.LockReq) {
-	switch b.Locks.Acquire(req.Obj, req.Txn, req.Mode) {
+	acquire := b.Locks.Acquire
+	if req.Patient {
+		acquire = b.Locks.AcquirePatient
+	}
+	switch acquire(req.Obj, req.Txn, req.Mode) {
 	case locks.Granted:
 		b.touch(rt, req.Txn)
 		b.respondGranted(rt, from, req, rt.TraceCtx())
 	case locks.Queued:
 		b.touch(rt, req.Txn)
 		b.waiting[lockKey{req.Txn, req.Obj}] = pendingLock{
-			from: from, req: req, ctx: rt.TraceCtx(), queuedAt: rt.Now(),
+			deferredAccess: deferredAccess{from: from, req: req, ctx: rt.TraceCtx()}, queuedAt: rt.Now(),
 		}
+		b.nudge(rt, req.Obj)
 	case locks.Died:
 		rt.Send(from, wire.LockResp{Txn: req.Txn, Obj: req.Obj, Status: wire.LockDenied,
 			Epoch: req.Epoch, HasEpoch: req.HasEpoch})
+		b.nudge(rt, req.Obj)
+	}
+}
+
+// nudge is called when a lock request on obj waits or dies. If what it
+// ran into is a transaction prepared here whose vote has left, that
+// transaction may well be committed and its Decide sitting behind a lazy
+// flush at its coordinator: ask, as the lease sweep would much later. A
+// coordinator still collecting votes stays silent.
+func (b *Base) nudge(rt net.Runtime, obj model.ObjectID) {
+	holder, staged := b.Store.StagedBy(obj)
+	if !staged || b.coordinates(holder) {
+		return
+	}
+	if pt := b.prepared[holder]; pt != nil && pt.voted {
+		rt.Send(holder.P, wire.DecideQuery{Txn: holder, From: b.ID})
 	}
 }
 
@@ -97,13 +127,16 @@ func (b *Base) processGrants(rt net.Runtime, grants []locks.Grant) {
 		delete(b.waiting, key)
 		if !b.Strat.AcceptAccess(rt, Epoch{VP: p.req.Epoch, Has: p.req.HasEpoch}) {
 			grants = append(grants, b.Locks.Release(g.Obj, g.Txn)...)
-			rt.SendCtx(p.from, wire.LockResp{Txn: g.Txn, Obj: g.Obj, Status: wire.LockWrongEpoch,
-				Epoch: p.req.Epoch, HasEpoch: p.req.HasEpoch}, p.ctx)
+			b.refuse(rt, p.deferredAccess)
 			continue
 		}
 		b.touch(rt, g.Txn)
 		if !p.ctx.IsZero() {
 			rt.Tracer().Span(b.ID, p.ctx.Child(b.NextSpan()), "part-lock-wait", p.queuedAt, rt.Now(), g.Txn)
+		}
+		if p.prep != nil {
+			b.admitPrepare(rt, p.from, p.prep, p.ctx) // on to its next lock, or to staging
+			continue
 		}
 		b.respondGranted(rt, p.from, p.req, p.ctx)
 	}
@@ -123,8 +156,16 @@ func (b *Base) FlushDeferred(rt net.Runtime) {
 	pending := b.deferred
 	b.deferred = nil
 	for _, d := range pending {
-		b.handleLockReq(rt, d.from, d.req)
+		b.readmit(rt, d)
 	}
+}
+
+func (b *Base) readmit(rt net.Runtime, d deferredAccess) {
+	if d.prep != nil {
+		b.admitPrepare(rt, d.from, d.prep, d.ctx)
+		return
+	}
+	b.handleLockReq(rt, d.from, d.req)
 }
 
 // RecoveryUnlocked re-admits physical accesses that were deferred while
@@ -142,31 +183,101 @@ func (b *Base) RecoveryUnlocked(rt net.Runtime, obj model.ObjectID) {
 	}
 	b.deferred = kept
 	for _, d := range admit {
-		b.handleLockReq(rt, d.from, d.req)
+		b.readmit(rt, d)
 	}
 }
 
 func (b *Base) handlePrepare(rt net.Runtime, from model.ProcID, p wire.Prepare) {
-	ctx := rt.TraceCtx()
-	vote := func(rt net.Runtime, ok bool) {
-		rt.SendCtx(from, wire.Vote{Txn: p.Txn, From: b.ID, OK: ok,
-			Epoch: p.Epoch, HasEpoch: p.HasEpoch}, ctx)
-	}
+	b.admitPrepare(rt, from, &p, rt.TraceCtx())
+}
+
+// vote answers prepare p, echoing its epoch.
+func (b *Base) vote(rt net.Runtime, to model.ProcID, p *wire.Prepare, ok bool, why wire.NoVote, ctx model.TraceCtx) {
+	rt.SendCtx(to, wire.Vote{Txn: p.Txn, From: b.ID, OK: ok, Why: why,
+		Epoch: p.Epoch, HasEpoch: p.HasEpoch}, ctx)
+}
+
+// lockReqOf is the lock request a prepare stands for while it waits on
+// obj: what the waiting and deferred queues file it under.
+func lockReqOf(p *wire.Prepare, obj model.ObjectID) wire.LockReq {
+	return wire.LockReq{Txn: p.Txn, Obj: obj, Mode: model.LockExclusive, Epoch: p.Epoch, HasEpoch: p.HasEpoch}
+}
+
+// admitPrepare runs a prepare from the top: admission as for a lock
+// request (rule R4, rule R5), the exclusive locks the coordinator left to
+// it, the checks, then staging, the journal and the vote. Where a lock
+// request would wait the whole prepare waits in the same queue, and is
+// run again, from the top, when the wait ends; ctx is the trace context
+// it arrived with.
+func (b *Base) admitPrepare(rt net.Runtime, from model.ProcID, p *wire.Prepare, ctx model.TraceCtx) {
 	if pt, dup := b.prepared[p.Txn]; dup {
 		if pt.voted {
-			vote(rt, true) // retransmitted prepare
+			b.vote(rt, from, p, true, 0, ctx) // retransmitted prepare, or a restarted coordinator asking again
 		}
 		return // else the pending barrier will vote
 	}
-	if !b.Strat.AcceptAccess(rt, Epoch{VP: p.Epoch, Has: p.HasEpoch}) {
-		vote(rt, false)
+	if p.Recollect {
+		// No vote on record: none was cast, or the outcome was applied and
+		// forgotten — which only follows a decision durable at the
+		// coordinator, and then it would not be asking.
+		b.vote(rt, from, p, false, wire.NoOther, ctx)
 		return
 	}
-	// The transaction must still hold an exclusive lock on every copy it
-	// wants to write here; a partition change released them (rule R4).
+	waitingFor := func(obj model.ObjectID) deferredAccess {
+		return deferredAccess{from: from, req: lockReqOf(p, obj), prep: p, ctx: ctx}
+	}
+	park := func(obj model.ObjectID) { b.deferred = append(b.deferred, waitingFor(obj)) }
+	if !b.Strat.AcceptAccess(rt, Epoch{VP: p.Epoch, Has: p.HasEpoch}) {
+		if b.inTransition(rt) && len(p.Writes) > 0 {
+			park(p.Writes[0].Obj)
+			return
+		}
+		b.vote(rt, from, p, false, wire.NoWrongEpoch, ctx)
+		return
+	}
 	for _, w := range p.Writes {
-		if !b.Store.Has(w.Obj) || !b.Locks.Holds(w.Obj, p.Txn, model.LockExclusive) {
-			vote(rt, false)
+		if !b.Store.Has(w.Obj) {
+			b.vote(rt, from, p, false, wire.NoOther, ctx)
+			return
+		}
+	}
+	for _, w := range p.Writes {
+		if w.Lock && b.Store.RecoveryLocked(w.Obj) {
+			park(w.Obj)
+			return
+		}
+	}
+	for _, w := range p.Writes {
+		if !w.Lock {
+			continue
+		}
+		switch b.Locks.Acquire(w.Obj, p.Txn, model.LockExclusive) {
+		case locks.Granted:
+			b.touch(rt, p.Txn)
+		case locks.Queued:
+			b.touch(rt, p.Txn)
+			b.waiting[lockKey{p.Txn, w.Obj}] = pendingLock{deferredAccess: waitingFor(w.Obj), queuedAt: rt.Now()}
+			b.nudge(rt, w.Obj)
+			return
+		case locks.Died:
+			// Whatever the prepare holds by now goes with the abort its
+			// coordinator decides on this vote.
+			b.vote(rt, from, p, false, wire.NoWaitDie, ctx)
+			b.nudge(rt, w.Obj)
+			return
+		}
+	}
+	for _, w := range p.Writes {
+		// The transaction must hold an exclusive lock on every copy it
+		// wants to write here; a partition change released them (rule R4).
+		if !b.Locks.Holds(w.Obj, p.Txn, model.LockExclusive) {
+			b.vote(rt, from, p, false, wire.NoOther, ctx)
+			return
+		}
+		// A lock taken just now says nothing about what the copy held
+		// before: the new version was derived from Base, so Base it must be.
+		if w.Lock && b.Store.Get(w.Obj).Ver != w.Base {
+			b.vote(rt, from, p, false, wire.NoBaseVersion, ctx)
 			return
 		}
 	}
@@ -187,7 +298,7 @@ func (b *Base) handlePrepare(rt net.Runtime, from model.ProcID, p wire.Prepare) 
 	b.touch(rt, p.Txn)
 	yes := func(rt net.Runtime) {
 		pt.voted = true
-		vote(rt, true)
+		b.vote(rt, from, p, true, 0, ctx)
 	}
 	if b.Journal == nil {
 		yes(rt)
@@ -219,9 +330,10 @@ func (b *Base) handlePrepare(rt net.Runtime, from model.ProcID, p wire.Prepare) 
 // coordinates reports whether this processor coordinates txn, i.e. the
 // participant-side promises it makes about txn never leave the
 // processor (and, sharded, its one shared journal). Such promises need
-// no barrier of their own: the stage, drop-stage and decide-done records
-// sit in the one journal in the order the coordinator's decide barrier
-// needs (DESIGN §12).
+// no barrier of their own: the stage records sit in the one journal ahead
+// of the coordinator's vote record, whose barrier covers them, and the
+// drop-stage and decide-done records behind its decision record (DESIGN
+// §12).
 func (b *Base) coordinates(txn model.TxnID) bool { return txn.P == b.ID }
 
 func (b *Base) handleDecide(rt net.Runtime, from model.ProcID, d wire.Decide) {

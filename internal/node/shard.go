@@ -195,14 +195,11 @@ func (b *Base) ShardEpochChanged(rt net.Runtime, s model.ShardID, reason string)
 	sortTxnIDs(ids)
 	for _, id := range ids {
 		t := b.active[id]
-		if t.phase == phaseDeciding || t.phase == phaseDone {
-			continue // decision already made; keep retransmitting it
-		}
-		if t.epochs == nil {
-			continue
+		if !t.undecided() || t.epochs == nil {
+			continue // decided, or the votes' to decide: keep at it
 		}
 		if _, ok := t.epochs[s]; ok {
-			b.abortTxn(rt, t, reason)
+			b.abortTxn(rt, t, abortEpochChanged, reason)
 		}
 	}
 }

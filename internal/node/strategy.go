@@ -47,6 +47,15 @@ type Plan struct {
 	// MinWeight is granted instead of waiting for every target (eager
 	// quorum reads/writes à la Gifford). Late grants are released.
 	EarlyQuorum bool
+	// LockAtPrepare, on a write plan, says the targets' copies are all
+	// the same copy — every write goes to all of them and none is behind
+	// — so one version read under a lock stands for all. A transaction
+	// that holds such a version then skips the write's lock round: its
+	// Prepare asks each target for the exclusive lock and for proof that
+	// the copy is at that version. Without the bit, or without a version
+	// in hand, the write runs the lock round and learns the quorum's
+	// maximum from it.
+	LockAtPrepare bool
 }
 
 // AllOf builds a plan requiring every listed target.
@@ -97,8 +106,9 @@ type Strategy interface {
 
 	// OnNoResponse notifies the strategy that the coordinator timed out
 	// waiting for the given processors (the paper's "no-response"
-	// exception, which triggers Create-new-VP in Figures 9–11).
-	OnNoResponse(rt net.Runtime, suspects []model.ProcID)
+	// exception, which triggers Create-new-VP in Figures 9–11). sent is
+	// when the unanswered accesses — lock requests or prepares — left.
+	OnNoResponse(rt net.Runtime, suspects []model.ProcID, sent time.Duration)
 }
 
 // DeltaWriter is an optional Strategy extension: when UseDeltaWrites
@@ -142,7 +152,7 @@ type ShardedStrategy interface {
 	// ShardNoResponse reports processors that failed to answer a
 	// physical access against shard s, so the shard's view management
 	// can react (mirrors Strategy.OnNoResponse, scoped to the shard).
-	ShardNoResponse(rt net.Runtime, s model.ShardID, suspects []model.ProcID)
+	ShardNoResponse(rt net.Runtime, s model.ShardID, suspects []model.ProcID, sent time.Duration)
 }
 
 // Config carries the node's timing and storage parameters.

@@ -219,10 +219,20 @@ func (r *Router) onShardMsg(rt net.Runtime, from model.ProcID, msg wire.ShardMsg
 		r.coord.HandleShardMessage(rt, from, msg.Shard, inner)
 	case wire.DecideQuery:
 		r.coord.HandleShardMessage(rt, from, msg.Shard, inner)
+	case wire.LockReq:
+		r.coord.Witness(inner.Txn) // the coordinator stamps this processor's transactions
+		r.toShard(rt, from, msg)
+	case wire.Prepare:
+		r.coord.Witness(inner.Txn)
+		r.toShard(rt, from, msg)
 	default:
-		if n := r.nodes[msg.Shard]; n != nil {
-			n.OnMessage(r.shardRT(rt, msg.Shard), from, msg.Msg)
-		}
+		r.toShard(rt, from, msg)
+	}
+}
+
+func (r *Router) toShard(rt net.Runtime, from model.ProcID, msg wire.ShardMsg) {
+	if n := r.nodes[msg.Shard]; n != nil {
+		n.OnMessage(r.shardRT(rt, msg.Shard), from, msg.Msg)
 	}
 }
 

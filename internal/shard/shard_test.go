@@ -523,3 +523,167 @@ func TestSingleShardPartitionIsolation(t *testing.T) {
 		t.Fatalf("not one-copy serializable: %s", r.Reason)
 	}
 }
+
+// ---------------------------------------------------------------------------
+// Writes whose locks ride the prepare, across shards
+// ---------------------------------------------------------------------------
+
+func (f *fixture) sent(kind string) int64 {
+	return f.cluster.Reg.Get("net.msg.sent.shard:" + kind)
+}
+
+// A transfer between two shards, coordinated where both are hosted, reads
+// its own copies and sends one prepare per remote copy: no lock request
+// crosses the network, for either shard.
+func TestCrossShardTransferRunsNoLockRound(t *testing.T) {
+	base := Config{Shards: 4, Replicas: 3, Procs: testProcs(5), Objects: testObjects(32)}
+	var at model.ProcID
+	m := findSeed(t, base, func(m *Map) bool {
+		for _, p := range testProcs(5) {
+			if h := m.Hosted(p); len(h) >= 2 {
+				at = p
+				return true
+			}
+		}
+		return false
+	})
+	sA, sB := m.Hosted(at)[0], m.Hosted(at)[1]
+	oA, oB := objIn(t, m, sA), objIn(t, m, sB)
+
+	f := newFixture(t, m, 5, 303, false, nil)
+	f.run(2 * tBound)
+	seed := f.submit(f.cluster.Engine.Now(), at, []wire.Op{wire.WriteOp(oA, 100), wire.WriteOp(oB, 100)})
+	f.run(f.cluster.Engine.Now() + tBound)
+	f.requireCommitted(seed, "seeding write")
+	before := f.sent("lockreq")
+
+	tag := f.submit(f.cluster.Engine.Now(), at, wire.TransferOps(oA, oB, 30))
+	f.run(f.cluster.Engine.Now() + tBound)
+	f.requireCommitted(tag, "cross-shard transfer")
+	if got := f.sent("lockreq") - before; got != 0 {
+		t.Errorf("the transfer sent %d lock requests, want 0", got)
+	}
+	for _, o := range []struct {
+		obj  model.ObjectID
+		s    model.ShardID
+		want model.Value
+	}{{oA, sA, 70}, {oB, sB, 130}} {
+		for _, p := range m.MemberList(o.s) {
+			if got := f.routers[p].Node(o.s).Store.Get(o.obj).Val; got != o.want {
+				t.Errorf("%v's copy of %s = %d, want %d", p, o.obj, got, o.want)
+			}
+		}
+	}
+	if r := onecopy.Check(f.hist); !r.OK {
+		t.Fatalf("not one-copy serializable: %s", r.Reason)
+	}
+}
+
+// A coordinator that hosts no copy of the object reads one remote copy —
+// the only lock request — and writes all of them through their prepares.
+func TestRemoteCoordinatorIncrementsWithOneLockRequest(t *testing.T) {
+	base := Config{Shards: 4, Replicas: 3, Procs: testProcs(5), Objects: testObjects(32)}
+	m := findSeed(t, base, func(m *Map) bool { return len(m.Hosted(1)) < 4 })
+	var s model.ShardID
+	for c := model.ShardID(1); int(c) <= m.NumShards(); c++ {
+		if !m.Members(c).Has(1) {
+			s = c
+		}
+	}
+	obj := objIn(t, m, s)
+
+	f := newFixture(t, m, 5, 304, false, nil)
+	f.run(2 * tBound)
+	// The first attempt may find the shard's epoch not cached yet.
+	warm := f.submitUntilCommitted(f.cluster.Engine.Now(), tBound, 8, 1, []wire.Op{wire.ReadOp(obj)})
+	f.run(f.cluster.Engine.Now() + 10*tBound)
+	f.requireCommitted(*warm, "warm-up read")
+	reqs, preps := f.sent("lockreq"), f.sent("prepare")
+
+	tag := f.submit(f.cluster.Engine.Now(), 1, wire.IncrementOps(obj, 5))
+	f.run(f.cluster.Engine.Now() + tBound)
+	f.requireCommitted(tag, "increment through a coordinator without a copy")
+	if got := f.sent("lockreq") - reqs; got != 1 {
+		t.Errorf("%d lock requests sent, want the remote read's 1", got)
+	}
+	if got := f.sent("prepare") - preps; got != 3 {
+		t.Errorf("%d prepares sent, want one per copy", got)
+	}
+	for _, p := range m.MemberList(s) {
+		if got := f.routers[p].Node(s).Store.Get(obj).Val; got != 5 {
+			t.Errorf("%v's copy of %s = %d, want 5", p, obj, got)
+		}
+	}
+	if r := onecopy.Check(f.hist); !r.OK {
+		t.Fatalf("not one-copy serializable: %s", r.Reason)
+	}
+}
+
+// A restarted coordinator whose journal holds a cross-shard vote record
+// and no decision asks each shard node again, through the router, and
+// decides by what they are bound to: all prepared, commit; one with
+// nothing on record, abort — and the prepared one drops its write.
+func TestCrossShardVoteRecordIsCollectedAgain(t *testing.T) {
+	base := Config{Shards: 4, Replicas: 3, Procs: testProcs(5), Objects: testObjects(32)}
+	m := findSeed(t, base, func(m *Map) bool {
+		n := 0
+		for _, s := range m.Hosted(3) {
+			for _, o := range m.Catalog().Objects() {
+				if m.ShardOf(o) == s {
+					n++
+					break
+				}
+			}
+		}
+		return n >= 2
+	})
+	sA, sB := m.Hosted(3)[0], m.Hosted(3)[1]
+	oA, oB := objIn(t, m, sA), objIn(t, m, sB)
+	crashTxn := model.TxnID{Start: 123, P: 1, Seq: 9}
+	date := model.VPID{N: 50, P: 1}
+
+	for _, tc := range []struct {
+		name   string
+		staged []model.ObjectID // what participant 3's journal replays
+		commit bool
+	}{
+		{"all prepared", []model.ObjectID{oA, oB}, true},
+		{"one shard never prepared", []model.ObjectID{oA}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st3 := durable.NewState()
+			st3.MaxID = model.VPID{N: 4, P: 3}
+			st3.Staged[crashTxn] = map[model.ObjectID]durable.StagedWrite{}
+			for _, o := range tc.staged {
+				st3.Staged[crashTxn][o] = durable.StagedWrite{Val: 71, Ver: model.Version{Date: date, Ctr: 5, Writer: crashTxn}}
+			}
+			st1 := durable.NewState()
+			st1.Votes[crashTxn] = durable.VoteRec{
+				Parts:  []model.ProcID{3, 3},
+				Shards: []model.ShardID{sA, sB},
+				Epochs: []model.VPID{date, date},
+			}
+			f := newFixture(t, m, 5, 305, true, map[model.ProcID]*durable.State{1: st1, 3: st3})
+			f.run(3 * tBound)
+			want := model.Value(0)
+			if tc.commit {
+				want = 71
+			}
+			for i, o := range []model.ObjectID{oA, oB} {
+				s := []model.ShardID{sA, sB}[i]
+				if got := f.routers[3].Node(s).Store.Get(o).Val; got != want {
+					t.Errorf("shard %v: %s = %d, want %d", s, o, got, want)
+				}
+				if _, staged := f.routers[3].Node(s).Store.StagedBy(o); staged {
+					t.Errorf("shard %v: %s still staged", s, o)
+				}
+			}
+			if n := len(f.journals[1].St.Votes) + len(f.journals[1].St.Decides); n != 0 {
+				t.Errorf("coordinator journal not drained: %+v %+v", f.journals[1].St.Votes, f.journals[1].St.Decides)
+			}
+			if n := len(f.journals[3].St.Staged); n != 0 {
+				t.Errorf("participant journal not drained: %+v", f.journals[3].St.Staged)
+			}
+		})
+	}
+}

@@ -10,8 +10,9 @@ import (
 // shard nodes share one physical journal, so a crash replays one global
 // State; recovery, however, is per shard: each shard node restores only
 // the copies and staged writes of its own objects, and the pending
-// commit decisions — which may span shards — go to the coordinator,
-// which resumes their Decide fan-out.
+// commit decisions and undecided coordinator votes — which may span
+// shards — go to the coordinator, which resumes their Decide fan-out or
+// collects their votes again.
 //
 // Every shard state carries the global MaxID: partition identifiers are
 // drawn from one counter per processor regardless of shard, so starting
@@ -47,6 +48,9 @@ func SplitState(st *durable.State, m *Map, hosted []model.ShardID) (map[model.Sh
 	coord := durable.NewState()
 	for txn, rec := range st.Decides {
 		coord.Decides[txn] = rec
+	}
+	for txn, rec := range st.Votes {
+		coord.Votes[txn] = rec
 	}
 	return perShard, coord
 }

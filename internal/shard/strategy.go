@@ -73,7 +73,8 @@ func (st *routerStrategy) AcceptAccess(rt net.Runtime, e node.Epoch) bool { retu
 
 // OnNoResponse implements node.Strategy; sharded transactions report
 // through ShardNoResponse instead.
-func (st *routerStrategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID) {}
+func (st *routerStrategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID, sent time.Duration) {
+}
 
 // ShardOf implements node.ShardedStrategy.
 func (st *routerStrategy) ShardOf(obj model.ObjectID) model.ShardID {
@@ -115,9 +116,9 @@ func (st *routerStrategy) ShardStillValid(rt net.Runtime, s model.ShardID, e nod
 // hosted shard reacts exactly as the unsharded protocol (Create-new-VP
 // among the shard's members); for a non-hosted shard the cached epoch
 // is suspect, so it is dropped and refetched.
-func (st *routerStrategy) ShardNoResponse(rt net.Runtime, s model.ShardID, suspects []model.ProcID) {
+func (st *routerStrategy) ShardNoResponse(rt net.Runtime, s model.ShardID, suspects []model.ProcID, sent time.Duration) {
 	if n := st.r.nodes[s]; n != nil {
-		n.Strategy().OnNoResponse(st.r.shardRT(rt, s), suspects)
+		n.Strategy().OnNoResponse(st.r.shardRT(rt, s), suspects, sent)
 		return
 	}
 	if c := st.r.caches[s]; c != nil {
@@ -159,5 +160,7 @@ func (r *Router) remotePlan(rt net.Runtime, s model.ShardID, obj model.ObjectID,
 		}
 		return node.AllOf(cat, obj, []model.ProcID{best}), nil
 	}
-	return node.AllOf(cat, obj, candidates.Sorted()), nil
+	plan := node.AllOf(cat, obj, candidates.Sorted())
+	plan.LockAtPrepare = true // as the shard's own strategy says of its view
+	return plan, nil
 }

@@ -372,9 +372,24 @@ func (s *Store) StagedBy(obj model.ObjectID) (model.TxnID, bool) {
 	return st.stagedBy, true
 }
 
-// CommitStaged applies the staged write of txn on obj. It is a no-op if
-// no matching staged write exists (e.g. a duplicate Decide after a
-// retransmission).
+// StagedVer returns the version a prepared write would install on obj,
+// if there is one.
+func (s *Store) StagedVer(obj model.ObjectID) (model.Version, bool) {
+	sp, st, ok := s.tryLock(obj)
+	if !ok {
+		return model.Version{}, false
+	}
+	defer sp.mu.Unlock()
+	if st.staged == nil {
+		return model.Version{}, false
+	}
+	return st.staged.Ver, true
+}
+
+// CommitStaged applies the staged write of txn on obj and reports
+// whether the copy changed. It is a no-op if no matching staged write
+// exists (e.g. a duplicate Decide after a retransmission); a staged write
+// the copy has already moved past is dropped, not applied.
 func (s *Store) CommitStaged(obj model.ObjectID, txn model.TxnID) bool {
 	sp, st, ok := s.tryLock(obj)
 	if !ok {
@@ -387,9 +402,17 @@ func (s *Store) CommitStaged(obj model.ObjectID, txn model.TxnID) bool {
 	w := *st.staged
 	isDelta := st.stagedDelta
 	s.unstageLocked(st, obj)
-	if isDelta {
+	switch {
+	case isDelta:
 		s.applyDeltaLocked(st, obj, txn.P, w.Val, w.Ver)
-	} else {
+	case !st.copyVal.Ver.Less(w.Ver):
+		// The copy is already at this write or past it: the processor sat
+		// out the decision (killed prepared, restarted) and rule R5 has
+		// since installed what the view holds, this write included. A
+		// late Decide must not take the copy back.
+		sp.mu.Unlock()
+		return false
+	default:
 		s.applyLocked(st, obj, w.Val, w.Ver)
 	}
 	sp.mu.Unlock()

@@ -98,6 +98,24 @@ func TestStagedCommit(t *testing.T) {
 	if s.CommitStaged("x", txn) {
 		t.Fatal("duplicate commit should be a no-op")
 	}
+	// A decision that arrives after recovery has taken the copy past the
+	// staged version (the processor was killed prepared and rule R5
+	// refreshed it on rejoining) drops the stage and leaves the copy.
+	late := model.TxnID{Start: 2, P: 1, Seq: 2}
+	s.Stage("x", late, 8, ver(1, 2))
+	if v, ok := s.StagedVer("x"); !ok || v != ver(1, 2) {
+		t.Fatalf("StagedVer = %v, %v", v, ok)
+	}
+	s.Apply("x", 9, ver(2, 3))
+	if s.CommitStaged("x", late) {
+		t.Fatal("a late commit changed a copy that had moved past it")
+	}
+	if got := s.Get("x"); got.Val != 9 || got.Ver != ver(2, 3) {
+		t.Fatalf("copy went back to %+v", got)
+	}
+	if _, ok := s.StagedBy("x"); ok {
+		t.Fatal("the late stage should be gone")
+	}
 }
 
 func TestStagedAbort(t *testing.T) {

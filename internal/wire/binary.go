@@ -246,12 +246,36 @@ func appendProcs(b []byte, ps []model.ProcID) []byte {
 	return b
 }
 
+// Flag bits of a LockReq, a Prepare and each ObjWrite in it. Bit 0 is the
+// bool the byte used to be, so unflagged frames are byte-identical.
+const (
+	lockHasEpoch  = 1 << 0
+	lockPatient   = 1 << 1
+	prepHasEpoch  = 1 << 0
+	prepRecollect = 1 << 1
+	writeDelta    = 1 << 0
+	writeLock     = 1 << 1
+)
+
 func appendObjWrite(b []byte, w *ObjWrite) []byte {
 	b = appendString(b, string(w.Obj))
 	b = appendZigzag(b, int64(w.Val))
 	b = appendVersion(b, w.Ver)
-	b = appendBool(b, w.Delta)
-	return appendProcs(b, w.MissedBy)
+	// One flags byte where Delta's bool was: a write without Lock encodes
+	// as it always did.
+	var flags byte
+	if w.Delta {
+		flags |= writeDelta
+	}
+	if w.Lock {
+		flags |= writeLock
+	}
+	b = append(b, flags)
+	b = appendProcs(b, w.MissedBy)
+	if w.Lock {
+		b = appendVersion(b, w.Base)
+	}
+	return b
 }
 
 func appendOp(b []byte, op *Op) []byte {
@@ -407,7 +431,14 @@ func appendMsgBody(b []byte, k kindID, msg Message) ([]byte, error) {
 		b = appendString(b, string(m.Obj))
 		b = append(b, byte(m.Mode))
 		b = appendVPID(b, m.Epoch)
-		b = appendBool(b, m.HasEpoch)
+		var flags byte // HasEpoch in bit 0, where the bool was
+		if m.HasEpoch {
+			flags |= lockHasEpoch
+		}
+		if m.Patient {
+			flags |= lockPatient
+		}
+		b = append(b, flags)
 	case LockResp:
 		b = appendTxnID(b, m.Txn)
 		b = appendString(b, string(m.Obj))
@@ -420,7 +451,14 @@ func appendMsgBody(b []byte, k kindID, msg Message) ([]byte, error) {
 	case Prepare:
 		b = appendTxnID(b, m.Txn)
 		b = appendVPID(b, m.Epoch)
-		b = appendBool(b, m.HasEpoch)
+		var flags byte
+		if m.HasEpoch {
+			flags |= prepHasEpoch
+		}
+		if m.Recollect {
+			flags |= prepRecollect
+		}
+		b = append(b, flags)
 		b = appendUvarint(b, uint64(len(m.Writes)))
 		for i := range m.Writes {
 			b = appendObjWrite(b, &m.Writes[i])
@@ -428,7 +466,12 @@ func appendMsgBody(b []byte, k kindID, msg Message) ([]byte, error) {
 	case Vote:
 		b = appendTxnID(b, m.Txn)
 		b = appendProc(b, m.From)
-		b = appendBool(b, m.OK)
+		// OK in bit 0, where the bool was; Why above it.
+		ok := byte(m.Why) << 1
+		if m.OK {
+			ok |= 1
+		}
+		b = append(b, ok)
 		b = appendVPID(b, m.Epoch)
 		b = appendBool(b, m.HasEpoch)
 	case Decide:
@@ -802,14 +845,18 @@ func (d *BinaryDecoder) decodeBody(c *cursor, k kindID, borrowed bool) (Message,
 		}
 		msg = m
 	case kindLockReq:
-		msg = LockReq{Txn: c.txn(), Obj: d.obj(c), Mode: model.LockMode(c.byte()),
-			Epoch: c.vpid(), HasEpoch: c.bool()}
+		m := LockReq{Txn: c.txn(), Obj: d.obj(c), Mode: model.LockMode(c.byte()), Epoch: c.vpid()}
+		lf := c.byte()
+		m.HasEpoch, m.Patient = lf&lockHasEpoch != 0, lf&lockPatient != 0
+		msg = m
 	case kindLockResp:
 		msg = LockResp{Txn: c.txn(), Obj: d.obj(c), Status: LockStatus(c.byte()),
 			Val: model.Value(c.z()), Ver: c.version(), Epoch: c.vpid(),
 			HasEpoch: c.bool(), HasMissing: c.bool()}
 	case kindPrepare:
-		m := Prepare{Txn: c.txn(), Epoch: c.vpid(), HasEpoch: c.bool()}
+		m := Prepare{Txn: c.txn(), Epoch: c.vpid()}
+		pf := c.byte()
+		m.HasEpoch, m.Recollect = pf&prepHasEpoch != 0, pf&prepRecollect != 0
 		n := c.count(8)
 		m.Writes = borrow(&d.scr.writes, n, borrowed)
 		for i := 0; i < n && !c.bad; i++ {
@@ -817,7 +864,8 @@ func (d *BinaryDecoder) decodeBody(c *cursor, k kindID, borrowed bool) (Message,
 			w.Obj = d.obj(c)
 			w.Val = model.Value(c.z())
 			w.Ver = c.version()
-			w.Delta = c.bool()
+			wf := c.byte()
+			w.Delta, w.Lock = wf&writeDelta != 0, wf&writeLock != 0
 			// MissedBy is almost always empty; when present it is
 			// allocated fresh even in borrowed mode (nested backings are
 			// not worth the scratch bookkeeping).
@@ -830,10 +878,18 @@ func (d *BinaryDecoder) decodeBody(c *cursor, k kindID, borrowed bool) (Message,
 			} else {
 				w.MissedBy = nil
 			}
+			w.Base = model.Version{}
+			if w.Lock {
+				w.Base = c.version()
+			}
 		}
 		msg = m
 	case kindVote:
-		msg = Vote{Txn: c.txn(), From: c.proc(), OK: c.bool(), Epoch: c.vpid(), HasEpoch: c.bool()}
+		m := Vote{Txn: c.txn(), From: c.proc()}
+		ok := c.byte()
+		m.OK, m.Why = ok&1 != 0, NoVote(ok>>1)
+		m.Epoch, m.HasEpoch = c.vpid(), c.bool()
+		msg = m
 	case kindDecide:
 		msg = Decide{Txn: c.txn(), Commit: c.bool()}
 	case kindDecideAck:

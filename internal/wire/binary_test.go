@@ -31,14 +31,18 @@ func binaryEnvelopes() []Envelope {
 		{From: 2, To: 1, Msg: RecoverLogResp{Obj: "x", Seq: 2, OK: true, Complete: true,
 			Entries: []LogEntry{{Val: 1, Ver: ver}, {Val: -9, Ver: model.Version{Date: big}}}}},
 		{From: 1, To: 2, Msg: LockReq{Txn: txn, Obj: "x", Mode: model.LockExclusive, Epoch: vp, HasEpoch: true}},
+		{From: 1, To: 2, Msg: LockReq{Txn: txn, Obj: "x", Mode: model.LockShared, Patient: true}},
 		{From: 2, To: 1, Msg: LockResp{Txn: txn, Obj: "x", Status: LockWrongEpoch, Val: 5, Ver: ver,
 			Epoch: vp, HasEpoch: true, HasMissing: true}},
 		{From: 1, To: 2, Msg: Prepare{Txn: txn, Epoch: vp, HasEpoch: true,
 			Writes: []ObjWrite{
 				{Obj: "x", Val: 6, Ver: ver, MissedBy: []model.ProcID{3, 9}},
 				{Obj: "y", Val: -6, Ver: ver, Delta: true},
+				{Obj: "z", Val: 1, Ver: ver, Lock: true, Base: model.Version{Date: big, Ctr: 4, Writer: txn}},
 			}}},
+		{From: 1, To: 2, Msg: Prepare{Txn: txn, Epoch: vp, HasEpoch: true, Recollect: true}},
 		{From: 2, To: 1, Msg: Vote{Txn: txn, From: 2, OK: true, Epoch: vp, HasEpoch: true}},
+		{From: 2, To: 1, Msg: Vote{Txn: txn, From: 2, Why: NoBaseVersion, Epoch: vp, HasEpoch: true}},
 		{From: 1, To: 2, Msg: Decide{Txn: txn, Commit: true}},
 		{From: 2, To: 1, Msg: DecideAck{Txn: txn, From: 2}},
 		{From: 2, To: 1, Msg: DecideQuery{Txn: txn, From: 2}},

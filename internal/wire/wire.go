@@ -76,9 +76,11 @@ type ProbeAck struct {
 // every member refreshes concurrently, so waiting for the lock as written
 // in the paper's Physical-Access task would deadlock; serving the stored
 // pre-refresh copy is safe because the requester maximizes the date over a
-// majority (see DESIGN.md). A copy with a *prepared* transactional write
-// is the one case that must not be read yet (§6 condition (3)); the
-// response then reports Busy and the requester retries.
+// majority (see DESIGN.md). A copy with a transactional write *prepared
+// in an earlier partition* is the one case that must not be read yet (§6
+// condition (3)); the response then reports Busy and the requester
+// retries. (A write prepared in the current one goes through the
+// requester's copy as well; see core.copyBusy.)
 type RecoverRead struct {
 	Obj model.ObjectID
 	VP  model.VPID
@@ -228,6 +230,10 @@ type LockReq struct {
 	Mode     model.LockMode
 	Epoch    model.VPID
 	HasEpoch bool
+	// Patient marks the one request of a transaction that holds no lock
+	// anywhere yet: the recipient may queue it behind an older holder
+	// where wait-die would kill it (locks.Manager.AcquirePatient).
+	Patient bool
 }
 
 // LockStatus is the outcome of a lock request.
@@ -283,26 +289,56 @@ type ObjWrite struct {
 	// MissedBy lists copies the write could not reach (missing-writes
 	// baseline); the recipient records marks against them.
 	MissedBy []model.ProcID
+	// Lock asks the recipient to take the exclusive lock itself, before
+	// staging: the transaction ran no lock round for this write because it
+	// already holds the object's version under a lock of its epoch. Base
+	// is that version — the one Ver was derived from — and the recipient
+	// votes no unless its copy is exactly there.
+	Lock bool
+	Base model.Version
 }
 
-// Prepare is phase one of two-phase commit, sent to every participant
-// holding an exclusive lock for the transaction. The participant votes
-// yes only if it still holds the locks in the same partition (R4).
+// Prepare is phase one of two-phase commit, sent to every participant a
+// transaction writes at. The participant votes yes only if it holds —
+// or, for writes marked Lock, can take — the exclusive locks in the same
+// partition (R4); a wait-die loser votes no.
 type Prepare struct {
 	Txn      model.TxnID
 	Epoch    model.VPID
 	HasEpoch bool
 	Writes   []ObjWrite
+	// Recollect marks the prepare of a restarted coordinator that found
+	// its vote record and no decision: the recipient repeats the vote it
+	// is durably bound to — yes only if it is prepared and has voted, no
+	// otherwise — and never prepares afresh. Writes is empty.
+	Recollect bool
 }
 
-// Vote answers a Prepare, echoing its epoch (see LockResp).
+// Vote answers a Prepare, echoing its epoch (see LockResp). Why tells
+// the coordinator what a no-vote ran into, for its abort counters.
 type Vote struct {
 	Txn      model.TxnID
 	From     model.ProcID
 	OK       bool
+	Why      NoVote
 	Epoch    model.VPID
 	HasEpoch bool
 }
+
+// NoVote classifies a refused Prepare.
+type NoVote uint8
+
+const (
+	// NoOther: a lock the prepare relies on is gone, the object is not
+	// held here, or (Recollect) there is no vote on record to repeat.
+	NoOther NoVote = iota
+	// NoWaitDie: wait-die refused a lock the prepare asked for.
+	NoWaitDie
+	// NoBaseVersion: the copy is not at ObjWrite.Base.
+	NoBaseVersion
+	// NoWrongEpoch: the recipient is not in the prepare's partition.
+	NoWrongEpoch
+)
 
 // Decide is phase two: commit or abort. The coordinator retransmits it
 // until every prepared participant acknowledges, so a participant that
