@@ -36,30 +36,25 @@ stress:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Smoke-run the wire/transport/locks/store microbenchmarks:
-# -benchtime=100x keeps it to seconds, there are no thresholds — the
-# point is that every bench still compiles and runs, with the output kept
-# as a CI artifact. TCPRoundTrip (two TCPNodes, one message there and one
-# back, warm) is the hop cost next to the end-to-end numbers of
-# benchmark/. The contended lock/store benches run at -cpu 4 (striping
-# only pays off with parallel callers).
+# Smoke-run the wire/transport microbenchmarks: -benchtime=100x keeps it
+# to seconds, there are no thresholds — the point is that every bench
+# still compiles and runs, with the output kept as a CI artifact.
+# TCPRoundTrip (two TCPNodes, one message there and one back, warm) is
+# the hop cost next to the end-to-end numbers of benchmark/.
 BENCH_WIRE_OUT ?= bench-wire.txt
 bench-wire:
 	( $(GO) test -run '^$$' -bench 'WireRoundTrip' -benchmem -benchtime=100x -count=1 ./internal/wire ; \
-	  $(GO) test -run '^$$' -bench 'TCPRoundTrip' -benchmem -benchtime=2000x -count=1 ./internal/net ; \
-	  $(GO) test -run '^$$' -bench 'LocksContended|StoreContended' -benchmem -benchtime=100x -count=1 -cpu 4 ./internal/locks ./internal/store ) \
+	  $(GO) test -run '^$$' -bench 'TCPRoundTrip' -benchmem -benchtime=2000x -count=1 ./internal/net ) \
 		| tee $(BENCH_WIRE_OUT)
 
 # Regenerate BENCH_hotpath.json from the hot-path microbenchmarks (see
 # EXPERIMENTS.md for the format). Benchmarks run sequentially so numbers
-# are not skewed by each other. The contended lock/store benches run at
-# -cpu 4. benchjson refuses to overwrite numbers recorded on different
-# hardware; pass BENCHJSON_FLAGS=-force after an intentional host change.
+# are not skewed by each other. benchjson refuses to overwrite numbers
+# recorded on different hardware; pass BENCHJSON_FLAGS=-force after an
+# intentional host change.
 bench-hotpath:
-	( $(GO) test -run '^$$' -bench 'EngineSchedule|EngineCancel|WireRoundTrip|RunnerGrid' \
-		-benchmem -count=1 ./internal/sim ./internal/wire ./internal/bench ; \
-	  $(GO) test -run '^$$' -bench 'LocksContended|StoreContended' \
-		-benchmem -count=1 -cpu 4 ./internal/locks ./internal/store ) \
+	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineCancel|WireRoundTrip|RunnerGrid' \
+		-benchmem -count=1 ./internal/sim ./internal/wire ./internal/bench \
 		| $(GO) run ./cmd/benchjson -out BENCH_hotpath.json $(BENCHJSON_FLAGS)
 	@cat BENCH_hotpath.json
 
@@ -122,13 +117,12 @@ LOAD_SEED ?= 1
 loadtest:
 	$(GO) run ./cmd/vpload -local 3 -smoke -clients 8 -duration 3s -seed $(LOAD_SEED)
 
-# Regenerate BENCH_gateway.json: two ablations over the same paced
-# 1500 writes/sec load against one contended object on a local 3-node
-# cluster, with coordinated-omission-corrected latency (see
-# EXPERIMENTS.md). group_commit is batching off vs on; codec is the gob
-# wire codec vs the binary one (batching on in both).
+# Regenerate BENCH_gateway.json: the group-commit ablation (batching off
+# vs on) over the same paced 1500 writes/sec load against one contended
+# object on a local 3-node cluster, with coordinated-omission-corrected
+# latency (see EXPERIMENTS.md).
 bench-gateway:
-	$(GO) run ./cmd/vpload -local 3 -compare -codec-compare -clients 32 -rate 1500 \
+	$(GO) run ./cmd/vpload -local 3 -compare -clients 32 -rate 1500 \
 		-duration 8s -read-fraction 0 -objects 1 -out BENCH_gateway.json
 	@cat BENCH_gateway.json
 
@@ -220,7 +214,7 @@ campaign:
 	$(GO) run ./cmd/vpcampaign -spec specs/campaign-default.json -parallel 4 -v
 
 # Full-stack matrix: TCP nodes + durable journals + gateway per cell,
-# group-commit × codec under a mixed nemesis. Minutes, not for CI.
+# group commit off and on under a mixed nemesis. Minutes, not for CI.
 campaign-live:
 	$(GO) run ./cmd/vpcampaign -spec specs/campaign-live.json -v
 

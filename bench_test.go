@@ -187,22 +187,25 @@ func serialHistory(n int) []onecopy.TxnRecord {
 	return recs
 }
 
-// BenchmarkWirdGobRoundTrip measures envelope encode+decode, the TCP
-// transport's per-message cost.
-func BenchmarkWireGobRoundTrip(b *testing.B) {
+// BenchmarkWireRoundTrip measures envelope encode+decode through the
+// binary codec, the TCP transport's per-message cost.
+func BenchmarkWireRoundTrip(b *testing.B) {
 	env := wire.Envelope{From: 1, To: 2, Msg: wire.Prepare{
 		Txn:   model.TxnID{Start: 1, P: 1, Seq: 1},
 		Epoch: model.VPID{N: 3, P: 1}, HasEpoch: true,
 		Writes: []wire.ObjWrite{{Obj: "x", Val: 42,
 			Ver: model.Version{Date: model.VPID{N: 3, P: 1}, Ctr: 9}}},
 	}}
+	var enc wire.FrameEncoder
+	dec := wire.NewDecoder()
+	var out wire.Envelope
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		raw, err := wire.Encode(env)
+		frame, err := enc.Encode(&env)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := wire.Decode(raw); err != nil {
+		if err := dec.DecodeInto(frame, &out); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,9 @@
 // Command vpcampaign runs a declarative benchmark campaign: it expands a
 // JSON scenario-matrix spec into cells — {backend} × {cluster size,
-// objects, zipf skew, read fraction, group commit, codec, nemesis
-// profile} — and executes every cell through the campaign Platform
-// adapter with a phased lifecycle (warm-up → load-ramp → steady state →
-// fault window → heal). Every cell is gated in-engine on the paper's
+// objects, zipf skew, read fraction, group commit, nemesis profile} —
+// and executes every cell through the campaign Platform adapter with a
+// phased lifecycle (warm-up → load-ramp → steady state → fault window →
+// heal). Every cell is gated in-engine on the paper's
 // invariants: 1SR over the committed history, the S1–S3/R2/R3 trace
 // replay, and post-heal liveness. Any failing cell makes vpcampaign exit
 // non-zero — it is a test platform first, a bench runner second.

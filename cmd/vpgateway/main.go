@@ -34,7 +34,6 @@ import (
 	"github.com/virtualpartitions/vp/internal/gateway"
 	"github.com/virtualpartitions/vp/internal/model"
 	"github.com/virtualpartitions/vp/internal/trace"
-	"github.com/virtualpartitions/vp/internal/wire"
 )
 
 // options is the parsed command line, separated from main so flag
@@ -59,7 +58,6 @@ func parseArgs(args []string) (*options, error) {
 		perTry      = fs.Duration("per-try", 500*time.Millisecond, "per-node attempt timeout")
 		deadline    = fs.Duration("deadline", 5*time.Second, "end-to-end budget per client request")
 		marks       = fs.Int("session-marks", gateway.DefaultSessionMarks, "per-session object version marks retained")
-		codec       = fs.String("codec", "binary", "outbound wire codec for node connections: binary or gob")
 		traceSamp   = fs.Int("trace-sample", 0, "causally trace 1-in-N client requests end to end (0 disables)")
 		traceOut    = fs.String("trace", "", "write the gateway's trace (incl. spans) as JSONL here on shutdown")
 		shards      = fs.Int("shards", 1, "route by shard: must match the cluster's -shards")
@@ -67,10 +65,6 @@ func parseArgs(args []string) (*options, error) {
 		shardRep    = fs.Int("shard-replicas", 0, "copies per shard (must match the cluster; 0 = all)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
-	codecID, err := wire.ParseCodec(*codec)
-	if err != nil {
 		return nil, err
 	}
 	addrs, err := parseNodeMap(*cluster, "-cluster")
@@ -93,8 +87,7 @@ func parseArgs(args []string) (*options, error) {
 			Cluster: addrs, Health: healthAddrs,
 			Batching: *batching, BatchWindow: *batchWindow, BatchMax: *batchMax,
 			MaxInflight: *maxInflight, MaxQueue: *maxQueue,
-			PerTry: *perTry, Deadline: *deadline, SessionMarks: *marks,
-			Codec: codecID, TraceSample: *traceSamp,
+			PerTry: *perTry, Deadline: *deadline, SessionMarks: *marks, TraceSample: *traceSamp,
 			Shards: *shards, ShardSeed: *shardSeed, ShardReplicas: *shardRep,
 		},
 	}

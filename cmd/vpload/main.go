@@ -17,8 +17,6 @@
 //	vpload -local 3 -compare -out BENCH_gateway.json
 //	                                             # run the same load with batching off and
 //	                                             # on; write the ablation comparison
-//	vpload -local 3 -codec-compare               # run the same load with the gob codec and
-//	                                             # the binary codec (batching on in both)
 //	vpload -local 5 -shards 4 -shard-replicas 3 -shard-compare -out BENCH_shard.json
 //	                                             # run the same load unsharded and with 4
 //	                                             # per-shard virtual partitions; write the
@@ -51,7 +49,6 @@ import (
 	"github.com/virtualpartitions/vp/internal/onecopy"
 	"github.com/virtualpartitions/vp/internal/shard"
 	"github.com/virtualpartitions/vp/internal/trace"
-	"github.com/virtualpartitions/vp/internal/wire"
 	"github.com/virtualpartitions/vp/internal/workload"
 )
 
@@ -72,8 +69,6 @@ type options struct {
 	batchWindow  time.Duration
 	smoke        bool
 	compare      bool
-	codec        wire.CodecID
-	codecCompare bool
 	out          string
 	delta        time.Duration
 	traceOut     string
@@ -103,8 +98,6 @@ func parseArgs(args []string) (*options, error) {
 		batchWindow  = fs.Duration("batch-window", 2*time.Millisecond, "-local only: batching window")
 		smoke        = fs.Bool("smoke", false, "assert non-zero committed throughput and zero violations; exit 1 otherwise")
 		compare      = fs.Bool("compare", false, "-local only: run batching off then on and report both")
-		codec        = fs.String("codec", "binary", "-local only: wire codec for node and gateway connections (binary or gob)")
-		codecCompare = fs.Bool("codec-compare", false, "-local only: run the gob codec then the binary codec closed-loop (saturation; -rate is ignored for these runs) and report both")
 		out          = fs.String("out", "", "write the JSON report here instead of stdout")
 		delta        = fs.Duration("delta", 20*time.Millisecond, "-local only: cluster message delay bound δ")
 		traceOut     = fs.String("trace", "", "-local only: record causal traces on the gateway and every node; write the merged JSONL capture here on exit (feed to `vptrace spans`)")
@@ -121,18 +114,14 @@ func parseArgs(args []string) (*options, error) {
 	if (*addr == "") == (*local == 0) {
 		return nil, fmt.Errorf("exactly one of -addr or -local is required")
 	}
-	if (*compare || *codecCompare) && *local == 0 {
-		return nil, fmt.Errorf("-compare/-codec-compare need -local (they reboot the cluster between runs)")
+	if *compare && *local == 0 {
+		return nil, fmt.Errorf("-compare needs -local (it reboots the cluster between runs)")
 	}
 	if (*traceOut != "" || *traceSample != 0) && *local == 0 {
 		return nil, fmt.Errorf("-trace/-trace-sample need -local (an external gateway's recorder is not reachable)")
 	}
 	if *traceOut != "" && *traceSample == 0 {
 		*traceSample = 1
-	}
-	codecID, err := wire.ParseCodec(*codec)
-	if err != nil {
-		return nil, err
 	}
 	if *local != 0 && *local < 3 {
 		return nil, fmt.Errorf("-local must be >= 3 (a majority must survive nothing here, but the protocol wants peers)")
@@ -158,8 +147,8 @@ func parseArgs(args []string) (*options, error) {
 	if *shardCompare && *shards < 2 {
 		return nil, fmt.Errorf("-shard-compare needs -shards >= 2 for the sharded side")
 	}
-	if *shardCompare && (*compare || *codecCompare) {
-		return nil, fmt.Errorf("-shard-compare does not combine with -compare/-codec-compare")
+	if *shardCompare && *compare {
+		return nil, fmt.Errorf("-shard-compare does not combine with -compare")
 	}
 	if *addr != "" && !strings.Contains(*addr, "://") {
 		// Accept bare host:port; without a scheme http.Client fails every
@@ -172,7 +161,6 @@ func parseArgs(args []string) (*options, error) {
 		readFraction: *readFraction, objects: *objects, zipf: *zipf, seed: *seed,
 		batch: *batch, batchWindow: *batchWindow,
 		smoke: *smoke, compare: *compare,
-		codec: codecID, codecCompare: *codecCompare,
 		out: *out, delta: *delta,
 		traceOut: *traceOut, traceSample: *traceSample,
 		shards: *shards, shardSeed: *shardSeed, shardReplicas: *shardRep,
@@ -191,7 +179,6 @@ type report struct {
 		Zipf         float64 `json:"zipf"`
 		Seed         int64   `json:"seed"`
 		Batching     bool    `json:"batching"`
-		Codec        string  `json:"codec,omitempty"`
 		Shards       int     `json:"shards,omitempty"`
 		Spread       int     `json:"spread,omitempty"`
 	} `json:"config"`
@@ -395,10 +382,8 @@ func (s *runStats) add(f func(*runStats)) {
 	s.mu.Unlock()
 }
 
-// runLoad drives the closed loop against a gateway base URL. codec is
-// reporting-only (the cluster was booted with it); empty for external
-// targets whose codec vpload cannot know.
-func runLoad(opt *options, url string, batching bool, codec string) (*report, error) {
+// runLoad drives the closed loop against a gateway base URL.
+func runLoad(opt *options, url string, batching bool) (*report, error) {
 	objs := workload.Objects(opt.objects)
 	mix := workload.Mix{ReadFraction: opt.readFraction}
 	reg := metrics.NewRegistry()
@@ -501,7 +486,6 @@ func runLoad(opt *options, url string, batching bool, codec string) (*report, er
 	rep.Config.Zipf = opt.zipf
 	rep.Config.Seed = opt.seed
 	rep.Config.Batching = batching
-	rep.Config.Codec = codec
 	if opt.shards > 1 {
 		rep.Config.Shards = opt.shards
 		rep.Config.Spread = opt.spread
@@ -572,11 +556,11 @@ type localCluster struct {
 	recs []*trace.Recorder
 }
 
-// bootLocal starts n vpnode cores over real sockets and one gateway,
-// all writing with the given codec. With opt.traceSample > 0 every
-// process records causal spans, and the nodes run with an in-memory
-// journal so traces show the durable subsystem too.
-func bootLocal(opt *options, batching bool, codec wire.CodecID) (*localCluster, error) {
+// bootLocal starts n vpnode cores over real sockets and one gateway.
+// With opt.traceSample > 0 every process records causal spans, and the
+// nodes run with an in-memory journal so traces show the durable
+// subsystem too.
+func bootLocal(opt *options, batching bool) (*localCluster, error) {
 	n := opt.local
 	addrs := map[model.ProcID]string{}
 	for i := 0; i < n; i++ {
@@ -632,7 +616,7 @@ func bootLocal(opt *options, batching bool, codec wire.CodecID) (*localCluster, 
 		default:
 			nd = core.New(id, cfg, cat, hist)
 		}
-		tcp := vnet.NewTCPNodeConfig(id, addrs, nd, vnet.TCPConfig{Codec: codec})
+		tcp := vnet.NewTCPNode(id, addrs, nd)
 		if rec := newRec(); rec != nil {
 			tcp.SetTracer(rec)
 		}
@@ -646,7 +630,7 @@ func bootLocal(opt *options, batching bool, codec wire.CodecID) (*localCluster, 
 	}
 	gwCfg := gateway.Config{
 		Cluster: addrs, Batching: batching, BatchWindow: opt.batchWindow,
-		PerTry: time.Second, Deadline: 20 * time.Second, Codec: codec,
+		PerTry: time.Second, Deadline: 20 * time.Second,
 		Tracer: gwRec, TraceSample: opt.traceSample,
 	}
 	if smap != nil {
@@ -682,17 +666,6 @@ func (c *localCluster) mergedEvents() []trace.Event {
 		events = append(events, r.Events()...)
 	}
 	return events
-}
-
-// codecCompareReport is the -codec-compare output: the same load under
-// the gob codec and the binary codec.
-type codecCompareReport struct {
-	Bench          string  `json:"bench"`
-	Gob            *report `json:"codec_gob"`
-	Binary         *report `json:"codec_binary"`
-	P50RatioBinary float64 `json:"p50_binary_over_gob"`
-	TPSRatioBinary float64 `json:"tps_binary_over_gob"`
-	Description    string  `json:"description"`
 }
 
 // shardCompareReport is the BENCH_shard.json shape: the same load
@@ -741,7 +714,7 @@ func run(opt *options, w io.Writer) error {
 	}
 
 	if opt.local == 0 {
-		rep, err := runLoad(opt, opt.addr, opt.batch, "")
+		rep, err := runLoad(opt, opt.addr, opt.batch)
 		if err != nil {
 			return err
 		}
@@ -751,13 +724,13 @@ func run(opt *options, w io.Writer) error {
 		return smokeCheck(rep)
 	}
 
-	runOnce := func(o *options, batching bool, codec wire.CodecID) (*report, error) {
-		lc, err := bootLocal(o, batching, codec)
+	runOnce := func(o *options, batching bool) (*report, error) {
+		lc, err := bootLocal(o, batching)
 		if err != nil {
 			return nil, err
 		}
 		defer lc.stop()
-		rep, err := runLoad(o, lc.url, batching, codec.String())
+		rep, err := runLoad(o, lc.url, batching)
 		if err != nil {
 			return nil, err
 		}
@@ -783,45 +756,12 @@ func run(opt *options, w io.Writer) error {
 		return rep, nil
 	}
 
-	runCodecCompare := func() (*codecCompareReport, []*report, error) {
-		// Saturation, not paced load: at an offered rate both codecs can
-		// sustain, their curves are indistinguishable. Closed loop asks
-		// the only question that separates them — how many requests the
-		// whole stack completes when serialization is on the critical
-		// path.
-		sat := *opt
-		sat.rate = 0
-		gob, err := runOnce(&sat, opt.batch, wire.CodecGob)
-		if err != nil {
-			return nil, nil, err
-		}
-		bin, err := runOnce(&sat, opt.batch, wire.CodecBinary)
-		if err != nil {
-			return nil, nil, err
-		}
-		cmp := &codecCompareReport{
-			Bench: "wire codec ablation",
-			Gob:   gob, Binary: bin,
-			Description: "identical closed-loop (saturation) load against a fresh local cluster, gob " +
-				"codec vs binary codec (batching per -batch in both runs; -rate ignored here); " +
-				"end-to-end client throughput and latency, so the delta bounds what serialization " +
-				"alone contributes to whole-stack cost",
-		}
-		if gob.LatencyMS.P50 > 0 {
-			cmp.P50RatioBinary = bin.LatencyMS.P50 / gob.LatencyMS.P50
-		}
-		if gob.CommittedTPS > 0 {
-			cmp.TPSRatioBinary = bin.CommittedTPS / gob.CommittedTPS
-		}
-		return cmp, []*report{gob, bin}, nil
-	}
-
 	runBatchCompare := func() (*compareReport, []*report, error) {
-		off, err := runOnce(opt, false, opt.codec)
+		off, err := runOnce(opt, false)
 		if err != nil {
 			return nil, nil, err
 		}
-		on, err := runOnce(opt, true, opt.codec)
+		on, err := runOnce(opt, true)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -851,11 +791,11 @@ func run(opt *options, w io.Writer) error {
 	runShardCompare := func() (*shardCompareReport, []*report, error) {
 		base := *opt
 		base.shards, base.spread = 1, 0
-		un, err := runOnce(&base, opt.batch, opt.codec)
+		un, err := runOnce(&base, opt.batch)
 		if err != nil {
 			return nil, nil, err
 		}
-		sh, err := runOnce(opt, opt.batch, opt.codec)
+		sh, err := runOnce(opt, opt.batch)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -887,33 +827,6 @@ func run(opt *options, w io.Writer) error {
 			return err
 		}
 		return smokeCheck(reps...)
-	case opt.compare && opt.codecCompare:
-		// The full BENCH_gateway.json: both ablations over the same load.
-		batch, reps1, err := runBatchCompare()
-		if err != nil {
-			return err
-		}
-		codec, reps2, err := runCodecCompare()
-		if err != nil {
-			return err
-		}
-		combined := &struct {
-			GroupCommit *compareReport      `json:"group_commit"`
-			Codec       *codecCompareReport `json:"codec"`
-		}{GroupCommit: batch, Codec: codec}
-		if err := emit(combined); err != nil {
-			return err
-		}
-		return smokeCheck(append(reps1, reps2...)...)
-	case opt.codecCompare:
-		cmp, reps, err := runCodecCompare()
-		if err != nil {
-			return err
-		}
-		if err := emit(cmp); err != nil {
-			return err
-		}
-		return smokeCheck(reps...)
 	case opt.compare:
 		cmp, reps, err := runBatchCompare()
 		if err != nil {
@@ -925,7 +838,7 @@ func run(opt *options, w io.Writer) error {
 		return smokeCheck(reps...)
 	}
 
-	rep, err := runOnce(opt, opt.batch, opt.codec)
+	rep, err := runOnce(opt, opt.batch)
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,6 @@ import (
 
 	"github.com/virtualpartitions/vp/internal/gateway"
 	"github.com/virtualpartitions/vp/internal/trace"
-	"github.com/virtualpartitions/vp/internal/wire"
 )
 
 func TestParseArgsTraceFlags(t *testing.T) {
@@ -44,7 +43,7 @@ func TestTracedLocalWriteProducesSpanTree(t *testing.T) {
 		local: 3, objects: 2, delta: 20 * time.Millisecond,
 		batchWindow: 2 * time.Millisecond, traceSample: 1,
 	}
-	lc, err := bootLocal(opt, true, wire.CodecBinary)
+	lc, err := bootLocal(opt, true)
 	if err != nil {
 		t.Fatal(err)
 	}

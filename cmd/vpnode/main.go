@@ -42,7 +42,6 @@ import (
 	"github.com/virtualpartitions/vp/internal/node"
 	"github.com/virtualpartitions/vp/internal/shard"
 	"github.com/virtualpartitions/vp/internal/trace"
-	"github.com/virtualpartitions/vp/internal/wire"
 )
 
 // options is the parsed command line, separated from main so flag
@@ -88,16 +87,11 @@ func parseArgs(args []string) (*options, error) {
 		reconMin  = fs.Duration("reconnect-min", 0, "initial peer redial backoff (default 50ms)")
 		reconMax  = fs.Duration("reconnect-max", 0, "maximum peer redial backoff (default 2s)")
 		queueLen  = fs.Int("peer-queue", 0, "bounded per-peer outbound queue length (default 1024)")
-		codec     = fs.String("codec", "binary", "outbound wire codec: binary or gob (reads auto-detect)")
 		shards    = fs.Int("shards", 1, "shard the object namespace this many ways; >1 runs one virtual-partition lifecycle per hosted shard (every node needs identical -shards/-shard-seed/-shard-replicas)")
 		shardSeed = fs.Int64("shard-seed", 1, "shard placement seed (must match across the cluster)")
 		shardRep  = fs.Int("shard-replicas", 0, "copies per shard (0 = every node hosts every shard)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
-	codecID, err := wire.ParseCodec(*codec)
-	if err != nil {
 		return nil, err
 	}
 	addrs, err := parseCluster(*cluster)
@@ -133,7 +127,7 @@ func parseArgs(args []string) (*options, error) {
 		debugAddr: *debugAddr, traceOut: *traceOut, traceSample: sample,
 		shards: *shards, shardSeed: *shardSeed, shardReplicas: *shardRep,
 		tcp: net.TCPConfig{DialTimeout: *dialTO, ReconnectMin: *reconMin,
-			ReconnectMax: *reconMax, QueueLen: *queueLen, Codec: codecID},
+			ReconnectMax: *reconMax, QueueLen: *queueLen},
 	}, nil
 }
 

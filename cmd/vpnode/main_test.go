@@ -122,16 +122,17 @@ func TestMetricsEndpointOverTCPCluster(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 
-	resp, err := http.Get("http://" + debugAddr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// The coordinator answers the client in the same turn that sends the
+	// Decides, so the reply can land before those sends are counted:
+	// scrape until they are, up to the deadline.
+	var body string
+	for {
+		body = scrape(t, "http://"+debugAddr+"/metrics")
+		if strings.Contains(body, `vp_net_msg_sent{kind="decide"}`) || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
 	if !strings.Contains(body, "vp_txn_commit 1") {
 		t.Errorf("/metrics missing the commit:\n%s", body)
 	}
@@ -144,4 +145,19 @@ func TestMetricsEndpointOverTCPCluster(t *testing.T) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
 	}
+}
+
+// scrape returns the body served at url.
+func scrape(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
 }

@@ -121,7 +121,7 @@ type Runner struct {
 // the cluster's Transcode so every delivered remote message is routed
 // through a wire codec round-trip — including inside the Runners that
 // experiments construct internally, which tests cannot reach directly.
-// Set only by the cross-codec equivalence test; nil in normal runs.
+// Set only by the codec equivalence test; nil in normal runs.
 var simTranscode func(wire.Envelope) wire.Envelope
 
 // NewRunner builds a cluster per the spec.

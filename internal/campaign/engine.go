@@ -275,7 +275,6 @@ type CellResult struct {
 	Zipf         float64 `json:"zipf"`
 	ReadFraction float64 `json:"read_fraction"`
 	GroupCommit  bool    `json:"group_commit"`
-	Codec        string  `json:"codec"`
 	Nemesis      string  `json:"nemesis"`
 	Seed         int64   `json:"seed"`
 
@@ -329,7 +328,7 @@ func RunCell(c Cell) CellResult {
 	res := CellResult{
 		ID: c.ID, Backend: c.Backend, N: c.N, Objects: c.Objects,
 		Zipf: c.Zipf, ReadFraction: c.ReadFraction, GroupCommit: c.GroupCommit,
-		Codec: c.Codec, Nemesis: c.Nemesis, Seed: c.Seed,
+		Nemesis: c.Nemesis, Seed: c.Seed,
 	}
 	began := time.Now()
 	defer func() { res.WallMS = time.Since(began).Milliseconds() }()
@@ -341,9 +340,9 @@ func RunCell(c Cell) CellResult {
 	}
 	cfg := ClusterConfig{
 		N: c.N, Objects: c.Objects, Seed: c.Seed, Delta: c.Delta,
-		Codec: c.CodecID(), GroupCommit: c.GroupCommit,
-		Kill9:  c.Nemesis == NemesisKill9,
-		Shards: c.Shards, ShardReplicas: c.ShardReplicas,
+		GroupCommit: c.GroupCommit,
+		Kill9:       c.Nemesis == NemesisKill9,
+		Shards:      c.Shards, ShardReplicas: c.ShardReplicas,
 	}
 	if err := p.Start(cfg); err != nil {
 		res.Failures = append(res.Failures, fmt.Sprintf("start: %v", err))

@@ -26,8 +26,7 @@ import (
 // the cluster's Interceptor; crash/restart — which the injector
 // deliberately does not model — are approximated by cutting the victim's
 // links in the Topology, since a RealCluster node cannot be stopped
-// individually. The codec axis is a no-op here: no frames are encoded on
-// the in-memory path.
+// individually.
 type inprocPlatform struct {
 	topo    *vnet.Topology
 	c       *vnet.RealCluster

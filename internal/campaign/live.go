@@ -28,8 +28,8 @@ import (
 // livePlatform runs a cell on the full stack: N TCP nodes with durable
 // journals, a nemesis interceptor on every link, and the HTTP gateway in
 // front — the same assembly as `vpchaos` plus `vpgateway`. Workload
-// transactions go through the gateway (so the group-commit and codec
-// axes exercise the production path); liveness probes go straight to a
+// transactions go through the gateway (so the group-commit axis
+// exercises the production path); liveness probes go straight to a
 // node over the retrying TCP client, so the liveness gate judges the
 // cluster, not the gateway. Crash steps stop the node process and close
 // its journal; restart re-opens the journal through the recovery path.
@@ -114,7 +114,6 @@ func (p *livePlatform) Start(cfg ClusterConfig) error {
 		Batching: cfg.GroupCommit,
 		PerTry:   700 * time.Millisecond,
 		Deadline: 3 * time.Second,
-		Codec:    cfg.Codec,
 	})
 	srv, addr, err := p.gw.Serve("127.0.0.1:0")
 	if err != nil {
@@ -158,7 +157,6 @@ func (p *livePlatform) boot(id model.ProcID) error {
 		DialTimeout:  500 * time.Millisecond,
 		ReconnectMin: 20 * time.Millisecond,
 		ReconnectMax: 250 * time.Millisecond,
-		Codec:        p.cfg.Codec,
 	})
 	tn.SetTracer(p.rec)
 	tn.SetInterceptor(p.inj)

@@ -47,10 +47,6 @@ type ClusterConfig struct {
 	// Delta is the assumed message-delay bound δ; the probe period is
 	// the protocol default π = 20δ.
 	Delta time.Duration
-	// Codec selects the wire encoding. The sim backend routes every
-	// delivered message through an encode/decode round-trip of this
-	// codec; the live backend configures its TCP links and gateway pool.
-	Codec wire.CodecID
 	// GroupCommit enables the gateway's conveyor batching (live only).
 	GroupCommit bool
 	// Kill9 makes crash steps kill -9: the victim's fsync fails shortly

@@ -15,9 +15,8 @@ import (
 // Snapshots, which the determinism gate and the -parallel digest
 // comparison rely on.
 //
-// The codec axis is made meaningful on a backend with no sockets by
-// routing every delivered remote message through an encode/decode
-// round-trip of the cell's codec (the SimCluster.Transcode hook), so a
+// Every delivered remote message goes through an encode/decode
+// round-trip of the wire codec (the SimCluster.Transcode hook), so a
 // codec bug that corrupts a field breaks invariants here too, not only
 // on the live stack.
 type simPlatform struct {
@@ -43,7 +42,7 @@ func (p *simPlatform) Start(cfg ClusterConfig) error {
 		Delta:    cfg.Delta,
 	})
 	p.rec = p.r.EnableTrace(1 << 18)
-	enc := wire.NewFrameEncoder(cfg.Codec)
+	var enc wire.FrameEncoder
 	dec := wire.NewDecoder()
 	p.r.Cluster.Transcode = func(env wire.Envelope) wire.Envelope {
 		frame, err := enc.EncodeFrame(&env)

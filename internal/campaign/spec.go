@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"time"
-
-	"github.com/virtualpartitions/vp/internal/wire"
 )
 
 // Backend names for Axes.Backend.
@@ -94,7 +92,6 @@ type Axes struct {
 	Zipf         []float64 `json:"zipf,omitempty"`          // popularity skew, default [0]
 	ReadFraction []float64 `json:"read_fraction,omitempty"` // default [0.5]
 	GroupCommit  []bool    `json:"group_commit,omitempty"`  // gateway batching, default [false]
-	Codec        []string  `json:"codec,omitempty"`         // binary | gob, default [binary]
 	Nemesis      []string  `json:"nemesis,omitempty"`       // default [mixed]
 	Shards       []int     `json:"shards,omitempty"`        // shard count, default [1] (unsharded)
 }
@@ -147,9 +144,6 @@ func (a Axes) withDefaults() Axes {
 	if len(a.GroupCommit) == 0 {
 		a.GroupCommit = []bool{false}
 	}
-	if len(a.Codec) == 0 {
-		a.Codec = []string{"binary"}
-	}
 	if len(a.Nemesis) == 0 {
 		a.Nemesis = []string{NemesisMixed}
 	}
@@ -183,7 +177,6 @@ type Cell struct {
 	Zipf         float64       `json:"zipf"`
 	ReadFraction float64       `json:"read_fraction"`
 	GroupCommit  bool          `json:"group_commit"`
-	Codec        string        `json:"codec"`
 	Nemesis      string        `json:"nemesis"`
 	Shards       int           `json:"shards,omitempty"`
 	Seed         int64         `json:"seed"`
@@ -194,12 +187,6 @@ type Cell struct {
 	// ShardReplicas is the per-shard copy-set size (spec-level knob, not
 	// an axis).
 	ShardReplicas int `json:"-"`
-}
-
-// CodecID parses the cell's codec name (validated at expansion).
-func (c Cell) CodecID() wire.CodecID {
-	id, _ := wire.ParseCodec(c.Codec)
-	return id
 }
 
 // Validate rejects specs that cannot run before any cluster boots.
@@ -230,11 +217,6 @@ func (s Spec) Validate() error {
 	for _, rf := range a.ReadFraction {
 		if rf < 0 || rf > 1 {
 			return fmt.Errorf("campaign: read_fraction=%v out of [0,1]", rf)
-		}
-	}
-	for _, c := range a.Codec {
-		if _, err := wire.ParseCodec(c); err != nil {
-			return fmt.Errorf("campaign: %w", err)
 		}
 	}
 	for _, nm := range a.Nemesis {
@@ -322,43 +304,40 @@ func (s Spec) Expand() ([]Cell, error) {
 							if gc && backend != BackendLive {
 								continue
 							}
-							for _, codec := range a.Codec {
-								for _, nem := range a.Nemesis {
-									if nem == NemesisKill9 && backend != BackendLive {
+							for _, nem := range a.Nemesis {
+								if nem == NemesisKill9 && backend != BackendLive {
+									continue
+								}
+								for _, shards := range a.Shards {
+									// Sharded clusters run shard.Routers, which
+									// only the inproc backend assembles; and the
+									// shard-partition fault is meaningless
+									// unsharded.
+									if shards > 1 && backend != BackendInproc {
 										continue
 									}
-									for _, shards := range a.Shards {
-										// Sharded clusters run shard.Routers, which
-										// only the inproc backend assembles; and the
-										// shard-partition fault is meaningless
-										// unsharded.
-										if shards > 1 && backend != BackendInproc {
-											continue
-										}
-										if nem == NemesisShard && shards <= 1 {
-											continue
-										}
-										c := Cell{
-											Index:         len(cells),
-											Backend:       backend,
-											N:             n,
-											Objects:       objects,
-											Zipf:          zipf,
-											ReadFraction:  rf,
-											GroupCommit:   gc,
-											Codec:         codec,
-											Nemesis:       nem,
-											Shards:        shards,
-											ShardReplicas: s.ShardReplicas,
-											Delta:         delta,
-											Rate:          rate,
-											Phases:        ph,
-											Inject:        s.Inject,
-										}
-										c.ID = cellID(c)
-										c.Seed = cellSeed(seed, c.ID)
-										cells = append(cells, c)
+									if nem == NemesisShard && shards <= 1 {
+										continue
 									}
+									c := Cell{
+										Index:         len(cells),
+										Backend:       backend,
+										N:             n,
+										Objects:       objects,
+										Zipf:          zipf,
+										ReadFraction:  rf,
+										GroupCommit:   gc,
+										Nemesis:       nem,
+										Shards:        shards,
+										ShardReplicas: s.ShardReplicas,
+										Delta:         delta,
+										Rate:          rate,
+										Phases:        ph,
+										Inject:        s.Inject,
+									}
+									c.ID = cellID(c)
+									c.Seed = cellSeed(seed, c.ID)
+									cells = append(cells, c)
 								}
 							}
 						}
@@ -375,8 +354,8 @@ func cellID(c Cell) string {
 	if c.GroupCommit {
 		gc = "gc1"
 	}
-	id := fmt.Sprintf("%s/n%d/o%d/z%.2f/rf%.2f/%s/%s/%s",
-		c.Backend, c.N, c.Objects, c.Zipf, c.ReadFraction, gc, c.Codec, c.Nemesis)
+	id := fmt.Sprintf("%s/n%d/o%d/z%.2f/rf%.2f/%s/%s",
+		c.Backend, c.N, c.Objects, c.Zipf, c.ReadFraction, gc, c.Nemesis)
 	// The shard segment appears only on sharded cells so every
 	// pre-sharding cell id (and therefore its derived seed) is unchanged.
 	if c.Shards > 1 {

@@ -17,7 +17,7 @@ func TestExpandDefaults(t *testing.T) {
 		t.Fatalf("empty axes expanded to %d cells, want 1", len(cells))
 	}
 	c := cells[0]
-	if c.Backend != BackendSim || c.N != 5 || c.Objects != 4 || c.Codec != "binary" || c.Nemesis != NemesisMixed {
+	if c.Backend != BackendSim || c.N != 5 || c.Objects != 4 || c.Nemesis != NemesisMixed {
 		t.Fatalf("unexpected default cell: %+v", c)
 	}
 	if c.Delta != 2*time.Millisecond {
@@ -61,7 +61,6 @@ func TestValidateRejects(t *testing.T) {
 		{Axes: Axes{N: []int{2}}},
 		{Axes: Axes{Objects: []int{0}}},
 		{Axes: Axes{ReadFraction: []float64{1.5}}},
-		{Axes: Axes{Codec: []string{"protobuf"}}},
 		{Axes: Axes{Nemesis: []string{"meteor"}}},
 		{Axes: Axes{GroupCommit: []bool{true}}}, // gc without live backend
 		{Inject: "coffee"},

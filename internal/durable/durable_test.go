@@ -368,30 +368,3 @@ func TestHardCrashDropsPendingBatch(t *testing.T) {
 		t.Fatalf("x = %+v (want only the synced write)", st.Copies["x"])
 	}
 }
-
-func TestLegacyJournalMigration(t *testing.T) {
-	dir := t.TempDir()
-	// Write a legacy single-file gob journal by hand.
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	legacy := filepath.Join(dir, legacyName)
-	writeLegacyGob(t, legacy, []*record{
-		{SetMaxID: &model.VPID{N: 4, P: 2}},
-		{ApplyObj: "x", ApplyVal: 77, ApplyVer: &model.Version{Date: v(4, 2), Ctr: 1}},
-	})
-	st, j, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if st.MaxID != v(4, 2) || st.Copies["x"].Val != 77 {
-		t.Fatalf("migrated state = %+v", st)
-	}
-	if !j.Recovery().Migrated {
-		t.Fatal("migration not reported")
-	}
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatal("legacy wal.gob not removed after migration")
-	}
-}

@@ -1,10 +1,8 @@
 package durable
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -43,7 +41,6 @@ const (
 	defaultRetainSnapshots = 2
 	defaultSnapshotEvery   = 4
 	snapTmpName            = "snap.tmp"
-	legacyName             = "wal.gob"
 )
 
 // Options tune a FileJournal. The zero value gives the production
@@ -106,7 +103,6 @@ type RecoveryStats struct {
 	TornBytes int64         // bytes truncated off a torn tail
 	Torn      bool          // a torn tail was found and repaired
 	Snapshot  bool          // replay started from a snapshot
-	Migrated  bool          // a legacy single-file wal.gob was converted
 	Resolved  int           // staged txns finished on decide evidence (see Open)
 }
 
@@ -206,14 +202,11 @@ func OpenOptions(dir string, o Options) (*State, *FileJournal, error) {
 		return nil, nil, fmt.Errorf("durable: %w", err)
 	}
 	var segs, snaps []uint64
-	legacy := false
 	for _, name := range names {
 		if idx, ok := parseIndexed(name, "wal-", ".seg"); ok {
 			segs = append(segs, idx)
 		} else if idx, ok := parseIndexed(name, "snap-", ".snap"); ok {
 			snaps = append(snaps, idx)
-		} else if name == legacyName {
-			legacy = true
 		}
 	}
 
@@ -221,13 +214,7 @@ func OpenOptions(dir string, o Options) (*State, *FileJournal, error) {
 	st := NewState()
 
 	if len(segs) == 0 && len(snaps) == 0 {
-		// Fresh directory, or a legacy single-file journal to migrate.
-		if legacy {
-			if err := replayLegacy(fs, filepath.Join(dir, legacyName), st); err != nil {
-				return nil, nil, err
-			}
-			j.stats.Migrated = true
-		}
+		// Fresh directory.
 		j.segIndex = 1
 		if err := j.writeSnapshot(st, 1); err != nil {
 			return nil, nil, err
@@ -238,11 +225,6 @@ func OpenOptions(dir string, o Options) (*State, *FileJournal, error) {
 			return nil, nil, fmt.Errorf("durable: %w", err)
 		}
 		j.seg = f
-		if legacy {
-			if err := fs.Remove(filepath.Join(dir, legacyName)); err != nil {
-				return nil, nil, fmt.Errorf("durable: %w", err)
-			}
-		}
 	} else {
 		if len(snaps) == 0 {
 			return nil, nil, fmt.Errorf("durable: segments without a snapshot in %s (journal damaged)", dir)
@@ -422,41 +404,6 @@ func sortedObjs(ws map[model.ObjectID]StagedWrite) []model.ObjectID {
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
 	return objs
-}
-
-// replayLegacy reads the pre-segmented single-file gob journal. A
-// trailing partial record (EOF mid-decode) is tolerated as before; any
-// other decode error is fatal.
-func replayLegacy(fs VFS, path string, st *State) error {
-	data, err := fs.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	dec := gob.NewDecoder(bytesReader(data))
-	for {
-		var r record
-		if err := dec.Decode(&r); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				return fmt.Errorf("durable: corrupt journal %s: %w", path, err)
-			}
-			return nil
-		}
-		st.apply(&r)
-	}
-}
-
-// bytesReader avoids importing bytes just for one reader.
-func bytesReader(b []byte) io.Reader { return &byteSource{b: b} }
-
-type byteSource struct{ b []byte }
-
-func (s *byteSource) Read(p []byte) (int, error) {
-	if len(s.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, s.b)
-	s.b = s.b[n:]
-	return n, nil
 }
 
 // readSnapshot loads and verifies one snapshot file. Snapshots are

@@ -2,7 +2,6 @@ package durable
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,23 +9,6 @@ import (
 
 	"github.com/virtualpartitions/vp/internal/model"
 )
-
-func writeLegacyGob(t *testing.T, path string, recs []*record) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := gob.NewEncoder(f)
-	for _, r := range recs {
-		if err := enc.Encode(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func stateEqual(a, b *State) bool {
 	return a.MaxID == b.MaxID &&

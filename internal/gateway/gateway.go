@@ -62,10 +62,6 @@ type Config struct {
 	ShardSeed     int64
 	ShardReplicas int
 
-	// Codec selects the wire encoding the pool's node connections use
-	// (default wire.CodecBinary; nodes auto-detect per frame either way).
-	Codec wire.CodecID
-
 	// TraceSample enables causal tracing of client requests: 1-in-N
 	// requests get a root trace context that propagates through every
 	// wire frame the request causes. 0 (the default) disables gateway
@@ -196,7 +192,7 @@ func (g *Gateway) mintRoot() model.TraceCtx {
 func New(cfg Config) *Gateway {
 	cfg.fill()
 	g := newWithBackend(cfg, nil)
-	g.pool = newPool(cfg.Cluster, cfg.Health, cfg.PerTry, cfg.Codec, cfg.Metrics)
+	g.pool = newPool(cfg.Cluster, cfg.Health, cfg.PerTry, cfg.Metrics)
 	g.backend = g.pool
 	g.batch = newBatcher(cfg.BatchWindow, cfg.BatchMax, g.laneDepth, g.pool, g.tags, g.spans,
 		cfg.Deadline, g.reg, g.tr, g.clock)

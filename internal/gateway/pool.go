@@ -60,7 +60,7 @@ const breakerHold = 500 * time.Millisecond
 // newPool builds the pool. health maps node ids to debughttp base
 // addresses ("host:port"); when non-empty, a background poller marks
 // nodes whose /healthz is failing so routing skips them proactively.
-func newPool(cluster map[model.ProcID]string, health map[model.ProcID]string, perTry time.Duration, codec wire.CodecID, reg *metrics.Registry) *pool {
+func newPool(cluster map[model.ProcID]string, health map[model.ProcID]string, perTry time.Duration, reg *metrics.Registry) *pool {
 	if perTry <= 0 {
 		perTry = 500 * time.Millisecond
 	}
@@ -73,9 +73,7 @@ func newPool(cluster map[model.ProcID]string, health map[model.ProcID]string, pe
 		stopCh:    make(chan struct{}),
 	}
 	for id, addr := range cluster {
-		c := vnet.NewClient(addr, perTry)
-		c.SetCodec(codec)
-		p.clients[id] = c
+		p.clients[id] = vnet.NewClient(addr, perTry)
 		p.ids = append(p.ids, id)
 	}
 	sort.Slice(p.ids, func(i, j int) bool { return p.ids[i] < p.ids[j] })

@@ -7,15 +7,6 @@
 // itself cites). Wait-die keeps the system deadlock-free without any
 // distributed cycle detection: a requester older than every conflicting
 // holder waits, a younger requester dies (aborts).
-//
-// The table is sharded into a fixed power-of-two number of stripes
-// (FNV-1a on the object id), each behind its own mutex, so concurrent
-// callers touching different objects proceed in parallel instead of
-// convoying on one global lock. Every exported method is safe for
-// concurrent use. Operations on a single object are atomic; compound
-// operations spanning objects (ReleaseAll, Txns) are not atomic
-// snapshots — callers must serialize operations of the same transaction,
-// which the node's transaction state machine already guarantees.
 package locks
 
 import (
@@ -67,84 +58,41 @@ type lockState struct {
 	queue   []waiter
 }
 
-// objStripe is one shard of the object table.
-type objStripe struct {
+// Manager is one processor's lock table: one map behind one mutex. The
+// node calls in under its handler mutex, but the real-time engine and
+// debug readers may call from outside it, so every exported method
+// locks. Each method is atomic.
+type Manager struct {
 	mu    sync.Mutex
 	table map[model.ObjectID]*lockState
-	_     [24]byte // pad toward a cache line; stripes are written hot
+	// txns indexes, per transaction, the objects it holds or waits for:
+	// what ReleaseAll frees and Txns lists.
+	txns map[model.TxnID]model.ObjSet
 }
 
-// txnStripe is one shard of the held reverse index.
-type txnStripe struct {
-	mu   sync.Mutex
-	held map[model.TxnID]model.ObjSet
-	_    [24]byte
-}
-
-// Manager is one processor's lock table, striped for concurrent access.
-type Manager struct {
-	mask uint32
-	objs []objStripe
-	txns []txnStripe
-}
-
-// NewManager returns an empty lock table with one stripe pair per core
-// group (power of two, scaled from GOMAXPROCS).
+// NewManager returns an empty lock table.
 func NewManager() *Manager {
-	return newManager(model.StripeCount())
-}
-
-// newManager builds a table with an explicit stripe count; stripes=1
-// degenerates to a single global mutex, which the contended benchmarks
-// use as the baseline.
-func newManager(stripes int) *Manager {
-	m := &Manager{
-		mask: uint32(stripes - 1),
-		objs: make([]objStripe, stripes),
-		txns: make([]txnStripe, stripes),
+	return &Manager{
+		table: make(map[model.ObjectID]*lockState),
+		txns:  make(map[model.TxnID]model.ObjSet),
 	}
-	for i := range m.objs {
-		m.objs[i].table = make(map[model.ObjectID]*lockState)
-	}
-	for i := range m.txns {
-		m.txns[i].held = make(map[model.TxnID]model.ObjSet)
-	}
-	return m
 }
 
-func (m *Manager) objStripe(obj model.ObjectID) *objStripe {
-	return &m.objs[model.FNVObj(obj)&m.mask]
-}
-
-func (m *Manager) txnStripe(txn model.TxnID) *txnStripe {
-	return &m.txns[model.HashTxn(txn)&m.mask]
-}
-
-// note records obj in txn's held set. Callers hold the object's stripe:
-// the lock order is always objStripe → txnStripe, never the reverse, and
-// no two stripes of the same kind are ever held together — which rules
-// out lock-order deadlocks while keeping holders and the held index
-// atomically consistent per object.
+// note records that txn holds or waits for obj.
 func (m *Manager) note(txn model.TxnID, obj model.ObjectID) {
-	ts := m.txnStripe(txn)
-	ts.mu.Lock()
-	if ts.held[txn] == nil {
-		ts.held[txn] = model.NewObjSet()
+	if m.txns[txn] == nil {
+		m.txns[txn] = model.NewObjSet()
 	}
-	ts.held[txn].Add(obj)
-	ts.mu.Unlock()
+	m.txns[txn].Add(obj)
 }
 
 func (m *Manager) unnote(txn model.TxnID, obj model.ObjectID) {
-	ts := m.txnStripe(txn)
-	ts.mu.Lock()
-	if s := ts.held[txn]; s != nil {
+	if s := m.txns[txn]; s != nil {
 		s.Remove(obj)
 		if s.Len() == 0 {
-			delete(ts.held, txn)
+			delete(m.txns, txn)
 		}
 	}
-	ts.mu.Unlock()
 }
 
 // Acquire requests a lock on obj for txn in the given mode.
@@ -166,16 +114,15 @@ func (m *Manager) AcquirePatient(obj model.ObjectID, txn model.TxnID, mode model
 }
 
 func (m *Manager) acquire(obj model.ObjectID, txn model.TxnID, mode model.LockMode, patient bool) Outcome {
-	s := m.objStripe(obj)
-	s.mu.Lock()
-	st, ok := s.table[obj]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st, ok := m.table[obj]
 	if !ok {
 		st = &lockState{holders: make(map[model.TxnID]model.LockMode)}
-		s.table[obj] = st
+		m.table[obj] = st
 	}
 	if cur, ok := st.holders[txn]; ok {
 		if cur == model.LockExclusive || mode == model.LockShared {
-			s.mu.Unlock()
 			return Granted // already strong enough
 		}
 		// Upgrade S → X: conflicts with every *other* holder.
@@ -190,7 +137,6 @@ func (m *Manager) acquire(obj model.ObjectID, txn model.TxnID, mode model.LockMo
 			// Wait-die: if the requester is younger than any conflicting
 			// holder, it dies immediately.
 			if holder.Less(txn) && !patient {
-				s.mu.Unlock()
 				return Died
 			}
 		}
@@ -202,7 +148,6 @@ func (m *Manager) acquire(obj model.ObjectID, txn model.TxnID, mode model.LockMo
 		if w.txn != txn && w.mode.Conflicts(mode) {
 			conflict = true
 			if w.txn.Less(txn) && !patient {
-				s.mu.Unlock()
 				return Died
 			}
 		}
@@ -210,35 +155,29 @@ func (m *Manager) acquire(obj model.ObjectID, txn model.TxnID, mode model.LockMo
 	if !conflict {
 		st.holders[txn] = mode
 		m.note(txn, obj)
-		s.mu.Unlock()
 		return Granted
 	}
 	// Older than every conflicting holder/waiter: wait.
 	for _, w := range st.queue {
 		if w.txn == txn && w.mode == mode {
-			s.mu.Unlock()
 			return Queued // duplicate request (retransmission)
 		}
 	}
 	st.queue = append(st.queue, waiter{txn: txn, mode: mode})
-	s.mu.Unlock()
+	m.note(txn, obj)
 	return Queued
 }
 
 // release frees txn's lock on obj and returns any newly grantable
-// waiters. The held index (txn's removal, pumped grantees' additions) is
-// updated under the object's stripe so it never disagrees with holders.
+// waiters. Grantees were waiting on obj, so they are indexed already.
+// Caller holds mu.
 func (m *Manager) release(obj model.ObjectID, txn model.TxnID) []Grant {
-	s := m.objStripe(obj)
-	s.mu.Lock()
-	st, ok := s.table[obj]
+	m.unnote(txn, obj)
+	st, ok := m.table[obj]
 	if !ok {
-		s.mu.Unlock()
-		m.unnote(txn, obj)
 		return nil
 	}
 	delete(st.holders, txn)
-	m.unnote(txn, obj)
 	// Remove txn from the queue too (it may be waiting elsewhere when a
 	// global abort releases everything).
 	q := st.queue[:0]
@@ -249,19 +188,14 @@ func (m *Manager) release(obj model.ObjectID, txn model.TxnID) []Grant {
 	}
 	st.queue = q
 	grants := pump(obj, st)
-	for _, g := range grants {
-		m.note(g.Txn, g.Obj)
-	}
 	if len(st.holders) == 0 && len(st.queue) == 0 {
-		delete(s.table, obj)
+		delete(m.table, obj)
 	}
-	s.mu.Unlock()
 	return grants
 }
 
 // pump grants queued requests that have become compatible, in FIFO
-// order, stopping at the first one that still conflicts. Caller holds
-// the object's stripe.
+// order, stopping at the first one that still conflicts.
 func pump(obj model.ObjectID, st *lockState) []Grant {
 	var grants []Grant
 	for len(st.queue) > 0 {
@@ -288,41 +222,18 @@ func pump(obj model.ObjectID, st *lockState) []Grant {
 // Release frees one lock (or queued request) and returns unblocked
 // grants.
 func (m *Manager) Release(obj model.ObjectID, txn model.TxnID) []Grant {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.release(obj, txn)
 }
 
 // ReleaseAll frees every lock and queued request of txn and returns the
 // unblocked grants, in deterministic (object) order.
 func (m *Manager) ReleaseAll(txn model.TxnID) []Grant {
-	objs := model.NewObjSet()
-	ts := m.txnStripe(txn)
-	ts.mu.Lock()
-	if s := ts.held[txn]; s != nil {
-		for o := range s {
-			objs.Add(o)
-		}
-	}
-	ts.mu.Unlock()
-	// The txn may also be queued on objects it does not hold yet — and a
-	// concurrent pump may promote such a queued request to a grant while
-	// this scan runs, so holders are checked as well as queues.
-	for i := range m.objs {
-		s := &m.objs[i]
-		s.mu.Lock()
-		for o, st := range s.table {
-			if _, ok := st.holders[txn]; ok {
-				objs.Add(o)
-			}
-			for _, w := range st.queue {
-				if w.txn == txn {
-					objs.Add(o)
-				}
-			}
-		}
-		s.mu.Unlock()
-	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	var grants []Grant
-	for _, o := range objs.Sorted() {
+	for _, o := range m.txns[txn].Sorted() {
 		grants = append(grants, m.release(o, txn)...)
 	}
 	return grants
@@ -331,10 +242,9 @@ func (m *Manager) ReleaseAll(txn model.TxnID) []Grant {
 // Holds reports whether txn currently holds obj in at least the given
 // mode.
 func (m *Manager) Holds(obj model.ObjectID, txn model.TxnID, mode model.LockMode) bool {
-	s := m.objStripe(obj)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.table[obj]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st, ok := m.table[obj]
 	if !ok {
 		return false
 	}
@@ -344,18 +254,17 @@ func (m *Manager) Holds(obj model.ObjectID, txn model.TxnID, mode model.LockMode
 
 // HoldersOf returns the transactions holding obj, sorted by age.
 func (m *Manager) HoldersOf(obj model.ObjectID) []model.TxnID {
-	s := m.objStripe(obj)
-	s.mu.Lock()
-	st, ok := s.table[obj]
+	m.mu.Lock()
+	st, ok := m.table[obj]
 	if !ok {
-		s.mu.Unlock()
+		m.mu.Unlock()
 		return nil
 	}
 	out := make([]model.TxnID, 0, len(st.holders))
 	for t := range st.holders {
 		out = append(out, t)
 	}
-	s.mu.Unlock()
+	m.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
@@ -364,39 +273,21 @@ func (m *Manager) HoldersOf(obj model.ObjectID) []model.TxnID {
 // by age. Nodes use it to abort all local transactions when departing a
 // virtual partition (rule R4).
 func (m *Manager) Txns() []model.TxnID {
-	set := make(map[model.TxnID]struct{})
-	for i := range m.txns {
-		ts := &m.txns[i]
-		ts.mu.Lock()
-		for t := range ts.held {
-			set[t] = struct{}{}
-		}
-		ts.mu.Unlock()
-	}
-	for i := range m.objs {
-		s := &m.objs[i]
-		s.mu.Lock()
-		for _, st := range s.table {
-			for _, w := range st.queue {
-				set[w.txn] = struct{}{}
-			}
-		}
-		s.mu.Unlock()
-	}
-	out := make([]model.TxnID, 0, len(set))
-	for t := range set {
+	m.mu.Lock()
+	out := make([]model.TxnID, 0, len(m.txns))
+	for t := range m.txns {
 		out = append(out, t)
 	}
+	m.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 
 // QueueLen returns the number of waiters on obj.
 func (m *Manager) QueueLen(obj model.ObjectID) int {
-	s := m.objStripe(obj)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st, ok := s.table[obj]; ok {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if st, ok := m.table[obj]; ok {
 		return len(st.queue)
 	}
 	return 0
@@ -404,20 +295,16 @@ func (m *Manager) QueueLen(obj model.ObjectID) int {
 
 // String renders the table for debugging.
 func (m *Manager) String() string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	objs := model.NewObjSet()
-	states := make(map[model.ObjectID]string)
-	for i := range m.objs {
-		s := &m.objs[i]
-		s.mu.Lock()
-		for o, st := range s.table {
-			objs.Add(o)
-			states[o] = fmt.Sprintf("%s: holders=%v queue=%v\n", o, st.holders, st.queue)
-		}
-		s.mu.Unlock()
+	for o := range m.table {
+		objs.Add(o)
 	}
 	out := ""
 	for _, o := range objs.Sorted() {
-		out += states[o]
+		st := m.table[o]
+		out += fmt.Sprintf("%s: holders=%v queue=%v\n", o, st.holders, st.queue)
 	}
 	return out
 }

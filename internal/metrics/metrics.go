@@ -262,6 +262,9 @@ const (
 	CPeerDown      = "net.peer.down"
 	CPeerUp        = "net.peer.up"
 	CPeerReconnect = "net.peer.reconnect"
+	// CFrameRejected counts inbound frames that did not decode, each of
+	// which closed its connection.
+	CFrameRejected = "net.frame.rejected"
 	// Client gateway: admission control, group-commit batching and
 	// session freshness. "Logical writes/reads" count client operations
 	// acknowledged committed; "backend write txns" counts ClientTxn

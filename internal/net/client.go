@@ -35,29 +35,22 @@ type Client struct {
 	dialTimeout time.Duration
 
 	mu      sync.Mutex
-	codec   wire.CodecID
 	conn    stdnet.Conn
 	enc     wire.FrameEncoder
 	pending map[uint64]chan wire.ClientResult
 	closed  bool
+	// rejected is why the last connection was torn down, when the cause
+	// was a frame that did not decode.
+	rejected error
 }
 
-// NewClient returns an unconnected client for the node at addr, encoding
-// with the default binary codec. The first Submit dials. dialTimeout <=
-// 0 selects 2s.
+// NewClient returns an unconnected client for the node at addr. The first
+// Submit dials. dialTimeout <= 0 selects 2s.
 func NewClient(addr string, dialTimeout time.Duration) *Client {
 	if dialTimeout <= 0 {
 		dialTimeout = 2 * time.Second
 	}
 	return &Client{addr: addr, dialTimeout: dialTimeout}
-}
-
-// SetCodec selects the outbound wire codec. Call before the first
-// Submit; the receive side always auto-detects.
-func (c *Client) SetCodec(id wire.CodecID) {
-	c.mu.Lock()
-	c.codec = id
-	c.mu.Unlock()
 }
 
 // Addr returns the node address this client dials.
@@ -87,8 +80,7 @@ func (c *Client) SubmitCtx(t wire.ClientTxn, ctx model.TraceCtx, timeout time.Du
 			c.mu.Unlock()
 			return wire.ClientResult{}, err
 		}
-		c.conn = conn
-		c.enc = wire.NewFrameEncoder(c.codec)
+		c.conn, c.rejected = conn, nil
 		c.pending = make(map[uint64]chan wire.ClientResult)
 		go c.readLoop(conn)
 	}
@@ -116,6 +108,12 @@ func (c *Client) SubmitCtx(t wire.ClientTxn, ctx model.TraceCtx, timeout time.Du
 	select {
 	case res, ok := <-ch:
 		if !ok {
+			c.mu.Lock()
+			why := c.rejected
+			c.mu.Unlock()
+			if why != nil {
+				return wire.ClientResult{}, fmt.Errorf("net: connection to %s lost awaiting result: %w", c.addr, why)
+			}
 			return wire.ClientResult{}, fmt.Errorf("net: connection to %s lost awaiting result", c.addr)
 		}
 		return res, nil
@@ -129,10 +127,13 @@ func (c *Client) SubmitCtx(t wire.ClientTxn, ctx model.TraceCtx, timeout time.Du
 
 // readLoop owns the connection's decoder, dispatching each result to the
 // Submit waiting on its tag. Any read error tears the connection down,
-// failing all in-flight submissions; the next Submit re-dials.
+// failing all in-flight submissions; the next Submit re-dials. A frame
+// that does not decode fails them with the reason and the frame's first
+// byte.
 func (c *Client) readLoop(conn stdnet.Conn) {
 	dec := wire.NewDecoder()
 	fr := newFrameReader(conn)
+	var rejected error
 	for {
 		frame, err := fr.next()
 		if err != nil {
@@ -140,6 +141,7 @@ func (c *Client) readLoop(conn stdnet.Conn) {
 		}
 		env, err := dec.Decode(frame)
 		if err != nil {
+			rejected = rejection(frame, err)
 			break
 		}
 		res, ok := env.Msg.(wire.ClientResult)
@@ -156,6 +158,7 @@ func (c *Client) readLoop(conn stdnet.Conn) {
 	}
 	c.mu.Lock()
 	if c.conn == conn {
+		c.rejected = rejected
 		c.teardownLocked()
 	} else {
 		conn.Close()
@@ -170,7 +173,6 @@ func (c *Client) teardownLocked() {
 		c.conn.Close()
 		c.conn = nil
 	}
-	c.enc = nil
 	for tag, ch := range c.pending {
 		close(ch)
 		delete(c.pending, tag)

@@ -35,12 +35,6 @@ type TCPConfig struct {
 	// beyond it are dropped and accounted — backpressure is a performance
 	// failure the protocol tolerates, never a blocked sender.
 	QueueLen int
-	// Codec selects the wire encoding for outbound frames. The zero
-	// value is wire.CodecBinary (the hand-rolled zero-copy codec);
-	// wire.CodecGob selects the PR-1 streaming gob codec. Inbound frames
-	// are always auto-detected per frame, so the two ends of a
-	// connection may be configured differently.
-	Codec wire.CodecID
 }
 
 func (c TCPConfig) withDefaults() TCPConfig {
@@ -93,7 +87,12 @@ func (c TCPConfig) withDefaults() TCPConfig {
 // sender never blocks on the network, overflow is a counted drop, and a
 // peer sees the frames it gets in the order they were sent. A connection
 // that failed a write, possibly mid-frame, is closed and never written
-// again; its successor starts a fresh encoder.
+// again.
+//
+// A frame that does not decode — corrupt, or from a peer still speaking
+// the retired gob codec — closes its connection, counted as
+// net.frame.rejected and logged with the sender's address and the
+// frame's first byte.
 //
 // Lock order: hmu → peerConn.mu or acceptedConn.mu, never back; the peer
 // loops never take hmu.
@@ -149,8 +148,7 @@ type peerConn struct {
 	mu   sync.Mutex
 	conn stdnet.Conn       // nil while the peer is unreachable
 	raw  syscall.RawConn   // conn's descriptor, for tryWrite
-	enc  wire.FrameEncoder // conn's encoder
-	env  wire.Envelope     // the envelope a sender is encoding
+	enc  wire.FrameEncoder // stateless between frames: outlives connections
 	// queue holds the envelopes that could not be written at once, at
 	// most TCPConfig.QueueLen. While the connection is down it only
 	// grows, and its first stale envelopes have waited through a failed
@@ -305,7 +303,7 @@ func (n *TCPNode) acceptLoop() {
 		if err != nil {
 			return
 		}
-		ac := &acceptedConn{conn: conn, enc: wire.NewFrameEncoder(n.cfg.Codec)}
+		ac := &acceptedConn{conn: conn}
 		n.connMu.Lock()
 		n.accepted[ac] = struct{}{}
 		n.connMu.Unlock()
@@ -322,11 +320,9 @@ func (n *TCPNode) readLoop(ac *acceptedConn) {
 		delete(n.accepted, ac)
 		n.connMu.Unlock()
 	}()
-	// One persistent decoder per connection, auto-detecting the codec
-	// per frame (binary frames set the payload high bit; everything else
-	// belongs to the connection's gob stream). Decoded messages are
-	// fully owned: handlers retain message slices past delivery, so
-	// borrowed decoding is not safe here.
+	// One persistent decoder per connection. Decoded messages are fully
+	// owned: handlers retain message slices past delivery, so borrowed
+	// decoding is not safe here.
 	dec := wire.NewDecoder()
 	fr := newFrameReader(ac.conn)
 	for first := true; ; first = false {
@@ -336,7 +332,8 @@ func (n *TCPNode) readLoop(ac *acceptedConn) {
 		}
 		env, err := dec.Decode(frame)
 		if err != nil {
-			return // corrupted peer; drop the connection
+			n.reject(ac.conn, frame, err)
+			return
 		}
 		if first {
 			n.heard(env.From)
@@ -352,6 +349,22 @@ func (n *TCPNode) readLoop(ac *acceptedConn) {
 		n.rec.Record(trace.Event{At: n.Now(), Proc: n.id, Kind: trace.EvMsgRecv, Peer: env.From, Msg: kind})
 		n.turn(rtEvent{from: env.From, msg: env.Msg, ctx: env.Ctx})
 	}
+}
+
+// reject accounts a frame that did not decode; its connection is closed
+// next.
+func (n *TCPNode) reject(conn stdnet.Conn, frame []byte, err error) {
+	n.reg.Inc(metrics.CFrameRejected, 1)
+	n.Logf("net: closing connection from %s: %v", conn.RemoteAddr(), rejection(frame, err))
+}
+
+// rejection says why a frame was refused, naming its first byte: a
+// retired gob-codec peer's frames lack the 0x80 kind bit.
+func rejection(frame []byte, err error) error {
+	if len(frame) == 0 {
+		return fmt.Errorf("empty frame rejected: %w", err)
+	}
+	return fmt.Errorf("frame rejected (first byte %#02x): %w", frame[0], err)
 }
 
 // heard takes the first frame of a connection a peer dialed as evidence
@@ -522,7 +535,7 @@ func (n *TCPNode) peerLoop(to model.ProcID, addr string, pc *peerConn) {
 			panic(fmt.Sprintf("net: no descriptor for a dialed TCP connection: %v", err))
 		}
 		pc.mu.Lock()
-		pc.conn, pc.raw, pc.enc = conn, raw, wire.NewFrameEncoder(n.cfg.Codec)
+		pc.conn, pc.raw = conn, raw
 		for i := range pc.queue[:pc.stale] {
 			n.drop(to, wire.Kind(pc.queue[i].Msg))
 		}
@@ -539,7 +552,7 @@ func (n *TCPNode) peerLoop(to model.ProcID, addr string, pc *peerConn) {
 		backoff = n.cfg.ReconnectMin
 		alive := n.flushLoop(to, pc, conn)
 		pc.mu.Lock()
-		pc.conn, pc.raw, pc.enc, pc.flushing = nil, nil, nil, false
+		pc.conn, pc.raw, pc.flushing = nil, nil, false
 		if len(pc.rest) > 0 {
 			n.drop(to, pc.restKind) // its head may have gone out: lost with the connection
 			pc.rest = pc.rest[:0]
@@ -574,13 +587,12 @@ func (n *TCPNode) flushLoop(to model.ProcID, pc *peerConn, conn stdnet.Conn) boo
 			kinds = append(kinds, pc.restKind)
 			pc.rest = pc.rest[:0]
 		}
-		taken, encErr := 0, error(nil)
-		for taken < len(pc.queue) && len(out) < maxFlushBytes && encErr == nil {
+		taken := 0
+		for taken < len(pc.queue) && len(out) < maxFlushBytes {
 			env := &pc.queue[taken]
 			taken++
-			var b []byte
-			if b, encErr = pc.enc.AppendFrame(out, env); encErr != nil {
-				n.drop(to, wire.Kind(env.Msg))
+			if b, err := pc.enc.AppendFrame(out, env); err != nil {
+				n.drop(to, wire.Kind(env.Msg)) // unencodable: an omission
 			} else {
 				out, kinds = b, append(kinds, wire.Kind(env.Msg))
 			}
@@ -598,11 +610,6 @@ func (n *TCPNode) flushLoop(to model.ProcID, pc *peerConn, conn stdnet.Conn) boo
 				}
 				return true
 			}
-		}
-		if encErr != nil {
-			// The stream is suspect (a gob encoder may hold half-written
-			// state): restart with fresh codecs, less that one message.
-			return true
 		}
 		if len(out) > 0 {
 			continue // more may have queued behind the write
@@ -738,12 +745,12 @@ func (n *TCPNode) sendTo(pc *peerConn, env wire.Envelope, kind string) {
 		pc.ring()
 		return
 	}
-	pc.env = env // the encoder is behind an interface: keep env off the heap
-	frame, err := pc.enc.EncodeFrame(&pc.env)
-	written := 0
-	if err == nil {
-		written, err = tryWrite(pc.raw, frame)
+	frame, err := pc.enc.EncodeFrame(&env)
+	if err != nil {
+		n.drop(env.To, kind) // unencodable: an omission
+		return
 	}
+	written, err := tryWrite(pc.raw, frame)
 	if err != nil {
 		// Broken, possibly mid-frame: the message is lost and nothing
 		// more is written here. The loop accounts the outage and redials.
@@ -808,9 +815,7 @@ func (n *TCPNode) Logf(format string, args ...any) {
 
 // SubmitTCP sends a transaction to a node at addr and waits for its
 // result: a Client for one request, dialed and closed here. It is the
-// client side of the TCP transport, used by vpctl. Requests go out in
-// the binary codec (servers auto-detect per frame, so this is always
-// safe regardless of the node's configured codec).
+// client side of the TCP transport, used by vpctl.
 func SubmitTCP(addr string, t wire.ClientTxn, timeout time.Duration) (wire.ClientResult, error) {
 	c := NewClient(addr, timeout)
 	defer c.Close()

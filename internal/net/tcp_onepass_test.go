@@ -587,7 +587,7 @@ func TestClientWriteErrorFailsInFlightOnce(t *testing.T) {
 					time.Sleep(3 * time.Second)
 					return
 				}
-				fr, dec, enc := newFrameReader(c), wire.NewDecoder(), wire.NewBinaryEncoder()
+				fr, dec, enc := newFrameReader(c), wire.NewDecoder(), new(wire.FrameEncoder)
 				for {
 					frame, err := fr.next()
 					if err != nil {

@@ -9,9 +9,9 @@ import (
 	"github.com/virtualpartitions/vp/internal/wire"
 )
 
-// allKindEnvelopes returns one fully-populated message of every
-// registered wire kind, the vocabulary a persistent connection's codec
-// pair must handle on a single gob stream.
+// allKindMessages returns one fully-populated message of every
+// registered wire kind, the vocabulary a persistent connection must
+// carry.
 func allKindMessages() []wire.Message {
 	vp := model.VPID{N: 7, P: 3}
 	txn := model.TxnID{Start: 10, P: 2, Seq: 5}
@@ -94,8 +94,7 @@ func sendAndExpect(t *testing.T, n1 *TCPNode, col *tcpCollector, msgs []wire.Mes
 }
 
 // TestTCPStreamAllKinds drives every registered wire message kind over a
-// single persistent connection: the first message handshakes the gob type
-// descriptors and each subsequent one rides the warm stream.
+// single persistent connection.
 func TestTCPStreamAllKinds(t *testing.T) {
 	ports := freePorts(t, 2)
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
@@ -122,10 +121,8 @@ func TestTCPStreamAllKinds(t *testing.T) {
 	}
 }
 
-// TestTCPStreamReconnect breaks the persistent connection mid-stream and
-// verifies that the replacement connection re-handshakes gob type
-// descriptors from scratch: every kind must round-trip again without
-// decode errors on both fresh codecs.
+// TestTCPStreamReconnect breaks the persistent connection mid-stream:
+// every kind must round-trip again over the replacement connection.
 func TestTCPStreamReconnect(t *testing.T) {
 	ports := freePorts(t, 2)
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}

@@ -1,14 +1,22 @@
 package net
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	stdnet "net"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/virtualpartitions/vp/internal/metrics"
 	"github.com/virtualpartitions/vp/internal/model"
+	"github.com/virtualpartitions/vp/internal/trace"
 	"github.com/virtualpartitions/vp/internal/wire"
 )
 
@@ -115,50 +123,94 @@ func TestTCPClientSubmit(t *testing.T) {
 	}
 }
 
-// TestTCPMixedCodecPeers runs one node on the gob fallback and one on
-// the binary codec: reads auto-detect per frame, so traffic must flow in
-// both directions regardless of the writers' configs.
-func TestTCPMixedCodecPeers(t *testing.T) {
-	ports := freePorts(t, 2)
-	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
-	p := &tcpPinger{acked: make(chan struct{})}
-	n1 := NewTCPNodeConfig(1, addrs, p, TCPConfig{Codec: wire.CodecGob})
-	n2 := NewTCPNodeConfig(2, addrs, tcpEcho{}, TCPConfig{Codec: wire.CodecBinary})
-	if err := n2.Run(); err != nil {
+// gobFrame returns a frame a peer speaking the retired gob codec sent: a
+// seed of the wire fuzz corpus, without its length prefix.
+func gobFrame(t *testing.T) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "wire", "testdata", "fuzz", "FuzzCodecRoundTrip", "seed-01"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer n2.Stop()
-	if err := n1.Run(); err != nil {
-		t.Fatal(err)
+	lines := strings.SplitN(string(raw), "\n", 3)
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil || len(s) == 0 || s[0]&0x80 != 0 {
+		t.Fatalf("seed-01 is not a gob frame: %q %v", s, err)
 	}
-	defer n1.Stop()
-	select {
-	case <-p.acked:
-	case <-time.After(10 * time.Second):
-		t.Fatal("no ack across mixed-codec peers")
-	}
+	return []byte(s)
 }
 
-// TestTCPGobFallbackSubmit submits to a gob-configured node both via the
-// binary one-shot path (SubmitTCP) and via a gob-configured Client.
-func TestTCPGobFallbackSubmit(t *testing.T) {
+// TestTCPRejectsGobFrame: a gob frame closes its connection, counted
+// and logged with the sender and the first byte, and a binary client of
+// the same node still commits.
+func TestTCPRejectsGobFrame(t *testing.T) {
 	ports := freePorts(t, 1)
-	addrs := map[model.ProcID]string{1: ports[0]}
-	n := NewTCPNodeConfig(1, addrs, tcpEcho{}, TCPConfig{Codec: wire.CodecGob})
+	n := NewTCPNode(1, map[model.ProcID]string{1: ports[0]}, tcpEcho{})
+	rec := trace.New(64)
+	rec.SetEnabled(true)
+	n.SetTracer(rec)
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
 	defer n.Stop()
-	res, err := SubmitTCP(ports[0], wire.ClientTxn{Tag: 3, Ops: wire.IncrementOps("x", 1)}, 5*time.Second)
-	if err != nil || !res.Committed || res.Tag != 3 {
-		t.Fatalf("binary submit to gob node: res=%+v err=%v", res, err)
+
+	frame := gobFrame(t)
+	conn, err := stdnet.Dial("tcp", ports[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := NewClient(ports[0], time.Second)
-	c.SetCodec(wire.CodecGob)
-	defer c.Close()
-	res, err = c.Submit(wire.ClientTxn{Tag: 4, Ops: wire.IncrementOps("x", 1)}, 5*time.Second)
+	defer conn.Close()
+	if _, err := conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(frame))), frame...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // a failed Read says the same
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("connection not closed after a gob frame: %v", err)
+	}
+	if got := n.Metrics().Get(metrics.CFrameRejected); got != 1 {
+		t.Fatalf("%s = %d, want 1", metrics.CFrameRejected, got)
+	}
+	logged := false
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.EvLog && strings.Contains(ev.Msg, conn.LocalAddr().String()) &&
+			strings.Contains(ev.Msg, fmt.Sprintf("first byte %#02x", frame[0])) {
+			logged = true
+		}
+	}
+	if !logged {
+		t.Fatalf("no log line names the sender and first byte: %+v", rec.Events())
+	}
+
+	res, err := SubmitTCP(ports[0], wire.ClientTxn{Tag: 4, Ops: wire.IncrementOps("x", 1)}, 5*time.Second)
 	if err != nil || !res.Committed || res.Tag != 4 {
-		t.Fatalf("gob client submit: res=%+v err=%v", res, err)
+		t.Fatalf("binary submit after the rejection: res=%+v err=%v", res, err)
+	}
+}
+
+// TestClientRejectsGobFrame: a Client answered with a gob frame fails
+// the submission with an error naming the frame's first byte.
+func TestClientRejectsGobFrame(t *testing.T) {
+	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	frame := gobFrame(t)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		conn.Read(make([]byte, 64))                                                          //nolint:errcheck // the request only has to arrive
+		conn.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(frame))), frame...)) //nolint:errcheck // the client reports what it got
+		conn.Read(make([]byte, 1))                                                           //nolint:errcheck // hold the connection until the client closes it
+	}()
+
+	c := NewClient(ln.Addr().String(), time.Second)
+	defer c.Close()
+	_, err = c.Submit(wire.ClientTxn{Tag: 1, Ops: wire.IncrementOps("x", 1)}, 5*time.Second)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("first byte %#02x", frame[0])) {
+		t.Fatalf("submit answered with a gob frame: err = %v, want the frame's first byte named", err)
 	}
 }
 

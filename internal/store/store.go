@@ -5,13 +5,11 @@
 // supports the §6 log-based catch-up optimization.
 //
 // The store performs no I/O beyond the optional journal. Its object map
-// is sharded into a fixed power-of-two number of stripes (FNV-1a on the
-// object id), each behind its own mutex, so concurrent operations on
-// different objects proceed in parallel. Every exported method is safe
-// for concurrent use; single-object operations are atomic, and compound
-// operations spanning objects (UnlockAllRecovery, Restore) sweep the
-// stripes one at a time. Staged writes are also indexed by transaction,
-// so DropAllStagedBy costs what the transaction staged here, not a sweep.
+// sits behind one mutex: the node calls in under its handler mutex, but
+// the real-time engine and debug readers may call from outside it, so
+// every exported method locks and is atomic. Staged writes are also
+// indexed by transaction, so DropAllStagedBy costs what the transaction
+// staged here, not a sweep.
 package store
 
 import (
@@ -61,18 +59,11 @@ type Comp struct {
 	Total model.Value
 }
 
-// stripe is one shard of the object map.
-type stripe struct {
-	mu      sync.Mutex
-	objects map[model.ObjectID]*objectState
-	_       [24]byte // pad toward a cache line; stripes are written hot
-}
-
 // Store holds the physical copies residing at one processor.
 type Store struct {
 	owner   model.ProcID
-	mask    uint32
-	stripes []stripe
+	mu      sync.Mutex
+	objects map[model.ObjectID]*objectState
 	// LogCap bounds each object's write log; 0 disables logging. A
 	// truncated log forces full-value recovery, mirroring real systems.
 	logCap  int
@@ -82,8 +73,7 @@ type Store struct {
 	journal durable.Journal
 	// stagedObjs lists, per transaction, the objects whose staged write
 	// is its own: exactly the objects with staged != nil && stagedBy ==
-	// txn. stagedMu is taken inside a stripe's mutex, never around one.
-	stagedMu   sync.Mutex
+	// txn.
 	stagedObjs map[model.TxnID][]model.ObjectID
 }
 
@@ -94,10 +84,15 @@ func (s *Store) SetJournal(j durable.Journal) { s.journal = j }
 // by the catalog, all initialized to initVal with the zero version (the
 // paper's "suitably initialized" value/date functions).
 func New(p model.ProcID, cat *model.Catalog, initVal model.Value, logCap int) *Store {
-	s := newStore(p, initVal, logCap, model.StripeCount())
+	s := &Store{
+		owner:      p,
+		objects:    make(map[model.ObjectID]*objectState),
+		logCap:     logCap,
+		initVal:    initVal,
+		stagedObjs: make(map[model.TxnID][]model.ObjectID),
+	}
 	for obj := range cat.Local(p) {
-		sp := s.stripe(obj)
-		sp.objects[obj] = &objectState{
+		s.objects[obj] = &objectState{
 			copyVal: model.Copy{Val: initVal},
 			missing: model.NewProcSet(),
 		}
@@ -105,90 +100,62 @@ func New(p model.ProcID, cat *model.Catalog, initVal model.Value, logCap int) *S
 	return s
 }
 
-// newStore builds the shell with an explicit stripe count; stripes=1
-// degenerates to a single global mutex, the contended benchmarks'
-// baseline.
-func newStore(p model.ProcID, initVal model.Value, logCap, stripes int) *Store {
-	s := &Store{
-		owner:   p,
-		mask:    uint32(stripes - 1),
-		stripes: make([]stripe, stripes),
-		logCap:  logCap,
-		initVal: initVal,
-
-		stagedObjs: make(map[model.TxnID][]model.ObjectID),
-	}
-	for i := range s.stripes {
-		s.stripes[i].objects = make(map[model.ObjectID]*objectState)
-	}
-	return s
-}
-
-func (s *Store) stripe(obj model.ObjectID) *stripe {
-	return &s.stripes[model.FNVObj(obj)&s.mask]
-}
-
 // Owner returns the processor this store belongs to.
 func (s *Store) Owner() model.ProcID { return s.owner }
 
 // Has reports whether a copy of obj resides here.
 func (s *Store) Has(obj model.ObjectID) bool {
-	sp := s.stripe(obj)
-	sp.mu.Lock()
-	_, ok := sp.objects[obj]
-	sp.mu.Unlock()
+	s.mu.Lock()
+	_, ok := s.objects[obj]
+	s.mu.Unlock()
 	return ok
 }
 
 // Objects returns the objects stored here, sorted.
 func (s *Store) Objects() []model.ObjectID {
 	set := model.NewObjSet()
-	for i := range s.stripes {
-		sp := &s.stripes[i]
-		sp.mu.Lock()
-		for o := range sp.objects {
-			set.Add(o)
-		}
-		sp.mu.Unlock()
+	s.mu.Lock()
+	for o := range s.objects {
+		set.Add(o)
 	}
+	s.mu.Unlock()
 	return set.Sorted()
 }
 
-// lock locks obj's stripe and returns its state; the caller must unlock
-// the returned stripe. Panics if no copy of obj resides here — every
-// caller sits behind catalog routing, so a miss is a programming error.
-func (s *Store) lock(obj model.ObjectID) (*stripe, *objectState) {
-	sp := s.stripe(obj)
-	sp.mu.Lock()
-	st, ok := sp.objects[obj]
+// lock locks the store and returns obj's state; the caller must unlock
+// s.mu. Panics if no copy of obj resides here — every caller sits behind
+// catalog routing, so a miss is a programming error.
+func (s *Store) lock(obj model.ObjectID) *objectState {
+	s.mu.Lock()
+	st, ok := s.objects[obj]
 	if !ok {
-		sp.mu.Unlock()
+		s.mu.Unlock()
 		panic(fmt.Sprintf("store: %v holds no copy of %q", s.owner, obj))
 	}
-	return sp, st
+	return st
 }
 
-// tryLock is lock for the paths that tolerate a missing copy.
-func (s *Store) tryLock(obj model.ObjectID) (*stripe, *objectState, bool) {
-	sp := s.stripe(obj)
-	sp.mu.Lock()
-	st, ok := sp.objects[obj]
+// tryLock is lock for the paths that tolerate a missing copy: the store
+// is locked only when it returns true.
+func (s *Store) tryLock(obj model.ObjectID) (*objectState, bool) {
+	s.mu.Lock()
+	st, ok := s.objects[obj]
 	if !ok {
-		sp.mu.Unlock()
-		return nil, nil, false
+		s.mu.Unlock()
+		return nil, false
 	}
-	return sp, st, true
+	return st, true
 }
 
 // Get returns the current committed copy.
 func (s *Store) Get(obj model.ObjectID) model.Copy {
-	sp, st := s.lock(obj)
+	st := s.lock(obj)
 	c := st.copyVal
-	sp.mu.Unlock()
+	s.mu.Unlock()
 	return c
 }
 
-// applyLocked installs a committed write with the object's stripe held:
+// applyLocked installs a committed write with the store locked:
 // value(obj) ← val, date(obj) ← ver's date (Figure 12, lines 11). The
 // write is appended to the object log.
 func (s *Store) applyLocked(st *objectState, obj model.ObjectID, val model.Value, ver model.Version) {
@@ -209,9 +176,9 @@ func (s *Store) applyLocked(st *objectState, obj model.ObjectID, val model.Value
 
 // Apply installs a committed write.
 func (s *Store) Apply(obj model.ObjectID, val model.Value, ver model.Version) {
-	sp, st := s.lock(obj)
+	st := s.lock(obj)
 	s.applyLocked(st, obj, val, ver)
-	sp.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // Restore seeds the store from durable state: committed copy values and
@@ -220,7 +187,7 @@ func (s *Store) Apply(obj model.ObjectID, val model.Value, ver model.Version) {
 func (s *Store) Restore(copies map[model.ObjectID]model.Copy,
 	staged map[model.TxnID]map[model.ObjectID]durable.StagedWrite) {
 	for obj, c := range copies {
-		if sp, st, ok := s.tryLock(obj); ok {
+		if st, ok := s.tryLock(obj); ok {
 			st.copyVal = c
 			// The in-memory log restarts empty, so it can prove nothing
 			// about writes older than the restored copy: floor it at the
@@ -228,14 +195,14 @@ func (s *Store) Restore(copies map[model.ObjectID]model.Copy,
 			// delta for pre-restart ranges. Older ranges route to the
 			// journal's retained segments (or a full-copy fallback).
 			st.logBase = c.Ver
-			sp.mu.Unlock()
+			s.mu.Unlock()
 		}
 	}
 	for txn, objs := range staged {
 		for obj, w := range objs {
-			if sp, st, ok := s.tryLock(obj); ok {
+			if st, ok := s.tryLock(obj); ok {
 				s.stageLocked(st, obj, txn, w.Val, w.Ver, w.Delta)
-				sp.mu.Unlock()
+				s.mu.Unlock()
 			}
 		}
 	}
@@ -250,58 +217,52 @@ func (s *Store) Restore(copies map[model.ObjectID]model.Copy,
 // ignored, matching "l ∈ local" in the paper.
 func (s *Store) LockForRecovery(objs []model.ObjectID) {
 	for _, obj := range objs {
-		if sp, st, ok := s.tryLock(obj); ok {
+		if st, ok := s.tryLock(obj); ok {
 			st.locked = true
-			sp.mu.Unlock()
+			s.mu.Unlock()
 		}
 	}
 }
 
 // UnlockRecovered removes obj from the locked set (Figure 9 line 17).
 func (s *Store) UnlockRecovered(obj model.ObjectID) {
-	if sp, st, ok := s.tryLock(obj); ok {
+	if st, ok := s.tryLock(obj); ok {
 		st.locked = false
-		sp.mu.Unlock()
+		s.mu.Unlock()
 	}
 }
 
 // UnlockAllRecovery clears the locked set, used when a node abandons an
 // in-progress refresh because it departed to yet another partition.
 func (s *Store) UnlockAllRecovery() {
-	for i := range s.stripes {
-		sp := &s.stripes[i]
-		sp.mu.Lock()
-		for _, st := range sp.objects {
-			st.locked = false
-		}
-		sp.mu.Unlock()
+	s.mu.Lock()
+	for _, st := range s.objects {
+		st.locked = false
 	}
+	s.mu.Unlock()
 }
 
 // RecoveryLocked reports whether obj is in the locked set.
 func (s *Store) RecoveryLocked(obj model.ObjectID) bool {
-	sp, st, ok := s.tryLock(obj)
+	st, ok := s.tryLock(obj)
 	if !ok {
 		return false
 	}
 	locked := st.locked
-	sp.mu.Unlock()
+	s.mu.Unlock()
 	return locked
 }
 
 // LockedObjects returns the objects currently under recovery, sorted.
 func (s *Store) LockedObjects() []model.ObjectID {
 	set := model.NewObjSet()
-	for i := range s.stripes {
-		sp := &s.stripes[i]
-		sp.mu.Lock()
-		for o, st := range sp.objects {
-			if st.locked {
-				set.Add(o)
-			}
+	s.mu.Lock()
+	for o, st := range s.objects {
+		if st.locked {
+			set.Add(o)
 		}
-		sp.mu.Unlock()
 	}
+	s.mu.Unlock()
 	return set.Sorted()
 }
 
@@ -309,26 +270,23 @@ func (s *Store) LockedObjects() []model.ObjectID {
 // Prepared (staged) transactional writes
 // ---------------------------------------------------------------------------
 
-// stageLocked sets obj's staged write with its stripe held, replacing
+// stageLocked sets obj's staged write with the store locked, replacing
 // whatever was staged there, and keeps the per-transaction index exact.
 func (s *Store) stageLocked(st *objectState, obj model.ObjectID, txn model.TxnID, val model.Value, ver model.Version, delta bool) {
 	if st.staged == nil || st.stagedBy != txn {
 		s.unstageLocked(st, obj)
-		s.stagedMu.Lock()
 		s.stagedObjs[txn] = append(s.stagedObjs[txn], obj)
-		s.stagedMu.Unlock()
 	}
 	st.staged = &LoggedWrite{Val: val, Ver: ver}
 	st.stagedBy = txn
 	st.stagedDelta = delta
 }
 
-// unstageLocked clears obj's staged write, if any, with its stripe held.
+// unstageLocked clears obj's staged write, if any, with the store locked.
 func (s *Store) unstageLocked(st *objectState, obj model.ObjectID) {
 	if st.staged == nil {
 		return
 	}
-	s.stagedMu.Lock()
 	objs := s.stagedObjs[st.stagedBy]
 	if i := slices.Index(objs, obj); i >= 0 {
 		objs = slices.Delete(objs, i, i+1)
@@ -338,7 +296,6 @@ func (s *Store) unstageLocked(st *objectState, obj model.ObjectID) {
 	} else {
 		s.stagedObjs[st.stagedBy] = objs
 	}
-	s.stagedMu.Unlock()
 	st.staged = nil
 	st.stagedBy = model.TxnID{}
 	st.stagedDelta = false
@@ -347,25 +304,25 @@ func (s *Store) unstageLocked(st *objectState, obj model.ObjectID) {
 // Stage records a prepared write for a transaction. It replaces any write
 // the same transaction staged earlier for the object.
 func (s *Store) Stage(obj model.ObjectID, txn model.TxnID, val model.Value, ver model.Version) {
-	sp, st := s.lock(obj)
+	st := s.lock(obj)
 	s.stageLocked(st, obj, txn, val, ver, false)
-	sp.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // StageDelta records a prepared component increment (mergeable mode).
 func (s *Store) StageDelta(obj model.ObjectID, txn model.TxnID, delta model.Value, ver model.Version) {
-	sp, st := s.lock(obj)
+	st := s.lock(obj)
 	s.stageLocked(st, obj, txn, delta, ver, true)
-	sp.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // StagedBy returns the transaction with a prepared write on obj, if any.
 func (s *Store) StagedBy(obj model.ObjectID) (model.TxnID, bool) {
-	sp, st, ok := s.tryLock(obj)
+	st, ok := s.tryLock(obj)
 	if !ok {
 		return model.TxnID{}, false
 	}
-	defer sp.mu.Unlock()
+	defer s.mu.Unlock()
 	if st.staged == nil {
 		return model.TxnID{}, false
 	}
@@ -375,11 +332,11 @@ func (s *Store) StagedBy(obj model.ObjectID) (model.TxnID, bool) {
 // StagedVer returns the version a prepared write would install on obj,
 // if there is one.
 func (s *Store) StagedVer(obj model.ObjectID) (model.Version, bool) {
-	sp, st, ok := s.tryLock(obj)
+	st, ok := s.tryLock(obj)
 	if !ok {
 		return model.Version{}, false
 	}
-	defer sp.mu.Unlock()
+	defer s.mu.Unlock()
 	if st.staged == nil {
 		return model.Version{}, false
 	}
@@ -391,12 +348,12 @@ func (s *Store) StagedVer(obj model.ObjectID) (model.Version, bool) {
 // exists (e.g. a duplicate Decide after a retransmission); a staged write
 // the copy has already moved past is dropped, not applied.
 func (s *Store) CommitStaged(obj model.ObjectID, txn model.TxnID) bool {
-	sp, st, ok := s.tryLock(obj)
+	st, ok := s.tryLock(obj)
 	if !ok {
 		return false
 	}
 	if st.staged == nil || st.stagedBy != txn {
-		sp.mu.Unlock()
+		s.mu.Unlock()
 		return false
 	}
 	w := *st.staged
@@ -410,12 +367,12 @@ func (s *Store) CommitStaged(obj model.ObjectID, txn model.TxnID) bool {
 		// out the decision (killed prepared, restarted) and rule R5 has
 		// since installed what the view holds, this write included. A
 		// late Decide must not take the copy back.
-		sp.mu.Unlock()
+		s.mu.Unlock()
 		return false
 	default:
 		s.applyLocked(st, obj, w.Val, w.Ver)
 	}
-	sp.mu.Unlock()
+	s.mu.Unlock()
 	return true
 }
 
@@ -424,7 +381,7 @@ func (s *Store) CommitStaged(obj model.ObjectID, txn model.TxnID) bool {
 // ---------------------------------------------------------------------------
 
 // applyDeltaLocked commits a component increment by writer p with the
-// object's stripe held: the writer's running total grows by delta and
+// store locked: the writer's running total grows by delta and
 // its component version advances. The copy's scalar value tracks initVal
 // plus the sum of all components.
 func (s *Store) applyDeltaLocked(st *objectState, obj model.ObjectID, p model.ProcID, delta model.Value, ver model.Version) {
@@ -441,9 +398,9 @@ func (s *Store) applyDeltaLocked(st *objectState, obj model.ObjectID, p model.Pr
 
 // ApplyDelta commits a component increment by writer p.
 func (s *Store) ApplyDelta(obj model.ObjectID, p model.ProcID, delta model.Value, ver model.Version) {
-	sp, st := s.lock(obj)
+	st := s.lock(obj)
 	s.applyDeltaLocked(st, obj, p, delta, ver)
-	sp.mu.Unlock()
+	s.mu.Unlock()
 }
 
 func (s *Store) sumComps(st *objectState) model.Value {
@@ -456,12 +413,12 @@ func (s *Store) sumComps(st *objectState) model.Value {
 
 // Comps returns a copy of the object's components.
 func (s *Store) Comps(obj model.ObjectID) map[model.ProcID]Comp {
-	sp, st := s.lock(obj)
+	st := s.lock(obj)
 	out := make(map[model.ProcID]Comp, len(st.comps))
 	for p, c := range st.comps {
 		out[p] = c
 	}
-	sp.mu.Unlock()
+	s.mu.Unlock()
 	return out
 }
 
@@ -471,7 +428,7 @@ func (s *Store) Comps(obj model.ObjectID) map[model.ProcID]Comp {
 // The scalar value is recomputed; ver stamps the copy. It reports
 // whether anything changed.
 func (s *Store) MergeComps(obj model.ObjectID, remote map[model.ProcID]Comp, ver model.Version) bool {
-	sp, st := s.lock(obj)
+	st := s.lock(obj)
 	if st.comps == nil {
 		st.comps = make(map[model.ProcID]Comp)
 	}
@@ -485,17 +442,17 @@ func (s *Store) MergeComps(obj model.ObjectID, remote map[model.ProcID]Comp, ver
 	if changed {
 		s.applyLocked(st, obj, s.sumComps(st), ver)
 	}
-	sp.mu.Unlock()
+	s.mu.Unlock()
 	return changed
 }
 
 // DropStaged discards the staged write of txn on obj (abort path).
 func (s *Store) DropStaged(obj model.ObjectID, txn model.TxnID) {
-	if sp, st, ok := s.tryLock(obj); ok {
+	if st, ok := s.tryLock(obj); ok {
 		if st.stagedBy == txn {
 			s.unstageLocked(st, obj)
 		}
-		sp.mu.Unlock()
+		s.mu.Unlock()
 	}
 }
 
@@ -503,12 +460,14 @@ func (s *Store) DropStaged(obj model.ObjectID, txn model.TxnID) {
 // writes txn has staged here; for a transaction with none — every
 // read-only one — that is a map miss.
 func (s *Store) DropAllStagedBy(txn model.TxnID) {
-	s.stagedMu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	objs := s.stagedObjs[txn]
-	delete(s.stagedObjs, txn) // objs is ours now; DropStaged finds nothing left to unlist
-	s.stagedMu.Unlock()
+	delete(s.stagedObjs, txn) // objs is ours now; unstageLocked finds nothing left to unlist
 	for _, obj := range objs {
-		s.DropStaged(obj, txn)
+		if st := s.objects[obj]; st.stagedBy == txn {
+			s.unstageLocked(st, obj)
+		}
 	}
 }
 
@@ -519,29 +478,29 @@ func (s *Store) DropAllStagedBy(txn model.TxnID) {
 // MarkMissing records that the copies at the given processors missed a
 // write of obj.
 func (s *Store) MarkMissing(obj model.ObjectID, procs []model.ProcID) {
-	sp, st := s.lock(obj)
+	st := s.lock(obj)
 	for _, p := range procs {
 		st.missing.Add(p)
 	}
-	sp.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // HasMissing reports whether obj carries any missing-write marks here.
 func (s *Store) HasMissing(obj model.ObjectID) bool {
-	sp, st, ok := s.tryLock(obj)
+	st, ok := s.tryLock(obj)
 	if !ok {
 		return false
 	}
 	missing := st.missing.Len() > 0
-	sp.mu.Unlock()
+	s.mu.Unlock()
 	return missing
 }
 
 // ClearMissing removes all missing-write marks of obj.
 func (s *Store) ClearMissing(obj model.ObjectID) {
-	if sp, st, ok := s.tryLock(obj); ok {
+	if st, ok := s.tryLock(obj); ok {
 		st.missing = model.NewProcSet()
-		sp.mu.Unlock()
+		s.mu.Unlock()
 	}
 }
 
@@ -563,8 +522,8 @@ type journalLog interface {
 // cannot prove completeness, the durable journal's retained segments are
 // consulted before giving up.
 func (s *Store) LogSince(obj model.ObjectID, since model.Version) (entries []LoggedWrite, complete bool) {
-	sp, st := s.lock(obj)
-	defer sp.mu.Unlock()
+	st := s.lock(obj)
+	defer s.mu.Unlock()
 	if !since.Less(st.copyVal.Ver) {
 		// Requester is already as recent as this copy: nothing missed.
 		return nil, true
@@ -592,7 +551,7 @@ func (s *Store) LogSince(obj model.ObjectID, since model.Version) (entries []Log
 // ApplyLog replays missed writes onto the local copy, skipping entries
 // not newer than the current version. It returns the number applied.
 func (s *Store) ApplyLog(obj model.ObjectID, entries []LoggedWrite) int {
-	sp, st := s.lock(obj)
+	st := s.lock(obj)
 	n := 0
 	for _, e := range entries {
 		if st.copyVal.Ver.Less(e.Ver) {
@@ -600,14 +559,14 @@ func (s *Store) ApplyLog(obj model.ObjectID, entries []LoggedWrite) int {
 			n++
 		}
 	}
-	sp.mu.Unlock()
+	s.mu.Unlock()
 	return n
 }
 
 // LogLen returns the current length of obj's write log.
 func (s *Store) LogLen(obj model.ObjectID) int {
-	sp, st := s.lock(obj)
+	st := s.lock(obj)
 	n := len(st.log)
-	sp.mu.Unlock()
+	s.mu.Unlock()
 	return n
 }

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -16,6 +18,20 @@ func newTestStore(logCap int) *Store {
 		model.Placement{Object: "z", Holders: model.NewProcSet(2)},
 	)
 	return New(1, cat, 0, logCap)
+}
+
+// seedObjects adds n fresh copies named after prefix to s.
+func seedObjects(s *Store, prefix string, n int) []model.ObjectID {
+	objs := make([]model.ObjectID, n)
+	for i := range objs {
+		o := model.ObjectID(fmt.Sprintf("%s-obj-%02d", prefix, i))
+		objs[i] = o
+		s.objects[o] = &objectState{
+			copyVal: model.Copy{Val: s.initVal},
+			missing: model.NewProcSet(),
+		}
+	}
+	return objs
 }
 
 func ver(n uint64, ctr uint64) model.Version {
@@ -341,5 +357,59 @@ func TestLogBaseMonotone(t *testing.T) {
 	entries, complete := s.LogSince("x", ver(1, 1))
 	if !complete || len(entries) != 2 {
 		t.Fatalf("entries=%v complete=%v", entries, complete)
+	}
+}
+
+// TestStoreConcurrent drives the store from many goroutines over
+// a shared object universe — commits, staged writes, recovery locks, log
+// reads — and checks per-object monotonicity at the end. Run under -race
+// this is the synchronization proof.
+func TestStoreConcurrent(t *testing.T) {
+	s := New(1, model.NewCatalog(), 0, 8)
+	objs := seedObjects(s, "shared", 32)
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			txn := model.TxnID{Start: int64(w + 1), P: model.ProcID(w + 1), Seq: 1}
+			for i := 0; i < 2000; i++ {
+				o := objs[(i*7+w*13)%len(objs)]
+				ver := model.Version{Date: model.VPID{N: uint64(w + 1), P: model.ProcID(w + 1)},
+					Ctr: uint64(i + 1), Writer: txn}
+				switch i % 5 {
+				case 0:
+					s.Apply(o, model.Value(i), ver)
+				case 1:
+					s.Stage(o, txn, model.Value(i), ver)
+					s.CommitStaged(o, txn)
+				case 2:
+					s.Stage(o, txn, model.Value(i), ver)
+					s.DropStaged(o, txn)
+				case 3:
+					s.Get(o)
+					s.LogSince(o, model.Version{})
+					s.HasMissing(o)
+				case 4:
+					s.LockForRecovery([]model.ObjectID{o})
+					s.RecoveryLocked(o)
+					s.UnlockRecovered(o)
+				}
+			}
+			s.DropAllStagedBy(txn)
+		}(w)
+	}
+	wg.Wait()
+	for _, o := range objs {
+		if _, ok := s.StagedBy(o); ok {
+			t.Fatalf("%s still has a staged write after drain", o)
+		}
+		if n := s.LogLen(o); n > 8 {
+			t.Fatalf("%s log exceeded cap: %d", o, n)
+		}
+	}
+	if got := len(s.Objects()); got != len(objs) {
+		t.Fatalf("Objects() = %d entries, want %d", got, len(objs))
 	}
 }

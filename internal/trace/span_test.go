@@ -128,16 +128,15 @@ func TestBuildTreesSeparatesTraces(t *testing.T) {
 	}
 }
 
-// TestBuildTreesCrossCodec feeds the assembler contexts that traveled
-// through different codecs — one hop binary, one hop gob — proving
-// assembly is codec-blind: a tree reconstructs across nodes that do not
-// share a wire format.
-func TestBuildTreesCrossCodec(t *testing.T) {
+// TestBuildTreesAcrossWire feeds the assembler contexts that each
+// traveled one hop through the wire codec, to different nodes: a tree
+// reconstructs from what the frames carried.
+func TestBuildTreesAcrossWire(t *testing.T) {
 	root := model.TraceCtx{Trace: 0x9E3779B97F4A7C15, Span: 0x01000001}
-	hop := func(t *testing.T, encode func(*wire.Envelope) ([]byte, error), ctx model.TraceCtx) model.TraceCtx {
+	hop := func(t *testing.T, ctx model.TraceCtx) model.TraceCtx {
 		t.Helper()
 		env := wire.Envelope{From: 1, To: 2, Msg: wire.Prepare{Txn: model.TxnID{Start: 1, P: 1, Seq: 1}}, Ctx: ctx}
-		frame, err := encode(&env)
+		frame, err := new(wire.FrameEncoder).Encode(&env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,19 +146,17 @@ func TestBuildTreesCrossCodec(t *testing.T) {
 		}
 		return out.Ctx
 	}
-	binCtx := hop(t, wire.NewBinaryEncoder().Encode, root.Child(0x02000001))
-	gobCtx := hop(t, wire.NewStreamEncoder().Encode, root.Child(0x03000001))
 	events := []Event{
 		spanEvent(1, root, "coord-txn", 0, 6*time.Millisecond),
-		spanEvent(2, binCtx, "part-stage", time.Millisecond, 2*time.Millisecond),
-		spanEvent(3, gobCtx, "part-stage", time.Millisecond, 3*time.Millisecond),
+		spanEvent(2, hop(t, root.Child(0x02000001)), "part-stage", time.Millisecond, 2*time.Millisecond),
+		spanEvent(3, hop(t, root.Child(0x03000001)), "part-stage", time.Millisecond, 3*time.Millisecond),
 	}
 	trees := BuildTrees(events)
 	if len(trees) != 1 || trees[0].Orphans != 0 {
-		t.Fatalf("cross-codec capture did not assemble: %+v", trees)
+		t.Fatalf("capture did not assemble: %+v", trees)
 	}
 	if kids := trees[0].Roots[0].Children; len(kids) != 2 {
-		t.Fatalf("root has %d children, want both codec hops", len(kids))
+		t.Fatalf("root has %d children, want both hops", len(kids))
 	}
 }
 

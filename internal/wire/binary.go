@@ -1,14 +1,13 @@
-// Hand-rolled binary codec: the raw-speed replacement for the streaming
-// gob codec of codec.go. The two implementations live behind the same
-// frame discipline (4-byte big-endian length prefix, then a payload whose
-// first byte discriminates the message), so a receiver can tell them
-// apart per frame and a cluster may mix codecs freely during a rollout.
+// The wire codec: a hand-rolled binary encoding of every message kind,
+// one frame per envelope, stateless between frames.
 //
 // Frame payload layout (after the transport's length prefix):
 //
-//	byte 0        0x80 | kindID        (the high bit marks the binary
-//	                                    codec; gob stream frames carry the
-//	                                    bare kindID, which is < 0x80)
+//	byte 0        0x80 | kindID        (the high bit is required: a frame
+//	                                    without it — say from a peer still
+//	                                    speaking the retired gob codec,
+//	                                    whose frames began with the bare
+//	                                    kindID — is rejected)
 //	uvarint       From (ProcID)
 //	uvarint       To   (ProcID)
 //	...           message body, fixed field order per kind (below)
@@ -51,17 +50,14 @@ import (
 	"github.com/virtualpartitions/vp/internal/model"
 )
 
-// binaryKindFlag marks a frame as binary-codec encoded. The gob stream
-// codec writes the bare kindID (< 0x80) as its first payload byte, so the
-// bit cleanly discriminates the two codecs per frame.
+// binaryKindFlag is set on the first payload byte of every frame. A
+// decoder refuses a frame without it.
 const binaryKindFlag = 0x80
 
 // ctxKindFlag marks a frame as carrying a trace context: three uvarints
-// (Trace, Span, Parent) follow the To field. Both codecs use the same bit
-// on their first payload byte — kind ids stop well below 0x40, and a gob
-// frame with the bit set still stays below 0x80, so codec auto-detection
-// is unaffected. Untraced frames never set the bit and are byte-identical
-// to the pre-tracing format.
+// (Trace, Span, Parent) follow the To field. Kind ids stop well below
+// 0x40. Untraced frames never set the bit and are byte-identical to the
+// pre-tracing format.
 const ctxKindFlag = 0x40
 
 // appendCtx writes a non-zero trace context.
@@ -71,80 +67,34 @@ func appendCtx(b []byte, ctx model.TraceCtx) []byte {
 	return appendUvarint(b, uint64(ctx.Parent))
 }
 
-// CodecID selects a wire codec implementation for the encoding side of a
-// connection. (The decoding side always auto-detects per frame, so both
-// ends of a connection may be configured differently.)
+// CodecID names a wire codec. The binary codec is the only one:
+// CodecBinary is the argument the deployed-stack harness
+// (benchmark/probes.go) passes to NewFrameEncoder.
 type CodecID uint8
 
-const (
-	// CodecBinary is the hand-rolled zero-copy binary codec, the default.
-	CodecBinary CodecID = iota
-	// CodecGob is the PR-1 streaming gob codec, kept as the fallback so
-	// captured byte streams stay replayable and a mixed-version cluster
-	// interoperates.
-	CodecGob
-)
-
-func (c CodecID) String() string {
-	if c == CodecGob {
-		return "gob"
-	}
-	return "binary"
-}
-
-// ParseCodec parses a -codec flag value.
-func ParseCodec(s string) (CodecID, error) {
-	switch s {
-	case "binary", "":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	default:
-		return CodecBinary, fmt.Errorf("wire: unknown codec %q (want binary or gob)", s)
-	}
-}
-
-// FrameEncoder is one logical connection's encoding side: either codec
-// implements it. Not safe for concurrent use; each connection writer owns
-// one.
-type FrameEncoder interface {
-	// EncodeFrame serializes env with the transport's length prefix in
-	// place. The returned slice is reused by the next call.
-	EncodeFrame(env *Envelope) ([]byte, error)
-	// AppendFrame serializes env (length prefix included) onto dst and
-	// returns the extended slice. The result is owned by the caller —
-	// this is the entry point for vectored writes, where every frame of
-	// a batch needs its own backing buffer.
-	AppendFrame(dst []byte, env *Envelope) ([]byte, error)
-}
-
-// NewFrameEncoder returns a fresh per-connection encoder for the codec.
-func NewFrameEncoder(c CodecID) FrameEncoder {
-	if c == CodecGob {
-		return NewStreamEncoder()
-	}
-	return NewBinaryEncoder()
-}
+// CodecBinary is the binary codec.
+const CodecBinary CodecID = 0
 
 // ---------------------------------------------------------------------------
 // Encoder
 // ---------------------------------------------------------------------------
 
-// BinaryEncoder encodes envelopes in the binary format. Unlike the gob
-// stream codec it is stateless between messages (no descriptor
-// handshake), so any decoder can pick up any frame.
-type BinaryEncoder struct {
+// FrameEncoder encodes envelopes. It is stateless between messages, so
+// any decoder can pick up any frame. The zero value is ready to use. Not
+// safe for concurrent use: each connection writer owns one.
+type FrameEncoder struct {
 	buf []byte
 }
 
-// NewBinaryEncoder returns an encoder with a warm reusable buffer.
-func NewBinaryEncoder() *BinaryEncoder {
-	return &BinaryEncoder{buf: make([]byte, 0, 512)}
+// NewFrameEncoder returns an encoder with a warm reusable buffer. The
+// codec is always CodecBinary.
+func NewFrameEncoder(CodecID) *FrameEncoder {
+	return &FrameEncoder{buf: make([]byte, 0, 512)}
 }
 
 // Encode serializes env without the length prefix. The returned slice is
 // reused by the next call.
-func (e *BinaryEncoder) Encode(env *Envelope) ([]byte, error) {
+func (e *FrameEncoder) Encode(env *Envelope) ([]byte, error) {
 	b, err := appendEnvelope(e.buf[:0], env)
 	if err != nil {
 		return nil, err
@@ -153,9 +103,9 @@ func (e *BinaryEncoder) Encode(env *Envelope) ([]byte, error) {
 	return b, nil
 }
 
-// EncodeFrame implements FrameEncoder. The returned slice is reused by
-// the next call.
-func (e *BinaryEncoder) EncodeFrame(env *Envelope) ([]byte, error) {
+// EncodeFrame serializes env with the transport's length prefix in
+// place. The returned slice is reused by the next call.
+func (e *FrameEncoder) EncodeFrame(env *Envelope) ([]byte, error) {
 	b, err := e.AppendFrame(e.buf[:0], env)
 	if err != nil {
 		return nil, err
@@ -164,8 +114,10 @@ func (e *BinaryEncoder) EncodeFrame(env *Envelope) ([]byte, error) {
 	return b, nil
 }
 
-// AppendFrame implements FrameEncoder.
-func (e *BinaryEncoder) AppendFrame(dst []byte, env *Envelope) ([]byte, error) {
+// AppendFrame serializes env (length prefix included) onto dst and
+// returns the extended slice, which the caller owns: the entry point for
+// vectored writes, where every frame of a batch needs its own backing.
+func (e *FrameEncoder) AppendFrame(dst []byte, env *Envelope) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length prefix placeholder
 	dst, err := appendEnvelope(dst, env)
@@ -178,18 +130,6 @@ func (e *BinaryEncoder) AppendFrame(dst []byte, env *Envelope) ([]byte, error) {
 	}
 	binary.BigEndian.PutUint32(dst[start:], uint32(payload))
 	return dst, nil
-}
-
-// AppendFrame is EncodeFrame for the gob stream codec, encoding onto a
-// caller-owned buffer so gob frames can join a vectored write batch. The
-// bytes still belong to this encoder's single logical stream and must be
-// delivered in order.
-func (e *StreamEncoder) AppendFrame(dst []byte, env *Envelope) ([]byte, error) {
-	b, err := e.EncodeFrame(env)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, b...), nil
 }
 
 func appendUvarint(b []byte, v uint64) []byte {
@@ -515,6 +455,9 @@ func appendMsgBody(b []byte, k kindID, msg Message) ([]byte, error) {
 // the connection down.
 var errDecode = fmt.Errorf("wire: decode: malformed binary frame")
 
+// errNotBinary refuses a frame whose first byte lacks binaryKindFlag.
+var errNotBinary = fmt.Errorf("wire: decode: first byte lacks the binary kind bit")
+
 // cursor walks a frame payload with a sticky error: any out-of-bounds
 // read flips bad and every subsequent read returns a zero value, so
 // decode paths stay straight-line and check once at the end.
@@ -633,24 +576,24 @@ const (
 	internMaxLen = 64
 )
 
-// BinaryDecoder decodes binary-codec frames. Stateless across frames
-// except for the intern table and borrowed-mode scratch, so frames may
-// be lost or reordered without desynchronizing it (unlike a gob stream).
-// Not safe for concurrent use: each connection reader owns one.
-type BinaryDecoder struct {
+// Decoder decodes frames. Stateless across frames except for the intern
+// table and borrowed-mode scratch, so frames may be lost or reordered
+// without desynchronizing it. Not safe for concurrent use: each
+// connection reader owns one.
+type Decoder struct {
 	tab map[string]string
 	scr binScratch
 }
 
-// NewBinaryDecoder returns a decoder with an empty intern table.
-func NewBinaryDecoder() *BinaryDecoder {
-	return &BinaryDecoder{tab: make(map[string]string)}
+// NewDecoder returns a decoder with an empty intern table.
+func NewDecoder() *Decoder {
+	return &Decoder{tab: make(map[string]string)}
 }
 
 // intern returns an owned, immutable string for b, reusing a previous
 // copy when one exists. The map lookup on a []byte key does not
 // allocate; only the first sighting of a string pays for its copy.
-func (d *BinaryDecoder) intern(b []byte) string {
+func (d *Decoder) intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
@@ -664,15 +607,15 @@ func (d *BinaryDecoder) intern(b []byte) string {
 	return s
 }
 
-func (d *BinaryDecoder) str(c *cursor) string { return d.intern(c.strBytes()) }
+func (d *Decoder) str(c *cursor) string { return d.intern(c.strBytes()) }
 
-func (d *BinaryDecoder) obj(c *cursor) model.ObjectID { return model.ObjectID(d.str(c)) }
+func (d *Decoder) obj(c *cursor) model.ObjectID { return model.ObjectID(d.str(c)) }
 
 // DecodeInto decodes one frame into env, producing a fully owned
 // message: slices are freshly allocated and strings interned, so the
 // result may be retained or enqueued freely. This is the transports'
 // mode.
-func (d *BinaryDecoder) DecodeInto(frame []byte, env *Envelope) error {
+func (d *Decoder) DecodeInto(frame []byte, env *Envelope) error {
 	return d.decode(frame, env, false)
 }
 
@@ -681,12 +624,12 @@ func (d *BinaryDecoder) DecodeInto(frame []byte, env *Envelope) error {
 // until the next decode on this decoder, and a consumer that retains it
 // must copy. Warm decodes of any kind cost at most the one interface
 // boxing allocation.
-func (d *BinaryDecoder) DecodeBorrowed(frame []byte, env *Envelope) error {
+func (d *Decoder) DecodeBorrowed(frame []byte, env *Envelope) error {
 	return d.decode(frame, env, true)
 }
 
 // Decode is DecodeInto returning the envelope by value.
-func (d *BinaryDecoder) Decode(frame []byte) (Envelope, error) {
+func (d *Decoder) Decode(frame []byte) (Envelope, error) {
 	var env Envelope
 	if err := d.DecodeInto(frame, &env); err != nil {
 		return Envelope{}, err
@@ -707,9 +650,12 @@ func borrow[T any](scr *[]T, n int, borrowed bool) []T {
 	return make([]T, n)
 }
 
-func (d *BinaryDecoder) decode(frame []byte, env *Envelope, borrowed bool) error {
-	if len(frame) < 1 || frame[0]&binaryKindFlag == 0 {
+func (d *Decoder) decode(frame []byte, env *Envelope, borrowed bool) error {
+	if len(frame) < 1 {
 		return errDecode
+	}
+	if frame[0]&binaryKindFlag == 0 {
+		return errNotBinary
 	}
 	k := kindID(frame[0] &^ (binaryKindFlag | ctxKindFlag))
 	c := cursor{b: frame[1:]}
@@ -734,7 +680,7 @@ func (d *BinaryDecoder) decode(frame []byte, env *Envelope, borrowed bool) error
 // recurses exactly once for its inner body (nesting is rejected) and
 // always decodes the inner message owned: routers re-dispatch it across
 // handler boundaries, where a borrowed backing would be unsafe.
-func (d *BinaryDecoder) decodeBody(c *cursor, k kindID, borrowed bool) (Message, error) {
+func (d *Decoder) decodeBody(c *cursor, k kindID, borrowed bool) (Message, error) {
 	var msg Message
 	switch k {
 	case kindShardMsg:
@@ -929,49 +875,4 @@ func (d *BinaryDecoder) decodeBody(c *cursor, k kindID, borrowed bool) (Message,
 		return nil, fmt.Errorf("wire: decode: unknown binary message kind %d", k)
 	}
 	return msg, nil
-}
-
-// ---------------------------------------------------------------------------
-// Auto-detecting decoder
-// ---------------------------------------------------------------------------
-
-// Decoder decodes one logical connection's inbound frames, detecting the
-// peer's codec per frame: payloads whose first byte has the high bit set
-// are binary-codec frames, the rest belong to the connection's gob
-// stream. Both ends of a connection may therefore be configured with
-// different codecs (mixed-version clusters, staged rollouts). Not safe
-// for concurrent use: each connection reader owns one.
-type Decoder struct {
-	bin BinaryDecoder
-	gob *StreamDecoder // lazy: most connections never see a gob frame
-}
-
-// NewDecoder returns a decoder for a new connection.
-func NewDecoder() *Decoder {
-	return &Decoder{bin: BinaryDecoder{tab: make(map[string]string)}}
-}
-
-// DecodeInto decodes the next de-framed payload into env. Messages are
-// fully owned (see BinaryDecoder.DecodeInto; the gob path always
-// allocates fresh).
-func (d *Decoder) DecodeInto(frame []byte, env *Envelope) error {
-	if len(frame) < 1 {
-		return fmt.Errorf("wire: decode: empty frame")
-	}
-	if frame[0]&binaryKindFlag != 0 {
-		return d.bin.DecodeInto(frame, env)
-	}
-	if d.gob == nil {
-		d.gob = NewStreamDecoder()
-	}
-	return d.gob.DecodeInto(frame, env)
-}
-
-// Decode is DecodeInto returning the envelope by value.
-func (d *Decoder) Decode(frame []byte) (Envelope, error) {
-	var env Envelope
-	if err := d.DecodeInto(frame, &env); err != nil {
-		return Envelope{}, err
-	}
-	return env, nil
 }

@@ -76,8 +76,8 @@ func binaryEnvelopes() []Envelope {
 // binary codec in owned mode, twice, over one persistent encoder/decoder
 // pair (the second pass exercises a warm intern table).
 func TestBinaryCodecAllKinds(t *testing.T) {
-	enc := NewBinaryEncoder()
-	dec := NewBinaryDecoder()
+	enc := new(FrameEncoder)
+	dec := NewDecoder()
 	for pass := 0; pass < 2; pass++ {
 		for _, env := range binaryEnvelopes() {
 			frame, err := enc.Encode(&env)
@@ -100,8 +100,8 @@ func TestBinaryCodecAllKinds(t *testing.T) {
 // equal the input while current, and the next decode may reuse its
 // backings (which is the documented contract, not corruption).
 func TestBinaryCodecBorrowed(t *testing.T) {
-	enc := NewBinaryEncoder()
-	dec := NewBinaryDecoder()
+	enc := new(FrameEncoder)
+	dec := NewDecoder()
 	for _, env := range binaryEnvelopes() {
 		frame, err := enc.Encode(&env)
 		if err != nil {
@@ -122,8 +122,8 @@ func TestBinaryCodecBorrowed(t *testing.T) {
 // decode must stay intact after the decoder processes more frames,
 // because transports enqueue decoded messages into an async mailbox.
 func TestBinaryOwnedSurvivesReuse(t *testing.T) {
-	enc := NewBinaryEncoder()
-	dec := NewBinaryDecoder()
+	enc := new(FrameEncoder)
+	dec := NewDecoder()
 	first := Envelope{From: 1, To: 2, Msg: Prepare{
 		Txn:    model.TxnID{Start: 1, P: 1, Seq: 1},
 		Writes: []ObjWrite{{Obj: "x", Val: 42}},
@@ -156,35 +156,6 @@ func TestBinaryOwnedSurvivesReuse(t *testing.T) {
 	}
 }
 
-// TestDecoderAutoDetect feeds one auto-detecting Decoder an interleaved
-// mix of binary and gob frames, as a reader sees during a mixed-codec
-// rollout.
-func TestDecoderAutoDetect(t *testing.T) {
-	bin := NewBinaryEncoder()
-	gob := NewStreamEncoder()
-	dec := NewDecoder()
-	for i, env := range binaryEnvelopes() {
-		var frame []byte
-		var err error
-		if i%2 == 0 {
-			frame, err = bin.Encode(&env)
-		} else {
-			frame, err = gob.Encode(&env)
-		}
-		if err != nil {
-			t.Fatalf("encode %s: %v", Kind(env.Msg), err)
-		}
-		got, err := dec.Decode(frame)
-		if err != nil {
-			t.Fatalf("decode %s: %v", Kind(env.Msg), err)
-		}
-		if !reflect.DeepEqual(got, env) {
-			t.Errorf("auto-detect round trip of %s:\n got %#v\nwant %#v",
-				Kind(env.Msg), got, env)
-		}
-	}
-}
-
 // TestBinaryDeterministic: encoding the same envelope must produce the
 // same bytes every time, including map-carrying messages (CommitVP.Prevs
 // is encoded in sorted key order).
@@ -198,7 +169,7 @@ func TestBinaryDeterministic(t *testing.T) {
 	}}
 	var first []byte
 	for i := 0; i < 8; i++ {
-		b, err := NewBinaryEncoder().Encode(&env)
+		b, err := new(FrameEncoder).Encode(&env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,8 +186,8 @@ func TestBinaryDeterministic(t *testing.T) {
 // TestBinaryFrameFraming checks EncodeFrame's length prefix and that
 // AppendFrame composes frames onto one buffer without corrupting either.
 func TestBinaryFrameFraming(t *testing.T) {
-	enc := NewBinaryEncoder()
-	dec := NewBinaryDecoder()
+	enc := new(FrameEncoder)
+	dec := NewDecoder()
 	env1 := Envelope{From: 1, To: 2, Msg: Decide{Commit: true}}
 	env2 := Envelope{From: 2, To: 1, Msg: ProbeAck{From: 2, Seq: 8}}
 	frame, err := enc.EncodeFrame(&env1)
@@ -253,7 +224,7 @@ func TestBinaryFrameFraming(t *testing.T) {
 // must error, none may panic, and truncations of valid frames must never
 // decode (the codec has no optional trailing fields).
 func TestBinaryDecodeGarbage(t *testing.T) {
-	dec := NewBinaryDecoder()
+	dec := NewDecoder()
 	bad := [][]byte{
 		nil,
 		{},
@@ -269,7 +240,7 @@ func TestBinaryDecodeGarbage(t *testing.T) {
 			t.Errorf("case %d (% x): expected error", i, b)
 		}
 	}
-	enc := NewBinaryEncoder()
+	enc := new(FrameEncoder)
 	for _, env := range binaryEnvelopes() {
 		full, err := enc.Encode(&env)
 		if err != nil {
@@ -294,8 +265,8 @@ func TestBinaryDecodeGarbage(t *testing.T) {
 // encode half exactly 0.
 func TestBinaryRoundTripAllocBudget(t *testing.T) {
 	env := benchEnvelope()
-	enc := NewBinaryEncoder()
-	dec := NewBinaryDecoder()
+	enc := new(FrameEncoder)
+	dec := NewDecoder()
 	var scratch Envelope
 	// Warm: buffer growth, intern-table fill.
 	frame, err := enc.Encode(&env)
@@ -327,55 +298,26 @@ func TestBinaryRoundTripAllocBudget(t *testing.T) {
 	}
 }
 
-// TestCodecSelection covers the flag-facing surface: ParseCodec,
-// CodecID.String, and NewFrameEncoder returning the right implementation.
+// TestCodecSelection covers the constructor the deployed-stack harness
+// calls: NewFrameEncoder(CodecBinary) frames decode through NewDecoder.
 func TestCodecSelection(t *testing.T) {
-	cases := []struct {
-		in   string
-		want CodecID
-		err  bool
-	}{
-		{"binary", CodecBinary, false},
-		{"", CodecBinary, false},
-		{"gob", CodecGob, false},
-		{"protobuf", 0, true},
+	enc := NewFrameEncoder(CodecBinary)
+	dec := NewDecoder()
+	env := Envelope{From: 1, To: 2, Msg: Probe{From: 1, VP: model.VPID{N: 1, P: 1}, Seq: 4}}
+	frame, err := enc.EncodeFrame(&env)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		got, err := ParseCodec(c.in)
-		if (err != nil) != c.err || (err == nil && got != c.want) {
-			t.Errorf("ParseCodec(%q) = %v, %v", c.in, got, err)
-		}
-	}
-	if CodecBinary.String() != "binary" || CodecGob.String() != "gob" {
-		t.Fatal("CodecID strings wrong")
-	}
-	if _, ok := NewFrameEncoder(CodecBinary).(*BinaryEncoder); !ok {
-		t.Fatal("NewFrameEncoder(CodecBinary) not a BinaryEncoder")
-	}
-	if _, ok := NewFrameEncoder(CodecGob).(*StreamEncoder); !ok {
-		t.Fatal("NewFrameEncoder(CodecGob) not a StreamEncoder")
-	}
-	// Either encoder's frames must decode through the auto-detecting
-	// Decoder.
-	for _, id := range []CodecID{CodecBinary, CodecGob} {
-		enc := NewFrameEncoder(id)
-		dec := NewDecoder()
-		env := Envelope{From: 1, To: 2, Msg: Probe{From: 1, VP: model.VPID{N: 1, P: 1}, Seq: 4}}
-		frame, err := enc.EncodeFrame(&env)
-		if err != nil {
-			t.Fatalf("%v: %v", id, err)
-		}
-		got, err := dec.Decode(frame[FrameHeaderLen:])
-		if err != nil || !reflect.DeepEqual(got, env) {
-			t.Fatalf("%v frame through Decoder: %v %#v", id, err, got)
-		}
+	got, err := dec.Decode(frame[FrameHeaderLen:])
+	if err != nil || !reflect.DeepEqual(got, env) {
+		t.Fatalf("frame through Decoder: %v %#v", err, got)
 	}
 }
 
 // TestInternTableBounded makes sure a hostile peer cannot grow the
 // decoder's intern table without limit.
 func TestInternTableBounded(t *testing.T) {
-	d := NewBinaryDecoder()
+	d := NewDecoder()
 	buf := make([]byte, 0, 64)
 	for i := 0; i < internCap+100; i++ {
 		buf = buf[:0]

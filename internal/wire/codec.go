@@ -1,45 +1,5 @@
 package wire
 
-import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"fmt"
-
-	"github.com/virtualpartitions/vp/internal/model"
-)
-
-func init() {
-	// Register every concrete message type so envelopes round-trip
-	// through gob when Msg is encoded as an interface (the one-shot
-	// Encode/Decode path below).
-	gob.Register(NewVP{})
-	gob.Register(AcceptVP{})
-	gob.Register(CommitVP{})
-	gob.Register(Probe{})
-	gob.Register(ProbeAck{})
-	gob.Register(RecoverRead{})
-	gob.Register(RecoverReadResp{})
-	gob.Register(RecoverLog{})
-	gob.Register(RecoverLogResp{})
-	gob.Register(CatchupReq{})
-	gob.Register(CatchupResp{})
-	gob.Register(LockReq{})
-	gob.Register(LockResp{})
-	gob.Register(Prepare{})
-	gob.Register(Vote{})
-	gob.Register(Decide{})
-	gob.Register(DecideAck{})
-	gob.Register(DecideQuery{})
-	gob.Register(Release{})
-	gob.Register(ClientTxn{})
-	gob.Register(ClientResult{})
-	gob.Register(ShardMsg{})
-	gob.Register(ShardEpochReq{})
-	gob.Register(ShardEpochResp{})
-	gob.Register(model.VPID{})
-}
-
 // The TCP transport frames every message with a 4-byte big-endian length
 // prefix. FrameHeaderLen is that prefix's size; MaxFrame bounds a frame's
 // payload so a corrupt peer cannot make a reader allocate without limit.
@@ -48,12 +8,9 @@ const (
 	MaxFrame       = 16 << 20
 )
 
-// kindID is the stream codec's numeric message discriminator. Encoding
-// the concrete message under an explicit tag — instead of gob's own
-// interface mechanism — saves gob the per-message type-name string, the
-// registry lookup, and reflect-driven boxing: a warm decode lands in a
-// stack-allocated concrete struct and pays exactly one interface boxing.
-// Values are wire format: never reorder, only append.
+// kindID is the codec's numeric message discriminator: the low six bits
+// of a frame's first byte (see binary.go), and the inner kind byte of a
+// ShardMsg. Values are wire format: never reorder, only append.
 type kindID uint8
 
 const (
@@ -137,417 +94,4 @@ func kindOf(m Message) kindID {
 	default:
 		return kindInvalid
 	}
-}
-
-// msgScratch holds one persistent value per message kind. Both codec ends
-// gob-marshal through these instead of stack locals: a local passed to
-// gob's any-typed Encode/Decode escapes and costs a heap allocation per
-// message, while a pointer into this (already heap-resident) struct does
-// not.
-type msgScratch struct {
-	newVP           NewVP
-	acceptVP        AcceptVP
-	commitVP        CommitVP
-	probe           Probe
-	probeAck        ProbeAck
-	recoverRead     RecoverRead
-	recoverReadResp RecoverReadResp
-	recoverLog      RecoverLog
-	recoverLogResp  RecoverLogResp
-	catchupReq      CatchupReq
-	catchupResp     CatchupResp
-	lockReq         LockReq
-	lockResp        LockResp
-	prepare         Prepare
-	vote            Vote
-	decide          Decide
-	decideAck       DecideAck
-	decideQuery     DecideQuery
-	release         Release
-	clientTxn       ClientTxn
-	clientResult    ClientResult
-	shardMsg        ShardMsg
-	shardEpochReq   ShardEpochReq
-	shardEpochResp  ShardEpochResp
-}
-
-// StreamEncoder encodes envelopes onto one logical connection. It wraps a
-// persistent gob encoder, so each concrete type's descriptors are shipped
-// once per connection (on the type's first message) instead of once per
-// message — a warm encode writes only a small header and the value. Not
-// safe for concurrent use: each connection writer owns one StreamEncoder.
-//
-// Bytes produced by a StreamEncoder form a single logical stream and must
-// be decoded, in order, by the single StreamDecoder at the other end of
-// the connection. A reconnect discards both and starts a fresh pair,
-// which re-handshakes the descriptors.
-type StreamEncoder struct {
-	buf bytes.Buffer
-	enc *gob.Encoder
-	scr msgScratch
-}
-
-// NewStreamEncoder returns an encoder for a new connection.
-func NewStreamEncoder() *StreamEncoder {
-	e := &StreamEncoder{}
-	e.enc = gob.NewEncoder(&e.buf)
-	return e
-}
-
-// Encode serializes env as the next message on this encoder's stream and
-// returns its bytes. The returned slice is reused by the next call.
-func (e *StreamEncoder) Encode(env *Envelope) ([]byte, error) {
-	b, err := e.encode(env, 0)
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// EncodeFrame is Encode with the transport's length prefix already in
-// place, so a connection writer can hand the result to a single
-// conn.Write. The returned slice is reused by the next call.
-func (e *StreamEncoder) EncodeFrame(env *Envelope) ([]byte, error) {
-	b, err := e.encode(env, FrameHeaderLen)
-	if err != nil {
-		return nil, err
-	}
-	if len(b)-FrameHeaderLen > MaxFrame {
-		return nil, fmt.Errorf("wire: encode %s: frame exceeds %d bytes", Kind(env.Msg), MaxFrame)
-	}
-	binary.BigEndian.PutUint32(b[:FrameHeaderLen], uint32(len(b)-FrameHeaderLen))
-	return b, nil
-}
-
-// encode writes [pad zero bytes][kind][uvarint From][uvarint To]
-// [optional ctx uvarints][gob msg] into the reused buffer. The concrete
-// message — not the Msg interface — goes through gob, under the explicit
-// kind tag. A non-zero trace context sets ctxKindFlag on the kind byte
-// (still < 0x80, so codec auto-detection is unaffected).
-func (e *StreamEncoder) encode(env *Envelope, pad int) ([]byte, error) {
-	k := kindOf(env.Msg)
-	if k == kindInvalid {
-		return nil, fmt.Errorf("wire: encode: unregistered message type %T", env.Msg)
-	}
-	e.buf.Reset()
-	var hdr [FrameHeaderLen + 1 + 5*binary.MaxVarintLen64]byte
-	n := pad
-	tag := byte(k)
-	if !env.Ctx.IsZero() {
-		tag |= ctxKindFlag
-	}
-	hdr[n] = tag
-	n++
-	n += binary.PutUvarint(hdr[n:], uint64(env.From))
-	n += binary.PutUvarint(hdr[n:], uint64(env.To))
-	if !env.Ctx.IsZero() {
-		n += binary.PutUvarint(hdr[n:], env.Ctx.Trace)
-		n += binary.PutUvarint(hdr[n:], uint64(env.Ctx.Span))
-		n += binary.PutUvarint(hdr[n:], uint64(env.Ctx.Parent))
-	}
-	e.buf.Write(hdr[:n])
-	if err := e.encodeMsg(k, env.Msg); err != nil {
-		return nil, fmt.Errorf("wire: encode %s: %w", Kind(env.Msg), err)
-	}
-	return e.buf.Bytes(), nil
-}
-
-// encodeMsg gob-encodes the concrete value through the scratch slot. The
-// type switch keeps gob on its monomorphic struct path; encoding the
-// interface itself would ship the type name with every message.
-func (e *StreamEncoder) encodeMsg(k kindID, m Message) error {
-	s := &e.scr
-	switch v := m.(type) {
-	case NewVP:
-		s.newVP = v
-		return e.enc.Encode(&s.newVP)
-	case AcceptVP:
-		s.acceptVP = v
-		return e.enc.Encode(&s.acceptVP)
-	case CommitVP:
-		s.commitVP = v
-		return e.enc.Encode(&s.commitVP)
-	case Probe:
-		s.probe = v
-		return e.enc.Encode(&s.probe)
-	case ProbeAck:
-		s.probeAck = v
-		return e.enc.Encode(&s.probeAck)
-	case RecoverRead:
-		s.recoverRead = v
-		return e.enc.Encode(&s.recoverRead)
-	case RecoverReadResp:
-		s.recoverReadResp = v
-		return e.enc.Encode(&s.recoverReadResp)
-	case RecoverLog:
-		s.recoverLog = v
-		return e.enc.Encode(&s.recoverLog)
-	case RecoverLogResp:
-		s.recoverLogResp = v
-		return e.enc.Encode(&s.recoverLogResp)
-	case CatchupReq:
-		s.catchupReq = v
-		return e.enc.Encode(&s.catchupReq)
-	case CatchupResp:
-		s.catchupResp = v
-		return e.enc.Encode(&s.catchupResp)
-	case LockReq:
-		s.lockReq = v
-		return e.enc.Encode(&s.lockReq)
-	case LockResp:
-		s.lockResp = v
-		return e.enc.Encode(&s.lockResp)
-	case Prepare:
-		s.prepare = v
-		return e.enc.Encode(&s.prepare)
-	case Vote:
-		s.vote = v
-		return e.enc.Encode(&s.vote)
-	case Decide:
-		s.decide = v
-		return e.enc.Encode(&s.decide)
-	case DecideAck:
-		s.decideAck = v
-		return e.enc.Encode(&s.decideAck)
-	case DecideQuery:
-		s.decideQuery = v
-		return e.enc.Encode(&s.decideQuery)
-	case Release:
-		s.release = v
-		return e.enc.Encode(&s.release)
-	case ClientTxn:
-		s.clientTxn = v
-		return e.enc.Encode(&s.clientTxn)
-	case ClientResult:
-		s.clientResult = v
-		return e.enc.Encode(&s.clientResult)
-	case ShardMsg:
-		// Msg is an interface field: gob ships the inner type's name per
-		// message. Acceptable for the fallback codec; the binary codec
-		// nests the inner body under an explicit kind byte instead.
-		s.shardMsg = v
-		return e.enc.Encode(&s.shardMsg)
-	case ShardEpochReq:
-		s.shardEpochReq = v
-		return e.enc.Encode(&s.shardEpochReq)
-	case ShardEpochResp:
-		s.shardEpochResp = v
-		return e.enc.Encode(&s.shardEpochResp)
-	default:
-		return fmt.Errorf("unhandled kind %d", k)
-	}
-}
-
-// StreamDecoder decodes the message stream produced by one StreamEncoder.
-// Frames must be fed in connection order. Not safe for concurrent use:
-// each connection reader owns exactly one StreamDecoder.
-type StreamDecoder struct {
-	buf bytes.Buffer
-	dec *gob.Decoder
-	scr msgScratch
-}
-
-// NewStreamDecoder returns a decoder for a new connection.
-func NewStreamDecoder() *StreamDecoder {
-	d := &StreamDecoder{}
-	// bytes.Buffer implements io.ByteReader, so gob reads it directly
-	// (no bufio wrapping) and consumes exactly one message per Decode.
-	d.dec = gob.NewDecoder(&d.buf)
-	return d
-}
-
-// Decode deserializes the next envelope from frame, the de-framed payload
-// of exactly one StreamEncoder.Encode call. The frame bytes are copied
-// internally, so the caller may reuse its buffer immediately.
-func (d *StreamDecoder) Decode(frame []byte) (Envelope, error) {
-	var env Envelope
-	if err := d.DecodeInto(frame, &env); err != nil {
-		return Envelope{}, err
-	}
-	return env, nil
-}
-
-// DecodeInto is Decode into a caller-owned envelope, so a connection read
-// loop can reuse one envelope across messages.
-func (d *StreamDecoder) DecodeInto(frame []byte, env *Envelope) error {
-	if len(frame) < 1 {
-		return fmt.Errorf("wire: decode: empty frame")
-	}
-	k := kindID(frame[0] &^ ctxKindFlag)
-	rest := frame[1:]
-	from, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return fmt.Errorf("wire: decode: bad From varint")
-	}
-	rest = rest[n:]
-	to, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return fmt.Errorf("wire: decode: bad To varint")
-	}
-	rest = rest[n:]
-	var ctx model.TraceCtx
-	if frame[0]&ctxKindFlag != 0 {
-		tr, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return fmt.Errorf("wire: decode: bad trace varint")
-		}
-		rest = rest[n:]
-		sp, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return fmt.Errorf("wire: decode: bad span varint")
-		}
-		rest = rest[n:]
-		pa, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return fmt.Errorf("wire: decode: bad parent varint")
-		}
-		rest = rest[n:]
-		ctx = model.TraceCtx{Trace: tr, Span: uint32(sp), Parent: uint32(pa)}
-	}
-	d.buf.Write(rest)
-	msg, err := d.decodeMsg(k)
-	if err != nil {
-		return fmt.Errorf("wire: decode kind %d: %w", k, err)
-	}
-	env.From, env.To, env.Msg, env.Ctx = model.ProcID(from), model.ProcID(to), msg, ctx
-	return nil
-}
-
-// decodeMsg decodes one concrete message of kind k from the stream into
-// its scratch slot and boxes the value exactly once on return. Each slot
-// is zeroed first: gob merges into a non-zero destination (absent fields
-// keep their old values), which must not leak state between messages.
-func (d *StreamDecoder) decodeMsg(k kindID) (Message, error) {
-	s := &d.scr
-	switch k {
-	case kindNewVP:
-		s.newVP = NewVP{}
-		err := d.dec.Decode(&s.newVP)
-		return s.newVP, err
-	case kindAcceptVP:
-		s.acceptVP = AcceptVP{}
-		err := d.dec.Decode(&s.acceptVP)
-		return s.acceptVP, err
-	case kindCommitVP:
-		s.commitVP = CommitVP{}
-		err := d.dec.Decode(&s.commitVP)
-		return s.commitVP, err
-	case kindProbe:
-		s.probe = Probe{}
-		err := d.dec.Decode(&s.probe)
-		return s.probe, err
-	case kindProbeAck:
-		s.probeAck = ProbeAck{}
-		err := d.dec.Decode(&s.probeAck)
-		return s.probeAck, err
-	case kindRecoverRead:
-		s.recoverRead = RecoverRead{}
-		err := d.dec.Decode(&s.recoverRead)
-		return s.recoverRead, err
-	case kindRecoverReadResp:
-		s.recoverReadResp = RecoverReadResp{}
-		err := d.dec.Decode(&s.recoverReadResp)
-		return s.recoverReadResp, err
-	case kindRecoverLog:
-		s.recoverLog = RecoverLog{}
-		err := d.dec.Decode(&s.recoverLog)
-		return s.recoverLog, err
-	case kindRecoverLogResp:
-		s.recoverLogResp = RecoverLogResp{}
-		err := d.dec.Decode(&s.recoverLogResp)
-		return s.recoverLogResp, err
-	case kindCatchupReq:
-		s.catchupReq = CatchupReq{}
-		err := d.dec.Decode(&s.catchupReq)
-		return s.catchupReq, err
-	case kindCatchupResp:
-		s.catchupResp = CatchupResp{}
-		err := d.dec.Decode(&s.catchupResp)
-		return s.catchupResp, err
-	case kindLockReq:
-		s.lockReq = LockReq{}
-		err := d.dec.Decode(&s.lockReq)
-		return s.lockReq, err
-	case kindLockResp:
-		s.lockResp = LockResp{}
-		err := d.dec.Decode(&s.lockResp)
-		return s.lockResp, err
-	case kindPrepare:
-		s.prepare = Prepare{}
-		err := d.dec.Decode(&s.prepare)
-		return s.prepare, err
-	case kindVote:
-		s.vote = Vote{}
-		err := d.dec.Decode(&s.vote)
-		return s.vote, err
-	case kindDecide:
-		s.decide = Decide{}
-		err := d.dec.Decode(&s.decide)
-		return s.decide, err
-	case kindDecideAck:
-		s.decideAck = DecideAck{}
-		err := d.dec.Decode(&s.decideAck)
-		return s.decideAck, err
-	case kindDecideQuery:
-		s.decideQuery = DecideQuery{}
-		err := d.dec.Decode(&s.decideQuery)
-		return s.decideQuery, err
-	case kindRelease:
-		s.release = Release{}
-		err := d.dec.Decode(&s.release)
-		return s.release, err
-	case kindClientTxn:
-		s.clientTxn = ClientTxn{}
-		err := d.dec.Decode(&s.clientTxn)
-		return s.clientTxn, err
-	case kindClientResult:
-		s.clientResult = ClientResult{}
-		err := d.dec.Decode(&s.clientResult)
-		return s.clientResult, err
-	case kindShardMsg:
-		s.shardMsg = ShardMsg{}
-		err := d.dec.Decode(&s.shardMsg)
-		if err == nil {
-			if s.shardMsg.Msg == nil {
-				return nil, fmt.Errorf("shard frame with no inner message")
-			}
-			if _, nested := s.shardMsg.Msg.(ShardMsg); nested {
-				return nil, fmt.Errorf("nested shard frame")
-			}
-		}
-		return s.shardMsg, err
-	case kindShardEpochReq:
-		s.shardEpochReq = ShardEpochReq{}
-		err := d.dec.Decode(&s.shardEpochReq)
-		return s.shardEpochReq, err
-	case kindShardEpochResp:
-		s.shardEpochResp = ShardEpochResp{}
-		err := d.dec.Decode(&s.shardEpochResp)
-		return s.shardEpochResp, err
-	default:
-		return nil, fmt.Errorf("unknown message kind")
-	}
-}
-
-// Encode serializes an envelope as a self-contained gob stream with Msg
-// encoded as an interface (type descriptors included every time). It is
-// the one-shot form used by tests and tooling; connections use
-// StreamEncoder, which tags concrete types and ships descriptors once.
-// The two forms are not interchangeable: a connection must use matching
-// codecs end to end.
-func Encode(env Envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-		return nil, fmt.Errorf("wire: encode %s: %w", Kind(env.Msg), err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode deserializes an envelope produced by Encode.
-func Decode(b []byte) (Envelope, error) {
-	var env Envelope
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&env); err != nil {
-		return Envelope{}, fmt.Errorf("wire: decode: %w", err)
-	}
-	return env, nil
 }

@@ -22,8 +22,8 @@ func benchEnvelope() Envelope {
 // interface field.
 func BenchmarkWireRoundTrip(b *testing.B) {
 	env := benchEnvelope()
-	enc := NewBinaryEncoder()
-	dec := NewBinaryDecoder()
+	enc := new(FrameEncoder)
+	dec := NewDecoder()
 	var out Envelope
 	frame, err := enc.Encode(&env)
 	if err != nil {
@@ -50,8 +50,8 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 // borrowed benchmark prices the ownership guarantee.
 func BenchmarkWireRoundTripOwned(b *testing.B) {
 	env := benchEnvelope()
-	enc := NewBinaryEncoder()
-	dec := NewBinaryDecoder()
+	enc := new(FrameEncoder)
+	dec := NewDecoder()
 	var out Envelope
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -61,52 +61,6 @@ func BenchmarkWireRoundTripOwned(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := dec.DecodeInto(frame, &out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWireRoundTripGob measures the fallback streaming gob codec on
-// a warm connection: persistent codecs, type descriptors paid once at
-// connection setup, not per message.
-func BenchmarkWireRoundTripGob(b *testing.B) {
-	env := benchEnvelope()
-	enc := NewStreamEncoder()
-	dec := NewStreamDecoder()
-	// Warm the stream: ship the type descriptors once.
-	frame, err := enc.Encode(&env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := dec.Decode(frame); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame, err := enc.Encode(&env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := dec.Decode(frame); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWireRoundTripPerMessage is the seed baseline: a fresh gob
-// encoder and decoder per message, re-shipping type descriptors every
-// time. Kept so the streaming win stays measurable.
-func BenchmarkWireRoundTripPerMessage(b *testing.B) {
-	env := benchEnvelope()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raw, err := Encode(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Decode(raw); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,42 +14,23 @@ import (
 // non-zero, with a trace id that exercises the full uvarint width.
 var tracedCtx = model.TraceCtx{Trace: 0x9E3779B97F4A7C15, Span: 0x01000007, Parent: 0xFF000001}
 
-// TestCtxRoundTripBothCodecs pushes a traced envelope of every message
-// kind through both codecs and the auto-detecting decoder: the context
-// must survive byte-exactly, and the message must be unaffected by its
-// presence.
-func TestCtxRoundTripBothCodecs(t *testing.T) {
+// TestCtxRoundTrip pushes a traced envelope of every message kind
+// through the codec: the context must survive byte-exactly, and the
+// message must be unaffected by its presence.
+func TestCtxRoundTrip(t *testing.T) {
 	for _, base := range binaryEnvelopes() {
 		env := base
 		env.Ctx = tracedCtx
-
-		bin, err := NewBinaryEncoder().Encode(&env)
+		bin, err := new(FrameEncoder).Encode(&env)
 		if err != nil {
-			t.Fatalf("%s: binary encode: %v", Kind(env.Msg), err)
+			t.Fatalf("%s: encode: %v", Kind(env.Msg), err)
 		}
-		gob, err := NewStreamEncoder().Encode(&env)
+		out, err := NewDecoder().Decode(bin)
 		if err != nil {
-			t.Fatalf("%s: gob encode: %v", Kind(env.Msg), err)
-		}
-		for name, frame := range map[string][]byte{"binary": bin, "gob": gob} {
-			out, err := NewDecoder().Decode(frame)
-			if err != nil {
-				t.Fatalf("%s via %s: decode: %v", Kind(env.Msg), name, err)
-			}
-			if out.Ctx != tracedCtx {
-				t.Errorf("%s via %s: ctx drifted: got %+v", Kind(env.Msg), name, out.Ctx)
-			}
-			if out.From != env.From || out.To != env.To {
-				t.Errorf("%s via %s: routing drifted: %+v", Kind(env.Msg), name, out)
-			}
-		}
-		// Binary round-trips must stay exact with the context aboard.
-		out, err := NewBinaryDecoder().Decode(bin)
-		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: decode: %v", Kind(env.Msg), err)
 		}
 		if !reflect.DeepEqual(out, env) {
-			t.Errorf("%s: traced binary round trip drifted:\n got %#v\nwant %#v",
+			t.Errorf("%s: traced round trip drifted:\n got %#v\nwant %#v",
 				Kind(env.Msg), out, env)
 		}
 	}
@@ -57,11 +38,11 @@ func TestCtxRoundTripBothCodecs(t *testing.T) {
 
 // TestCtxZeroFramesUnchanged is the compatibility contract: an envelope
 // with the zero context encodes to the exact bytes the pre-tracing wire
-// format produced — no flag bit, no context bytes — in both codecs. This
-// is what keeps untraced runs (and golden traces) byte-identical.
+// format produced — no flag bit, no context bytes. This is what keeps
+// untraced runs (and golden traces) byte-identical.
 func TestCtxZeroFramesUnchanged(t *testing.T) {
 	for _, env := range binaryEnvelopes() {
-		plain, err := NewBinaryEncoder().Encode(&env)
+		plain, err := new(FrameEncoder).Encode(&env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +51,7 @@ func TestCtxZeroFramesUnchanged(t *testing.T) {
 		}
 		traced := env
 		traced.Ctx = tracedCtx
-		tb, err := NewBinaryEncoder().Encode(&traced)
+		tb, err := new(FrameEncoder).Encode(&traced)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,22 +63,6 @@ func TestCtxZeroFramesUnchanged(t *testing.T) {
 				Kind(env.Msg), len(tb), len(plain))
 		}
 
-		gplain, err := NewStreamEncoder().Encode(&env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gtraced, err := NewStreamEncoder().Encode(&traced)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Encode (unlike EncodeFrame) carries no length prefix: the kind
-		// tag is the first byte in both codecs.
-		if gplain[0]&ctxKindFlag != 0 {
-			t.Errorf("%s: zero-ctx gob frame carries ctx flag", Kind(env.Msg))
-		}
-		if gtraced[0]&ctxKindFlag == 0 {
-			t.Errorf("%s: traced gob frame missing ctx flag", Kind(env.Msg))
-		}
 	}
 }
 
@@ -106,13 +71,13 @@ func TestCtxZeroFramesUnchanged(t *testing.T) {
 // context spliced out of a traced frame must equal the plain frame.
 func TestCtxZeroEncodingIsByteStable(t *testing.T) {
 	env := benchEnvelope()
-	plain, err := NewBinaryEncoder().Encode(&env)
+	plain, err := new(FrameEncoder).Encode(&env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	traced := env
 	traced.Ctx = tracedCtx
-	tb, err := NewBinaryEncoder().Encode(&traced)
+	tb, err := new(FrameEncoder).Encode(&traced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,27 +100,21 @@ func TestCtxZeroEncodingIsByteStable(t *testing.T) {
 func TestCtxTruncatedFrames(t *testing.T) {
 	env := benchEnvelope()
 	env.Ctx = tracedCtx
-	bin, err := NewBinaryEncoder().Encode(&env)
+	frame, err := new(FrameEncoder).Encode(&env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gob, err := NewStreamEncoder().Encode(&env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, frame := range map[string][]byte{"binary": bin, "gob": gob} {
-		for cut := 0; cut < len(frame); cut++ {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("%s[:%d]: decode panicked: %v", name, cut, r)
-					}
-				}()
-				if _, err := NewDecoder().Decode(frame[:cut]); err == nil {
-					t.Errorf("%s[:%d]: truncated traced frame decoded without error", name, cut)
+	for cut := 0; cut < len(frame); cut++ {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("[:%d]: decode panicked: %v", cut, r)
 				}
 			}()
-		}
+			if _, err := NewDecoder().Decode(frame[:cut]); err == nil {
+				t.Errorf("[:%d]: truncated traced frame decoded without error", cut)
+			}
+		}()
 	}
 }
 
@@ -168,8 +127,8 @@ func TestCtxTruncatedFrames(t *testing.T) {
 func benchCtxPropagation(b *testing.B, ctx model.TraceCtx, rec *trace.Recorder) {
 	env := benchEnvelope()
 	env.Ctx = ctx
-	enc := NewBinaryEncoder()
-	dec := NewBinaryDecoder()
+	enc := new(FrameEncoder)
+	dec := NewDecoder()
 	var out Envelope
 	frame, err := enc.Encode(&env)
 	if err != nil {
@@ -229,8 +188,8 @@ func TestCtxDisabledPathAllocCeiling(t *testing.T) {
 		"sampledOut": func() *trace.Recorder { r := trace.New(64); r.SetEnabled(true); return r }(),
 	} {
 		env := benchEnvelope() // zero ctx: untraced or sampled out
-		enc := NewBinaryEncoder()
-		dec := NewBinaryDecoder()
+		enc := new(FrameEncoder)
+		dec := NewDecoder()
 		var out Envelope
 		frame, err := enc.Encode(&env)
 		if err != nil {

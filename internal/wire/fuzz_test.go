@@ -11,26 +11,30 @@ import (
 	"testing"
 )
 
-// fuzzSeeds returns one self-contained frame per message kind per codec:
-// binary frames from a shared encoder (stateless between messages), gob
-// frames each from a fresh StreamEncoder so the frame carries its own
-// type descriptors and decodes standalone.
+// fuzzSeeds returns two frames per message kind: the binary frame, and
+// the same frame with the binary kind bit cleared — the header a peer
+// still speaking the retired gob codec sent (bare kind byte, From, To,
+// context), which must be rejected.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	var seeds [][]byte
-	bin := NewBinaryEncoder()
+	enc := new(FrameEncoder)
 	for _, env := range binaryEnvelopes() {
-		b, err := bin.Encode(&env)
+		b, err := enc.Encode(&env)
 		if err != nil {
 			tb.Fatalf("seed encode %s: %v", Kind(env.Msg), err)
 		}
-		seeds = append(seeds, append([]byte(nil), b...))
-		g, err := NewStreamEncoder().Encode(&env)
-		if err != nil {
-			tb.Fatalf("seed gob encode %s: %v", Kind(env.Msg), err)
-		}
-		seeds = append(seeds, append([]byte(nil), g...))
+		seeds = append(seeds, append([]byte(nil), b...), unflagged(b))
 	}
 	return seeds
+}
+
+// unflagged copies frame with the binary kind bit cleared.
+func unflagged(frame []byte) []byte {
+	out := append([]byte(nil), frame...)
+	if len(out) > 0 {
+		out[0] &^= binaryKindFlag
+	}
+	return out
 }
 
 // fuzzExtraSeeds extends the corpus with frames the basic per-kind seeds
@@ -48,59 +52,49 @@ func fuzzExtraSeeds(tb testing.TB) [][]byte {
 	}
 	env := Envelope{From: 4, To: 1, Msg: batch.Txn()}
 
-	bin, err := NewBinaryEncoder().Encode(&env)
+	bin, err := new(FrameEncoder).Encode(&env)
 	if err != nil {
-		tb.Fatalf("batch binary seed: %v", err)
-	}
-	gob, err := NewStreamEncoder().Encode(&env)
-	if err != nil {
-		tb.Fatalf("batch gob seed: %v", err)
+		tb.Fatalf("batch seed: %v", err)
 	}
 	dup := append(append([]byte(nil), bin...), bin...)
 	var seeds [][]byte
 	seeds = append(seeds, append([]byte(nil), bin...))
-	seeds = append(seeds, append([]byte(nil), gob...))
+	seeds = append(seeds, unflagged(bin))
 	seeds = append(seeds, dup)                                          // duplicate delivery
 	seeds = append(seeds, append([]byte(nil), bin[:len(bin)/2]...))     // truncated mid-payload
 	seeds = append(seeds, append([]byte(nil), bin[:FrameHeaderLen]...)) // header only
-	seeds = append(seeds, append([]byte(nil), gob[:len(gob)/2]...))     // truncated gob
+	seeds = append(seeds, unflagged(bin[:len(bin)/2]))                  // truncated, no kind bit
 
-	// Trace-context shapes: the same envelope with a context aboard, in
-	// both codecs, plus a frame cut inside the context uvarints — right
-	// after the kind tag and routing bytes — so the fuzzer starts from
-	// the ctx decode path's error branches, not only its happy path.
-	// (The ctx-absent shape is every seed above.)
+	// Trace-context shapes: the same envelope with a context aboard, with
+	// and without the kind bit, plus a frame cut inside the context
+	// uvarints — right after the kind tag and routing bytes — so the
+	// fuzzer starts from the ctx decode path's error branches, not only
+	// its happy path. (The ctx-absent shape is every seed above.)
 	tenv := env
 	tenv.Ctx = tracedCtx
-	tbin, err := NewBinaryEncoder().Encode(&tenv)
+	tbin, err := new(FrameEncoder).Encode(&tenv)
 	if err != nil {
-		tb.Fatalf("traced binary seed: %v", err)
-	}
-	tgob, err := NewStreamEncoder().Encode(&tenv)
-	if err != nil {
-		tb.Fatalf("traced gob seed: %v", err)
+		tb.Fatalf("traced seed: %v", err)
 	}
 	seeds = append(seeds, append([]byte(nil), tbin...))
-	seeds = append(seeds, append([]byte(nil), tgob...))
+	seeds = append(seeds, unflagged(tbin))
 	seeds = append(seeds, append([]byte(nil), tbin[:4]...)) // kind+From+To, ctx truncated away
 	seeds = append(seeds, append([]byte(nil), tbin[:8]...)) // cut mid-ctx-uvarint
-	seeds = append(seeds, append([]byte(nil), tgob[:4]...)) // gob cut before ctx completes
+	seeds = append(seeds, unflagged(tbin[:4]))              // no kind bit, cut before ctx completes
 	return seeds
 }
 
-// allFuzzSeeds is the full seed set written to testdata and replayed by
-// the mutation test.
+// allFuzzSeeds is the generated seed set.
 func allFuzzSeeds(tb testing.TB) [][]byte {
 	return append(fuzzSeeds(tb), fuzzExtraSeeds(tb)...)
 }
 
-// FuzzCodecRoundTrip drives the auto-detecting Decoder with arbitrary
-// bytes. Properties: decoding never panics regardless of input; any
-// frame that decodes successfully re-encodes through the binary codec
-// deterministically and round-trips to an identical envelope; a frame
-// that was binary-encoded to begin with re-encodes to the same payload
-// it arrived as (encode→decode→encode is the identity on canonical
-// frames).
+// FuzzCodecRoundTrip drives the Decoder with arbitrary bytes; the
+// checked-in corpus under testdata adds the frames of earlier eras,
+// gob-codec frames among them. Properties: decoding never panics
+// regardless of input; a frame without the binary kind bit never
+// decodes; any frame that decodes re-encodes deterministically and
+// round-trips to an identical envelope.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, s := range allFuzzSeeds(f) {
 		f.Add(s)
@@ -109,63 +103,39 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{0x80})
 	f.Add(bytes.Repeat([]byte{0xff}, 32))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewDecoder()
-		env, err := dec.Decode(data)
+		env, err := NewDecoder().Decode(data)
 		if err != nil {
 			return // garbage is allowed to fail, never to panic
 		}
-		enc := NewBinaryEncoder()
+		if data[0]&binaryKindFlag == 0 {
+			t.Fatalf("frame without the binary kind bit decoded: %#v", env)
+		}
+		enc := new(FrameEncoder)
 		b1, err := enc.Encode(&env)
 		if err != nil {
 			t.Fatalf("decoded envelope failed to re-encode: %v (%#v)", err, env)
 		}
-		env2, err := NewBinaryDecoder().Decode(b1)
+		env2, err := NewDecoder().Decode(b1)
 		if err != nil {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
 		}
-		b2, err := NewBinaryEncoder().Encode(&env2)
+		b2, err := new(FrameEncoder).Encode(&env2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(b1, b2) {
 			t.Fatalf("binary encoding not deterministic:\n %x\nvs %x", b1, b2)
 		}
-		// For a binary-origin frame the decoded value must match the
-		// original exactly. (Gob-origin frames are only checked for
-		// stability above: gob's zero-field elision makes nil-vs-empty
-		// slice distinctions unrepresentable.)
-		if len(data) > 0 && data[0]&binaryKindFlag != 0 {
-			if !reflect.DeepEqual(env, env2) {
-				t.Fatalf("binary round trip drifted:\n got %#v\nwant %#v", env2, env)
-			}
+		if !reflect.DeepEqual(env, env2) {
+			t.Fatalf("binary round trip drifted:\n got %#v\nwant %#v", env2, env)
 		}
 	})
 }
 
-// TestWriteFuzzCorpus regenerates the checked-in seed corpus under
-// testdata/fuzz/FuzzCodecRoundTrip. Run with WRITE_FUZZ_CORPUS=1 after
-// changing the wire format; corpus entries are go-fuzz v1 files, one per
-// (kind, codec) pair.
-func TestWriteFuzzCorpus(t *testing.T) {
-	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
-		t.Skip("set WRITE_FUZZ_CORPUS=1 to regenerate the seed corpus")
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzCodecRoundTrip")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range allFuzzSeeds(t) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(s)))
-		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // readCorpus loads the checked-in go-fuzz v1 seed files, so the mutation
 // test exercises exactly what is committed rather than what the current
-// generator produces.
+// generator produces. The odd-numbered seeds up to seed-53, and seed-57,
+// seed-59 and seed-62, are gob-codec frames.
 func readCorpus(t *testing.T) map[string][]byte {
 	t.Helper()
 	dir := filepath.Join("testdata", "fuzz", "FuzzCodecRoundTrip")
@@ -211,7 +181,7 @@ func decodeGracefully(t *testing.T, name string, data []byte) {
 	if err != nil {
 		return
 	}
-	if _, err := NewBinaryEncoder().Encode(&env); err != nil {
+	if _, err := new(FrameEncoder).Encode(&env); err != nil {
 		t.Fatalf("%s: decoded envelope failed to re-encode: %v (%#v)", name, err, env)
 	}
 }
@@ -220,7 +190,7 @@ func decodeGracefully(t *testing.T, name string, data []byte) {
 // mutations a faulty nemesis-era link produces — truncation at every
 // prefix length, duplicate (self-concatenated) delivery, and single-bit
 // corruption at every position — and demands a graceful error, never a
-// panic, from the auto-detecting decoder.
+// panic, from the decoder.
 func TestDecoderGracefulOnMutations(t *testing.T) {
 	for name, seed := range readCorpus(t) {
 		decodeGracefully(t, name, seed)
@@ -235,5 +205,24 @@ func TestDecoderGracefulOnMutations(t *testing.T) {
 				decodeGracefully(t, fmt.Sprintf("%s^bit(%d,%d)", name, i, bit), m)
 			}
 		}
+	}
+}
+
+// TestGobFrameRejected: every gob-codec frame of the corpus decodes to
+// an error, without a panic and without a message.
+func TestGobFrameRejected(t *testing.T) {
+	n := 0
+	for name, seed := range readCorpus(t) {
+		if len(seed) == 0 || seed[0]&binaryKindFlag != 0 {
+			continue
+		}
+		n++
+		var env Envelope
+		if err := NewDecoder().DecodeInto(seed, &env); err == nil || env.Msg != nil {
+			t.Errorf("%s: gob frame gave err=%v msg=%#v", name, err, env.Msg)
+		}
+	}
+	if n == 0 {
+		t.Fatal("no gob frame in the corpus")
 	}
 }

@@ -4,7 +4,8 @@
 // two-phase commit), and client requests/results.
 //
 // Messages are plain structs. The in-memory transports pass them by
-// value; the TCP transport encodes them with encoding/gob (see codec.go).
+// value; the TCP transport encodes them with the binary codec (see
+// binary.go).
 package wire
 
 import (

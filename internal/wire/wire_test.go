@@ -1,10 +1,7 @@
 package wire
 
 import (
-	"reflect"
 	"testing"
-
-	"github.com/virtualpartitions/vp/internal/model"
 )
 
 func TestKindCoversAllMessages(t *testing.T) {
@@ -30,58 +27,8 @@ func TestKindCoversAllMessages(t *testing.T) {
 	}
 }
 
-func roundTrip(t *testing.T, env Envelope) Envelope {
-	t.Helper()
-	b, err := Encode(env)
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	out, err := Decode(b)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	return out
-}
-
-func TestGobRoundTripAllTypes(t *testing.T) {
-	vp := model.VPID{N: 7, P: 3}
-	txn := model.TxnID{Start: 10, P: 2, Seq: 5}
-	ver := model.Version{Date: vp, Ctr: 4, Writer: txn}
-	envs := []Envelope{
-		{From: 1, To: 2, Msg: NewVP{ID: vp}},
-		{From: 2, To: 1, Msg: AcceptVP{ID: vp, From: 2, Prev: model.VPID{N: 6, P: 1}}},
-		{From: 1, To: 2, Msg: CommitVP{ID: vp, View: []model.ProcID{1, 2, 3},
-			Prevs: map[model.ProcID]model.VPID{1: {N: 6, P: 1}}}},
-		{From: 1, To: 2, Msg: Probe{From: 1, VP: vp, Seq: 9}},
-		{From: 2, To: 1, Msg: ProbeAck{From: 2, Seq: 9}},
-		{From: 1, To: 2, Msg: RecoverRead{Obj: "x", VP: vp, Seq: 1}},
-		{From: 2, To: 1, Msg: RecoverReadResp{Obj: "x", Seq: 1, OK: true, Val: 42, Ver: ver}},
-		{From: 1, To: 2, Msg: RecoverLog{Obj: "x", Since: ver, VP: vp, Seq: 2}},
-		{From: 2, To: 1, Msg: RecoverLogResp{Obj: "x", Seq: 2, OK: true, Complete: true,
-			Entries: []LogEntry{{Val: 1, Ver: ver}}}},
-		{From: 1, To: 2, Msg: LockReq{Txn: txn, Obj: "x", Mode: model.LockExclusive, Epoch: vp, HasEpoch: true}},
-		{From: 2, To: 1, Msg: LockResp{Txn: txn, Obj: "x", Status: LockGranted, Val: 5, Ver: ver}},
-		{From: 1, To: 2, Msg: Prepare{Txn: txn, Epoch: vp, HasEpoch: true,
-			Writes: []ObjWrite{{Obj: "x", Val: 6, Ver: ver, MissedBy: []model.ProcID{3}}}}},
-		{From: 2, To: 1, Msg: Vote{Txn: txn, From: 2, OK: true}},
-		{From: 1, To: 2, Msg: Decide{Txn: txn, Commit: true}},
-		{From: 2, To: 1, Msg: DecideAck{Txn: txn, From: 2}},
-		{From: 2, To: 1, Msg: DecideQuery{Txn: txn, From: 2}},
-		{From: 1, To: 2, Msg: Release{Txn: txn}},
-		{From: 0, To: 1, Msg: ClientTxn{Tag: 3, Ops: IncrementOps("x", 1)}},
-		{From: 1, To: 0, Msg: ClientResult{Tag: 3, Txn: txn, Committed: true,
-			Reads: []ObjVal{{Obj: "x", Val: 7}}}},
-	}
-	for _, env := range envs {
-		got := roundTrip(t, env)
-		if !reflect.DeepEqual(got, env) {
-			t.Errorf("round trip of %s:\n got %#v\nwant %#v", Kind(env.Msg), got, env)
-		}
-	}
-}
-
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not a gob stream")); err == nil {
+	if _, err := NewDecoder().Decode([]byte("not a frame")); err == nil {
 		t.Fatal("expected error decoding garbage")
 	}
 }

@@ -102,6 +102,11 @@ func TestMinorityUnavailable(t *testing.T) {
 	if !c.WaitForView(5*time.Second, 1, 2) {
 		t.Fatal("majority view never formed")
 	}
+	// Until processor 3 notices the partition it is still in the old
+	// view, where its own copy is readable — legitimately.
+	if !c.WaitForView(5*time.Second, 3) {
+		t.Fatal("minority view never formed")
+	}
 	// Majority works.
 	if _, err := c.DoRetry(1, 5*time.Second, Increment("x", 1)); err != nil {
 		t.Fatal(err)
