@@ -3,12 +3,12 @@
 # (the TCP transport, the nemesis fault injector, the parallel
 # experiment harness, the client gateway, the journal's committer, the
 # shard router and the commit path's barrier and recovery tests);
-# `make chaos` is the seeded fault-injection gate and `make loadtest`
-# the gateway smoke gate.
+# `make chaos` is the seeded fault-injection gate and `make
+# bench-stack-smoke` drives the deployed stack (benchmark/).
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-wire bench-hotpath bench-observability bench-durable trace-check trace-e2e chaos loadtest bench-gateway bench-shard bench-stack-smoke bench-stack bench-pairs stress golden campaign-smoke campaign campaign-live recovery-check shard-check
+.PHONY: check build vet test race bench bench-wire bench-hotpath bench-observability bench-durable trace-check chaos bench-stack-smoke bench-stack bench-pairs stress golden campaign-smoke campaign recovery-check shard-check
 
 check: build vet test
 
@@ -69,18 +69,6 @@ trace-check:
 	$(GO) run ./cmd/vptrace check $(TRACE_FILE)
 	$(GO) run ./cmd/vptrace latency $(TRACE_FILE)
 
-# Causal-tracing end-to-end gate: one traced write through the full
-# vpload -local stack (HTTP gateway, binary codec over real sockets, 2PC
-# across three journaled nodes) must reassemble into a complete
-# gateway→2PC→journal span tree, survive a JSONL round trip, and yield a
-# critical path rooted at the gateway. Then a short traced load run
-# feeds `vptrace spans` for the human-facing path. Used by CI.
-TRACE_E2E_FILE ?= /tmp/vp_load_trace.jsonl
-trace-e2e:
-	$(GO) test -run 'TestTracedLocalWriteProducesSpanTree' -count=1 -v ./cmd/vpload
-	$(GO) run ./cmd/vpload -local 3 -smoke -clients 4 -duration 2s -trace $(TRACE_E2E_FILE) > /dev/null
-	$(GO) run ./cmd/vptrace spans -top 3 $(TRACE_E2E_FILE)
-
 # Seeded chaos run: a live 5-node TCP cluster under a nemesis schedule
 # with at least 3 partition/heal and 2 crash/restart episodes, verified
 # for 1SR, S1–S3/R2/R3 trace invariants and post-heal liveness, then the
@@ -96,9 +84,9 @@ chaos:
 # the disk-fault suite, the max-id barrier regression and the
 # coordinator killed at every point of its commit path (and restarted
 # into a vote record it collects again) under the race detector, then a
-# kill -9 chaos run (fsync faults, frozen disk mid
-# group-commit, torn journal tails) and the kill9 campaign cell, both
-# gated on 1SR, S1–S3/R2/R3 replay and post-heal liveness. Used by CI.
+# kill -9 chaos run (fsync faults, frozen disk mid group-commit, torn
+# journal tails) gated on 1SR, S1–S3/R2/R3 replay and post-heal
+# liveness. Used by CI.
 # `make recovery-check CHAOS_SEED=1` runs the seed PR 13 reported; it is
 # not in the gate because the harness's tail chop still eats an fsynced
 # max-id record there about 1 run in 60 (EXPERIMENTS.md, "Durable outbox").
@@ -106,25 +94,6 @@ recovery-check:
 	$(GO) test -race -count=1 -run 'EveryOffsetTruncation|Snapshot|Torn|DiskFaults|DeltaRejoin|MaxIDNeverLeaves|CoordinatorKilled|VoteRecordIsCollectedAgain' \
 		./internal/durable ./internal/nemesis ./internal/core ./internal/node ./internal/shard
 	$(GO) run ./cmd/vpchaos -n 5 -seed $(CHAOS_SEED) -partitions 1 -crashes 2 -kill9 -skip-sim
-	$(GO) run ./cmd/vpcampaign -spec specs/campaign-recovery.json
-
-# Gateway smoke gate: boot an in-process 3-node TCP cluster plus a
-# vpgateway, run a short closed-loop burst through the HTTP API, and
-# assert zero read-your-writes/1SR violations and non-zero committed
-# throughput. vpload -smoke exits non-zero otherwise, failing the
-# target. Used by CI.
-LOAD_SEED ?= 1
-loadtest:
-	$(GO) run ./cmd/vpload -local 3 -smoke -clients 8 -duration 3s -seed $(LOAD_SEED)
-
-# Regenerate BENCH_gateway.json: the group-commit ablation (batching off
-# vs on) over the same paced 1500 writes/sec load against one contended
-# object on a local 3-node cluster, with coordinated-omission-corrected
-# latency (see EXPERIMENTS.md).
-bench-gateway:
-	$(GO) run ./cmd/vpload -local 3 -compare -clients 32 -rate 1500 \
-		-duration 8s -read-fraction 0 -objects 1 -out BENCH_gateway.json
-	@cat BENCH_gateway.json
 
 # Deployed-stack harness (benchmark/README.md): separate vpnode and
 # vpgateway processes with real journals on loopback, four named
@@ -160,18 +129,6 @@ shard-check:
 	$(GO) test -race -count=1 ./internal/shard/...
 	$(GO) test -race -count=1 -run 'TestShard' ./internal/gateway ./internal/campaign
 	$(GO) run ./cmd/vpcampaign -spec specs/campaign-shard.json
-
-# Regenerate BENCH_shard.json: the shard scale-out ablation. The same
-# closed-loop load runs against a fresh local 5-node cluster twice —
-# one global virtual partition, then 4 per-shard partitions (3 copies
-# each) with -spread 1 keying every client to its home shard — and the
-# report carries per-shard throughput/latency plus the gateway's
-# per-lane group-commit rounds.
-bench-shard:
-	$(GO) run ./cmd/vpload -local 5 -shards 4 -shard-replicas 3 -spread 1 \
-		-clients 16 -duration 6s -read-fraction 0.5 -objects 16 \
-		-shard-compare -out BENCH_shard.json
-	@cat BENCH_shard.json
 
 # Regenerate BENCH_durable.json: journal recovery time (newest snapshot
 # + segment-tail replay) and R5 catch-up cost at 1e3→1e5 objects, delta
@@ -212,11 +169,6 @@ campaign-smoke:
 # backends (adds zipf skew). A few tens of seconds.
 campaign:
 	$(GO) run ./cmd/vpcampaign -spec specs/campaign-default.json -parallel 4 -v
-
-# Full-stack matrix: TCP nodes + durable journals + gateway per cell,
-# group commit off and on under a mixed nemesis. Minutes, not for CI.
-campaign-live:
-	$(GO) run ./cmd/vpcampaign -spec specs/campaign-live.json -v
 
 # Regenerate the golden determinism trace after an intentional output
 # change (see internal/bench/golden_test.go).

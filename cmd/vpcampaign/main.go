@@ -1,9 +1,9 @@
 // Command vpcampaign runs a declarative benchmark campaign: it expands a
-// JSON scenario-matrix spec into cells — {backend} × {cluster size,
-// objects, zipf skew, read fraction, group commit, nemesis profile} —
-// and executes every cell through the campaign Platform adapter with a
-// phased lifecycle (warm-up → load-ramp → steady state → fault window →
-// heal). Every cell is gated in-engine on the paper's
+// JSON scenario-matrix spec into cells — {backend: sim | inproc} ×
+// {cluster size, objects, zipf skew, read fraction, nemesis profile,
+// shards} — and executes every cell through the campaign Platform
+// adapter with a phased lifecycle (warm-up → load-ramp → steady state →
+// fault window → heal). Every cell is gated in-engine on the paper's
 // invariants: 1SR over the committed history, the S1–S3/R2/R3 trace
 // replay, and post-heal liveness. Any failing cell makes vpcampaign exit
 // non-zero — it is a test platform first, a bench runner second.
@@ -65,8 +65,9 @@ func parseArgs(args []string) (*options, error) {
 	}, nil
 }
 
-// loadSpec reads and strictly decodes a spec file: unknown keys are
-// errors, so a typoed axis name cannot silently shrink the matrix.
+// loadSpec reads, strictly decodes and validates a spec file: unknown
+// keys and axis values are errors, so a typoed axis name cannot silently
+// shrink the matrix.
 func loadSpec(path string) (campaign.Spec, []byte, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -77,6 +78,9 @@ func loadSpec(path string) (campaign.Spec, []byte, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		return campaign.Spec{}, nil, fmt.Errorf("parse %s: %w", path, err)
+	}
+	if err := spec.Validate(); err != nil {
+		return campaign.Spec{}, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return spec, raw, nil
 }

@@ -50,6 +50,24 @@ func TestLoadSpecStrict(t *testing.T) {
 		t.Fatal("loadSpec accepted an unknown axis key")
 	}
 
+	// What the campaign no longer runs is refused by name, not ignored.
+	for _, tc := range []struct {
+		axes map[string]any
+		name string
+	}{
+		{map[string]any{"group_commit": []bool{false, true}}, `"group_commit"`},
+		{map[string]any{"backend": []string{"live"}}, `"live"`},
+		{map[string]any{"nemesis": []string{"kill9"}}, `"kill9"`},
+	} {
+		path := writeSpec(t, map[string]any{"name": "gone", "axes": tc.axes})
+		_, _, err := loadSpec(path)
+		if err == nil {
+			t.Errorf("loadSpec accepted axes %v", tc.axes)
+		} else if !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("axes %v: error %q does not name %s", tc.axes, err, tc.name)
+		}
+	}
+
 	good := writeSpec(t, map[string]any{
 		"name": "ok",
 		"axes": map[string]any{"backend": []string{"sim"}, "n": []int{3}},
@@ -114,11 +132,12 @@ func TestRunCleanSpecPasses(t *testing.T) {
 	}
 }
 
-// TestRunList expands without executing, so -list is safe on live specs.
+// TestRunList expands without executing, so -list is safe on real-time
+// specs.
 func TestRunList(t *testing.T) {
 	spec := campaign.Spec{
 		Name: "cli-list",
-		Axes: campaign.Axes{Backend: []string{campaign.BackendLive}, N: []int{5, 7}},
+		Axes: campaign.Axes{Backend: []string{campaign.BackendInproc}, N: []int{5, 7}},
 	}
 	opt := &options{specPath: writeSpec(t, spec), list: true}
 	if err := run(opt); err != nil {

@@ -106,3 +106,50 @@ func TestReadsStdinAndRejectsJunk(t *testing.T) {
 		t.Fatalf("no args: exit %d, want 2", code)
 	}
 }
+
+// TestSpansTopN renders a small written capture the way `vptrace spans
+// -top 3` is used on a traced run: four gateway-rooted requests across
+// two nodes, the phase table, the three longest trees with their
+// critical paths, and a note for the one left out.
+func TestSpansTopN(t *testing.T) {
+	span := func(proc model.ProcID, ctx model.TraceCtx, phase string, start, end time.Duration) trace.Event {
+		return trace.Event{Kind: trace.EvSpan, Proc: proc, Ctx: ctx, Msg: phase, At: end, Aux: int64(end - start)}
+	}
+	var evs []trace.Event
+	for i := 1; i <= 4; i++ {
+		root := model.TraceCtx{Trace: uint64(i), Span: 0xFF000001}
+		coord := root.Child(0x01000001)
+		end := time.Duration(i) * 10 * time.Millisecond
+		evs = append(evs,
+			span(2, coord.Child(0x02000001), "part-stage", 2*time.Millisecond, 5*time.Millisecond),
+			span(1, coord, "coord-txn", time.Millisecond, end-time.Millisecond),
+			span(model.NoProc, root, "gw-request", 0, end))
+	}
+	path := writeTrace(t, evs)
+	var out, errb bytes.Buffer
+	if code := run([]string{"spans", "-top", "3", path}, nil, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr %s", code, errb.String())
+	}
+	got := out.String()
+	for _, want := range []string{
+		"4 traces, 12 spans\n",
+		"\ngw-request ", "\ncoord-txn ", "\npart-stage ",
+		"critical path: gw-request@",
+		"(1 more traces; -top 0 shows all)",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output lacks %q:\n%s", want, got)
+		}
+	}
+	if strings.Contains(got, "orphan") {
+		t.Errorf("complete capture reported orphans:\n%s", got)
+	}
+	// Longest first, and the shortest request is the one left out.
+	first := strings.Index(got, "\ntrace ")
+	if first < 0 || !strings.HasPrefix(got[first:], "\ntrace 0000000000000004 (40ms, 3 spans)") {
+		t.Errorf("first rendered tree is not the longest:\n%s", got)
+	}
+	if strings.Contains(got, "trace 0000000000000001") {
+		t.Errorf("-top 3 rendered the fourth-longest tree:\n%s", got)
+	}
+}

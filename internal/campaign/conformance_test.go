@@ -52,10 +52,10 @@ func conformancePlan(n, objects int) Plan {
 }
 
 // TestPlatformConformance holds every Platform implementation to the
-// same adapter contract, so a future backend (per-shard clusters, remote
-// fleets) inherits the lifecycle rules by adding one table row.
+// same adapter contract, so a new backend inherits the lifecycle rules
+// by adding one table row.
 func TestPlatformConformance(t *testing.T) {
-	backends := []string{BackendSim, BackendInproc, BackendLive}
+	backends := []string{BackendSim, BackendInproc}
 	for _, backend := range backends {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {

@@ -23,6 +23,9 @@ import (
 // far above any workload tag (the generator counts up from 1).
 const probeTagBase = uint64(1) << 62
 
+// isProbeTag reports whether a tag is in the reserved probe range.
+func isProbeTag(tag uint64) bool { return tag >= probeTagBase }
+
 // probeCount is how many liveness probes the heal window carries; the
 // gate needs one commit, the spread tolerates individual wedged
 // coordinators.
@@ -208,7 +211,7 @@ func buildNemesis(c Cell, start, end time.Duration) nemesis.Schedule {
 	case NemesisPartitions:
 		opts.MinPartitions, opts.MinCrashes = 2, 1
 		drop = map[nemesis.StepKind]bool{nemesis.StepCrash: true, nemesis.StepRestart: true}
-	case NemesisCrashes, NemesisKill9:
+	case NemesisCrashes:
 		opts.MinPartitions, opts.MinCrashes = 1, 2
 		drop = map[nemesis.StepKind]bool{nemesis.StepPartition: true, nemesis.StepIsolateOne: true}
 	}
@@ -274,7 +277,6 @@ type CellResult struct {
 	Objects      int     `json:"objects"`
 	Zipf         float64 `json:"zipf"`
 	ReadFraction float64 `json:"read_fraction"`
-	GroupCommit  bool    `json:"group_commit"`
 	Nemesis      string  `json:"nemesis"`
 	Seed         int64   `json:"seed"`
 
@@ -327,7 +329,7 @@ func (r CellResult) OK() bool { return r.Gates.OK() && len(r.Failures) == 0 }
 func RunCell(c Cell) CellResult {
 	res := CellResult{
 		ID: c.ID, Backend: c.Backend, N: c.N, Objects: c.Objects,
-		Zipf: c.Zipf, ReadFraction: c.ReadFraction, GroupCommit: c.GroupCommit,
+		Zipf: c.Zipf, ReadFraction: c.ReadFraction,
 		Nemesis: c.Nemesis, Seed: c.Seed,
 	}
 	began := time.Now()
@@ -340,9 +342,7 @@ func RunCell(c Cell) CellResult {
 	}
 	cfg := ClusterConfig{
 		N: c.N, Objects: c.Objects, Seed: c.Seed, Delta: c.Delta,
-		GroupCommit: c.GroupCommit,
-		Kill9:       c.Nemesis == NemesisKill9,
-		Shards:      c.Shards, ShardReplicas: c.ShardReplicas,
+		Shards: c.Shards, ShardReplicas: c.ShardReplicas,
 	}
 	if err := p.Start(cfg); err != nil {
 		res.Failures = append(res.Failures, fmt.Sprintf("start: %v", err))

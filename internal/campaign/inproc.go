@@ -20,13 +20,13 @@ import (
 
 // inprocPlatform runs a cell on net.RealCluster: the same core.Node
 // handlers on wall-clock time, goroutine mailboxes and in-memory
-// delivery. It sits between the sim (no real concurrency) and the live
-// stack (real sockets): races and timer behavior are real, message loss
-// is injected. Network faults go through a nemesis.Injector attached as
-// the cluster's Interceptor; crash/restart — which the injector
-// deliberately does not model — are approximated by cutting the victim's
-// links in the Topology, since a RealCluster node cannot be stopped
-// individually.
+// delivery. It sits between the sim (no real concurrency) and the
+// deployed stack (real sockets): races and timer behavior are real,
+// message loss is injected. Network faults go through a
+// nemesis.Injector attached as the cluster's Interceptor; crash/restart
+// — which the injector deliberately does not model — are approximated
+// by cutting the victim's links in the Topology, since a RealCluster
+// node cannot be stopped individually.
 type inprocPlatform struct {
 	topo    *vnet.Topology
 	c       *vnet.RealCluster

@@ -15,15 +15,14 @@ import (
 // experiment's shape — it precomputes the whole Plan (load, faults,
 // probes, horizon) before Start — and the platform owns execution, so
 // the same declarative cell runs on virtual time (sim) and wall clock
-// (inproc, live) without the engine branching on the backend. Future
-// backends (per-shard clusters, remote fleets) plug in here and inherit
-// the conformance suite.
+// (inproc) without the engine branching on the backend. A new backend
+// plugs in here and inherits the conformance suite.
 //
 // Lifecycle: Start → Drive → Scrape → Stop. Start on a started platform
 // is an error; Stop is idempotent; a stopped platform may Start again
 // with a fresh cluster. Scrape is valid between Drive and Stop.
 type Platform interface {
-	// Name echoes the backend name (sim | inproc | live).
+	// Name echoes the backend name (sim | inproc).
 	Name() string
 	// Deterministic reports whether two runs of the same ClusterConfig
 	// and Plan produce byte-identical Snapshots. Only such cells may run
@@ -47,12 +46,6 @@ type ClusterConfig struct {
 	// Delta is the assumed message-delay bound δ; the probe period is
 	// the protocol default π = 20δ.
 	Delta time.Duration
-	// GroupCommit enables the gateway's conveyor batching (live only).
-	GroupCommit bool
-	// Kill9 makes crash steps kill -9: the victim's fsync fails shortly
-	// before the kill, its disk freezes mid group-commit, and bytes are
-	// torn off the journal tail before restart (live only).
-	Kill9 bool
 	// Shards, when > 1, runs the cluster sharded: every node is a
 	// shard.Router over the same deterministic map (seed = Seed), each
 	// hosted shard with its own virtual-partition lifecycle (inproc
@@ -100,8 +93,6 @@ func NewPlatform(backend string) (Platform, error) {
 		return &simPlatform{}, nil
 	case BackendInproc:
 		return &inprocPlatform{}, nil
-	case BackendLive:
-		return &livePlatform{}, nil
 	default:
 		return nil, fmt.Errorf("campaign: unknown backend %q", backend)
 	}

@@ -18,7 +18,7 @@ import (
 // Every delivered remote message goes through an encode/decode
 // round-trip of the wire codec (the SimCluster.Transcode hook), so a
 // codec bug that corrupts a field breaks invariants here too, not only
-// on the live stack.
+// over real sockets.
 type simPlatform struct {
 	r        *bench.Runner
 	rec      *trace.Recorder

@@ -1,19 +1,20 @@
 // Package campaign expands a declarative scenario matrix into cells and
 // runs every cell through a common Platform adapter — the deterministic
-// simulation, the in-process real-time cluster, or the live TCP stack
-// behind the client gateway — with a phased lifecycle (warm-up →
-// load-ramp → steady state → fault window → heal/drain) and in-engine
-// gates on the paper's invariants: one-copy serializability of the
-// committed history, the S1–S3/R2/R3 trace replay, and post-heal
-// liveness. A cell that fails a gate fails the campaign, which makes
-// this a test platform first and a benchmark runner second. Cell results
-// append to the host-baseline-stamped BENCH_trajectory.json so perf and
-// correctness regressions across PRs are a CI diff.
+// simulation or the in-process real-time cluster — with a phased
+// lifecycle (warm-up → load-ramp → steady state → fault window →
+// heal/drain) and in-engine gates on the paper's invariants: one-copy
+// serializability of the committed history, the S1–S3/R2/R3 trace
+// replay, and post-heal liveness. A cell that fails a gate fails the
+// campaign, which makes this a test platform first and a benchmark
+// runner second. Cell results append to the host-baseline-stamped
+// BENCH_trajectory.json so perf and correctness regressions across PRs
+// are a CI diff.
 package campaign
 
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"time"
 )
 
@@ -21,7 +22,6 @@ import (
 const (
 	BackendSim    = "sim"    // deterministic virtual-time simulation (internal/bench)
 	BackendInproc = "inproc" // real-time in-memory cluster (net.RealCluster)
-	BackendLive   = "live"   // TCP nodes + durable journals + HTTP gateway
 )
 
 // Nemesis profile names for Axes.Nemesis.
@@ -30,11 +30,6 @@ const (
 	NemesisPartitions = "partitions" // partition/heal episodes only
 	NemesisCrashes    = "crashes"    // crash/restart episodes only
 	NemesisMixed      = "mixed"      // partitions + crashes + flaky links
-	// NemesisKill9 is crashes where each crash is a kill -9 against a
-	// hostile disk: failing fsync before the kill, a frozen disk mid
-	// group-commit, and a torn journal tail to recover from on restart.
-	// Live backend only — the damage is real bytes in a real journal.
-	NemesisKill9 = "kill9"
 	// NemesisShard partitions exactly one shard's weighted majority
 	// (every member of the target shard isolated from every other, for
 	// that shard's frames only) while the rest of the network stays
@@ -72,7 +67,7 @@ type Spec struct {
 	// RatePerSec is the steady-state arrival rate per cell (default 150).
 	RatePerSec float64 `json:"rate_per_sec,omitempty"`
 	// DeltaMS overrides the per-backend default message-delay bound δ
-	// (sim 2ms, inproc 10ms, live 20ms).
+	// (sim 2ms, inproc 10ms).
 	DeltaMS int `json:"delta_ms,omitempty"`
 	// Inject seeds a deliberate violation into every cell (see the
 	// Inject* constants); the campaign must then fail. Test hook.
@@ -91,7 +86,6 @@ type Axes struct {
 	Objects      []int     `json:"objects,omitempty"`       // default [4]
 	Zipf         []float64 `json:"zipf,omitempty"`          // popularity skew, default [0]
 	ReadFraction []float64 `json:"read_fraction,omitempty"` // default [0.5]
-	GroupCommit  []bool    `json:"group_commit,omitempty"`  // gateway batching, default [false]
 	Nemesis      []string  `json:"nemesis,omitempty"`       // default [mixed]
 	Shards       []int     `json:"shards,omitempty"`        // shard count, default [1] (unsharded)
 }
@@ -141,9 +135,6 @@ func (a Axes) withDefaults() Axes {
 	if len(a.ReadFraction) == 0 {
 		a.ReadFraction = []float64{0.5}
 	}
-	if len(a.GroupCommit) == 0 {
-		a.GroupCommit = []bool{false}
-	}
 	if len(a.Nemesis) == 0 {
 		a.Nemesis = []string{NemesisMixed}
 	}
@@ -155,16 +146,12 @@ func (a Axes) withDefaults() Axes {
 
 // defaultDelta is the per-backend message-delay bound δ: the sim runs in
 // virtual time so δ only scales the protocol's own timers; the real-time
-// backends need slack for goroutine scheduling and (for live) sockets.
+// backend needs slack for goroutine scheduling.
 func defaultDelta(backend string) time.Duration {
-	switch backend {
-	case BackendInproc:
+	if backend == BackendInproc {
 		return 10 * time.Millisecond
-	case BackendLive:
-		return 20 * time.Millisecond
-	default:
-		return 2 * time.Millisecond
 	}
+	return 2 * time.Millisecond
 }
 
 // Cell is one fully-instantiated point of the matrix.
@@ -176,7 +163,6 @@ type Cell struct {
 	Objects      int           `json:"objects"`
 	Zipf         float64       `json:"zipf"`
 	ReadFraction float64       `json:"read_fraction"`
-	GroupCommit  bool          `json:"group_commit"`
 	Nemesis      string        `json:"nemesis"`
 	Shards       int           `json:"shards,omitempty"`
 	Seed         int64         `json:"seed"`
@@ -194,9 +180,9 @@ func (s Spec) Validate() error {
 	a := s.Axes.withDefaults()
 	for _, b := range a.Backend {
 		switch b {
-		case BackendSim, BackendInproc, BackendLive:
+		case BackendSim, BackendInproc:
 		default:
-			return fmt.Errorf("campaign: unknown backend %q (want sim|inproc|live)", b)
+			return fmt.Errorf("campaign: unknown backend %q (want sim|inproc)", b)
 		}
 	}
 	for _, n := range a.N {
@@ -222,12 +208,8 @@ func (s Spec) Validate() error {
 	for _, nm := range a.Nemesis {
 		switch nm {
 		case NemesisNone, NemesisPartitions, NemesisCrashes, NemesisMixed:
-		case NemesisKill9:
-			if !contains(a.Backend, BackendLive) {
-				return fmt.Errorf("campaign: nemesis=kill9 needs the live backend (the damage is a real journal's tail)")
-			}
 		case NemesisShard:
-			if !contains(a.Backend, BackendInproc) {
+			if !slices.Contains(a.Backend, BackendInproc) {
 				return fmt.Errorf("campaign: nemesis=shard-partition needs the inproc backend (the injector must inspect frames)")
 			}
 			sharded := false
@@ -248,11 +230,6 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("campaign: shards=%d must be >= 1", k)
 		}
 	}
-	for _, gc := range a.GroupCommit {
-		if gc && !contains(a.Backend, BackendLive) {
-			return fmt.Errorf("campaign: group_commit=true needs the live backend (the gateway owns batching)")
-		}
-	}
 	switch s.Inject {
 	case InjectNone, InjectS2, InjectHistory, InjectLiveness:
 	default:
@@ -261,21 +238,9 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-func contains(xs []string, want string) bool {
-	for _, x := range xs {
-		if x == want {
-			return true
-		}
-	}
-	return false
-}
-
 // Expand materializes the matrix in a fixed nesting order (backend
-// outermost, nemesis innermost) so cell indices and seeds are stable for
-// a given spec. group_commit=true cells are emitted only for the live
-// backend — batching lives in the gateway, which the other backends do
-// not run — so a spec sweeping {backends} × {gc on/off} does not
-// generate unrunnable cells.
+// outermost, shards innermost) so cell indices and seeds are stable for
+// a given spec.
 func (s Spec) Expand() ([]Cell, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -300,45 +265,35 @@ func (s Spec) Expand() ([]Cell, error) {
 			for _, objects := range a.Objects {
 				for _, zipf := range a.Zipf {
 					for _, rf := range a.ReadFraction {
-						for _, gc := range a.GroupCommit {
-							if gc && backend != BackendLive {
-								continue
-							}
-							for _, nem := range a.Nemesis {
-								if nem == NemesisKill9 && backend != BackendLive {
+						for _, nem := range a.Nemesis {
+							for _, shards := range a.Shards {
+								// Sharded clusters run shard.Routers, which only
+								// the inproc backend assembles; and the
+								// shard-partition fault is meaningless unsharded.
+								if shards > 1 && backend != BackendInproc {
 									continue
 								}
-								for _, shards := range a.Shards {
-									// Sharded clusters run shard.Routers, which
-									// only the inproc backend assembles; and the
-									// shard-partition fault is meaningless
-									// unsharded.
-									if shards > 1 && backend != BackendInproc {
-										continue
-									}
-									if nem == NemesisShard && shards <= 1 {
-										continue
-									}
-									c := Cell{
-										Index:         len(cells),
-										Backend:       backend,
-										N:             n,
-										Objects:       objects,
-										Zipf:          zipf,
-										ReadFraction:  rf,
-										GroupCommit:   gc,
-										Nemesis:       nem,
-										Shards:        shards,
-										ShardReplicas: s.ShardReplicas,
-										Delta:         delta,
-										Rate:          rate,
-										Phases:        ph,
-										Inject:        s.Inject,
-									}
-									c.ID = cellID(c)
-									c.Seed = cellSeed(seed, c.ID)
-									cells = append(cells, c)
+								if nem == NemesisShard && shards <= 1 {
+									continue
 								}
+								c := Cell{
+									Index:         len(cells),
+									Backend:       backend,
+									N:             n,
+									Objects:       objects,
+									Zipf:          zipf,
+									ReadFraction:  rf,
+									Nemesis:       nem,
+									Shards:        shards,
+									ShardReplicas: s.ShardReplicas,
+									Delta:         delta,
+									Rate:          rate,
+									Phases:        ph,
+									Inject:        s.Inject,
+								}
+								c.ID = cellID(c)
+								c.Seed = cellSeed(seed, c.ID)
+								cells = append(cells, c)
 							}
 						}
 					}
@@ -350,14 +305,9 @@ func (s Spec) Expand() ([]Cell, error) {
 }
 
 func cellID(c Cell) string {
-	gc := "gc0"
-	if c.GroupCommit {
-		gc = "gc1"
-	}
-	id := fmt.Sprintf("%s/n%d/o%d/z%.2f/rf%.2f/%s/%s",
-		c.Backend, c.N, c.Objects, c.Zipf, c.ReadFraction, gc, c.Nemesis)
-	// The shard segment appears only on sharded cells so every
-	// pre-sharding cell id (and therefore its derived seed) is unchanged.
+	id := fmt.Sprintf("%s/n%d/o%d/z%.2f/rf%.2f/%s",
+		c.Backend, c.N, c.Objects, c.Zipf, c.ReadFraction, c.Nemesis)
+	// The shard segment appears only on sharded cells.
 	if c.Shards > 1 {
 		id += fmt.Sprintf("/sh%d", c.Shards)
 	}

@@ -28,30 +28,36 @@ func TestExpandDefaults(t *testing.T) {
 	}
 }
 
-func TestExpandCrossProductAndGCFilter(t *testing.T) {
+func TestExpandCrossProduct(t *testing.T) {
 	spec := Spec{
 		Axes: Axes{
-			Backend:      []string{BackendSim, BackendLive},
+			Backend:      []string{BackendSim, BackendInproc},
 			N:            []int{3, 5},
-			GroupCommit:  []bool{false, true},
-			ReadFraction: []float64{0.5},
+			ReadFraction: []float64{0.5, 0.9},
 		},
 	}
 	cells, err := spec.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// sim: 2 n-values × gc=false only; live: 2 × both gc values.
-	if len(cells) != 2+4 {
-		t.Fatalf("expanded to %d cells, want 6", len(cells))
+	if len(cells) != 2*2*2 {
+		t.Fatalf("expanded to %d cells, want 8", len(cells))
 	}
-	for _, c := range cells {
-		if c.GroupCommit && c.Backend != BackendLive {
-			t.Errorf("gc cell on non-live backend: %s", c.ID)
+	ids := map[string]bool{}
+	for i, c := range cells {
+		if c.Index != i {
+			t.Errorf("cell %s has index %d at position %d", c.ID, c.Index, i)
 		}
-		if c.Index >= len(cells) {
-			t.Errorf("cell index %d out of range", c.Index)
+		if ids[c.ID] {
+			t.Errorf("duplicate cell id %s", c.ID)
 		}
+		ids[c.ID] = true
+		if c.Delta != defaultDelta(c.Backend) {
+			t.Errorf("cell %s: delta %v, want the %s default", c.ID, c.Delta, c.Backend)
+		}
+	}
+	if got := cells[0].ID; got != "sim/n3/o4/z0.00/rf0.50/mixed" {
+		t.Errorf("first cell id = %q", got)
 	}
 }
 
@@ -62,7 +68,8 @@ func TestValidateRejects(t *testing.T) {
 		{Axes: Axes{Objects: []int{0}}},
 		{Axes: Axes{ReadFraction: []float64{1.5}}},
 		{Axes: Axes{Nemesis: []string{"meteor"}}},
-		{Axes: Axes{GroupCommit: []bool{true}}}, // gc without live backend
+		{Axes: Axes{Backend: []string{"live"}}},
+		{Axes: Axes{Nemesis: []string{"kill9"}}},
 		{Inject: "coffee"},
 	}
 	for i, s := range bad {
@@ -114,9 +121,5 @@ func TestCheckedInSpecs(t *testing.T) {
 	}
 	if len(backends) < 2 {
 		t.Errorf("default spec covers %d backends, want >= 2", len(backends))
-	}
-
-	if _, err := load("campaign-live.json").Expand(); err != nil {
-		t.Errorf("live: %v", err)
 	}
 }

@@ -78,7 +78,7 @@ func TestTrajectorySchemaStability(t *testing.T) {
 		`"go"`, `"goos"`, `"goarch"`, `"gomaxprocs"`, `"entries"`,
 		`"campaign"`, `"seed"`, `"spec_sha256"`, `"cells"`,
 		`"id"`, `"backend"`, `"n"`, `"objects"`, `"zipf"`, `"read_fraction"`,
-		`"group_commit"`, `"nemesis"`,
+		`"nemesis"`,
 		`"submitted"`, `"committed"`, `"aborted"`, `"denied"`, `"pending"`,
 		`"availability"`, `"latency_p50_ms"`, `"latency_p95_ms"`,
 		`"msgs_per_commit"`, `"view_changes"`, `"gates"`, `"digest"`, `"wall_ms"`,

@@ -5,20 +5,24 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	stdnet "net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/virtualpartitions/vp/internal/core"
+	"github.com/virtualpartitions/vp/internal/durable"
 	"github.com/virtualpartitions/vp/internal/metrics"
 	"github.com/virtualpartitions/vp/internal/model"
 	vnet "github.com/virtualpartitions/vp/internal/net"
 	"github.com/virtualpartitions/vp/internal/node"
 	"github.com/virtualpartitions/vp/internal/onecopy"
+	"github.com/virtualpartitions/vp/internal/trace"
 	"github.com/virtualpartitions/vp/internal/wire"
 )
 
@@ -284,24 +288,37 @@ func TestShardLanesFlushIndependently(t *testing.T) {
 
 // --- live cluster tests ---
 
+// freePorts returns n loopback addresses nobody listens on, for nodes
+// that will listen there a moment later. The ports are drawn from below
+// the kernel's ephemeral range: one handed out by Listen(":0") can be
+// taken again, as the source port of any dial on the machine, before
+// the node binds it.
 func freePorts(t *testing.T, n int) []string {
 	t.Helper()
-	out := make([]string, n)
-	for i := range out {
-		l, err := stdnet.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	out := make([]string, 0, n)
+	for tries := 0; len(out) < n; tries++ {
+		if tries > 100*n {
+			t.Fatal("no free port below the ephemeral range")
 		}
-		out[i] = l.Addr().String()
-		l.Close()
+		addr := fmt.Sprintf("127.0.0.1:%d", 10000+rand.Intn(20000))
+		if slices.Contains(out, addr) {
+			continue
+		}
+		if l, err := stdnet.Listen("tcp", addr); err == nil {
+			l.Close()
+			out = append(out, addr)
+		}
 	}
 	return out
 }
 
 // bootCluster starts a 3-node virtual-partition cluster over real TCP
 // with a shared one-copy history checker, returning the client address
-// map and a stop func.
-func bootCluster(t *testing.T, objs ...model.ObjectID) (map[model.ProcID]string, *onecopy.History, func()) {
+// map, one trace recorder per node and a stop func. Traced, every node
+// runs on an in-memory durable journal, samples every transaction and
+// records its spans (so traces reach the journal); otherwise the
+// recorders are nil.
+func bootCluster(t *testing.T, traced bool, objs ...model.ObjectID) (map[model.ProcID]string, *onecopy.History, []*trace.Recorder, func()) {
 	t.Helper()
 	const n = 3
 	ports := freePorts(t, n)
@@ -312,9 +329,24 @@ func bootCluster(t *testing.T, objs ...model.ObjectID) (map[model.ProcID]string,
 	cat := model.FullyReplicated(n, objs...)
 	hist := onecopy.NewHistory()
 	cfg := core.Config{Config: node.Config{Delta: 20 * time.Millisecond, LogCap: 256}}
-	var nodes []*vnet.TCPNode
+	if traced {
+		cfg.TraceSample = 1
+	}
+	var (
+		nodes []*vnet.TCPNode
+		recs  []*trace.Recorder
+	)
 	for id := model.ProcID(1); id <= n; id++ {
-		tcp := vnet.NewTCPNode(id, addrs, core.New(id, cfg, cat, hist))
+		var tcp *vnet.TCPNode
+		if traced {
+			tcp = vnet.NewTCPNode(id, addrs, core.NewDurable(id, cfg, cat, hist, durable.NewMemJournal()))
+			rec := trace.New(trace.DefaultCap)
+			rec.SetEnabled(true)
+			tcp.SetTracer(rec)
+			recs = append(recs, rec)
+		} else {
+			tcp = vnet.NewTCPNode(id, addrs, core.New(id, cfg, cat, hist))
+		}
 		if err := tcp.Run(); err != nil {
 			t.Fatalf("node %v: %v", id, err)
 		}
@@ -325,7 +357,7 @@ func bootCluster(t *testing.T, objs ...model.ObjectID) (map[model.ProcID]string,
 			nd.Stop()
 		}
 	}
-	return addrs, hist, stop
+	return addrs, hist, recs, stop
 }
 
 // TestGatewayReadYourWrites is the acceptance test: under concurrent
@@ -335,7 +367,7 @@ func TestGatewayReadYourWrites(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live cluster test")
 	}
-	addrs, hist, stop := bootCluster(t, "x", "y", "z")
+	addrs, hist, _, stop := bootCluster(t, false, "x", "y", "z")
 	defer stop()
 
 	g := New(Config{Cluster: addrs, Batching: true, BatchWindow: 2 * time.Millisecond,
@@ -409,7 +441,7 @@ func TestGatewayBatchingAblation(t *testing.T) {
 		t.Skip("live cluster test")
 	}
 	run := func(batching bool) (rounds, committed int64, sum int64) {
-		addrs, _, stop := bootCluster(t, "x")
+		addrs, _, _, stop := bootCluster(t, false, "x")
 		defer stop()
 		reg := metrics.NewRegistry()
 		g := New(Config{Cluster: addrs, Batching: batching, BatchWindow: 5 * time.Millisecond,
@@ -462,4 +494,139 @@ func TestGatewayBatchingAblation(t *testing.T) {
 	}
 	t.Logf("2PC rounds per logical write: off %.2f, on %.2f",
 		float64(offRounds)/float64(offCommitted), float64(onRounds)/float64(onCommitted))
+}
+
+// TestTracedWriteProducesSpanTree is the end-to-end acceptance test for
+// the causal tracing layer: one write through the gateway — HTTP, binary
+// wire codec over real sockets, 2PC across three nodes, in-memory
+// durable journal — must reassemble into a single span tree rooted at
+// the gateway request, with the coordinator's 2PC phases and the
+// journal spans beneath it.
+func TestTracedWriteProducesSpanTree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live cluster test")
+	}
+	addrs, _, recs, stop := bootCluster(t, true, "o0", "o1")
+	defer stop()
+	gwRec := trace.New(trace.DefaultCap)
+	gwRec.SetEnabled(true)
+	recs = append(recs, gwRec)
+	g := New(Config{Cluster: addrs, Batching: true, BatchWindow: 2 * time.Millisecond,
+		PerTry: time.Second, Deadline: 20 * time.Second, Tracer: gwRec, TraceSample: 1})
+	defer g.Close()
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+	// Cross-process span assembly needs nothing but the merged events:
+	// contexts alone link them.
+	merged := func() []trace.Event {
+		var events []trace.Event
+		for _, r := range recs {
+			events = append(events, r.Events()...)
+		}
+		return events
+	}
+
+	// One increment through the gateway; retry while the view forms.
+	body, _ := json.Marshal(TxnRequest{Ops: []TxnOp{{Kind: "incr", Obj: "o0", Delta: 1}}})
+	deadline := time.Now().Add(15 * time.Second)
+	var tr TxnResponse
+	for {
+		resp, err := srv.Client().Post(srv.URL+"/txn", "application/json", bytes.NewReader(body))
+		if err == nil {
+			committed := resp.StatusCode == http.StatusOK &&
+				json.NewDecoder(resp.Body).Decode(&tr) == nil && tr.Committed
+			resp.Body.Close()
+			if committed {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("write never committed: %+v err=%v", tr, err)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+
+	required := []string{
+		"gw-request",    // gateway
+		"coord-txn",     // 2PC coordinator, whole transaction
+		"coord-lock",    // lock acquisition
+		"coord-prepare", // prepare/vote round
+		"coord-journal", // decision record to the durable journal
+		"part-stage",    // participant staging
+		"part-journal",  // staged writes to the durable journal
+	}
+	phasesOf := func(root *trace.Span) map[string]int {
+		phases := map[string]int{}
+		var walk func(s *trace.Span)
+		walk = func(s *trace.Span) {
+			phases[s.Phase]++
+			for _, c := range s.Children {
+				walk(c)
+			}
+		}
+		walk(root)
+		return phases
+	}
+	// The decide round's spans close when the last ack lands, which may
+	// trail the HTTP response: poll the capture until a tree rooted at a
+	// gateway request (view formation mints node-rooted trees of its own)
+	// carries every phase.
+	var (
+		tree   *trace.Tree
+		seen   []map[string]int
+		events []trace.Event
+	)
+	for tree == nil {
+		events, seen = merged(), nil
+		for _, tt := range trace.BuildTrees(events) {
+			if len(tt.Roots) == 0 || tt.Roots[0].Phase != "gw-request" {
+				continue
+			}
+			phases := phasesOf(tt.Roots[0])
+			seen = append(seen, phases)
+			complete := true
+			for _, want := range required {
+				complete = complete && phases[want] > 0
+			}
+			if complete {
+				tree = tt
+				break
+			}
+		}
+		if tree == nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("no gw-request tree with every phase of %v; gw-request trees had %v", required, seen)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	if tree.Orphans != 0 {
+		t.Errorf("complete capture has %d orphan spans", tree.Orphans)
+	}
+
+	// The same capture must survive a JSONL round trip (what a traced
+	// process writes and `vptrace spans` reads) with the tree intact.
+	var buf bytes.Buffer
+	if err := trace.WriteJSONL(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	reread, err := trace.ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, tt := range trace.BuildTrees(reread) {
+		if tt.Trace == tree.Trace && len(tt.Spans) == len(tree.Spans) {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("span tree did not survive the JSONL round trip")
+	}
+
+	// The critical path starts at the gateway and descends into 2PC.
+	path := tree.CriticalPath()
+	if len(path) < 2 || path[0].Span.Phase != "gw-request" {
+		t.Errorf("critical path does not start at the gateway: %+v", path)
+	}
 }
