@@ -191,7 +191,7 @@ func runLive(opt *options, sched nemesis.Schedule) error {
 		rec.Record(trace.Event{Kind: trace.EvPlacement, Obj: obj, Procs: cat.Copies(obj).Sorted()})
 	}
 	inj := nemesis.NewInjector(opt.seed)
-	cfg := core.Config{Config: node.Config{Delta: opt.delta, LogCap: 256}, UseLogCatchup: true}
+	cfg := core.Config{Config: node.Config{Delta: opt.delta, LogCap: 256}, UseLogCatchup: true, UsePrevOpt: true}
 	tcpCfg := vnet.TCPConfig{
 		DialTimeout:  500 * time.Millisecond,
 		ReconnectMin: 20 * time.Millisecond,

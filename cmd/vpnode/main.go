@@ -141,6 +141,7 @@ func main() {
 		Config:        node.Config{Delta: opt.delta, LogCap: 1024, TraceSample: opt.traceSample},
 		Pi:            opt.pi,
 		UseLogCatchup: !opt.fullCopyR5,
+		UsePrevOpt:    true,
 	}
 
 	var smap *shard.Map
@@ -321,7 +322,7 @@ func main() {
 		fmt.Printf("vpnode %v serving on %s (δ=%v, %d objects over %d shards, hosting %v)\n",
 			opt.id, opt.addrs[opt.id], opt.delta, len(opt.objects), smap.NumShards(), smap.Hosted(opt.id))
 	} else {
-		fmt.Printf("vpnode %v serving on %s (δ=%v, objects %v)\n", opt.id, opt.addrs[opt.id], opt.delta, opt.objects)
+		fmt.Printf("vpnode %v serving on %s (δ=%v, %d objects)\n", opt.id, opt.addrs[opt.id], opt.delta, len(opt.objects))
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -146,9 +146,10 @@ func snapshot(opt *options, client *http.Client, w io.Writer) {
 	fmt.Fprintln(w, ")")
 
 	// "created" is how many partitions the node has created and why it
-	// created the last of them (vp_vp_created_<cause> has the split).
-	fmt.Fprintf(w, "\n%-5s %-6s %-10s %-19s %9s %8s %9s %9s %7s %7s %8s %7s %7s %8s\n",
-		"node", "state", "vp", "created", "commits", "aborts", "msgs", "peerdown", "spans", "traces",
+	// created the last of them (vp_vp_created_<cause> has the split);
+	// "refresh" how many copies are still locked for rule R5 refresh.
+	fmt.Fprintf(w, "\n%-5s %-6s %-10s %7s %-19s %9s %8s %9s %9s %7s %7s %8s %7s %7s %8s\n",
+		"node", "state", "vp", "refresh", "created", "commits", "aborts", "msgs", "peerdown", "spans", "traces",
 		"fsyncs", "batch", "lag", "recov")
 	for _, r := range rows {
 		state, vp := "DOWN", "-"
@@ -169,8 +170,8 @@ func snapshot(opt *options, client *http.Client, w io.Writer) {
 		if r.health.Cause != "" {
 			created = fmt.Sprintf("%.0f %s", r.metrics["vp_vp_created"], r.health.Cause)
 		}
-		fmt.Fprintf(w, "%-5s %-6s %-10s %-19s %9.0f %8.0f %9.0f %9.0f %7d %7d %8.0f %7s %7s %8s\n",
-			r.id, state, vp, created,
+		fmt.Fprintf(w, "%-5s %-6s %-10s %7d %-19s %9.0f %8.0f %9.0f %9.0f %7d %7d %8.0f %7s %7s %8s\n",
+			r.id, state, vp, r.health.Refreshing, created,
 			r.metrics["vp_txn_commit"], r.metrics["vp_txn_abort"],
 			r.metrics["vp_net_msg_sent"], r.metrics["vp_net_peer_down"],
 			r.spans.Spans, r.spans.Traces,

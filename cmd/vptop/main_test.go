@@ -55,6 +55,7 @@ func TestSnapshotAgainstLiveEndpoints(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Inc(metrics.CTxnCommit, 12)
 	reg.Inc(metrics.CVPCreated, 3)
+	reg.Inc(metrics.CRefreshing, 417) // copies still locked for R5 refresh
 	rec := trace.New(64)
 	rec.SetEnabled(true)
 	ctx := model.TraceCtx{Trace: 9, Span: 1}
@@ -74,7 +75,7 @@ func TestSnapshotAgainstLiveEndpoints(t *testing.T) {
 	opt := &options{nodes: map[model.ProcID]string{1: addr}, interval: time.Second}
 	snapshot(opt, &http.Client{Timeout: time.Second}, &out)
 	got := out.String()
-	for _, want := range []string{"serving", "4/P1", "3 probe-mismatch", "12", "coord-txn", "coord-lock"} {
+	for _, want := range []string{"serving", "4/P1", "3 probe-mismatch", "417", "12", "coord-txn", "coord-lock"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("snapshot missing %q:\n%s", want, got)
 		}

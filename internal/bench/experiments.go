@@ -461,7 +461,7 @@ func E8(seed int64) *Table {
 			r.Cluster.Reg.Get(metrics.CRefreshSkips), res.Availability, res.OneCopySR)
 	}
 	t.Notes = append(t.Notes,
-		"split-off partitions (crashes) skip refresh entirely with the optimization; merges still refresh")
+		"split-off partitions (crashes) skip refresh entirely with the optimization; merges refresh only the copies the members' write digests cannot clear (the boot's first view refreshes nothing)")
 	return t
 }
 

@@ -57,7 +57,7 @@ func (p *inprocPlatform) Start(cfg ClusterConfig) error {
 	p.hist = onecopy.NewHistory()
 	p.inj = nemesis.NewInjector(cfg.Seed)
 	p.c.Icpt = p.inj
-	ccfg := core.Config{Config: node.Config{Delta: cfg.Delta, LogCap: 256}, UseLogCatchup: true}
+	ccfg := core.Config{Config: node.Config{Delta: cfg.Delta, LogCap: 256}, UseLogCatchup: true, UsePrevOpt: true}
 	if cfg.Shards > 1 {
 		// Sharded cell: every node is a shard.Router over the same
 		// deterministic map — each hosted shard runs its own VP

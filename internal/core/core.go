@@ -99,15 +99,19 @@ type Node struct {
 	// prevs[q] = the partition q departed to join curID (§6), collected
 	// in phase 1 and distributed in phase 2 at no extra message cost.
 	prevs map[model.ProcID]model.VPID
-	// myPrev is the last partition this processor was assigned to.
+	// digests[q] = q's write digest, collected and distributed alongside
+	// prevs: what lets the join skip refreshing copies already current.
+	digests map[model.ProcID]wire.Digest
+	// myPrev is the last partition this processor was assigned to and
+	// finished its R5 refresh in (zero if it left with one unfinished).
 	myPrev model.VPID
 
 	// --- Create-VP task state (Figure 5) ---
 	creating    bool
 	createID    model.VPID
-	createCause string                      // why (one of the cause constants)
-	createTimer net.TimerID                 // the 2δ window of createID
-	accepts     map[model.ProcID]model.VPID // accepting processor → its prev
+	createCause string                         // why (one of the cause constants)
+	createTimer net.TimerID                    // the 2δ window of createID
+	accepts     map[model.ProcID]wire.AcceptVP // accepting processor → its acceptance
 
 	// --- Monitor-VP-Creations state (Figure 6) ---
 	acceptTimer    net.TimerID
@@ -129,6 +133,13 @@ type Node struct {
 	refreshing   map[model.ObjectID]*refreshState
 	refreshEpoch model.VPID
 	refreshSeq   uint64
+	// watchArmed: the round's one no-response watchdog is pending.
+	watchArmed bool
+	// retryObjs[p] are the objects p refused or found busy, asked again
+	// as one CatchupReq δ after the first of them; peerRefusals[p] counts
+	// p's refused catch-up rounds.
+	retryObjs    map[model.ProcID][]*refreshState
+	peerRefusals map[model.ProcID]int
 
 	// journal receives max-id updates for crash-restart durability.
 	journal durable.Journal
@@ -185,13 +196,14 @@ type probeTick struct{}
 type probeWindow struct{ seq uint64 }
 type createWindow struct{ id model.VPID }
 type acceptTimeout struct{}
-type refreshWindow struct {
-	obj model.ObjectID
-	seq uint64
-}
+type refreshWatchdog struct{ vp model.VPID }
 type refreshRetry struct {
 	obj  model.ObjectID
 	seq  uint64
+	peer model.ProcID
+}
+type catchupRetry struct {
+	vp   model.VPID
 	peer model.ProcID
 }
 
@@ -324,10 +336,6 @@ func (n *Node) OnMessage(rt net.Runtime, from model.ProcID, m wire.Message) {
 		n.onRecoverRead(rt, from, msg)
 	case wire.RecoverReadResp:
 		n.onRecoverReadResp(rt, from, msg)
-	case wire.RecoverLog:
-		n.onRecoverLog(rt, from, msg)
-	case wire.RecoverLogResp:
-		n.onRecoverLogResp(rt, from, msg)
 	case wire.CatchupReq:
 		n.onCatchupReq(rt, from, msg)
 	case wire.CatchupResp:
@@ -351,10 +359,12 @@ func (n *Node) OnTimer(rt net.Runtime, key any) {
 		n.onCreateWindow(rt, k.id)
 	case acceptTimeout:
 		n.onAcceptTimeout(rt)
-	case refreshWindow:
-		n.onRefreshWindow(rt, k)
+	case refreshWatchdog:
+		n.onRefreshWatchdog(rt, k)
 	case refreshRetry:
 		n.onRefreshRetry(rt, k)
+	case catchupRetry:
+		n.onCatchupRetry(rt, k)
 	default:
 		n.HandleTimer(rt, key)
 	}

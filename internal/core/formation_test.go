@@ -118,7 +118,7 @@ func TestSilentProcessorCostsTheWindow(t *testing.T) {
 	// A duplicate of 2's acceptance makes two answers, not three.
 	f.cluster.At(tSettled+2*tHop+tHop/2, "duplicate", func() {
 		n := f.nodes[1]
-		n.OnMessage(f.cluster.RuntimeFor(1), 2, wire.AcceptVP{ID: n.createID, From: 2, Prev: n.accepts[2]})
+		n.OnMessage(f.cluster.RuntimeFor(1), 2, n.accepts[2])
 	})
 	f.run(tSettled + 2*tDelta + 2*tHop)
 	for _, j := range joinsAfter(f.events, tSettled) {

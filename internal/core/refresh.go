@@ -33,7 +33,7 @@ type refreshState struct {
 	seq      uint64
 	pending  model.ProcSet // peers not yet heard from
 	busy     model.ProcSet // peers that answered Busy (retry pending)
-	refusals int           // !OK responses seen (peer not in partition yet)
+	refusals int           // full-read refusals seen (peer not in partition yet)
 	deadline time.Duration // no-response watchdog deadline
 	bestVal  model.Value
 	bestVer  model.Version
@@ -49,23 +49,40 @@ type refreshState struct {
 }
 
 // maxRefreshRefusals bounds how often a not-in-partition refusal is
-// retried before the view is declared wrong.
+// retried before the view is declared wrong: per object on the full-read
+// path, per peer and refused round on the batched catch-up.
 const maxRefreshRefusals = 5
 
-// extendRefreshDeadline pushes the no-response watchdog 2δ into the
-// future; it is called whenever the refresh makes progress (start, any
-// response, any retry). The watchdog timer re-arms itself while the
-// deadline keeps moving.
+// extendRefreshDeadline pushes the object's no-response deadline 2δ into
+// the future; it is called whenever the refresh makes progress (start,
+// any response, any retry). One watchdog timer per round watches every
+// deadline (onRefreshWatchdog).
 func (n *Node) extendRefreshDeadline(rt net.Runtime, st *refreshState) {
 	st.deadline = rt.Now() + 2*n.cfg.Delta
+	n.armWatchdog(rt, st.deadline)
+}
+
+// armWatchdog arms the round's watchdog for at, unless it is armed
+// already: deadlines only move later, and the sweep re-arms for the
+// earliest one still open.
+func (n *Node) armWatchdog(rt net.Runtime, at time.Duration) {
+	if n.watchArmed {
+		return
+	}
+	n.watchArmed = true
+	rt.SetTimer(at-rt.Now(), refreshWatchdog{vp: n.refreshEpoch})
 }
 
 // startRefresh begins Update-Copies-in-View for the locked objects. In
 // log mode every peer receives one CatchupReq batching the date vector
-// of all objects it shares with us, instead of one RecoverLog per
-// (object, peer) pair; retries and fallbacks still run per object.
+// of all objects it shares with us, and a refused or busy answer is
+// asked again as one batch per peer; the full-read fallback for a
+// truncated log runs per object.
 func (n *Node) startRefresh(rt net.Runtime, objs []model.ObjectID) {
 	n.refreshEpoch = n.curID
+	n.watchArmed = false // a timer of an earlier round ignores this one
+	n.retryObjs = make(map[model.ProcID][]*refreshState)
+	n.peerRefusals = make(map[model.ProcID]int)
 	batches := make(map[model.ProcID][]wire.ObjSince)
 	for _, obj := range objs {
 		n.refreshSeq++
@@ -103,7 +120,6 @@ func (n *Node) startRefresh(rt net.Runtime, objs []model.ObjectID) {
 			}
 		}
 		n.extendRefreshDeadline(rt, st)
-		rt.SetTimer(2*n.cfg.Delta, refreshWindow{obj: obj, seq: st.seq})
 	}
 	// Peers in sorted order so the send sequence is deterministic.
 	peers := make([]model.ProcID, 0, len(batches))
@@ -116,12 +132,10 @@ func (n *Node) startRefresh(rt net.Runtime, objs []model.ObjectID) {
 	}
 }
 
+// sendRecover asks p for st's copy in full: the full-value path, and
+// the log path's fallback after p's log turned out truncated.
 func (n *Node) sendRecover(rt net.Runtime, st *refreshState, p model.ProcID) {
-	if st.logMode {
-		rt.SendCtx(p, wire.RecoverLog{Obj: st.obj, Since: n.Store.Get(st.obj).Ver, VP: n.curID, Seq: st.seq}, st.ctx)
-	} else {
-		rt.SendCtx(p, wire.RecoverRead{Obj: st.obj, VP: n.curID, Seq: st.seq}, st.ctx)
-	}
+	rt.SendCtx(p, wire.RecoverRead{Obj: st.obj, VP: n.curID, Seq: st.seq}, st.ctx)
 }
 
 // abandonRefresh drops all in-progress refreshes (the processor departed
@@ -131,6 +145,9 @@ func (n *Node) sendRecover(rt net.Runtime, st *refreshState, p model.ProcID) {
 // recomputed from scratch and unassigned processors refuse all access
 // anyway.
 func (n *Node) abandonRefresh(rt net.Runtime) {
+	if len(n.refreshing) > 0 {
+		rt.Metrics().Inc(metrics.CRefreshing, -int64(len(n.refreshing)))
+	}
 	n.refreshing = make(map[model.ObjectID]*refreshState)
 	n.Store.UnlockAllRecovery()
 }
@@ -159,35 +176,12 @@ func (n *Node) onRecoverRead(rt net.Runtime, from model.ProcID, m wire.RecoverRe
 	rt.Send(from, resp)
 }
 
-// onRecoverLog serves a log-based recovery read (§6).
-func (n *Node) onRecoverLog(rt net.Runtime, from model.ProcID, m wire.RecoverLog) {
-	resp := wire.RecoverLogResp{Obj: m.Obj, Seq: m.Seq}
-	switch {
-	case !n.assigned || m.VP != n.curID || !n.Store.Has(m.Obj):
-	case n.copyBusy(m.Obj):
-		resp.Busy = true
-	default:
-		resp.OK = true
-		entries, complete := n.Store.LogSince(m.Obj, m.Since)
-		resp.Complete = complete
-		if complete {
-			for _, e := range entries {
-				resp.Entries = append(resp.Entries, wire.LogEntry{Val: e.Val, Ver: e.Ver})
-			}
-			rt.Metrics().Inc(metrics.CCatchupWrites, int64(len(entries)))
-			rt.Metrics().Inc(metrics.CRefreshBytes, int64(len(entries))*n.cfg.RecordBytes)
-			rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvRefreshServe, VP: n.curID, Obj: m.Obj, Peer: from, Aux: int64(len(entries)) * n.cfg.RecordBytes})
-		}
-	}
-	rt.Send(from, resp)
-}
-
-// onCatchupReq serves a batched log catch-up: per object the same
-// decision as onRecoverLog, folded into one reply frame. Every
-// requested object is echoed so the requester's per-object state
-// machine always hears an answer; an object we hold no copy of is
-// reported Busy, which routes the requester onto the single-object
-// retry path (where the refusal is counted properly).
+// onCatchupReq serves a batched log catch-up (§6): per object, every
+// logged write newer than the requester's version, or Complete=false
+// when the log was truncated past it. Every requested object is echoed
+// so the requester's per-object state machine always hears an answer;
+// a copy that is busy, or that we do not hold, is reported Busy and
+// asked again with the peer's next batch.
 func (n *Node) onCatchupReq(rt net.Runtime, from model.ProcID, m wire.CatchupReq) {
 	resp := wire.CatchupResp{
 		OK:   n.assigned && m.VP == n.curID,
@@ -216,16 +210,81 @@ func (n *Node) onCatchupReq(rt net.Runtime, from model.ProcID, m wire.CatchupReq
 	rt.Send(from, resp)
 }
 
-// onCatchupResp demultiplexes a batched reply into the per-object
-// refresh state machine: each delta behaves exactly like a
-// single-object RecoverLogResp (refusal counting, busy retry, and the
-// truncation fallback to a full-value read included).
+// onCatchupResp feeds a batched reply into the per-object refresh
+// state machine. Objects the peer refused (it is not in our partition
+// yet) or found busy are asked again δ later in one CatchupReq; a
+// truncated log falls back to a full-value read of that object from
+// that peer.
 func (n *Node) onCatchupResp(rt net.Runtime, from model.ProcID, m wire.CatchupResp) {
+	if !n.assigned || n.curID != n.refreshEpoch {
+		return
+	}
+	var again []*refreshState
 	for _, d := range m.Objs {
-		n.onRecoverLogResp(rt, from, wire.RecoverLogResp{
-			Obj: d.Obj, Seq: d.Seq, OK: m.OK, Busy: d.Busy,
-			Complete: d.Complete, Entries: d.Entries,
-		})
+		st := n.refreshFor(d.Obj, d.Seq)
+		if st == nil {
+			continue
+		}
+		switch {
+		case !m.OK || d.Busy:
+			st.pending.Remove(from)
+			st.busy.Add(from)
+			n.extendRefreshDeadline(rt, st)
+			again = append(again, st)
+		case !d.Complete:
+			// Peer's log was truncated: fall back to a full-value read from
+			// that peer only, and extend the no-response window to cover the
+			// extra round trip.
+			n.sendRecover(rt, st, from)
+			n.extendRefreshDeadline(rt, st)
+		default:
+			st.entries = append(st.entries, d.Entries...)
+			st.pending.Remove(from)
+			if st.pending.Len() == 0 && st.busy.Len() == 0 {
+				n.finishRefresh(rt, st)
+			}
+		}
+	}
+	if len(again) == 0 {
+		return
+	}
+	if !m.OK {
+		// During formation a refusal is normal — commits reach members up
+		// to δ apart — so retry a few rounds before concluding the view is
+		// wrong.
+		n.peerRefusals[from]++
+		if n.peerRefusals[from] > maxRefreshRefusals {
+			rt.Logf("refresh: %v keeps refusing catch-up; creating new partition", from)
+			n.CreateNewVP(rt, causeRefreshRefused)
+			return
+		}
+	}
+	if len(n.retryObjs[from]) == 0 {
+		rt.SetTimer(n.cfg.Delta, catchupRetry{vp: n.refreshEpoch, peer: from})
+	}
+	n.retryObjs[from] = append(n.retryObjs[from], again...)
+}
+
+// onCatchupRetry asks a peer again, in one CatchupReq, for every object
+// it refused or found busy since the last retry.
+func (n *Node) onCatchupRetry(rt net.Runtime, k catchupRetry) {
+	if !n.assigned || n.curID != k.vp || n.refreshEpoch != k.vp {
+		return
+	}
+	sts := n.retryObjs[k.peer]
+	delete(n.retryObjs, k.peer)
+	var objs []wire.ObjSince
+	for _, st := range sts {
+		if n.refreshing[st.obj] != st || !st.busy.Has(k.peer) {
+			continue
+		}
+		st.busy.Remove(k.peer)
+		st.pending.Add(k.peer)
+		objs = append(objs, wire.ObjSince{Obj: st.obj, Since: n.Store.Get(st.obj).Ver, Seq: st.seq})
+		n.extendRefreshDeadline(rt, st)
+	}
+	if len(objs) > 0 {
+		rt.SendCtx(k.peer, wire.CatchupReq{VP: n.curID, Objs: objs}, n.vcCtx)
 	}
 }
 
@@ -301,49 +360,6 @@ func (n *Node) onRecoverReadResp(rt net.Runtime, from model.ProcID, m wire.Recov
 	}
 }
 
-func (n *Node) onRecoverLogResp(rt net.Runtime, from model.ProcID, m wire.RecoverLogResp) {
-	st := n.refreshFor(m.Obj, m.Seq)
-	if st == nil || !n.assigned || n.curID != n.refreshEpoch {
-		return
-	}
-	switch {
-	case m.Busy:
-		st.pending.Remove(from)
-		st.busy.Add(from)
-		n.extendRefreshDeadline(rt, st)
-		rt.SetTimer(n.cfg.Delta, refreshRetry{obj: m.Obj, seq: m.Seq, peer: from})
-		return
-	case !m.OK:
-		st.refusals++
-		if st.refusals > maxRefreshRefusals {
-			rt.Logf("refresh %s: %v keeps refusing; creating new partition", m.Obj, from)
-			n.CreateNewVP(rt, causeRefreshRefused)
-			return
-		}
-		st.pending.Remove(from)
-		st.busy.Add(from)
-		n.extendRefreshDeadline(rt, st)
-		rt.SetTimer(n.cfg.Delta, refreshRetry{obj: m.Obj, seq: m.Seq, peer: from})
-		return
-	case !m.Complete:
-		// Peer's log was truncated: fall back to a full-value read from
-		// that peer only, and extend the no-response window to cover the
-		// extra round trip.
-		st.pending.Add(from)
-		st.busy.Remove(from)
-		rt.SendCtx(from, wire.RecoverRead{Obj: st.obj, VP: n.curID, Seq: st.seq}, st.ctx)
-		n.extendRefreshDeadline(rt, st)
-		rt.SetTimer(2*n.cfg.Delta, refreshWindow{obj: st.obj, seq: st.seq})
-		return
-	}
-	st.entries = append(st.entries, m.Entries...)
-	st.pending.Remove(from)
-	st.busy.Remove(from)
-	if st.pending.Len() == 0 && st.busy.Len() == 0 {
-		n.finishRefresh(rt, st)
-	}
-}
-
 func (n *Node) onRefreshRetry(rt net.Runtime, k refreshRetry) {
 	st := n.refreshFor(k.obj, k.seq)
 	if st == nil || !n.assigned || n.curID != n.refreshEpoch || !st.busy.Has(k.peer) {
@@ -353,25 +369,38 @@ func (n *Node) onRefreshRetry(rt net.Runtime, k refreshRetry) {
 	st.pending.Add(k.peer)
 	n.sendRecover(rt, st, k.peer)
 	n.extendRefreshDeadline(rt, st)
-	rt.SetTimer(2*n.cfg.Delta, refreshWindow{obj: k.obj, seq: k.seq})
 }
 
-// onRefreshWindow is the no-response exception of Figure 9 line 12: if a
-// peer still has not answered after the window, the view is stale —
-// create a new partition.
-func (n *Node) onRefreshWindow(rt net.Runtime, k refreshWindow) {
-	st := n.refreshFor(k.obj, k.seq)
-	if st == nil || !n.assigned || n.curID != n.refreshEpoch {
-		return
+// onRefreshWatchdog is the no-response exception of Figure 9 line 12: if
+// a peer still has not answered an object's refresh by its deadline, the
+// view is stale — create a new partition. One sweep serves every object
+// of the round, and re-arms for the earliest deadline still open.
+func (n *Node) onRefreshWatchdog(rt net.Runtime, k refreshWatchdog) {
+	if k.vp != n.refreshEpoch || !n.assigned || n.curID != n.refreshEpoch {
+		return // a timer of an abandoned round
 	}
-	if rt.Now() < st.deadline {
-		// The deadline moved (a retry or fallback is in flight); this
-		// timer is stale. The re-armed timer will check again.
-		return
+	n.watchArmed = false
+	var late *refreshState
+	var next time.Duration
+	for _, st := range n.refreshing {
+		switch {
+		case st.pending.Len() == 0:
+			// Only busy peers left: their retry re-arms.
+		case rt.Now() >= st.deadline:
+			if late == nil || st.seq < late.seq {
+				late = st
+			}
+		case next == 0 || st.deadline < next:
+			next = st.deadline
+		}
 	}
-	if st.pending.Len() > 0 {
-		rt.Logf("refresh %s: no response from %v", k.obj, st.pending)
+	if late != nil {
+		rt.Logf("refresh %s: no response from %v", late.obj, late.pending)
 		n.CreateNewVP(rt, causeRefreshTimeout)
+		return
+	}
+	if next != 0 {
+		n.armWatchdog(rt, next)
 	}
 }
 
@@ -399,13 +428,13 @@ func (n *Node) finishRefresh(rt net.Runtime, st *refreshState) {
 		n.Store.Apply(st.obj, st.bestVal, st.bestVer)
 	}
 	delete(n.refreshing, st.obj)
+	rt.Metrics().Inc(metrics.CRefreshing, -1)
 	n.Store.UnlockRecovered(st.obj)
 	n.RecoveryUnlocked(rt, st.obj)
 	if !st.ctx.IsZero() {
 		rt.Tracer().Span(rt.ID(), st.ctx, "r5-refresh", st.started, rt.Now(), model.TxnID{})
 	}
 	rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvRefreshDone, VP: n.curID, Obj: st.obj})
-	rt.Logf("refresh %s done at %v", st.obj, n.Store.Get(st.obj).Ver)
 }
 
 func sortLogged(entries []store.LoggedWrite) {

@@ -38,7 +38,12 @@ func (n *Node) depart(rt net.Runtime, reason string) {
 		return
 	}
 	n.assigned = false
+	// The §6 previous partition vouches for copies kept current there; a
+	// processor that leaves with a refresh unfinished reports none.
 	n.myPrev = n.curID
+	if len(n.refreshing) > 0 {
+		n.myPrev = model.VPID{}
+	}
 	n.departedAt, n.departedSet = rt.Now(), true
 	n.abandonRefresh(rt)
 	rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvVPDepart, VP: n.curID, Msg: reason})
@@ -82,7 +87,7 @@ func (n *Node) invite(rt net.Runtime, id model.VPID, cause string) {
 	n.creating = true
 	n.createID = id
 	n.createCause = cause
-	n.accepts = map[model.ProcID]model.VPID{rt.ID(): n.myPrev}
+	n.accepts = map[model.ProcID]wire.AcceptVP{rt.ID(): n.acceptance(rt, id)}
 	rt.Metrics().Inc(metrics.CVPInvites, 1)
 	rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvVPInvite, VP: id})
 	for _, p := range rt.Procs() {
@@ -98,9 +103,19 @@ func (n *Node) invite(rt net.Runtime, id model.VPID, cause string) {
 // onAcceptVP collects acceptances ("OK" messages, Figure 5 lines 8–9).
 func (n *Node) onAcceptVP(rt net.Runtime, from model.ProcID, m wire.AcceptVP) {
 	if n.creating && m.ID == n.createID {
-		n.accepts[m.From] = m.Prev
+		n.accepts[m.From] = m
 		n.closeWindowIfUnanimous(rt)
 	}
+}
+
+// acceptance is this processor's answer to invitation id: its previous
+// partition and its write digest. It is taken only after the processor
+// has departed, so until it joins id its copies can move only by the
+// Decide of a write it lists as staged (see join).
+func (n *Node) acceptance(rt net.Runtime, id model.VPID) wire.AcceptVP {
+	newest, staged := n.Store.Digest()
+	return wire.AcceptVP{ID: id, From: rt.ID(), Prev: n.myPrev,
+		Digest: wire.Digest{Newest: newest, Staged: staged}}
 }
 
 // closeWindowIfUnanimous ends phase one as soon as every processor has
@@ -133,9 +148,11 @@ func (n *Node) onCreateWindow(rt net.Runtime, id model.VPID) {
 	}
 	view := make([]model.ProcID, 0, len(n.accepts))
 	prevs := make(map[model.ProcID]model.VPID, len(n.accepts))
-	for p, prev := range n.accepts {
+	digests := make(map[model.ProcID]wire.Digest, len(n.accepts))
+	for p, a := range n.accepts {
 		view = append(view, p)
-		prevs[p] = prev
+		prevs[p] = a.Prev
+		digests[p] = a.Digest
 	}
 	rt.Metrics().Inc(metrics.CVPCreated, 1)
 	rt.Metrics().Inc(createdByCause.Name(n.createCause), 1)
@@ -147,10 +164,10 @@ func (n *Node) onCreateWindow(rt net.Runtime, id model.VPID) {
 	}
 	for _, p := range viewSet.Sorted() {
 		if p != rt.ID() {
-			rt.Send(p, wire.CommitVP{ID: id, View: viewSet.Sorted(), Prevs: prevs})
+			rt.Send(p, wire.CommitVP{ID: id, View: viewSet.Sorted(), Prevs: prevs, Digests: digests})
 		}
 	}
-	n.join(rt, id, viewSet, prevs, n.createCause)
+	n.join(rt, id, viewSet, prevs, digests, n.createCause)
 }
 
 // onNewVP handles an invitation (Figure 6 lines 5–10): accept iff it is
@@ -175,9 +192,8 @@ func (n *Node) onNewVP(rt net.Runtime, from model.ProcID, m wire.NewVP) {
 	// window will find createID ≠ maxID and stand down. The acceptance
 	// tells the initiator this processor has seen m.ID, so it waits for
 	// the max-id record like an invitation does (see startCreateVP).
-	prev := n.myPrev
 	n.Promise(rt, true, func(rt net.Runtime) {
-		rt.Send(m.ID.P, wire.AcceptVP{ID: m.ID, From: rt.ID(), Prev: prev})
+		rt.Send(m.ID.P, n.acceptance(rt, m.ID))
 		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvVPAccept, VP: m.ID, Peer: m.ID.P})
 	})
 	n.resetAcceptTimer(rt)
@@ -190,7 +206,7 @@ func (n *Node) onCommitVP(rt net.Runtime, from model.ProcID, m wire.CommitVP) {
 		return
 	}
 	n.cancelAcceptTimer(rt)
-	n.join(rt, m.ID, model.ProcSetOf(m.View), m.Prevs, "")
+	n.join(rt, m.ID, model.ProcSetOf(m.View), m.Prevs, m.Digests, "")
 }
 
 // onAcceptTimeout fires when a commit never arrived within 3δ of an
@@ -223,12 +239,14 @@ func (n *Node) cancelAcceptTimer(rt net.Runtime) {
 // (the second half of phase two, shared by initiator and acceptors), and
 // kicks off rule R5 recovery for the accessible local copies. cause is
 // why the partition was created, which only its initiator knows.
-func (n *Node) join(rt net.Runtime, id model.VPID, view model.ProcSet, prevs map[model.ProcID]model.VPID, cause string) {
+func (n *Node) join(rt net.Runtime, id model.VPID, view model.ProcSet, prevs map[model.ProcID]model.VPID,
+	digests map[model.ProcID]wire.Digest, cause string) {
 	oldView := n.lview
 	n.curID = id
 	n.bumpMaxID(id)
 	n.lview = view
 	n.prevs = prevs
+	n.digests = digests
 	n.assigned = true
 	n.ViewChanges++
 	n.vcCtx = model.TraceCtx{}
@@ -276,20 +294,62 @@ func (n *Node) join(rt net.Runtime, id model.VPID, view model.ProcSet, prevs map
 		n.FlushDeferred(rt)
 		return
 	}
-	// §6 split-off optimization: if every member of the new partition
-	// was previously assigned to one common partition, every accessible
-	// copy is already up to date (see DESIGN.md for the argument) and
-	// recovery is skipped.
-	if n.cfg.UsePrevOpt && n.allPrevsEqual() {
-		rt.Metrics().Inc(metrics.CRefreshSkips, int64(len(locked)))
-		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvRefreshSkip, VP: id, Aux: int64(len(locked))})
-		rt.Logf("refresh skipped for %d objects (split-off from %v)", len(locked), n.myPrev)
-		n.FlushDeferred(rt)
-		return
+	if n.cfg.UsePrevOpt {
+		// §6 split-off optimization: if every member of the new partition
+		// was previously assigned to one common partition, every accessible
+		// copy is already up to date. Otherwise the members' write digests
+		// clear every copy no member can hold a newer version of. DESIGN.md
+		// has the argument for both.
+		var stale []model.ObjectID // split off: none
+		if !n.allPrevsEqual() {
+			stale = n.staleCopies(rt, locked)
+		}
+		if skipped := len(locked) - len(stale); skipped > 0 {
+			rt.Metrics().Inc(metrics.CRefreshSkips, int64(skipped))
+			rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvRefreshSkip, VP: id, Aux: int64(skipped)})
+			rt.Logf("refresh skipped for %d of %d objects", skipped, len(locked))
+		}
+		locked = stale
+		if len(locked) == 0 {
+			n.FlushDeferred(rt)
+			return
+		}
 	}
 	n.Store.LockForRecovery(locked)
+	rt.Metrics().Inc(metrics.CRefreshing, int64(len(locked)))
 	n.FlushDeferred(rt)
 	n.startRefresh(rt, locked)
+}
+
+// staleCopies returns the objects, of the accessible local copies objs,
+// whose refresh could change something: some other member lists the
+// object as staged, or the copy is older than some other member's newest
+// version. A member without a digest makes every copy stale.
+func (n *Node) staleCopies(rt net.Runtime, objs []model.ObjectID) []model.ObjectID {
+	var newest model.Version
+	staged := make(map[model.ObjectID]bool)
+	for p := range n.lview {
+		if p == rt.ID() {
+			continue
+		}
+		d, ok := n.digests[p]
+		if !ok {
+			return objs
+		}
+		if newest.Less(d.Newest) {
+			newest = d.Newest
+		}
+		for _, o := range d.Staged {
+			staged[o] = true
+		}
+	}
+	var stale []model.ObjectID
+	for _, obj := range objs {
+		if staged[obj] || n.Store.Get(obj).Ver.Less(newest) {
+			stale = append(stale, obj)
+		}
+	}
+	return stale
 }
 
 func (n *Node) allPrevsEqual() bool {

@@ -57,6 +57,10 @@ type HealthState struct {
 	// txn.indoubt): a handful in passing under load, and after a restart
 	// the ones it is asking the participants about again.
 	InDoubt int64 `json:"indoubt"`
+	// Refreshing is how many copies are still locked for rule R5 refresh
+	// (metrics vp.refreshing), summed over a shard router's hosted shards:
+	// OK with Refreshing > 0 is "in a view", with 0 "serving".
+	Refreshing int64 `json:"refreshing"`
 }
 
 // Set records a state change: whether the node is assigned to a virtual
@@ -218,6 +222,7 @@ func Mux(reg *metrics.Registry, health *Health, rec *trace.Recorder) *http.Serve
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		st := health.State()
 		st.InDoubt = reg.Get(metrics.CTxnInDoubt)
+		st.Refreshing = reg.Get(metrics.CRefreshing)
 		w.Header().Set("Content-Type", "application/json")
 		if !st.OK {
 			w.WriteHeader(http.StatusServiceUnavailable)

@@ -148,6 +148,7 @@ func TestHealthz(t *testing.T) {
 
 	h.Set(true, model.VPID{N: 3, P: 2}, []model.ProcID{1, 2, 3})
 	reg.Inc(metrics.CTxnInDoubt, 2) // two coordinated transactions voted on, not decided
+	reg.Inc(metrics.CRefreshing, 5) // five copies still locked for R5 refresh
 	code, body := get(t, "http://"+addr+"/healthz")
 	if code != http.StatusOK {
 		t.Errorf("assigned: status %d, want 200", code)
@@ -156,7 +157,7 @@ func TestHealthz(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("bad /healthz body %q: %v", body, err)
 	}
-	if !st.OK || st.VPN != 3 || st.VPP != 2 || len(st.View) != 3 || st.InDoubt != 2 {
+	if !st.OK || st.VPN != 3 || st.VPP != 2 || len(st.View) != 3 || st.InDoubt != 2 || st.Refreshing != 5 {
 		t.Errorf("state = %+v", st)
 	}
 

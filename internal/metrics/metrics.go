@@ -239,20 +239,22 @@ func (f *Family) Name(label string) string {
 // Well-known counter names used across the harness. Protocol code uses
 // these so experiments can compare like with like.
 const (
-	CMsgSent       = "net.msg.sent"
-	CMsgDelivered  = "net.msg.delivered"
-	CMsgDropped    = "net.msg.dropped"
-	CPhysRead      = "replica.phys.read"
-	CPhysWrite     = "replica.phys.write"
-	CLogicalRead   = "replica.logical.read"
-	CLogicalWrite  = "replica.logical.write"
-	CTxnCommit     = "txn.commit"
-	CTxnAbort      = "txn.abort"
-	CTxnDenied     = "txn.denied" // aborted at submit time: object inaccessible
-	CVPCreated     = "vp.created"
-	CVPInvites     = "vp.invitations"
-	CRefreshReads  = "vp.refresh.reads"
-	CRefreshSkips  = "vp.refresh.skipped"
+	CMsgSent      = "net.msg.sent"
+	CMsgDelivered = "net.msg.delivered"
+	CMsgDropped   = "net.msg.dropped"
+	CPhysRead     = "replica.phys.read"
+	CPhysWrite    = "replica.phys.write"
+	CLogicalRead  = "replica.logical.read"
+	CLogicalWrite = "replica.logical.write"
+	CTxnCommit    = "txn.commit"
+	CTxnAbort     = "txn.abort"
+	CTxnDenied    = "txn.denied" // aborted at submit time: object inaccessible
+	CVPCreated    = "vp.created"
+	CVPInvites    = "vp.invitations"
+	CRefreshReads = "vp.refresh.reads"
+	CRefreshSkips = "vp.refresh.skipped"
+	// CRefreshing is a level: the copies locked for rule R5 refresh now.
+	CRefreshing    = "vp.refreshing"
 	CRefreshBytes  = "vp.refresh.bytes"
 	CCatchupWrites = "vp.catchup.writes"
 	CStaleReads    = "replica.stale.reads"

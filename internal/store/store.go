@@ -75,6 +75,9 @@ type Store struct {
 	// is its own: exactly the objects with staged != nil && stagedBy ==
 	// txn.
 	stagedObjs map[model.TxnID][]model.ObjectID
+	// newest is the newest version any copy here has held: every apply,
+	// restore and log replay raises it, so a write digest costs O(1).
+	newest model.Version
 }
 
 // SetJournal attaches a durability journal (nil disables).
@@ -160,6 +163,7 @@ func (s *Store) Get(obj model.ObjectID) model.Copy {
 // write is appended to the object log.
 func (s *Store) applyLocked(st *objectState, obj model.ObjectID, val model.Value, ver model.Version) {
 	st.copyVal = model.Copy{Val: val, Ver: ver}
+	s.raiseNewest(ver)
 	if s.journal != nil {
 		s.journal.Apply(obj, val, ver)
 	}
@@ -172,6 +176,25 @@ func (s *Store) applyLocked(st *objectState, obj model.ObjectID, val model.Value
 			st.log = st.log[1:]
 		}
 	}
+}
+
+func (s *Store) raiseNewest(ver model.Version) {
+	if s.newest.Less(ver) {
+		s.newest = ver
+	}
+}
+
+// Digest returns the newest version any copy here has held and the
+// objects holding a prepared, undecided write, sorted: what a processor
+// reports of its copies when it accepts an invitation (wire.AcceptVP).
+func (s *Store) Digest() (newest model.Version, staged []model.ObjectID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, objs := range s.stagedObjs {
+		staged = append(staged, objs...)
+	}
+	slices.Sort(staged)
+	return s.newest, staged
 }
 
 // Apply installs a committed write.
@@ -189,6 +212,7 @@ func (s *Store) Restore(copies map[model.ObjectID]model.Copy,
 	for obj, c := range copies {
 		if st, ok := s.tryLock(obj); ok {
 			st.copyVal = c
+			s.raiseNewest(c.Ver)
 			// The in-memory log restarts empty, so it can prove nothing
 			// about writes older than the restored copy: floor it at the
 			// copy's version or LogSince would claim a complete, empty

@@ -186,6 +186,26 @@ func appendProcs(b []byte, ps []model.ProcID) []byte {
 	return b
 }
 
+func appendDigest(b []byte, d *Digest) []byte {
+	b = appendVersion(b, d.Newest)
+	b = appendUvarint(b, uint64(len(d.Staged)))
+	for _, o := range d.Staged {
+		b = appendString(b, string(o))
+	}
+	return b
+}
+
+// sortedKeys returns a per-processor map's keys in ascending order, so
+// map-carrying messages encode byte-deterministically.
+func sortedKeys[V any](m map[model.ProcID]V) []model.ProcID {
+	ps := make([]model.ProcID, 0, len(m))
+	for p := range m {
+		ps = append(ps, p)
+	}
+	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+	return ps
+}
+
 // Flag bits of a LockReq, a Prepare and each ObjWrite in it. Bit 0 is the
 // bool the byte used to be, so unflagged frames are byte-identical.
 const (
@@ -289,19 +309,21 @@ func appendMsgBody(b []byte, k kindID, msg Message) ([]byte, error) {
 		b = appendVPID(b, m.ID)
 		b = appendProc(b, m.From)
 		b = appendVPID(b, m.Prev)
+		b = appendDigest(b, &m.Digest)
 	case CommitVP:
 		b = appendVPID(b, m.ID)
 		b = appendProcs(b, m.View)
 		// Map entries sorted by key so encoding is byte-deterministic.
 		b = appendUvarint(b, uint64(len(m.Prevs)))
-		ps := make([]model.ProcID, 0, len(m.Prevs))
-		for p := range m.Prevs {
-			ps = append(ps, p)
-		}
-		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-		for _, p := range ps {
+		for _, p := range sortedKeys(m.Prevs) {
 			b = appendProc(b, p)
 			b = appendVPID(b, m.Prevs[p])
+		}
+		b = appendUvarint(b, uint64(len(m.Digests)))
+		for _, p := range sortedKeys(m.Digests) {
+			d := m.Digests[p]
+			b = appendProc(b, p)
+			b = appendDigest(b, &d)
 		}
 	case Probe:
 		b = appendProc(b, m.From)
@@ -611,6 +633,19 @@ func (d *Decoder) str(c *cursor) string { return d.intern(c.strBytes()) }
 
 func (d *Decoder) obj(c *cursor) model.ObjectID { return model.ObjectID(d.str(c)) }
 
+// digest reads a write digest, always owned: digests are retained past
+// the next decode.
+func (d *Decoder) digest(c *cursor) Digest {
+	dg := Digest{Newest: c.version()}
+	if n := c.count(1); n > 0 && !c.bad {
+		dg.Staged = make([]model.ObjectID, n)
+		for i := 0; i < n && !c.bad; i++ {
+			dg.Staged[i] = d.obj(c)
+		}
+	}
+	return dg
+}
+
 // DecodeInto decodes one frame into env, producing a fully owned
 // message: slices are freshly allocated and strings interned, so the
 // result may be retained or enqueued freely. This is the transports'
@@ -714,7 +749,7 @@ func (d *Decoder) decodeBody(c *cursor, k kindID, borrowed bool) (Message, error
 	case kindNewVP:
 		msg = NewVP{ID: c.vpid()}
 	case kindAcceptVP:
-		msg = AcceptVP{ID: c.vpid(), From: c.proc(), Prev: c.vpid()}
+		msg = AcceptVP{ID: c.vpid(), From: c.proc(), Prev: c.vpid(), Digest: d.digest(c)}
 	case kindCommitVP:
 		m := CommitVP{ID: c.vpid()}
 		n := c.count(1)
@@ -728,6 +763,13 @@ func (d *Decoder) decodeBody(c *cursor, k kindID, borrowed bool) (Message, error
 			for i := 0; i < pn && !c.bad; i++ {
 				p := c.proc()
 				m.Prevs[p] = c.vpid()
+			}
+		}
+		if dn := c.count(8); dn > 0 && !c.bad {
+			m.Digests = make(map[model.ProcID]Digest, dn)
+			for i := 0; i < dn && !c.bad; i++ {
+				p := c.proc()
+				m.Digests[p] = d.digest(c)
 			}
 		}
 		msg = m

@@ -69,6 +69,16 @@ func binaryEnvelopes() []Envelope {
 		{From: 1, To: 2, Msg: ShardEpochReq{Shard: 4}},
 		{From: 2, To: 1, Msg: ShardEpochResp{Shard: 4, VP: big, Has: true,
 			View: []model.ProcID{2, 4, 5}}},
+		// Formation carrying write digests (the ones above carry empty ones).
+		{From: 2, To: 1, Msg: AcceptVP{ID: vp, From: 2, Prev: model.VPID{N: 6, P: 1},
+			Digest: Digest{Newest: ver, Staged: []model.ObjectID{"account/7", "x"}}}},
+		{From: 1, To: 2, Msg: CommitVP{ID: vp, View: []model.ProcID{1, 2, 3},
+			Prevs: map[model.ProcID]model.VPID{1: {N: 6, P: 1}, 2: {N: 6, P: 1}, 3: {N: 2, P: 3}},
+			Digests: map[model.ProcID]Digest{
+				3: {Newest: model.Version{Date: big, Ctr: 1 << 35, Writer: txn}},
+				1: {Newest: ver, Staged: []model.ObjectID{"x"}},
+				2: {Staged: []model.ObjectID{"y", ""}},
+			}}},
 	}
 }
 
@@ -158,13 +168,17 @@ func TestBinaryOwnedSurvivesReuse(t *testing.T) {
 
 // TestBinaryDeterministic: encoding the same envelope must produce the
 // same bytes every time, including map-carrying messages (CommitVP.Prevs
-// is encoded in sorted key order).
+// and CommitVP.Digests are encoded in sorted key order).
 func TestBinaryDeterministic(t *testing.T) {
 	env := Envelope{From: 1, To: 2, Msg: CommitVP{
 		ID:   model.VPID{N: 9, P: 1},
 		View: []model.ProcID{1, 2, 3, 4},
 		Prevs: map[model.ProcID]model.VPID{
 			4: {N: 4, P: 4}, 2: {N: 2, P: 2}, 1: {N: 1, P: 1}, 3: {N: 3, P: 3},
+		},
+		Digests: map[model.ProcID]Digest{
+			4: {Staged: []model.ObjectID{"d"}}, 2: {Newest: model.Version{Ctr: 2}},
+			1: {Staged: []model.ObjectID{"a", "b"}}, 3: {},
 		},
 	}}
 	var first []byte

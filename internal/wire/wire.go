@@ -42,20 +42,33 @@ type NewVP struct {
 // AcceptVP is the acceptance of an invitation ("OK"/ack in Figure 5 line 8
 // and Figure 6 line 8). Prev carries the sender's previous partition
 // assignment, enabling the §6 "previous_v" refresh optimization at no
-// extra message cost, exactly as the paper suggests.
+// extra message cost, exactly as the paper suggests. The Digest beside
+// it is taken after the sender departed its partition: the join skips
+// refreshing a copy no member can hold a newer version of (see
+// core.join).
 type AcceptVP struct {
 	ID   model.VPID
 	From model.ProcID
 	Prev model.VPID
+	Digest
+}
+
+// Digest is a processor's write digest.
+type Digest struct {
+	// Newest is the newest committed version among its copies.
+	Newest model.Version
+	// Staged lists the objects holding a prepared, undecided write there.
+	Staged []model.ObjectID
 }
 
 // CommitVP commits a new virtual partition ("commit" in Figure 5 line 17):
 // the initiator distributes the agreed view. Prevs mirrors AcceptVP.Prev
-// for every member, again per §6.
+// for every member, again per §6, and Digests every member's write digest.
 type CommitVP struct {
-	ID    model.VPID
-	View  []model.ProcID
-	Prevs map[model.ProcID]model.VPID
+	ID      model.VPID
+	View    []model.ProcID
+	Prevs   map[model.ProcID]model.VPID
+	Digests map[model.ProcID]Digest
 }
 
 // Probe is the periodic liveness probe (Figure 7 line 10).
@@ -116,7 +129,9 @@ type RecoverReadResp struct {
 // RecoverLog asks for the tail of the write log of a copy: every write
 // with version greater than Since. It implements the §6 log-based
 // catch-up ("apply to the out-of-date copy all of the writes that it
-// missed") as an alternative to shipping the full value.
+// missed") as an alternative to shipping the full value. Nodes send the
+// batched CatchupReq instead; the codec still carries this single-object
+// form.
 type RecoverLog struct {
 	Obj   model.ObjectID
 	Since model.Version
