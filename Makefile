@@ -1,6 +1,7 @@
 # Developer entry points. `make check` is the tier-1 gate used by CI and
 # by ROADMAP.md; `make race` covers the packages with real concurrency
-# (the TCP transport, the nemesis fault injector, the parallel
+# (the public vp.Cluster and the in-process cluster builder, the TCP
+# transport, the nemesis fault injector, the parallel
 # experiment harness, the client gateway, the journal's committer, the
 # shard router and the commit path's barrier and recovery tests);
 # `make chaos` is the seeded fault-injection gate and `make
@@ -22,7 +23,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -count=1 ./internal/net/... ./internal/nemesis/... ./internal/bench/... ./internal/gateway/... ./internal/locks/... ./internal/store/... ./internal/durable/... ./internal/campaign/... ./internal/trace/... ./internal/node/... ./internal/core/... ./internal/shard/... ./cmd/vpchaos/... ./cmd/vpcampaign/...
+	$(GO) test -race -count=1 . ./internal/cluster/... ./internal/net/... ./internal/nemesis/... ./internal/bench/... ./internal/gateway/... ./internal/locks/... ./internal/store/... ./internal/durable/... ./internal/campaign/... ./internal/trace/... ./internal/node/... ./internal/core/... ./internal/shard/... ./cmd/vpchaos/... ./cmd/vpcampaign/...
 
 # Repeat the packages whose tests cross goroutines on the request path —
 # the journal's committer releasing barriers into handler turns, the

@@ -118,11 +118,11 @@ func BenchmarkSimulatedCommit(b *testing.B) {
 }
 
 // BenchmarkRealtimeIncrement measures end-to-end latency of an increment
-// through the public API over the in-memory real-time engine.
+// through the public API, over loopback TCP.
 func BenchmarkRealtimeIncrement(b *testing.B) {
 	// δ must comfortably exceed OS timer jitter or probes misfire and
-	// churn views; 5ms (the facade default) is the validated floor for
-	// the real-time engine.
+	// churn views; 5ms (the facade default) is the validated floor in
+	// wall-clock time.
 	c, err := vp.New(vp.Config{
 		Nodes:   3,
 		Objects: []vp.Object{{Name: "x"}},
@@ -131,7 +131,9 @@ func BenchmarkRealtimeIncrement(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c.Start()
+	if err := c.Start(); err != nil {
+		b.Fatal(err)
+	}
 	defer c.Stop()
 	if !c.WaitForView(10*time.Second, 1, 2, 3) {
 		b.Fatal("no view")

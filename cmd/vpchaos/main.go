@@ -24,8 +24,8 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	stdnet "net"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"github.com/virtualpartitions/vp/internal/bench"
+	"github.com/virtualpartitions/vp/internal/cluster"
 	"github.com/virtualpartitions/vp/internal/core"
 	"github.com/virtualpartitions/vp/internal/durable"
 	"github.com/virtualpartitions/vp/internal/metrics"
@@ -158,120 +159,89 @@ func buildSchedule(opt *options) nemesis.Schedule {
 // safety (1SR + trace invariants) and liveness (post-heal commit).
 func runLive(opt *options, sched nemesis.Schedule) error {
 	procs := make([]model.ProcID, opt.n)
-	addrs := map[model.ProcID]string{}
-	dirs := map[model.ProcID]string{}
 	for i := range procs {
-		p := model.ProcID(i + 1)
-		procs[i] = p
-		dir, err := os.MkdirTemp("", fmt.Sprintf("vpchaos-n%d-", p))
-		if err != nil {
-			return err
-		}
-		dirs[p] = dir
+		procs[i] = model.ProcID(i + 1)
 	}
-	defer func() {
-		for _, d := range dirs {
-			os.RemoveAll(d)
-		}
-	}()
-	ports, err := freePorts(opt.n)
+	root, err := os.MkdirTemp("", "vpchaos-")
 	if err != nil {
 		return err
 	}
-	for i, p := range procs {
-		addrs[p] = ports[i]
-	}
-
+	defer os.RemoveAll(root)
+	dir := func(p model.ProcID) string { return filepath.Join(root, fmt.Sprint(p)) }
 	objs := workload.Objects(opt.objects)
-	cat := model.FullyReplicated(opt.n, objs...)
-	hist := onecopy.NewHistory()
-	rec := trace.New(1 << 18)
-	rec.SetEnabled(true)
-	for _, obj := range cat.Objects() {
-		rec.Record(trace.Event{Kind: trace.EvPlacement, Obj: obj, Procs: cat.Copies(obj).Sorted()})
-	}
 	inj := nemesis.NewInjector(opt.seed)
-	cfg := core.Config{Config: node.Config{Delta: opt.delta, LogCap: 256}, UseLogCatchup: true, UsePrevOpt: true}
-	tcpCfg := vnet.TCPConfig{
-		DialTimeout:  500 * time.Millisecond,
-		ReconnectMin: 20 * time.Millisecond,
-		ReconnectMax: 250 * time.Millisecond,
-	}
 
 	// Last view assignment per processor, fed by core observers (called
-	// from node event loops — guard with a mutex).
+	// from node handler turns — guard with a mutex).
 	var viewMu sync.Mutex
 	lastJoin := map[model.ProcID]core.JoinEvent{}
 	assigned := map[model.ProcID]bool{}
 
-	nodes := map[model.ProcID]*vnet.TCPNode{}
 	journals := map[model.ProcID]*durable.FileJournal{}
 	disks := map[model.ProcID]*nemesis.DiskFaults{}
 	var tornRepairs int
-	boot := func(id model.ProcID) error {
-		var fs durable.VFS
-		if opt.kill9 {
-			// Each boot gets a fresh, healed fault layer: the damage a
-			// kill -9 left is on disk, not in the wrapper.
-			disks[id] = nemesis.NewDiskFaults(nil)
-			fs = disks[id]
-		}
-		// The journal runs as vpnode's does by default: committer goroutine,
-		// 2ms age bound on unsynced records.
-		state, journal, err := durable.OpenOptions(dirs[id], durable.Options{
-			FS: fs, Committer: true, FlushInterval: 2 * time.Millisecond})
-		if err != nil {
-			return fmt.Errorf("open journal for %v: %w", id, err)
-		}
-		if rs := journal.Recovery(); rs.Torn {
-			tornRepairs++
-			if opt.verbose {
-				fmt.Printf("  node %v: repaired torn journal tail (%d bytes dropped)\n", id, rs.TornBytes)
+	c, err := cluster.Start(cluster.Config{
+		N:       opt.n,
+		Catalog: model.FullyReplicated(opt.n, objs...),
+		Core:    core.Config{Config: node.Config{Delta: opt.delta, LogCap: 256}, UseLogCatchup: true, UsePrevOpt: true},
+		TCP: vnet.TCPConfig{
+			DialTimeout:  500 * time.Millisecond,
+			ReconnectMin: 20 * time.Millisecond,
+			ReconnectMax: 250 * time.Millisecond,
+		},
+		Interceptor: inj,
+		Trace:       true,
+		Journal: func(id model.ProcID) (durable.Journal, *durable.State, error) {
+			var fs durable.VFS
+			if opt.kill9 {
+				// Each boot gets a fresh, healed fault layer: the damage a
+				// kill -9 left is on disk, not in the wrapper.
+				disks[id] = nemesis.NewDiskFaults(nil)
+				fs = disks[id]
 			}
-		}
-		var nd *core.Node
-		if state.MaxID.IsZero() && len(state.Copies) == 0 {
-			nd = core.NewDurable(id, cfg, cat, hist, journal)
-		} else {
-			nd = core.NewRestored(id, cfg, cat, hist, state, journal)
-		}
-		me := id
-		nd.Observer = func(ev any) {
+			// The journal runs as vpnode's does by default: committer
+			// goroutine, 2ms age bound on unsynced records.
+			state, journal, err := durable.OpenOptions(dir(id), durable.Options{
+				FS: fs, Committer: true, FlushInterval: 2 * time.Millisecond})
+			if err != nil {
+				return nil, nil, err
+			}
+			if rs := journal.Recovery(); rs.Torn {
+				tornRepairs++
+				if opt.verbose {
+					fmt.Printf("  node %v: repaired torn journal tail (%d bytes dropped)\n", id, rs.TornBytes)
+				}
+			}
+			journals[id] = journal
+			return journal, state, nil
+		},
+		Observer: func(p model.ProcID, ev any) {
 			viewMu.Lock()
 			defer viewMu.Unlock()
 			switch e := ev.(type) {
 			case core.JoinEvent:
-				lastJoin[me] = e
-				assigned[me] = true
+				lastJoin[p] = e
+				assigned[p] = true
 				if opt.verbose {
-					fmt.Printf("  node %v joined %v view=%v\n", me, e.VP, e.View)
+					fmt.Printf("  node %v joined %v view=%v\n", p, e.VP, e.View)
 				}
 			case core.DepartEvent:
-				assigned[me] = false
+				assigned[p] = false
 			}
-		}
-		tn := vnet.NewTCPNodeConfig(id, addrs, nd, tcpCfg)
-		tn.SetTracer(rec)
-		tn.SetInterceptor(inj)
-		if err := tn.Run(); err != nil {
-			journal.Close()
-			return fmt.Errorf("start node %v: %w", id, err)
-		}
-		nodes[id] = tn
-		journals[id] = journal
-		return nil
-	}
-	for _, p := range procs {
-		if err := boot(p); err != nil {
-			return err
-		}
-	}
+		},
+	})
 	defer func() {
-		for id, tn := range nodes {
-			tn.Stop()
-			journals[id].Close()
+		if c != nil {
+			c.Stop()
+		}
+		for _, j := range journals {
+			j.Close()
 		}
 	}()
+	if err != nil {
+		return err
+	}
+	addrs, hist, rec := c.Addrs(), c.History(), c.Tracer()
 
 	// Workload clients: disjoint tag spaces, each submitting increments
 	// and reads to rotating coordinators. Failures under faults are
@@ -361,7 +331,7 @@ func runLive(opt *options, sched nemesis.Schedule) error {
 		}
 		switch st.Kind {
 		case nemesis.StepCrash:
-			if tn, ok := nodes[st.Victim]; ok {
+			if c.Node(st.Victim) != nil {
 				if opt.kill9 {
 					df := disks[st.Victim]
 					// Tear whatever barrier flush is in flight, then
@@ -369,23 +339,22 @@ func runLive(opt *options, sched nemesis.Schedule) error {
 					df.TearNextWrite(chopRng.Intn(24))
 					time.Sleep(5 * time.Millisecond)
 					df.Crash()
-					tn.Stop()
+					c.StopNode(st.Victim)
 					journals[st.Victim].HardCrash()
-					if n, err := durable.ChopTail(nil, dirs[st.Victim], 1+chopRng.Int63n(16)); err == nil && n > 0 && opt.verbose {
+					if n, err := durable.ChopTail(nil, dir(st.Victim), 1+chopRng.Int63n(16)); err == nil && n > 0 && opt.verbose {
 						fmt.Printf("  node %v: chopped %d bytes off the journal tail\n", st.Victim, n)
 					}
 					kills++
 				} else {
-					tn.Stop()
+					c.StopNode(st.Victim)
 					journals[st.Victim].Close()
 				}
-				delete(nodes, st.Victim)
 				delete(journals, st.Victim)
 				delete(disks, st.Victim)
 			}
 		case nemesis.StepRestart:
-			if _, up := nodes[st.Victim]; !up {
-				if err := boot(st.Victim); err != nil {
+			if c.Node(st.Victim) == nil {
+				if err := c.Boot(st.Victim); err != nil {
 					close(stopC)
 					cwg.Wait()
 					return err
@@ -458,7 +427,11 @@ func runLive(opt *options, sched nemesis.Schedule) error {
 
 	counts := sched.Counts()
 	var reconnects, drops, catchup int64
-	for _, tn := range nodes {
+	for _, p := range procs {
+		tn := c.Node(p)
+		if tn == nil {
+			continue
+		}
 		reconnects += tn.Metrics().Get(metrics.CPeerReconnect)
 		drops += tn.Metrics().Get(metrics.CMsgDropped)
 		catchup += tn.Metrics().Get(metrics.CCatchupWrites)
@@ -556,17 +529,4 @@ func checkedSummary(rep *trace.Report) string {
 		parts[i] = fmt.Sprintf("%s=%d", k, rep.Checked[k])
 	}
 	return strings.Join(parts, " ")
-}
-
-func freePorts(n int) ([]string, error) {
-	out := make([]string, n)
-	for i := range out {
-		l, err := stdnet.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		out[i] = l.Addr().String()
-		l.Close()
-	}
-	return out, nil
 }

@@ -3,18 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"math/rand"
-	stdnet "net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"github.com/virtualpartitions/vp/internal/cluster"
 	"github.com/virtualpartitions/vp/internal/core"
 	"github.com/virtualpartitions/vp/internal/gateway"
 	"github.com/virtualpartitions/vp/internal/model"
-	vnet "github.com/virtualpartitions/vp/internal/net"
 	"github.com/virtualpartitions/vp/internal/node"
 	"github.com/virtualpartitions/vp/internal/onecopy"
 	"github.com/virtualpartitions/vp/internal/workload"
@@ -27,33 +24,13 @@ func TestLoadAgainstGateway(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live cluster test")
 	}
-	const n = 3
-	// Node ports come from below the kernel's ephemeral range, where no
-	// dial's source port can take one before the node binds it.
-	addrs := map[model.ProcID]string{}
-	taken := map[string]bool{}
-	for id := model.ProcID(1); id <= n; {
-		addr := fmt.Sprintf("127.0.0.1:%d", 10000+rand.Intn(20000))
-		if taken[addr] {
-			continue
-		}
-		if l, err := stdnet.Listen("tcp", addr); err == nil {
-			l.Close()
-			addrs[id], taken[addr] = addr, true
-			id++
-		}
-	}
-	cat := model.FullyReplicated(n, workload.Objects(4)...)
-	hist := onecopy.NewHistory()
 	cfg := core.Config{Config: node.Config{Delta: 20 * time.Millisecond, LogCap: 256}}
-	for id := model.ProcID(1); id <= n; id++ {
-		tcp := vnet.NewTCPNode(id, addrs, core.New(id, cfg, cat, hist))
-		if err := tcp.Run(); err != nil {
-			t.Fatalf("node %v: %v", id, err)
-		}
-		defer tcp.Stop()
+	c, err := cluster.Start(cluster.Config{N: 3, Catalog: model.FullyReplicated(3, workload.Objects(4)...), Core: cfg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	g := gateway.New(gateway.Config{Cluster: addrs, Batching: true, BatchWindow: 2 * time.Millisecond,
+	defer c.Stop()
+	g := gateway.New(gateway.Config{Cluster: c.Addrs(), Batching: true, BatchWindow: 2 * time.Millisecond,
 		PerTry: time.Second, Deadline: 15 * time.Second})
 	defer g.Close()
 	srv := httptest.NewServer(g.Handler())
@@ -80,7 +57,7 @@ func TestLoadAgainstGateway(t *testing.T) {
 	if rep.Gateway == nil || rep.Gateway.RoundsPerWrite <= 0 {
 		t.Errorf("gateway.rounds_per_write not scraped: %+v", rep.Gateway)
 	}
-	if r := onecopy.CheckGraph(hist); !r.OK {
+	if r := onecopy.CheckGraph(c.History()); !r.OK {
 		t.Errorf("history not one-copy serializable: %s", r.Reason)
 	}
 }

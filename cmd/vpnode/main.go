@@ -162,35 +162,10 @@ func main() {
 	}
 	cat := model.FullyReplicated(len(opt.addrs), opt.objects...)
 
-	// newHandler builds the protocol handler: a single core.Node in the
-	// default (unsharded) deployment, a shard.Router — one VP lifecycle
-	// per hosted shard plus a cross-shard coordinator — when -shards > 1.
-	// restored is nil for a volatile or fresh durable start.
-	newHandler := func(j durable.Journal, restored *durable.State) net.Handler {
-		if smap != nil {
-			switch {
-			case restored != nil:
-				return shard.NewRouterRestored(opt.id, cfg, smap, nil, restored, j)
-			case j != nil:
-				return shard.NewRouterDurable(opt.id, cfg, smap, nil, j)
-			default:
-				return shard.NewRouter(opt.id, cfg, smap, nil)
-			}
-		}
-		switch {
-		case restored != nil:
-			return core.NewRestored(opt.id, cfg, cat, nil, restored, j)
-		case j != nil:
-			return core.NewDurable(opt.id, cfg, cat, nil, j)
-		default:
-			return core.New(opt.id, cfg, cat, nil)
-		}
-	}
-
-	var handler net.Handler
 	var journal *durable.FileJournal
+	var j durable.Journal // nil: volatile
+	var state *durable.State
 	if opt.dataDir != "" {
-		var state *durable.State
 		var err error
 		dopts := durable.Options{Committer: true, FlushInterval: opt.fsyncEvery}
 		if smap != nil {
@@ -214,86 +189,76 @@ func main() {
 		}
 		journal.SyncEveryWrite = opt.fsync
 		defer journal.Close()
+		j = journal
 		rs := journal.Recovery()
 		if rs.Torn {
 			fmt.Printf("vpnode %v: repaired torn journal tail (%d bytes dropped)\n", opt.id, rs.TornBytes)
 		}
-		fresh := state.MaxID.IsZero() && len(state.Copies) == 0
-		if fresh {
-			handler = newHandler(journal, nil)
+		if state.Fresh() {
 			fmt.Printf("vpnode %v: fresh durable state in %s\n", opt.id, opt.dataDir)
 		} else {
-			handler = newHandler(journal, state)
 			fmt.Printf("vpnode %v: restored from %s in %v (max-id %v, %d copies, %d records replayed)\n",
 				opt.id, opt.dataDir, rs.Duration.Round(time.Microsecond), state.MaxID, len(state.Copies), rs.Records)
 		}
-	} else {
-		handler = newHandler(nil, nil)
 	}
 	var health *debughttp.Health
 	if opt.debugAddr != "" {
 		health = &debughttp.Health{}
 	}
-	// The observers feed /healthz (health may be nil: its methods then do
-	// nothing) and make a halt loud: a halted node is otherwise exactly as
-	// silent as a partitioned one.
-	halted := func(e core.HaltEvent) {
-		health.SetHalted(e.Err.Error())
-		fmt.Fprintf(os.Stderr, "vpnode %v: HALTED, journal barrier failed: %v\n", e.Proc, e.Err)
-	}
-	me, verbose := opt.id, opt.verbose
-	switch h := handler.(type) {
-	case *core.Node:
-		health.Set(h.Assigned(), h.CurID(), h.View().Sorted())
-		h.Observer = func(ev any) {
-			switch e := ev.(type) {
-			case core.JoinEvent:
-				health.Set(true, e.VP, e.View.Sorted())
-				health.SetCause(e.Cause)
-				if verbose {
-					fmt.Printf("vpnode %v: joined %v view=%v\n", me, e.VP, e.View)
-				}
-			case core.DepartEvent:
-				health.Set(false, e.VP, nil)
-				if verbose {
-					fmt.Printf("vpnode %v: departed %v\n", me, e.VP)
-				}
-			case core.HaltEvent:
-				halted(e)
-			}
+	// The observer feeds /healthz (health may be nil: its methods then do
+	// nothing) and makes a halt loud: a halted node is otherwise exactly as
+	// silent as a partitioned one. The node is healthy once every hosted
+	// shard — model.NoShard for the one unsharded lifecycle — sits in a
+	// partition; the reported view is the latest shard's.
+	me, verbose, hosted := opt.id, opt.verbose, 1
+	var mu sync.Mutex
+	up := make(map[model.ShardID]bool)
+	logf := func(s model.ShardID, format string, args ...any) {
+		if !verbose {
+			return
 		}
-	case *shard.Router:
-		hosted := len(h.Hosted())
-		var mu sync.Mutex
-		up := make(map[model.ShardID]bool)
-		h.Observer = func(s model.ShardID, ev any) {
-			switch e := ev.(type) {
-			case core.JoinEvent:
-				mu.Lock()
-				up[s] = true
-				n := len(up)
-				mu.Unlock()
-				// Healthy once every hosted shard sits in a partition;
-				// the reported view is the latest shard's.
-				health.Set(n == hosted, e.VP, e.View.Sorted())
-				health.SetCause(e.Cause)
-				if verbose {
-					fmt.Printf("vpnode %v: shard %v joined %v view=%v\n", me, s, e.VP, e.View)
-				}
-			case core.DepartEvent:
-				mu.Lock()
-				delete(up, s)
-				mu.Unlock()
-				health.Set(false, e.VP, nil)
-				if verbose {
-					fmt.Printf("vpnode %v: shard %v departed %v\n", me, s, e.VP)
-				}
-			case core.HaltEvent:
-				halted(e)
-			}
+		if s != model.NoShard {
+			format, args = "shard %v "+format, append([]any{s}, args...)
+		}
+		fmt.Printf("vpnode %v: "+format+"\n", append([]any{me}, args...)...)
+	}
+	observe := func(s model.ShardID, ev any) {
+		switch e := ev.(type) {
+		case core.JoinEvent:
+			mu.Lock()
+			up[s] = true
+			n := len(up)
+			mu.Unlock()
+			health.Set(n == hosted, e.VP, e.View.Sorted())
+			health.SetCause(e.Cause)
+			logf(s, "joined %v view=%v", e.VP, e.View)
+		case core.DepartEvent:
+			mu.Lock()
+			delete(up, s)
+			mu.Unlock()
+			health.Set(false, e.VP, nil)
+			logf(s, "departed %v", e.VP)
+		case core.HaltEvent:
+			health.SetHalted(e.Err.Error())
+			fmt.Fprintf(os.Stderr, "vpnode %v: HALTED, journal barrier failed: %v\n", e.Proc, e.Err)
 		}
 	}
-	tcp := net.NewTCPNodeConfig(opt.id, opt.addrs, handler, opt.tcp)
+	// The protocol handler: a single core.Node in the default (unsharded)
+	// deployment, a shard.Router — one VP lifecycle per hosted shard plus
+	// a cross-shard coordinator — when -shards > 1.
+	var handler net.Handler
+	if smap != nil {
+		r := shard.NewRouter(opt.id, cfg, smap, nil, j, state)
+		hosted = len(r.Hosted())
+		r.Observer = observe
+		handler = r
+	} else {
+		nd := core.New(opt.id, cfg, cat, nil, j, state)
+		health.Set(nd.Assigned(), nd.CurID(), nd.View().Sorted())
+		nd.Observer = func(ev any) { observe(model.NoShard, ev) }
+		handler = nd
+	}
+	tcp := net.NewTCPNode(opt.id, opt.addrs, handler, opt.tcp)
 	tcp.Metrics().Set(metrics.CNodeHalted, 0) // exported from the first scrape on
 	if journal != nil {
 		journal.SetMetrics(tcp.Metrics())

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/virtualpartitions/vp/internal/cluster"
 	"github.com/virtualpartitions/vp/internal/core"
 	"github.com/virtualpartitions/vp/internal/debughttp"
 	"github.com/virtualpartitions/vp/internal/model"
@@ -86,23 +87,14 @@ func TestParseArgsErrors(t *testing.T) {
 // /metrics endpoint: the Prometheus text output must show the commit
 // and per-kind message counters the transaction incremented.
 func TestMetricsEndpointOverTCPCluster(t *testing.T) {
-	addrs := map[model.ProcID]string{
-		1: "127.0.0.1:17841",
-		2: "127.0.0.1:17842",
-		3: "127.0.0.1:17843",
+	c, err := cluster.Start(cluster.Config{N: 3, Catalog: model.FullyReplicated(3, "x"),
+		Core: core.Config{Config: node.Config{Delta: 20 * time.Millisecond, LogCap: 64}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cat := model.FullyReplicated(len(addrs), "x")
-	cfg := core.Config{Config: node.Config{Delta: 20 * time.Millisecond, LogCap: 64}}
-	var nodes []*net.TCPNode
-	for id := model.ProcID(1); id <= 3; id++ {
-		tcp := net.NewTCPNode(id, addrs, core.New(id, cfg, cat, nil))
-		if err := tcp.Run(); err != nil {
-			t.Fatalf("node %v: %v", id, err)
-		}
-		defer tcp.Stop()
-		nodes = append(nodes, tcp)
-	}
-	srv, debugAddr, err := debughttp.Serve("127.0.0.1:0", nodes[0].Metrics(), nil, nodes[0].Tracer())
+	defer c.Stop()
+	addrs, n1 := c.Addrs(), c.Node(1)
+	srv, debugAddr, err := debughttp.Serve("127.0.0.1:0", n1.Metrics(), nil, n1.Tracer())
 	if err != nil {
 		t.Fatal(err)
 	}

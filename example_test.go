@@ -20,7 +20,9 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster.Start()
+	if err := cluster.Start(); err != nil {
+		log.Fatal(err)
+	}
 	defer cluster.Stop()
 	cluster.WaitForView(5*time.Second, 1, 2, 3)
 
@@ -38,19 +40,6 @@ func Example() {
 	// 1SR: true
 }
 
-// waitUnassigned blocks until the processor has noticed the partition
-// and departed its virtual partition (its own probe timeout decides
-// when), so a subsequent minority-side request is deterministically
-// refused rather than racing the detection.
-func waitUnassigned(cluster *vp.Cluster, p int) {
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-		if _, assigned := cluster.View(p); !assigned {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // ExampleCluster_Partition shows the majority rule in action: the
 // majority side of a partition keeps working, the minority is refused,
 // and after the heal the rejoined node serves the refreshed value.
@@ -62,13 +51,15 @@ func ExampleCluster_Partition() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster.Start()
+	if err := cluster.Start(); err != nil {
+		log.Fatal(err)
+	}
 	defer cluster.Stop()
 	cluster.WaitForView(5*time.Second, 1, 2, 3)
 
 	cluster.Partition([]int{1, 2}, []int{3})
 	cluster.WaitForView(5*time.Second, 1, 2)
-	waitUnassigned(cluster, 3)
+	cluster.WaitForView(5*time.Second, 3)
 
 	_, errMajority := cluster.DoRetry(1, 5*time.Second, vp.Write("x", 42))
 	_, errMinority := cluster.Do(3, vp.Read("x"))
@@ -102,13 +93,15 @@ func ExampleObject_weighted() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster.Start()
+	if err := cluster.Start(); err != nil {
+		log.Fatal(err)
+	}
 	defer cluster.Stop()
 	cluster.WaitForView(5*time.Second, 1, 2, 3)
 
 	cluster.Partition([]int{1, 2}, []int{3})
 	cluster.WaitForView(5*time.Second, 1, 2)
-	waitUnassigned(cluster, 3)
+	cluster.WaitForView(5*time.Second, 3)
 	_, err = cluster.DoRetry(1, 5*time.Second, vp.Increment("ledger", 1))
 	fmt.Println("weight 3 of 4 writes:", err == nil)
 

@@ -25,7 +25,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster.Start()
+	if err := cluster.Start(); err != nil {
+		log.Fatal(err)
+	}
 	defer cluster.Stop()
 	if !cluster.WaitForView(5*time.Second, 1, 2, 3) {
 		log.Fatal("views never converged")

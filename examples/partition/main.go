@@ -38,15 +38,17 @@ func partitionDemo() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster.Start()
+	if err := cluster.Start(); err != nil {
+		log.Fatal(err)
+	}
 	defer cluster.Stop()
 	if !cluster.WaitForView(5*time.Second, 1, 2, 3, 4, 5) {
 		log.Fatal("no initial view")
 	}
 
 	cluster.Partition([]int{1, 2, 3}, []int{4, 5})
-	if !cluster.WaitForView(5*time.Second, 1, 2, 3) {
-		log.Fatal("majority view never formed")
+	if !cluster.WaitForView(5*time.Second, 1, 2, 3) || !cluster.WaitForView(5*time.Second, 4, 5) {
+		log.Fatal("partition views never formed")
 	}
 	fmt.Println("partitioned {1,2,3} | {4,5}")
 
@@ -92,7 +94,9 @@ func figure1Demo() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster.Start()
+	if err := cluster.Start(); err != nil {
+		log.Fatal(err)
+	}
 	defer cluster.Stop()
 	if !cluster.WaitForView(5*time.Second, 1, 2, 3) {
 		log.Fatal("no initial view")

@@ -21,7 +21,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster.Start()
+	if err := cluster.Start(); err != nil {
+		log.Fatal(err)
+	}
 	defer cluster.Stop()
 
 	// Views form within π + 8δ (the paper's liveness bound).

@@ -159,7 +159,7 @@ func NewRunner(spec Spec) *Runner {
 				WeakR4:        spec.WeakR4,
 				Mergeable:     spec.Mergeable,
 			}
-			nd := core.New(p, ccfg, cat, r.Hist)
+			nd := core.New(p, ccfg, cat, r.Hist, nil, nil)
 			r.vpNodes[p] = nd
 			h = nd
 		case ProtoQuorum:

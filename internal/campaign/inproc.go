@@ -2,62 +2,73 @@ package campaign
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
 
+	"github.com/virtualpartitions/vp/internal/cluster"
 	"github.com/virtualpartitions/vp/internal/core"
 	"github.com/virtualpartitions/vp/internal/model"
 	"github.com/virtualpartitions/vp/internal/nemesis"
 	vnet "github.com/virtualpartitions/vp/internal/net"
 	"github.com/virtualpartitions/vp/internal/node"
-	"github.com/virtualpartitions/vp/internal/onecopy"
 	"github.com/virtualpartitions/vp/internal/shard"
-	"github.com/virtualpartitions/vp/internal/trace"
 	"github.com/virtualpartitions/vp/internal/wire"
 	"github.com/virtualpartitions/vp/internal/workload"
 )
 
-// inprocPlatform runs a cell on net.RealCluster: the same core.Node
-// handlers on wall-clock time, goroutine mailboxes and in-memory
-// delivery. It sits between the sim (no real concurrency) and the
-// deployed stack (real sockets): races and timer behavior are real,
-// message loss is injected. Network faults go through a
-// nemesis.Injector attached as the cluster's Interceptor; crash/restart
-// — which the injector deliberately does not model — are approximated
-// by cutting the victim's links in the Topology, since a RealCluster
-// node cannot be stopped individually.
+// inprocPlatform runs a cell on an in-process cluster of loopback TCP
+// nodes (internal/cluster): the deployed transport and codec, every node
+// on an in-memory journal, wall-clock time. It sits between the sim (no
+// real concurrency) and the deployed stack (separate processes): races,
+// sockets and timers are real, message loss is injected. Crash/restart —
+// which the nemesis.Injector deliberately does not model — cut and
+// restore the victim's links in a Topology, the paper's crashed
+// processor as a trivial communication cluster; every send consults that
+// cut first, then the injector's network faults.
 type inprocPlatform struct {
 	topo    *vnet.Topology
-	c       *vnet.RealCluster
-	rec     *trace.Recorder
-	hist    *onecopy.History
 	inj     *nemesis.Injector
-	started bool
+	c       *cluster.Cluster
+	clients map[model.ProcID]*vnet.Client
+	pending sync.WaitGroup // submissions awaiting their result
 
-	mu        sync.Mutex
-	results   map[uint64]wire.ClientResult
-	latency   map[uint64]time.Duration
-	submitted map[uint64]time.Duration
-	origin    time.Time
+	mu      sync.Mutex
+	results map[uint64]wire.ClientResult
+	latency map[uint64]time.Duration
+}
+
+// crashCut is the cell's interceptor: the topology's crash cut, then the
+// injector.
+type crashCut struct {
+	topo *vnet.Topology
+	inj  *nemesis.Injector
+}
+
+func (f crashCut) Outbound(from, to model.ProcID, m wire.Message) vnet.Verdict {
+	if v := f.topo.Outbound(from, to, m); v.Drop {
+		return v
+	}
+	return f.inj.Outbound(from, to, m)
 }
 
 func (p *inprocPlatform) Name() string        { return BackendInproc }
 func (p *inprocPlatform) Deterministic() bool { return false }
 
 func (p *inprocPlatform) Start(cfg ClusterConfig) error {
-	if p.started {
+	if p.c != nil {
 		return fmt.Errorf("campaign/inproc: Start on a started platform")
 	}
 	objs := workload.Objects(cfg.Objects)
-	p.topo = vnet.NewTopology(cfg.N, cfg.Delta/4)
-	p.c = vnet.NewRealCluster(p.topo)
-	p.rec = trace.New(1 << 18)
-	p.rec.SetEnabled(true)
-	p.hist = onecopy.NewHistory()
+	p.topo = vnet.NewTopology(cfg.N, cfg.Delta)
 	p.inj = nemesis.NewInjector(cfg.Seed)
-	p.c.Icpt = p.inj
-	ccfg := core.Config{Config: node.Config{Delta: cfg.Delta, LogCap: 256}, UseLogCatchup: true, UsePrevOpt: true}
+	bc := cluster.Config{
+		N:           cfg.N,
+		Core:        core.Config{Config: node.Config{Delta: cfg.Delta, LogCap: 256}, UseLogCatchup: true, UsePrevOpt: true},
+		Interceptor: crashCut{p.topo, p.inj},
+		Trace:       true,
+	}
 	if cfg.Shards > 1 {
 		// Sharded cell: every node is a shard.Router over the same
 		// deterministic map — each hosted shard runs its own VP
@@ -69,42 +80,21 @@ func (p *inprocPlatform) Start(cfg ClusterConfig) error {
 		if err != nil {
 			return fmt.Errorf("campaign/inproc: shard map: %w", err)
 		}
-		cat := m.Catalog()
-		for _, obj := range cat.Objects() {
-			p.rec.Record(trace.Event{Kind: trace.EvPlacement, Obj: obj, Procs: cat.Copies(obj).Sorted()})
-		}
-		p.c.Rec = p.rec
-		for _, proc := range p.topo.Procs() {
-			p.c.AddNode(proc, shard.NewRouter(proc, ccfg, m, p.hist))
-		}
+		bc.Shards = m
 	} else {
-		cat := model.FullyReplicated(cfg.N, objs...)
-		for _, obj := range cat.Objects() {
-			p.rec.Record(trace.Event{Kind: trace.EvPlacement, Obj: obj, Procs: cat.Copies(obj).Sorted()})
-		}
-		p.c.Rec = p.rec
-		for _, proc := range p.topo.Procs() {
-			p.c.AddNode(proc, core.New(proc, ccfg, cat, p.hist))
-		}
+		bc.Catalog = model.FullyReplicated(cfg.N, objs...)
+	}
+	c, err := cluster.Start(bc)
+	if err != nil {
+		return fmt.Errorf("campaign/inproc: %w", err)
+	}
+	p.c = c
+	p.clients = make(map[model.ProcID]*vnet.Client, cfg.N)
+	for proc, addr := range c.Addrs() {
+		p.clients[proc] = vnet.NewClient(addr, time.Second)
 	}
 	p.results = make(map[uint64]wire.ClientResult)
 	p.latency = make(map[uint64]time.Duration)
-	p.submitted = make(map[uint64]time.Duration)
-	p.c.OnClientResult = func(from model.ProcID, res wire.ClientResult) {
-		at := time.Since(p.origin)
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		p.results[res.Tag] = res
-		if res.Committed {
-			if sub, ok := p.submitted[res.Tag]; ok {
-				if lat := at - sub; lat > 0 {
-					p.latency[res.Tag] = lat
-				}
-			}
-		}
-	}
-	p.c.Start()
-	p.started = true
 	return nil
 }
 
@@ -134,26 +124,17 @@ func mergeTimeline(plan Plan) []timelineEvent {
 }
 
 func (p *inprocPlatform) Drive(plan Plan) error {
-	if !p.started {
+	if p.c == nil {
 		return fmt.Errorf("campaign/inproc: Drive before Start")
 	}
-	p.mu.Lock()
-	for _, s := range plan.Txns {
-		p.submitted[s.Txn.Request.Tag] = s.At
-	}
-	for _, s := range plan.Probes {
-		p.submitted[s.Txn.Request.Tag] = s.At
-	}
-	p.origin = time.Now()
-	p.mu.Unlock()
-
+	origin := time.Now()
 	for _, ev := range mergeTimeline(plan) {
-		if d := ev.at - time.Since(p.origin); d > 0 {
+		if d := ev.at - time.Since(origin); d > 0 {
 			time.Sleep(d)
 		}
 		switch {
 		case ev.txn != nil:
-			p.c.Submit(ev.txn.Txn.Coordinator, ev.txn.Txn.Request)
+			p.submit(ev.txn.Txn)
 		case ev.step != nil:
 			if p.inj.Apply(*ev.step) {
 				continue
@@ -166,40 +147,66 @@ func (p *inprocPlatform) Drive(plan Plan) error {
 			}
 		}
 	}
-	if d := plan.End - time.Since(p.origin); d > 0 {
+	if d := plan.End - time.Since(origin); d > 0 {
 		time.Sleep(d)
 	}
 	return nil
 }
 
+// submit sends t to its coordinator and records the result, and the
+// commit latency, from a goroutine of its own. A submission that gets no
+// result (within a minute, or before Stop) records nothing: a lost
+// result is an omission.
+func (p *inprocPlatform) submit(t workload.Txn) {
+	cl := p.clients[t.Coordinator]
+	p.pending.Add(1)
+	go func() {
+		defer p.pending.Done()
+		began := time.Now()
+		res, err := cl.Submit(t.Request, time.Minute)
+		if err != nil {
+			return
+		}
+		lat := time.Since(began)
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		p.results[res.Tag] = res
+		if res.Committed {
+			p.latency[res.Tag] = lat
+		}
+	}()
+}
+
 func (p *inprocPlatform) Scrape() (*Snapshot, error) {
-	if !p.started {
+	if p.c == nil {
 		return nil, fmt.Errorf("campaign/inproc: Scrape before Start")
 	}
+	counters := map[string]int64{}
+	for proc := range p.clients {
+		for k, v := range p.c.Node(proc).Metrics().Counters() {
+			counters[k] += v
+		}
+	}
 	p.mu.Lock()
-	results := make(map[uint64]wire.ClientResult, len(p.results))
-	for k, v := range p.results {
-		results[k] = v
-	}
-	latency := make(map[uint64]time.Duration, len(p.latency))
-	for k, v := range p.latency {
-		latency[k] = v
-	}
-	p.mu.Unlock()
+	defer p.mu.Unlock()
 	return &Snapshot{
-		Counters: p.c.Reg.Counters(),
-		Events:   p.rec.Events(),
-		Hist:     p.hist,
-		Results:  results,
-		Latency:  latency,
+		Counters: counters,
+		Events:   p.c.Tracer().Events(),
+		Hist:     p.c.History(),
+		Results:  maps.Clone(p.results),
+		Latency:  maps.Clone(p.latency),
 	}, nil
 }
 
 func (p *inprocPlatform) Stop() error {
-	if !p.started {
+	if p.c == nil {
 		return nil
 	}
+	for _, cl := range p.clients {
+		cl.Close()
+	}
+	p.pending.Wait()
 	p.c.Stop()
-	p.started = false
+	p.c = nil
 	return nil
 }

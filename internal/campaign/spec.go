@@ -21,7 +21,7 @@ import (
 // Backend names for Axes.Backend.
 const (
 	BackendSim    = "sim"    // deterministic virtual-time simulation (internal/bench)
-	BackendInproc = "inproc" // real-time in-memory cluster (net.RealCluster)
+	BackendInproc = "inproc" // in-process loopback TCP cluster (internal/cluster)
 )
 
 // Nemesis profile names for Axes.Nemesis.

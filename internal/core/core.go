@@ -143,8 +143,8 @@ type Node struct {
 
 	// journal receives max-id updates for crash-restart durability.
 	journal durable.Journal
-	// recovered is set by NewRestored: the node starts unassigned and
-	// immediately attempts to form a partition.
+	// recovered is set when New restores a replayed state: the node
+	// starts unassigned and immediately attempts to form a partition.
 	recovered bool
 
 	// ViewChanges counts partition assignments, for experiments.
@@ -207,8 +207,16 @@ type catchupRetry struct {
 	peer model.ProcID
 }
 
-// New constructs a protocol node for processor id.
-func New(id model.ProcID, cfg Config, cat *model.Catalog, hist *onecopy.History) *Node {
+// New constructs the protocol node of processor id, writing its
+// protocol-critical state through to j (nil: volatile). st is j's
+// replayed state; a fresh one (State.Fresh) starts the node assigned to
+// its trivial partition (Figure 3 lines 3–4). Otherwise the node is
+// restored — copies keep their dates (R5 refresh, not blind trust, makes
+// them readable), max-id continues past every identifier ever used (S3),
+// prepared writes stay prepared, unacknowledged decisions resume — and
+// starts UNASSIGNED, forming a fresh partition at once.
+func New(id model.ProcID, cfg Config, cat *model.Catalog, hist *onecopy.History,
+	j durable.Journal, st *durable.State) *Node {
 	cfg = cfg.WithDefaults()
 	n := &Node{
 		cfg:        cfg,
@@ -226,33 +234,16 @@ func New(id model.ProcID, cfg Config, cat *model.Catalog, hist *onecopy.History)
 			n.Observer(HaltEvent{Proc: id, Err: err})
 		}
 	}
-	return n
-}
-
-// NewDurable constructs a node whose protocol-critical state is written
-// through to the journal, so the processor can later be rebuilt with
-// NewRestored after a crash.
-func NewDurable(id model.ProcID, cfg Config, cat *model.Catalog, hist *onecopy.History, j durable.Journal) *Node {
-	n := New(id, cfg, cat, hist)
-	n.journal = j
-	n.Base.Journal = j
-	n.Store.SetJournal(j)
-	return n
-}
-
-// NewRestored rebuilds a processor from journaled state after a crash:
-// copies keep their values and dates (so rule R5 refresh, not blind
-// trust, makes them readable), max-id continues past every identifier
-// ever used (so S3's order is never forged), prepared writes stay
-// prepared, and unacknowledged decisions resume. The node starts
-// UNASSIGNED — its old partition may have moved on without it — and
-// immediately attempts to form a fresh one.
-func NewRestored(id model.ProcID, cfg Config, cat *model.Catalog, hist *onecopy.History,
-	st *durable.State, j durable.Journal) *Node {
-	n := NewDurable(id, cfg, cat, hist, j)
+	if j != nil {
+		n.journal = j
+		n.Base.Journal = j
+		n.Store.SetJournal(j)
+	}
+	if st.Fresh() {
+		return n
+	}
 	n.assigned = false
 	n.recovered = true
-	n.curID = model.VPID{N: 0, P: id}
 	if n.maxID.Less(st.MaxID) {
 		n.maxID = st.MaxID
 	}

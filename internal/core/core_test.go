@@ -52,7 +52,7 @@ func newFixtureCfg(t *testing.T, cat *model.Catalog, n int, cfg Config, seed int
 		results: make(map[uint64]wire.ClientResult),
 	}
 	for _, p := range topo.Procs() {
-		nd := New(p, cfg, cat, f.hist)
+		nd := New(p, cfg, cat, f.hist, nil, nil)
 		nd.Observer = func(ev any) { f.events = append(f.events, ev) }
 		f.nodes[p] = nd
 		f.cluster.AddNode(p, nd)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	stdnet "net"
 	"sync"
 	"testing"
 	"time"
@@ -279,9 +278,6 @@ func TestCatchupRefusalRetriedPerPeer(t *testing.T) {
 	if asked != 2 || refused != 2 {
 		t.Fatalf("P2 received %d CatchupReq from P3 and answered %d, want 2 and 2", asked, refused)
 	}
-	if got := f.cluster.Reg.Get(metrics.CMsgSent + ".recoverlog"); got != 0 {
-		t.Fatalf("%d single-object RecoverLog sent, want 0", got)
-	}
 	if got := f.cluster.Reg.Get(metrics.CRefreshing); got != 0 {
 		t.Fatalf("vp.refreshing = %d once settled, want 0", got)
 	}
@@ -301,15 +297,11 @@ func TestTCPBootWithManyObjects(t *testing.T) {
 		UseLogCatchup: true,
 		UsePrevOpt:    true,
 	}
-	addrs := map[model.ProcID]string{}
-	for id := model.ProcID(1); id <= 3; id++ {
-		l, err := stdnet.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[id] = l.Addr().String()
-		l.Close()
+	ports, err := net.LoopbackAddrs(3)
+	if err != nil {
+		t.Fatal(err)
 	}
+	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1], 3: ports[2]}
 	var mu sync.Mutex
 	joins := map[model.ProcID][]model.VPID{}
 	nodes := map[model.ProcID]*net.TCPNode{}
@@ -322,7 +314,7 @@ func TestTCPBootWithManyObjects(t *testing.T) {
 		if !state.MaxID.IsZero() {
 			t.Fatal("fresh journal restored state")
 		}
-		nd := NewDurable(id, cfg, cat, nil, journal)
+		nd := New(id, cfg, cat, nil, journal, nil)
 		id := id
 		nd.Observer = func(ev any) {
 			if j, ok := ev.(JoinEvent); ok {
@@ -331,7 +323,7 @@ func TestTCPBootWithManyObjects(t *testing.T) {
 				mu.Unlock()
 			}
 		}
-		nodes[id] = net.NewTCPNode(id, addrs, nd)
+		nodes[id] = net.NewTCPNode(id, addrs, nd, net.TCPConfig{})
 	}
 	for _, tn := range nodes {
 		if err := tn.Run(); err != nil {

@@ -212,11 +212,7 @@ func TestRestartBehindRejoinsAtMessageSpeed(t *testing.T) {
 	journals := map[model.ProcID]*durable.MemJournal{}
 	boot := func(p model.ProcID, st *durable.State) {
 		journals[p] = durable.NewMemJournal()
-		if st == nil {
-			f.nodes[p] = NewDurable(p, fixtureConfig(), cat, hist, journals[p])
-		} else {
-			f.nodes[p] = NewRestored(p, fixtureConfig(), cat, hist, st, journals[p])
-		}
+		f.nodes[p] = New(p, fixtureConfig(), cat, hist, journals[p], st)
 		f.nodes[p].Observer = func(ev any) { f.events = append(f.events, ev) }
 		hosts[p].n = f.nodes[p]
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	stdnet "net"
 	"testing"
 	"time"
 
@@ -23,15 +22,11 @@ func TestKill9DeltaRejoin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time TCP test")
 	}
-	addrs := map[model.ProcID]string{}
-	for id := model.ProcID(1); id <= 3; id++ {
-		l, err := stdnet.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[id] = l.Addr().String()
-		l.Close()
+	ports, err := vnet.LoopbackAddrs(3)
+	if err != nil {
+		t.Fatal(err)
 	}
+	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1], 3: ports[2]}
 	cat := model.FullyReplicated(3, "x")
 	cfg := Config{
 		Config:        node.Config{Delta: 25 * time.Millisecond, LogCap: 64},
@@ -46,13 +41,8 @@ func TestKill9DeltaRejoin(t *testing.T) {
 			t.Fatal(err)
 		}
 		journals[id] = journal
-		var nd *Node
-		if state.MaxID.IsZero() && len(state.Copies) == 0 {
-			nd = NewDurable(id, cfg, cat, nil, journal)
-		} else {
-			nd = NewRestored(id, cfg, cat, nil, state, journal)
-		}
-		tn := vnet.NewTCPNode(id, addrs, nd)
+		nd := New(id, cfg, cat, nil, journal, state)
+		tn := vnet.NewTCPNode(id, addrs, nd, vnet.TCPConfig{})
 		if err := tn.Run(); err != nil {
 			t.Fatal(err)
 		}

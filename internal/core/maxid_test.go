@@ -59,11 +59,7 @@ func TestMaxIDNeverLeavesBeforeItIsDurable(t *testing.T) {
 			t.Fatalf("open journal of node %v: %v", p, err)
 		}
 		journals[p] = j
-		if st.MaxID.IsZero() && len(st.Copies) == 0 {
-			nodes[p].n = NewDurable(p, fixtureConfig(), cat, hist, j)
-		} else {
-			nodes[p].n = NewRestored(p, fixtureConfig(), cat, hist, st, j)
-		}
+		nodes[p].n = New(p, fixtureConfig(), cat, hist, j, st)
 	}
 	for _, p := range topo.Procs() {
 		dirs[p] = t.TempDir()

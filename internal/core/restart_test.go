@@ -41,12 +41,7 @@ func newDurableFixture(t *testing.T, cat *model.Catalog, n int, seed int64,
 	for _, p := range topo.Procs() {
 		j := durable.NewMemJournal()
 		df.journals[p] = j
-		var nd *Node
-		if st, ok := restored[p]; ok {
-			nd = NewRestored(p, fixtureConfig(), cat, f.hist, st, j)
-		} else {
-			nd = NewDurable(p, fixtureConfig(), cat, f.hist, j)
-		}
+		nd := New(p, fixtureConfig(), cat, f.hist, j, restored[p])
 		f.nodes[p] = nd
 		f.cluster.AddNode(p, nd)
 	}
@@ -166,8 +161,10 @@ func TestPreparedWriteSurvivesRestart(t *testing.T) {
 	st3.Staged[blockedTxn] = map[model.ObjectID]durable.StagedWrite{
 		"x": {Val: 42, Ver: ver},
 	}
-	// Coordinator (node 1) restored with the matching pending decision.
+	// Coordinator (node 1) restored with the matching pending decision,
+	// taken in the partition it created.
 	st1 := durable.NewState()
+	st1.MaxID = ver.Date
 	st1.Decides[blockedTxn] = durable.DecideRec{Commit: true, Pending: []model.ProcID{3}}
 
 	f := newDurableFixture(t, cat, 3, 85, map[model.ProcID]*durable.State{1: st1, 3: st3})
@@ -186,5 +183,37 @@ func TestPreparedWriteSurvivesRestart(t *testing.T) {
 	}
 	if len(f.journals[3].St.Staged) != 0 {
 		t.Fatalf("staged write not cleared from participant journal: %+v", f.journals[3].St.Staged)
+	}
+}
+
+// TestNewDecidesFreshOrRestored: New starts a fresh, assigned node from
+// no replayed state or an empty one, and an unassigned, restored node
+// from a state that holds a max-id or a copy.
+func TestNewDecidesFreshOrRestored(t *testing.T) {
+	cat := model.FullyReplicated(3, "x")
+	withMaxID := durable.NewState()
+	withMaxID.MaxID = model.VPID{N: 4, P: 2}
+	withCopy := durable.NewState()
+	withCopy.Copies["x"] = model.Copy{Val: 7, Ver: model.Version{Date: model.VPID{N: 1, P: 1}, Ctr: 1}}
+	for _, tc := range []struct {
+		name  string
+		st    *durable.State
+		fresh bool
+	}{
+		{"nil", nil, true},
+		{"empty", durable.NewState(), true},
+		{"max-id", withMaxID, false},
+		{"copy", withCopy, false},
+	} {
+		nd := New(1, fixtureConfig(), cat, nil, durable.NewMemJournal(), tc.st)
+		if nd.Assigned() != tc.fresh || nd.recovered == tc.fresh {
+			t.Errorf("%s state: assigned=%v restored=%v, want fresh=%v", tc.name, nd.Assigned(), nd.recovered, tc.fresh)
+		}
+		if tc.st == withMaxID && nd.maxID != withMaxID.MaxID {
+			t.Errorf("restored max-id %v, want %v", nd.maxID, withMaxID.MaxID)
+		}
+		if tc.st == withCopy && nd.Store.Get("x") != withCopy.Copies["x"] {
+			t.Errorf("restored copy %+v, want %+v", nd.Store.Get("x"), withCopy.Copies["x"])
+		}
 	}
 }

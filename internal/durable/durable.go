@@ -86,6 +86,11 @@ func NewState() *State {
 	}
 }
 
+// Fresh reports whether a replayed state holds nothing to restore: no
+// max-id and no copy (a processor that never joined a partition nor
+// applied a write). A nil state is fresh.
+func (s *State) Fresh() bool { return s == nil || s.MaxID.IsZero() && len(s.Copies) == 0 }
+
 // Journal receives every durable state change. Implementations must be
 // safe for concurrent use: the sharded store (internal/store) journals
 // committed writes from whichever stripe applies them. A nil Journal is

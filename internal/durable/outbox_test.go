@@ -1,7 +1,6 @@
 package durable_test
 
 import (
-	stdnet "net"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -19,8 +18,8 @@ import (
 )
 
 // These tests cover the committing journal (Options.Committer) — first
-// on its own, then under nodes on the real-time engine, where a barrier
-// really is released from another goroutine. Every disk is a
+// on its own, then under nodes over loopback TCP, where a barrier really
+// is released from another goroutine. Every disk is a
 // nemesis.DiskFaults, so "a flush is in flight" is an event the test
 // waits for (a frozen fsync), not a sleep.
 
@@ -229,12 +228,13 @@ func TestLogSinceDoesNotWaitForTheDisk(t *testing.T) {
 	disk.Thaw()
 }
 
-// --- nodes on the real-time engine ---
+// --- nodes over loopback TCP ---
 
 type liveCluster struct {
 	t        *testing.T
-	c        *net.RealCluster
 	hist     *onecopy.History
+	nodes    map[model.ProcID]*net.TCPNode
+	clients  map[model.ProcID]*net.Client
 	disks    map[model.ProcID]*nemesis.DiskFaults
 	journals map[model.ProcID]*durable.FileJournal
 	results  chan wire.ClientResult
@@ -246,48 +246,71 @@ type liveCluster struct {
 // record and barrier belongs to a transaction) over committing journals.
 func newLiveCluster(t *testing.T, cat *model.Catalog, n int, every time.Duration) *liveCluster {
 	t.Helper()
+	ports, err := net.LoopbackAddrs(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := map[model.ProcID]string{}
+	for i, addr := range ports {
+		addrs[model.ProcID(i+1)] = addr
+	}
 	lc := &liveCluster{
 		t:        t,
-		c:        net.NewRealCluster(net.NewTopology(n, 50*time.Microsecond)),
 		hist:     onecopy.NewHistory(),
+		nodes:    make(map[model.ProcID]*net.TCPNode),
+		clients:  make(map[model.ProcID]*net.Client),
 		disks:    make(map[model.ProcID]*nemesis.DiskFaults),
 		journals: make(map[model.ProcID]*durable.FileJournal),
-		results:  make(chan wire.ClientResult, 16),
+		results:  make(chan wire.ClientResult, 64), // more than any test submits: no sender blocks
 		early:    make(map[uint64]wire.ClientResult),
 	}
-	for p := model.ProcID(1); int(p) <= n; p++ {
+	t.Cleanup(func() {
+		for _, d := range lc.disks {
+			d.Heal()
+		}
+		for _, c := range lc.clients {
+			c.Close()
+		}
+		for _, tn := range lc.nodes {
+			tn.Stop()
+		}
+		for _, j := range lc.journals {
+			j.Close() //nolint:errcheck // failed journals report their injected fault
+		}
+	})
+	for p := range addrs {
 		lc.disks[p] = nemesis.NewDiskFaults(nil)
 		_, j, err := durable.OpenOptions(t.TempDir(), durable.Options{FS: lc.disks[p], Committer: true, FlushInterval: every})
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.SetMetrics(lc.c.Reg)
 		lc.journals[p] = j
 		// No Decide retransmission inside a test: every ack counted is the
 		// answer to the one Decide its transaction sent.
 		nd := rowa.New(p, node.Config{Delta: 50 * time.Millisecond, DecideRetry: time.Minute}, cat, lc.hist)
 		nd.Journal = j
 		nd.Store.SetJournal(j)
-		lc.c.AddNode(p, nd)
+		tn := net.NewTCPNode(p, addrs, nd, net.TCPConfig{})
+		j.SetMetrics(tn.Metrics())
+		if err := tn.Run(); err != nil {
+			t.Fatal(err)
+		}
+		lc.nodes[p] = tn
+		lc.clients[p] = net.NewClient(addrs[p], time.Second)
 	}
-	lc.c.OnClientResult = func(_ model.ProcID, res wire.ClientResult) { lc.results <- res }
-	lc.c.Start()
-	t.Cleanup(func() {
-		for _, d := range lc.disks {
-			d.Heal()
-		}
-		lc.c.Stop()
-		for _, j := range lc.journals {
-			j.Close() //nolint:errcheck // failed journals report their injected fault
-		}
-	})
 	return lc
 }
 
+// submit sends a transaction to p; its result arrives on lc.results.
 func (lc *liveCluster) submit(p model.ProcID, ops []wire.Op) uint64 {
 	lc.nextTag++
-	lc.c.Submit(p, wire.ClientTxn{Tag: lc.nextTag, Ops: ops})
-	return lc.nextTag
+	tag, c := lc.nextTag, lc.clients[p]
+	go func() {
+		if res, err := c.Submit(wire.ClientTxn{Tag: tag, Ops: ops}, 10*time.Second); err == nil {
+			lc.results <- res
+		}
+	}()
+	return tag
 }
 
 func (lc *liveCluster) result(tag uint64) wire.ClientResult {
@@ -306,9 +329,16 @@ func (lc *liveCluster) result(tag uint64) wire.ClientResult {
 	}
 }
 
-func (lc *liveCluster) sent(kind string) int64 {
-	return lc.c.Reg.Get(metrics.CMsgSent + "." + kind)
+// count sums a counter over every node.
+func (lc *liveCluster) count(name string) int64 {
+	var sum int64
+	for _, tn := range lc.nodes {
+		sum += tn.Metrics().Get(name)
+	}
+	return sum
 }
+
+func (lc *liveCluster) sent(kind string) int64 { return lc.count(metrics.CMsgSent + "." + kind) }
 
 // A committed write on three replicas costs three urgent barriers, side
 // by side — the two remote yes-votes and the coordinator's own vote — and
@@ -317,7 +347,7 @@ func (lc *liveCluster) sent(kind string) int64 {
 // flush that something else asks for.
 func TestCommittedWriteCostsThreeUrgentBarriers(t *testing.T) {
 	lc := newLiveCluster(t, model.FullyReplicated(3, "x", "y", "z"), 3, never)
-	fsyncs := func() int64 { return lc.c.Reg.Get(metrics.CJournalFsyncs) }
+	fsyncs := func() int64 { return lc.count(metrics.CJournalFsyncs) }
 	write := func(obj model.ObjectID) {
 		t.Helper()
 		if res := lc.result(lc.submit(1, wire.IncrementOps(obj, 1))); !res.Committed {
@@ -335,10 +365,8 @@ func TestCommittedWriteCostsThreeUrgentBarriers(t *testing.T) {
 	// flush: it carries the first write's decision record and lets its
 	// Decide go. (Other objects: x stays locked until that Decide lands.)
 	write("y")
-	// (Delivered, not just sent: RealCluster times every message on its
-	// own, and the third write's prepares must not overtake them.)
 	eventually(t, "the first write's Decide to follow the second write's flush", func() bool {
-		return lc.c.Reg.Get(metrics.CMsgDelivered+".decide") == 2
+		return lc.count(metrics.CMsgDelivered+".decide") == 2
 	})
 	if got := fsyncs(); got != 6 {
 		t.Fatalf("two writes cost %d fsyncs, want 6", got)
@@ -361,63 +389,27 @@ func TestCommittedWriteCostsThreeUrgentBarriers(t *testing.T) {
 // on the same connections, it finds the locks free where wait-die would
 // have killed it — and being waited for makes the lazy flush urgent. So
 // does a lock request that runs into the commit's lock at another copy.
-// (Over TCP: a connection keeps the order the hold relies on, RealCluster
-// times every message on its own.)
 func TestWriteBehindAnUntoldCommitWaitsForItsDecide(t *testing.T) {
-	addrs := map[model.ProcID]string{}
-	for id := model.ProcID(1); id <= 3; id++ {
-		l, err := stdnet.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[id] = l.Addr().String()
-		l.Close()
-	}
-	cat := model.FullyReplicated(3, "x")
-	var coord *net.TCPNode
-	for id := model.ProcID(1); id <= 3; id++ {
-		_, j, err := durable.OpenOptions(t.TempDir(), durable.Options{Committer: true, FlushInterval: never})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nd := rowa.New(id, node.Config{Delta: 50 * time.Millisecond}, cat, nil)
-		nd.Journal = j
-		nd.Store.SetJournal(j)
-		tn := net.NewTCPNode(id, addrs, nd)
-		if err := tn.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if id == 1 {
-			coord = tn
-		}
-		t.Cleanup(func() {
-			tn.Stop()
-			j.Close() //nolint:errcheck // nothing was injected
-		})
-	}
-	submit := func(to model.ProcID, tag uint64, ops []wire.Op) wire.ClientResult {
+	lc := newLiveCluster(t, model.FullyReplicated(3, "x"), 3, never)
+	submit := func(to model.ProcID, ops []wire.Op) wire.ClientResult {
 		t.Helper()
-		res, err := net.SubmitTCP(addrs[to], wire.ClientTxn{Tag: tag, Ops: ops}, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return lc.result(lc.submit(to, ops))
 	}
-	for i := uint64(1); i <= 5; i++ {
-		if res := submit(1, i, wire.IncrementOps("x", 1)); !res.Committed {
+	for i := 1; i <= 5; i++ {
+		if res := submit(1, wire.IncrementOps("x", 1)); !res.Committed {
 			t.Fatalf("write %d aborted: %+v", i, res)
 		}
 	}
-	if got := coord.Metrics().Get(metrics.CTxnAbort); got != 0 {
+	if got := lc.nodes[1].Metrics().Get(metrics.CTxnAbort); got != 0 {
 		t.Fatalf("%d aborts among back-to-back writes of one object", got)
 	}
 	// A reader elsewhere runs into the last write's lock at its own copy:
 	// the request dies (it is younger), and nudges that write's coordinator
 	// — long before the lease sweep (1.5 s here) would ask.
 	began := time.Now()
-	res := submit(2, 10, []wire.Op{wire.ReadOp("x")})
-	for tag := uint64(11); !res.Committed; tag++ {
-		res = submit(2, tag, []wire.Op{wire.ReadOp("x")})
+	res := submit(2, []wire.Op{wire.ReadOp("x")})
+	for !res.Committed {
+		res = submit(2, []wire.Op{wire.ReadOp("x")})
 	}
 	if got := res.Reads[0].Val; got != 5 {
 		t.Fatalf("read x = %d after five increments", got)
@@ -462,7 +454,7 @@ func TestFailedBarrierSendsNothing(t *testing.T) {
 	if got := lc.sent("vote"); got != 1 {
 		t.Fatalf("%d votes crossed the network, want 1 (node 3's)", got)
 	}
-	if got := lc.c.Reg.Get(metrics.CNodeHalted); got != 1 {
+	if got := lc.count(metrics.CNodeHalted); got != 1 {
 		t.Fatalf("node.halted = %d, want 1", got)
 	}
 	if got := lc.sent("decideack"); got != 0 {

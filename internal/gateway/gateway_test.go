@@ -5,21 +5,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
-	stdnet "net"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/virtualpartitions/vp/internal/cluster"
 	"github.com/virtualpartitions/vp/internal/core"
-	"github.com/virtualpartitions/vp/internal/durable"
 	"github.com/virtualpartitions/vp/internal/metrics"
 	"github.com/virtualpartitions/vp/internal/model"
-	vnet "github.com/virtualpartitions/vp/internal/net"
 	"github.com/virtualpartitions/vp/internal/node"
 	"github.com/virtualpartitions/vp/internal/onecopy"
 	"github.com/virtualpartitions/vp/internal/trace"
@@ -288,76 +284,26 @@ func TestShardLanesFlushIndependently(t *testing.T) {
 
 // --- live cluster tests ---
 
-// freePorts returns n loopback addresses nobody listens on, for nodes
-// that will listen there a moment later. The ports are drawn from below
-// the kernel's ephemeral range: one handed out by Listen(":0") can be
-// taken again, as the source port of any dial on the machine, before
-// the node binds it.
-func freePorts(t *testing.T, n int) []string {
-	t.Helper()
-	out := make([]string, 0, n)
-	for tries := 0; len(out) < n; tries++ {
-		if tries > 100*n {
-			t.Fatal("no free port below the ephemeral range")
-		}
-		addr := fmt.Sprintf("127.0.0.1:%d", 10000+rand.Intn(20000))
-		if slices.Contains(out, addr) {
-			continue
-		}
-		if l, err := stdnet.Listen("tcp", addr); err == nil {
-			l.Close()
-			out = append(out, addr)
-		}
-	}
-	return out
-}
-
 // bootCluster starts a 3-node virtual-partition cluster over real TCP
 // with a shared one-copy history checker, returning the client address
-// map, one trace recorder per node and a stop func. Traced, every node
-// runs on an in-memory durable journal, samples every transaction and
-// records its spans (so traces reach the journal); otherwise the
-// recorders are nil.
+// map, the trace recorders and a stop func. Traced, every node samples
+// every transaction and records its spans into one recorder (so traces
+// reach the journal); otherwise there is none.
 func bootCluster(t *testing.T, traced bool, objs ...model.ObjectID) (map[model.ProcID]string, *onecopy.History, []*trace.Recorder, func()) {
 	t.Helper()
-	const n = 3
-	ports := freePorts(t, n)
-	addrs := map[model.ProcID]string{}
-	for i := 0; i < n; i++ {
-		addrs[model.ProcID(i+1)] = ports[i]
-	}
-	cat := model.FullyReplicated(n, objs...)
-	hist := onecopy.NewHistory()
 	cfg := core.Config{Config: node.Config{Delta: 20 * time.Millisecond, LogCap: 256}}
 	if traced {
 		cfg.TraceSample = 1
 	}
-	var (
-		nodes []*vnet.TCPNode
-		recs  []*trace.Recorder
-	)
-	for id := model.ProcID(1); id <= n; id++ {
-		var tcp *vnet.TCPNode
-		if traced {
-			tcp = vnet.NewTCPNode(id, addrs, core.NewDurable(id, cfg, cat, hist, durable.NewMemJournal()))
-			rec := trace.New(trace.DefaultCap)
-			rec.SetEnabled(true)
-			tcp.SetTracer(rec)
-			recs = append(recs, rec)
-		} else {
-			tcp = vnet.NewTCPNode(id, addrs, core.New(id, cfg, cat, hist))
-		}
-		if err := tcp.Run(); err != nil {
-			t.Fatalf("node %v: %v", id, err)
-		}
-		nodes = append(nodes, tcp)
+	c, err := cluster.Start(cluster.Config{N: 3, Catalog: model.FullyReplicated(3, objs...), Core: cfg, Trace: traced})
+	if err != nil {
+		t.Fatal(err)
 	}
-	stop := func() {
-		for _, nd := range nodes {
-			nd.Stop()
-		}
+	var recs []*trace.Recorder
+	if traced {
+		recs = append(recs, c.Tracer())
 	}
-	return addrs, hist, recs, stop
+	return c.Addrs(), c.History(), recs, c.Stop
 }
 
 // TestGatewayReadYourWrites is the acceptance test: under concurrent

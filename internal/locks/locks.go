@@ -59,9 +59,8 @@ type lockState struct {
 }
 
 // Manager is one processor's lock table: one map behind one mutex. The
-// node calls in under its handler mutex, but the real-time engine and
-// debug readers may call from outside it, so every exported method
-// locks. Each method is atomic.
+// node calls in under its handler mutex, but debug readers may call
+// from outside it, so every exported method locks. Each method is atomic.
 type Manager struct {
 	mu    sync.Mutex
 	table map[model.ObjectID]*lockState

@@ -10,9 +10,9 @@ import (
 	"github.com/virtualpartitions/vp/internal/wire"
 )
 
-// Injector applies a schedule's network steps to live engines: it
-// implements net.Interceptor, so installing one on every TCP node (or a
-// RealCluster) routes each remote send through the current fault state.
+// Injector applies a schedule's network steps to a live cluster: it
+// implements net.Interceptor, so installing one on every TCP node routes
+// each remote send through the current fault state.
 // Crash and restart steps are not network faults — Apply returns false
 // for them and the harness stops/restarts the actual node.
 //
@@ -46,21 +46,12 @@ func NewInjector(seed int64) *Injector {
 	}
 }
 
-var _ net.MsgInterceptor = (*Injector)(nil)
-
-// Outbound implements net.Interceptor.
-func (in *Injector) Outbound(from, to model.ProcID, kind string) net.Verdict {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.verdictLocked(from, to)
-}
-
-// OutboundMsg implements net.MsgInterceptor: shard-scoped partitions
-// need the frame itself — a wire.ShardMsg's kind string does not name
-// the shard. Epoch-cache probes (ShardEpochReq/Resp) name their shard
-// too and are subject to the same cut: a partitioned shard's epoch is
-// as unreachable as its data.
-func (in *Injector) OutboundMsg(from, to model.ProcID, m wire.Message) net.Verdict {
+// Outbound implements net.Interceptor. Shard-scoped partitions look at
+// the frame: a wire.ShardMsg's kind string does not name the shard.
+// Epoch-cache probes (ShardEpochReq/Resp) name their shard too and are
+// subject to the same cut: a partitioned shard's epoch is as unreachable
+// as its data.
+func (in *Injector) Outbound(from, to model.ProcID, m wire.Message) net.Verdict {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if len(in.shardGroup) > 0 {
@@ -81,11 +72,6 @@ func (in *Injector) OutboundMsg(from, to model.ProcID, m wire.Message) net.Verdi
 			}
 		}
 	}
-	return in.verdictLocked(from, to)
-}
-
-// verdictLocked applies the shard-agnostic fault state; in.mu held.
-func (in *Injector) verdictLocked(from, to model.ProcID) net.Verdict {
 	if in.isolated != model.NoProc && (from == in.isolated) != (to == in.isolated) {
 		return net.Verdict{Drop: true}
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/virtualpartitions/vp/internal/model"
+	"github.com/virtualpartitions/vp/internal/wire"
 )
 
 func procs(n int) []model.ProcID {
@@ -103,14 +104,14 @@ func TestGenerateConstraints(t *testing.T) {
 func TestInjectorPartition(t *testing.T) {
 	in := NewInjector(1)
 	in.Apply(Step{Kind: StepPartition, Groups: [][]model.ProcID{{1, 2}, {3}}})
-	if v := in.Outbound(1, 3, "probe"); !v.Drop {
+	if v := in.Outbound(1, 3, wire.Probe{}); !v.Drop {
 		t.Fatal("cross-group send must drop")
 	}
-	if v := in.Outbound(1, 2, "probe"); v.Drop {
+	if v := in.Outbound(1, 2, wire.Probe{}); v.Drop {
 		t.Fatal("intra-group send must pass")
 	}
 	in.Apply(Step{Kind: StepHeal})
-	if v := in.Outbound(1, 3, "probe"); v.Drop {
+	if v := in.Outbound(1, 3, wire.Probe{}); v.Drop {
 		t.Fatal("heal must reconnect")
 	}
 }
@@ -119,17 +120,17 @@ func TestInjectorPartition(t *testing.T) {
 func TestInjectorIsolateOne(t *testing.T) {
 	in := NewInjector(1)
 	in.Apply(Step{Kind: StepIsolateOne, Victim: 2})
-	if v := in.Outbound(1, 2, "probe"); !v.Drop {
+	if v := in.Outbound(1, 2, wire.Probe{}); !v.Drop {
 		t.Fatal("send to isolated proc must drop")
 	}
-	if v := in.Outbound(2, 3, "probe"); !v.Drop {
+	if v := in.Outbound(2, 3, wire.Probe{}); !v.Drop {
 		t.Fatal("send from isolated proc must drop")
 	}
-	if v := in.Outbound(1, 3, "probe"); v.Drop {
+	if v := in.Outbound(1, 3, wire.Probe{}); v.Drop {
 		t.Fatal("bystanders must stay connected")
 	}
 	in.Apply(Step{Kind: StepHeal})
-	if v := in.Outbound(1, 2, "probe"); v.Drop {
+	if v := in.Outbound(1, 2, wire.Probe{}); v.Drop {
 		t.Fatal("heal must reconnect the victim")
 	}
 }
@@ -138,21 +139,21 @@ func TestInjectorIsolateOne(t *testing.T) {
 func TestInjectorFlaky(t *testing.T) {
 	in := NewInjector(7)
 	in.Apply(Step{Kind: StepDropProb, Prob: 1})
-	if v := in.Outbound(1, 2, "probe"); !v.Drop {
+	if v := in.Outbound(1, 2, wire.Probe{}); !v.Drop {
 		t.Fatal("prob 1 must drop everything")
 	}
 	in.Apply(Step{Kind: StepHeal})
 
 	in.Apply(Step{Kind: StepDelay, Delay: 30 * time.Millisecond})
-	if v := in.Outbound(1, 2, "probe"); v.Delay != 30*time.Millisecond {
+	if v := in.Outbound(1, 2, wire.Probe{}); v.Delay != 30*time.Millisecond {
 		t.Fatalf("delay verdict = %v, want 30ms", v.Delay)
 	}
 	in.Apply(Step{Kind: StepDuplicate, Prob: 1})
-	if v := in.Outbound(1, 2, "probe"); !v.Duplicate {
+	if v := in.Outbound(1, 2, wire.Probe{}); !v.Duplicate {
 		t.Fatal("prob 1 must duplicate everything")
 	}
 	in.Apply(Step{Kind: StepHeal})
-	v := in.Outbound(1, 2, "probe")
+	v := in.Outbound(1, 2, wire.Probe{})
 	if v.Drop || v.Delay != 0 || v.Duplicate {
 		t.Fatalf("heal must clear flaky state, got %+v", v)
 	}
@@ -167,7 +168,7 @@ func TestInjectorCrashNotNetwork(t *testing.T) {
 	if in.Apply(Step{Kind: StepRestart, Victim: 1}) {
 		t.Fatal("restart must not be handled by the injector")
 	}
-	if v := in.Outbound(1, 2, "probe"); v.Drop {
+	if v := in.Outbound(1, 2, wire.Probe{}); v.Drop {
 		t.Fatal("crash step must not mutate network state")
 	}
 }

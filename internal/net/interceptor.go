@@ -25,34 +25,16 @@ type Verdict struct {
 
 // Interceptor inspects every remote send before the transport commits to
 // it, so a fault injector can impose the paper's failure model — lost,
-// slow and duplicated messages, partitions — on live engines. Both the
-// TCP transport and the real-time in-memory engine consult the installed
-// interceptor on every non-local send; self-sends and the client result
-// sink bypass it (a processor can always talk to itself, property S2).
+// slow and duplicated messages, partitions — on a live cluster. The TCP
+// transport consults the installed interceptor on every non-local send;
+// self-sends and the client result sink bypass it (a processor can
+// always talk to itself, property S2). It gets the message itself, not
+// only its kind (wire.Kind): a sharded deployment's traffic is
+// wire.ShardMsg frames whose kind ("shard:probe") does not say WHICH
+// shard, and a nemesis that partitions one shard's majority must tell.
 //
-// Implementations must be safe for concurrent use: the engines call
+// Implementations must be safe for concurrent use: a node calls
 // Outbound from multiple goroutines.
 type Interceptor interface {
-	Outbound(from, to model.ProcID, kind string) Verdict
-}
-
-// MsgInterceptor is an optional Interceptor extension consulted with the
-// decoded message instead of only its kind string. Shard-selective
-// faults need it: a sharded deployment's traffic is wire.ShardMsg frames
-// whose kind string ("shard:probe") does not say WHICH shard, so a
-// nemesis that partitions one shard's majority while leaving the others
-// untouched must look at the frame itself. Engines prefer OutboundMsg
-// when the installed interceptor implements it; the same concurrency
-// contract applies.
-type MsgInterceptor interface {
-	Interceptor
-	OutboundMsg(from, to model.ProcID, m wire.Message) Verdict
-}
-
-// intercept consults ic through the richest interface it implements.
-func intercept(ic Interceptor, from, to model.ProcID, m wire.Message, kind string) Verdict {
-	if mi, ok := ic.(MsgInterceptor); ok {
-		return mi.OutboundMsg(from, to, m)
-	}
-	return ic.Outbound(from, to, kind)
+	Outbound(from, to model.ProcID, m wire.Message) Verdict
 }

@@ -10,7 +10,7 @@ import (
 	"github.com/virtualpartitions/vp/internal/wire"
 )
 
-// Per-kind message counter names, shared by the three engines.
+// Per-kind message counter names, shared by the two engines.
 var (
 	sentByKind      = metrics.NewFamily(metrics.CMsgSent)
 	deliveredByKind = metrics.NewFamily(metrics.CMsgDelivered)
@@ -20,7 +20,7 @@ var (
 type TimerID uint64
 
 // Runtime is the execution environment handed to a node on every event.
-// The simulated and real-time engines implement it identically from the
+// The simulated and TCP engines implement it identically from the
 // node's point of view; protocol code must interact with the outside
 // world only through it.
 type Runtime interface {
@@ -65,16 +65,15 @@ type Runtime interface {
 	Logf(format string, args ...any)
 }
 
-// Poster is the re-entry seam of the engines whose handlers run beside
-// other goroutines (RealCluster, TCPNode): Post runs fn as one handler
+// Poster is the re-entry seam of an engine whose handlers run beside
+// other goroutines (TCPNode): Post runs fn as one handler
 // turn of the node — never concurrently with OnMessage, OnTimer or
 // another fn — with the runtime the engine hands its handler and no
 // ambient trace context. It is how work finished elsewhere — a journal's
 // committer releasing a barrier — gets back into the handler's
 // single-threaded world, and is safe from any goroutine not itself
-// inside a turn of that node. RealCluster queues fn behind the node's
-// mailbox; TCPNode runs it before Post returns, on the caller's
-// goroutine under the handler mutex. A runtime value may be retained
+// inside a turn of that node. TCPNode runs it before Post returns, on
+// the caller's goroutine under the handler mutex. A runtime value may be retained
 // past its event for this call alone. SimCluster has one goroutine and
 // nothing to post from.
 type Poster interface {
@@ -83,8 +82,8 @@ type Poster interface {
 
 // Handler is a node: a deterministic state machine driven by messages and
 // timers. The engine guarantees the three methods (and posted functions)
-// are never invoked concurrently for the same node — one goroutine per
-// node, or in TCPNode a mutex around each invocation — so handlers need
+// are never invoked concurrently for the same node — the simulator's one
+// goroutine, or in TCPNode a mutex around each invocation — so handlers need
 // no internal locking. Successive invocations may be on different
 // goroutines, and none may wait for another of the same node.
 type Handler interface {

@@ -137,6 +137,17 @@ type TCPNode struct {
 	local []rtEvent
 }
 
+// rtEvent is one handler turn's event: a message, a timer firing or a
+// posted continuation.
+type rtEvent struct {
+	from  model.ProcID
+	msg   wire.Message
+	ctx   model.TraceCtx
+	timer any // non-nil: timer event with this key
+	tid   TimerID
+	post  func(rt Runtime) // non-nil: posted continuation (Poster)
+}
+
 // peerConn is the persistent outbound state for one peer, shared by
 // senders and the peer's loop under mu. The loop alone dials and makes
 // blocking writes — with mu released and flushing set, so that senders
@@ -200,16 +211,10 @@ type acceptedConn struct {
 	enc  wire.FrameEncoder
 }
 
-// NewTCPNode creates a node with default transport tuning. See
-// NewTCPNodeConfig.
-func NewTCPNode(id model.ProcID, addrs map[model.ProcID]string, h Handler) *TCPNode {
-	return NewTCPNodeConfig(id, addrs, h, TCPConfig{})
-}
-
-// NewTCPNodeConfig creates a node that will serve as processor id,
-// reachable at addrs[id], with peers at the remaining addresses, using
-// the given transport tuning.
-func NewTCPNodeConfig(id model.ProcID, addrs map[model.ProcID]string, h Handler, cfg TCPConfig) *TCPNode {
+// NewTCPNode creates a node that will serve as processor id, reachable
+// at addrs[id], with peers at the remaining addresses, using the given
+// transport tuning (the zero TCPConfig selects the defaults).
+func NewTCPNode(id model.ProcID, addrs map[model.ProcID]string, h Handler, cfg TCPConfig) *TCPNode {
 	if _, ok := addrs[id]; !ok {
 		panic(fmt.Sprintf("net: no address for own id %v", id))
 	}
@@ -713,7 +718,7 @@ func (n *TCPNode) SendCtx(to model.ProcID, m wire.Message, ctx model.TraceCtx) {
 	}
 	env := wire.Envelope{From: n.id, To: to, Msg: m, Ctx: ctx}
 	if ic := n.icpt; ic != nil {
-		v := intercept(ic, n.id, to, m, kind)
+		v := ic.Outbound(n.id, to, m)
 		if v.Drop {
 			n.drop(to, kind)
 			return
@@ -860,4 +865,27 @@ func SubmitTCPRetry(addr string, t wire.ClientTxn, perTry time.Duration, deadlin
 			backoff = time.Second
 		}
 	}
+}
+
+// LoopbackAddrs returns n distinct loopback addresses nobody listens on,
+// for nodes that will listen there a moment later. The ports are drawn
+// from below the kernel's ephemeral range: one handed out by
+// Listen(":0") can be taken again, as the source port of any dial on the
+// machine, before the node binds it.
+func LoopbackAddrs(n int) ([]string, error) {
+	addrs := make([]string, 0, n)
+	for tries := 0; len(addrs) < n; tries++ {
+		if tries > 100*n {
+			return nil, errors.New("net: no free loopback port below the ephemeral range")
+		}
+		addr := fmt.Sprintf("127.0.0.1:%d", 10000+rand.Intn(20000))
+		if slices.Contains(addrs, addr) {
+			continue
+		}
+		if l, err := stdnet.Listen("tcp", addr); err == nil {
+			l.Close()
+			addrs = append(addrs, addr)
+		}
+	}
+	return addrs, nil
 }

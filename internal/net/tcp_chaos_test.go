@@ -20,7 +20,7 @@ func TestTCPStopAbortsBackoff(t *testing.T) {
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
 	// Huge minimum backoff: after the first failed dial to the
 	// never-started peer 2, the loop sleeps ~30s.
-	n := NewTCPNodeConfig(1, addrs, tcpEcho{}, TCPConfig{
+	n := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{
 		ReconnectMin: 30 * time.Second,
 		ReconnectMax: 60 * time.Second,
 	})
@@ -63,7 +63,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	ports := freePorts(t, 2)
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
 	p := &chaosPinger{acks: make(chan struct{}, 1)}
-	n1 := NewTCPNodeConfig(1, addrs, p, TCPConfig{
+	n1 := NewTCPNode(1, addrs, p, TCPConfig{
 		DialTimeout:  time.Second,
 		ReconnectMin: 20 * time.Millisecond,
 		ReconnectMax: 200 * time.Millisecond,
@@ -71,7 +71,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	rec := trace.New(4096)
 	rec.SetEnabled(true)
 	n1.SetTracer(rec)
-	n2 := NewTCPNode(2, addrs, tcpEcho{})
+	n2 := NewTCPNode(2, addrs, tcpEcho{}, TCPConfig{})
 	if err := n2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 			quiet = true
 		}
 	}
-	n2b := NewTCPNode(2, addrs, tcpEcho{})
+	n2b := NewTCPNode(2, addrs, tcpEcho{}, TCPConfig{})
 	if err := n2b.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,8 @@ type chaosIcpt struct {
 	log []string
 }
 
-func (c *chaosIcpt) Outbound(from, to model.ProcID, kind string) Verdict {
+func (c *chaosIcpt) Outbound(from, to model.ProcID, m wire.Message) Verdict {
+	kind := wire.Kind(m)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.log = append(c.log, kind)
@@ -161,9 +162,9 @@ func TestTCPInterceptorVerdicts(t *testing.T) {
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
 	col := &tcpCollector{ch: make(chan wire.Message, 64)}
 	ic := &chaosIcpt{}
-	n1 := NewTCPNode(1, addrs, tcpEcho{})
+	n1 := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
 	n1.SetInterceptor(ic)
-	n2 := NewTCPNode(2, addrs, col)
+	n2 := NewTCPNode(2, addrs, col, TCPConfig{})
 	if err := n2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestTCPInterceptorVerdicts(t *testing.T) {
 func TestTCPQueueOverflowAccounted(t *testing.T) {
 	ports := freePorts(t, 2)
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
-	n := NewTCPNodeConfig(1, addrs, tcpEcho{}, TCPConfig{
+	n := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{
 		QueueLen:     2,
 		ReconnectMin: time.Second, // keep the loop in backoff during the test
 		ReconnectMax: 5 * time.Second,
@@ -262,7 +263,7 @@ func TestSubmitTCPRetryOutlastsOutage(t *testing.T) {
 	addrs := map[model.ProcID]string{1: ports[0]}
 	go func() {
 		time.Sleep(500 * time.Millisecond)
-		n := NewTCPNode(1, addrs, tcpEcho{})
+		n := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
 		if err := n.Run(); err != nil {
 			return
 		}

@@ -77,7 +77,7 @@ func startNodes(t testing.TB, cfg TCPConfig, handlers ...Handler) []*TCPNode {
 	}
 	var nodes []*TCPNode
 	for i, h := range handlers {
-		n := NewTCPNodeConfig(model.ProcID(i+1), addrs, h, cfg)
+		n := NewTCPNode(model.ProcID(i+1), addrs, h, cfg)
 		if err := n.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestTCPSelfSendsAfterReturnInOrder(t *testing.T) {
 // bulk is a frame of about 64 KiB carrying seq, so a few hundred fill
 // every buffer between two loopback sockets.
 func bulk(seq uint64) wire.Message {
-	return wire.RecoverLogResp{Obj: "bulk", Seq: seq, OK: true, Entries: bulkEntries}
+	return wire.CatchupResp{OK: true, Objs: []wire.ObjDelta{{Obj: "bulk", Seq: seq, Entries: bulkEntries}}}
 }
 
 var bulkEntries = make([]wire.LogEntry, 4096)
@@ -233,7 +233,7 @@ func TestTCPStalledPeerNeverStallsATurn(t *testing.T) {
 			addrs := map[model.ProcID]string{1: ports[0], 2: ports[1], 3: ports[2]}
 			if frozenNode {
 				f := &tcpFreezer{frozen: make(chan struct{})}
-				n2 := NewTCPNode(2, addrs, f)
+				n2 := NewTCPNode(2, addrs, f, TCPConfig{})
 				if err := n2.Run(); err != nil {
 					t.Fatal(err)
 				}
@@ -255,12 +255,12 @@ func TestTCPStalledPeerNeverStallsATurn(t *testing.T) {
 					}
 				}()
 			}
-			n3 := NewTCPNode(3, addrs, tcpSilent{})
+			n3 := NewTCPNode(3, addrs, tcpSilent{}, TCPConfig{})
 			if err := n3.Run(); err != nil {
 				t.Fatal(err)
 			}
 			defer n3.Stop()
-			n1 := NewTCPNodeConfig(1, addrs, tcpEcho{}, TCPConfig{QueueLen: 32})
+			n1 := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{QueueLen: 32})
 			if err := n1.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -345,8 +345,8 @@ func readStream(c stdnet.Conn, last *atomic.Uint64) (log streamLog) {
 		}
 		seq := uint64(0)
 		switch m := env.Msg.(type) {
-		case wire.RecoverLogResp:
-			seq = m.Seq
+		case wire.CatchupResp:
+			seq = m.Objs[0].Seq
 		case wire.Probe:
 			seq = m.Seq
 		}
@@ -390,7 +390,7 @@ func TestTCPWriteFailsMidFrame(t *testing.T) {
 			}()
 		}
 	}()
-	n1 := NewTCPNodeConfig(1, addrs, tcpEcho{}, TCPConfig{QueueLen: 4096, ReconnectMin: 10 * time.Millisecond})
+	n1 := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{QueueLen: 4096, ReconnectMin: 10 * time.Millisecond})
 	if err := n1.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -466,8 +466,8 @@ func TestTCPStopInFlight(t *testing.T) {
 	g := &guardHandler{}
 	ports := freePorts(t, 2)
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
-	n1 := NewTCPNode(1, addrs, g)
-	n2 := NewTCPNode(2, addrs, tcpEcho{})
+	n1 := NewTCPNode(1, addrs, g, TCPConfig{})
+	n2 := NewTCPNode(2, addrs, tcpEcho{}, TCPConfig{})
 	for _, n := range []*TCPNode{n2, n1} {
 		if err := n.Run(); err != nil {
 			t.Fatal(err)

@@ -69,10 +69,10 @@ func redialPair(t *testing.T, h Handler, cfg TCPConfig, rec *trace.Recorder) (n1
 	t.Helper()
 	ports := freePorts(t, 2)
 	addrs = map[model.ProcID]string{1: ports[0], 2: ports[1]}
-	n1 = NewTCPNodeConfig(1, addrs, h, cfg)
+	n1 = NewTCPNode(1, addrs, h, cfg)
 	n1.SetTracer(rec)
 	col := &tcpCollector{ch: make(chan wire.Message, 16)}
-	n2 := NewTCPNode(2, addrs, col)
+	n2 := NewTCPNode(2, addrs, col, TCPConfig{})
 	for _, n := range []*TCPNode{n2, n1} {
 		if err := n.Run(); err != nil {
 			t.Fatal(err)
@@ -95,7 +95,7 @@ func redialPair(t *testing.T, h Handler, cfg TCPConfig, rec *trace.Recorder) (n1
 func startPeer2(t *testing.T, addrs map[model.ProcID]string) (*TCPNode, *tcpCollector) {
 	t.Helper()
 	col := &tcpCollector{ch: make(chan wire.Message, 16)}
-	n2 := NewTCPNode(2, addrs, col)
+	n2 := NewTCPNode(2, addrs, col, TCPConfig{})
 	if err := n2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestTCPStopDuringWokenRedial(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		ports := freePorts(t, 2)
 		addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
-		n := NewTCPNodeConfig(1, addrs, tcpEcho{}, TCPConfig{ReconnectMin: time.Minute, ReconnectMax: time.Minute})
+		n := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{ReconnectMin: time.Minute, ReconnectMax: time.Minute})
 		if err := n.Run(); err != nil {
 			t.Fatal(err)
 		}

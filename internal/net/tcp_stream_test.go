@@ -26,9 +26,9 @@ func allKindMessages() []wire.Message {
 		wire.RecoverRead{Obj: "x", VP: vp, Seq: 1},
 		wire.RecoverReadResp{Obj: "x", Seq: 1, OK: true, Val: 42, Ver: ver,
 			Comps: []wire.CompEntry{{P: 1, Ver: ver, Total: 3}}},
-		wire.RecoverLog{Obj: "x", Since: ver, VP: vp, Seq: 2},
-		wire.RecoverLogResp{Obj: "x", Seq: 2, OK: true, Complete: true,
-			Entries: []wire.LogEntry{{Val: 1, Ver: ver}}},
+		wire.CatchupReq{VP: vp, Objs: []wire.ObjSince{{Obj: "x", Since: ver, Seq: 2}}},
+		wire.CatchupResp{OK: true, Objs: []wire.ObjDelta{{Obj: "x", Seq: 2, Complete: true,
+			Entries: []wire.LogEntry{{Val: 1, Ver: ver}}}}},
 		wire.LockReq{Txn: txn, Obj: "x", Mode: model.LockExclusive, Epoch: vp, HasEpoch: true},
 		wire.LockResp{Txn: txn, Obj: "x", Status: wire.LockGranted, Val: 5, Ver: ver},
 		wire.Prepare{Txn: txn, Epoch: vp, HasEpoch: true,
@@ -99,8 +99,8 @@ func TestTCPStreamAllKinds(t *testing.T) {
 	ports := freePorts(t, 2)
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
 	col := &tcpCollector{ch: make(chan wire.Message, 64)}
-	n1 := NewTCPNode(1, addrs, tcpEcho{})
-	n2 := NewTCPNode(2, addrs, col)
+	n1 := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
+	n2 := NewTCPNode(2, addrs, col, TCPConfig{})
 	if err := n2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +127,8 @@ func TestTCPStreamReconnect(t *testing.T) {
 	ports := freePorts(t, 2)
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
 	col := &tcpCollector{ch: make(chan wire.Message, 64)}
-	n1 := NewTCPNode(1, addrs, tcpEcho{})
-	n2 := NewTCPNode(2, addrs, col)
+	n1 := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
+	n2 := NewTCPNode(2, addrs, col, TCPConfig{})
 	if err := n2.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	stdnet "net"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,26 +18,12 @@ import (
 	"github.com/virtualpartitions/vp/internal/wire"
 )
 
-// freePorts returns n loopback addresses nobody listens on, for nodes
-// that will listen there a moment later. The ports are drawn from below
-// the kernel's ephemeral range: one handed out by Listen(":0") can be
-// taken again, as the source port of any dial on the machine, before
-// the node binds it.
+// freePorts is LoopbackAddrs for tests.
 func freePorts(t testing.TB, n int) []string {
 	t.Helper()
-	addrs := make([]string, 0, n)
-	for tries := 0; len(addrs) < n; tries++ {
-		if tries > 100*n {
-			t.Fatal("no free port below the ephemeral range")
-		}
-		addr := fmt.Sprintf("127.0.0.1:%d", 10000+rand.Intn(20000))
-		if slices.Contains(addrs, addr) {
-			continue
-		}
-		if l, err := stdnet.Listen("tcp", addr); err == nil {
-			l.Close()
-			addrs = append(addrs, addr)
-		}
+	addrs, err := LoopbackAddrs(n)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return addrs
 }
@@ -86,8 +70,8 @@ func TestTCPNodePeerTraffic(t *testing.T) {
 	ports := freePorts(t, 2)
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
 	p := &tcpPinger{acked: make(chan struct{})}
-	n1 := NewTCPNode(1, addrs, p)
-	n2 := NewTCPNode(2, addrs, tcpEcho{})
+	n1 := NewTCPNode(1, addrs, p, TCPConfig{})
+	n2 := NewTCPNode(2, addrs, tcpEcho{}, TCPConfig{})
 	if err := n2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +93,7 @@ func TestTCPNodePeerTraffic(t *testing.T) {
 func TestTCPClientSubmit(t *testing.T) {
 	ports := freePorts(t, 1)
 	addrs := map[model.ProcID]string{1: ports[0]}
-	n := NewTCPNode(1, addrs, tcpEcho{})
+	n := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,28 +107,53 @@ func TestTCPClientSubmit(t *testing.T) {
 	}
 }
 
-// gobFrame returns a frame a peer speaking the retired gob codec sent: a
-// seed of the wire fuzz corpus, without its length prefix.
-func gobFrame(t *testing.T) []byte {
+// corpusFrame returns a frame of the wire fuzz corpus, without its
+// length prefix.
+func corpusFrame(t *testing.T, name string) []byte {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("..", "wire", "testdata", "fuzz", "FuzzCodecRoundTrip", "seed-01"))
+	raw, err := os.ReadFile(filepath.Join("..", "wire", "testdata", "fuzz", "FuzzCodecRoundTrip", name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.SplitN(string(raw), "\n", 3)
 	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
-	if err != nil || len(s) == 0 || s[0]&0x80 != 0 {
-		t.Fatalf("seed-01 is not a gob frame: %q %v", s, err)
+	if err != nil || len(s) == 0 {
+		t.Fatalf("%s: %q %v", name, s, err)
 	}
 	return []byte(s)
+}
+
+// gobFrame returns a frame a peer speaking the retired gob codec sent.
+func gobFrame(t *testing.T) []byte {
+	t.Helper()
+	frame := corpusFrame(t, "seed-01")
+	if frame[0]&0x80 != 0 {
+		t.Fatalf("seed-01 is not a gob frame: %x", frame)
+	}
+	return frame
 }
 
 // TestTCPRejectsGobFrame: a gob frame closes its connection, counted
 // and logged with the sender and the first byte, and a binary client of
 // the same node still commits.
 func TestTCPRejectsGobFrame(t *testing.T) {
+	rejectsFrame(t, gobFrame(t))
+}
+
+// TestTCPRejectsRetiredKind: a binary frame of a retired message kind
+// (a RecoverLog, whose kind number stays reserved) is refused the same
+// way.
+func TestTCPRejectsRetiredKind(t *testing.T) {
+	rejectsFrame(t, corpusFrame(t, "seed-14"))
+}
+
+// rejectsFrame sends frame to a node and expects the connection closed,
+// net.frame.rejected counted, the sender and first byte logged, and the
+// node still serving a binary client.
+func rejectsFrame(t *testing.T, frame []byte) {
+	t.Helper()
 	ports := freePorts(t, 1)
-	n := NewTCPNode(1, map[model.ProcID]string{1: ports[0]}, tcpEcho{})
+	n := NewTCPNode(1, map[model.ProcID]string{1: ports[0]}, tcpEcho{}, TCPConfig{})
 	rec := trace.New(64)
 	rec.SetEnabled(true)
 	n.SetTracer(rec)
@@ -153,7 +162,6 @@ func TestTCPRejectsGobFrame(t *testing.T) {
 	}
 	defer n.Stop()
 
-	frame := gobFrame(t)
 	conn, err := stdnet.Dial("tcp", ports[0])
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +172,7 @@ func TestTCPRejectsGobFrame(t *testing.T) {
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // a failed Read says the same
 	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("connection not closed after a gob frame: %v", err)
+		t.Fatalf("connection not closed after frame %x: %v", frame[:1], err)
 	}
 	if got := n.Metrics().Get(metrics.CFrameRejected); got != 1 {
 		t.Fatalf("%s = %d, want 1", metrics.CFrameRejected, got)
@@ -242,8 +250,8 @@ func TestTCPBurstDelivery(t *testing.T) {
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
 	const burst = 500
 	ctr := &tcpCounter{want: burst, done: make(chan struct{})}
-	n1 := NewTCPNode(1, addrs, tcpEcho{})
-	n2 := NewTCPNode(2, addrs, ctr)
+	n1 := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
+	n2 := NewTCPNode(2, addrs, ctr, TCPConfig{})
 	if err := n2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +273,7 @@ func TestTCPBurstDelivery(t *testing.T) {
 func TestTCPSendToDeadPeerIsOmission(t *testing.T) {
 	ports := freePorts(t, 2)
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
-	n := NewTCPNode(1, addrs, tcpEcho{})
+	n := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +293,7 @@ func TestTCPSendToDeadPeerIsOmission(t *testing.T) {
 
 func TestTCPProcsSorted(t *testing.T) {
 	addrs := map[model.ProcID]string{3: "c", 1: "a", 2: "b"}
-	n := NewTCPNode(1, addrs, tcpEcho{})
+	n := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
 	got := n.Procs()
 	want := []model.ProcID{1, 2, 3}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -302,5 +310,114 @@ func TestTCPMissingOwnAddrPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewTCPNode(1, map[model.ProcID]string{2: "x"}, tcpEcho{})
+	NewTCPNode(1, map[model.ProcID]string{2: "x"}, tcpEcho{}, TCPConfig{})
+}
+
+// recvLog is a handler that reports the sender of every message.
+type recvLog struct{ got chan model.ProcID }
+
+func (recvLog) Init(Runtime)                                              {}
+func (r recvLog) OnMessage(rt Runtime, from model.ProcID, m wire.Message) { r.got <- from }
+func (recvLog) OnTimer(Runtime, any)                                      {}
+
+// TestTCPTopologyInterceptor: a Topology installed as the interceptor
+// imposes its can-communicate graph on TCP nodes. A cut link drops in
+// both directions, counted at the sender; SetLink builds a
+// non-transitive graph; FullMesh restores delivery.
+func TestTCPTopologyInterceptor(t *testing.T) {
+	ports := freePorts(t, 3)
+	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1], 3: ports[2]}
+	topo := NewTopology(3, time.Millisecond)
+	nodes := map[model.ProcID]*TCPNode{}
+	logs := map[model.ProcID]recvLog{}
+	for p := model.ProcID(1); p <= 3; p++ {
+		logs[p] = recvLog{got: make(chan model.ProcID, 16)} // more than the test sends: a turn never blocks
+		nodes[p] = NewTCPNode(p, addrs, logs[p], TCPConfig{})
+		nodes[p].SetInterceptor(topo)
+		if err := nodes[p].Run(); err != nil {
+			t.Fatal(err)
+		}
+		defer nodes[p].Stop()
+	}
+	send := func(from, to model.ProcID) {
+		nodes[from].Post(func(rt Runtime) { rt.Send(to, wire.Probe{From: from}) })
+	}
+	arrives := func(from, to model.ProcID) {
+		t.Helper()
+		select {
+		case got := <-logs[to].got:
+			if got != from {
+				t.Fatalf("node %v heard from %v, want %v", to, got, from)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%v -> %v never arrived", from, to)
+		}
+	}
+	dropped := func(p model.ProcID) int64 { return nodes[p].Metrics().Get(metrics.CMsgDropped) }
+
+	topo.Partition([]model.ProcID{1}, []model.ProcID{2, 3})
+	send(1, 2)
+	send(2, 1)
+	if dropped(1) != 1 || dropped(2) != 1 {
+		t.Fatalf("across the cut: dropped %d at 1 and %d at 2, want 1 and 1", dropped(1), dropped(2))
+	}
+	send(2, 3)
+	arrives(2, 3)
+
+	topo.FullMesh()
+	topo.SetLink(1, 3, false) // 1–2–3 connected, 1–3 not: non-transitive
+	send(1, 3)
+	if dropped(1) != 2 {
+		t.Fatalf("1 -> 3 on a down link: dropped %d at 1, want 2", dropped(1))
+	}
+	send(1, 2)
+	arrives(1, 2)
+	send(2, 3)
+	arrives(2, 3)
+
+	topo.FullMesh()
+	send(1, 3)
+	arrives(1, 3)
+	send(3, 1)
+	arrives(3, 1)
+	for p, l := range logs {
+		if len(l.got) != 0 {
+			t.Fatalf("node %v received a message the topology dropped", p)
+		}
+	}
+}
+
+// tcpTimerNode sets a timer it cancels and one it keeps, and reports
+// every firing.
+type tcpTimerNode struct{ fired chan any }
+
+func (n tcpTimerNode) Init(rt Runtime) {
+	id := rt.SetTimer(time.Hour, "never")
+	rt.SetTimer(time.Millisecond, "soon")
+	rt.CancelTimer(id)
+}
+func (tcpTimerNode) OnMessage(Runtime, model.ProcID, wire.Message) {}
+func (n tcpTimerNode) OnTimer(rt Runtime, key any)                 { n.fired <- key }
+
+// TestTCPTimersAndStop: a TCP node fires the timers it keeps, never the
+// one it cancelled, and a second Stop returns at once.
+func TestTCPTimersAndStop(t *testing.T) {
+	fired := make(chan any, 2)
+	n := NewTCPNode(1, map[model.ProcID]string{1: freePorts(t, 1)[0]}, tcpTimerNode{fired}, TCPConfig{})
+	if err := n.Run(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case k := <-fired:
+		if k != "soon" {
+			t.Fatalf("fired %v", k)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("timer never fired")
+	}
+	n.Stop()
+	n.Stop() // must not panic or deadlock
+	if len(fired) != 0 {
+		t.Fatalf("a cancelled timer fired: %v", <-fired)
+	}
 }

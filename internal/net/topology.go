@@ -1,8 +1,10 @@
 // Package net provides the communication substrate: a dynamic
-// can-communicate graph with per-link latency, plus three engines that
+// can-communicate graph with per-link latency, plus two engines that
 // drive the same protocol code — a deterministic simulated cluster
-// (virtual time), a real-time in-memory cluster (goroutines and
-// channels), and a TCP transport for multi-process deployment.
+// (virtual time) and a TCP transport, deployed one node per process or
+// in-process on loopback. Over TCP the graph is imposed as an
+// Interceptor (Topology.Outbound), so a partition or a crash cut is the
+// same can-communicate relation on either engine.
 package net
 
 import (
@@ -11,14 +13,15 @@ import (
 	"time"
 
 	"github.com/virtualpartitions/vp/internal/model"
+	"github.com/virtualpartitions/vp/internal/wire"
 )
 
 // Topology models the current can-communicate relation of §3: an
 // undirected graph whose edge (a,b) means messages between a and b arrive
 // within the latency bound. The relation is NOT assumed transitive — the
 // paper's Example 1 depends on a non-transitive graph, and SetLink allows
-// constructing one. Topology is safe for concurrent use so the real-time
-// engines can share it with a failure injector.
+// constructing one. Topology is safe for concurrent use so TCP nodes can
+// consult it (Outbound) while a failure injector reshapes it.
 type Topology struct {
 	mu       sync.RWMutex
 	n        int
@@ -219,6 +222,12 @@ func (t *Topology) Connected(a, b model.ProcID) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.edge[edgeKey(a, b)]
+}
+
+// Outbound implements Interceptor: a message on a link that is down is
+// dropped.
+func (t *Topology) Outbound(from, to model.ProcID, _ wire.Message) Verdict {
+	return Verdict{Drop: !t.Connected(from, to)}
 }
 
 // Latency returns the delivery delay of the edge (a, b). Self-delivery

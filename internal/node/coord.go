@@ -127,8 +127,8 @@ type txn struct {
 }
 
 // stamp is the age of a transaction starting now — what wait-die orders
-// by. Processors read different clocks (a real-time engine counts from
-// its own start), and one whose clock runs ahead would have the youngest
+// by. Processors read different clocks (a TCP node counts from its own
+// start), and one whose clock runs ahead would have the youngest
 // transaction in every conflict, for ever; so the clock is Lamport's: no
 // stamp is below one this processor has seen on a request (Witness) or
 // handed out.

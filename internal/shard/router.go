@@ -66,28 +66,15 @@ type epochCache struct {
 	view model.ProcSet
 }
 
-// NewRouter builds a volatile router (no durability).
-func NewRouter(id model.ProcID, cfg core.Config, m *Map, hist *onecopy.History) *Router {
-	return newRouter(id, cfg, m, hist, nil, nil)
-}
-
-// NewRouterDurable builds a router whose shard nodes and coordinator all
-// write through the given journal. One processor has ONE journal; the
-// shard nodes share it through scoping wrappers (see shardJournal).
-func NewRouterDurable(id model.ProcID, cfg core.Config, m *Map, hist *onecopy.History, j durable.Journal) *Router {
-	return newRouter(id, cfg, m, hist, j, nil)
-}
-
-// NewRouterRestored rebuilds a crashed processor from its replayed
-// journal state: the state is split by shard (SplitState), each hosted
-// shard node restores its slice of copies and staged writes, and the
-// coordinator resumes the pending commit decisions.
-func NewRouterRestored(id model.ProcID, cfg core.Config, m *Map, hist *onecopy.History,
-	st *durable.State, j durable.Journal) *Router {
-	return newRouter(id, cfg, m, hist, j, st)
-}
-
-func newRouter(id model.ProcID, cfg core.Config, m *Map, hist *onecopy.History,
+// NewRouter builds the router of processor id. A nil journal makes it
+// volatile; otherwise its shard nodes and coordinator all write through
+// j — one processor has ONE journal, which the shard nodes share through
+// scoping wrappers (see shardJournal). st is j's replayed state: it is
+// split by shard (SplitState), each hosted shard node restores its slice
+// of copies and staged writes (or starts fresh when there is nothing to
+// restore, see core.New), and the coordinator resumes the pending commit
+// decisions.
+func NewRouter(id model.ProcID, cfg core.Config, m *Map, hist *onecopy.History,
 	j durable.Journal, st *durable.State) *Router {
 
 	cfg = cfg.WithDefaults()
@@ -118,18 +105,15 @@ func newRouter(id model.ProcID, cfg core.Config, m *Map, hist *onecopy.History,
 		shardStates, coordState = SplitState(st, m, m.Hosted(id))
 	}
 	for _, s := range m.Hosted(id) {
-		var n *core.Node
-		switch {
-		case st != nil:
-			sj := newShardJournal(j)
-			ss := shardStates[s]
-			sj.seed(ss.Staged)
-			n = core.NewRestored(id, cfg, m.ShardCatalog(s), nil, ss, sj)
-		case j != nil:
-			n = core.NewDurable(id, cfg, m.ShardCatalog(s), nil, newShardJournal(j))
-		default:
-			n = core.New(id, cfg, m.ShardCatalog(s), nil)
+		var sj durable.Journal
+		if j != nil {
+			scoped := newShardJournal(j)
+			if ss := shardStates[s]; ss != nil {
+				scoped.seed(ss.Staged)
+			}
+			sj = scoped
 		}
+		n := core.New(id, cfg, m.ShardCatalog(s), nil, sj, shardStates[s])
 		s := s
 		n.Observer = func(ev any) { r.onShardEvent(s, ev) }
 		r.nodes[s] = n
@@ -153,9 +137,6 @@ func (r *Router) Node(s model.ShardID) *core.Node { return r.nodes[s] }
 
 // Hosted returns the shards this router runs nodes for, ascending.
 func (r *Router) Hosted() []model.ShardID { return r.m.Hosted(r.id) }
-
-// Coord exposes the multi-shard coordinator (tests, introspection).
-func (r *Router) Coord() *node.Base { return r.coord }
 
 func (r *Router) shardRT(rt net.Runtime, s model.ShardID) shardRT {
 	return shardRT{Runtime: rt, s: s, r: r}

@@ -177,19 +177,13 @@ func newFixture(t *testing.T, m *Map, n int, seed int64, durableNodes bool,
 		results:  make(map[uint64]wire.ClientResult),
 	}
 	for _, p := range topo.Procs() {
-		var r *Router
-		switch {
-		case restored[p] != nil:
-			j := durable.NewMemJournal()
-			f.journals[p] = j
-			r = NewRouterRestored(p, testConfig(), m, f.hist, restored[p], j)
-		case durableNodes:
-			j := durable.NewMemJournal()
-			f.journals[p] = j
-			r = NewRouterDurable(p, testConfig(), m, f.hist, j)
-		default:
-			r = NewRouter(p, testConfig(), m, f.hist)
+		var j durable.Journal
+		if durableNodes || restored[p] != nil {
+			mj := durable.NewMemJournal()
+			f.journals[p] = mj
+			j = mj
 		}
+		r := NewRouter(p, testConfig(), m, f.hist, j, restored[p])
 		f.routers[p] = r
 		f.cluster.AddNode(p, r)
 	}
@@ -685,5 +679,28 @@ func TestCrossShardVoteRecordIsCollectedAgain(t *testing.T) {
 				t.Errorf("participant journal not drained: %+v", f.journals[3].St.Staged)
 			}
 		})
+	}
+}
+
+// TestNewRouterDecidesFreshOrRestored: an empty replayed state builds a
+// router whose shard nodes all start fresh and assigned; a state with a
+// max-id builds them all unassigned, to form fresh partitions.
+func TestNewRouterDecidesFreshOrRestored(t *testing.T) {
+	m, err := NewMap(Config{Shards: 3, Seed: 1, Procs: testProcs(3), Objects: testObjects(6)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := durable.NewState()
+	restored.MaxID = model.VPID{N: 3, P: 1}
+	for _, tc := range []struct {
+		st    *durable.State
+		fresh bool
+	}{{durable.NewState(), true}, {restored, false}} {
+		r := NewRouter(1, testConfig(), m, nil, durable.NewMemJournal(), tc.st)
+		for _, s := range r.Hosted() {
+			if r.Node(s).Assigned() != tc.fresh {
+				t.Errorf("shard %v: assigned=%v, want %v", s, r.Node(s).Assigned(), tc.fresh)
+			}
+		}
 	}
 }

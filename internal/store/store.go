@@ -6,7 +6,7 @@
 //
 // The store performs no I/O beyond the optional journal. Its object map
 // sits behind one mutex: the node calls in under its handler mutex, but
-// the real-time engine and debug readers may call from outside it, so
+// debug readers may call from outside it, so
 // every exported method locks and is atomic. Staged writes are also
 // indexed by transaction, so DropAllStagedBy costs what the transaction
 // staged here, not a sweep.

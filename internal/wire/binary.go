@@ -349,22 +349,6 @@ func appendMsgBody(b []byte, k kindID, msg Message) ([]byte, error) {
 			b = appendVersion(b, m.Comps[i].Ver)
 			b = appendZigzag(b, int64(m.Comps[i].Total))
 		}
-	case RecoverLog:
-		b = appendString(b, string(m.Obj))
-		b = appendVersion(b, m.Since)
-		b = appendVPID(b, m.VP)
-		b = appendUvarint(b, m.Seq)
-	case RecoverLogResp:
-		b = appendString(b, string(m.Obj))
-		b = appendUvarint(b, m.Seq)
-		b = appendBool(b, m.OK)
-		b = appendBool(b, m.Busy)
-		b = appendBool(b, m.Complete)
-		b = appendUvarint(b, uint64(len(m.Entries)))
-		for i := range m.Entries {
-			b = appendZigzag(b, int64(m.Entries[i].Val))
-			b = appendVersion(b, m.Entries[i].Ver)
-		}
 	case CatchupReq:
 		b = appendVPID(b, m.VP)
 		b = appendUvarint(b, uint64(len(m.Objs)))
@@ -578,15 +562,14 @@ func (c *cursor) version() model.Version {
 // binScratch holds the reusable backings DecodeBorrowed hands out. One
 // instance per decoder; the contract is "valid until the next decode".
 type binScratch struct {
-	writes  []ObjWrite
-	ops     []Op
-	reads   []ObjVal
-	wvals   []ObjVal
-	comps   []CompEntry
-	entries []LogEntry
-	sinces  []ObjSince
-	deltas  []ObjDelta
-	view    []model.ProcID
+	writes []ObjWrite
+	ops    []Op
+	reads  []ObjVal
+	wvals  []ObjVal
+	comps  []CompEntry
+	sinces []ObjSince
+	deltas []ObjDelta
+	view   []model.ProcID
 }
 
 // internCap bounds the decoder's string table; internMaxLen bounds which
@@ -786,17 +769,6 @@ func (d *Decoder) decodeBody(c *cursor, k kindID, borrowed bool) (Message, error
 		m.Comps = borrow(&d.scr.comps, n, borrowed)
 		for i := 0; i < n && !c.bad; i++ {
 			m.Comps[i] = CompEntry{P: c.proc(), Ver: c.version(), Total: model.Value(c.z())}
-		}
-		msg = m
-	case kindRecoverLog:
-		msg = RecoverLog{Obj: d.obj(c), Since: c.version(), VP: c.vpid(), Seq: c.u()}
-	case kindRecoverLogResp:
-		m := RecoverLogResp{Obj: d.obj(c), Seq: c.u(), OK: c.bool(), Busy: c.bool(),
-			Complete: c.bool()}
-		n := c.count(6)
-		m.Entries = borrow(&d.scr.entries, n, borrowed)
-		for i := 0; i < n && !c.bad; i++ {
-			m.Entries[i] = LogEntry{Val: model.Value(c.z()), Ver: c.version()}
 		}
 		msg = m
 	case kindCatchupReq:

@@ -27,9 +27,10 @@ func binaryEnvelopes() []Envelope {
 		{From: 1, To: 2, Msg: RecoverRead{Obj: "account/7", VP: vp, Seq: 1}},
 		{From: 2, To: 1, Msg: RecoverReadResp{Obj: "x", Seq: 1, OK: true, Busy: true, Val: -42, Ver: ver,
 			Comps: []CompEntry{{P: 1, Ver: ver, Total: -3}, {P: 2, Total: 8}}}},
-		{From: 1, To: 2, Msg: RecoverLog{Obj: "x", Since: ver, VP: vp, Seq: 2}},
-		{From: 2, To: 1, Msg: RecoverLogResp{Obj: "x", Seq: 2, OK: true, Complete: true,
-			Entries: []LogEntry{{Val: 1, Ver: ver}, {Val: -9, Ver: model.Version{Date: big}}}}},
+		// The two edge shapes of a catch-up round: a request with no
+		// objects, and a refusal (OK false, nothing attached).
+		{From: 1, To: 2, Msg: CatchupReq{VP: vp}},
+		{From: 2, To: 1, Msg: CatchupResp{}},
 		{From: 1, To: 2, Msg: LockReq{Txn: txn, Obj: "x", Mode: model.LockExclusive, Epoch: vp, HasEpoch: true}},
 		{From: 1, To: 2, Msg: LockReq{Txn: txn, Obj: "x", Mode: model.LockShared, Patient: true}},
 		{From: 2, To: 1, Msg: LockResp{Txn: txn, Obj: "x", Status: LockWrongEpoch, Val: 5, Ver: ver,

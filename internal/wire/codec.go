@@ -22,8 +22,8 @@ const (
 	kindProbeAck
 	kindRecoverRead
 	kindRecoverReadResp
-	kindRecoverLog
-	kindRecoverLogResp
+	kindRecoverLog     // reserved: retired single-object log catch-up, refused on decode
+	kindRecoverLogResp // reserved, like kindRecoverLog
 	kindLockReq
 	kindLockResp
 	kindPrepare
@@ -57,10 +57,6 @@ func kindOf(m Message) kindID {
 		return kindRecoverRead
 	case RecoverReadResp:
 		return kindRecoverReadResp
-	case RecoverLog:
-		return kindRecoverLog
-	case RecoverLogResp:
-		return kindRecoverLogResp
 	case CatchupReq:
 		return kindCatchupReq
 	case CatchupResp:

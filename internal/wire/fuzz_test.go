@@ -226,3 +226,21 @@ func TestGobFrameRejected(t *testing.T) {
 		t.Fatal("no gob frame in the corpus")
 	}
 }
+
+// TestRetiredKindRejected: the corpus keeps the binary frames of the
+// retired single-object log catch-up (seed-14 RecoverLog, seed-16
+// RecoverLogResp); their kind numbers stay reserved and both decode to
+// an error.
+func TestRetiredKindRejected(t *testing.T) {
+	corpus := readCorpus(t)
+	for name, want := range map[string]kindID{"seed-14": kindRecoverLog, "seed-16": kindRecoverLogResp} {
+		seed := corpus[name]
+		if len(seed) == 0 || seed[0]&binaryKindFlag == 0 || kindID(seed[0]&0x3f) != want {
+			t.Fatalf("%s is not a binary frame of kind %d: %x", name, want, seed)
+		}
+		var env Envelope
+		if err := NewDecoder().DecodeInto(seed, &env); err == nil || env.Msg != nil {
+			t.Errorf("%s: retired kind gave err=%v msg=%#v", name, err, env.Msg)
+		}
+	}
+}

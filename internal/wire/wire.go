@@ -126,31 +126,6 @@ type RecoverReadResp struct {
 	Comps []CompEntry
 }
 
-// RecoverLog asks for the tail of the write log of a copy: every write
-// with version greater than Since. It implements the §6 log-based
-// catch-up ("apply to the out-of-date copy all of the writes that it
-// missed") as an alternative to shipping the full value. Nodes send the
-// batched CatchupReq instead; the codec still carries this single-object
-// form.
-type RecoverLog struct {
-	Obj   model.ObjectID
-	Since model.Version
-	VP    model.VPID
-	Seq   uint64
-}
-
-// RecoverLogResp carries the missed writes, oldest first. Complete is
-// false when the responder's log has been truncated below Since, in which
-// case the requester falls back to a full-value RecoverRead.
-type RecoverLogResp struct {
-	Obj      model.ObjectID
-	Seq      uint64
-	OK       bool
-	Busy     bool
-	Complete bool
-	Entries  []LogEntry
-}
-
 // LogEntry is one logged physical write.
 type LogEntry struct {
 	Val model.Value
@@ -167,7 +142,8 @@ type ObjSince struct {
 	Seq   uint64
 }
 
-// CatchupReq is the batched form of RecoverLog, the default R5 path: a
+// CatchupReq is the §6 log-based catch-up ("apply to the out-of-date
+// copy all of the writes that it missed"), the default R5 path: a
 // rejoining node presents its virtual partition id and, per object, the
 // date vector of its copies, and asks one peer for every missed-write
 // delta in a single frame. Peers answer from their in-memory write log
@@ -515,10 +491,6 @@ func Kind(m Message) string {
 		return "recoverread"
 	case RecoverReadResp:
 		return "recoverreadresp"
-	case RecoverLog:
-		return "recoverlog"
-	case RecoverLogResp:
-		return "recoverlogresp"
 	case CatchupReq:
 		return "catchupreq"
 	case CatchupResp:

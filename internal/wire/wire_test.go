@@ -7,7 +7,7 @@ import (
 func TestKindCoversAllMessages(t *testing.T) {
 	msgs := []Message{
 		NewVP{}, AcceptVP{}, CommitVP{}, Probe{}, ProbeAck{},
-		RecoverRead{}, RecoverReadResp{}, RecoverLog{}, RecoverLogResp{},
+		RecoverRead{}, RecoverReadResp{},
 		LockReq{}, LockResp{}, Prepare{}, Vote{}, Decide{}, DecideAck{},
 		DecideQuery{}, Release{}, ClientTxn{}, ClientResult{},
 	}

@@ -12,15 +12,17 @@
 // while failures are present (rules R2/R3).
 //
 //	c, _ := vp.New(vp.Config{Nodes: 3, Objects: []vp.Object{{Name: "x"}}})
-//	c.Start()
+//	if err := c.Start(); err != nil { … }
 //	defer c.Stop()
 //	res, err := c.Do(1, vp.Increment("x", 1))
 //
-// The package runs the protocol in real time over an in-memory network
-// whose failures you inject with Partition, Crash, Heal. The same
-// protocol code runs deterministically under simulated time in the
-// experiment harness (internal/bench, cmd/vpbench) and over TCP
-// (cmd/vpnode); this facade is the embeddable form.
+// The package runs the protocol in real time, one node per processor on
+// loopback TCP with the deployed transport and codec, each over an
+// in-memory journal; you inject failures with Partition, Crash, SetLink
+// and Heal. The same protocol code runs deterministically under
+// simulated time in the experiment harness (internal/bench,
+// cmd/vpbench) and one process per processor (cmd/vpnode); this facade
+// is the embeddable form.
 package vp
 
 import (
@@ -29,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/virtualpartitions/vp/internal/cluster"
 	"github.com/virtualpartitions/vp/internal/core"
 	"github.com/virtualpartitions/vp/internal/model"
 	"github.com/virtualpartitions/vp/internal/net"
@@ -55,8 +58,8 @@ type Config struct {
 	Nodes int
 	// Objects is the replicated database schema.
 	Objects []Object
-	// Delta is the assumed message-delay bound δ (default 5ms for the
-	// in-memory network). Timeouts and probe periods derive from it.
+	// Delta is the assumed message-delay bound δ (default 5ms, for
+	// loopback TCP). Timeouts and probe periods derive from it.
 	Delta time.Duration
 	// Pi is the probe period π (default 20δ). The liveness bound on
 	// view convergence is π + 8δ.
@@ -143,7 +146,8 @@ var (
 	// or the coordinator is between partitions. Retry after the
 	// topology improves.
 	ErrUnavailable = errors.New("vp: object or partition unavailable")
-	// ErrTimeout: no outcome within Config.Timeout.
+	// ErrTimeout: no outcome within Config.Timeout (or the outcome was
+	// lost on its way back).
 	ErrTimeout = errors.New("vp: transaction timed out")
 	// ErrStopped: the cluster is stopped.
 	ErrStopped = errors.New("vp: cluster stopped")
@@ -151,15 +155,15 @@ var (
 
 // Cluster is a running set of processors.
 type Cluster struct {
-	cfg     Config
-	topo    *net.Topology
-	rc      *net.RealCluster
-	nodes   map[model.ProcID]*core.Node
-	hist    *onecopy.History
+	cfg  Config
+	cat  *model.Catalog
+	ccfg core.Config
+	topo *net.Topology
+
 	mu      sync.Mutex
-	waiters map[uint64]chan wire.ClientResult
+	c       *cluster.Cluster
+	clients map[model.ProcID]*net.Client
 	nextTag uint64
-	started bool
 	stopped bool
 }
 
@@ -215,75 +219,60 @@ func New(cfg Config) (*Cluster, error) {
 			Weights: weights,
 		}
 	}
-	cat := model.NewCatalog(placements...)
-
-	topo := net.NewTopology(cfg.Nodes, cfg.Delta/4)
-	rc := net.NewRealCluster(topo)
-	c := &Cluster{
-		cfg:     cfg,
-		topo:    topo,
-		rc:      rc,
-		nodes:   make(map[model.ProcID]*core.Node),
-		hist:    onecopy.NewHistory(),
-		waiters: make(map[uint64]chan wire.ClientResult),
-	}
-	ccfg := core.Config{
-		Config: node.Config{
-			Delta:     cfg.Delta,
-			InitValue: model.Value(cfg.InitValue),
-			LogCap:    256,
+	return &Cluster{
+		cfg:  cfg,
+		cat:  model.NewCatalog(placements...),
+		topo: net.NewTopology(cfg.Nodes, cfg.Delta),
+		ccfg: core.Config{
+			Config: node.Config{
+				Delta:     cfg.Delta,
+				InitValue: model.Value(cfg.InitValue),
+				LogCap:    256,
+			},
+			Pi:            cfg.Pi,
+			UsePrevOpt:    cfg.UsePrevOpt,
+			UseLogCatchup: !cfg.FullCopyRefresh || cfg.UseLogCatchup,
+			WeakR4:        cfg.WeakR4,
+			Mergeable:     cfg.MergeableCounters,
 		},
-		Pi:            cfg.Pi,
-		UsePrevOpt:    cfg.UsePrevOpt,
-		UseLogCatchup: !cfg.FullCopyRefresh || cfg.UseLogCatchup,
-		WeakR4:        cfg.WeakR4,
-		Mergeable:     cfg.MergeableCounters,
-	}
-	for _, p := range topo.Procs() {
-		nd := core.New(p, ccfg, cat, c.hist)
-		c.nodes[p] = nd
-		rc.AddNode(p, nd)
-	}
-	rc.OnClientResult = func(from model.ProcID, res wire.ClientResult) {
-		c.mu.Lock()
-		ch := c.waiters[res.Tag]
-		delete(c.waiters, res.Tag)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- res
-		}
-	}
-	return c, nil
+	}, nil
 }
 
-// Start launches the processors. The first common view forms within
+// Start launches the processors on loopback addresses, with the topology
+// as every node's interceptor. The first common view forms within
 // π + 8δ; Do retries internally are not performed — call WaitForView or
-// simply retry.
-func (c *Cluster) Start() {
+// simply retry. Start fails only when the nodes cannot listen.
+func (c *Cluster) Start() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.started {
+	if c.c != nil {
 		panic("vp: double Start")
 	}
-	c.started = true
-	c.rc.Start()
+	bc, err := cluster.Start(cluster.Config{N: c.cfg.Nodes, Catalog: c.cat, Core: c.ccfg, Interceptor: c.topo})
+	if err != nil {
+		return fmt.Errorf("vp: start: %w", err)
+	}
+	c.c = bc
+	c.clients = make(map[model.ProcID]*net.Client, c.cfg.Nodes)
+	for p, addr := range bc.Addrs() {
+		c.clients[p] = net.NewClient(addr, time.Second)
+	}
+	return nil
 }
 
-// Stop shuts the cluster down.
+// Stop shuts the cluster down. A Do still waiting returns ErrStopped.
 func (c *Cluster) Stop() {
 	c.mu.Lock()
-	if !c.started || c.stopped {
+	if c.c == nil || c.stopped {
 		c.mu.Unlock()
 		return
 	}
 	c.stopped = true
-	waiters := c.waiters
-	c.waiters = map[uint64]chan wire.ClientResult{}
 	c.mu.Unlock()
-	for _, ch := range waiters {
-		close(ch)
+	for _, cl := range c.clients {
+		cl.Close()
 	}
-	c.rc.Stop()
+	c.c.Stop()
 }
 
 // Do executes a transaction with the given coordinator (1-based) and
@@ -291,39 +280,39 @@ func (c *Cluster) Stop() {
 func (c *Cluster) Do(coordinator int, fragments ...any) (Result, error) {
 	ops := Ops(fragments...)
 	c.mu.Lock()
-	if !c.started || c.stopped {
+	if c.c == nil || c.stopped {
 		c.mu.Unlock()
 		return Result{}, ErrStopped
 	}
+	cl := c.clients[model.ProcID(coordinator)]
+	if cl == nil {
+		c.mu.Unlock()
+		return Result{}, fmt.Errorf("vp: no processor %d", coordinator)
+	}
 	c.nextTag++
 	tag := c.nextTag
-	ch := make(chan wire.ClientResult, 1)
-	c.waiters[tag] = ch
 	c.mu.Unlock()
 
-	c.rc.Submit(model.ProcID(coordinator), wire.ClientTxn{Tag: tag, Ops: ops})
-	select {
-	case res, ok := <-ch:
-		if !ok {
+	res, err := cl.Submit(wire.ClientTxn{Tag: tag, Ops: ops}, c.cfg.Timeout)
+	if err != nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.stopped {
 			return Result{}, ErrStopped
 		}
-		if res.Committed {
-			out := Result{Reads: make(map[string]int64, len(res.Reads))}
-			for _, rv := range res.Reads {
-				out.Reads[string(rv.Obj)] = int64(rv.Val)
-			}
-			return out, nil
-		}
-		if res.Denied {
-			return Result{}, fmt.Errorf("%w: %s", ErrUnavailable, res.Reason)
-		}
-		return Result{}, fmt.Errorf("%w: %s", ErrAborted, res.Reason)
-	case <-time.After(c.cfg.Timeout):
-		c.mu.Lock()
-		delete(c.waiters, tag)
-		c.mu.Unlock()
 		return Result{}, ErrTimeout
 	}
+	if res.Committed {
+		out := Result{Reads: make(map[string]int64, len(res.Reads))}
+		for _, rv := range res.Reads {
+			out.Reads[string(rv.Obj)] = int64(rv.Val)
+		}
+		return out, nil
+	}
+	if res.Denied {
+		return Result{}, fmt.Errorf("%w: %s", ErrUnavailable, res.Reason)
+	}
+	return Result{}, fmt.Errorf("%w: %s", ErrAborted, res.Reason)
 }
 
 // DoRetry runs Do, retrying aborted or unavailable transactions with the
@@ -373,16 +362,33 @@ func (c *Cluster) SetLink(a, b int, up bool) {
 // View returns the processors in p's current view and whether p is
 // currently assigned to a virtual partition.
 func (c *Cluster) View(p int) ([]int, bool) {
-	nd := c.nodes[model.ProcID(p)]
-	if nd == nil {
-		return nil, false
+	view, _, assigned := c.state(model.ProcID(p))
+	out := make([]int, 0, view.Len())
+	for _, q := range view.Sorted() {
+		out = append(out, int(q))
 	}
-	view := nd.View().Sorted()
-	out := make([]int, len(view))
-	for i, q := range view {
-		out[i] = int(q)
+	return out, assigned
+}
+
+// state reads p's view, partition and assignment inside a turn of its
+// node, where the handler's state is not being written. A processor that
+// is not running reads as unassigned with an empty view.
+func (c *Cluster) state(p model.ProcID) (view model.ProcSet, id model.VPID, assigned bool) {
+	c.mu.Lock()
+	bc := c.c
+	c.mu.Unlock()
+	if bc == nil {
+		return nil, id, false
 	}
-	return out, nd.Assigned()
+	tn := bc.Node(p)
+	if tn == nil {
+		return nil, id, false
+	}
+	nd := bc.Handler(p).(*core.Node)
+	tn.Post(func(net.Runtime) {
+		view, id, assigned = nd.View(), nd.CurID(), nd.Assigned()
+	})
+	return view, id, assigned
 }
 
 // ConvergenceBound returns π + 8δ, the paper's bound on how long views
@@ -417,13 +423,13 @@ func (c *Cluster) viewsConverged(want model.ProcSet) bool {
 	var id model.VPID
 	first := true
 	for p := range want {
-		nd := c.nodes[p]
-		if nd == nil || !nd.Assigned() || !nd.View().Equal(want) {
+		view, pid, assigned := c.state(p)
+		if !assigned || !view.Equal(want) {
 			return false
 		}
 		if first {
-			id, first = nd.CurID(), false
-		} else if nd.CurID() != id {
+			id, first = pid, false
+		} else if pid != id {
 			return false
 		}
 	}
@@ -435,7 +441,7 @@ func (c *Cluster) viewsConverged(want model.ProcSet) bool {
 // multiversion graph certificate). It returns nil when the history is
 // 1SR.
 func (c *Cluster) CheckOneCopySR() error {
-	committed := c.hist.Committed()
+	committed := c.history().Committed()
 	var r onecopy.Result
 	if len(committed) <= 63 {
 		r = onecopy.CheckRecords(committed)
@@ -449,4 +455,15 @@ func (c *Cluster) CheckOneCopySR() error {
 }
 
 // Committed returns the number of committed transactions so far.
-func (c *Cluster) Committed() int { return len(c.hist.Committed()) }
+func (c *Cluster) Committed() int { return len(c.history().Committed()) }
+
+// history returns the running cluster's history; before Start, an empty
+// one.
+func (c *Cluster) history() *onecopy.History {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.c == nil {
+		return onecopy.NewHistory()
+	}
+	return c.c.History()
+}

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// These tests exercise the public facade over the real-time engine, so
-// they use wall-clock time with generous margins.
+// These tests exercise the public facade over loopback TCP, so they use
+// wall-clock time with generous margins.
 
 func newTestCluster(t *testing.T, nodes int, objects ...Object) *Cluster {
 	t.Helper()
@@ -23,7 +23,9 @@ func newTestCluster(t *testing.T, nodes int, objects ...Object) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(c.Stop)
 	procs := make([]int, nodes)
 	for i := range procs {
@@ -170,7 +172,9 @@ func TestStoppedCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
 	c.Stop()
 	if _, err := c.Do(1, Read("x")); !errors.Is(err, ErrStopped) {
 		t.Fatalf("err = %v, want ErrStopped", err)
@@ -235,7 +239,9 @@ func TestMergeableCountersFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(c.Stop)
 	if !c.WaitForView(5*time.Second, 1, 2, 3) {
 		t.Fatal("no view")
