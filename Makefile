@@ -23,7 +23,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -count=1 . ./internal/cluster/... ./internal/net/... ./internal/nemesis/... ./internal/bench/... ./internal/gateway/... ./internal/locks/... ./internal/store/... ./internal/durable/... ./internal/campaign/... ./internal/trace/... ./internal/node/... ./internal/core/... ./internal/shard/... ./cmd/vpchaos/... ./cmd/vpcampaign/...
+	$(GO) test -race -count=1 . ./internal/cluster/... ./internal/net/... ./internal/nemesis/... ./internal/bench/... ./internal/gateway/... ./internal/locks/... ./internal/store/... ./internal/durable/... ./internal/campaign/... ./internal/trace/... ./internal/node/... ./internal/core/... ./internal/shard/... ./cmd/vpcampaign/...
 
 # Repeat the packages whose tests cross goroutines on the request path —
 # the journal's committer releasing barriers into handler turns, the
@@ -70,31 +70,32 @@ trace-check:
 	$(GO) run ./cmd/vptrace check $(TRACE_FILE)
 	$(GO) run ./cmd/vptrace latency $(TRACE_FILE)
 
-# Seeded chaos run: a live 5-node TCP cluster under a nemesis schedule
-# with at least 3 partition/heal and 2 crash/restart episodes, verified
-# for 1SR, S1–S3/R2/R3 trace invariants and post-heal liveness, then the
-# same schedule replayed byte-deterministically on the sim backend.
-# vpchaos exits non-zero on any failure, failing the target. Used by CI;
-# a failing run reproduces locally from the same CHAOS_SEED.
+# Seeded chaos campaign (specs/chaos.json): 5-node clusters on the sim
+# and in-process TCP backends under the mixed, partitions, crashes and
+# kill9 nemesis profiles. In-process crashes stop the node and restart it
+# from its file journal; kill9 kills it under a failing disk (fsync
+# failures, a torn write, a frozen disk, the unsynced tail lost). At the
+# default seed the in-process cells inject 3 partition-type episodes, 3
+# crash/restarts and 2 kill -9s. Every cell is gated on 1SR, S1–S3/R2/R3
+# trace replay, progress and post-heal liveness; vpcampaign exits
+# non-zero on any failure. Used by CI; a failing run reproduces from the
+# same CHAOS_SEED.
 CHAOS_SEED ?= 7
 chaos:
-	$(GO) run ./cmd/vpchaos -n 5 -seed $(CHAOS_SEED) -partitions 3 -crashes 2
-	$(GO) run ./cmd/vpchaos -n 5 -seed $(CHAOS_SEED) -partitions 1 -crashes 2 -kill9 -skip-sim
+	$(GO) run ./cmd/vpcampaign -spec specs/chaos.json -seed $(CHAOS_SEED)
 
 # Crash-recovery gate: the every-byte-offset truncation property test,
-# the disk-fault suite, the max-id barrier regression and the
+# the disk-fault suite (the crash model included: a kill -9 loses only
+# bytes no fsync covered), the max-id barrier regression and the
 # coordinator killed at every point of its commit path (and restarted
-# into a vote record it collects again) under the race detector, then a
-# kill -9 chaos run (fsync faults, frozen disk mid group-commit, torn
-# journal tails) gated on 1SR, S1–S3/R2/R3 replay and post-heal
-# liveness. Used by CI.
-# `make recovery-check CHAOS_SEED=1` runs the seed PR 13 reported; it is
-# not in the gate because the harness's tail chop still eats an fsynced
-# max-id record there about 1 run in 60 (EXPERIMENTS.md, "Durable outbox").
+# into a vote record it collects again) under the race detector, then
+# the chaos campaign at seed 1 and at CHAOS_SEED, whose kill9 cells
+# restart from journals a failing disk left behind. Used by CI.
 recovery-check:
 	$(GO) test -race -count=1 -run 'EveryOffsetTruncation|Snapshot|Torn|DiskFaults|DeltaRejoin|MaxIDNeverLeaves|CoordinatorKilled|VoteRecordIsCollectedAgain' \
 		./internal/durable ./internal/nemesis ./internal/core ./internal/node ./internal/shard
-	$(GO) run ./cmd/vpchaos -n 5 -seed $(CHAOS_SEED) -partitions 1 -crashes 2 -kill9 -skip-sim
+	$(GO) run ./cmd/vpcampaign -spec specs/chaos.json -seed 1
+	$(GO) run ./cmd/vpcampaign -spec specs/chaos.json -seed $(CHAOS_SEED)
 
 # Deployed-stack harness (benchmark/README.md): separate vpnode and
 # vpgateway processes with real journals on loopback, four named
@@ -167,7 +168,8 @@ campaign-smoke:
 	@cat BENCH_trajectory.json
 
 # Wider pre-merge matrix: 16 cells across the sim and in-process
-# backends (adds zipf skew). A few tens of seconds.
+# backends (adds zipf skew; in-process crashes restart from the journal).
+# A few tens of seconds.
 campaign:
 	$(GO) run ./cmd/vpcampaign -spec specs/campaign-default.json -parallel 4 -v
 

@@ -50,7 +50,9 @@ func TestLoadSpecStrict(t *testing.T) {
 		t.Fatal("loadSpec accepted an unknown axis key")
 	}
 
-	// What the campaign no longer runs is refused by name, not ignored.
+	// What the campaign does not run is refused by name, not ignored:
+	// the deleted live backend and group-commit axis, and kill9 without
+	// the inproc backend.
 	for _, tc := range []struct {
 		axes map[string]any
 		name string

@@ -53,7 +53,6 @@ type options struct {
 	delta         time.Duration
 	pi            time.Duration
 	dataDir       string
-	fsync         bool
 	fsyncEvery    time.Duration
 	fullCopyR5    bool
 	verbose       bool
@@ -76,7 +75,6 @@ func parseArgs(args []string) (*options, error) {
 		delta     = fs.Duration("delta", 50*time.Millisecond, "assumed message delay bound δ")
 		pi        = fs.Duration("pi", 0, "probe period π (default 20δ)")
 		dataDir   = fs.String("data", "", "durable state directory (empty: in-memory only; with it, the node survives restarts)")
-		fsync     = fs.Bool("fsync", false, "fsync the journal on every record (overrides -fsync-interval)")
 		fsyncInt  = fs.Duration("fsync-interval", 2*time.Millisecond, "maximum age of an unsynced journal record: promises nobody waits on (decide acks) ride the next urgent fsync or this deadline; 0 makes every promise urgent")
 		r5        = fs.String("r5", "log", "R5 refresh path: log (stream missed-write deltas, full-copy fallback) or full")
 		verbose   = fs.Bool("v", false, "log view changes")
@@ -122,7 +120,7 @@ func parseArgs(args []string) (*options, error) {
 	return &options{
 		id: me, addrs: addrs, objects: objNames,
 		delta: *delta, pi: *pi,
-		dataDir: *dataDir, fsync: *fsync, fsyncEvery: *fsyncInt,
+		dataDir: *dataDir, fsyncEvery: *fsyncInt,
 		fullCopyR5: *r5 == "full", verbose: *verbose,
 		debugAddr: *debugAddr, traceOut: *traceOut, traceSample: sample,
 		shards: *shards, shardSeed: *shardSeed, shardReplicas: *shardRep,
@@ -187,7 +185,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "vpnode:", err)
 			os.Exit(1)
 		}
-		journal.SyncEveryWrite = opt.fsync
 		defer journal.Close()
 		j = journal
 		rs := journal.Recovery()

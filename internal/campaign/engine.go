@@ -211,7 +211,7 @@ func buildNemesis(c Cell, start, end time.Duration) nemesis.Schedule {
 	case NemesisPartitions:
 		opts.MinPartitions, opts.MinCrashes = 2, 1
 		drop = map[nemesis.StepKind]bool{nemesis.StepCrash: true, nemesis.StepRestart: true}
-	case NemesisCrashes:
+	case NemesisCrashes, NemesisKill9:
 		opts.MinPartitions, opts.MinCrashes = 1, 2
 		drop = map[nemesis.StepKind]bool{nemesis.StepPartition: true, nemesis.StepIsolateOne: true}
 	}
@@ -219,9 +219,13 @@ func buildNemesis(c Cell, start, end time.Duration) nemesis.Schedule {
 	if drop != nil {
 		kept := sched.Steps[:0]
 		for _, st := range sched.Steps {
-			if !drop[st.Kind] {
-				kept = append(kept, st)
+			if drop[st.Kind] {
+				continue
 			}
+			if st.Kind == nemesis.StepCrash && c.Nemesis == NemesisKill9 {
+				st.Kind = nemesis.StepKill
+			}
+			kept = append(kept, st)
 		}
 		sched.Steps = kept
 	}
@@ -254,7 +258,9 @@ type Gates struct {
 	// violations.
 	TraceInvariants bool `json:"trace_invariants"`
 	// Liveness: a post-heal probe write committed within the heal
-	// window (the paper's Δ = π + 8δ recovery bound, with slack).
+	// window (the paper's Δ = π + 8δ recovery bound, with slack). A
+	// committed write needs a view holding a majority of its object's
+	// copies (R1), so this also shows that a majority view re-formed.
 	Liveness bool `json:"liveness"`
 	// ShardIsolation: while one shard's weighted majority was
 	// partitioned, every other object-owning shard committed a probe
@@ -486,8 +492,8 @@ func percentile(sorted []float64, p float64) float64 {
 }
 
 // digest fingerprints a run: committed history, sorted counters, and the
-// trace as JSONL — the same material vpchaos compares for its sim replay.
-// Byte-deterministic whenever the platform is.
+// trace. Byte-deterministic whenever the platform is, which is what
+// TestSimCellDeterminism and the -parallel comparison hold the sim to.
 func digest(snap *Snapshot) string {
 	h := sha256.New()
 	h.Write([]byte(snap.Hist.String()))

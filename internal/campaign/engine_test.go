@@ -83,7 +83,7 @@ func TestNemesisProfiles(t *testing.T) {
 		start := warm + c.Phases.ramp() + c.Phases.steady()
 		return start, start + c.Phases.fault()
 	}
-	for _, profile := range []string{NemesisNone, NemesisPartitions, NemesisCrashes, NemesisMixed} {
+	for _, profile := range []string{NemesisNone, NemesisPartitions, NemesisCrashes, NemesisMixed, NemesisKill9} {
 		c := base
 		c.Nemesis = profile
 		start, end := window(c)
@@ -114,6 +114,13 @@ func TestNemesisProfiles(t *testing.T) {
 		case NemesisMixed:
 			if len(sched.Steps) == 0 {
 				t.Errorf("mixed: empty schedule")
+			}
+		case NemesisKill9:
+			if counts[nemesis.StepKill] == 0 || counts[nemesis.StepCrash] != 0 {
+				t.Errorf("kill9: %v, want kills and no clean crashes", counts)
+			}
+			if counts[nemesis.StepPartition]+counts[nemesis.StepIsolateOne] != 0 {
+				t.Errorf("kill9 profile contains partition steps")
 			}
 		}
 	}

@@ -3,12 +3,16 @@ package campaign
 import (
 	"fmt"
 	"maps"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"github.com/virtualpartitions/vp/internal/cluster"
 	"github.com/virtualpartitions/vp/internal/core"
+	"github.com/virtualpartitions/vp/internal/durable"
 	"github.com/virtualpartitions/vp/internal/model"
 	"github.com/virtualpartitions/vp/internal/nemesis"
 	vnet "github.com/virtualpartitions/vp/internal/net"
@@ -18,39 +22,47 @@ import (
 	"github.com/virtualpartitions/vp/internal/workload"
 )
 
+// killLeadIn is how far ahead of a kill its victim's disk starts dying
+// under the group-commit barrier.
+const killLeadIn = 60 * time.Millisecond
+
 // inprocPlatform runs a cell on an in-process cluster of loopback TCP
-// nodes (internal/cluster): the deployed transport and codec, every node
-// on an in-memory journal, wall-clock time. It sits between the sim (no
-// real concurrency) and the deployed stack (separate processes): races,
-// sockets and timers are real, message loss is injected. Crash/restart —
-// which the nemesis.Injector deliberately does not model — cut and
-// restore the victim's links in a Topology, the paper's crashed
-// processor as a trivial communication cluster; every send consults that
-// cut first, then the injector's network faults.
+// nodes (internal/cluster): the deployed transport, codec and journal,
+// wall-clock time. It sits between the sim (no real concurrency) and the
+// deployed stack (separate processes): races, sockets, timers and fsyncs
+// are real, message loss is injected by the nemesis.Injector, the
+// cell's interceptor.
+//
+// Every processor journals to a file in a per-cell temp dir, opened as
+// vpnode -data opens it, on a nemesis.DiskFaults that passes through
+// until a kill arms it. A crash is real: the node stops and its journal
+// closes, and the restart boots it again from that journal. A kill
+// (nemesis.StepKill) abandons the journal under a failing disk instead.
+// The sim backend has no process to stop and isolates a crashed
+// processor (nemesis.ApplyToSim).
 type inprocPlatform struct {
-	topo    *vnet.Topology
 	inj     *nemesis.Injector
 	c       *cluster.Cluster
+	dir     string
+	shards  *shard.Map
+	rng     *rand.Rand // tears and tail losses of kills
 	clients map[model.ProcID]*vnet.Client
 	pending sync.WaitGroup // submissions awaiting their result
+
+	// Per processor, the journal and disk of its running incarnation.
+	// Boots and kills run on the goroutine that calls Start and Drive.
+	journals map[model.ProcID]*durable.FileJournal
+	disks    map[model.ProcID]*nemesis.DiskFaults
+	// retired sums the counters of stopped incarnations, which Scrape
+	// adds to the running nodes'.
+	retired map[string]int64
+	// restored counts boots from a journal that already held state;
+	// torn and failedFsyncs count the faults the disks injected.
+	restored, torn, failedFsyncs int
 
 	mu      sync.Mutex
 	results map[uint64]wire.ClientResult
 	latency map[uint64]time.Duration
-}
-
-// crashCut is the cell's interceptor: the topology's crash cut, then the
-// injector.
-type crashCut struct {
-	topo *vnet.Topology
-	inj  *nemesis.Injector
-}
-
-func (f crashCut) Outbound(from, to model.ProcID, m wire.Message) vnet.Verdict {
-	if v := f.topo.Outbound(from, to, m); v.Drop {
-		return v
-	}
-	return f.inj.Outbound(from, to, m)
 }
 
 func (p *inprocPlatform) Name() string        { return BackendInproc }
@@ -60,32 +72,49 @@ func (p *inprocPlatform) Start(cfg ClusterConfig) error {
 	if p.c != nil {
 		return fmt.Errorf("campaign/inproc: Start on a started platform")
 	}
+	dir, err := os.MkdirTemp("", "vp-inproc-")
+	if err != nil {
+		return fmt.Errorf("campaign/inproc: %w", err)
+	}
 	objs := workload.Objects(cfg.Objects)
-	p.topo = vnet.NewTopology(cfg.N, cfg.Delta)
+	p.dir, p.shards = dir, nil
 	p.inj = nemesis.NewInjector(cfg.Seed)
+	p.rng = rand.New(rand.NewSource(cfg.Seed ^ 0x6b696c6c39)) // "kill9"
+	p.journals = make(map[model.ProcID]*durable.FileJournal, cfg.N)
+	p.disks = make(map[model.ProcID]*nemesis.DiskFaults, cfg.N)
+	p.retired = map[string]int64{}
+	p.restored, p.torn, p.failedFsyncs = 0, 0, 0
 	bc := cluster.Config{
 		N:           cfg.N,
 		Core:        core.Config{Config: node.Config{Delta: cfg.Delta, LogCap: 256}, UseLogCatchup: true, UsePrevOpt: true},
-		Interceptor: crashCut{p.topo, p.inj},
+		Interceptor: p.inj,
+		Journal:     p.openJournal,
 		Trace:       true,
 	}
 	if cfg.Shards > 1 {
 		// Sharded cell: every node is a shard.Router over the same
 		// deterministic map — each hosted shard runs its own VP
 		// lifecycle, multi-shard transactions 2PC across shards.
+		procs := make([]model.ProcID, cfg.N)
+		for i := range procs {
+			procs[i] = model.ProcID(i + 1)
+		}
 		m, err := shard.NewMap(shard.Config{
 			Shards: cfg.Shards, Replicas: cfg.ShardReplicas, Seed: cfg.Seed,
-			Procs: p.topo.Procs(), Objects: objs,
+			Procs: procs, Objects: objs,
 		})
 		if err != nil {
+			os.RemoveAll(dir)
 			return fmt.Errorf("campaign/inproc: shard map: %w", err)
 		}
-		bc.Shards = m
+		bc.Shards, p.shards = m, m
 	} else {
 		bc.Catalog = model.FullyReplicated(cfg.N, objs...)
 	}
 	c, err := cluster.Start(bc)
 	if err != nil {
+		p.closeJournals()
+		os.RemoveAll(dir)
 		return fmt.Errorf("campaign/inproc: %w", err)
 	}
 	p.c = c
@@ -98,16 +127,48 @@ func (p *inprocPlatform) Start(cfg ClusterConfig) error {
 	return nil
 }
 
+// openJournal is the cluster's journal opener: processor id's file
+// journal, opened as vpnode -data opens it (committer goroutine, 2ms age
+// bound on unsynced records, scoped to the hosted shards' objects) on a
+// fresh fault layer — what a kill left is on disk, not in the wrapper.
+func (p *inprocPlatform) openJournal(id model.ProcID) (durable.Journal, *durable.State, error) {
+	disk := nemesis.NewDiskFaults(nil)
+	opts := durable.Options{FS: disk, Committer: true, FlushInterval: 2 * time.Millisecond}
+	if p.shards != nil {
+		hosted := p.shards.HostedObjects(id)
+		opts.Scope = []model.ObjectID{}
+		for _, o := range p.shards.Catalog().Objects() {
+			if hosted(o) {
+				opts.Scope = append(opts.Scope, o)
+			}
+		}
+	}
+	st, j, err := durable.OpenOptions(filepath.Join(p.dir, fmt.Sprint(id)), opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !st.Fresh() {
+		p.restored++
+	}
+	p.journals[id], p.disks[id] = j, disk
+	return j, st, nil
+}
+
 // timelineEvent is one dated action of the merged drive timeline.
 type timelineEvent struct {
 	at   time.Duration
 	txn  *workload.ScheduledTxn
 	step *nemesis.Step
+	// A kill arms fsync failures and a torn write on its victim's disk,
+	// one of them killLeadIn ahead (the lead event). The first to bite
+	// kills the journal, so the kills of a plan alternate which goes
+	// first (tearFirst), and both get exercised.
+	lead, tearFirst bool
 }
 
 // mergeTimeline interleaves a plan's transactions, probes and fault
-// steps into one time-ordered walk (stable, so same-instant faults keep
-// schedule order).
+// steps, each kill preceded by its lead event, into one time-ordered
+// walk (stable, so same-instant faults keep schedule order).
 func mergeTimeline(plan Plan) []timelineEvent {
 	evs := make([]timelineEvent, 0, len(plan.Txns)+len(plan.Probes)+len(plan.Faults.Steps))
 	for i := range plan.Txns {
@@ -116,8 +177,16 @@ func mergeTimeline(plan Plan) []timelineEvent {
 	for i := range plan.Probes {
 		evs = append(evs, timelineEvent{at: plan.Probes[i].At, txn: &plan.Probes[i]})
 	}
+	kills := 0
 	for i := range plan.Faults.Steps {
-		evs = append(evs, timelineEvent{at: plan.Faults.Steps[i].At, step: &plan.Faults.Steps[i]})
+		st := &plan.Faults.Steps[i]
+		ev := timelineEvent{at: st.At, step: st}
+		if st.Kind == nemesis.StepKill {
+			ev.tearFirst = kills%2 == 1
+			kills++
+			evs = append(evs, timelineEvent{at: max(0, st.At-killLeadIn), step: st, lead: true, tearFirst: ev.tearFirst})
+		}
+		evs = append(evs, ev)
 	}
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
 	return evs
@@ -135,15 +204,11 @@ func (p *inprocPlatform) Drive(plan Plan) error {
 		switch {
 		case ev.txn != nil:
 			p.submit(ev.txn.Txn)
-		case ev.step != nil:
-			if p.inj.Apply(*ev.step) {
-				continue
-			}
-			switch ev.step.Kind {
-			case nemesis.StepCrash:
-				p.topo.Crash(ev.step.Victim)
-			case nemesis.StepRestart:
-				p.topo.Recover(ev.step.Victim)
+		case ev.lead:
+			p.armDisk(ev.step.Victim, ev.tearFirst)
+		default:
+			if err := p.fault(*ev.step, ev.tearFirst); err != nil {
+				return fmt.Errorf("campaign/inproc: %s: %w", ev.step.Kind, err)
 			}
 		}
 	}
@@ -151,6 +216,61 @@ func (p *inprocPlatform) Drive(plan Plan) error {
 		time.Sleep(d)
 	}
 	return nil
+}
+
+// fault realizes one schedule step. The injector takes the network
+// faults. A crash stops the victim and closes its journal. A kill arms
+// the disk fault its lead event did not, freezes the disk 5ms later,
+// stops the victim, abandons its journal unsynced and loses what no
+// fsync covered. A restart boots the victim again from its journal.
+func (p *inprocPlatform) fault(st nemesis.Step, tearFirst bool) error {
+	v := st.Victim
+	switch {
+	case p.inj.Apply(st):
+	case st.Kind == nemesis.StepRestart:
+		if p.c.Node(v) == nil {
+			return p.c.Boot(v)
+		}
+	case p.c.Node(v) == nil: // down already
+	case st.Kind == nemesis.StepCrash:
+		j := p.journals[v]
+		p.retire(v)
+		return j.Close()
+	case st.Kind == nemesis.StepKill:
+		disk, j := p.disks[v], p.journals[v]
+		p.armDisk(v, !tearFirst)
+		time.Sleep(5 * time.Millisecond)
+		disk.Crash()
+		p.retire(v)
+		j.HardCrash()
+		_, err := disk.LoseUnsynced(p.rng)
+		return err
+	}
+	return nil
+}
+
+// armDisk makes v's disk tear its next write or fail its fsyncs.
+func (p *inprocPlatform) armDisk(v model.ProcID, tear bool) {
+	switch disk := p.disks[v]; {
+	case disk == nil: // down
+	case tear:
+		disk.TearNextWrite(p.rng.Intn(24))
+	default:
+		disk.FailFsync(true)
+	}
+}
+
+// retire stops processor v and keeps its incarnation's counters.
+func (p *inprocPlatform) retire(v model.ProcID) {
+	tn := p.c.Node(v)
+	p.c.StopNode(v)
+	for k, n := range tn.Metrics().Counters() {
+		p.retired[k] += n
+	}
+	p.torn += p.disks[v].TornWrites()
+	p.failedFsyncs += p.disks[v].FsyncFailures()
+	delete(p.journals, v)
+	delete(p.disks, v)
 }
 
 // submit sends t to its coordinator and records the result, and the
@@ -181,10 +301,12 @@ func (p *inprocPlatform) Scrape() (*Snapshot, error) {
 	if p.c == nil {
 		return nil, fmt.Errorf("campaign/inproc: Scrape before Start")
 	}
-	counters := map[string]int64{}
+	counters := maps.Clone(p.retired)
 	for proc := range p.clients {
-		for k, v := range p.c.Node(proc).Metrics().Counters() {
-			counters[k] += v
+		if tn := p.c.Node(proc); tn != nil {
+			for k, v := range tn.Metrics().Counters() {
+				counters[k] += v
+			}
 		}
 	}
 	p.mu.Lock()
@@ -208,5 +330,14 @@ func (p *inprocPlatform) Stop() error {
 	p.pending.Wait()
 	p.c.Stop()
 	p.c = nil
-	return nil
+	p.closeJournals()
+	return os.RemoveAll(p.dir)
+}
+
+func (p *inprocPlatform) closeJournals() {
+	for _, j := range p.journals {
+		j.Close() //nolint:errcheck // teardown: the cell is judged already
+	}
+	clear(p.journals)
+	clear(p.disks)
 }

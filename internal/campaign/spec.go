@@ -30,6 +30,12 @@ const (
 	NemesisPartitions = "partitions" // partition/heal episodes only
 	NemesisCrashes    = "crashes"    // crash/restart episodes only
 	NemesisMixed      = "mixed"      // partitions + crashes + flaky links
+	// NemesisKill9 is the crashes profile with every crash a kill -9
+	// under a failing disk (nemesis.StepKill): fsync failures and a torn
+	// write armed around the kill, the disk frozen, the node stopped and
+	// its journal abandoned, then the bytes no fsync covered lost.
+	// Requires the inproc backend — the sim has no disk.
+	NemesisKill9 = "kill9"
 	// NemesisShard partitions exactly one shard's weighted majority
 	// (every member of the target shard isolated from every other, for
 	// that shard's frames only) while the rest of the network stays
@@ -208,6 +214,10 @@ func (s Spec) Validate() error {
 	for _, nm := range a.Nemesis {
 		switch nm {
 		case NemesisNone, NemesisPartitions, NemesisCrashes, NemesisMixed:
+		case NemesisKill9:
+			if !slices.Contains(a.Backend, BackendInproc) {
+				return fmt.Errorf("campaign: nemesis %q needs the inproc backend (the sim has no disk to fail)", nm)
+			}
 		case NemesisShard:
 			if !slices.Contains(a.Backend, BackendInproc) {
 				return fmt.Errorf("campaign: nemesis=shard-partition needs the inproc backend (the injector must inspect frames)")
@@ -267,10 +277,11 @@ func (s Spec) Expand() ([]Cell, error) {
 					for _, rf := range a.ReadFraction {
 						for _, nem := range a.Nemesis {
 							for _, shards := range a.Shards {
-								// Sharded clusters run shard.Routers, which only
-								// the inproc backend assembles; and the
-								// shard-partition fault is meaningless unsharded.
-								if shards > 1 && backend != BackendInproc {
+								// Sharded clusters run shard.Routers and kill -9
+								// needs a disk, which only the inproc backend
+								// has; and the shard-partition fault is
+								// meaningless unsharded.
+								if (shards > 1 || nem == NemesisKill9) && backend != BackendInproc {
 									continue
 								}
 								if nem == NemesisShard && shards <= 1 {

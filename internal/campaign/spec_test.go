@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"github.com/virtualpartitions/vp/internal/nemesis"
 )
 
 func TestExpandDefaults(t *testing.T) {
@@ -69,13 +71,22 @@ func TestValidateRejects(t *testing.T) {
 		{Axes: Axes{ReadFraction: []float64{1.5}}},
 		{Axes: Axes{Nemesis: []string{"meteor"}}},
 		{Axes: Axes{Backend: []string{"live"}}},
-		{Axes: Axes{Nemesis: []string{"kill9"}}},
+		{Axes: Axes{Nemesis: []string{NemesisKill9}}}, // sim only: no disk to fail
 		{Inject: "coffee"},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("spec %d validated but should not: %+v", i, s)
 		}
+	}
+	// kill9 beside the inproc backend validates, and its sim cells are
+	// not expanded.
+	cells, err := Spec{Axes: Axes{Backend: []string{BackendSim, BackendInproc}, Nemesis: []string{NemesisKill9}}}.Expand()
+	if err != nil {
+		t.Fatalf("kill9 with inproc refused: %v", err)
+	}
+	if len(cells) != 1 || cells[0].Backend != BackendInproc {
+		t.Fatalf("kill9 expanded to %+v, want the inproc cell only", cells)
 	}
 }
 
@@ -121,5 +132,59 @@ func TestCheckedInSpecs(t *testing.T) {
 	}
 	if len(backends) < 2 {
 		t.Errorf("default spec covers %d backends, want >= 2", len(backends))
+	}
+
+	// The chaos spec: every profile on both backends, but kill9 on
+	// inproc only.
+	chaos, err := load("chaos.json").Expand()
+	if err != nil {
+		t.Fatalf("chaos: %v", err)
+	}
+	if len(chaos) != 7 {
+		t.Errorf("chaos spec expands to %d cells, want 7", len(chaos))
+	}
+}
+
+// TestChaosScheduleShape: at make chaos's default seed, the chaos spec's
+// inproc cells inject at least three partition-type episodes, two clean
+// crash/restarts and two kill -9s, every fault closed before the heal
+// window.
+func TestChaosScheduleShape(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "specs", "chaos.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec Spec
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatal(err)
+	}
+	spec.Seed = 7
+	cells, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := map[nemesis.StepKind]int{}
+	for _, c := range cells {
+		if c.Backend != BackendInproc {
+			continue
+		}
+		s := BuildPlan(c).Faults
+		counts := s.Counts()
+		for k, n := range counts {
+			total[k] += n
+		}
+		if counts[nemesis.StepRestart] != counts[nemesis.StepCrash]+counts[nemesis.StepKill] {
+			t.Errorf("%s: crash/kill/restart mismatch: %v", c.ID, counts)
+		}
+		if last := s.Steps[len(s.Steps)-1]; last.Kind != nemesis.StepHeal {
+			t.Errorf("%s: schedule ends with %s, not a heal", c.ID, last.Kind)
+		}
+	}
+	t.Logf("inproc cells at seed 7: %v", total)
+	if got := total[nemesis.StepPartition] + total[nemesis.StepIsolateOne]; got < 3 {
+		t.Errorf("%d partition-type episodes, want >= 3", got)
+	}
+	if total[nemesis.StepCrash] < 2 || total[nemesis.StepKill] < 2 {
+		t.Errorf("%d crashes and %d kills, want >= 2 of each", total[nemesis.StepCrash], total[nemesis.StepKill])
 	}
 }

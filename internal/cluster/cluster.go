@@ -3,8 +3,9 @@
 // constructor — core.New, or shard.NewRouter given a shard map — over a
 // journal, all sharing one one-copy history, one trace recorder and one
 // interceptor. It is the deployed transport and codec, minus the process
-// boundary. The public vp.Cluster, the campaign's inproc backend,
-// vpchaos and the live-cluster tests start their clusters here.
+// boundary. The public vp.Cluster, the campaign's inproc backend (file
+// journals, real crashes: StopNode, then Boot from the journal) and the
+// live-cluster tests start their clusters here.
 package cluster
 
 import (
@@ -35,7 +36,7 @@ type Config struct {
 	// TCP tunes the transport; the zero value selects its defaults.
 	TCP net.TCPConfig
 	// Interceptor, when set, is consulted on every remote send of every
-	// node: a net.Topology, a nemesis.Injector, or both in turn.
+	// node: a net.Topology or a nemesis.Injector.
 	Interceptor net.Interceptor
 	// Journal opens processor p's journal at every boot and returns it
 	// with its replayed state, from which the constructor decides fresh

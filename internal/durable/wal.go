@@ -157,9 +157,6 @@ type FileJournal struct {
 	waiters []func(error)
 	urgent  bool
 
-	// SyncEveryWrite forces a write+fsync per record (safest, slowest).
-	SyncEveryWrite bool
-
 	// Committer goroutine (Options.Committer): wake re-evaluates what it
 	// is waiting for, stop ends it, done reports it gone.
 	wake     chan struct{}
@@ -532,7 +529,7 @@ func (j *FileJournal) SetMetrics(reg *metrics.Registry) {
 func (j *FileJournal) Recovery() RecoveryStats { return j.stats }
 
 // write appends one record to the pending batch (and to the shadow
-// state that feeds snapshots). SyncEveryWrite flushes immediately.
+// state that feeds snapshots).
 func (j *FileJournal) write(r *record) {
 	j.mu.Lock()
 	if j.err != nil {
@@ -549,11 +546,8 @@ func (j *FileJournal) write(r *record) {
 	if j.reg != nil {
 		j.reg.Inc(metrics.CJournalRecords, 1)
 	}
-	every := j.SyncEveryWrite
 	j.mu.Unlock()
-	if every {
-		j.Sync() //nolint:errcheck // sticky: the next barrier reports it
-	} else if first && j.opts.FlushInterval > 0 {
+	if first && j.opts.FlushInterval > 0 {
 		j.signal() // the committer arms this batch's age deadline
 	}
 }
@@ -895,41 +889,6 @@ func (j *FileJournal) HardCrash() {
 	j.buf = nil
 	j.pending = 0
 	j.err = errors.New("durable: journal hard-crashed")
-}
-
-// ChopTail truncates n bytes off the newest segment in dir, simulating
-// the torn final write a power failure leaves. It returns how many
-// bytes were actually removed (the segment may be shorter than n).
-func ChopTail(fs VFS, dir string, n int64) (int64, error) {
-	if fs == nil {
-		fs = OS()
-	}
-	names, err := fs.ReadDir(dir)
-	if err != nil {
-		return 0, err
-	}
-	var newest uint64
-	found := false
-	for _, name := range names {
-		if idx, ok := parseIndexed(name, "wal-", ".seg"); ok && (!found || idx > newest) {
-			newest, found = idx, true
-		}
-	}
-	if !found {
-		return 0, errors.New("durable: no segments to chop")
-	}
-	path := filepath.Join(dir, segName(newest))
-	size, err := fs.Size(path)
-	if err != nil {
-		return 0, err
-	}
-	if n > size {
-		n = size
-	}
-	if err := fs.Truncate(path, size-n); err != nil {
-		return 0, err
-	}
-	return n, nil
 }
 
 // MaxID implements Journal.

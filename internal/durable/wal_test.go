@@ -297,7 +297,7 @@ func TestResolveStagedOnDecideEvidence(t *testing.T) {
 	j.HardCrash()
 	// Disk damage tears one byte off the tail: the drop-stage frame is
 	// truncated away, but the apply from the same batch survives.
-	if _, err := ChopTail(nil, dir, 1); err != nil {
+	if err := chopTail(dir, 1); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,6 +2,8 @@ package nemesis
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"sync"
 
 	"github.com/virtualpartitions/vp/internal/durable"
@@ -28,6 +30,11 @@ var (
 // harness wants no further writes to escape). Recovery
 // code never sees this type; it sees a journal directory with exactly
 // the damage a hostile disk would leave.
+//
+// The crash model: a kill -9 may lose bytes that no completed fsync
+// covered, and nothing else. DiskFaults keeps each file's size at its
+// last successful Sync (or at open), and LoseUnsynced cuts every file
+// back to a seeded point between that mark and its current size.
 type DiskFaults struct {
 	inner durable.VFS
 
@@ -39,6 +46,8 @@ type DiskFaults struct {
 	crashed   bool
 	torn      int
 	syncFails int
+	// synced is each file's size at its last successful Sync or open.
+	synced map[string]int64
 }
 
 // NewDiskFaults wraps inner (durable.OS() if nil) with no faults armed.
@@ -46,7 +55,7 @@ func NewDiskFaults(inner durable.VFS) *DiskFaults {
 	if inner == nil {
 		inner = durable.OS()
 	}
-	return &DiskFaults{inner: inner, tearKeep: -1}
+	return &DiskFaults{inner: inner, tearKeep: -1, synced: make(map[string]int64)}
 }
 
 // FailFsync makes every File.Sync fail with ErrFsyncFault while on.
@@ -164,7 +173,7 @@ func (d *DiskFaults) Create(name string) (durable.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{d: d, f: f}, nil
+	return d.track(name, f, 0), nil
 }
 
 func (d *DiskFaults) OpenAppend(name string) (durable.File, error) {
@@ -175,7 +184,21 @@ func (d *DiskFaults) OpenAppend(name string) (durable.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{d: d, f: f}, nil
+	size, err := d.inner.Size(name)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return d.track(name, f, size), nil
+}
+
+// track wraps a freshly opened file whose first size bytes count as
+// synced.
+func (d *DiskFaults) track(name string, f durable.File, size int64) *faultFile {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.synced[name] = size
+	return &faultFile{d: d, f: f, name: name, size: size}
 }
 
 func (d *DiskFaults) Rename(oldpath, newpath string) error {
@@ -206,10 +229,49 @@ func (d *DiskFaults) Size(name string) (int64, error) {
 	return d.inner.Size(name)
 }
 
-// faultFile applies the parent's armed faults at write/sync time.
+// LoseUnsynced is the disk half of a kill -9 under the crash model: it
+// cuts every file opened through d back to a seeded point between its
+// size at the last completed Sync and its current size, so only bytes no
+// fsync covered can go; a file since renamed or removed has nothing left
+// to lose. It works on a crashed disk and returns how many bytes were
+// lost.
+func (d *DiskFaults) LoseUnsynced(rng *rand.Rand) (int64, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	names := make([]string, 0, len(d.synced))
+	for name := range d.synced {
+		names = append(names, name)
+	}
+	slices.Sort(names) // one rng draw per file, in a seed-stable order
+	var lost int64
+	for _, name := range names {
+		size, err := d.inner.Size(name)
+		if durable.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			return lost, err
+		}
+		mark := d.synced[name]
+		if size <= mark {
+			continue
+		}
+		keep := mark + rng.Int63n(size-mark+1)
+		if err := d.inner.Truncate(name, keep); err != nil {
+			return lost, err
+		}
+		lost += size - keep
+	}
+	return lost, nil
+}
+
+// faultFile applies the parent's armed faults at write/sync time and
+// tracks how much of the file is written and how much of it synced.
 type faultFile struct {
-	d *DiskFaults
-	f durable.File
+	d    *DiskFaults
+	f    durable.File
+	name string
+	size int64 // bytes in the file, guarded by d.mu
 }
 
 func (ff *faultFile) Write(p []byte) (int, error) {
@@ -224,17 +286,18 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 		ff.d.torn++
 	}
 	ff.d.mu.Unlock()
-	if keep < 0 {
-		return ff.f.Write(p)
-	}
-	if keep > len(p) {
+	torn := keep >= 0
+	if !torn || keep > len(p) {
 		keep = len(p)
 	}
 	n, err := ff.f.Write(p[:keep])
-	if err != nil {
-		return n, err
+	ff.d.mu.Lock()
+	ff.size += int64(n)
+	ff.d.mu.Unlock()
+	if err == nil && torn {
+		err = ErrTornWrite
 	}
-	return n, ErrTornWrite
+	return n, err
 }
 
 func (ff *faultFile) Sync() error {
@@ -255,8 +318,15 @@ func (ff *faultFile) Sync() error {
 		ff.d.mu.Unlock()
 		return ErrFsyncFault
 	}
+	size := ff.size
 	ff.d.mu.Unlock()
-	return ff.f.Sync()
+	if err := ff.f.Sync(); err != nil {
+		return err
+	}
+	ff.d.mu.Lock()
+	defer ff.d.mu.Unlock()
+	ff.d.synced[ff.name] = size
+	return nil
 }
 
 func (ff *faultFile) Close() error {

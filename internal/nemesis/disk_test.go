@@ -1,7 +1,11 @@
 package nemesis
 
 import (
+	"bytes"
 	"errors"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/virtualpartitions/vp/internal/durable"
@@ -109,5 +113,76 @@ func TestDiskFaultsCrash(t *testing.T) {
 	defer j2.Close()
 	if c := st.Copies["x"]; c.Val != 7 {
 		t.Fatalf("recovered x = %+v, want the pre-crash value 7", c)
+	}
+}
+
+// TestDiskFaultsLoseOnlyUnsynced holds LoseUnsynced to the crash model:
+// the bytes a completed fsync covered always survive, and the bytes
+// after the last sync may be lost. At the journal level, a record whose
+// barrier flushed survives every seed.
+func TestDiskFaultsLoseOnlyUnsynced(t *testing.T) {
+	const synced, unsynced = "synced|", "written, never synced"
+	lostSome, keptSome := false, false
+	for seed := int64(0); seed < 20; seed++ {
+		d := NewDiskFaults(nil)
+		name := filepath.Join(t.TempDir(), "f")
+		f, err := d.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Write([]byte(synced))
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		f.Write([]byte(unsynced))
+		d.Crash()
+		lost, err := d.LoseUnsynced(rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, []byte(synced)) || int64(len(data)) != int64(len(synced+unsynced))-lost {
+			t.Fatalf("seed %d: %d bytes lost left %q", seed, lost, data)
+		}
+		lostSome = lostSome || lost > 0
+		keptSome = keptSome || len(data) > len(synced)
+	}
+	if !lostSome || !keptSome {
+		t.Fatalf("20 seeds: unsynced bytes lost=%v kept=%v, want both", lostSome, keptSome)
+	}
+
+	for seed := int64(0); seed < 20; seed++ {
+		dir := t.TempDir()
+		d := NewDiskFaults(nil)
+		_, j, err := durable.OpenOptions(dir, durable.Options{FS: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Apply("x", 1, diskVer(1, 1))
+		if err := j.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		// The next batch reaches the file, but its fsync fails.
+		d.FailFsync(true)
+		j.Apply("x", 2, diskVer(1, 2))
+		if err := j.Sync(); !errors.Is(err, ErrFsyncFault) {
+			t.Fatalf("sync = %v, want ErrFsyncFault", err)
+		}
+		d.Crash()
+		j.HardCrash()
+		if _, err := d.LoseUnsynced(rand.New(rand.NewSource(seed))); err != nil {
+			t.Fatal(err)
+		}
+		st, j2, err := durable.Open(dir)
+		if err != nil {
+			t.Fatalf("seed %d: reopen: %v", seed, err)
+		}
+		j2.Close()
+		if c := st.Copies["x"]; c.Val != 1 && c.Val != 2 {
+			t.Fatalf("seed %d: recovered x = %+v, lost the synced write", seed, c)
+		}
 	}
 }

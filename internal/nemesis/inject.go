@@ -13,8 +13,8 @@ import (
 // Injector applies a schedule's network steps to a live cluster: it
 // implements net.Interceptor, so installing one on every TCP node routes
 // each remote send through the current fault state.
-// Crash and restart steps are not network faults — Apply returns false
-// for them and the harness stops/restarts the actual node.
+// Crash, kill and restart steps are not network faults — Apply returns
+// false for them and the harness stops/restarts the actual node.
 //
 // Concurrency: Outbound is called from many node goroutines while Apply
 // is called from the nemesis driver; one mutex serializes both.
@@ -93,10 +93,11 @@ func (in *Injector) Outbound(from, to model.ProcID, m wire.Message) net.Verdict 
 }
 
 // Apply installs one schedule step's network state. It returns true if
-// the step was handled here; false for crash/restart, which the harness
-// must realize by stopping or restarting the node itself (the injector
-// intentionally does NOT isolate crash victims: a stopped process needs
-// no help being silent, and a restarted one must be reachable at once).
+// the step was handled here; false for crash/kill/restart, which the
+// harness must realize by stopping or restarting the node itself (the
+// injector intentionally does NOT isolate crash victims: a stopped
+// process needs no help being silent, and a restarted one must be
+// reachable at once).
 func (in *Injector) Apply(s Step) bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -129,7 +130,7 @@ func (in *Injector) Apply(s Step) bool {
 		in.delay = s.Delay
 	case StepDuplicate:
 		in.dupProb = s.Prob
-	case StepCrash, StepRestart:
+	case StepCrash, StepKill, StepRestart:
 		return false
 	}
 	return true

@@ -10,9 +10,10 @@
 //
 //   - the deterministic sim engine, by translating steps into Topology
 //     mutations at virtual times (see ApplyToSim), and
-//   - live engines (TCP or real-time in-memory), by feeding the steps to
-//     an Injector, which implements net.Interceptor, while the harness
-//     handles crash/restart by actually stopping and restarting nodes.
+//   - live TCP clusters, by feeding the steps to an Injector, which
+//     implements net.Interceptor, while the harness handles crash, kill
+//     and restart by actually stopping nodes and booting them again from
+//     their journals.
 //
 // Generate builds a randomized schedule from a seed; the same seed always
 // yields the same schedule, so a failing chaos run is reproducible by
@@ -46,8 +47,15 @@ const (
 	// StepCrash stops processor Step.Victim. On the sim backend this
 	// isolates it; on live backends the harness stops the process.
 	StepCrash StepKind = "crash"
-	// StepRestart brings Step.Victim back (on live backends: restarted
-	// from its journal, exercising the recovery path of §5.2).
+	// StepKill stops Step.Victim as kill -9 does, under a failing disk:
+	// on live backends the harness fails its fsyncs, tears its next write
+	// and freezes its disk around the kill, then loses what no fsync
+	// covered. Generate never emits it; a profile turns crash steps into
+	// kills. On the sim backend it is a crash.
+	StepKill StepKind = "kill9"
+	// StepRestart brings Step.Victim back after a crash or a kill (on
+	// live backends: restarted from its journal, exercising the recovery
+	// path of §5.2).
 	StepRestart StepKind = "restart"
 	// StepDropProb makes every link lose messages with Step.Prob.
 	StepDropProb StepKind = "drop-prob"
@@ -112,7 +120,7 @@ func (s Step) String() string {
 			parts[i] = "{" + strings.Join(ids, ",") + "}"
 		}
 		return fmt.Sprintf("%8s %-12s %s", s.At.Round(time.Millisecond), s.Kind, strings.Join(parts, " "))
-	case StepCrash, StepRestart, StepIsolateOne:
+	case StepCrash, StepKill, StepRestart, StepIsolateOne:
 		return fmt.Sprintf("%8s %-12s p%d", s.At.Round(time.Millisecond), s.Kind, s.Victim)
 	case StepDropProb, StepDuplicate:
 		return fmt.Sprintf("%8s %-12s %.2f", s.At.Round(time.Millisecond), s.Kind, s.Prob)

@@ -15,8 +15,10 @@ import (
 //   - partition    → Topology.Partition(groups...)
 //   - isolate-one  → Partition(victim | everyone else)
 //   - heal         → FullMesh + drop prob 0 + latency overrides cleared
-//   - crash        → Topology.Crash (the sim has no process to kill; an
-//     isolated processor is the paper's model of a crashed one)
+//   - crash, kill9 → Topology.Crash (the sim has no process to kill and
+//     no disk to fail; an isolated processor is the paper's model of a
+//     crashed one. Live backends stop the node and restart it from its
+//     journal instead.)
 //   - restart      → Topology.Recover
 //   - drop-prob    → SetDropProb(prob)
 //   - delay        → SlowAll(base + delay)
@@ -46,7 +48,7 @@ func applySimStep(topo *net.Topology, st Step) {
 		topo.FullMesh()
 		topo.SetDropProb(0)
 		topo.ResetLatencies()
-	case StepCrash:
+	case StepCrash, StepKill:
 		topo.Crash(st.Victim)
 	case StepRestart:
 		topo.Recover(st.Victim)

@@ -54,8 +54,9 @@ func TestSimScheduleByteDeterministic(t *testing.T) {
 }
 
 // TestSimScheduleRecovers: after the schedule's final heal the cluster
-// commits again and the history stays 1SR (the acceptance bar vpchaos
-// holds live clusters to, checked here on the deterministic backend).
+// commits again and the history stays 1SR (the acceptance bar the chaos
+// campaign holds live clusters to, checked here on the deterministic
+// backend).
 func TestSimScheduleRecovers(t *testing.T) {
 	spec := bench.Spec{Protocol: bench.ProtoVP, N: 5, Objects: 8, Seed: 3,
 		Delta: 2 * time.Millisecond}

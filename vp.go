@@ -9,7 +9,9 @@
 // any number of omission and performance failures: network partitions,
 // crashed processors, lost messages. Logical reads touch exactly one
 // physical copy, the nearest in the current virtual partition, even
-// while failures are present (rules R2/R3).
+// while failures are present (rules R2/R3). A processor that rejoins
+// receives only the writes it missed (the §6 log-based refresh), or a
+// full copy where its peers' logs no longer reach back.
 //
 //	c, _ := vp.New(vp.Config{Nodes: 3, Objects: []vp.Object{{Name: "x"}}})
 //	if err := c.Start(); err != nil { … }
@@ -69,14 +71,6 @@ type Config struct {
 	// UsePrevOpt and WeakR4 enable the corresponding §6 optimizations.
 	UsePrevOpt bool
 	WeakR4     bool
-	// The §6 log-based catch-up is the DEFAULT R5 refresh path: a
-	// rejoining processor receives only the writes it missed, falling
-	// back to a full copy when peers' logs were truncated past its date.
-	// Set FullCopyRefresh to force the full-copy path for every refresh.
-	// UseLogCatchup is kept for compatibility and is now a no-op unless
-	// FullCopyRefresh is also set (it then wins, re-enabling log mode).
-	FullCopyRefresh bool
-	UseLogCatchup   bool
 	// MergeableCounters switches every object into the §7 commutative
 	// update mode: ANY copy in a view makes an object accessible, so
 	// even minority partitions keep accepting increments; writes must be
@@ -231,7 +225,7 @@ func New(cfg Config) (*Cluster, error) {
 			},
 			Pi:            cfg.Pi,
 			UsePrevOpt:    cfg.UsePrevOpt,
-			UseLogCatchup: !cfg.FullCopyRefresh || cfg.UseLogCatchup,
+			UseLogCatchup: true,
 			WeakR4:        cfg.WeakR4,
 			Mergeable:     cfg.MergeableCounters,
 		},
