@@ -3,7 +3,11 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"github.com/virtualpartitions/vp/internal/nemesis"
 )
 
 // determinismSpec is the seeded sim matrix used by the regression: the
@@ -111,5 +115,52 @@ func TestCellSeedsAreStable(t *testing.T) {
 			t.Errorf("cells %s and %s share seed %d", prev, c.ID, c.Seed)
 		}
 		seen[c.Seed] = c.ID
+	}
+}
+
+// TestSimReplayDeterministic replays each sim cell of make chaos's spec
+// (specs/chaos.json) at a second seed twice, and demands that every gate
+// passes and that the two runs of a cell are byte-identical even with
+// partitions, crash/restarts and flaky links injected mid-run.
+func TestSimReplayDeterministic(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "specs", "chaos.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec Spec
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatal(err)
+	}
+	spec.Seed = 11
+	cells, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := map[nemesis.StepKind]int{}
+	replayed := 0
+	for _, c := range cells {
+		if c.Backend != BackendSim {
+			continue
+		}
+		for k, n := range BuildPlan(c).Faults.Counts() {
+			faults[k] += n
+		}
+		first, second := RunCell(c), RunCell(c)
+		if !first.OK() {
+			t.Fatalf("cell %s failed: %v", c.ID, first.Failures)
+		}
+		if first.Digest == "" || first.Digest != second.Digest {
+			t.Errorf("cell %s: replay digest %q != %q", c.ID, second.Digest, first.Digest)
+		}
+		if !bytes.Equal(marshalCells(t, []CellResult{first}), marshalCells(t, []CellResult{second})) {
+			t.Errorf("cell %s: two replays differ byte-for-byte", c.ID)
+		}
+		replayed++
+	}
+	if replayed == 0 {
+		t.Fatal("chaos spec has no sim cells")
+	}
+	if faults[nemesis.StepPartition]+faults[nemesis.StepIsolateOne] == 0 || faults[nemesis.StepCrash] == 0 {
+		t.Errorf("sim cells inject no partitions or no crashes: %v", faults)
 	}
 }
