@@ -1,9 +1,10 @@
 # Developer entry points. `make check` is the tier-1 gate used by CI and
-# by ROADMAP.md; `make race` covers the packages with real concurrency
-# (the public vp.Cluster and the in-process cluster builder, the TCP
-# transport, the nemesis fault injector, the parallel
-# experiment harness, the client gateway, the journal's committer, the
-# shard router and the commit path's barrier and recovery tests);
+# by ROADMAP.md, and fails on any file gofmt would change; `make race`
+# covers the packages with real concurrency (the public vp.Cluster and
+# the in-process cluster builder, the TCP transport, the nemesis fault
+# injector, the parallel experiment harness, the client gateway, the
+# journal's committer, the shard router and the commit path's barrier
+# and recovery tests);
 # `make chaos` is the seeded fault-injection gate and `make
 # bench-stack-smoke` drives the deployed stack (benchmark/).
 
@@ -12,6 +13,8 @@ GO ?= go
 .PHONY: check build vet test race bench bench-wire bench-hotpath bench-observability bench-durable trace-check chaos bench-stack-smoke bench-stack bench-pairs stress golden campaign-smoke campaign recovery-check shard-check
 
 check: build vet test
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -6,9 +6,7 @@
 //
 // Example, against the three-node cluster from the vpnode docs:
 //
-//	vpgateway -listen :8080 \
-//	    -cluster 1=localhost:7001,2=localhost:7002,3=localhost:7003 \
-//	    -health 1=localhost:7101,2=localhost:7102,3=localhost:7103
+//	vpgateway -listen :8080 -cluster 1=localhost:7001,2=localhost:7002,3=localhost:7003
 //
 // then:
 //
@@ -16,9 +14,9 @@
 //	curl -s 'localhost:8080/read?obj=x' -H "X-VP-Session: <token from the response>"
 //	curl -s localhost:8080/gw/stats
 //
-// The -health flags are the nodes' -debug-addr endpoints; when given,
-// the gateway polls /healthz and routes around nodes that are down or
-// outside any virtual partition.
+// A node that refuses connections is skipped for a while; one that
+// answers but sits outside any virtual partition denies the access, and
+// the request moves on to the next node.
 package main
 
 import (
@@ -49,15 +47,9 @@ func parseArgs(args []string) (*options, error) {
 	var (
 		listen      = fs.String("listen", ":8080", "HTTP listen address")
 		cluster     = fs.String("cluster", "", "comma-separated id=host:port node addresses (required)")
-		health      = fs.String("health", "", "comma-separated id=host:port node debug addresses for /healthz routing")
 		batching    = fs.Bool("batch", true, "coalesce concurrent writes into group-commit rounds")
 		batchWindow = fs.Duration("batch-window", 2*time.Millisecond, "group-commit coalescing window")
 		batchMax    = fs.Int("batch-max", 64, "flush a round at this many coalesced writes")
-		maxInflight = fs.Int("max-inflight", 256, "admission: concurrent requests served")
-		maxQueue    = fs.Int("max-queue", 0, "admission: waiting requests before shedding (default 4x max-inflight)")
-		perTry      = fs.Duration("per-try", 500*time.Millisecond, "per-node attempt timeout")
-		deadline    = fs.Duration("deadline", 5*time.Second, "end-to-end budget per client request")
-		marks       = fs.Int("session-marks", gateway.DefaultSessionMarks, "per-session object version marks retained")
 		traceSamp   = fs.Int("trace-sample", 0, "causally trace 1-in-N client requests end to end (0 disables)")
 		traceOut    = fs.String("trace", "", "write the gateway's trace (incl. spans) as JSONL here on shutdown")
 		shards      = fs.Int("shards", 1, "route by shard: must match the cluster's -shards")
@@ -67,27 +59,16 @@ func parseArgs(args []string) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	addrs, err := parseNodeMap(*cluster, "-cluster")
+	addrs, err := parseCluster(*cluster)
 	if err != nil {
 		return nil, err
-	}
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("-cluster is required")
-	}
-	var healthAddrs map[model.ProcID]string
-	if *health != "" {
-		if healthAddrs, err = parseNodeMap(*health, "-health"); err != nil {
-			return nil, err
-		}
 	}
 	opt := &options{
 		listen:   *listen,
 		traceOut: *traceOut,
 		cfg: gateway.Config{
-			Cluster: addrs, Health: healthAddrs,
+			Cluster: addrs, TraceSample: *traceSamp,
 			Batching: *batching, BatchWindow: *batchWindow, BatchMax: *batchMax,
-			MaxInflight: *maxInflight, MaxQueue: *maxQueue,
-			PerTry: *perTry, Deadline: *deadline, SessionMarks: *marks, TraceSample: *traceSamp,
 			Shards: *shards, ShardSeed: *shardSeed, ShardReplicas: *shardRep,
 		},
 	}
@@ -102,19 +83,19 @@ func parseArgs(args []string) (*options, error) {
 	return opt, nil
 }
 
-func parseNodeMap(s, flagName string) (map[model.ProcID]string, error) {
+func parseCluster(s string) (map[model.ProcID]string, error) {
 	if s == "" {
-		return nil, nil
+		return nil, fmt.Errorf("-cluster is required")
 	}
 	out := make(map[model.ProcID]string)
 	for _, part := range strings.Split(s, ",") {
 		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
 		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad %s entry %q (want id=host:port)", flagName, part)
+			return nil, fmt.Errorf("bad -cluster entry %q (want id=host:port)", part)
 		}
 		id, err := strconv.Atoi(kv[0])
 		if err != nil || id < 1 {
-			return nil, fmt.Errorf("bad processor id %q in %s", kv[0], flagName)
+			return nil, fmt.Errorf("bad processor id %q in -cluster", kv[0])
 		}
 		out[model.ProcID(id)] = kv[1]
 	}
@@ -143,8 +124,8 @@ func main() {
 	if opt.cfg.Shards > 1 {
 		shardInfo = fmt.Sprintf(", %d shards", opt.cfg.Shards)
 	}
-	fmt.Printf("vpgateway serving on http://%s (%d nodes%s, batching %s, inflight<=%d)\n",
-		addr, len(opt.cfg.Cluster), shardInfo, mode, opt.cfg.MaxInflight)
+	fmt.Printf("vpgateway serving on http://%s (%d nodes%s, batching %s)\n",
+		addr, len(opt.cfg.Cluster), shardInfo, mode)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -30,8 +30,7 @@ func TestLoadAgainstGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	g := gateway.New(gateway.Config{Cluster: c.Addrs(), Batching: true, BatchWindow: 2 * time.Millisecond,
-		PerTry: time.Second, Deadline: 15 * time.Second})
+	g := gateway.New(gateway.Config{Cluster: c.Addrs(), Batching: true, BatchWindow: 2 * time.Millisecond})
 	defer g.Close()
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()

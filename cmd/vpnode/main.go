@@ -51,18 +51,13 @@ type options struct {
 	addrs         map[model.ProcID]string
 	objects       []model.ObjectID
 	delta         time.Duration
-	pi            time.Duration
 	dataDir       string
-	fsyncEvery    time.Duration
-	fullCopyR5    bool
 	verbose       bool
 	debugAddr     string
 	traceOut      string
-	traceSample   int
 	shards        int
 	shardSeed     int64
 	shardReplicas int
-	tcp           net.TCPConfig
 }
 
 // parseArgs parses argv (without the program name) into options.
@@ -72,19 +67,11 @@ func parseArgs(args []string) (*options, error) {
 		id        = fs.Int("id", 0, "this processor's id (1-based, required)")
 		cluster   = fs.String("cluster", "", "comma-separated id=host:port pairs (required)")
 		objects   = fs.String("objects", "x", "comma-separated logical object names")
-		delta     = fs.Duration("delta", 50*time.Millisecond, "assumed message delay bound δ")
-		pi        = fs.Duration("pi", 0, "probe period π (default 20δ)")
+		delta     = fs.Duration("delta", 50*time.Millisecond, "assumed message delay bound δ; the probe period π is 20δ")
 		dataDir   = fs.String("data", "", "durable state directory (empty: in-memory only; with it, the node survives restarts)")
-		fsyncInt  = fs.Duration("fsync-interval", 2*time.Millisecond, "maximum age of an unsynced journal record: promises nobody waits on (decide acks) ride the next urgent fsync or this deadline; 0 makes every promise urgent")
-		r5        = fs.String("r5", "log", "R5 refresh path: log (stream missed-write deltas, full-copy fallback) or full")
 		verbose   = fs.Bool("v", false, "log view changes")
 		debugAddr = fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 		traceOut  = fs.String("trace", "", "record the structured event trace; write JSONL here on shutdown")
-		traceSamp = fs.Int("trace-sample", 1, "with -trace: causally trace 1-in-N locally-coordinated transactions (<=0 traces none)")
-		dialTO    = fs.Duration("dial-timeout", 0, "TCP dial timeout per connection attempt (default 2s)")
-		reconMin  = fs.Duration("reconnect-min", 0, "initial peer redial backoff (default 50ms)")
-		reconMax  = fs.Duration("reconnect-max", 0, "maximum peer redial backoff (default 2s)")
-		queueLen  = fs.Int("peer-queue", 0, "bounded per-peer outbound queue length (default 1024)")
 		shards    = fs.Int("shards", 1, "shard the object namespace this many ways; >1 runs one virtual-partition lifecycle per hosted shard (every node needs identical -shards/-shard-seed/-shard-replicas)")
 		shardSeed = fs.Int64("shard-seed", 1, "shard placement seed (must match across the cluster)")
 		shardRep  = fs.Int("shard-replicas", 0, "copies per shard (0 = every node hosts every shard)")
@@ -107,26 +94,46 @@ func parseArgs(args []string) (*options, error) {
 	if len(objNames) == 0 {
 		return nil, fmt.Errorf("-objects names no objects")
 	}
-	sample := *traceSamp
-	if sample <= 0 {
-		sample = -1 // node.Config: negative disables coordinator root minting
-	}
-	if *r5 != "log" && *r5 != "full" {
-		return nil, fmt.Errorf("-r5 must be log or full, got %q", *r5)
-	}
 	if *shards < 1 {
 		return nil, fmt.Errorf("-shards must be >= 1")
 	}
 	return &options{
-		id: me, addrs: addrs, objects: objNames,
-		delta: *delta, pi: *pi,
-		dataDir: *dataDir, fsyncEvery: *fsyncInt,
-		fullCopyR5: *r5 == "full", verbose: *verbose,
-		debugAddr: *debugAddr, traceOut: *traceOut, traceSample: sample,
+		id: me, addrs: addrs, objects: objNames, delta: *delta,
+		dataDir: *dataDir, verbose: *verbose,
+		debugAddr: *debugAddr, traceOut: *traceOut,
 		shards: *shards, shardSeed: *shardSeed, shardReplicas: *shardRep,
-		tcp: net.TCPConfig{DialTimeout: *dialTO, ReconnectMin: *reconMin,
-			ReconnectMax: *reconMax, QueueLen: *queueLen},
 	}, nil
+}
+
+// coreConfig is the protocol every vpnode runs: π at its default 20δ,
+// R5 refresh by streaming missed-write deltas (full-copy fallback), the
+// previous-partition optimization on.
+func (o *options) coreConfig() core.Config {
+	return core.Config{
+		Config:        node.Config{Delta: o.delta, LogCap: 1024},
+		UseLogCatchup: true,
+		UsePrevOpt:    true,
+	}
+}
+
+// journalOptions opens the -data journal with a committer goroutine:
+// promises nobody waits on (decide acks) ride the next urgent fsync or
+// wait at most 2ms. Sharded, the journal is scoped to the objects of
+// this node's hosted shards: snapshots then attest the universe they
+// covered, so restarting under a grown shard map can't mistake "never
+// hosted" for "no writes" when serving R5 catch-up deltas.
+func (o *options) journalOptions(smap *shard.Map) durable.Options {
+	dopts := durable.Options{Committer: true, FlushInterval: 2 * time.Millisecond}
+	if smap != nil {
+		hosted := smap.HostedObjects(o.id)
+		dopts.Scope = []model.ObjectID{}
+		for _, obj := range o.objects {
+			if hosted(obj) {
+				dopts.Scope = append(dopts.Scope, obj)
+			}
+		}
+	}
+	return dopts
 }
 
 func main() {
@@ -135,12 +142,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vpnode:", err)
 		os.Exit(2)
 	}
-	cfg := core.Config{
-		Config:        node.Config{Delta: opt.delta, LogCap: 1024, TraceSample: opt.traceSample},
-		Pi:            opt.pi,
-		UseLogCatchup: !opt.fullCopyR5,
-		UsePrevOpt:    true,
-	}
+	cfg := opt.coreConfig()
 
 	var smap *shard.Map
 	if opt.shards > 1 {
@@ -165,22 +167,7 @@ func main() {
 	var state *durable.State
 	if opt.dataDir != "" {
 		var err error
-		dopts := durable.Options{Committer: true, FlushInterval: opt.fsyncEvery}
-		if smap != nil {
-			// Scope the journal to the objects of this node's hosted
-			// shards: snapshots then attest the universe they covered, so
-			// restarting under a grown shard map can't mistake "never
-			// hosted" for "no writes" when serving R5 catch-up deltas.
-			hosted := smap.HostedObjects(opt.id)
-			scope := []model.ObjectID{}
-			for _, o := range opt.objects {
-				if hosted(o) {
-					scope = append(scope, o)
-				}
-			}
-			dopts.Scope = scope
-		}
-		state, journal, err = durable.OpenOptions(opt.dataDir, dopts)
+		state, journal, err = durable.OpenOptions(opt.dataDir, opt.journalOptions(smap))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "vpnode:", err)
 			os.Exit(1)
@@ -255,7 +242,7 @@ func main() {
 		nd.Observer = func(ev any) { observe(model.NoShard, ev) }
 		handler = nd
 	}
-	tcp := net.NewTCPNode(opt.id, opt.addrs, handler, opt.tcp)
+	tcp := net.NewTCPNode(opt.id, opt.addrs, handler)
 	tcp.Metrics().Set(metrics.CNodeHalted, 0) // exported from the first scrape on
 	if journal != nil {
 		journal.SetMetrics(tcp.Metrics())

@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -10,20 +11,25 @@ import (
 	"github.com/virtualpartitions/vp/internal/cluster"
 	"github.com/virtualpartitions/vp/internal/core"
 	"github.com/virtualpartitions/vp/internal/debughttp"
+	"github.com/virtualpartitions/vp/internal/durable"
 	"github.com/virtualpartitions/vp/internal/model"
 	"github.com/virtualpartitions/vp/internal/net"
 	"github.com/virtualpartitions/vp/internal/node"
 	"github.com/virtualpartitions/vp/internal/wire"
 )
 
+// TestParseArgs passes every flag the deployed-stack harness
+// (benchmark/cluster.go) starts vpnode with.
 func TestParseArgs(t *testing.T) {
 	opt, err := parseArgs([]string{
 		"-id", "2",
 		"-cluster", "1=localhost:7001, 2=localhost:7002,3=localhost:7003",
 		"-objects", "x, y,",
 		"-delta", "10ms",
+		"-data", "/var/vp/n2",
 		"-debug-addr", "127.0.0.1:0",
 		"-trace", "/tmp/t.jsonl",
+		"-shards", "4", "-shard-seed", "7", "-shard-replicas", "2",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,35 +40,44 @@ func TestParseArgs(t *testing.T) {
 	if len(opt.objects) != 2 || opt.objects[0] != "x" || opt.objects[1] != "y" {
 		t.Fatalf("objects parsed wrong: %v", opt.objects)
 	}
-	if opt.delta != 10*time.Millisecond || opt.debugAddr != "127.0.0.1:0" || opt.traceOut != "/tmp/t.jsonl" {
+	if opt.delta != 10*time.Millisecond || opt.dataDir != "/var/vp/n2" || opt.debugAddr != "127.0.0.1:0" ||
+		opt.traceOut != "/tmp/t.jsonl" || opt.shards != 4 || opt.shardSeed != 7 || opt.shardReplicas != 2 {
 		t.Fatalf("flags parsed wrong: %+v", opt)
 	}
 }
 
-func TestParseArgsTransportFlags(t *testing.T) {
-	opt, err := parseArgs([]string{
-		"-id", "1", "-cluster", "1=localhost:7001",
-		"-dial-timeout", "500ms",
-		"-reconnect-min", "10ms",
-		"-reconnect-max", "1s",
-		"-peer-queue", "64",
-	})
+// TestParseArgsRefusesRemovedFlags: the tuning flags that only ever ran
+// at their defaults are gone, not silently ignored.
+func TestParseArgsRefusesRemovedFlags(t *testing.T) {
+	for _, f := range []string{"-pi", "-fsync-interval", "-r5", "-trace-sample",
+		"-dial-timeout", "-reconnect-min", "-reconnect-max", "-peer-queue"} {
+		_, err := parseArgs([]string{"-id", "1", "-cluster", "1=localhost:7001", f, "1"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want it undefined", f, err)
+		}
+	}
+}
+
+// TestParseArgsFixedSettings: with no tuning flags a node runs π = 20δ,
+// log-based R5 refresh with the previous-partition optimization, and a
+// committer journal whose unurgent records wait at most 2ms.
+func TestParseArgsFixedSettings(t *testing.T) {
+	opt, err := parseArgs([]string{"-id", "1", "-cluster", "1=localhost:7001"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := net.TCPConfig{DialTimeout: 500 * time.Millisecond,
-		ReconnectMin: 10 * time.Millisecond, ReconnectMax: time.Second, QueueLen: 64}
-	if opt.tcp != want {
-		t.Fatalf("tcp config parsed wrong: %+v", opt.tcp)
+	cfg := opt.coreConfig()
+	want := core.Config{Config: node.Config{Delta: 50 * time.Millisecond, LogCap: 1024},
+		UseLogCatchup: true, UsePrevOpt: true}
+	if cfg != want {
+		t.Fatalf("core config = %+v, want %+v", cfg, want)
 	}
-	// Unset transport flags stay zero and defer to the transport's own
-	// defaults.
-	opt, err = parseArgs([]string{"-id", "1", "-cluster", "1=localhost:7001"})
-	if err != nil {
-		t.Fatal(err)
+	if pi := cfg.WithDefaults().Pi; pi != time.Second {
+		t.Errorf("π = %v, want 20δ = 1s", pi)
 	}
-	if opt.tcp != (net.TCPConfig{}) {
-		t.Fatalf("transport flags should default to zero, got %+v", opt.tcp)
+	dopts := opt.journalOptions(nil)
+	if !reflect.DeepEqual(dopts, durable.Options{Committer: true, FlushInterval: 2 * time.Millisecond}) {
+		t.Errorf("journal options = %+v", dopts)
 	}
 }
 

@@ -106,27 +106,3 @@ func RunCells(cells []Cell, workers int) []Result {
 		return RunCell(cells[i])
 	})
 }
-
-// DefaultGrid is a representative protocol × read-fraction grid used by
-// the grid benchmark and the parallel-equivalence tests.
-func DefaultGrid(seed int64) []Cell {
-	protos := []Protocol{ProtoVP, ProtoQuorum, ProtoROWA}
-	fracs := []float64{0.1, 0.5, 0.9}
-	var cells []Cell
-	for pi, p := range protos {
-		for fi, f := range fracs {
-			cells = append(cells, Cell{
-				Spec: Spec{
-					Protocol: p,
-					N:        5,
-					Objects:  8,
-					// Every cell gets its own seed so no two share a
-					// random stream even by accident.
-					Seed: seed + int64(pi*len(fracs)+fi),
-				},
-				Mix: workload.Mix{ReadFraction: f},
-			})
-		}
-	}
-	return cells
-}

@@ -33,8 +33,6 @@ type Config struct {
 	Shards *shard.Map
 	// Core configures every processor's protocol.
 	Core core.Config
-	// TCP tunes the transport; the zero value selects its defaults.
-	TCP net.TCPConfig
 	// Interceptor, when set, is consulted on every remote send of every
 	// node: a net.Topology or a nemesis.Injector.
 	Interceptor net.Interceptor
@@ -134,7 +132,7 @@ func (c *Cluster) Boot(p model.ProcID) error {
 		}
 		h = nd
 	}
-	tn := net.NewTCPNode(p, c.addrs, h, c.cfg.TCP)
+	tn := net.NewTCPNode(p, c.addrs, h)
 	tn.SetTracer(c.rec)
 	tn.SetInterceptor(c.cfg.Interceptor)
 	if err := tn.Run(); err != nil {

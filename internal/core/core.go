@@ -29,6 +29,14 @@ import (
 	"github.com/virtualpartitions/vp/internal/wire"
 )
 
+// objectBytes and recordBytes are accounting sizes for the refresh
+// traffic experiment (E9): a full-value refresh ships objectBytes, a
+// log-based refresh ships recordBytes per missed write.
+const (
+	objectBytes = 4096
+	recordBytes = 64
+)
+
 // Config extends the shared node configuration with the virtual
 // partition parameters.
 type Config struct {
@@ -50,11 +58,6 @@ type Config struct {
 	// references stays accessible and every processor it touched stays
 	// in the view.
 	WeakR4 bool
-	// ObjectBytes and RecordBytes are accounting sizes for the refresh
-	// traffic experiment (E9): a full-value refresh ships ObjectBytes,
-	// a log-based refresh ships RecordBytes per missed write.
-	ObjectBytes int64
-	RecordBytes int64
 	// Mergeable switches the node into the §7 [BGRCK]-style commutative
 	// update mode (see mergeable.go): any copy in the view makes an
 	// object accessible — minority partitions keep working — and merges
@@ -71,12 +74,6 @@ func (c Config) WithDefaults() Config {
 	c.Config = c.Config.WithDefaults()
 	if c.Pi <= 0 {
 		c.Pi = 20 * c.Delta
-	}
-	if c.ObjectBytes <= 0 {
-		c.ObjectBytes = 4096
-	}
-	if c.RecordBytes <= 0 {
-		c.RecordBytes = 64
 	}
 	if c.Mergeable {
 		c.UseLogCatchup = false

@@ -323,7 +323,7 @@ func TestTCPBootWithManyObjects(t *testing.T) {
 				mu.Unlock()
 			}
 		}
-		nodes[id] = net.NewTCPNode(id, addrs, nd, net.TCPConfig{})
+		nodes[id] = net.NewTCPNode(id, addrs, nd)
 	}
 	for _, tn := range nodes {
 		if err := tn.Run(); err != nil {

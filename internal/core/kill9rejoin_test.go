@@ -44,7 +44,7 @@ func TestKill9DeltaRejoin(t *testing.T) {
 		}
 		journals[id] = journal
 		nd := New(id, cfg, cat, nil, journal, state)
-		tn := vnet.NewTCPNode(id, addrs, nd, vnet.TCPConfig{})
+		tn := vnet.NewTCPNode(id, addrs, nd)
 		if err := tn.Run(); err != nil {
 			t.Fatal(err)
 		}

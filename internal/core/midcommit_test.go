@@ -62,7 +62,7 @@ func TestCrashMidCommitRestartsFromJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 		nd := New(id, cfg, cat, nil, journal, state)
-		tn := vnet.NewTCPNode(id, addrs, nd, vnet.TCPConfig{})
+		tn := vnet.NewTCPNode(id, addrs, nd)
 		tn.SetInterceptor(blocker)
 		if err := tn.Run(); err != nil {
 			t.Fatal(err)

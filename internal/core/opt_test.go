@@ -242,9 +242,6 @@ func TestConfigDefaultsCore(t *testing.T) {
 	if c.Pi != 20*c.Delta {
 		t.Fatalf("Pi default = %v, want 20δ", c.Pi)
 	}
-	if c.ObjectBytes != 4096 || c.RecordBytes != 64 {
-		t.Fatalf("accounting defaults wrong: %+v", c)
-	}
 	c2 := Config{Pi: time.Second, Config: node.Config{Delta: time.Millisecond}}.WithDefaults()
 	if c2.Pi != time.Second {
 		t.Fatal("explicit Pi overridden")

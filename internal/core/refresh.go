@@ -170,8 +170,8 @@ func (n *Node) onRecoverRead(rt net.Runtime, from model.ProcID, m wire.RecoverRe
 			resp.Comps = n.compsOf(m.Obj)
 		}
 		rt.Metrics().Inc(metrics.CRefreshReads, 1)
-		rt.Metrics().Inc(metrics.CRefreshBytes, n.cfg.ObjectBytes)
-		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvRefreshServe, VP: n.curID, Obj: m.Obj, Peer: from, Aux: n.cfg.ObjectBytes})
+		rt.Metrics().Inc(metrics.CRefreshBytes, objectBytes)
+		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvRefreshServe, VP: n.curID, Obj: m.Obj, Peer: from, Aux: objectBytes})
 	}
 	rt.Send(from, resp)
 }
@@ -201,8 +201,8 @@ func (n *Node) onCatchupReq(rt net.Runtime, from model.ProcID, m wire.CatchupReq
 					d.Entries = append(d.Entries, wire.LogEntry{Val: e.Val, Ver: e.Ver})
 				}
 				rt.Metrics().Inc(metrics.CCatchupWrites, int64(len(entries)))
-				rt.Metrics().Inc(metrics.CRefreshBytes, int64(len(entries))*n.cfg.RecordBytes)
-				rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvRefreshServe, VP: n.curID, Obj: o.Obj, Peer: from, Aux: int64(len(entries)) * n.cfg.RecordBytes})
+				rt.Metrics().Inc(metrics.CRefreshBytes, int64(len(entries))*recordBytes)
+				rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvRefreshServe, VP: n.curID, Obj: o.Obj, Peer: from, Aux: int64(len(entries)) * recordBytes})
 			}
 		}
 		resp.Objs = append(resp.Objs, d)

@@ -35,7 +35,7 @@ func TestTCPNodeRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		nd := New(id, cfg, cat, nil, journal, state)
-		tn := vnet.NewTCPNode(id, addrs, nd, vnet.TCPConfig{})
+		tn := vnet.NewTCPNode(id, addrs, nd)
 		if err := tn.Run(); err != nil {
 			t.Fatal(err)
 		}

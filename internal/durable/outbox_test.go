@@ -290,7 +290,7 @@ func newLiveCluster(t *testing.T, cat *model.Catalog, n int, every time.Duration
 		nd := rowa.New(p, node.Config{Delta: 50 * time.Millisecond, DecideRetry: time.Minute}, cat, lc.hist)
 		nd.Journal = j
 		nd.Store.SetJournal(j)
-		tn := net.NewTCPNode(p, addrs, nd, net.TCPConfig{})
+		tn := net.NewTCPNode(p, addrs, nd)
 		j.SetMetrics(tn.Metrics())
 		if err := tn.Run(); err != nil {
 			t.Fatal(err)

@@ -24,12 +24,6 @@ type admission struct {
 }
 
 func newAdmission(maxInflight, maxQueue int, reg *metrics.Registry, tr *trace.Recorder, clock func() time.Duration) *admission {
-	if maxInflight <= 0 {
-		maxInflight = 256
-	}
-	if maxQueue <= 0 {
-		maxQueue = 4 * maxInflight
-	}
 	return &admission{
 		sem:      make(chan struct{}, maxInflight),
 		maxQueue: int64(maxQueue),

@@ -50,7 +50,6 @@ type batcher struct {
 	backend submitter
 	tags    *tagSource
 	spans   *spanSource
-	timeout time.Duration // per-round submit deadline
 	reg     *metrics.Registry
 	tr      *trace.Recorder
 	clock   func() time.Duration
@@ -79,7 +78,7 @@ type batchReply struct {
 }
 
 func newBatcher(window time.Duration, maxSize int, depth func(model.ShardID) int, backend submitter,
-	tags *tagSource, spans *spanSource, timeout time.Duration, reg *metrics.Registry, tr *trace.Recorder,
+	tags *tagSource, spans *spanSource, reg *metrics.Registry, tr *trace.Recorder,
 	clock func() time.Duration) *batcher {
 	if window <= 0 {
 		window = 2 * time.Millisecond
@@ -92,7 +91,7 @@ func newBatcher(window time.Duration, maxSize int, depth func(model.ShardID) int
 	}
 	b := &batcher{
 		window: window, maxSize: maxSize, depth: depth, backend: backend, tags: tags, spans: spans,
-		timeout: timeout, reg: reg, tr: tr, clock: clock,
+		reg: reg, tr: tr, clock: clock,
 		reqCh:  make(chan batchReq),
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
@@ -315,7 +314,7 @@ func (b *batcher) flush(r *round) {
 	if !r.ctx.IsZero() {
 		rctx = r.ctx.Child(b.spans.next())
 	}
-	res, node, err := b.backend.Submit(r.batch.Txn(), rctx, r.node, time.Now().Add(b.timeout))
+	res, node, err := b.backend.Submit(r.batch.Txn(), rctx, r.node, time.Now().Add(requestDeadline))
 	if !rctx.IsZero() {
 		b.tr.Span(model.NoProc, rctx, "gw-batch-round", start, b.clock(), res.Txn)
 	}

@@ -98,7 +98,7 @@ func newTestBatcher(backend submitter, depth int) (*batcher, *metrics.Registry) 
 	reg := metrics.NewRegistry()
 	start := time.Now()
 	b := newBatcher(time.Minute, 1<<20, func(model.ShardID) int { return depth }, backend,
-		&tagSource{}, nil, time.Minute, reg, nil, func() time.Duration { return time.Since(start) })
+		&tagSource{}, nil, reg, nil, func() time.Duration { return time.Since(start) })
 	return b, reg
 }
 

@@ -22,13 +22,23 @@ const SessionHeader = "X-VP-Session"
 
 var errGatewayClosed = errors.New("gateway: closed")
 
+const (
+	// maxInflight bounds concurrently served requests, maxQueue how many
+	// more may wait for a slot, at most queueWait. Beyond them, requests
+	// are shed with 503.
+	maxInflight = 256
+	maxQueue    = 4 * maxInflight
+	queueWait   = 250 * time.Millisecond
+	// perTry is the per-node attempt timeout, requestDeadline the
+	// end-to-end budget of one client request.
+	perTry          = 500 * time.Millisecond
+	requestDeadline = 5 * time.Second
+)
+
 // Config parameterizes a gateway instance.
 type Config struct {
 	// Cluster maps node ids to their client-facing TCP addresses.
 	Cluster map[model.ProcID]string
-	// Health maps node ids to their debughttp addresses; when set, the
-	// pool polls /healthz and routes around not-ready nodes.
-	Health map[model.ProcID]string
 
 	// Batching enables group commit; BatchWindow is the coalescing
 	// window (default 2ms), BatchMax the round-size flush threshold
@@ -36,20 +46,6 @@ type Config struct {
 	Batching    bool
 	BatchWindow time.Duration
 	BatchMax    int
-
-	// MaxInflight bounds concurrently served requests (default 256);
-	// MaxQueue bounds how many more may wait for a slot (default 4×
-	// MaxInflight). Beyond both, requests are shed with 503.
-	MaxInflight int
-	MaxQueue    int
-
-	// PerTry is the per-node attempt timeout (default 500ms); Deadline
-	// the end-to-end budget per client request (default 5s).
-	PerTry   time.Duration
-	Deadline time.Duration
-
-	// SessionMarks bounds per-session version marks (default 32).
-	SessionMarks int
 
 	// Shards, when > 1, enables shard-aware routing: submissions prefer
 	// a node that hosts the target object's shard, and batchable writes
@@ -81,21 +77,6 @@ func (c *Config) fill() {
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 64
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 256
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 4 * c.MaxInflight
-	}
-	if c.PerTry <= 0 {
-		c.PerTry = 500 * time.Millisecond
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 5 * time.Second
-	}
-	if c.SessionMarks <= 0 {
-		c.SessionMarks = DefaultSessionMarks
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
@@ -192,10 +173,10 @@ func (g *Gateway) mintRoot() model.TraceCtx {
 func New(cfg Config) *Gateway {
 	cfg.fill()
 	g := newWithBackend(cfg, nil)
-	g.pool = newPool(cfg.Cluster, cfg.Health, cfg.PerTry, cfg.Metrics)
+	g.pool = newPool(cfg.Cluster, cfg.Metrics)
 	g.backend = g.pool
 	g.batch = newBatcher(cfg.BatchWindow, cfg.BatchMax, g.laneDepth, g.pool, g.tags, g.spans,
-		cfg.Deadline, g.reg, g.tr, g.clock)
+		g.reg, g.tr, g.clock)
 	return g
 }
 
@@ -212,7 +193,7 @@ func newWithBackend(cfg Config, backend submitter) *Gateway {
 		tr:      cfg.Tracer,
 		start:   time.Now(),
 	}
-	g.adm = newAdmission(cfg.MaxInflight, cfg.MaxQueue, g.reg, g.tr, g.clock)
+	g.adm = newAdmission(maxInflight, maxQueue, g.reg, g.tr, g.clock)
 	if cfg.Shards > 1 && len(cfg.Cluster) > 0 {
 		procs := make([]model.ProcID, 0, len(cfg.Cluster))
 		for id := range cfg.Cluster {
@@ -228,7 +209,7 @@ func newWithBackend(cfg Config, backend submitter) *Gateway {
 	}
 	if backend != nil {
 		g.batch = newBatcher(cfg.BatchWindow, cfg.BatchMax, g.laneDepth, backend, g.tags, g.spans,
-			cfg.Deadline, g.reg, g.tr, g.clock)
+			g.reg, g.tr, g.clock)
 	}
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("POST /txn", g.handleTxn)
@@ -351,14 +332,9 @@ func httpErr(w http.ResponseWriter, code int, format string, args ...any) {
 
 // admit runs the admission gate shared by the request handlers. It
 // reports whether the request may proceed; on false the 503 has been
-// written. The queue wait is capped well under the request deadline so
-// shedding stays fast.
+// written.
 func (g *Gateway) admit(w http.ResponseWriter) (func(), bool) {
-	wait := g.cfg.Deadline / 10
-	if wait > 250*time.Millisecond {
-		wait = 250 * time.Millisecond
-	}
-	release := g.adm.acquire(wait)
+	release := g.adm.acquire(queueWait)
 	if release == nil {
 		w.Header().Set("Retry-After", "1")
 		httpErr(w, http.StatusServiceUnavailable, "gateway overloaded, retry later")
@@ -375,7 +351,7 @@ func (g *Gateway) handleTxn(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	began := time.Now()
 
-	sess, err := ParseSession(r.Header.Get(SessionHeader), g.cfg.SessionMarks)
+	sess, err := ParseSession(r.Header.Get(SessionHeader))
 	if err != nil {
 		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -411,7 +387,7 @@ func (g *Gateway) handleTxn(w http.ResponseWriter, r *http.Request) {
 		if hasWrite {
 			g.reg.Inc(metrics.CGwWriteTxns, 1)
 		}
-		res, servedBy, err = g.backend.Submit(txn, rctx, preferred, began.Add(g.cfg.Deadline))
+		res, servedBy, err = g.backend.Submit(txn, rctx, preferred, began.Add(requestDeadline))
 	}
 	if !rctx.IsZero() {
 		// The gw-request root span covers admission to backend result,
@@ -450,7 +426,7 @@ func (g *Gateway) handleRead(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	began := time.Now()
 
-	sess, err := ParseSession(r.Header.Get(SessionHeader), g.cfg.SessionMarks)
+	sess, err := ParseSession(r.Header.Get(SessionHeader))
 	if err != nil {
 		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -461,7 +437,7 @@ func (g *Gateway) handleRead(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	deadline := began.Add(g.cfg.Deadline)
+	deadline := began.Add(requestDeadline)
 	preferred := g.routeShard(g.shardOf(obj), sess.Node)
 	var res wire.ClientResult
 	var servedBy model.ProcID

@@ -66,8 +66,9 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 		return wire.ClientResult{Tag: txn.Tag, Committed: true}, 1, nil
 	}}
 	reg := metrics.NewRegistry()
-	g := newWithBackend(Config{MaxInflight: 1, MaxQueue: 1, Deadline: 2 * time.Second, Metrics: reg}, backend)
+	g := newWithBackend(Config{Metrics: reg}, backend)
 	defer g.Close()
+	g.adm = newAdmission(1, 1, reg, nil, g.clock)
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
 
@@ -102,7 +103,7 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 	}
 	// 1 in flight + 1 queued admit eventually; the rest must be shed fast.
 	if shed == 0 {
-		t.Error("no requests shed at MaxInflight=1 MaxQueue=1 under 8-way load")
+		t.Error("no requests shed at 1 in flight and 1 queued under 8-way load")
 	}
 	if served == 0 {
 		t.Error("no requests served")
@@ -128,12 +129,12 @@ func TestReadRetriesUntilSessionFresh(t *testing.T) {
 			Reads: []wire.ObjVal{{Obj: "x", Val: val, Ver: v}}}, 1, nil
 	}}
 	reg := metrics.NewRegistry()
-	g := newWithBackend(Config{Deadline: 5 * time.Second, Metrics: reg}, backend)
+	g := newWithBackend(Config{Metrics: reg}, backend)
 	defer g.Close()
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
 
-	sess := NewSession(0)
+	sess := &Session{}
 	sess.Observe("x", ver(1, 1, 8)) // the session committed ctr 8
 	resp, tr := doJSON(t, srv.Client(), "GET", srv.URL+"/read?obj=x", sess.Token(), nil)
 	if resp.StatusCode != http.StatusOK || !tr.Committed {
@@ -172,8 +173,7 @@ func TestBatchingCoalescesConcurrentIncrements(t *testing.T) {
 			Writes: []wire.ObjVal{{Obj: "x", Val: model.Value(total), Ver: ver(1, 1, ctr)}}}, 1, nil
 	}}
 	reg := metrics.NewRegistry()
-	g := newWithBackend(Config{Batching: true, BatchWindow: 5 * time.Millisecond,
-		Deadline: 5 * time.Second, Metrics: reg}, backend)
+	g := newWithBackend(Config{Batching: true, BatchWindow: 5 * time.Millisecond, Metrics: reg}, backend)
 	defer g.Close()
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
@@ -238,7 +238,7 @@ func TestShardLanesFlushIndependently(t *testing.T) {
 	}}
 	g := newWithBackend(Config{
 		Cluster:  map[model.ProcID]string{1: "", 2: "", 3: ""},
-		Batching: true, BatchWindow: window, Deadline: 10 * time.Second,
+		Batching: true, BatchWindow: window,
 		Shards: 4, ShardSeed: 7,
 	}, backend)
 	defer g.Close()
@@ -292,9 +292,6 @@ func TestShardLanesFlushIndependently(t *testing.T) {
 func bootCluster(t *testing.T, traced bool, objs ...model.ObjectID) (map[model.ProcID]string, *onecopy.History, []*trace.Recorder, func()) {
 	t.Helper()
 	cfg := core.Config{Config: node.Config{Delta: 20 * time.Millisecond, LogCap: 256}}
-	if traced {
-		cfg.TraceSample = 1
-	}
 	c, err := cluster.Start(cluster.Config{N: 3, Catalog: model.FullyReplicated(3, objs...), Core: cfg, Trace: traced})
 	if err != nil {
 		t.Fatal(err)
@@ -316,8 +313,7 @@ func TestGatewayReadYourWrites(t *testing.T) {
 	addrs, hist, _, stop := bootCluster(t, false, "x", "y", "z")
 	defer stop()
 
-	g := New(Config{Cluster: addrs, Batching: true, BatchWindow: 2 * time.Millisecond,
-		PerTry: time.Second, Deadline: 15 * time.Second})
+	g := New(Config{Cluster: addrs, Batching: true, BatchWindow: 2 * time.Millisecond})
 	defer g.Close()
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
@@ -390,8 +386,7 @@ func TestGatewayBatchingAblation(t *testing.T) {
 		addrs, _, _, stop := bootCluster(t, false, "x")
 		defer stop()
 		reg := metrics.NewRegistry()
-		g := New(Config{Cluster: addrs, Batching: batching, BatchWindow: 5 * time.Millisecond,
-			PerTry: time.Second, Deadline: 15 * time.Second, Metrics: reg})
+		g := New(Config{Cluster: addrs, Batching: batching, BatchWindow: 5 * time.Millisecond, Metrics: reg})
 		defer g.Close()
 		srv := httptest.NewServer(g.Handler())
 		defer srv.Close()
@@ -458,7 +453,7 @@ func TestTracedWriteProducesSpanTree(t *testing.T) {
 	gwRec.SetEnabled(true)
 	recs = append(recs, gwRec)
 	g := New(Config{Cluster: addrs, Batching: true, BatchWindow: 2 * time.Millisecond,
-		PerTry: time.Second, Deadline: 20 * time.Second, Tracer: gwRec, TraceSample: 1})
+		Tracer: gwRec, TraceSample: 1})
 	defer g.Close()
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"fmt"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -32,24 +31,18 @@ type submitter interface {
 // per-node circuit breaker, and routes each submission to a live node:
 // the session's preferred node first, then the rest in rotation.
 //
-// Two signals open a node's breaker: a transport error on submit, and —
-// when health addresses are configured — a failing /healthz poll, which
-// also catches nodes that accept connections but sit outside any
-// virtual partition (departed, mid-view-change) and would deny every
-// access.
+// A transport error on submit opens the node's breaker. A node that
+// answers but sits outside any virtual partition denies the access, and
+// the submission moves on to the next node.
 type pool struct {
 	clients map[model.ProcID]*vnet.Client
 	ids     []model.ProcID // stable rotation order
-	perTry  time.Duration
 	reg     *metrics.Registry
 
 	mu        sync.Mutex
 	downUntil map[model.ProcID]time.Time
-	unhealthy map[model.ProcID]bool
 
-	rr     atomic.Uint64 // round-robin cursor
-	stopCh chan struct{}
-	wg     sync.WaitGroup
+	rr atomic.Uint64 // round-robin cursor
 }
 
 // breakerHold is how long a node stays skipped after a transport error.
@@ -57,69 +50,23 @@ type pool struct {
 // that a restarted node is picked back up promptly.
 const breakerHold = 500 * time.Millisecond
 
-// newPool builds the pool. health maps node ids to debughttp base
-// addresses ("host:port"); when non-empty, a background poller marks
-// nodes whose /healthz is failing so routing skips them proactively.
-func newPool(cluster map[model.ProcID]string, health map[model.ProcID]string, perTry time.Duration, reg *metrics.Registry) *pool {
-	if perTry <= 0 {
-		perTry = 500 * time.Millisecond
-	}
+// newPool builds one client per node; each dials on first use.
+func newPool(cluster map[model.ProcID]string, reg *metrics.Registry) *pool {
 	p := &pool{
 		clients:   make(map[model.ProcID]*vnet.Client, len(cluster)),
-		perTry:    perTry,
 		reg:       reg,
 		downUntil: make(map[model.ProcID]time.Time),
-		unhealthy: make(map[model.ProcID]bool),
-		stopCh:    make(chan struct{}),
 	}
 	for id, addr := range cluster {
 		p.clients[id] = vnet.NewClient(addr, perTry)
 		p.ids = append(p.ids, id)
 	}
 	sort.Slice(p.ids, func(i, j int) bool { return p.ids[i] < p.ids[j] })
-	for id, addr := range health {
-		if _, ok := p.clients[id]; ok {
-			p.wg.Add(1)
-			go p.pollHealth(id, addr)
-		}
-	}
 	return p
 }
 
-// pollHealth marks a node unhealthy while its readiness endpoint
-// reports not-ready (or is unreachable). Routing still falls back to
-// unhealthy nodes when nothing better is available, so a poller outage
-// cannot take the gateway down with it.
-func (p *pool) pollHealth(id model.ProcID, addr string) {
-	defer p.wg.Done()
-	url := "http://" + addr + "/healthz"
-	client := &http.Client{Timeout: 250 * time.Millisecond}
-	tick := time.NewTicker(250 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-p.stopCh:
-			return
-		case <-tick.C:
-		}
-		ok := false
-		if resp, err := client.Get(url); err == nil {
-			ok = resp.StatusCode == http.StatusOK
-			resp.Body.Close()
-		}
-		p.mu.Lock()
-		was := p.unhealthy[id]
-		p.unhealthy[id] = !ok
-		p.mu.Unlock()
-		if !ok && !was {
-			p.reg.Inc(metrics.CGwNodeDown, 1)
-		}
-	}
-}
-
 // candidates returns the nodes to try, preferred first, then the rest
-// from the rotation cursor, with broken/unhealthy nodes pushed to the
-// back (still present: with every node down we would rather try one
+// from the rotation cursor, with broken nodes pushed to the back (still present: with every node down we would rather try one
 // than instantly fail).
 func (p *pool) candidates(preferred model.ProcID) []model.ProcID {
 	now := time.Now()
@@ -139,7 +86,7 @@ func (p *pool) candidates(preferred model.ProcID) []model.ProcID {
 	good := make([]model.ProcID, 0, len(ordered))
 	var bad []model.ProcID
 	for _, id := range ordered {
-		if p.unhealthy[id] || now.Before(p.downUntil[id]) {
+		if now.Before(p.downUntil[id]) {
 			bad = append(bad, id)
 		} else {
 			good = append(good, id)
@@ -183,10 +130,7 @@ func (p *pool) Submit(t wire.ClientTxn, ctx model.TraceCtx, preferred model.Proc
 			if remain <= 0 {
 				return p.exhausted(lastRes, lastNode, lastErr)
 			}
-			try := p.perTry
-			if try > remain {
-				try = remain
-			}
+			try := min(perTry, remain)
 			res, err := p.clients[id].SubmitCtx(t, ctx, try)
 			if err != nil {
 				p.markDown(id)
@@ -226,10 +170,8 @@ func (p *pool) exhausted(res wire.ClientResult, node model.ProcID, err error) (w
 	return res, node, err
 }
 
-// close stops the health pollers and tears down every connection.
+// close tears down every connection.
 func (p *pool) close() {
-	close(p.stopCh)
-	p.wg.Wait()
 	for _, c := range p.clients {
 		c.Close()
 	}
@@ -237,10 +179,9 @@ func (p *pool) close() {
 
 // poolStatus is the routing state reported under /gw/stats.
 type poolStatus struct {
-	Node      model.ProcID `json:"node"`
-	Addr      string       `json:"addr"`
-	Down      bool         `json:"down,omitempty"`
-	Unhealthy bool         `json:"unhealthy,omitempty"`
+	Node model.ProcID `json:"node"`
+	Addr string       `json:"addr"`
+	Down bool         `json:"down,omitempty"`
 }
 
 func (p *pool) status() []poolStatus {
@@ -250,10 +191,9 @@ func (p *pool) status() []poolStatus {
 	out := make([]poolStatus, 0, len(p.ids))
 	for _, id := range p.ids {
 		out = append(out, poolStatus{
-			Node:      id,
-			Addr:      p.clients[id].Addr(),
-			Down:      now.Before(p.downUntil[id]),
-			Unhealthy: p.unhealthy[id],
+			Node: id,
+			Addr: p.clients[id].Addr(),
+			Down: now.Before(p.downUntil[id]),
 		})
 	}
 	return out

@@ -26,12 +26,12 @@ import (
 	"github.com/virtualpartitions/vp/internal/wire"
 )
 
-// DefaultSessionMarks bounds how many per-object version high-water
-// marks one session token carries. Beyond it the least recently touched
-// mark is evicted: the session keeps read-your-writes for the objects
-// it touched most recently, which is the working set that matters, and
-// the token stays small enough for a header.
-const DefaultSessionMarks = 32
+// sessionMarks bounds how many per-object version high-water marks one
+// session token carries. Beyond it the least recently touched mark is
+// evicted: the session keeps read-your-writes for the objects it touched
+// most recently, which is the working set that matters, and the token
+// stays small enough for a header.
+const sessionMarks = 32
 
 // Session is a client session's consistency state. It is carried to and
 // from the client as an opaque token (the X-VP-Session header), so the
@@ -49,7 +49,7 @@ type Session struct {
 	Node  model.ProcID // last node that served a commit
 	Seq   uint64       // touch counter driving mark LRU
 	Marks []Mark
-	limit int
+	limit int // mark bound; 0 selects sessionMarks (tests lower it)
 }
 
 // Mark is one object's version high-water mark: the newest version this
@@ -69,15 +69,6 @@ func (m Mark) ver() model.Version {
 	return model.Version{Date: model.VPID{N: m.DateN, P: m.DateP}, Ctr: m.Ctr}
 }
 
-// NewSession returns an empty session retaining at most limit marks
-// (<=0 selects DefaultSessionMarks).
-func NewSession(limit int) *Session {
-	if limit <= 0 {
-		limit = DefaultSessionMarks
-	}
-	return &Session{limit: limit}
-}
-
 // tokenV1 is the first byte of a token body and names its layout: after
 // it, uvarints for Node, Seq and the mark count, then per mark the
 // object id (uvarint length, bytes) and uvarints DateN, DateP, Ctr,
@@ -94,8 +85,8 @@ var errBadToken = errors.New("gateway: bad session token")
 // ParseSession decodes a session token. An empty token yields a fresh
 // session; a malformed one is an error (a client sending garbage should
 // hear about it, not silently lose its consistency guarantees).
-func ParseSession(token string, limit int) (*Session, error) {
-	s := NewSession(limit)
+func ParseSession(token string) (*Session, error) {
+	s := &Session{}
 	if token == "" {
 		return s, nil
 	}
@@ -179,7 +170,7 @@ func (s *Session) Observe(obj model.ObjectID, ver model.Version) {
 	}
 	limit := s.limit
 	if limit <= 0 {
-		limit = DefaultSessionMarks
+		limit = sessionMarks
 	}
 	if len(s.Marks) >= limit {
 		// Evict the least recently touched mark.

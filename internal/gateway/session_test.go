@@ -16,12 +16,12 @@ func ver(n uint64, p model.ProcID, ctr uint64) model.Version {
 }
 
 func TestSessionTokenRoundTrip(t *testing.T) {
-	s := NewSession(8)
+	s := &Session{}
 	s.Node = 2
 	s.Observe("x", ver(3, 1, 7))
 	s.Observe("y", ver(3, 1, 9))
 
-	s2, err := ParseSession(s.Token(), 8)
+	s2, err := ParseSession(s.Token())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,16 +36,16 @@ func TestSessionTokenRoundTrip(t *testing.T) {
 	}
 
 	// Empty and garbage tokens.
-	if s3, err := ParseSession("", 8); err != nil || len(s3.Marks) != 0 {
+	if s3, err := ParseSession(""); err != nil || len(s3.Marks) != 0 {
 		t.Errorf("empty token: %v, %+v", err, s3)
 	}
-	if _, err := ParseSession("!!not-base64!!", 8); err == nil {
+	if _, err := ParseSession("!!not-base64!!"); err == nil {
 		t.Error("garbage token accepted")
 	}
 }
 
 func TestSessionMarkRatchetAndLRU(t *testing.T) {
-	s := NewSession(2)
+	s := &Session{limit: 2}
 	s.Observe("a", ver(1, 1, 5))
 	s.Observe("a", ver(1, 1, 3)) // older: must not regress the mark
 	if s.Stale("a", ver(1, 1, 4)) == false {
@@ -66,7 +66,7 @@ func TestSessionMarkRatchetAndLRU(t *testing.T) {
 }
 
 func TestSessionObserveResult(t *testing.T) {
-	s := NewSession(8)
+	s := &Session{}
 	s.ObserveResult(3, wire.ClientResult{
 		Committed: true,
 		Writes:    []wire.ObjVal{{Obj: "x", Val: 10, Ver: ver(2, 1, 4)}},
@@ -100,7 +100,7 @@ func TestSessionObserveResult(t *testing.T) {
 // objs objects through a mark limit, so eviction is part of what the
 // token must carry.
 func randomSession(rng *rand.Rand, limit, objs, n int) *Session {
-	s := NewSession(limit)
+	s := &Session{limit: limit}
 	s.Node = model.ProcID(rng.Intn(9))
 	for i := 0; i < n; i++ {
 		obj := model.ObjectID(fmt.Sprintf("obj/%d", rng.Intn(objs)))
@@ -115,12 +115,13 @@ func randomSession(rng *rand.Rand, limit, objs, n int) *Session {
 func TestSessionTokenRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for i := 0; i < 500; i++ {
-		limit := 1 + rng.Intn(DefaultSessionMarks)
+		limit := 1 + rng.Intn(sessionMarks)
 		s := randomSession(rng, limit, 1+rng.Intn(3*limit), rng.Intn(4*limit))
-		got, err := ParseSession(s.Token(), limit)
+		got, err := ParseSession(s.Token())
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
+		got.limit = limit
 		if len(s.Marks) > limit {
 			t.Fatalf("round %d: %d marks exceed the limit %d", i, len(s.Marks), limit)
 		}
@@ -138,9 +139,9 @@ func TestSessionTokenRoundTripRandom(t *testing.T) {
 // fullSession is a session at the default mark limit with object ids and
 // versions of the size the deployed stack produces.
 func fullSession() *Session {
-	s := NewSession(0)
+	s := &Session{}
 	s.Node = 3
-	for i := 0; i < DefaultSessionMarks; i++ {
+	for i := 0; i < sessionMarks; i++ {
 		s.Observe(model.ObjectID(fmt.Sprintf("o%d", 100+i)), ver(12, 3, uint64(40_000+i)))
 	}
 	return s
@@ -148,7 +149,7 @@ func fullSession() *Session {
 
 func TestSessionTokenFitsAHeader(t *testing.T) {
 	if n := len(fullSession().Token()); n > 700 {
-		t.Fatalf("a %d-mark token is %d bytes, want <= 700", DefaultSessionMarks, n)
+		t.Fatalf("a %d-mark token is %d bytes, want <= 700", sessionMarks, n)
 	}
 }
 
@@ -164,7 +165,7 @@ func TestSessionTokenRejectsOtherFormats(t *testing.T) {
 		"trailing bytes":            {tokenV1, 1, 1, 0, 0},
 		"unterminated uvarint":      {tokenV1, 0x80},
 	} {
-		if s, err := ParseSession(enc(body), 8); err == nil {
+		if s, err := ParseSession(enc(body)); err == nil {
 			t.Errorf("%s: accepted as %+v", name, s)
 		}
 	}
@@ -175,18 +176,18 @@ func TestSessionTokenRejectsOtherFormats(t *testing.T) {
 // to a token that parses to the same session.
 func FuzzParseSession(f *testing.F) {
 	f.Add(fullSession().Token())
-	f.Add(NewSession(4).Token())
+	f.Add((&Session{}).Token())
 	f.Add(base64.RawURLEncoding.EncodeToString([]byte{tokenV1, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}))
 	f.Add("!!not-base64!!")
 	f.Fuzz(func(t *testing.T, token string) {
-		s, err := ParseSession(token, 8)
+		s, err := ParseSession(token)
 		if err != nil {
 			return
 		}
 		if max := base64.RawURLEncoding.DecodedLen(len(token)) / minMarkLen; len(s.Marks) > max {
 			t.Fatalf("%d marks from a %d-byte token", len(s.Marks), len(token))
 		}
-		again, err := ParseSession(s.Token(), 8)
+		again, err := ParseSession(s.Token())
 		if err != nil || !reflect.DeepEqual(again, s) {
 			t.Fatalf("re-encoded token: %+v (%v), want %+v", again, err, s)
 		}
@@ -202,7 +203,7 @@ func BenchmarkSessionRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := ParseSession(token, 0)
+		s, err := ParseSession(token)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,7 +12,7 @@ import (
 func TestClientMultiplexesSubmits(t *testing.T) {
 	ports := freePorts(t, 1)
 	addrs := map[model.ProcID]string{1: ports[0]}
-	srv := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
+	srv := NewTCPNode(1, addrs, tcpEcho{})
 	if err := srv.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func (e *stringErr) Error() string { return e.s }
 func TestClientReconnectsAfterServerRestart(t *testing.T) {
 	ports := freePorts(t, 1)
 	addrs := map[model.ProcID]string{1: ports[0]}
-	srv := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
+	srv := NewTCPNode(1, addrs, tcpEcho{})
 	if err := srv.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestClientReconnectsAfterServerRestart(t *testing.T) {
 		t.Fatal("submit to a dead server succeeded")
 	}
 
-	srv2 := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
+	srv2 := NewTCPNode(1, addrs, tcpEcho{})
 	if err := srv2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestClientClose(t *testing.T) {
 func TestClientDuplicateTagRejected(t *testing.T) {
 	ports := freePorts(t, 1)
 	addrs := map[model.ProcID]string{1: ports[0]}
-	srv := NewTCPNode(1, addrs, tcpSilent{}, TCPConfig{})
+	srv := NewTCPNode(1, addrs, tcpSilent{})
 	if err := srv.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -20,38 +20,34 @@ import (
 	"github.com/virtualpartitions/vp/internal/wire"
 )
 
-// TCPConfig tunes the transport's failure behavior. The zero value is
-// valid and selects the defaults documented per field.
-type TCPConfig struct {
-	// DialTimeout bounds each connection attempt (default 2s).
-	DialTimeout time.Duration
-	// ReconnectMin is the initial redial backoff after a connection loss
+// dialTimeout bounds each connection attempt.
+const dialTimeout = 2 * time.Second
+
+// tcpConfig tunes the transport's failure behavior. NewTCPNode runs
+// the defaults; the package's tests change them to hold a peer loop in
+// backoff or fill a queue. A zero field selects its default.
+type tcpConfig struct {
+	// reconnectMin is the initial redial backoff after a connection loss
 	// or failed dial (default 50ms). Each failed attempt doubles it, with
 	// ±25% jitter so peers do not redial in lockstep.
-	ReconnectMin time.Duration
-	// ReconnectMax caps the redial backoff (default 2s).
-	ReconnectMax time.Duration
-	// QueueLen bounds each peer's outbound queue (default 1024). Sends
+	reconnectMin time.Duration
+	// reconnectMax caps the redial backoff (default 2s).
+	reconnectMax time.Duration
+	// queueLen bounds each peer's outbound queue (default 1024). Sends
 	// beyond it are dropped and accounted — backpressure is a performance
 	// failure the protocol tolerates, never a blocked sender.
-	QueueLen int
+	queueLen int
 }
 
-func (c TCPConfig) withDefaults() TCPConfig {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
+func (c tcpConfig) withDefaults() tcpConfig {
+	if c.reconnectMin <= 0 {
+		c.reconnectMin = 50 * time.Millisecond
 	}
-	if c.ReconnectMin <= 0 {
-		c.ReconnectMin = 50 * time.Millisecond
+	if c.reconnectMax < c.reconnectMin {
+		c.reconnectMax = max(2*time.Second, c.reconnectMin)
 	}
-	if c.ReconnectMax < c.ReconnectMin {
-		c.ReconnectMax = 2 * time.Second
-	}
-	if c.ReconnectMax < c.ReconnectMin {
-		c.ReconnectMax = c.ReconnectMin
-	}
-	if c.QueueLen <= 0 {
-		c.QueueLen = 1024
+	if c.queueLen <= 0 {
+		c.queueLen = 1024
 	}
 	return c
 }
@@ -104,7 +100,7 @@ type TCPNode struct {
 	id      model.ProcID
 	handler Handler
 	addrs   map[model.ProcID]string
-	cfg     TCPConfig
+	cfg     tcpConfig
 	icpt    Interceptor // set before Run; nil = no fault injection
 	reg     *metrics.Registry
 	rec     *trace.Recorder
@@ -161,10 +157,10 @@ type peerConn struct {
 	raw  syscall.RawConn   // conn's descriptor, for tryWrite
 	enc  wire.FrameEncoder // stateless between frames: outlives connections
 	// queue holds the envelopes that could not be written at once, at
-	// most TCPConfig.QueueLen. While the connection is down it only
+	// most tcpConfig.queueLen. While the connection is down it only
 	// grows, and its first stale envelopes have waited through a failed
 	// redial: they are dropped when the connection returns. What a
-	// connection back on its first redial finds queued — one ReconnectMin
+	// connection back on its first redial finds queued — one reconnectMin
 	// of traffic — is delivered.
 	queue  []wire.Envelope
 	stale  int
@@ -212,9 +208,12 @@ type acceptedConn struct {
 }
 
 // NewTCPNode creates a node that will serve as processor id, reachable
-// at addrs[id], with peers at the remaining addresses, using the given
-// transport tuning (the zero TCPConfig selects the defaults).
-func NewTCPNode(id model.ProcID, addrs map[model.ProcID]string, h Handler, cfg TCPConfig) *TCPNode {
+// at addrs[id], with peers at the remaining addresses.
+func NewTCPNode(id model.ProcID, addrs map[model.ProcID]string, h Handler) *TCPNode {
+	return newTCPNode(id, addrs, h, tcpConfig{})
+}
+
+func newTCPNode(id model.ProcID, addrs map[model.ProcID]string, h Handler, cfg tcpConfig) *TCPNode {
 	if _, ok := addrs[id]; !ok {
 		panic(fmt.Sprintf("net: no address for own id %v", id))
 	}
@@ -491,7 +490,7 @@ func (n *TCPNode) peerLoop(to model.ProcID, addr string, pc *peerConn) {
 	// Jitter source local to this loop: n.rng belongs to the handler
 	// (Runtime.Rand) and must not be shared across goroutines.
 	rng := rand.New(rand.NewSource(int64(n.id)*1_000_003 + int64(to)*7919 + time.Now().UnixNano()))
-	backoff := n.cfg.ReconnectMin
+	backoff := n.cfg.reconnectMin
 	everUp := false
 	for {
 		select {
@@ -499,7 +498,7 @@ func (n *TCPNode) peerLoop(to model.ProcID, addr string, pc *peerConn) {
 			return
 		default:
 		}
-		dialer := stdnet.Dialer{Timeout: n.cfg.DialTimeout}
+		dialer := stdnet.Dialer{Timeout: dialTimeout}
 		conn, err := dialer.DialContext(n.dialCtx, "tcp", addr)
 		if err != nil {
 			pc.mu.Lock()
@@ -517,8 +516,8 @@ func (n *TCPNode) peerLoop(to model.ProcID, addr string, pc *peerConn) {
 				d += time.Duration(rng.Int63n(j)) - backoff/4
 			}
 			backoff *= 2
-			if backoff > n.cfg.ReconnectMax {
-				backoff = n.cfg.ReconnectMax
+			if backoff > n.cfg.reconnectMax {
+				backoff = n.cfg.reconnectMax
 			}
 			t := time.NewTimer(d)
 			select {
@@ -527,7 +526,7 @@ func (n *TCPNode) peerLoop(to model.ProcID, addr string, pc *peerConn) {
 				return
 			case <-pc.redial:
 				t.Stop()
-				backoff = n.cfg.ReconnectMin
+				backoff = n.cfg.reconnectMin
 			case <-t.C:
 				pc.mu.Lock()
 				pc.condemn()
@@ -554,7 +553,7 @@ func (n *TCPNode) peerLoop(to model.ProcID, addr string, pc *peerConn) {
 		}
 		n.peerUp(to, dials, everUp)
 		everUp = true
-		backoff = n.cfg.ReconnectMin
+		backoff = n.cfg.reconnectMin
 		alive := n.flushLoop(to, pc, conn)
 		pc.mu.Lock()
 		pc.conn, pc.raw, pc.flushing = nil, nil, false
@@ -742,7 +741,7 @@ func (n *TCPNode) sendTo(pc *peerConn, env wire.Envelope, kind string) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if pc.conn == nil || pc.flushing || len(pc.rest) > 0 || len(pc.queue) > 0 {
-		if len(pc.queue) >= n.cfg.QueueLen {
+		if len(pc.queue) >= n.cfg.queueLen {
 			n.drop(env.To, kind)
 			return
 		}

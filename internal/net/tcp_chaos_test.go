@@ -20,9 +20,9 @@ func TestTCPStopAbortsBackoff(t *testing.T) {
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
 	// Huge minimum backoff: after the first failed dial to the
 	// never-started peer 2, the loop sleeps ~30s.
-	n := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{
-		ReconnectMin: 30 * time.Second,
-		ReconnectMax: 60 * time.Second,
+	n := newTCPNode(1, addrs, tcpEcho{}, tcpConfig{
+		reconnectMin: 30 * time.Second,
+		reconnectMax: 60 * time.Second,
 	})
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
@@ -63,15 +63,14 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	ports := freePorts(t, 2)
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
 	p := &chaosPinger{acks: make(chan struct{}, 1)}
-	n1 := NewTCPNode(1, addrs, p, TCPConfig{
-		DialTimeout:  time.Second,
-		ReconnectMin: 20 * time.Millisecond,
-		ReconnectMax: 200 * time.Millisecond,
+	n1 := newTCPNode(1, addrs, p, tcpConfig{
+		reconnectMin: 20 * time.Millisecond,
+		reconnectMax: 200 * time.Millisecond,
 	})
 	rec := trace.New(4096)
 	rec.SetEnabled(true)
 	n1.SetTracer(rec)
-	n2 := NewTCPNode(2, addrs, tcpEcho{}, TCPConfig{})
+	n2 := NewTCPNode(2, addrs, tcpEcho{})
 	if err := n2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 			quiet = true
 		}
 	}
-	n2b := NewTCPNode(2, addrs, tcpEcho{}, TCPConfig{})
+	n2b := NewTCPNode(2, addrs, tcpEcho{})
 	if err := n2b.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +161,9 @@ func TestTCPInterceptorVerdicts(t *testing.T) {
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
 	col := &tcpCollector{ch: make(chan wire.Message, 64)}
 	ic := &chaosIcpt{}
-	n1 := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
+	n1 := NewTCPNode(1, addrs, tcpEcho{})
 	n1.SetInterceptor(ic)
-	n2 := NewTCPNode(2, addrs, col, TCPConfig{})
+	n2 := NewTCPNode(2, addrs, col)
 	if err := n2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +228,10 @@ func TestTCPInterceptorVerdicts(t *testing.T) {
 func TestTCPQueueOverflowAccounted(t *testing.T) {
 	ports := freePorts(t, 2)
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
-	n := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{
-		QueueLen:     2,
-		ReconnectMin: time.Second, // keep the loop in backoff during the test
-		ReconnectMax: 5 * time.Second,
+	n := newTCPNode(1, addrs, tcpEcho{}, tcpConfig{
+		queueLen:     2,
+		reconnectMin: time.Second, // keep the loop in backoff during the test
+		reconnectMax: 5 * time.Second,
 	})
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
@@ -263,7 +262,7 @@ func TestSubmitTCPRetryOutlastsOutage(t *testing.T) {
 	addrs := map[model.ProcID]string{1: ports[0]}
 	go func() {
 		time.Sleep(500 * time.Millisecond)
-		n := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
+		n := NewTCPNode(1, addrs, tcpEcho{})
 		if err := n.Run(); err != nil {
 			return
 		}

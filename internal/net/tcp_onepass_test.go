@@ -69,7 +69,7 @@ func (g *guardHandler) post(rt Runtime) {
 }
 
 // startNodes runs one node per handler, as processors 1..n.
-func startNodes(t testing.TB, cfg TCPConfig, handlers ...Handler) []*TCPNode {
+func startNodes(t testing.TB, handlers ...Handler) []*TCPNode {
 	t.Helper()
 	addrs := make(map[model.ProcID]string)
 	for i, a := range freePorts(t, len(handlers)) {
@@ -77,7 +77,7 @@ func startNodes(t testing.TB, cfg TCPConfig, handlers ...Handler) []*TCPNode {
 	}
 	var nodes []*TCPNode
 	for i, h := range handlers {
-		n := NewTCPNode(model.ProcID(i+1), addrs, h, cfg)
+		n := NewTCPNode(model.ProcID(i+1), addrs, h)
 		if err := n.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func startNodes(t testing.TB, cfg TCPConfig, handlers ...Handler) []*TCPNode {
 // the handler mutex ever lets two in.
 func TestTCPHandlerNeverEnteredTwice(t *testing.T) {
 	g := &guardHandler{}
-	nodes := startNodes(t, TCPConfig{}, g, tcpEcho{}, tcpEcho{}, tcpEcho{})
+	nodes := startNodes(t, g, tcpEcho{}, tcpEcho{}, tcpEcho{})
 	n1 := nodes[0]
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -183,7 +183,7 @@ func (s *selfSender) OnMessage(rt Runtime, from model.ProcID, m wire.Message) {
 func TestTCPSelfSendsAfterReturnInOrder(t *testing.T) {
 	const k = 50
 	s := &selfSender{}
-	n := startNodes(t, TCPConfig{}, s)[0]
+	n := startNodes(t, s)[0]
 	returned := false
 	n.Post(func(rt Runtime) {
 		s.depth++
@@ -233,7 +233,7 @@ func TestTCPStalledPeerNeverStallsATurn(t *testing.T) {
 			addrs := map[model.ProcID]string{1: ports[0], 2: ports[1], 3: ports[2]}
 			if frozenNode {
 				f := &tcpFreezer{frozen: make(chan struct{})}
-				n2 := NewTCPNode(2, addrs, f, TCPConfig{})
+				n2 := NewTCPNode(2, addrs, f)
 				if err := n2.Run(); err != nil {
 					t.Fatal(err)
 				}
@@ -255,12 +255,12 @@ func TestTCPStalledPeerNeverStallsATurn(t *testing.T) {
 					}
 				}()
 			}
-			n3 := NewTCPNode(3, addrs, tcpSilent{}, TCPConfig{})
+			n3 := NewTCPNode(3, addrs, tcpSilent{})
 			if err := n3.Run(); err != nil {
 				t.Fatal(err)
 			}
 			defer n3.Stop()
-			n1 := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{QueueLen: 32})
+			n1 := newTCPNode(1, addrs, tcpEcho{}, tcpConfig{queueLen: 32})
 			if err := n1.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -390,7 +390,7 @@ func TestTCPWriteFailsMidFrame(t *testing.T) {
 			}()
 		}
 	}()
-	n1 := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{QueueLen: 4096, ReconnectMin: 10 * time.Millisecond})
+	n1 := newTCPNode(1, addrs, tcpEcho{}, tcpConfig{queueLen: 4096, reconnectMin: 10 * time.Millisecond})
 	if err := n1.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -466,8 +466,8 @@ func TestTCPStopInFlight(t *testing.T) {
 	g := &guardHandler{}
 	ports := freePorts(t, 2)
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
-	n1 := NewTCPNode(1, addrs, g, TCPConfig{})
-	n2 := NewTCPNode(2, addrs, tcpEcho{}, TCPConfig{})
+	n1 := NewTCPNode(1, addrs, g)
+	n2 := NewTCPNode(2, addrs, tcpEcho{})
 	for _, n := range []*TCPNode{n2, n1} {
 		if err := n.Run(); err != nil {
 			t.Fatal(err)
@@ -535,7 +535,7 @@ func TestTCPStopInFlight(t *testing.T) {
 // enough that one write(2) rarely takes a whole one, reach the node as
 // whole frames.
 func TestClientFramesNeverInterleave(t *testing.T) {
-	n := startNodes(t, TCPConfig{}, tcpEcho{})[0]
+	n := startNodes(t, tcpEcho{})[0]
 	cl := NewClient(n.Addr(), 5*time.Second)
 	defer cl.Close()
 	ops := make([]wire.Op, 20_000)
@@ -669,7 +669,7 @@ func (r *roundTripper) OnMessage(rt Runtime, from model.ProcID, m wire.Message) 
 // the peer's handler answers, the answer's handler turn reports.
 func BenchmarkTCPRoundTrip(b *testing.B) {
 	r := &roundTripper{acked: make(chan struct{}, 1)}
-	nodes := startNodes(b, TCPConfig{}, r, tcpEcho{})
+	nodes := startNodes(b, r, tcpEcho{})
 	probe := func(rt Runtime) { rt.Send(2, wire.Probe{From: 1, Seq: 1}) }
 	for warm := false; !warm; { // both directions dialed
 		nodes[0].Post(probe)

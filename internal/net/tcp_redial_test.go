@@ -65,14 +65,14 @@ func expectProbes(t *testing.T, col *tcpCollector, seqs ...uint64) {
 // and a first incarnation of node 2, with 1's connection to 2 up; it
 // returns node 1, its state for peer 2, and a function that kills 2 and
 // breaks the connection (one frame is lost finding that out).
-func redialPair(t *testing.T, h Handler, cfg TCPConfig, rec *trace.Recorder) (n1 *TCPNode, pc *peerConn, addrs map[model.ProcID]string, kill func()) {
+func redialPair(t *testing.T, h Handler, cfg tcpConfig, rec *trace.Recorder) (n1 *TCPNode, pc *peerConn, addrs map[model.ProcID]string, kill func()) {
 	t.Helper()
 	ports := freePorts(t, 2)
 	addrs = map[model.ProcID]string{1: ports[0], 2: ports[1]}
-	n1 = NewTCPNode(1, addrs, h, cfg)
+	n1 = newTCPNode(1, addrs, h, cfg)
 	n1.SetTracer(rec)
 	col := &tcpCollector{ch: make(chan wire.Message, 16)}
-	n2 := NewTCPNode(2, addrs, col, TCPConfig{})
+	n2 := NewTCPNode(2, addrs, col)
 	for _, n := range []*TCPNode{n2, n1} {
 		if err := n.Run(); err != nil {
 			t.Fatal(err)
@@ -95,7 +95,7 @@ func redialPair(t *testing.T, h Handler, cfg TCPConfig, rec *trace.Recorder) (n1
 func startPeer2(t *testing.T, addrs map[model.ProcID]string) (*TCPNode, *tcpCollector) {
 	t.Helper()
 	col := &tcpCollector{ch: make(chan wire.Message, 16)}
-	n2 := NewTCPNode(2, addrs, col, TCPConfig{})
+	n2 := NewTCPNode(2, addrs, col)
 	if err := n2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +109,9 @@ func startPeer2(t *testing.T, addrs map[model.ProcID]string) (*TCPNode, *tcpColl
 // to the frame — queued while the connection was still down — and
 // everything after it arrive in order.
 func TestTCPInboundFrameWakesRedial(t *testing.T) {
-	n1, pc, addrs, kill := redialPair(t, answerer{seq: 100}, TCPConfig{
-		ReconnectMin: 400 * time.Millisecond,
-		ReconnectMax: time.Minute,
+	n1, pc, addrs, kill := redialPair(t, answerer{seq: 100}, tcpConfig{
+		reconnectMin: 400 * time.Millisecond,
+		reconnectMax: time.Minute,
 	}, nil)
 	kill()
 	// Two failed dials: the next sleep is 800 ms ± 25 %.
@@ -141,9 +141,9 @@ func TestTCPInboundFrameWakesRedial(t *testing.T) {
 // A connection that returns on its first redial delivers what queued
 // meanwhile: a blip costs lateness, not frames.
 func TestTCPFirstRedialKeepsQueue(t *testing.T) {
-	n1, pc, addrs, kill := redialPair(t, tcpEcho{}, TCPConfig{
-		ReconnectMin: 2 * time.Second, // one sleep outlasts the test: no second redial
-		ReconnectMax: time.Minute,
+	n1, pc, addrs, kill := redialPair(t, tcpEcho{}, tcpConfig{
+		reconnectMin: 2 * time.Second, // one sleep outlasts the test: no second redial
+		reconnectMax: time.Minute,
 	}, nil)
 	kill()
 	waitFor(t, "the dial that finds the peer gone", func() bool { return pc.failedDials() == 1 })
@@ -166,7 +166,7 @@ func TestTCPLeftoverWakeSkipsOneSleep(t *testing.T) {
 	const min = 200 * time.Millisecond
 	rec := trace.New(1024)
 	rec.SetEnabled(true)
-	n1, pc, addrs, kill := redialPair(t, tcpEcho{}, TCPConfig{ReconnectMin: min, ReconnectMax: min}, rec)
+	n1, pc, addrs, kill := redialPair(t, tcpEcho{}, tcpConfig{reconnectMin: min, reconnectMax: min}, rec)
 	pc.redial <- struct{}{}
 	kill()
 	waitFor(t, "the redial after the skipped sleep to fail", func() bool { return pc.failedDials() >= 2 })
@@ -189,7 +189,7 @@ func TestTCPStopDuringWokenRedial(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		ports := freePorts(t, 2)
 		addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
-		n := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{ReconnectMin: time.Minute, ReconnectMax: time.Minute})
+		n := newTCPNode(1, addrs, tcpEcho{}, tcpConfig{reconnectMin: time.Minute, reconnectMax: time.Minute})
 		if err := n.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -99,8 +99,8 @@ func TestTCPStreamAllKinds(t *testing.T) {
 	ports := freePorts(t, 2)
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
 	col := &tcpCollector{ch: make(chan wire.Message, 64)}
-	n1 := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
-	n2 := NewTCPNode(2, addrs, col, TCPConfig{})
+	n1 := NewTCPNode(1, addrs, tcpEcho{})
+	n2 := NewTCPNode(2, addrs, col)
 	if err := n2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +127,8 @@ func TestTCPStreamReconnect(t *testing.T) {
 	ports := freePorts(t, 2)
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
 	col := &tcpCollector{ch: make(chan wire.Message, 64)}
-	n1 := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
-	n2 := NewTCPNode(2, addrs, col, TCPConfig{})
+	n1 := NewTCPNode(1, addrs, tcpEcho{})
+	n2 := NewTCPNode(2, addrs, col)
 	if err := n2.Run(); err != nil {
 		t.Fatal(err)
 	}

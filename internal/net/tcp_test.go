@@ -70,8 +70,8 @@ func TestTCPNodePeerTraffic(t *testing.T) {
 	ports := freePorts(t, 2)
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
 	p := &tcpPinger{acked: make(chan struct{})}
-	n1 := NewTCPNode(1, addrs, p, TCPConfig{})
-	n2 := NewTCPNode(2, addrs, tcpEcho{}, TCPConfig{})
+	n1 := NewTCPNode(1, addrs, p)
+	n2 := NewTCPNode(2, addrs, tcpEcho{})
 	if err := n2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestTCPNodePeerTraffic(t *testing.T) {
 func TestTCPClientSubmit(t *testing.T) {
 	ports := freePorts(t, 1)
 	addrs := map[model.ProcID]string{1: ports[0]}
-	n := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
+	n := NewTCPNode(1, addrs, tcpEcho{})
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestTCPRejectsRetiredKind(t *testing.T) {
 func rejectsFrame(t *testing.T, frame []byte) {
 	t.Helper()
 	ports := freePorts(t, 1)
-	n := NewTCPNode(1, map[model.ProcID]string{1: ports[0]}, tcpEcho{}, TCPConfig{})
+	n := NewTCPNode(1, map[model.ProcID]string{1: ports[0]}, tcpEcho{})
 	rec := trace.New(64)
 	rec.SetEnabled(true)
 	n.SetTracer(rec)
@@ -250,8 +250,8 @@ func TestTCPBurstDelivery(t *testing.T) {
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
 	const burst = 500
 	ctr := &tcpCounter{want: burst, done: make(chan struct{})}
-	n1 := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
-	n2 := NewTCPNode(2, addrs, ctr, TCPConfig{})
+	n1 := NewTCPNode(1, addrs, tcpEcho{})
+	n2 := NewTCPNode(2, addrs, ctr)
 	if err := n2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestTCPBurstDelivery(t *testing.T) {
 func TestTCPSendToDeadPeerIsOmission(t *testing.T) {
 	ports := freePorts(t, 2)
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1]}
-	n := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
+	n := NewTCPNode(1, addrs, tcpEcho{})
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestTCPSendToDeadPeerIsOmission(t *testing.T) {
 
 func TestTCPProcsSorted(t *testing.T) {
 	addrs := map[model.ProcID]string{3: "c", 1: "a", 2: "b"}
-	n := NewTCPNode(1, addrs, tcpEcho{}, TCPConfig{})
+	n := NewTCPNode(1, addrs, tcpEcho{})
 	got := n.Procs()
 	want := []model.ProcID{1, 2, 3}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -310,7 +310,7 @@ func TestTCPMissingOwnAddrPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewTCPNode(1, map[model.ProcID]string{2: "x"}, tcpEcho{}, TCPConfig{})
+	NewTCPNode(1, map[model.ProcID]string{2: "x"}, tcpEcho{})
 }
 
 // recvLog is a handler that reports the sender of every message.
@@ -332,7 +332,7 @@ func TestTCPTopologyInterceptor(t *testing.T) {
 	logs := map[model.ProcID]recvLog{}
 	for p := model.ProcID(1); p <= 3; p++ {
 		logs[p] = recvLog{got: make(chan model.ProcID, 16)} // more than the test sends: a turn never blocks
-		nodes[p] = NewTCPNode(p, addrs, logs[p], TCPConfig{})
+		nodes[p] = NewTCPNode(p, addrs, logs[p])
 		nodes[p].SetInterceptor(topo)
 		if err := nodes[p].Run(); err != nil {
 			t.Fatal(err)
@@ -403,7 +403,7 @@ func (n tcpTimerNode) OnTimer(rt Runtime, key any)                 { n.fired <- 
 // one it cancelled, and a second Stop returns at once.
 func TestTCPTimersAndStop(t *testing.T) {
 	fired := make(chan any, 2)
-	n := NewTCPNode(1, map[model.ProcID]string{1: freePorts(t, 1)[0]}, tcpTimerNode{fired}, TCPConfig{})
+	n := NewTCPNode(1, map[model.ProcID]string{1: freePorts(t, 1)[0]}, tcpTimerNode{fired})
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -252,7 +252,7 @@ func (b *Base) startTxn(rt net.Runtime, ct wire.ClientTxn, parent model.TraceCtx
 	}
 	b.active[t.id] = t
 	if rt.Tracer().Enabled() {
-		if parent.IsZero() && b.Cfg.TraceSample > 0 && b.seq%uint64(b.Cfg.TraceSample) == 0 {
+		if parent.IsZero() {
 			// No client-minted context (vpsim, vpctl): derive a
 			// deterministic root trace id from the transaction id so
 			// simulated runs yield reproducible span trees.
@@ -667,7 +667,7 @@ func (b *Base) sendPrepares(rt net.Runtime, t *txn, ctx model.TraceCtx) {
 	}
 	// A prepare that has locks to take may wait in a queue as a lock
 	// request does, and gets a lock request's time to answer.
-	wait := b.Cfg.VoteTimeout
+	wait := b.Cfg.voteWait()
 	if t.lockLate.Len() > 0 {
 		wait = b.Cfg.LockTimeout
 	}

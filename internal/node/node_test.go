@@ -372,11 +372,11 @@ func TestValidateOps(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.Delta <= 0 || c.LockTimeout <= 0 || c.VoteTimeout <= 0 || c.DecideRetry <= 0 {
+	if c.Delta <= 0 || c.LockTimeout <= 0 || c.voteWait() <= 0 || c.DecideRetry <= 0 {
 		t.Fatalf("defaults not filled: %+v", c)
 	}
 	c2 := Config{Delta: time.Second}.WithDefaults()
-	if c2.LockTimeout != 10*time.Second || c2.VoteTimeout != 4*time.Second {
+	if c2.LockTimeout != 10*time.Second || c2.voteWait() != 4*time.Second {
 		t.Fatalf("delta-derived defaults wrong: %+v", c2)
 	}
 }

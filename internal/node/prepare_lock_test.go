@@ -264,7 +264,7 @@ func TestVoteTimeoutReportsTheSilent(t *testing.T) {
 		report: func(s []model.ProcID, at time.Duration) { suspects, sent = s, at }}
 	f.cluster.At(99*time.Millisecond, "crash", func() { f.topo.Crash(3) })
 	tag := f.submit(100*time.Millisecond, 1, wire.IncrementOps("x", 1))
-	f.run(100*time.Millisecond + f.bases[1].Cfg.VoteTimeout + time.Millisecond)
+	f.run(100*time.Millisecond + f.bases[1].Cfg.voteWait() + time.Millisecond)
 	if _, ok := f.results[tag]; ok {
 		t.Fatal("a prepare with locks to take was given up after the vote timeout, not a lock request's")
 	}

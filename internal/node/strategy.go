@@ -164,8 +164,6 @@ type Config struct {
 	// default, 10δ, leaves room for short lock queues before the
 	// no-response exception fires.
 	LockTimeout time.Duration
-	// VoteTimeout bounds waiting for Prepare votes (default 4δ).
-	VoteTimeout time.Duration
 	// DecideRetry is the retransmission interval for Decide until every
 	// prepared participant acknowledges (default 4δ).
 	DecideRetry time.Duration
@@ -174,13 +172,6 @@ type Config struct {
 	// LogCap bounds the per-object write log (0 disables logging and
 	// with it the §6 log-based catch-up).
 	LogCap int
-	// TraceSample controls coordinator-minted trace roots for client
-	// transactions that arrive without a trace context (vpsim, vpctl):
-	// 1-in-N transactions get a root span when the recorder is enabled.
-	// 0 (and the default, 1) means every such transaction; negative
-	// disables coordinator minting entirely — transactions are then only
-	// traced when the client (gateway) supplies a context.
-	TraceSample int
 }
 
 // WithDefaults fills unset durations from Delta.
@@ -191,14 +182,11 @@ func (c Config) WithDefaults() Config {
 	if c.LockTimeout <= 0 {
 		c.LockTimeout = 10 * c.Delta
 	}
-	if c.VoteTimeout <= 0 {
-		c.VoteTimeout = 4 * c.Delta
-	}
 	if c.DecideRetry <= 0 {
 		c.DecideRetry = 4 * c.Delta
 	}
-	if c.TraceSample == 0 {
-		c.TraceSample = 1
-	}
 	return c
 }
+
+// voteWait bounds waiting for Prepare votes: 4δ.
+func (c Config) voteWait() time.Duration { return 4 * c.Delta }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -216,9 +215,4 @@ func (t *Tree) CriticalPath() []PathStep {
 		s = next
 	}
 	return path
-}
-
-// Label renders a span for human output: phase @ node, duration.
-func (s *Span) Label() string {
-	return fmt.Sprintf("%s @ %s (%v)", s.Phase, s.Proc, s.Dur())
 }
