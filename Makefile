@@ -3,8 +3,8 @@
 # covers the packages with real concurrency (the public vp.Cluster and
 # the in-process cluster builder, the TCP transport, the nemesis fault
 # injector, the parallel experiment harness, the client gateway, the
-# journal's committer, the shard router and the commit path's barrier
-# and recovery tests);
+# journal's committer, the shard router, the commit path's barrier
+# and recovery tests and vpnode's boot over a committing journal);
 # `make chaos` is the seeded fault-injection gate and `make
 # bench-stack-smoke` drives the deployed stack (benchmark/).
 
@@ -26,7 +26,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -count=1 . ./internal/cluster/... ./internal/net/... ./internal/nemesis/... ./internal/bench/... ./internal/gateway/... ./internal/locks/... ./internal/store/... ./internal/durable/... ./internal/campaign/... ./internal/trace/... ./internal/node/... ./internal/core/... ./internal/shard/... ./cmd/vpcampaign/...
+	$(GO) test -race -count=1 . ./internal/cluster/... ./internal/net/... ./internal/nemesis/... ./internal/bench/... ./internal/gateway/... ./internal/locks/... ./internal/store/... ./internal/durable/... ./internal/campaign/... ./internal/trace/... ./internal/node/... ./internal/core/... ./internal/shard/... ./cmd/vpcampaign/... ./cmd/vpnode/...
 
 # Repeat the packages whose tests cross goroutines on the request path —
 # the journal's committer releasing barriers into handler turns, the
@@ -176,8 +176,10 @@ campaign-smoke:
 campaign:
 	$(GO) run ./cmd/vpcampaign -spec specs/campaign-default.json -parallel 4 -v
 
-# Regenerate the golden determinism trace after an intentional output
-# change (see internal/bench/golden_test.go).
+# Regenerate the golden seed-1 output of all 16 experiments after an
+# intentional output change (see internal/bench/golden_test.go).
 golden:
 	$(GO) run ./cmd/vpbench -exp e1,e2,e12 -seed 1 -markdown \
 		> internal/bench/testdata/golden_seed1.md
+	$(GO) run ./cmd/vpbench -exp e3,e4,e5,e6,e7,e8,e9,e10,e11,e13,e14,e15,e16 -seed 1 -markdown \
+		> internal/bench/testdata/golden_seed1_e3_e16.md

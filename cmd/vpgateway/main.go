@@ -24,13 +24,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
+	"github.com/virtualpartitions/vp/internal/cluster"
 	"github.com/virtualpartitions/vp/internal/gateway"
-	"github.com/virtualpartitions/vp/internal/model"
 	"github.com/virtualpartitions/vp/internal/trace"
 )
 
@@ -46,7 +44,7 @@ func parseArgs(args []string) (*options, error) {
 	fs := flag.NewFlagSet("vpgateway", flag.ContinueOnError)
 	var (
 		listen      = fs.String("listen", ":8080", "HTTP listen address")
-		cluster     = fs.String("cluster", "", "comma-separated id=host:port node addresses (required)")
+		clusterFlag = fs.String("cluster", "", "comma-separated id=host:port node addresses (required)")
 		batching    = fs.Bool("batch", true, "coalesce concurrent writes into group-commit rounds")
 		batchWindow = fs.Duration("batch-window", 2*time.Millisecond, "group-commit coalescing window")
 		batchMax    = fs.Int("batch-max", 64, "flush a round at this many coalesced writes")
@@ -59,7 +57,7 @@ func parseArgs(args []string) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	addrs, err := parseCluster(*cluster)
+	addrs, err := cluster.ParseAddrs(*clusterFlag)
 	if err != nil {
 		return nil, err
 	}
@@ -81,25 +79,6 @@ func parseArgs(args []string) (*options, error) {
 		opt.cfg.Tracer = rec
 	}
 	return opt, nil
-}
-
-func parseCluster(s string) (map[model.ProcID]string, error) {
-	if s == "" {
-		return nil, fmt.Errorf("-cluster is required")
-	}
-	out := make(map[model.ProcID]string)
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad -cluster entry %q (want id=host:port)", part)
-		}
-		id, err := strconv.Atoi(kv[0])
-		if err != nil || id < 1 {
-			return nil, fmt.Errorf("bad processor id %q in -cluster", kv[0])
-		}
-		out[model.ProcID(id)] = kv[1]
-	}
-	return out, nil
 }
 
 func main() {

@@ -1,10 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,7 +18,6 @@ import (
 	"github.com/virtualpartitions/vp/internal/core"
 	"github.com/virtualpartitions/vp/internal/debughttp"
 	"github.com/virtualpartitions/vp/internal/durable"
-	"github.com/virtualpartitions/vp/internal/model"
 	"github.com/virtualpartitions/vp/internal/net"
 	"github.com/virtualpartitions/vp/internal/node"
 	"github.com/virtualpartitions/vp/internal/wire"
@@ -66,7 +71,7 @@ func TestParseArgsFixedSettings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := opt.coreConfig()
+	cfg := cluster.CoreConfig(opt.delta)
 	want := core.Config{Config: node.Config{Delta: 50 * time.Millisecond, LogCap: 1024},
 		UseLogCatchup: true, UsePrevOpt: true}
 	if cfg != want {
@@ -75,7 +80,7 @@ func TestParseArgsFixedSettings(t *testing.T) {
 	if pi := cfg.WithDefaults().Pi; pi != time.Second {
 		t.Errorf("π = %v, want 20δ = 1s", pi)
 	}
-	dopts := opt.journalOptions(nil)
+	dopts := cluster.JournalOptions(nil, opt.id, nil)
 	if !reflect.DeepEqual(dopts, durable.Options{Committer: true, FlushInterval: 2 * time.Millisecond}) {
 		t.Errorf("journal options = %+v", dopts)
 	}
@@ -97,44 +102,21 @@ func TestParseArgsErrors(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpointOverTCPCluster boots a 3-node in-process TCP
-// cluster, commits one transaction through it, and scrapes a node's
-// /metrics endpoint: the Prometheus text output must show the commit
-// and per-kind message counters the transaction incremented.
+// TestMetricsEndpointOverTCPCluster boots a 3-node cluster through
+// vpnode's own run, without -data, commits one transaction through it,
+// and scrapes a node's /metrics endpoint: the Prometheus text output
+// must show the commit and per-kind message counters the transaction
+// incremented.
 func TestMetricsEndpointOverTCPCluster(t *testing.T) {
-	c, err := cluster.Start(cluster.Config{N: 3, Catalog: model.FullyReplicated(3, "x"),
-		Core: core.Config{Config: node.Config{Delta: 20 * time.Millisecond, LogCap: 64}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	addrs, n1 := c.Addrs(), c.Node(1)
-	srv, debugAddr, err := debughttp.Serve("127.0.0.1:0", n1.Metrics(), nil, n1.Tracer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	// Wait for the initial view to form, then commit through node 1.
-	deadline := time.Now().Add(10 * time.Second)
-	var res wire.ClientResult
-	for {
-		res, err = net.SubmitTCP(addrs[1], wire.ClientTxn{Tag: 7, Ops: wire.IncrementOps("x", 5)}, 2*time.Second)
-		if err == nil && res.Committed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("transaction never committed: res=%+v err=%v", res, err)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+	procs := bootCluster(t, 3, nil)
+	deadline := commitIncr(t, procs[0])
 
 	// The coordinator answers the client in the same turn that sends the
 	// Decides, so the reply can land before those sends are counted:
 	// scrape until they are, up to the deadline.
 	var body string
 	for {
-		body = scrape(t, "http://"+debugAddr+"/metrics")
+		body = scrape(t, "http://"+procs[0].debugAddr+"/metrics")
 		if strings.Contains(body, `vp_net_msg_sent{kind="decide"}`) || time.Now().After(deadline) {
 			break
 		}
@@ -152,6 +134,147 @@ func TestMetricsEndpointOverTCPCluster(t *testing.T) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
 	}
+}
+
+// TestBootRestoresFromJournal boots a 3-node cluster through run, each
+// node with -data, commits an increment, then stops processor 3 and
+// boots it again from its directory: the second boot must restore
+// rather than start fresh, rejoin a partition (/healthz assigned), and
+// export its journal's counters and replay time on /metrics.
+func TestBootRestoresFromJournal(t *testing.T) {
+	dir := t.TempDir()
+	procs := bootCluster(t, 3, func(i int) []string {
+		return []string{"-data", filepath.Join(dir, fmt.Sprint(i))}
+	})
+	commitIncr(t, procs[0])
+	if out := procs[2].out.String(); !strings.Contains(out, "fresh durable state") {
+		t.Fatalf("first boot did not start fresh:\n%s", out)
+	}
+
+	procs[2].shutdown(t)
+	p3 := boot(t, procs[2].args)
+	deadline := time.Now().Add(10 * time.Second)
+	var h debughttp.HealthState
+	for {
+		resp, err := http.Get("http://" + p3.debugAddr + "/healthz")
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&h)
+			resp.Body.Close()
+		}
+		if err == nil && h.Assigned || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if !h.Assigned {
+		t.Fatalf("restarted node never assigned: %+v", h)
+	}
+	out := p3.out.String()
+	if !strings.Contains(out, "restored from") || strings.Contains(out, "fresh durable state") {
+		t.Fatalf("second boot did not restore from its journal:\n%s", out)
+	}
+	body := scrape(t, "http://"+p3.debugAddr+"/metrics")
+	for _, want := range []string{"vp_journal_fsync ", "vp_journal_recovery_ms_count 1", "vp_node_halted 0"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// proc is one processor running in-process through run, as main runs it.
+type proc struct {
+	args      []string
+	addr      string
+	debugAddr string
+	out       syncBuffer // stdout and stderr
+	stop      context.CancelFunc
+	once      sync.Once
+	done      chan error
+}
+
+// boot parses args and runs the processor until the test ends or
+// shutdown stops it.
+func boot(t *testing.T, args []string) *proc {
+	t.Helper()
+	opt, err := parseArgs(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	p := &proc{args: args, addr: opt.addrs[opt.id], debugAddr: opt.debugAddr, stop: cancel, done: make(chan error, 1)}
+	go func() { p.done <- run(ctx, opt, &p.out, &p.out) }()
+	t.Cleanup(func() { p.shutdown(t) })
+	return p
+}
+
+// shutdown stops the processor, as SIGTERM does, and waits for run.
+func (p *proc) shutdown(t *testing.T) {
+	p.once.Do(func() {
+		p.stop()
+		if err := <-p.done; err != nil {
+			t.Errorf("%v: %v\n%s", p.args, err, p.out.String())
+		}
+	})
+}
+
+// bootCluster boots processors 1..n on loopback, each with a debug
+// endpoint, δ = 20ms and the extra flags of extra(i) when set.
+func bootCluster(t *testing.T, n int, extra func(i int) []string) []*proc {
+	t.Helper()
+	ports, err := net.LoopbackAddrs(2 * n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make([]string, n)
+	for i := range pairs {
+		pairs[i] = fmt.Sprintf("%d=%s", i+1, ports[i])
+	}
+	procs := make([]*proc, n)
+	for i := range procs {
+		args := []string{"-id", fmt.Sprint(i + 1), "-cluster", strings.Join(pairs, ","),
+			"-objects", "x", "-delta", "20ms", "-debug-addr", ports[n+i]}
+		if extra != nil {
+			args = append(args, extra(i+1)...)
+		}
+		procs[i] = boot(t, args)
+	}
+	return procs
+}
+
+// commitIncr commits an increment of x through p once the initial view
+// has formed, and returns the deadline for what the test waits on next.
+func commitIncr(t *testing.T, p *proc) time.Time {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		res, err := net.SubmitTCP(p.addr, wire.ClientTxn{Tag: 7, Ops: wire.IncrementOps("x", 5)}, 2*time.Second)
+		if err == nil && res.Committed {
+			return deadline
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("transaction never committed: res=%+v err=%v", res, err)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+}
+
+// syncBuffer is a bytes.Buffer the processor's goroutines may write
+// while the test reads it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
 }
 
 // scrape returns the body served at url.

@@ -15,20 +15,33 @@ import (
 // order is a pure function of (time, sequence), so any diff here means a
 // scheduling semantics regression, not a formatting one.
 //
-// Regenerate after an intentional output change with:
-//
-//	go run ./cmd/vpbench -exp e1,e2,e12 -seed 1 -markdown \
-//	  > internal/bench/testdata/golden_seed1.md
+// Regenerate both golden files after an intentional output change with
+// `make golden`.
 func TestGoldenTraceSeed1(t *testing.T) {
+	checkGolden(t, "golden_seed1.md", "e1", "e2", "e12")
+}
+
+// TestGoldenSeed1RestOfExperiments pins the other thirteen experiments
+// the same way, so that all sixteen tables are fixed at seed 1. The
+// golden file was captured with `vpbench -exp
+// e3,e4,e5,e6,e7,e8,e9,e10,e11,e13,e14,e15,e16 -seed 1 -markdown`.
+func TestGoldenSeed1RestOfExperiments(t *testing.T) {
+	checkGolden(t, "golden_seed1_e3_e16.md",
+		"e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e13", "e14", "e15", "e16")
+}
+
+// checkGolden runs the experiments ids at seed 1 and compares their
+// markdown, as vpbench prints it, with testdata/file.
+func checkGolden(t *testing.T, file string, ids ...string) {
 	if testing.Short() {
-		t.Skip("E12 runs 8 fault-injection trials; skipped in -short")
+		t.Skip("the experiments run fault-injection trials; skipped in -short")
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_seed1.md"))
+	want, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	for _, id := range []string{"e1", "e2", "e12"} {
+	for _, id := range ids {
 		e := Find(id)
 		if e == nil {
 			t.Fatalf("experiment %s not registered", id)
@@ -37,7 +50,7 @@ func TestGoldenTraceSeed1(t *testing.T) {
 		b.WriteString("\n") // vpbench prints each table with Println
 	}
 	if got := b.String(); got != string(want) {
-		t.Errorf("seed-1 trace diverged from golden file:\n--- got\n%s\n--- want\n%s",
-			got, want)
+		t.Errorf("seed-1 output diverged from %s:\n--- got\n%s\n--- want\n%s",
+			file, got, want)
 	}
 }

@@ -114,7 +114,17 @@ func BuildPlan(c Cell) Plan {
 		txns = append(txns, workload.ScheduledTxn{At: at, Txn: gen.Next()})
 	}
 
-	faults := buildNemesis(c, faultStart, healStart)
+	var m *shard.Map
+	var target model.ShardID
+	if c.Shards > 1 {
+		m, target = shardTopology(c)
+	}
+	var faults nemesis.Schedule
+	if c.Nemesis == NemesisShard {
+		faults = shardNemesis(m, target, faultStart, healStart)
+	} else {
+		faults = buildNemesis(c, faultStart, healStart)
+	}
 
 	// Heal window: liveness probes on rotating coordinators, each a
 	// blind increment with a reserved tag.
@@ -139,8 +149,7 @@ func BuildPlan(c Cell) Plan {
 	// heal), coordinated by a member of the probed shard, writing one of
 	// that shard's own objects. The isolation gate requires each probed
 	// shard to commit at least one before the heal.
-	if c.Shards > 1 && c.Nemesis == NemesisShard {
-		m, target := shardTopology(c)
+	if c.Nemesis == NemesisShard {
 		window := healStart - faultStart
 		cutAt := faultStart + window/4    // matches nemesis.GenerateShard
 		healAt := faultStart + 3*window/4 // "
@@ -169,13 +178,28 @@ func BuildPlan(c Cell) Plan {
 			}
 		}
 	}
-	return Plan{Txns: txns, Faults: faults, Probes: probes, End: end}
+	return Plan{Txns: txns, Faults: faults, Probes: probes, End: end, Shards: m}
 }
 
-// buildNemesis derives the cell's fault schedule, confined to the fault
-// window [start, end). Profiles reuse the seeded generator and filter:
-// crash/restart pairs drop together, and a heal on a healthy network is
-// a no-op, so filtering never leaves a fault open.
+// shardNemesis is the shard profile's one surgical fault, in the fault
+// window [start, end): split the target shard's copy set into
+// singletons (no group retains a weighted majority, so the shard stalls
+// by rule R1) for the shard's frames only; the rest of the network never
+// notices.
+func shardNemesis(m *shard.Map, target model.ShardID, start, end time.Duration) nemesis.Schedule {
+	members := m.MemberList(target)
+	groups := make([][]model.ProcID, 0, len(members))
+	for _, p := range members {
+		groups = append(groups, []model.ProcID{p})
+	}
+	return nemesis.GenerateShard(target, groups, start, end-start)
+}
+
+// buildNemesis derives the cell's fault schedule (the shard profile's is
+// shardNemesis), confined to the fault window [start, end). Profiles
+// reuse the seeded generator and filter: crash/restart pairs drop
+// together, and a heal on a healthy network is a no-op, so filtering
+// never leaves a fault open.
 func buildNemesis(c Cell, start, end time.Duration) nemesis.Schedule {
 	if c.Nemesis == NemesisNone {
 		return nemesis.Schedule{End: start}
@@ -185,19 +209,6 @@ func buildNemesis(c Cell, start, end time.Duration) nemesis.Schedule {
 		procs[i] = model.ProcID(i + 1)
 	}
 	window := end - start
-	if c.Nemesis == NemesisShard {
-		// One surgical fault: split the target shard's copy set into
-		// singletons (no group retains a weighted majority, so the shard
-		// stalls by rule R1) for the shard's frames only; the rest of the
-		// network never notices.
-		m, target := shardTopology(c)
-		members := m.MemberList(target)
-		groups := make([][]model.ProcID, 0, len(members))
-		for _, p := range members {
-			groups = append(groups, []model.ProcID{p})
-		}
-		return nemesis.GenerateShard(target, groups, start, window)
-	}
 	opts := nemesis.Options{
 		Procs:    procs,
 		Start:    start,
@@ -346,16 +357,16 @@ func RunCell(c Cell) CellResult {
 		res.Failures = append(res.Failures, err.Error())
 		return res
 	}
+	plan := BuildPlan(c)
 	cfg := ClusterConfig{
 		N: c.N, Objects: c.Objects, Seed: c.Seed, Delta: c.Delta,
-		Shards: c.Shards, ShardReplicas: c.ShardReplicas,
+		Shards: plan.Shards,
 	}
 	if err := p.Start(cfg); err != nil {
 		res.Failures = append(res.Failures, fmt.Sprintf("start: %v", err))
 		return res
 	}
 	defer p.Stop() //nolint:errcheck // best-effort teardown on early return
-	plan := BuildPlan(c)
 	if err := p.Drive(plan); err != nil {
 		res.Failures = append(res.Failures, fmt.Sprintf("drive: %v", err))
 		return res

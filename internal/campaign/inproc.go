@@ -11,12 +11,10 @@ import (
 	"time"
 
 	"github.com/virtualpartitions/vp/internal/cluster"
-	"github.com/virtualpartitions/vp/internal/core"
 	"github.com/virtualpartitions/vp/internal/durable"
 	"github.com/virtualpartitions/vp/internal/model"
 	"github.com/virtualpartitions/vp/internal/nemesis"
 	vnet "github.com/virtualpartitions/vp/internal/net"
-	"github.com/virtualpartitions/vp/internal/node"
 	"github.com/virtualpartitions/vp/internal/shard"
 	"github.com/virtualpartitions/vp/internal/wire"
 	"github.com/virtualpartitions/vp/internal/workload"
@@ -33,13 +31,14 @@ const killLeadIn = 60 * time.Millisecond
 // are real, message loss is injected by the nemesis.Injector, the
 // cell's interceptor.
 //
-// Every processor journals to a file in a per-cell temp dir, opened as
-// vpnode -data opens it, on a nemesis.DiskFaults that passes through
-// until a kill arms it. A crash is real: the node stops and its journal
-// closes, and the restart boots it again from that journal. A kill
-// (nemesis.StepKill) abandons the journal under a failing disk instead.
-// The sim backend has no process to stop and isolates a crashed
-// processor (nemesis.ApplyToSim).
+// Every processor runs the deployed protocol (cluster.CoreConfig) and
+// journals to a file in a per-cell temp dir, opened with the deployed
+// options (cluster.JournalOptions) on a nemesis.DiskFaults that passes
+// through until a kill arms it. A crash is real: the node stops and its
+// journal closes, and the restart boots it again from that journal. A
+// kill (nemesis.StepKill) abandons the journal under a failing disk
+// instead. The sim backend has no process to stop and isolates a
+// crashed processor (nemesis.ApplyToSim).
 type inprocPlatform struct {
 	inj     *nemesis.Injector
 	c       *cluster.Cluster
@@ -76,8 +75,7 @@ func (p *inprocPlatform) Start(cfg ClusterConfig) error {
 	if err != nil {
 		return fmt.Errorf("campaign/inproc: %w", err)
 	}
-	objs := workload.Objects(cfg.Objects)
-	p.dir, p.shards = dir, nil
+	p.dir, p.shards = dir, cfg.Shards
 	p.inj = nemesis.NewInjector(cfg.Seed)
 	p.rng = rand.New(rand.NewSource(cfg.Seed ^ 0x6b696c6c39)) // "kill9"
 	p.journals = make(map[model.ProcID]*durable.FileJournal, cfg.N)
@@ -86,30 +84,14 @@ func (p *inprocPlatform) Start(cfg ClusterConfig) error {
 	p.restored, p.torn, p.failedFsyncs = 0, 0, 0
 	bc := cluster.Config{
 		N:           cfg.N,
-		Core:        core.Config{Config: node.Config{Delta: cfg.Delta, LogCap: 256}, UseLogCatchup: true, UsePrevOpt: true},
+		Shards:      cfg.Shards,
+		Core:        cluster.CoreConfig(cfg.Delta),
 		Interceptor: p.inj,
 		Journal:     p.openJournal,
 		Trace:       true,
 	}
-	if cfg.Shards > 1 {
-		// Sharded cell: every node is a shard.Router over the same
-		// deterministic map — each hosted shard runs its own VP
-		// lifecycle, multi-shard transactions 2PC across shards.
-		procs := make([]model.ProcID, cfg.N)
-		for i := range procs {
-			procs[i] = model.ProcID(i + 1)
-		}
-		m, err := shard.NewMap(shard.Config{
-			Shards: cfg.Shards, Replicas: cfg.ShardReplicas, Seed: cfg.Seed,
-			Procs: procs, Objects: objs,
-		})
-		if err != nil {
-			os.RemoveAll(dir)
-			return fmt.Errorf("campaign/inproc: shard map: %w", err)
-		}
-		bc.Shards, p.shards = m, m
-	} else {
-		bc.Catalog = model.FullyReplicated(cfg.N, objs...)
+	if cfg.Shards == nil {
+		bc.Catalog = model.FullyReplicated(cfg.N, workload.Objects(cfg.Objects)...)
 	}
 	c, err := cluster.Start(bc)
 	if err != nil {
@@ -128,22 +110,11 @@ func (p *inprocPlatform) Start(cfg ClusterConfig) error {
 }
 
 // openJournal is the cluster's journal opener: processor id's file
-// journal, opened as vpnode -data opens it (committer goroutine, 2ms age
-// bound on unsynced records, scoped to the hosted shards' objects) on a
-// fresh fault layer — what a kill left is on disk, not in the wrapper.
+// journal, opened with the deployed options (cluster.JournalOptions) on
+// a fresh fault layer — what a kill left is on disk, not in the wrapper.
 func (p *inprocPlatform) openJournal(id model.ProcID) (durable.Journal, *durable.State, error) {
 	disk := nemesis.NewDiskFaults(nil)
-	opts := durable.Options{FS: disk, Committer: true, FlushInterval: 2 * time.Millisecond}
-	if p.shards != nil {
-		hosted := p.shards.HostedObjects(id)
-		opts.Scope = []model.ObjectID{}
-		for _, o := range p.shards.Catalog().Objects() {
-			if hosted(o) {
-				opts.Scope = append(opts.Scope, o)
-			}
-		}
-	}
-	st, j, err := durable.OpenOptions(filepath.Join(p.dir, fmt.Sprint(id)), opts)
+	st, j, err := durable.OpenOptions(filepath.Join(p.dir, fmt.Sprint(id)), cluster.JournalOptions(disk, id, p.shards))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -22,8 +22,8 @@ func inprocCell(t *testing.T, seed int64, n, objects int, profile string, ph Pha
 }
 
 // runInproc is RunCell on an inproc platform the test can inspect
-// afterwards.
-func runInproc(t *testing.T, c Cell) (CellResult, *inprocPlatform) {
+// afterwards, with the snapshot the gates were evaluated on.
+func runInproc(t *testing.T, c Cell) (*Snapshot, *inprocPlatform) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("real-time TCP cluster")
@@ -46,17 +46,21 @@ func runInproc(t *testing.T, c Cell) (CellResult, *inprocPlatform) {
 	if !res.OK() {
 		t.Fatalf("%s failed: gates=%+v failures=%v", c.ID, res.Gates, res.Failures)
 	}
-	return res, p
+	return snap, p
 }
 
 // TestInprocCrashRestartsFromJournal: a crash stops the node, and the
-// restart boots it from the journal it left, not fresh.
+// restart boots it from the journal it left, not fresh. The nodes export
+// their file journals' counters, as a deployed vpnode does.
 func TestInprocCrashRestartsFromJournal(t *testing.T) {
 	c := inprocCell(t, 3, 3, 2, NemesisCrashes, Phases{RampMS: 100, SteadyMS: 300, FaultMS: 1200, HealMS: 800})
 	restarts := BuildPlan(c).Faults.Counts()[nemesis.StepRestart]
-	_, p := runInproc(t, c)
+	snap, p := runInproc(t, c)
 	if restarts < 2 || p.restored != restarts {
 		t.Fatalf("%d of %d restarts booted from a restored journal", p.restored, restarts)
+	}
+	if n := snap.Counters[metrics.CJournalFsyncs]; n <= 0 {
+		t.Fatalf("scraped %s = %d, want > 0", metrics.CJournalFsyncs, n)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"github.com/virtualpartitions/vp/internal/nemesis"
 	"github.com/virtualpartitions/vp/internal/onecopy"
+	"github.com/virtualpartitions/vp/internal/shard"
 	"github.com/virtualpartitions/vp/internal/trace"
 	"github.com/virtualpartitions/vp/internal/wire"
 	"github.com/virtualpartitions/vp/internal/workload"
@@ -46,12 +47,10 @@ type ClusterConfig struct {
 	// Delta is the assumed message-delay bound δ; the probe period is
 	// the protocol default π = 20δ.
 	Delta time.Duration
-	// Shards, when > 1, runs the cluster sharded: every node is a
-	// shard.Router over the same deterministic map (seed = Seed), each
-	// hosted shard with its own virtual-partition lifecycle (inproc
-	// only). ShardReplicas is the per-shard copy-set size (0 = all).
-	Shards        int
-	ShardReplicas int
+	// Shards, when set, runs the cluster sharded (inproc only): every
+	// node is a shard.Router over this map, the cell's Plan.Shards, each
+	// hosted shard with its own virtual-partition lifecycle.
+	Shards *shard.Map
 }
 
 // Plan is the engine's precomputed experiment: all times are offsets
@@ -66,6 +65,10 @@ type Plan struct {
 	Probes []workload.ScheduledTxn
 	// End is the horizon: Drive returns once it is reached.
 	End time.Duration
+	// Shards is a sharded cell's placement map, nil unsharded. The plan's
+	// shard probes and fault target come from it, and the platform runs
+	// its cluster over it (ClusterConfig.Shards).
+	Shards *shard.Map
 }
 
 // Snapshot is everything the gates and metrics read. Platforms populate

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"maps"
+	"strings"
 	"testing"
 	"time"
 
@@ -145,5 +147,28 @@ func TestStopAndBootRestoresFromJournal(t *testing.T) {
 	}
 	if res := commit(t, c, 3, 3, []wire.Op{wire.ReadOp("x")}); res.Reads[0].Val != 20 {
 		t.Fatalf("restarted node reads x = %d, want 20", res.Reads[0].Val)
+	}
+}
+
+func TestParseAddrs(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want map[model.ProcID]string
+		err  string
+	}{
+		{in: "1=localhost:7001, 2=localhost:7002,3=h:3",
+			want: map[model.ProcID]string{1: "localhost:7001", 2: "localhost:7002", 3: "h:3"}},
+		{in: "", err: "-cluster is required"},
+		{in: "zap", err: `bad -cluster entry "zap"`},
+		{in: "0=a:1", err: `bad processor id "0"`},
+		{in: "x=a:1", err: `bad processor id "x"`},
+	} {
+		got, err := ParseAddrs(tc.in)
+		switch {
+		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+			t.Errorf("ParseAddrs(%q) err = %v, want %q", tc.in, err, tc.err)
+		case tc.err == "" && (err != nil || !maps.Equal(got, tc.want)):
+			t.Errorf("ParseAddrs(%q) = %v, %v, want %v", tc.in, got, err, tc.want)
+		}
 	}
 }

@@ -138,8 +138,6 @@ type Node struct {
 	retryObjs    map[model.ProcID][]*refreshState
 	peerRefusals map[model.ProcID]int
 
-	// journal receives max-id updates for crash-restart durability.
-	journal durable.Journal
 	// recovered is set when New restores a replayed state: the node
 	// starts unassigned and immediately attempts to form a partition.
 	recovered bool
@@ -205,9 +203,11 @@ type catchupRetry struct {
 }
 
 // New constructs the protocol node of processor id, writing its
-// protocol-critical state through to j (nil: volatile). st is j's
-// replayed state; a fresh one (State.Fresh) starts the node assigned to
-// its trivial partition (Figure 3 lines 3–4). Otherwise the node is
+// protocol-critical state through to j; a nil j gets a fresh
+// durable.MemJournal, which keeps nothing across a restart but runs the
+// same promise path as a file. st is j's replayed state; a fresh one
+// (State.Fresh) starts the node assigned to its trivial partition
+// (Figure 3 lines 3–4). Otherwise the node is
 // restored — copies keep their dates (R5 refresh, not blind trust, makes
 // them readable), max-id continues past every identifier ever used (S3),
 // prepared writes stay prepared, unacknowledged decisions resume — and
@@ -231,11 +231,11 @@ func New(id model.ProcID, cfg Config, cat *model.Catalog, hist *onecopy.History,
 			n.Observer(HaltEvent{Proc: id, Err: err})
 		}
 	}
-	if j != nil {
-		n.journal = j
-		n.Base.Journal = j
-		n.Store.SetJournal(j)
+	if j == nil {
+		j = durable.NewMemJournal()
 	}
+	n.Base.Journal = j
+	n.Store.SetJournal(j)
 	if st.Fresh() {
 		return n
 	}
@@ -284,9 +284,7 @@ func (n *Node) Init(rt net.Runtime) {
 func (n *Node) bumpMaxID(v model.VPID) {
 	if n.maxID.Less(v) {
 		n.maxID = v
-		if n.journal != nil {
-			n.journal.MaxID(v)
-		}
+		n.Journal.MaxID(v)
 	}
 }
 

@@ -82,7 +82,7 @@ func TestMaxIDNeverLeavesBeforeItIsDurable(t *testing.T) {
 	cluster.At(T, "stall and create", func() {
 		n := nodes[victim].n
 		stalled := stalledJournal{journals[victim]}
-		n.journal, n.Base.Journal = stalled, stalled
+		n.Base.Journal = stalled
 		n.CreateNewVP(cluster.RuntimeFor(victim), causeNoResponse)
 		lost = n.maxID
 	})

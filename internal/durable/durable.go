@@ -93,8 +93,9 @@ func (s *State) Fresh() bool { return s == nil || s.MaxID.IsZero() && len(s.Copi
 
 // Journal receives every durable state change. Implementations must be
 // safe for concurrent use: the sharded store (internal/store) journals
-// committed writes from whichever stripe applies them. A nil Journal is
-// valid everywhere and means "not durable".
+// committed writes from whichever stripe applies them. Every node runs
+// over one: the constructors give a node built without a journal a
+// MemJournal, which is not durable.
 //
 // Record methods (MaxID, Apply, Stage, ...) may buffer; a record is
 // only promised to disk once a Barrier registered after it reports nil.

@@ -31,8 +31,9 @@ type Base struct {
 	// Hist, when non-nil, receives a record per finished transaction for
 	// the one-copy serializability checker.
 	Hist *onecopy.History
-	// Journal, when non-nil, receives prepared writes and commit
-	// decisions for crash-restart durability (see internal/durable).
+	// Journal receives prepared writes and commit decisions for
+	// crash-restart durability (see internal/durable); NewBase starts it
+	// as a durable.MemJournal shared with Store.
 	Journal durable.Journal
 
 	// --- server side ---
@@ -133,6 +134,7 @@ type leaseSweep struct{}
 // NewBase constructs the shared node machinery for processor id.
 func NewBase(id model.ProcID, cfg Config, cat *model.Catalog, strat Strategy, hist *onecopy.History) *Base {
 	cfg = cfg.WithDefaults()
+	j := durable.NewMemJournal()
 	b := &Base{
 		ID:       id,
 		Cfg:      cfg,
@@ -141,12 +143,14 @@ func NewBase(id model.ProcID, cfg Config, cat *model.Catalog, strat Strategy, hi
 		Store:    store.New(id, cat, cfg.InitValue, cfg.LogCap),
 		Locks:    locks.NewManager(),
 		Hist:     hist,
+		Journal:  j,
 		waiting:  make(map[lockKey]pendingLock),
 		prepared: make(map[model.TxnID]*preparedTxn),
 		activity: make(map[model.TxnID]int64),
 		active:   make(map[model.TxnID]*txn),
 		telling:  make(map[model.ObjectID]int),
 	}
+	b.Store.SetJournal(j)
 	b.sharded, _ = strat.(ShardedStrategy)
 	return b
 }

@@ -651,7 +651,7 @@ func (b *Base) beginCommit(rt net.Runtime, t *txn) {
 // sendPrepares fans the prepares out (again, after a weak-R4 migration),
 // arms the vote timer and gets the coordinator's own vote under way.
 func (b *Base) sendPrepares(rt net.Runtime, t *txn, ctx model.TraceCtx) {
-	if t.voteCast && b.Journal != nil {
+	if t.voteCast {
 		rt.Metrics().Inc(metrics.CTxnInDoubt, -1) // voting afresh; castVote counts it again
 	}
 	t.selfVotes, t.voteCast, t.voteDurable = 0, false, false
@@ -687,19 +687,17 @@ func (b *Base) sendPrepares(rt net.Runtime, t *txn, ctx model.TraceCtx) {
 // to disk before anyone hears it.
 func (b *Base) castVote(rt net.Runtime, t *txn) {
 	t.voteCast = true
-	if b.Journal != nil {
-		b.Journal.Vote(t.id, t.voteRec())
-		rt.Metrics().Inc(metrics.CTxnInDoubt, 1)
-		if b.Hist != nil {
-			b.Hist.InDoubt(b.histRecord(t, true))
-		}
+	b.Journal.Vote(t.id, t.voteRec())
+	rt.Metrics().Inc(metrics.CTxnInDoubt, 1)
+	if b.Hist != nil {
+		b.Hist.InDoubt(b.histRecord(t, true))
 	}
 	jStart := rt.Now()
 	b.Promise(rt, true, func(rt net.Runtime) {
 		if t.phase != phaseVoting || !t.voteCast {
 			return // decided meanwhile, or migrated and voting afresh
 		}
-		if b.Journal != nil && !t.ctx.IsZero() {
+		if !t.ctx.IsZero() {
 			// The wait for the coordinator's own vote; runs beside
 			// coord-prepare, no longer behind it.
 			rt.Tracer().Span(b.ID, t.ctx.Child(b.NextSpan()), "coord-journal", jStart, rt.Now(), t.id)
@@ -835,12 +833,10 @@ func (b *Base) decide(rt net.Runtime, t *txn, commit bool, cause, reason string)
 	t.phase = phaseDeciding
 	t.commit = commit
 	t.pendingAcks = t.votesNeeded.Clone()
-	if b.Journal != nil {
-		procs, shards := splitParts(t.pendingAcks.Sorted())
-		b.Journal.Decide(t.id, commit, procs, shards)
-		if t.voteCast {
-			rt.Metrics().Inc(metrics.CTxnInDoubt, -1)
-		}
+	procs, shards := splitParts(t.pendingAcks.Sorted())
+	b.Journal.Decide(t.id, commit, procs, shards)
+	if t.voteCast {
+		rt.Metrics().Inc(metrics.CTxnInDoubt, -1)
 	}
 	// local is everything that stays on this processor or reveals nothing:
 	// read-only participants are released outright, the client answered,
@@ -900,9 +896,7 @@ func (b *Base) handleDecideAck(rt net.Runtime, from model.ProcID, s model.ShardI
 		}
 		t.phase = phaseDone
 		delete(b.active, t.id)
-		if b.Journal != nil {
-			b.Journal.DecideDone(t.id)
-		}
+		b.Journal.DecideDone(t.id)
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 // a committing journal Promise returns at once, the handler moves on to
 // its next event, and then comes back onto the event loop through
 // net.Poster after the fsync (shared with every other promise that was
-// waiting). With no journal, or one that syncs on the caller's
-// goroutine, then runs before Promise returns, which keeps simulated
-// runs in the exact order they had when the barrier was inline.
+// waiting). With a journal that syncs on the caller's goroutine (a
+// durable.MemJournal, as every simulated node runs), then runs before
+// Promise returns, which keeps simulated runs in the exact order they
+// had when the barrier was inline.
 //
 // Urgency follows from who waits: urgent when a client's latency does
 // (a yes-vote, a decision, a view invitation), lazy when nobody's does
@@ -22,10 +23,6 @@ import (
 // A failed flush halts the node and drops then: nothing gated on an
 // undurable record is ever sent.
 func (b *Base) Promise(rt net.Runtime, urgent bool, then func(rt net.Runtime)) {
-	if b.Journal == nil {
-		then(rt)
-		return
-	}
 	start := rt.Now()
 	release := func(rt net.Runtime, err error) {
 		if b.halted {

@@ -300,10 +300,6 @@ func (b *Base) admitPrepare(rt net.Runtime, from model.ProcID, p *wire.Prepare, 
 		pt.voted = true
 		b.vote(rt, from, p, true, 0, ctx)
 	}
-	if b.Journal == nil {
-		yes(rt)
-		return
-	}
 	jStart := rt.Now()
 	for _, w := range p.Writes {
 		b.Journal.Stage(p.Txn, w.Obj, durable.StagedWrite{
@@ -352,9 +348,7 @@ func (b *Base) handleDecide(rt net.Runtime, from model.ProcID, d wire.Decide) {
 		} else {
 			b.Store.DropAllStagedBy(d.Txn)
 		}
-		if b.Journal != nil {
-			b.Journal.DropStage(d.Txn, "")
-		}
+		b.Journal.DropStage(d.Txn, "")
 		delete(b.prepared, d.Txn)
 		b.releaseTxnLocally(rt, d.Txn)
 	} else if !d.Commit {

@@ -66,9 +66,9 @@ type epochCache struct {
 	view model.ProcSet
 }
 
-// NewRouter builds the router of processor id. A nil journal makes it
-// volatile; otherwise its shard nodes and coordinator all write through
-// j — one processor has ONE journal, which the shard nodes share through
+// NewRouter builds the router of processor id. Its shard nodes and
+// coordinator all write through j (nil: a fresh durable.MemJournal) —
+// one processor has ONE journal, which the shard nodes share through
 // scoping wrappers (see shardJournal). st is j's replayed state: it is
 // split by shard (SplitState), each hosted shard node restores its slice
 // of copies and staged writes (or starts fresh when there is nothing to
@@ -83,6 +83,9 @@ func NewRouter(id model.ProcID, cfg core.Config, m *Map, hist *onecopy.History,
 	// shard nodes run the strict rule (departures abort via the epoch
 	// pin, exactly the paper's R4).
 	cfg.WeakR4 = false
+	if j == nil {
+		j = durable.NewMemJournal()
+	}
 
 	r := &Router{
 		id:      id,
@@ -105,13 +108,9 @@ func NewRouter(id model.ProcID, cfg core.Config, m *Map, hist *onecopy.History,
 		shardStates, coordState = SplitState(st, m, m.Hosted(id))
 	}
 	for _, s := range m.Hosted(id) {
-		var sj durable.Journal
-		if j != nil {
-			scoped := newShardJournal(j)
-			if ss := shardStates[s]; ss != nil {
-				scoped.seed(ss.Staged)
-			}
-			sj = scoped
+		sj := newShardJournal(j)
+		if ss := shardStates[s]; ss != nil {
+			sj.seed(ss.Staged)
 		}
 		n := core.New(id, cfg, m.ShardCatalog(s), nil, sj, shardStates[s])
 		s := s
@@ -119,9 +118,7 @@ func NewRouter(id model.ProcID, cfg core.Config, m *Map, hist *onecopy.History,
 		r.nodes[s] = n
 		r.order = append(r.order, s)
 	}
-	if j != nil {
-		r.coord.Journal = j
-	}
+	r.coord.Journal = j
 	if coordState != nil {
 		r.coord.RestoreDurable(coordState)
 	}

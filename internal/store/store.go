@@ -4,7 +4,7 @@
 // staged (prepared) transactional writes, and a bounded write log that
 // supports the §6 log-based catch-up optimization.
 //
-// The store performs no I/O beyond the optional journal. Its object map
+// The store performs no I/O beyond its journal. Its object map
 // sits behind one mutex: the node calls in under its handler mutex, but
 // debug readers may call from outside it, so
 // every exported method locks and is atomic. Staged writes are also
@@ -68,8 +68,8 @@ type Store struct {
 	// truncated log forces full-value recovery, mirroring real systems.
 	logCap  int
 	initVal model.Value
-	// journal, when set, receives every committed physical write for
-	// crash-restart durability.
+	// journal receives every committed physical write for crash-restart
+	// durability.
 	journal durable.Journal
 	// stagedObjs lists, per transaction, the objects whose staged write
 	// is its own: exactly the objects with staged != nil && stagedBy ==
@@ -80,7 +80,8 @@ type Store struct {
 	newest model.Version
 }
 
-// SetJournal attaches a durability journal (nil disables).
+// SetJournal replaces the store's journal, a durable.MemJournal of its
+// own until then.
 func (s *Store) SetJournal(j durable.Journal) { s.journal = j }
 
 // New creates the store for processor p holding the copies assigned to it
@@ -92,6 +93,7 @@ func New(p model.ProcID, cat *model.Catalog, initVal model.Value, logCap int) *S
 		objects:    make(map[model.ObjectID]*objectState),
 		logCap:     logCap,
 		initVal:    initVal,
+		journal:    durable.NewMemJournal(),
 		stagedObjs: make(map[model.TxnID][]model.ObjectID),
 	}
 	for obj := range cat.Local(p) {
@@ -164,9 +166,7 @@ func (s *Store) Get(obj model.ObjectID) model.Copy {
 func (s *Store) applyLocked(st *objectState, obj model.ObjectID, val model.Value, ver model.Version) {
 	st.copyVal = model.Copy{Val: val, Ver: ver}
 	s.raiseNewest(ver)
-	if s.journal != nil {
-		s.journal.Apply(obj, val, ver)
-	}
+	s.journal.Apply(obj, val, ver)
 	if s.logCap > 0 {
 		st.log = append(st.log, LoggedWrite{Val: val, Ver: ver})
 		for len(st.log) > s.logCap {
