@@ -125,14 +125,16 @@ bench-pairs:
 
 # Shard subsystem gate: shard-map determinism, per-shard view isolation,
 # cross-shard 2PC atomicity (incl. coordinator crash mid-decide), the
-# gateway's per-shard conveyor lanes and the shard campaign matrix — a
+# gateway's per-shard conveyor lanes, sharded processors over TCP (a
+# cross-shard transfer; a restart from a file journal, run beside its
+# unsharded twin) and the shard campaign matrix — a
 # 5-node cluster with 4 shards must keep committing on 3 shards while
 # the nemesis partitions the 4th shard's majority, gated on 1SR,
 # S1–S3/R2/R3 replay, shard isolation and post-heal liveness. Unit and
 # integration tests run under the race detector. Used by CI.
 shard-check:
 	$(GO) test -race -count=1 ./internal/shard/...
-	$(GO) test -race -count=1 -run 'TestShard' ./internal/gateway ./internal/campaign
+	$(GO) test -race -count=1 -run 'TestShard|TestStopAndBoot' ./internal/gateway ./internal/campaign ./internal/cluster
 	$(GO) run ./cmd/vpcampaign -spec specs/campaign-shard.json
 
 # Regenerate BENCH_durable.json: journal recovery time (newest snapshot

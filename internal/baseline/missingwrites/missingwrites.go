@@ -73,9 +73,11 @@ var errNoMajority = errors.New("fewer than a majority of copies believed reachab
 
 func (s *strategy) Name() string { return "missing-writes" }
 
-func (s *strategy) Begin(rt net.Runtime) (node.Epoch, error) { return node.Epoch{}, nil }
+func (s *strategy) Begin(rt net.Runtime, _ model.ShardID) (node.Epoch, error) {
+	return node.Epoch{}, nil
+}
 
-func (s *strategy) StillValid(rt net.Runtime, e node.Epoch) bool { return true }
+func (s *strategy) StillValid(rt net.Runtime, _ model.ShardID, e node.Epoch) bool { return true }
 
 func (s *strategy) alive(rt net.Runtime, p model.ProcID) bool {
 	exp, ok := s.suspects[p]
@@ -178,7 +180,7 @@ func (s *strategy) AcceptAccess(rt net.Runtime, e node.Epoch) bool { return true
 // OnNoResponse records failed processors so subsequent writes route
 // around them (creating missing-write marks) instead of timing out
 // again.
-func (s *strategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID, sent time.Duration) {
+func (s *strategy) OnNoResponse(rt net.Runtime, _ model.ShardID, suspects []model.ProcID, sent time.Duration) {
 	for _, p := range suspects {
 		s.suspects[p] = rt.Now() + s.ttl
 	}

@@ -57,9 +57,11 @@ var errInaccessible = errors.New("no majority of copies in view")
 
 func (s *strategy) Name() string { return "naive-views" }
 
-func (s *strategy) Begin(rt net.Runtime) (node.Epoch, error) { return node.Epoch{}, nil }
+func (s *strategy) Begin(rt net.Runtime, _ model.ShardID) (node.Epoch, error) {
+	return node.Epoch{}, nil
+}
 
-func (s *strategy) StillValid(rt net.Runtime, e node.Epoch) bool { return true }
+func (s *strategy) StillValid(rt net.Runtime, _ model.ShardID, e node.Epoch) bool { return true }
 
 func (s *strategy) ReadPlan(rt net.Runtime, obj model.ObjectID) (node.Plan, error) {
 	if !s.cat.Accessible(obj, s.view) {
@@ -92,5 +94,5 @@ func (s *strategy) EscalateRead(rt net.Runtime, obj model.ObjectID, got map[mode
 // heart of why the naive protocol is broken.
 func (s *strategy) AcceptAccess(rt net.Runtime, e node.Epoch) bool { return true }
 
-func (s *strategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID, sent time.Duration) {
+func (s *strategy) OnNoResponse(rt net.Runtime, _ model.ShardID, suspects []model.ProcID, sent time.Duration) {
 }

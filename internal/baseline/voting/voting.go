@@ -72,9 +72,11 @@ func (s *strategy) Name() string {
 	return "quorum"
 }
 
-func (s *strategy) Begin(rt net.Runtime) (node.Epoch, error) { return node.Epoch{}, nil }
+func (s *strategy) Begin(rt net.Runtime, _ model.ShardID) (node.Epoch, error) {
+	return node.Epoch{}, nil
+}
 
-func (s *strategy) StillValid(rt net.Runtime, e node.Epoch) bool { return true }
+func (s *strategy) StillValid(rt net.Runtime, _ model.ShardID, e node.Epoch) bool { return true }
 
 // nearestQuorum picks holders in ascending distance until the weight
 // threshold is met.
@@ -130,5 +132,5 @@ func (s *strategy) EscalateRead(rt net.Runtime, obj model.ObjectID, got map[mode
 
 func (s *strategy) AcceptAccess(rt net.Runtime, e node.Epoch) bool { return true }
 
-func (s *strategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID, sent time.Duration) {
+func (s *strategy) OnNoResponse(rt net.Runtime, _ model.ShardID, suspects []model.ProcID, sent time.Duration) {
 }

@@ -51,24 +51,27 @@ func TestClusterCommitsOneCopySerializably(t *testing.T) {
 	}
 }
 
-func TestShardedClusterCommitsCrossShardTransfer(t *testing.T) {
-	procs := []model.ProcID{1, 2, 3}
+// twoShards maps six objects on processors 1–3 into two shards, every
+// processor holding a copy of both, and names an object in each.
+func twoShards(t *testing.T) (m *shard.Map, a, b model.ObjectID) {
+	t.Helper()
 	objs := []model.ObjectID{"o0", "o1", "o2", "o3", "o4", "o5"}
-	m, err := shard.NewMap(shard.Config{Shards: 2, Seed: 1, Procs: procs, Objects: objs})
+	m, err := shard.NewMap(shard.Config{Shards: 2, Seed: 1, Procs: []model.ProcID{1, 2, 3}, Objects: objs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := objs[0]
-	var b model.ObjectID
+	a = objs[0]
 	for _, o := range objs {
 		if m.ShardOf(o) != m.ShardOf(a) {
-			b = o
-			break
+			return m, a, o
 		}
 	}
-	if b == "" {
-		t.Fatal("every object in one shard")
-	}
+	t.Fatal("every object in one shard")
+	return nil, "", ""
+}
+
+func TestShardedClusterCommitsCrossShardTransfer(t *testing.T) {
+	m, a, b := twoShards(t)
 	c, err := Start(Config{N: 3, Shards: m, Core: testCore()})
 	if err != nil {
 		t.Fatal(err)
@@ -87,66 +90,114 @@ func TestShardedClusterCommitsCrossShardTransfer(t *testing.T) {
 	}
 }
 
+// coreNodes returns the virtual-partition nodes behind a processor's
+// handler: the one node, or one per shard a router hosts.
+func coreNodes(h net.Handler) []*core.Node {
+	r, ok := h.(*shard.Router)
+	if !ok {
+		return []*core.Node{h.(*core.Node)}
+	}
+	var ns []*core.Node
+	for _, s := range r.Hosted() {
+		ns = append(ns, r.Node(s))
+	}
+	return ns
+}
+
 // A processor stopped and booted again on its file journal comes back
-// restored — unassigned, forming a fresh partition — rejoins, and serves
-// the write it missed.
+// restored — unassigned, forming a fresh partition (one per hosted shard
+// when sharded) — rejoins, and serves the writes it missed.
 func TestStopAndBootRestoresFromJournal(t *testing.T) {
-	dirs := map[model.ProcID]string{1: t.TempDir(), 2: t.TempDir(), 3: t.TempDir()}
-	journals := map[model.ProcID]*durable.FileJournal{}
-	defer func() {
-		for _, j := range journals {
-			j.Close()
-		}
-	}()
-	c, err := Start(Config{N: 3, Catalog: model.FullyReplicated(3, "x"), Core: testCore(),
-		Journal: func(p model.ProcID) (durable.Journal, *durable.State, error) {
-			st, j, err := durable.Open(dirs[p])
-			journals[p] = j
-			return j, st, err
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	state := func(p model.ProcID) (assigned bool, view model.ProcSet) {
-		nd := c.Handler(p).(*core.Node)
-		c.Node(p).Post(func(net.Runtime) { assigned, view = nd.Assigned(), nd.View() })
-		return assigned, view
-	}
-	if assigned, _ := state(3); !assigned {
-		t.Fatal("a fresh journal booted an unassigned node")
-	}
+	m, a, b := twoShards(t)
+	for _, tc := range []struct {
+		name          string
+		cfg           Config
+		first, second []wire.Op
+		objs          []model.ObjectID
+		want          []model.Value
+	}{
+		{"unsharded", Config{Catalog: model.FullyReplicated(3, "x")},
+			[]wire.Op{wire.WriteOp("x", 10)}, []wire.Op{wire.WriteOp("x", 20)},
+			[]model.ObjectID{"x"}, []model.Value{20}},
+		{"two shards", Config{Shards: m},
+			wire.TransferOps(a, b, 5), wire.TransferOps(a, b, 2),
+			[]model.ObjectID{a, b}, []model.Value{-7, 7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dirs := map[model.ProcID]string{1: t.TempDir(), 2: t.TempDir(), 3: t.TempDir()}
+			journals := map[model.ProcID]*durable.FileJournal{}
+			defer func() {
+				for _, j := range journals {
+					j.Close()
+				}
+			}()
+			cfg := tc.cfg
+			cfg.N, cfg.Core = 3, testCore()
+			cfg.Journal = func(p model.ProcID) (durable.Journal, *durable.State, error) {
+				st, j, err := durable.Open(dirs[p])
+				journals[p] = j
+				return j, st, err
+			}
+			c, err := Start(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Stop()
+			all := model.NewProcSet(1, 2, 3)
+			// assigned: every node of p is in a partition; joined: every
+			// one is in the full view and refreshes nothing.
+			state := func(p model.ProcID) (assigned, joined bool) {
+				c.Node(p).Post(func(net.Runtime) {
+					assigned, joined = true, true
+					for _, nd := range coreNodes(c.Handler(p)) {
+						assigned = assigned && nd.Assigned()
+						joined = joined && nd.Assigned() && nd.View().Equal(all) && !nd.Refreshing()
+					}
+				})
+				return assigned, joined
+			}
+			if assigned, _ := state(3); !assigned {
+				t.Fatal("a fresh journal booted an unassigned node")
+			}
 
-	commit(t, c, 1, 1, []wire.Op{wire.WriteOp("x", 10)})
-	c.StopNode(3)
-	if err := journals[3].Close(); err != nil {
-		t.Fatal(err)
-	}
-	delete(journals, 3)
-	if c.Node(3) != nil {
-		t.Fatal("a stopped node is still reported running")
-	}
-	commit(t, c, 1, 2, []wire.Op{wire.WriteOp("x", 20)})
+			commit(t, c, 1, 1, tc.first)
+			c.StopNode(3)
+			if err := journals[3].Close(); err != nil {
+				t.Fatal(err)
+			}
+			delete(journals, 3)
+			if c.Node(3) != nil {
+				t.Fatal("a stopped node is still reported running")
+			}
+			commit(t, c, 1, 2, tc.second)
 
-	if err := c.Boot(3); err != nil {
-		t.Fatal(err)
-	}
-	// A restored node starts unassigned; forming its partition takes at
-	// least the 2δ invitation window.
-	if assigned, _ := state(3); assigned {
-		t.Fatal("booted from a journal with writes, the node started fresh")
-	}
-	all := model.NewProcSet(1, 2, 3)
-	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		if assigned, view := state(3); assigned && view.Equal(all) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the restarted node never rejoined the full view")
-		}
-	}
-	if res := commit(t, c, 3, 3, []wire.Op{wire.ReadOp("x")}); res.Reads[0].Val != 20 {
-		t.Fatalf("restarted node reads x = %d, want 20", res.Reads[0].Val)
+			if err := c.Boot(3); err != nil {
+				t.Fatal(err)
+			}
+			// A restored node starts unassigned; forming its partition takes
+			// at least the 2δ invitation window.
+			if assigned, _ := state(3); assigned {
+				t.Fatal("booted from a journal with writes, the node started fresh")
+			}
+			for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+				if _, joined := state(3); joined {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the restarted node never rejoined the full view")
+				}
+			}
+			var read []wire.Op
+			for _, o := range tc.objs {
+				read = append(read, wire.ReadOp(o))
+			}
+			res := commit(t, c, 3, 3, read)
+			for i, o := range tc.objs {
+				if got := res.Reads[i].Val; got != tc.want[i] {
+					t.Errorf("restarted node reads %s = %d, want %d", o, got, tc.want[i])
+				}
+			}
+		})
 	}
 }
 

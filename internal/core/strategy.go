@@ -33,7 +33,7 @@ var ErrNotAssigned = errors.New("processor not assigned to a virtual partition")
 var ErrInaccessible = errors.New("no majority of copies in view")
 
 // Begin implements node.Strategy.
-func (s *vpStrategy) Begin(rt net.Runtime) (node.Epoch, error) {
+func (s *vpStrategy) Begin(rt net.Runtime, _ model.ShardID) (node.Epoch, error) {
 	n := s.node()
 	if !n.assigned {
 		return node.Epoch{}, ErrNotAssigned
@@ -42,7 +42,7 @@ func (s *vpStrategy) Begin(rt net.Runtime) (node.Epoch, error) {
 }
 
 // StillValid implements node.Strategy (rule R4 at the coordinator).
-func (s *vpStrategy) StillValid(rt net.Runtime, e node.Epoch) bool {
+func (s *vpStrategy) StillValid(rt net.Runtime, _ model.ShardID, e node.Epoch) bool {
 	n := s.node()
 	return n.assigned && e.Has && e.VP == n.curID
 }
@@ -130,7 +130,7 @@ func (n *Node) Strategy() node.Strategy { return (*vpStrategy)(n) }
 // whose last write is still in doubt. That costs the transaction. A new
 // partition would not end the wait, only abort everybody else, once per
 // LockTimeout.
-func (s *vpStrategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID, sent time.Duration) {
+func (s *vpStrategy) OnNoResponse(rt net.Runtime, _ model.ShardID, suspects []model.ProcID, sent time.Duration) {
 	n := s.node()
 	if !n.assigned {
 		return

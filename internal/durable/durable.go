@@ -109,8 +109,13 @@ type Journal interface {
 	Apply(obj model.ObjectID, val model.Value, ver model.Version)
 	// Stage records a prepared write.
 	Stage(txn model.TxnID, obj model.ObjectID, w StagedWrite)
-	// DropStage forgets a staged write (committed or aborted). An empty
-	// obj drops every staged write of the transaction.
+	// DropStage forgets a staged write (committed or aborted). A
+	// participant drops its writes object by object: co-hosted shards
+	// share one journal, and a transaction's staged writes at another
+	// shard are not this one's to drop. An empty obj drops every staged
+	// write of the transaction; replay still honours it, as older
+	// journals and the decided-stage repair (resolveDecidedStages)
+	// contain it.
 	DropStage(txn model.TxnID, obj model.ObjectID)
 	// Vote records the coordinator's own vote for a transaction whose
 	// prepares have left (see VoteRec). The transaction's Decide record

@@ -23,9 +23,9 @@ type Base struct {
 	Cfg   Config
 	Cat   *model.Catalog
 	Strat Strategy
-	// sharded is Strat when it implements ShardedStrategy (the
-	// multi-shard coordinator of internal/shard); nil otherwise.
-	sharded ShardedStrategy
+	// sharded is Strat when it implements Sharder (the multi-shard
+	// coordinator of internal/shard); nil otherwise.
+	sharded Sharder
 	Store   *store.Store
 	Locks   *locks.Manager
 	// Hist, when non-nil, receives a record per finished transaction for
@@ -151,7 +151,7 @@ func NewBase(id model.ProcID, cfg Config, cat *model.Catalog, strat Strategy, hi
 		telling:  make(map[model.ObjectID]int),
 	}
 	b.Store.SetJournal(j)
-	b.sharded, _ = strat.(ShardedStrategy)
+	b.sharded, _ = strat.(Sharder)
 	return b
 }
 
@@ -215,21 +215,15 @@ func (b *Base) InitBase(rt net.Runtime) {
 			votesNeeded: newPartSet(),
 			voteFrom:    newPartSet(),
 			sParts:      newPartSet(),
+			epochs:      make(map[model.ShardID]Epoch),
 		}
 		for i, p := range rec.Parts {
 			k := partKey{P: p}
-			ep := Epoch{}
-			if rec.Epochs != nil {
-				ep = Epoch{VP: rec.Epochs[i], Has: true}
-			}
 			if rec.Shards != nil {
 				k.S = rec.Shards[i]
-				if t.epochs == nil {
-					t.epochs = make(map[model.ShardID]Epoch)
-				}
-				t.epochs[k.S] = ep
-			} else {
-				t.epoch = ep
+			}
+			if rec.Epochs != nil {
+				t.epochs[k.S] = Epoch{VP: rec.Epochs[i], Has: true}
 			}
 			t.votesNeeded.Add(k)
 		}
@@ -243,17 +237,24 @@ func (b *Base) InitBase(rt net.Runtime) {
 }
 
 // RestoreDurable seeds the node from journaled state before it starts:
-// staged participant writes become prepared transactions again,
-// unacknowledged coordinator decisions resume retransmission and
-// undecided coordinator votes are collected again. The store must be
-// restored separately (Store.Restore).
+// staged participant writes of copies held here become prepared
+// transactions again, unacknowledged coordinator decisions resume
+// retransmission and undecided coordinator votes are collected again.
+// The store must be restored separately (Store.Restore).
 func (b *Base) RestoreDurable(st *durable.State) {
 	for txnID, objs := range st.Staged {
-		writes := make([]wire.ObjWrite, 0, len(objs))
+		// Under one journal per processor a transaction can have staged
+		// writes at a co-hosted shard too; those are that shard node's.
 		objSet := model.NewObjSet()
 		for o := range objs {
-			objSet.Add(o)
+			if b.Store.Has(o) {
+				objSet.Add(o)
+			}
 		}
+		if objSet.Len() == 0 {
+			continue
+		}
+		writes := make([]wire.ObjWrite, 0, objSet.Len())
 		for _, o := range objSet.Sorted() {
 			w := objs[o]
 			writes = append(writes, wire.ObjWrite{Obj: o, Val: w.Val, Ver: w.Ver, MissedBy: w.MissedBy})
@@ -349,17 +350,7 @@ func (b *Base) HandleTimer(rt net.Runtime, key any) bool {
 // wire.RecoverRead).
 func (b *Base) EpochChanged(rt net.Runtime, reason string) {
 	// Coordinator side: abort undecided transactions.
-	ids := make([]model.TxnID, 0, len(b.active))
-	for id := range b.active {
-		ids = append(ids, id)
-	}
-	sortTxnIDs(ids)
-	for _, id := range ids {
-		if t := b.active[id]; t.undecided() {
-			b.abortTxn(rt, t, abortEpochChanged, reason)
-		}
-		// else the decision is made, or the votes' to make: keep at it
-	}
+	b.ShardEpochChanged(rt, model.NoShard, reason)
 	// Server side: release locks of non-prepared transactions.
 	for _, id := range b.Locks.Txns() {
 		if _, isPrepared := b.prepared[id]; isPrepared {

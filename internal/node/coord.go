@@ -42,13 +42,13 @@ const (
 )
 
 type txn struct {
-	id    model.TxnID
-	tag   uint64
-	epoch Epoch
-	// epochs, in a sharded deployment, holds the epoch pinned per
-	// touched shard (rule R4 applied shard by shard) and shards lists
-	// them in ascending order for deterministic iteration. Both are nil
-	// when unsharded; epoch alone governs the transaction then.
+	id  model.TxnID
+	tag uint64
+	// epochs holds the epoch pinned per touched shard (rule R4 applied
+	// shard by shard; model.NoShard alone when unsharded) and shards
+	// lists them in ascending order for deterministic iteration. Trace
+	// and history records carry the model.NoShard epoch, zero for a
+	// sharded transaction.
 	epochs map[model.ShardID]Epoch
 	shards []model.ShardID
 	ops    []wire.Op
@@ -204,40 +204,29 @@ func (b *Base) startTxn(rt net.Runtime, ct wire.ClientTxn, parent model.TraceCtx
 		b.hurry(rt)
 		return
 	}
-	epoch, err := b.Strat.Begin(rt)
-	if err != nil {
-		deny(err.Error())
-		return
-	}
-	var (
-		epochs   map[model.ShardID]Epoch
-		shardIDs []model.ShardID
-	)
-	if b.sharded != nil {
-		// Pin one epoch per touched shard up-front (rule R4 per shard):
-		// a transaction whose footprint includes an inaccessible shard is
-		// denied before it takes any locks anywhere.
-		epochs = make(map[model.ShardID]Epoch)
-		for _, op := range ct.Ops {
-			s := b.sharded.ShardOf(op.Obj)
-			if _, ok := epochs[s]; ok {
-				continue
-			}
-			e, serr := b.sharded.ShardEpoch(rt, s)
-			if serr != nil {
-				deny(fmt.Sprintf("shard %v inaccessible: %v", s, serr))
-				return
-			}
-			epochs[s] = e
-			shardIDs = append(shardIDs, s)
+	// Pin one epoch per touched shard up-front (rule R4 per shard): a
+	// transaction whose footprint includes an inaccessible shard is
+	// denied before it takes any locks anywhere.
+	epochs := make(map[model.ShardID]Epoch)
+	var shardIDs []model.ShardID
+	for _, op := range ct.Ops {
+		s := b.shardOf(op.Obj)
+		if _, ok := epochs[s]; ok {
+			continue
 		}
-		sortShardIDs(shardIDs)
+		e, err := b.Strat.Begin(rt, s)
+		if err != nil {
+			deny(err.Error())
+			return
+		}
+		epochs[s] = e
+		shardIDs = append(shardIDs, s)
 	}
+	sortShardIDs(shardIDs)
 	b.seq++
 	t := &txn{
 		id:         model.TxnID{Start: b.stamp(rt), P: b.ID, Seq: b.seq},
 		tag:        ct.Tag,
-		epoch:      epoch,
 		epochs:     epochs,
 		shards:     shardIDs,
 		ops:        ct.Ops,
@@ -266,7 +255,7 @@ func (b *Base) startTxn(rt net.Runtime, ct wire.ClientTxn, parent model.TraceCtx
 			t.begun = rt.Now()
 		}
 	}
-	rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnBegin, VP: epoch.VP, Txn: t.id, Aux: int64(len(ct.Ops))})
+	rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnBegin, VP: epochs[model.NoShard].VP, Txn: t.id, Aux: int64(len(ct.Ops))})
 	b.step(rt, t)
 }
 
@@ -346,7 +335,7 @@ func (b *Base) step(rt net.Runtime, t *txn) {
 		if !t.ctx.IsZero() {
 			t.opCtx, t.opStart = t.ctx.Child(b.NextSpan()), rt.Now()
 		}
-		ep := t.epochFor(t.planShard)
+		ep := t.epochs[t.planShard]
 		// The transaction's first request, if it goes to one copy, finds
 		// it holding nothing: it may wait where wait-die would kill it.
 		patient := t.opIdx == 0 && len(plan.Targets) == 1
@@ -400,7 +389,7 @@ func (b *Base) handleLockResp(rt net.Runtime, from model.ProcID, s model.ShardID
 	}
 	// A response addressed to an epoch the transaction no longer runs in
 	// is stale (weak-R4 migration re-issued the request): ignore it.
-	ep := t.epochFor(s)
+	ep := t.epochs[s]
 	stale := resp.HasEpoch != ep.Has || (resp.HasEpoch && resp.Epoch != ep.VP)
 	switch resp.Status {
 	case wire.LockDenied:
@@ -474,11 +463,7 @@ func (b *Base) handleOpTimeout(rt net.Runtime, k opTimeout) {
 		// this to route later writes around them. (For all-of plans any
 		// suspect implies granted < MinWeight, so the VP strategy only
 		// ever sees this on its abort path, as in Figures 10–11.)
-		if b.sharded != nil {
-			b.sharded.ShardNoResponse(rt, t.planShard, suspects, t.sentAt)
-		} else {
-			b.Strat.OnNoResponse(rt, suspects, t.sentAt)
-		}
+		b.Strat.OnNoResponse(rt, t.planShard, suspects, t.sentAt)
 	}
 	if granted >= t.plan.MinWeight && granted > 0 {
 		b.completeOp(rt, t)
@@ -510,7 +495,7 @@ func (b *Base) completeOp(rt net.Runtime, t *txn) {
 	if cur, ok := t.maxSeen[op.Obj]; !ok || cur.Less(maxResp.Ver) {
 		t.maxSeen[op.Obj] = maxResp.Ver
 	}
-	ep := t.epochFor(t.planShard)
+	ep := t.epochs[t.planShard]
 	switch op.Kind {
 	case wire.OpRead:
 		if !t.escalated {
@@ -610,7 +595,7 @@ func (b *Base) beginCommit(rt net.Runtime, t *txn) {
 	for _, o := range objs.Sorted() {
 		s := b.shardOf(o)
 		ver := model.Version{
-			Date:   t.epochFor(s).VP, // zero for partition-free protocols
+			Date:   t.epochs[s].VP, // zero for partition-free protocols
 			Ctr:    t.maxSeen[o].Ctr + 1,
 			Writer: t.id,
 		}
@@ -659,7 +644,7 @@ func (b *Base) sendPrepares(rt net.Runtime, t *txn, ctx model.TraceCtx) {
 		if k.P == b.ID {
 			t.selfVotes++
 		}
-		ep := t.epochFor(k.S)
+		ep := t.epochs[k.S]
 		b.sendPart(rt, k, wire.Prepare{
 			Txn: t.id, Epoch: ep.VP, HasEpoch: ep.Has,
 			Writes: t.prepares[k],
@@ -712,10 +697,13 @@ func (t *txn) voteRec() durable.VoteRec {
 	parts := t.votesNeeded.Sorted()
 	rec := durable.VoteRec{}
 	rec.Parts, rec.Shards = splitParts(parts)
-	if t.epoch.Has || t.epochs != nil {
-		rec.Epochs = make([]model.VPID, len(parts))
-		for i, k := range parts {
-			rec.Epochs[i] = t.epochFor(k.S).VP
+	for _, e := range t.epochs {
+		if e.Has {
+			rec.Epochs = make([]model.VPID, len(parts))
+			for i, k := range parts {
+				rec.Epochs[i] = t.epochs[k.S].VP
+			}
+			break
 		}
 	}
 	return rec
@@ -735,7 +723,7 @@ func (b *Base) handleVote(rt net.Runtime, from model.ProcID, s model.ShardID, v 
 	if !ok || t.phase != phaseVoting || !t.votesNeeded.Has(k) || t.voteFrom.Has(k) {
 		return
 	}
-	ep := t.epochFor(s)
+	ep := t.epochs[s]
 	if v.HasEpoch != ep.Has || (v.HasEpoch && v.Epoch != ep.VP) {
 		return // stale vote for a pre-migration prepare
 	}
@@ -790,15 +778,9 @@ func (b *Base) handleVoteTimeout(rt net.Runtime, k voteTimeout) {
 	}
 	sent := t.sentAt
 	b.decide(rt, t, false, abortVoteTimeout, "prepare timed out")
-	if b.sharded == nil {
-		if s := silent[model.NoShard]; len(s) > 0 {
-			b.Strat.OnNoResponse(rt, s, sent)
-		}
-		return
-	}
 	for _, s := range t.shards {
 		if len(silent[s]) > 0 {
-			b.sharded.ShardNoResponse(rt, s, silent[s], sent)
+			b.Strat.OnNoResponse(rt, s, silent[s], sent)
 		}
 	}
 }
@@ -959,7 +941,7 @@ func (b *Base) hurry(rt net.Runtime) {
 func (b *Base) askAgain(rt net.Runtime, t *txn) {
 	for _, k := range t.votesNeeded.Sorted() {
 		if !t.voteFrom.Has(k) {
-			ep := t.epochFor(k.S)
+			ep := t.epochs[k.S]
 			b.sendPartPlain(rt, k, wire.Prepare{Txn: t.id, Epoch: ep.VP, HasEpoch: ep.Has, Recollect: true})
 		}
 	}
@@ -1011,7 +993,7 @@ func (b *Base) abortTxn(rt net.Runtime, t *txn, cause, reason string) {
 func (b *Base) histRecord(t *txn, committed bool) onecopy.TxnRecord {
 	rec := onecopy.TxnRecord{
 		ID:        t.id,
-		Epoch:     t.epoch.VP,
+		Epoch:     t.epochs[model.NoShard].VP,
 		Committed: committed,
 		Reads:     make(map[model.ObjectID]model.Version, len(t.readVers)),
 		Writes:    make(map[model.ObjectID]model.Version, len(t.writeVers)),
@@ -1046,15 +1028,15 @@ func (b *Base) finish(rt net.Runtime, t *txn, committed bool, cause, reason stri
 			// The copies that voted yes are the copies written (rule R3).
 			for _, o := range t.lockLate.Sorted() {
 				s := b.shardOf(o)
-				tr.Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnWrite, VP: t.epochFor(s).VP, Shard: s, Txn: t.id, Obj: o,
+				tr.Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnWrite, VP: t.epochs[s].VP, Shard: s, Txn: t.id, Obj: o,
 					Procs: append([]model.ProcID(nil), t.writeParts[o]...)})
 			}
 		}
-		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnCommit, VP: t.epoch.VP, Txn: t.id})
+		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnCommit, VP: t.epochs[model.NoShard].VP, Txn: t.id})
 	} else {
 		rt.Metrics().Inc(metrics.CTxnAbort, 1)
 		rt.Metrics().Inc(abortByCause.Name(cause), 1)
-		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnAbort, VP: t.epoch.VP, Txn: t.id, Msg: reason})
+		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnAbort, VP: t.epochs[model.NoShard].VP, Txn: t.id, Msg: reason})
 	}
 	if b.Hist != nil {
 		b.Hist.Record(b.histRecord(t, committed))

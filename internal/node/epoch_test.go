@@ -23,14 +23,14 @@ type epochStrategy struct {
 
 func (s *epochStrategy) Name() string { return "test-epoch" }
 
-func (s *epochStrategy) Begin(rt net.Runtime) (Epoch, error) {
+func (s *epochStrategy) Begin(rt net.Runtime, _ model.ShardID) (Epoch, error) {
 	if s.epoch.IsZero() {
 		return Epoch{}, errors.New("unassigned")
 	}
 	return Epoch{VP: *s.epoch, Has: true}, nil
 }
 
-func (s *epochStrategy) StillValid(rt net.Runtime, e Epoch) bool {
+func (s *epochStrategy) StillValid(rt net.Runtime, _ model.ShardID, e Epoch) bool {
 	return e.Has && e.VP == *s.epoch
 }
 
@@ -52,7 +52,7 @@ func (s *epochStrategy) AcceptAccess(rt net.Runtime, e Epoch) bool {
 	return e.Has && e.VP == *s.epoch
 }
 
-func (s *epochStrategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID, sent time.Duration) {
+func (s *epochStrategy) OnNoResponse(rt net.Runtime, _ model.ShardID, suspects []model.ProcID, sent time.Duration) {
 }
 
 func (s *epochStrategy) InTransition(rt net.Runtime) bool { return *s.transition }

@@ -38,7 +38,7 @@ func (b *Base) MigrateActive(rt net.Runtime, newEpoch Epoch,
 			b.abortTxn(rt, t, abortEpochChanged, reason)
 			continue
 		}
-		t.epoch = newEpoch
+		t.epochs[model.NoShard] = newEpoch // weak R4 runs unsharded only
 		switch t.phase {
 		case phaseRunning:
 			// Re-issue the unanswered requests of the current operation

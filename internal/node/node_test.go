@@ -23,9 +23,9 @@ type rowaStrategy struct {
 
 func (s *rowaStrategy) Name() string { return "test-rowa" }
 
-func (s *rowaStrategy) Begin(rt net.Runtime) (Epoch, error) { return Epoch{}, nil }
+func (s *rowaStrategy) Begin(rt net.Runtime, _ model.ShardID) (Epoch, error) { return Epoch{}, nil }
 
-func (s *rowaStrategy) StillValid(rt net.Runtime, e Epoch) bool { return true }
+func (s *rowaStrategy) StillValid(rt net.Runtime, _ model.ShardID, e Epoch) bool { return true }
 
 func (s *rowaStrategy) ReadPlan(rt net.Runtime, obj model.ObjectID) (Plan, error) {
 	copies := s.cat.Copies(obj)
@@ -59,7 +59,7 @@ func (s *rowaStrategy) EscalateRead(rt net.Runtime, obj model.ObjectID, got map[
 
 func (s *rowaStrategy) AcceptAccess(rt net.Runtime, e Epoch) bool { return true }
 
-func (s *rowaStrategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID, sent time.Duration) {
+func (s *rowaStrategy) OnNoResponse(rt net.Runtime, _ model.ShardID, suspects []model.ProcID, sent time.Duration) {
 }
 
 type fixture struct {

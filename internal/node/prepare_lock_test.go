@@ -285,7 +285,7 @@ type reportingStrategy struct {
 	report func(suspects []model.ProcID, sent time.Duration)
 }
 
-func (s *reportingStrategy) OnNoResponse(_ net.Runtime, suspects []model.ProcID, sent time.Duration) {
+func (s *reportingStrategy) OnNoResponse(_ net.Runtime, _ model.ShardID, suspects []model.ProcID, sent time.Duration) {
 	s.report(suspects, sent)
 }
 

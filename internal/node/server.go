@@ -348,7 +348,11 @@ func (b *Base) handleDecide(rt net.Runtime, from model.ProcID, d wire.Decide) {
 		} else {
 			b.Store.DropAllStagedBy(d.Txn)
 		}
-		b.Journal.DropStage(d.Txn, "")
+		// Object by object: under one journal per processor a co-hosted
+		// shard may hold staged writes of the same transaction.
+		for _, w := range st.writes {
+			b.Journal.DropStage(d.Txn, w.Obj)
+		}
 		delete(b.prepared, d.Txn)
 		b.releaseTxnLocally(rt, d.Txn)
 	} else if !d.Commit {

@@ -15,11 +15,10 @@ import (
 // coordinator then addresses participants as (processor, shard) pairs,
 // pins one epoch per touched shard (rule R4 applied shard by shard),
 // and wraps each participant-bound message in a wire.ShardMsg frame so
-// the receiving router can hand it to the right shard node. With a
-// plain Strategy everything here degenerates to shard zero: keys sort
-// as bare processor ids, epochs collapse to the single pinned epoch,
-// and messages travel unwrapped — the unsharded protocol is untouched
-// byte for byte.
+// the receiving router can hand it to the right shard node. Without a
+// Sharder everything here is shard zero (model.NoShard): keys sort as
+// bare processor ids, the transaction pins one epoch, and messages
+// travel unwrapped — the unsharded protocol byte for byte.
 
 // partKey identifies one transaction participant: a processor plus the
 // shard it acts for. The same processor can participate twice in one
@@ -135,24 +134,12 @@ func (b *Base) shardOf(obj model.ObjectID) model.ShardID {
 	return b.sharded.ShardOf(obj)
 }
 
-// epochFor returns the epoch the transaction pinned for shard s.
-func (t *txn) epochFor(s model.ShardID) Epoch {
-	if s == model.NoShard || t.epochs == nil {
-		return t.epoch
-	}
-	return t.epochs[s]
-}
-
-// stillValid re-checks every epoch the transaction pinned (rule R4):
-// the single strategy epoch when unsharded, each touched shard's epoch
-// when sharded. A transaction that spans shards commits only if no
-// shard it touched changed partitions underneath it.
+// stillValid re-checks every epoch the transaction pinned (rule R4): a
+// transaction commits only if no shard it touched changed partitions
+// underneath it.
 func (b *Base) stillValid(rt net.Runtime, t *txn) bool {
-	if b.sharded == nil || t.epochs == nil {
-		return b.Strat.StillValid(rt, t.epoch)
-	}
 	for _, s := range t.shards {
-		if !b.sharded.ShardStillValid(rt, s, t.epochs[s]) {
+		if !b.Strat.StillValid(rt, s, t.epochs[s]) {
 			return false
 		}
 	}
@@ -184,9 +171,10 @@ func (b *Base) HandleShardMessage(rt net.Runtime, from model.ProcID, s model.Sha
 }
 
 // ShardEpochChanged aborts every undecided transaction that pinned an
-// epoch for shard s — rule R4 scoped to one shard. Transactions whose
-// footprint avoids the shard keep running: that isolation is the point
-// of per-shard virtual partitions.
+// epoch for shard s — rule R4 scoped to one shard (model.NoShard: every
+// transaction of an unsharded node). Transactions whose footprint
+// avoids the shard keep running: that isolation is the point of
+// per-shard virtual partitions.
 func (b *Base) ShardEpochChanged(rt net.Runtime, s model.ShardID, reason string) {
 	ids := make([]model.TxnID, 0, len(b.active))
 	for id := range b.active {
@@ -195,7 +183,7 @@ func (b *Base) ShardEpochChanged(rt net.Runtime, s model.ShardID, reason string)
 	sortTxnIDs(ids)
 	for _, id := range ids {
 		t := b.active[id]
-		if !t.undecided() || t.epochs == nil {
+		if !t.undecided() {
 			continue // decided, or the votes' to decide: keep at it
 		}
 		if _, ok := t.epochs[s]; ok {

@@ -74,16 +74,19 @@ type Strategy interface {
 	Name() string
 
 	// Begin is called when this node becomes coordinator of a new
-	// transaction. It returns the epoch the transaction will execute in,
-	// or a non-nil error to refuse (e.g. the processor is not assigned
-	// to any virtual partition).
-	Begin(rt net.Runtime) (Epoch, error)
+	// transaction, once for every shard the transaction touches (see
+	// Sharder; a strategy that does not shard only ever sees
+	// model.NoShard). It returns the epoch the transaction will execute
+	// in at shard s, or a non-nil error to refuse (e.g. the processor is
+	// not assigned to any virtual partition).
+	Begin(rt net.Runtime, s model.ShardID) (Epoch, error)
 
-	// StillValid reports whether the epoch is still current at this
-	// node. The coordinator re-checks it before deciding commit; the
-	// virtual-partition strategy returns false after the processor
-	// departed the transaction's partition (rule R4).
-	StillValid(rt net.Runtime, e Epoch) bool
+	// StillValid reports whether e, the epoch pinned for shard s, is
+	// still current at this node. The coordinator re-checks every pinned
+	// shard before deciding commit; the virtual-partition strategy
+	// returns false after the processor departed the transaction's
+	// partition (rule R4).
+	StillValid(rt net.Runtime, s model.ShardID, e Epoch) bool
 
 	// ReadPlan returns the physical plan for a logical read of obj, or
 	// an error when the object is inaccessible (rule R1).
@@ -105,10 +108,11 @@ type Strategy interface {
 	AcceptAccess(rt net.Runtime, e Epoch) bool
 
 	// OnNoResponse notifies the strategy that the coordinator timed out
-	// waiting for the given processors (the paper's "no-response"
-	// exception, which triggers Create-new-VP in Figures 9–11). sent is
-	// when the unanswered accesses — lock requests or prepares — left.
-	OnNoResponse(rt net.Runtime, suspects []model.ProcID, sent time.Duration)
+	// waiting for the given processors to answer accesses against shard
+	// s (the paper's "no-response" exception, which triggers
+	// Create-new-VP in Figures 9–11). sent is when the unanswered
+	// accesses — lock requests or prepares — left.
+	OnNoResponse(rt net.Runtime, s model.ShardID, suspects []model.ProcID, sent time.Duration)
 }
 
 // DeltaWriter is an optional Strategy extension: when UseDeltaWrites
@@ -130,29 +134,15 @@ type TransitionAware interface {
 	InTransition(rt net.Runtime) bool
 }
 
-// ShardedStrategy is the coordinator strategy of a sharded deployment
-// (internal/shard): every object belongs to exactly one shard and each
-// shard runs its own independent virtual-partition lifecycle. The
-// coordinator pins one epoch per shard its transaction touches (rule R4
-// applied shard by shard), re-validates each before deciding commit,
-// and routes Begin/StillValid through the per-shard methods instead of
-// the single-epoch ones — Begin should return a zero Epoch and
-// StillValid is never consulted for sharded transactions.
-type ShardedStrategy interface {
-	Strategy
-	// ShardOf maps an object to the shard that owns it.
+// Sharder is an optional Strategy extension for a sharded deployment
+// (internal/shard): every object belongs to exactly one shard, and each
+// shard runs its own virtual-partition lifecycle. The coordinator pins
+// one epoch per shard its transaction touches (rule R4 applied shard by
+// shard) and names the shard to Begin, StillValid and OnNoResponse.
+// Without it every object is in model.NoShard, the one shard of an
+// unsharded deployment.
+type Sharder interface {
 	ShardOf(obj model.ObjectID) model.ShardID
-	// ShardEpoch returns the coordinator's current epoch for shard s, or
-	// an error when the shard is inaccessible from here (rule R1 denial
-	// at transaction start).
-	ShardEpoch(rt net.Runtime, s model.ShardID) (Epoch, error)
-	// ShardStillValid reports whether e is still the current epoch of
-	// shard s (rule R4 re-check at commit).
-	ShardStillValid(rt net.Runtime, s model.ShardID, e Epoch) bool
-	// ShardNoResponse reports processors that failed to answer a
-	// physical access against shard s, so the shard's view management
-	// can react (mirrors Strategy.OnNoResponse, scoped to the shard).
-	ShardNoResponse(rt net.Runtime, s model.ShardID, suspects []model.ProcID, sent time.Duration)
 }
 
 // Config carries the node's timing and storage parameters.

@@ -21,8 +21,8 @@ import (
 //     running the full virtual-partition protocol scoped to its shard's
 //     copy set (via shardRT), so every shard forms views, tests rule R1
 //     and catches up under rule R5 independently;
-//   - one multi-shard transaction coordinator (node.Base with a
-//     ShardedStrategy), which pins an epoch per shard a transaction
+//   - one multi-shard transaction coordinator (node.Base whose strategy
+//     is a node.Sharder), which pins an epoch per shard a transaction
 //     touches and runs two-phase commit across the union of the touched
 //     shards' copy sets.
 //
@@ -67,13 +67,17 @@ type epochCache struct {
 }
 
 // NewRouter builds the router of processor id. Its shard nodes and
-// coordinator all write through j (nil: a fresh durable.MemJournal) —
-// one processor has ONE journal, which the shard nodes share through
-// scoping wrappers (see shardJournal). st is j's replayed state: it is
-// split by shard (SplitState), each hosted shard node restores its slice
-// of copies and staged writes (or starts fresh when there is nothing to
-// restore, see core.New), and the coordinator resumes the pending commit
-// decisions.
+// coordinator all write through j (nil: a fresh durable.MemJournal):
+// one processor has ONE journal. Nothing scopes it per shard: every
+// copy and staged write a shard node records or drops names its object,
+// an object belongs to one shard, and max-id only ever rises. st is j's
+// replayed state. Every hosted
+// shard node gets its max-id, copies and staged writes and restores
+// those of its own objects (or starts fresh when there is nothing to
+// restore, see core.New); partition identifiers come from one counter
+// per processor, so every shard starting above the global max-id keeps
+// S3's never-reuse. The coordinator gets the pending commit decisions
+// and undecided votes, which may span shards, and resumes them.
 func NewRouter(id model.ProcID, cfg core.Config, m *Map, hist *onecopy.History,
 	j durable.Journal, st *durable.State) *Router {
 
@@ -102,25 +106,20 @@ func NewRouter(id model.ProcID, cfg core.Config, m *Map, hist *onecopy.History,
 		}
 	}
 
-	var shardStates map[model.ShardID]*durable.State
-	var coordState *durable.State
+	var shardState *durable.State
 	if st != nil {
-		shardStates, coordState = SplitState(st, m, m.Hosted(id))
+		shardState = &durable.State{MaxID: st.MaxID, Copies: st.Copies, Staged: st.Staged}
 	}
 	for _, s := range m.Hosted(id) {
-		sj := newShardJournal(j)
-		if ss := shardStates[s]; ss != nil {
-			sj.seed(ss.Staged)
-		}
-		n := core.New(id, cfg, m.ShardCatalog(s), nil, sj, shardStates[s])
+		n := core.New(id, cfg, m.ShardCatalog(s), nil, j, shardState)
 		s := s
 		n.Observer = func(ev any) { r.onShardEvent(s, ev) }
 		r.nodes[s] = n
 		r.order = append(r.order, s)
 	}
 	r.coord.Journal = j
-	if coordState != nil {
-		r.coord.RestoreDurable(coordState)
+	if st != nil {
+		r.coord.RestoreDurable(&durable.State{Decides: st.Decides, Votes: st.Votes})
 	}
 	return r
 }

@@ -72,6 +72,28 @@ func objIn(t *testing.T, m *Map, s model.ShardID) model.ObjectID {
 	return ""
 }
 
+// coHostedAt3 finds a map on five processors where processor 3 hosts
+// two shards that both own objects, and returns those shards and an
+// object of each.
+func coHostedAt3(t *testing.T) (m *Map, sA, sB model.ShardID, oA, oB model.ObjectID) {
+	t.Helper()
+	base := Config{Shards: 4, Replicas: 3, Procs: testProcs(5), Objects: testObjects(32)}
+	m = findSeed(t, base, func(m *Map) bool {
+		n := 0
+		for _, s := range m.Hosted(3) {
+			for _, o := range m.Catalog().Objects() {
+				if m.ShardOf(o) == s {
+					n++
+					break
+				}
+			}
+		}
+		return n >= 2
+	})
+	sA, sB = m.Hosted(3)[0], m.Hosted(3)[1]
+	return m, sA, sB, objIn(t, m, sA), objIn(t, m, sB)
+}
+
 // ---------------------------------------------------------------------------
 // Shard map determinism
 // ---------------------------------------------------------------------------
@@ -161,7 +183,8 @@ type fixture struct {
 
 // newFixture builds a router cluster. With durable true every processor
 // writes through a MemJournal; restored (optional) rebuilds the listed
-// processors from the given states.
+// processors from the given states, each over a MemJournal that holds
+// its state, as the journal it was replayed from would.
 func newFixture(t *testing.T, m *Map, n int, seed int64, durableNodes bool,
 	restored map[model.ProcID]*durable.State) *fixture {
 	t.Helper()
@@ -179,7 +202,7 @@ func newFixture(t *testing.T, m *Map, n int, seed int64, durableNodes bool,
 	for _, p := range topo.Procs() {
 		var j durable.Journal
 		if durableNodes || restored[p] != nil {
-			mj := durable.NewMemJournal()
+			mj := journalOf(restored[p])
 			f.journals[p] = mj
 			j = mj
 		}
@@ -192,6 +215,30 @@ func newFixture(t *testing.T, m *Map, n int, seed int64, durableNodes bool,
 	}
 	f.cluster.Start()
 	return f
+}
+
+// journalOf returns a MemJournal that has recorded st (nil: nothing).
+func journalOf(st *durable.State) *durable.MemJournal {
+	j := durable.NewMemJournal()
+	if st == nil {
+		return j
+	}
+	j.MaxID(st.MaxID)
+	for o, c := range st.Copies {
+		j.Apply(o, c.Val, c.Ver)
+	}
+	for txn, objs := range st.Staged {
+		for o, w := range objs {
+			j.Stage(txn, o, w)
+		}
+	}
+	for txn, d := range st.Decides {
+		j.Decide(txn, d.Commit, d.Pending, d.Shards)
+	}
+	for txn, v := range st.Votes {
+		j.Vote(txn, v)
+	}
+	return j
 }
 
 func (f *fixture) run(until time.Duration) { f.cluster.Run(until) }
@@ -322,23 +369,7 @@ func TestCrossShardCommit(t *testing.T) {
 // nodes share one journal — must apply BOTH shards' staged writes, and
 // both journals must drain.
 func TestCrossShardDecideSurvivesCoordinatorCrash(t *testing.T) {
-	base := Config{Shards: 4, Replicas: 3, Procs: testProcs(5), Objects: testObjects(32)}
-	m := findSeed(t, base, func(m *Map) bool {
-		// Processor 3 must host two distinct shards that own objects.
-		hosted := m.Hosted(3)
-		n := 0
-		for _, s := range hosted {
-			for _, o := range m.Catalog().Objects() {
-				if m.ShardOf(o) == s {
-					n++
-					break
-				}
-			}
-		}
-		return n >= 2
-	})
-	sA, sB := m.Hosted(3)[0], m.Hosted(3)[1]
-	oA, oB := objIn(t, m, sA), objIn(t, m, sB)
+	m, sA, sB, oA, oB := coHostedAt3(t)
 
 	crashTxn := model.TxnID{Start: 123, P: 1, Seq: 9}
 	date := model.VPID{N: 50, P: 1}
@@ -395,6 +426,41 @@ func TestCrossShardDecideSurvivesCoordinatorCrash(t *testing.T) {
 	}
 	if got[oA] != 71 || got[oB] != 72 {
 		t.Fatalf("post-recovery read = %v, want %q=71 %q=72", got, oA, oB)
+	}
+}
+
+// Processor 3 hosts shards A and B, one journal under both, and holds a
+// transaction's staged writes in each. A's Decide must drop A's staged
+// write from that journal and leave B's, which is still B's promise.
+func TestDecideLeavesCoHostedShardsStageAlone(t *testing.T) {
+	m, sA, sB, oA, oB := coHostedAt3(t)
+	txn := model.TxnID{Start: 123, P: 1, Seq: 9}
+	ver := model.Version{Date: model.VPID{N: 50, P: 1}, Ctr: 5, Writer: txn}
+	st3 := durable.NewState()
+	st3.MaxID = model.VPID{N: 4, P: 3}
+	st3.Staged[txn] = map[model.ObjectID]durable.StagedWrite{
+		oA: {Val: 71, Ver: ver},
+		oB: {Val: 72, Ver: ver},
+	}
+	f := newFixture(t, m, 5, 306, true, map[model.ProcID]*durable.State{3: st3})
+	f.cluster.At(tDelta, "decide-A", func() {
+		f.routers[3].OnMessage(f.cluster.RuntimeFor(3), 1,
+			wire.ShardMsg{Shard: sA, Msg: wire.Decide{Txn: txn, Commit: true}})
+	})
+	f.run(2 * tDelta)
+
+	staged := f.journals[3].St.Staged[txn]
+	if _, ok := staged[oA]; ok {
+		t.Errorf("shard %v's Decide left its staged write of %s in the journal", sA, oA)
+	}
+	if _, ok := staged[oB]; !ok {
+		t.Errorf("shard %v's Decide dropped shard %v's staged write of %s from the journal", sA, sB, oB)
+	}
+	if got := f.routers[3].Node(sA).Store.Get(oA).Val; got != 71 {
+		t.Errorf("shard %v: %s = %d after commit, want 71", sA, oA, got)
+	}
+	if _, ok := f.routers[3].Node(sB).Store.StagedBy(oB); !ok {
+		t.Errorf("shard %v: %s no longer staged", sB, oB)
 	}
 }
 
@@ -618,21 +684,7 @@ func TestRemoteCoordinatorIncrementsWithOneLockRequest(t *testing.T) {
 // decides by what they are bound to: all prepared, commit; one with
 // nothing on record, abort — and the prepared one drops its write.
 func TestCrossShardVoteRecordIsCollectedAgain(t *testing.T) {
-	base := Config{Shards: 4, Replicas: 3, Procs: testProcs(5), Objects: testObjects(32)}
-	m := findSeed(t, base, func(m *Map) bool {
-		n := 0
-		for _, s := range m.Hosted(3) {
-			for _, o := range m.Catalog().Objects() {
-				if m.ShardOf(o) == s {
-					n++
-					break
-				}
-			}
-		}
-		return n >= 2
-	})
-	sA, sB := m.Hosted(3)[0], m.Hosted(3)[1]
-	oA, oB := objIn(t, m, sA), objIn(t, m, sB)
+	m, sA, sB, oA, oB := coHostedAt3(t)
 	crashTxn := model.TxnID{Start: 123, P: 1, Seq: 9}
 	date := model.VPID{N: 50, P: 1}
 

@@ -17,28 +17,21 @@ import (
 // delegates to the shard node's own virtual-partition strategy (live
 // view, exact R1 test); for a non-hosted shard it plans from the epoch
 // cache, whose staleness is caught by the server-side R4 check and the
-// commit-time ShardStillValid re-validation.
+// commit-time StillValid re-validation.
 type routerStrategy struct {
 	r *Router
 }
 
-var _ node.ShardedStrategy = (*routerStrategy)(nil)
+var (
+	_ node.Strategy = (*routerStrategy)(nil)
+	_ node.Sharder  = (*routerStrategy)(nil)
+)
 
 // errEpochUnknown denies a transaction whose shard's epoch is not yet
 // cached; the cache request it triggers makes a client retry succeed.
 var errEpochUnknown = errors.New("shard epoch not yet known (retry)")
 
 func (st *routerStrategy) Name() string { return "sharded-vp" }
-
-// Begin implements node.Strategy. Sharded transactions pin one epoch
-// per touched shard (ShardEpoch) instead of a coordinator-wide epoch.
-func (st *routerStrategy) Begin(rt net.Runtime) (node.Epoch, error) {
-	return node.Epoch{}, nil
-}
-
-// StillValid implements node.Strategy; never consulted for sharded
-// transactions (the coordinator re-checks ShardStillValid per shard).
-func (st *routerStrategy) StillValid(rt net.Runtime, e node.Epoch) bool { return true }
 
 // ReadPlan implements node.Strategy: rule R2 within the owning shard —
 // the nearest copy in that shard's view.
@@ -71,36 +64,32 @@ func (st *routerStrategy) EscalateRead(rt net.Runtime, obj model.ObjectID, got m
 // to the shard nodes, whose own strategies enforce R4.
 func (st *routerStrategy) AcceptAccess(rt net.Runtime, e node.Epoch) bool { return false }
 
-// OnNoResponse implements node.Strategy; sharded transactions report
-// through ShardNoResponse instead.
-func (st *routerStrategy) OnNoResponse(rt net.Runtime, suspects []model.ProcID, sent time.Duration) {
-}
-
-// ShardOf implements node.ShardedStrategy.
+// ShardOf implements node.Sharder.
 func (st *routerStrategy) ShardOf(obj model.ObjectID) model.ShardID {
 	return st.r.m.ShardOf(obj)
 }
 
-// ShardEpoch implements node.ShardedStrategy: the epoch pin of rule R4,
-// taken per shard at transaction start.
-func (st *routerStrategy) ShardEpoch(rt net.Runtime, s model.ShardID) (node.Epoch, error) {
+// Begin implements node.Strategy: the epoch pin of rule R4, taken per
+// shard at transaction start. A shard inaccessible from here denies the
+// transaction (rule R1 at transaction start).
+func (st *routerStrategy) Begin(rt net.Runtime, s model.ShardID) (node.Epoch, error) {
 	if n := st.r.nodes[s]; n != nil {
 		if n.Halted() || !n.Assigned() {
-			return node.Epoch{}, core.ErrNotAssigned
+			return node.Epoch{}, fmt.Errorf("shard %v inaccessible: %w", s, core.ErrNotAssigned)
 		}
 		return node.Epoch{VP: n.CurID(), Has: true}, nil
 	}
 	c := st.r.caches[s]
 	if c == nil || !c.has {
 		st.r.requestEpoch(rt, s)
-		return node.Epoch{}, errEpochUnknown
+		return node.Epoch{}, fmt.Errorf("shard %v inaccessible: %w", s, errEpochUnknown)
 	}
 	return node.Epoch{VP: c.vp, Has: true}, nil
 }
 
-// ShardStillValid implements node.ShardedStrategy: the commit-time R4
-// re-check, per pinned shard.
-func (st *routerStrategy) ShardStillValid(rt net.Runtime, s model.ShardID, e node.Epoch) bool {
+// StillValid implements node.Strategy: the commit-time R4 re-check, per
+// pinned shard.
+func (st *routerStrategy) StillValid(rt net.Runtime, s model.ShardID, e node.Epoch) bool {
 	if !e.Has {
 		return false
 	}
@@ -111,14 +100,14 @@ func (st *routerStrategy) ShardStillValid(rt net.Runtime, s model.ShardID, e nod
 	return c != nil && c.has && c.vp == e.VP
 }
 
-// ShardNoResponse implements node.ShardedStrategy: the paper's
-// no-response exception, scoped to the shard whose plan timed out. A
-// hosted shard reacts exactly as the unsharded protocol (Create-new-VP
-// among the shard's members); for a non-hosted shard the cached epoch
-// is suspect, so it is dropped and refetched.
-func (st *routerStrategy) ShardNoResponse(rt net.Runtime, s model.ShardID, suspects []model.ProcID, sent time.Duration) {
+// OnNoResponse implements node.Strategy: the paper's no-response
+// exception, scoped to the shard whose plan timed out. A hosted shard
+// reacts exactly as the unsharded protocol (Create-new-VP among the
+// shard's members); for a non-hosted shard the cached epoch is suspect,
+// so it is dropped and refetched.
+func (st *routerStrategy) OnNoResponse(rt net.Runtime, s model.ShardID, suspects []model.ProcID, sent time.Duration) {
 	if n := st.r.nodes[s]; n != nil {
-		n.Strategy().OnNoResponse(st.r.shardRT(rt, s), suspects, sent)
+		n.Strategy().OnNoResponse(st.r.shardRT(rt, s), model.NoShard, suspects, sent)
 		return
 	}
 	if c := st.r.caches[s]; c != nil {
