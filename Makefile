@@ -1,5 +1,6 @@
 # Developer entry points. `make check` is the tier-1 gate used by CI and
-# by ROADMAP.md, and fails on any file gofmt would change; `make race`
+# by ROADMAP.md, and fails on any file gofmt would change or on the
+# benchmark module's vet and unit tests; `make race`
 # covers the packages with real concurrency (the public vp.Cluster and
 # the in-process cluster builder, the TCP transport, the nemesis fault
 # injector, the parallel experiment harness, the client gateway, the
@@ -15,6 +16,7 @@ GO ?= go
 check: build vet test
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build ./...

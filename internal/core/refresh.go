@@ -7,7 +7,6 @@ import (
 	"github.com/virtualpartitions/vp/internal/metrics"
 	"github.com/virtualpartitions/vp/internal/model"
 	"github.com/virtualpartitions/vp/internal/net"
-	"github.com/virtualpartitions/vp/internal/store"
 	"github.com/virtualpartitions/vp/internal/trace"
 	"github.com/virtualpartitions/vp/internal/wire"
 )
@@ -39,7 +38,7 @@ type refreshState struct {
 	bestVer  model.Version
 	logMode  bool
 	// entries accumulated in log mode, applied at completion
-	entries []wire.LogEntry
+	entries []model.Copy
 	// comps gathered in mergeable mode (see mergeable.go)
 	comps []wire.CompEntry
 	// ctx and started trace this object's refresh as a child span of the
@@ -197,9 +196,7 @@ func (n *Node) onCatchupReq(rt net.Runtime, from model.ProcID, m wire.CatchupReq
 			entries, complete := n.Store.LogSince(o.Obj, o.Since)
 			d.Complete = complete
 			if complete {
-				for _, e := range entries {
-					d.Entries = append(d.Entries, wire.LogEntry{Val: e.Val, Ver: e.Ver})
-				}
+				d.Entries = entries
 				rt.Metrics().Inc(metrics.CCatchupWrites, int64(len(entries)))
 				rt.Metrics().Inc(metrics.CRefreshBytes, int64(len(entries))*recordBytes)
 				rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvRefreshServe, VP: n.curID, Obj: o.Obj, Peer: from, Aux: int64(len(entries)) * recordBytes})
@@ -408,14 +405,10 @@ func (n *Node) onRefreshWatchdog(rt net.Runtime, k refreshWatchdog) {
 // (Figure 9 lines 15–17), re-admitting any deferred physical accesses.
 func (n *Node) finishRefresh(rt net.Runtime, st *refreshState) {
 	if st.logMode {
-		converted := make([]store.LoggedWrite, len(st.entries))
-		for i, e := range st.entries {
-			converted[i] = store.LoggedWrite{Val: e.Val, Ver: e.Ver}
-		}
 		// Entries from different peers may interleave; sort so a stale
 		// entry never skips a newer one (Apply guards on newer-than).
-		sortLogged(converted)
-		n.Store.ApplyLog(st.obj, converted)
+		sortLogged(st.entries)
+		n.Store.ApplyLog(st.obj, st.entries)
 	}
 	if n.cfg.Mergeable {
 		// §7 mergeable-counter mode: reconcile per-writer components
@@ -437,7 +430,7 @@ func (n *Node) finishRefresh(rt net.Runtime, st *refreshState) {
 	rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvRefreshDone, VP: n.curID, Obj: st.obj})
 }
 
-func sortLogged(entries []store.LoggedWrite) {
+func sortLogged(entries []model.Copy) {
 	for i := 1; i < len(entries); i++ {
 		for j := i; j > 0 && entries[j].Ver.Less(entries[j-1].Ver); j-- {
 			entries[j], entries[j-1] = entries[j-1], entries[j]

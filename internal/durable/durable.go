@@ -113,9 +113,8 @@ type Journal interface {
 	// participant drops its writes object by object: co-hosted shards
 	// share one journal, and a transaction's staged writes at another
 	// shard are not this one's to drop. An empty obj drops every staged
-	// write of the transaction; replay still honours it, as older
-	// journals and the decided-stage repair (resolveDecidedStages)
-	// contain it.
+	// write of the transaction; replay still honours it, as the
+	// decided-stage repair (resolveDecidedStages) writes it.
 	DropStage(txn model.TxnID, obj model.ObjectID)
 	// Vote records the coordinator's own vote for a transaction whose
 	// prepares have left (see VoteRec). The transaction's Decide record
@@ -146,14 +145,13 @@ type Journal interface {
 	Barrier(urgent bool, release func(err error)) (done bool, err error)
 }
 
-// record is the on-disk envelope. Exactly one field is set.
+// record is the on-disk envelope: one record kind, and so one tag and
+// one layout (record.go), per group of fields. Exactly one group is set.
 type record struct {
 	Snapshot *State
-	// SnapScoped marks a snapshot taken under partial replication:
-	// SnapUniverse is the hosted-object universe at snapshot time
-	// (possibly empty), and LogSince refuses to attest completeness for
-	// objects outside it. Unscoped snapshots keep the legacy encoding.
-	SnapScoped   bool
+	// SnapUniverse is the hosted-object universe a snapshot was taken
+	// under: nil for all objects, else the scope (possibly empty) outside
+	// which LogSince refuses to attest completeness (partial replication).
 	SnapUniverse []model.ObjectID
 
 	SetMaxID *model.VPID

@@ -206,7 +206,7 @@ func TestLogSinceDoesNotWaitForTheDisk(t *testing.T) {
 	eventually(t, "the fsync to be in flight", func() bool { return disk.Blocked() == 1 })
 	j.Apply("x", 3, ver(3)) // pending behind the stalled flush
 
-	got := make(chan []durable.LogRec, 1)
+	got := make(chan []model.Copy, 1)
 	go func() {
 		recs, complete := j.LogSince("x", model.Version{})
 		if !complete {

@@ -2,11 +2,14 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"github.com/virtualpartitions/vp/internal/model"
+	"github.com/virtualpartitions/vp/internal/varint"
 )
 
 // This file is the on-disk record codec of the segmented WAL: each
@@ -15,11 +18,11 @@ import (
 //	[u32 payload length][u32 CRC32C of payload][payload]
 //
 // with both header words little-endian. The payload is a tag byte
-// naming the record kind followed by the kind's fields in varint
-// encoding. The checksum is what lets recovery tell a torn tail (the
-// final frame is short or fails its CRC — expected after a crash) from
-// interior corruption (a bad frame with intact frames after it — real
-// damage, refuse to start).
+// naming the record kind followed by the kind's fields, spelled by
+// internal/varint. The checksum is what lets recovery tell a torn tail
+// (the final frame is short or fails its CRC — expected after a crash)
+// from interior corruption (a bad frame with intact frames after it —
+// real damage, refuse to start).
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -30,29 +33,26 @@ const (
 	maxRecordBytes = 64 << 20
 )
 
-// record tags. Values are disk format: never reorder, only append.
+// record tags. Values are disk format: never reorder, only append. Each
+// record kind has exactly one layout.
 const (
-	tagSnapshot = byte(1)
-	tagMaxID    = byte(2)
-	tagApply    = byte(3)
-	tagStage    = byte(4)
-	tagDrop     = byte(5)
-	tagDecide   = byte(6)
-	tagDone     = byte(7)
-	// tagDecideShards is tagDecide plus a parallel shard list (sharded
-	// coordinators). Unsharded decisions keep emitting tagDecide, so
-	// unsharded log bytes are unchanged.
-	tagDecideShards = byte(8)
-	// tagSnapshotScoped is a snapshot that records the hosted-object
-	// universe it was taken under (partial replication). Its sharded-
-	// decision section is mandatory (possibly zero-length) so the
-	// trailing universe list parses unambiguously. Journals without a
-	// scope keep emitting tagSnapshot, so unsharded snapshot bytes are
-	// unchanged.
-	tagSnapshotScoped = byte(9)
-	// tagVote is a coordinator's own vote (VoteRec).
-	tagVote = byte(10)
+	tagMaxID    = byte(2)  // VPID
+	tagApply    = byte(3)  // object, zigzag value, version
+	tagStage    = byte(4)  // txn, object, staged write
+	tagDrop     = byte(5)  // txn, object ("" drops the whole transaction)
+	tagDone     = byte(7)  // txn
+	tagVote     = byte(10) // txn, vote record
+	tagSnapshot = byte(11) // state (appendState), then the universe
+	tagDecide   = byte(12) // txn, decision (appendDecision)
 )
+
+// ErrEarlierFormat is what Open reports for a journal holding a record
+// in a layout this build does not read: tags 1 and 9 (snapshots) and 6
+// and 8 (decisions) of earlier formats stay reserved for it. Such a
+// record is intact, so it is neither corruption nor a torn tail.
+var ErrEarlierFormat = errors.New("journal written by an earlier format")
+
+var errMalformed = errors.New("malformed record")
 
 // appendFrame appends the framed encoding of r to dst.
 func appendFrame(dst []byte, r *record) []byte {
@@ -68,231 +68,127 @@ func appendFrame(dst []byte, r *record) []byte {
 func appendRecord(dst []byte, r *record) []byte {
 	switch {
 	case r.Snapshot != nil:
-		// Undecided coordinator votes close the record, after everything
-		// older readers know, and only when there are any: a snapshot
-		// without them keeps its bytes. The sections before must then all
-		// be present, or the reader would take the votes for one of them.
-		votes := len(r.Snapshot.Votes) > 0
-		if r.SnapScoped {
-			dst = append(dst, tagSnapshotScoped)
-			dst = appendStateBody(dst, r.Snapshot, true)
+		dst = append(dst, tagSnapshot)
+		dst = appendState(dst, r.Snapshot)
+		// The universe: all objects, or the scope list (possibly empty).
+		dst = varint.AppendBool(dst, r.SnapUniverse != nil)
+		if r.SnapUniverse != nil {
 			dst = appendObjs(dst, r.SnapUniverse)
-		} else {
-			dst = append(dst, tagSnapshot)
-			dst = appendStateBody(dst, r.Snapshot, votes)
-		}
-		if votes {
-			dst = appendVotes(dst, r.Snapshot.Votes)
 		}
 	case r.SetMaxID != nil:
 		dst = append(dst, tagMaxID)
-		dst = appendVPID(dst, *r.SetMaxID)
+		dst = varint.AppendVPID(dst, *r.SetMaxID)
 	case r.ApplyVer != nil:
 		dst = append(dst, tagApply)
-		dst = appendString(dst, string(r.ApplyObj))
-		dst = appendZigzag(dst, int64(r.ApplyVal))
-		dst = appendVersion(dst, *r.ApplyVer)
+		dst = varint.AppendString(dst, string(r.ApplyObj))
+		dst = varint.AppendZ(dst, int64(r.ApplyVal))
+		dst = varint.AppendVersion(dst, *r.ApplyVer)
 	case r.StageTxn != nil:
 		dst = append(dst, tagStage)
-		dst = appendTxnID(dst, *r.StageTxn)
-		dst = appendString(dst, string(r.StageObj))
+		dst = varint.AppendTxnID(dst, *r.StageTxn)
+		dst = varint.AppendString(dst, string(r.StageObj))
 		dst = appendStagedWrite(dst, *r.StageW)
 	case r.DropTxn != nil:
 		dst = append(dst, tagDrop)
-		dst = appendTxnID(dst, *r.DropTxn)
-		dst = appendString(dst, string(r.DropObj))
+		dst = varint.AppendTxnID(dst, *r.DropTxn)
+		dst = varint.AppendString(dst, string(r.DropObj))
 	case r.DecideTxn != nil:
-		if len(r.DecideShards) > 0 {
-			dst = append(dst, tagDecideShards)
-			dst = appendTxnID(dst, *r.DecideTxn)
-			dst = appendBool(dst, r.DecideCommit)
-			dst = appendProcs(dst, r.DecidePending)
-			dst = appendShards(dst, r.DecideShards)
-		} else {
-			dst = append(dst, tagDecide)
-			dst = appendTxnID(dst, *r.DecideTxn)
-			dst = appendBool(dst, r.DecideCommit)
-			dst = appendProcs(dst, r.DecidePending)
-		}
+		dst = append(dst, tagDecide)
+		dst = appendDecision(dst, *r.DecideTxn,
+			DecideRec{Commit: r.DecideCommit, Pending: r.DecidePending, Shards: r.DecideShards})
 	case r.DoneTxn != nil:
 		dst = append(dst, tagDone)
-		dst = appendTxnID(dst, *r.DoneTxn)
+		dst = varint.AppendTxnID(dst, *r.DoneTxn)
 	case r.VoteTxn != nil:
 		dst = append(dst, tagVote)
-		dst = appendTxnID(dst, *r.VoteTxn)
+		dst = varint.AppendTxnID(dst, *r.VoteTxn)
 		dst = appendVoteRec(dst, r.VoteRec)
 	}
 	return dst
 }
 
-func appendVoteRec(dst []byte, v VoteRec) []byte {
-	dst = appendProcs(dst, v.Parts)
-	dst = appendShards(dst, v.Shards)
-	dst = appendUvarint(dst, uint64(len(v.Epochs)))
-	for _, e := range v.Epochs {
-		dst = appendVPID(dst, e)
-	}
-	return dst
-}
-
-func appendVotes(dst []byte, votes map[model.TxnID]VoteRec) []byte {
-	txns := make([]model.TxnID, 0, len(votes))
-	for t := range votes {
-		txns = append(txns, t)
-	}
-	sort.Slice(txns, func(i, j int) bool { return txns[i].Less(txns[j]) })
-	dst = appendUvarint(dst, uint64(len(txns)))
-	for _, t := range txns {
-		dst = appendTxnID(dst, t)
-		dst = appendVoteRec(dst, votes[t])
-	}
-	return dst
-}
-
-// appendState encodes a full State, votes aside (appendRecord puts
-// those last). Map keys are sorted so the same state always encodes to
-// the same bytes (snapshot files diff cleanly and tests can compare
-// them).
+// appendState encodes a full State: max-id, copies, staged writes,
+// decisions and votes, every section always present. Map keys are
+// sorted so the same state always encodes to the same bytes (snapshot
+// files diff cleanly and tests can compare them).
 func appendState(dst []byte, s *State) []byte {
-	return appendStateBody(dst, s, false)
-}
+	dst = varint.AppendVPID(dst, s.MaxID)
 
-// appendStateBody is appendState with the sharded-decision trailer
-// forced when forceTrailer is set: more sections follow the state, so
-// every one before them must be present.
-func appendStateBody(dst []byte, s *State, forceTrailer bool) []byte {
-	dst = appendVPID(dst, s.MaxID)
-
-	objs := make([]model.ObjectID, 0, len(s.Copies))
-	for o := range s.Copies {
-		objs = append(objs, o)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	dst = appendUvarint(dst, uint64(len(objs)))
-	for _, o := range objs {
+	dst = varint.AppendU(dst, uint64(len(s.Copies)))
+	for _, o := range sortedObjs(s.Copies) {
 		c := s.Copies[o]
-		dst = appendString(dst, string(o))
-		dst = appendZigzag(dst, int64(c.Val))
-		dst = appendVersion(dst, c.Ver)
+		dst = varint.AppendString(dst, string(o))
+		dst = varint.AppendZ(dst, int64(c.Val))
+		dst = varint.AppendVersion(dst, c.Ver)
 	}
 
-	txns := make([]model.TxnID, 0, len(s.Staged))
-	for t := range s.Staged {
-		txns = append(txns, t)
-	}
-	sort.Slice(txns, func(i, j int) bool { return txns[i].Less(txns[j]) })
-	dst = appendUvarint(dst, uint64(len(txns)))
+	txns := sortedTxns(s.Staged)
+	dst = varint.AppendU(dst, uint64(len(txns)))
 	for _, t := range txns {
 		ws := s.Staged[t]
-		dst = appendTxnID(dst, t)
-		wobjs := make([]model.ObjectID, 0, len(ws))
-		for o := range ws {
-			wobjs = append(wobjs, o)
-		}
-		sort.Slice(wobjs, func(i, j int) bool { return wobjs[i] < wobjs[j] })
-		dst = appendUvarint(dst, uint64(len(wobjs)))
-		for _, o := range wobjs {
-			dst = appendString(dst, string(o))
+		dst = varint.AppendTxnID(dst, t)
+		dst = varint.AppendU(dst, uint64(len(ws)))
+		for _, o := range sortedObjs(ws) {
+			dst = varint.AppendString(dst, string(o))
 			dst = appendStagedWrite(dst, ws[o])
 		}
 	}
 
-	dtxns := make([]model.TxnID, 0, len(s.Decides))
-	for t := range s.Decides {
-		dtxns = append(dtxns, t)
-	}
-	sort.Slice(dtxns, func(i, j int) bool { return dtxns[i].Less(dtxns[j]) })
-	dst = appendUvarint(dst, uint64(len(dtxns)))
-	for _, t := range dtxns {
-		d := s.Decides[t]
-		dst = appendTxnID(dst, t)
-		dst = appendBool(dst, d.Commit)
-		dst = appendProcs(dst, d.Pending)
+	txns = sortedTxns(s.Decides)
+	dst = varint.AppendU(dst, uint64(len(txns)))
+	for _, t := range txns {
+		dst = appendDecision(dst, t, s.Decides[t])
 	}
 
-	// Sharded decisions append a trailing section keyed by transaction.
-	// It is only emitted when at least one decision carries shard tags,
-	// so unsharded snapshots keep their historical byte layout (and old
-	// snapshots parse: the reader treats the section as optional).
-	sharded := 0
-	for _, t := range dtxns {
-		if len(s.Decides[t].Shards) > 0 {
-			sharded++
-		}
-	}
-	if sharded > 0 || forceTrailer {
-		dst = appendUvarint(dst, uint64(sharded))
-		for _, t := range dtxns {
-			d := s.Decides[t]
-			if len(d.Shards) == 0 {
-				continue
-			}
-			dst = appendTxnID(dst, t)
-			dst = appendShards(dst, d.Shards)
-		}
+	txns = sortedTxns(s.Votes)
+	dst = varint.AppendU(dst, uint64(len(txns)))
+	for _, t := range txns {
+		dst = varint.AppendTxnID(dst, t)
+		dst = appendVoteRec(dst, s.Votes[t])
 	}
 	return dst
 }
 
-func appendUvarint(dst []byte, v uint64) []byte {
-	if v < 0x80 {
-		return append(dst, byte(v))
+func sortedTxns[V any](m map[model.TxnID]V) []model.TxnID {
+	txns := make([]model.TxnID, 0, len(m))
+	for t := range m {
+		txns = append(txns, t)
 	}
-	return binary.AppendUvarint(dst, v)
+	sort.Slice(txns, func(i, j int) bool { return txns[i].Less(txns[j]) })
+	return txns
 }
 
-func appendZigzag(dst []byte, v int64) []byte {
-	return appendUvarint(dst, uint64(v<<1)^uint64(v>>63))
-}
-
-func appendBool(dst []byte, b bool) []byte {
-	if b {
-		return append(dst, 1)
+func sortedObjs[V any](m map[model.ObjectID]V) []model.ObjectID {
+	objs := make([]model.ObjectID, 0, len(m))
+	for o := range m {
+		objs = append(objs, o)
 	}
-	return append(dst, 0)
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = appendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendVPID(dst []byte, v model.VPID) []byte {
-	dst = appendUvarint(dst, v.N)
-	return appendUvarint(dst, uint64(v.P))
-}
-
-func appendTxnID(dst []byte, t model.TxnID) []byte {
-	dst = appendZigzag(dst, t.Start)
-	dst = appendUvarint(dst, uint64(t.P))
-	return appendUvarint(dst, t.Seq)
-}
-
-func appendVersion(dst []byte, v model.Version) []byte {
-	dst = appendVPID(dst, v.Date)
-	dst = appendUvarint(dst, v.Ctr)
-	return appendTxnID(dst, v.Writer)
+	slices.Sort(objs)
+	return objs
 }
 
 func appendStagedWrite(dst []byte, w StagedWrite) []byte {
-	dst = appendZigzag(dst, int64(w.Val))
-	dst = appendVersion(dst, w.Ver)
-	dst = appendBool(dst, w.Delta)
-	return appendProcs(dst, w.MissedBy)
+	dst = varint.AppendZ(dst, int64(w.Val))
+	dst = varint.AppendVersion(dst, w.Ver)
+	dst = varint.AppendBool(dst, w.Delta)
+	return varint.AppendProcs(dst, w.MissedBy)
 }
 
-func appendProcs(dst []byte, ps []model.ProcID) []byte {
-	dst = appendUvarint(dst, uint64(len(ps)))
-	for _, p := range ps {
-		dst = appendUvarint(dst, uint64(p))
-	}
-	return dst
+// appendDecision encodes a decision with its shard list, which is empty
+// when unsharded and parallels Pending otherwise.
+func appendDecision(dst []byte, t model.TxnID, d DecideRec) []byte {
+	dst = varint.AppendTxnID(dst, t)
+	dst = varint.AppendBool(dst, d.Commit)
+	dst = varint.AppendProcs(dst, d.Pending)
+	return varint.AppendShards(dst, d.Shards)
 }
 
-func appendShards(dst []byte, ss []model.ShardID) []byte {
-	dst = appendUvarint(dst, uint64(len(ss)))
-	for _, s := range ss {
-		dst = appendUvarint(dst, uint64(s))
+func appendVoteRec(dst []byte, v VoteRec) []byte {
+	dst = varint.AppendProcs(dst, v.Parts)
+	dst = varint.AppendShards(dst, v.Shards)
+	dst = varint.AppendU(dst, uint64(len(v.Epochs)))
+	for _, e := range v.Epochs {
+		dst = varint.AppendVPID(dst, e)
 	}
 	return dst
 }
@@ -300,285 +196,134 @@ func appendShards(dst []byte, ss []model.ShardID) []byte {
 // appendObjs encodes an object list sorted, so equal universes always
 // encode to the same bytes.
 func appendObjs(dst []byte, objs []model.ObjectID) []byte {
-	sorted := make([]model.ObjectID, len(objs))
-	copy(sorted, objs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	dst = appendUvarint(dst, uint64(len(sorted)))
+	sorted := slices.Clone(objs)
+	slices.Sort(sorted)
+	dst = varint.AppendU(dst, uint64(len(sorted)))
 	for _, o := range sorted {
-		dst = appendString(dst, string(o))
+		dst = varint.AppendString(dst, string(o))
 	}
 	return dst
 }
 
-// walCursor reads the varint primitives back with a sticky error: after
-// the first malformed read every further read reports zero values and
-// bad stays set, so record parsers do not need per-field error checks.
-type walCursor struct {
-	b   []byte
-	bad bool
-}
+// The readers below undo the appenders above. Each Count's elemMin is a
+// lower bound on the element's encoded size. A malformed field marks the
+// cursor bad, which parseRecord reports.
 
-func (c *walCursor) u() uint64 {
-	if c.bad {
-		return 0
-	}
-	if len(c.b) > 0 && c.b[0] < 0x80 {
-		v := uint64(c.b[0])
-		c.b = c.b[1:]
-		return v
-	}
-	v, n := binary.Uvarint(c.b)
-	if n <= 0 {
-		c.bad = true
-		return 0
-	}
-	c.b = c.b[n:]
-	return v
-}
-
-func (c *walCursor) z() int64 {
-	u := c.u()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-func (c *walCursor) byte() byte {
-	if c.bad || len(c.b) == 0 {
-		c.bad = true
-		return 0
-	}
-	v := c.b[0]
-	c.b = c.b[1:]
-	return v
-}
-
-func (c *walCursor) bool() bool { return c.byte() != 0 }
-
-func (c *walCursor) str() string {
-	n := c.u()
-	if c.bad || n > uint64(len(c.b)) {
-		c.bad = true
-		return ""
-	}
-	s := string(c.b[:n])
-	c.b = c.b[n:]
-	return s
-}
-
-// count reads a collection length and rejects values that could not fit
-// in the remaining bytes (each element needs at least elemMin bytes), so
-// corrupt lengths cannot drive huge allocations.
-func (c *walCursor) count(elemMin int) int {
-	n := c.u()
-	if c.bad || n > uint64(len(c.b)/elemMin+1) {
-		c.bad = true
-		return 0
-	}
-	return int(n)
-}
-
-func (c *walCursor) vpid() model.VPID {
-	return model.VPID{N: c.u(), P: model.ProcID(c.u())}
-}
-
-func (c *walCursor) txn() model.TxnID {
-	return model.TxnID{Start: c.z(), P: model.ProcID(c.u()), Seq: c.u()}
-}
-
-func (c *walCursor) version() model.Version {
-	return model.Version{Date: c.vpid(), Ctr: c.u(), Writer: c.txn()}
-}
-
-func (c *walCursor) stagedWrite() StagedWrite {
-	return StagedWrite{
-		Val:      model.Value(c.z()),
-		Ver:      c.version(),
-		Delta:    c.bool(),
-		MissedBy: c.procs(),
-	}
-}
-
-func (c *walCursor) procs() []model.ProcID {
-	n := c.count(1)
-	if n == 0 {
-		return nil
-	}
-	ps := make([]model.ProcID, n)
-	for i := range ps {
-		ps[i] = model.ProcID(c.u())
-	}
-	return ps
-}
-
-// voteRec reads a VoteRec; its lists parallel Parts or are empty.
-func (c *walCursor) voteRec() VoteRec {
-	v := VoteRec{Parts: c.procs(), Shards: c.shards()}
-	if n := c.count(2); n > 0 {
-		v.Epochs = make([]model.VPID, n)
-		for i := range v.Epochs {
-			v.Epochs[i] = c.vpid()
-		}
-	}
-	if (v.Shards != nil && len(v.Shards) != len(v.Parts)) || (v.Epochs != nil && len(v.Epochs) != len(v.Parts)) {
-		c.bad = true
-	}
-	return v
-}
-
-// votes reads the snapshot section appendVotes wrote, if any bytes remain.
-func (c *walCursor) votes(st *State) {
-	if len(c.b) == 0 {
-		return
-	}
-	for i, n := 0, c.count(4); i < n && !c.bad; i++ {
-		t := c.txn()
-		st.Votes[t] = c.voteRec()
-	}
-}
-
-func (c *walCursor) shards() []model.ShardID {
-	n := c.count(1)
-	if n == 0 {
-		return nil
-	}
-	ss := make([]model.ShardID, n)
-	for i := range ss {
-		ss[i] = model.ShardID(c.u())
-	}
-	return ss
-}
-
-// parseStateBody decodes a State off the cursor. The sharded-decision
-// trailer is optional for legacy tagSnapshot payloads (absent in
-// unsharded and pre-sharding snapshots) but mandatory when the caller
-// knows more sections follow (tagSnapshotScoped), since "bytes remain"
-// can no longer disambiguate it.
-func parseStateBody(c *walCursor, trailerMandatory bool) (*State, bool) {
+func parseState(c *varint.Cursor) *State {
 	st := NewState()
-	st.MaxID = c.vpid()
-	for i, n := 0, c.count(2); i < n; i++ {
-		obj := model.ObjectID(c.str())
-		val := model.Value(c.z())
-		ver := c.version()
-		if c.bad {
-			return nil, false
-		}
-		st.Copies[obj] = model.Copy{Val: val, Ver: ver}
+	st.MaxID = c.VPID()
+	for i, n := 0, c.Count(2); i < n && !c.Bad(); i++ {
+		obj := model.ObjectID(c.Str())
+		st.Copies[obj] = model.Copy{Val: model.Value(c.Z()), Ver: c.Version()}
 	}
-	for i, n := 0, c.count(2); i < n; i++ {
-		t := c.txn()
+	for i, n := 0, c.Count(2); i < n && !c.Bad(); i++ {
+		t := c.TxnID()
 		ws := make(map[model.ObjectID]StagedWrite)
-		for k, m := 0, c.count(2); k < m; k++ {
-			obj := model.ObjectID(c.str())
-			w := c.stagedWrite()
-			if c.bad {
-				return nil, false
-			}
-			ws[obj] = w
-		}
-		if c.bad {
-			return nil, false
+		for k, m := 0, c.Count(2); k < m && !c.Bad(); k++ {
+			obj := model.ObjectID(c.Str())
+			ws[obj] = parseStagedWrite(c)
 		}
 		st.Staged[t] = ws
 	}
-	for i, n := 0, c.count(2); i < n; i++ {
-		t := c.txn()
-		d := DecideRec{Commit: c.bool(), Pending: c.procs()}
-		if c.bad {
-			return nil, false
-		}
+	for i, n := 0, c.Count(2); i < n && !c.Bad(); i++ {
+		t, d := parseDecision(c)
 		st.Decides[t] = d
 	}
-	if trailerMandatory || len(c.b) > 0 {
-		for i, n := 0, c.count(2); i < n; i++ {
-			t := c.txn()
-			ss := c.shards()
-			if c.bad {
-				return nil, false
-			}
-			d, ok := st.Decides[t]
-			if !ok {
-				return nil, false
-			}
-			d.Shards = ss
-			st.Decides[t] = d
-		}
+	for i, n := 0, c.Count(4); i < n && !c.Bad(); i++ {
+		t := c.TxnID()
+		st.Votes[t] = parseVoteRec(c)
 	}
-	return st, !c.bad
+	return st
 }
 
-// parseRecord decodes one frame payload. It returns false for any
+func parseStagedWrite(c *varint.Cursor) StagedWrite {
+	return StagedWrite{Val: model.Value(c.Z()), Ver: c.Version(), Delta: c.Bool(), MissedBy: c.Procs()}
+}
+
+func parseDecision(c *varint.Cursor) (model.TxnID, DecideRec) {
+	t := c.TxnID()
+	d := DecideRec{Commit: c.Bool(), Pending: c.Procs(), Shards: c.Shards()}
+	if d.Shards != nil && len(d.Shards) != len(d.Pending) {
+		c.Fail()
+	}
+	return t, d
+}
+
+// parseVoteRec reads a VoteRec; its lists parallel Parts or are empty.
+func parseVoteRec(c *varint.Cursor) VoteRec {
+	v := VoteRec{Parts: c.Procs(), Shards: c.Shards()}
+	if n := c.Count(2); n > 0 {
+		v.Epochs = make([]model.VPID, n)
+		for i := range v.Epochs {
+			v.Epochs[i] = c.VPID()
+		}
+	}
+	if (v.Shards != nil && len(v.Shards) != len(v.Parts)) || (v.Epochs != nil && len(v.Epochs) != len(v.Parts)) {
+		c.Fail()
+	}
+	return v
+}
+
+// parseObjs reads an object list; never nil, so a scoped-but-empty
+// universe stays distinguishable from an unscoped one.
+func parseObjs(c *varint.Cursor) []model.ObjectID {
+	n := c.Count(1)
+	objs := make([]model.ObjectID, 0, n)
+	for i := 0; i < n && !c.Bad(); i++ {
+		objs = append(objs, model.ObjectID(c.Str()))
+	}
+	return objs
+}
+
+// parseRecord decodes one frame payload. It fails with ErrEarlierFormat
+// for a tag of an earlier format, and with errMalformed for any other
 // structural problem: unknown tag, short fields, or trailing bytes.
-func parseRecord(payload []byte, r *record) bool {
+func parseRecord(payload []byte, r *record) error {
 	*r = record{}
-	c := walCursor{b: payload}
-	switch c.byte() {
+	c := varint.NewCursor(payload)
+	switch tag := c.Byte(); tag {
 	case tagSnapshot:
-		st, ok := parseStateBody(&c, false)
-		if !ok {
-			return false
+		r.Snapshot = parseState(&c)
+		if c.Bool() {
+			r.SnapUniverse = parseObjs(&c)
 		}
-		c.votes(st)
-		r.Snapshot = st
-	case tagSnapshotScoped:
-		st, ok := parseStateBody(&c, true)
-		if !ok {
-			return false
-		}
-		n := c.count(1)
-		objs := make([]model.ObjectID, 0, n)
-		for i := 0; i < n; i++ {
-			objs = append(objs, model.ObjectID(c.str()))
-		}
-		c.votes(st)
-		if c.bad {
-			return false
-		}
-		r.Snapshot = st
-		r.SnapScoped = true
-		r.SnapUniverse = objs
 	case tagMaxID:
-		v := c.vpid()
+		v := c.VPID()
 		r.SetMaxID = &v
 	case tagApply:
-		r.ApplyObj = model.ObjectID(c.str())
-		r.ApplyVal = model.Value(c.z())
-		v := c.version()
+		r.ApplyObj = model.ObjectID(c.Str())
+		r.ApplyVal = model.Value(c.Z())
+		v := c.Version()
 		r.ApplyVer = &v
 	case tagStage:
-		t := c.txn()
+		t := c.TxnID()
 		r.StageTxn = &t
-		r.StageObj = model.ObjectID(c.str())
-		w := c.stagedWrite()
+		r.StageObj = model.ObjectID(c.Str())
+		w := parseStagedWrite(&c)
 		r.StageW = &w
 	case tagDrop:
-		t := c.txn()
+		t := c.TxnID()
 		r.DropTxn = &t
-		r.DropObj = model.ObjectID(c.str())
+		r.DropObj = model.ObjectID(c.Str())
 	case tagDecide:
-		t := c.txn()
-		r.DecideTxn = &t
-		r.DecideCommit = c.bool()
-		r.DecidePending = c.procs()
-	case tagDecideShards:
-		t := c.txn()
-		r.DecideTxn = &t
-		r.DecideCommit = c.bool()
-		r.DecidePending = c.procs()
-		r.DecideShards = c.shards()
-		if len(r.DecideShards) != len(r.DecidePending) {
-			return false
-		}
+		t, d := parseDecision(&c)
+		r.DecideTxn, r.DecideCommit, r.DecidePending, r.DecideShards = &t, d.Commit, d.Pending, d.Shards
 	case tagDone:
-		t := c.txn()
+		t := c.TxnID()
 		r.DoneTxn = &t
 	case tagVote:
-		t := c.txn()
+		t := c.TxnID()
 		r.VoteTxn = &t
-		r.VoteRec = c.voteRec()
+		r.VoteRec = parseVoteRec(&c)
+	case 1, 6, 8, 9:
+		return fmt.Errorf("%w (record tag %d)", ErrEarlierFormat, tag)
 	default:
-		return false
+		return errMalformed
 	}
-	return !c.bad && len(c.b) == 0
+	if !c.Done() {
+		return errMalformed
+	}
+	return nil
 }
 
 // walkFrames scans data frame by frame, calling fn with each payload

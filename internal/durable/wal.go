@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -75,7 +74,7 @@ type Options struct {
 	// snapshot's universe covered the object — a journal opened under a
 	// grown shard map cannot pass off "never saw it" as "no writes".
 	// Nil means the processor replicates everything (the unsharded
-	// default); snapshot bytes are then unchanged.
+	// default), and snapshots record "all objects".
 	Scope []model.ObjectID
 }
 
@@ -104,14 +103,6 @@ type RecoveryStats struct {
 	Torn      bool          // a torn tail was found and repaired
 	Snapshot  bool          // replay started from a snapshot
 	Resolved  int           // staged txns finished on decide evidence (see Open)
-}
-
-// LogRec is one committed write replayed from the retained WAL tail,
-// served to rule R5 log catch-up when the store's in-memory log has
-// already evicted the range.
-type LogRec struct {
-	Val model.Value
-	Ver model.Version
 }
 
 // snapInfo is one retained snapshot generation: the segment index its
@@ -265,13 +256,16 @@ func OpenOptions(dir string, o Options) (*State, *FileJournal, error) {
 			}
 			valid, torn, werr := walkFrames(data, func(payload []byte) error {
 				var r record
-				if !parseRecord(payload, &r) {
-					return errors.New("malformed record")
+				if err := parseRecord(payload, &r); err != nil {
+					return err
 				}
 				st.apply(&r)
 				j.stats.Records++
 				return nil
 			})
+			if errors.Is(werr, ErrEarlierFormat) {
+				return nil, nil, fmt.Errorf("durable: %s: %w", path, werr)
+			}
 			if werr != nil || (torn && idx != maxSeg) {
 				if werr == nil {
 					werr = errors.New("torn frames before the newest segment")
@@ -351,14 +345,9 @@ func OpenOptions(dir string, o Options) (*State, *FileJournal, error) {
 func resolveDecidedStages(st *State) (int, []record) {
 	// Iterate in sorted order so the repair records land on disk in a
 	// deterministic sequence.
-	txns := make([]model.TxnID, 0, len(st.Staged))
-	for txn := range st.Staged {
-		txns = append(txns, txn)
-	}
-	sort.Slice(txns, func(i, j int) bool { return txns[i].Less(txns[j]) })
 	resolved := 0
 	var repairs []record
-	for _, txn := range txns {
+	for _, txn := range sortedTxns(st.Staged) {
 		ws := st.Staged[txn]
 		evidenced := false
 		for obj, w := range ws {
@@ -394,15 +383,6 @@ func resolveDecidedStages(st *State) (int, []record) {
 	return resolved, repairs
 }
 
-func sortedObjs(ws map[model.ObjectID]StagedWrite) []model.ObjectID {
-	objs := make([]model.ObjectID, 0, len(ws))
-	for o := range ws {
-		objs = append(objs, o)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	return objs
-}
-
 // readSnapshot loads and verifies one snapshot file. Snapshots are
 // written via tmp+rename, so any damage here is real, not a crash. The
 // returned universe is the hosted-object set the snapshot was scoped
@@ -418,16 +398,22 @@ func (j *FileJournal) readSnapshot(base uint64) (*State, map[model.ObjectID]bool
 	got := 0
 	_, torn, werr := walkFrames(data, func(payload []byte) error {
 		var r record
-		if !parseRecord(payload, &r) || r.Snapshot == nil {
-			return errors.New("malformed snapshot record")
+		if err := parseRecord(payload, &r); err != nil {
+			return err
 		}
-		if r.SnapScoped {
+		if r.Snapshot == nil {
+			return errors.New("not a snapshot record")
+		}
+		if r.SnapUniverse != nil {
 			universe = objSet(r.SnapUniverse)
 		}
 		st.apply(&r)
 		got++
 		return nil
 	})
+	if errors.Is(werr, ErrEarlierFormat) {
+		return nil, nil, fmt.Errorf("durable: %s: %w", path, werr)
+	}
 	if werr != nil || torn || got != 1 {
 		if werr == nil {
 			werr = errors.New("snapshot incomplete")
@@ -456,8 +442,7 @@ func (j *FileJournal) writeSnapshot(st *State, base uint64) error {
 	if err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
-	frame := appendFrame(nil, &record{Snapshot: st,
-		SnapScoped: j.opts.Scope != nil, SnapUniverse: j.opts.Scope})
+	frame := appendFrame(nil, &record{Snapshot: st, SnapUniverse: j.opts.Scope})
 	if _, err := f.Write(frame); err != nil {
 		f.Close()
 		return fmt.Errorf("durable: snapshot: %w", err)
@@ -790,7 +775,7 @@ func (j *FileJournal) Pending() int {
 // store consults this when its in-memory log has evicted the range, so
 // R5 catch-up can stay log-based far longer before falling back to a
 // full copy.
-func (j *FileJournal) LogSince(obj model.ObjectID, since model.Version) ([]LogRec, bool) {
+func (j *FileJournal) LogSince(obj model.ObjectID, since model.Version) ([]model.Copy, bool) {
 	j.mu.Lock()
 	if j.err != nil || len(j.ring) == 0 {
 		j.mu.Unlock()
@@ -822,14 +807,14 @@ func (j *FileJournal) LogSince(obj model.ObjectID, since model.Version) ([]LogRe
 	// what the committer is writing past that point is in unflushed. A
 	// segment pruned by a concurrent roll reads as missing; completeness
 	// can no longer be proven then, and the caller falls back.
-	var out []LogRec
+	var out []model.Copy
 	collect := func(payload []byte) error {
 		var r record
-		if !parseRecord(payload, &r) {
-			return errors.New("malformed record")
+		if err := parseRecord(payload, &r); err != nil {
+			return err
 		}
 		if r.ApplyVer != nil && r.ApplyObj == obj && since.Less(*r.ApplyVer) {
-			out = append(out, LogRec{Val: r.ApplyVal, Ver: *r.ApplyVer})
+			out = append(out, model.Copy{Val: r.ApplyVal, Ver: *r.ApplyVer})
 		}
 		return nil
 	}

@@ -2,9 +2,12 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/virtualpartitions/vp/internal/model"
@@ -231,6 +234,8 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 			StageW: &StagedWrite{Val: 1, Ver: vv, Delta: true, MissedBy: []model.ProcID{4, 5}}},
 		{DropTxn: &model.TxnID{Start: 1, P: 1, Seq: 1}, DropObj: ""},
 		{DecideTxn: &model.TxnID{Start: 2, P: 2, Seq: 2}, DecideCommit: true, DecidePending: []model.ProcID{1}},
+		{DecideTxn: &model.TxnID{Start: 2, P: 2, Seq: 3}, DecidePending: []model.ProcID{1, 4},
+			DecideShards: []model.ShardID{0, 2}},
 		{DoneTxn: &model.TxnID{Start: 3, P: 3, Seq: 3}},
 		{VoteTxn: &model.TxnID{Start: 4, P: 1, Seq: 4}, VoteRec: VoteRec{Parts: []model.ProcID{1, 2}}},
 		{VoteTxn: &model.TxnID{Start: 4, P: 1, Seq: 5}, VoteRec: VoteRec{Parts: []model.ProcID{1, 2},
@@ -252,8 +257,8 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		var back record
 		n := 0
 		_, torn, err := walkFrames(frame, func(payload []byte) error {
-			if !parseRecord(payload, &back) {
-				t.Fatalf("record %d: parse failed", i)
+			if err := parseRecord(payload, &back); err != nil {
+				t.Fatalf("record %d: parse failed: %v", i, err)
 			}
 			n++
 			return nil
@@ -488,10 +493,10 @@ func TestScopedJournalCompletenessFence(t *testing.T) {
 	}
 }
 
-// TestScopedSnapshotRecordRoundTrip pins the tagSnapshotScoped codec:
-// the universe survives the frame round trip, including when the state
-// carries sharded decisions (the trailer the universe parses after) and
-// when the universe is empty (a node hosting no shards).
+// TestScopedSnapshotRecordRoundTrip pins the snapshot's universe field:
+// "all objects" (nil) and a scope list, empty included (a node hosting
+// no shards), each survive the frame round trip as what they were,
+// next to sharded decisions and votes.
 func TestScopedSnapshotRecordRoundTrip(t *testing.T) {
 	vv := model.Version{Date: v(3, 2), Ctr: 9, Writer: txn(5)}
 	st := NewState()
@@ -501,20 +506,17 @@ func TestScopedSnapshotRecordRoundTrip(t *testing.T) {
 		Shards: []model.ShardID{1, 2}}
 	st.Votes[txn(3)] = VoteRec{Parts: []model.ProcID{1, 4}, Shards: []model.ShardID{1, 2},
 		Epochs: []model.VPID{v(2, 1), v(3, 4)}}
-	for _, universe := range [][]model.ObjectID{{"a", "x"}, {}} {
-		frame := appendFrame(nil, &record{Snapshot: st, SnapScoped: true, SnapUniverse: universe})
+	for _, universe := range [][]model.ObjectID{nil, {"a", "x"}, {}} {
+		frame := appendFrame(nil, &record{Snapshot: st, SnapUniverse: universe})
 		var back record
 		_, torn, err := walkFrames(frame, func(payload []byte) error {
-			if !parseRecord(payload, &back) {
-				t.Fatal("scoped snapshot failed to parse")
-			}
-			return nil
+			return parseRecord(payload, &back)
 		})
 		if err != nil || torn {
 			t.Fatalf("walk err=%v torn=%v", err, torn)
 		}
-		if !back.SnapScoped || len(back.SnapUniverse) != len(universe) {
-			t.Fatalf("universe %v came back as scoped=%v %v", universe, back.SnapScoped, back.SnapUniverse)
+		if (back.SnapUniverse == nil) != (universe == nil) || len(back.SnapUniverse) != len(universe) {
+			t.Fatalf("universe %#v came back as %#v", universe, back.SnapUniverse)
 		}
 		a, b := NewState(), NewState()
 		a.apply(&record{Snapshot: st})
@@ -522,8 +524,86 @@ func TestScopedSnapshotRecordRoundTrip(t *testing.T) {
 		if !stateEqual(a, b) {
 			t.Fatalf("scoped snapshot state diverged:\n%+v\n%+v", a, b)
 		}
-		if back.Snapshot.Decides[txn(2)].Shards == nil {
-			t.Fatal("sharded-decision trailer lost under the scoped tag")
-		}
 	}
+}
+
+// rawFrame frames a hand-written payload, as appendFrame frames a record.
+func rawFrame(payload []byte) []byte {
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))
+	return append(frame, payload...)
+}
+
+// TestEarlierFormatIsRefused: a journal holding a snapshot or decision
+// record in the layout of an earlier format (tags 1, 6, 8, 9) is refused
+// by name — not reported corrupt, and never truncated as a torn tail,
+// even when the record is the last frame of the newest segment.
+func TestEarlierFormatIsRefused(t *testing.T) {
+	for name, damage := range map[string]func(t *testing.T, dir string){
+		// The snapshot an earlier format wrote for a fresh journal: tag 1,
+		// a zero max-id, no copies, no staged writes, no decisions.
+		"tag-1 snapshot": func(t *testing.T, dir string) {
+			path := filepath.Join(dir, snapName(1))
+			if err := os.WriteFile(path, rawFrame([]byte{1, 0, 0, 0, 0, 0}), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		// An unsharded decision of an earlier format: tag 6, txn(3),
+		// commit, pending [2].
+		"tag-6 decision in a segment": func(t *testing.T, dir string) {
+			path := filepath.Join(dir, segName(1))
+			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.Write(rawFrame([]byte{6, 6, 1, 3, 1, 1, 2})); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, j, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.Apply("x", 1, ver(1, 1))
+			j.Decide(txn(2), true, []model.ProcID{2}, nil)
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			damage(t, dir)
+			before := dirFiles(t, dir)
+
+			_, _, err = Open(dir)
+			if !errors.Is(err, ErrEarlierFormat) {
+				t.Fatalf("Open = %v, want ErrEarlierFormat", err)
+			}
+			if strings.Contains(err.Error(), "corrupt") {
+				t.Fatalf("an earlier format reported as corruption: %v", err)
+			}
+			if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatal("Open changed the refused journal's files")
+			}
+		})
+	}
+}
+
+// dirFiles reads every file of a journal directory.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = raw
+	}
+	return files
 }

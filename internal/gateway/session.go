@@ -18,11 +18,11 @@ package gateway
 
 import (
 	"encoding/base64"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"github.com/virtualpartitions/vp/internal/model"
+	"github.com/virtualpartitions/vp/internal/varint"
 	"github.com/virtualpartitions/vp/internal/wire"
 )
 
@@ -72,8 +72,8 @@ func (m Mark) ver() model.Version {
 // tokenV1 is the first byte of a token body and names its layout: after
 // it, uvarints for Node, Seq and the mark count, then per mark the
 // object id (uvarint length, bytes) and uvarints DateN, DateP, Ctr,
-// Touch. The body travels base64url-encoded. A body in any other layout
-// is malformed.
+// Touch, all spelled by internal/varint. The body travels
+// base64url-encoded. A body in any other layout is malformed.
 const tokenV1 = 1
 
 // minMarkLen is the shortest a mark can be encoded: five one-byte
@@ -99,36 +99,21 @@ func ParseSession(token string) (*Session, error) {
 	}
 	raw = raw[1:]
 	ids := string(raw) // object ids are substrings of this one copy
-	off, ok := 0, true
-	next := func() uint64 {
-		v, n := binary.Uvarint(raw[off:])
-		if n <= 0 {
-			ok = false
-			return 0
-		}
-		off += n
-		return v
-	}
-	s.Node, s.Seq = model.ProcID(next()), next()
+	c := varint.NewCursor(raw)
+	s.Node, s.Seq = c.Proc(), c.U()
 	// The count is the client's claim; the bytes that follow bound what
 	// it may make us allocate.
-	if count := next(); count > uint64((len(raw)-off)/minMarkLen) {
-		ok = false
-	} else if count > 0 {
+	if count := c.Count(minMarkLen); count > 0 {
 		s.Marks = make([]Mark, count)
 	}
-	for i := 0; ok && i < len(s.Marks); i++ {
+	for i := 0; i < len(s.Marks) && !c.Bad(); i++ {
 		m := &s.Marks[i]
-		n := next()
-		if n > uint64(len(raw)-off) {
-			ok = false
-			break
-		}
-		m.Obj = model.ObjectID(ids[off : off+int(n)])
-		off += int(n)
-		m.DateN, m.DateP, m.Ctr, m.Touch = next(), model.ProcID(next()), next(), next()
+		obj := c.StrBytes()
+		end := len(raw) - c.Len()
+		m.Obj = model.ObjectID(ids[end-len(obj) : end])
+		m.DateN, m.DateP, m.Ctr, m.Touch = c.U(), c.Proc(), c.U(), c.U()
 	}
-	if !ok || off != len(raw) {
+	if !c.Done() {
 		return nil, fmt.Errorf("%w: malformed body", errBadToken)
 	}
 	return s, nil
@@ -138,17 +123,16 @@ func ParseSession(token string) (*Session, error) {
 func (s *Session) Token() string {
 	b := make([]byte, 0, 64+24*len(s.Marks))
 	b = append(b, tokenV1)
-	b = binary.AppendUvarint(b, uint64(s.Node))
-	b = binary.AppendUvarint(b, s.Seq)
-	b = binary.AppendUvarint(b, uint64(len(s.Marks)))
+	b = varint.AppendProc(b, s.Node)
+	b = varint.AppendU(b, s.Seq)
+	b = varint.AppendU(b, uint64(len(s.Marks)))
 	for i := range s.Marks {
 		m := &s.Marks[i]
-		b = binary.AppendUvarint(b, uint64(len(m.Obj)))
-		b = append(b, m.Obj...)
-		b = binary.AppendUvarint(b, m.DateN)
-		b = binary.AppendUvarint(b, uint64(m.DateP))
-		b = binary.AppendUvarint(b, m.Ctr)
-		b = binary.AppendUvarint(b, m.Touch)
+		b = varint.AppendString(b, string(m.Obj))
+		b = varint.AppendU(b, m.DateN)
+		b = varint.AppendProc(b, m.DateP)
+		b = varint.AppendU(b, m.Ctr)
+		b = varint.AppendU(b, m.Touch)
 	}
 	return base64.RawURLEncoding.EncodeToString(b)
 }

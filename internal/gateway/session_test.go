@@ -147,6 +147,26 @@ func fullSession() *Session {
 	return s
 }
 
+// TestSessionTokenBytesArePinned: clients hold tokens across gateway
+// restarts and upgrades, so a token's spelling is a compatibility
+// surface. This one, with single- and multi-byte uvarints and an empty
+// object id, must encode to exactly these characters and parse back.
+func TestSessionTokenBytesArePinned(t *testing.T) {
+	const want = "AQOsAgMBeAcCKaoCDmFjY3QvbG9uZy1uYW1lgIBABcgBrAIAAAAAAA"
+	s := &Session{Node: 3, Seq: 300, Marks: []Mark{
+		{Obj: "x", DateN: 7, DateP: 2, Ctr: 41, Touch: 298},
+		{Obj: "acct/long-name", DateN: 1 << 20, DateP: 5, Ctr: 200, Touch: 300},
+		{Obj: ""},
+	}}
+	if got := s.Token(); got != want {
+		t.Fatalf("token spelling changed:\n got %s\nwant %s", got, want)
+	}
+	back, err := ParseSession(want)
+	if err != nil || !reflect.DeepEqual(back, s) {
+		t.Fatalf("pinned token parsed to %+v (%v), want %+v", back, err, s)
+	}
+}
+
 func TestSessionTokenFitsAHeader(t *testing.T) {
 	if n := len(fullSession().Token()); n > 700 {
 		t.Fatalf("a %d-mark token is %d bytes, want <= 700", sessionMarks, n)

@@ -219,7 +219,7 @@ func bulk(seq uint64) wire.Message {
 	return wire.CatchupResp{OK: true, Objs: []wire.ObjDelta{{Obj: "bulk", Seq: seq, Entries: bulkEntries}}}
 }
 
-var bulkEntries = make([]wire.LogEntry, 4096)
+var bulkEntries = make([]model.Copy, 4096)
 
 // TestTCPStalledPeerNeverStallsATurn: a peer that stops reading — one
 // that accepts and never reads, and a real node whose handler is frozen

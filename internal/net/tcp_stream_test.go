@@ -28,7 +28,7 @@ func allKindMessages() []wire.Message {
 			Comps: []wire.CompEntry{{P: 1, Ver: ver, Total: 3}}},
 		wire.CatchupReq{VP: vp, Objs: []wire.ObjSince{{Obj: "x", Since: ver, Seq: 2}}},
 		wire.CatchupResp{OK: true, Objs: []wire.ObjDelta{{Obj: "x", Seq: 2, Complete: true,
-			Entries: []wire.LogEntry{{Val: 1, Ver: ver}}}}},
+			Entries: []model.Copy{{Val: 1, Ver: ver}}}}},
 		wire.LockReq{Txn: txn, Obj: "x", Mode: model.LockExclusive, Epoch: vp, HasEpoch: true},
 		wire.LockResp{Txn: txn, Obj: "x", Status: wire.LockGranted, Val: 5, Ver: ver},
 		wire.Prepare{Txn: txn, Epoch: vp, HasEpoch: true,

@@ -21,12 +21,6 @@ import (
 	"github.com/virtualpartitions/vp/internal/model"
 )
 
-// LoggedWrite is one entry of the per-object write log.
-type LoggedWrite struct {
-	Val model.Value
-	Ver model.Version
-}
-
 type objectState struct {
 	copyVal model.Copy
 	// locked implements membership in the "locked" set of Figure 3: the
@@ -34,12 +28,12 @@ type objectState struct {
 	// read or written by transactions until recovery completes.
 	locked bool
 	// staged holds a prepared-but-undecided transactional write.
-	staged   *LoggedWrite
+	staged   *model.Copy
 	stagedBy model.TxnID
 	// missing marks processors whose copies missed a write of this
 	// object (missing-writes baseline only).
 	missing model.ProcSet
-	log     []LoggedWrite
+	log     []model.Copy // the per-object write log, oldest first
 	// logBase is the version of the newest write ever evicted from the
 	// log (zero if none was): the log is complete for a reader at
 	// version v iff logBase ≤ v.
@@ -168,7 +162,7 @@ func (s *Store) applyLocked(st *objectState, obj model.ObjectID, val model.Value
 	s.raiseNewest(ver)
 	s.journal.Apply(obj, val, ver)
 	if s.logCap > 0 {
-		st.log = append(st.log, LoggedWrite{Val: val, Ver: ver})
+		st.log = append(st.log, model.Copy{Val: val, Ver: ver})
 		for len(st.log) > s.logCap {
 			if st.logBase.Less(st.log[0].Ver) {
 				st.logBase = st.log[0].Ver
@@ -301,7 +295,7 @@ func (s *Store) stageLocked(st *objectState, obj model.ObjectID, txn model.TxnID
 		s.unstageLocked(st, obj)
 		s.stagedObjs[txn] = append(s.stagedObjs[txn], obj)
 	}
-	st.staged = &LoggedWrite{Val: val, Ver: ver}
+	st.staged = &model.Copy{Val: val, Ver: ver}
 	st.stagedBy = txn
 	st.stagedDelta = delta
 }
@@ -536,7 +530,7 @@ func (s *Store) ClearMissing(obj model.ObjectID) {
 // log catch-up from its retained on-disk segments after the in-memory
 // log evicted the range (durable.FileJournal implements it).
 type journalLog interface {
-	LogSince(model.ObjectID, model.Version) ([]durable.LogRec, bool)
+	LogSince(model.ObjectID, model.Version) ([]model.Copy, bool)
 }
 
 // LogSince returns, oldest first, every logged write of obj with version
@@ -545,7 +539,7 @@ type journalLog interface {
 // caller must fall back to full-value recovery. When the in-memory log
 // cannot prove completeness, the durable journal's retained segments are
 // consulted before giving up.
-func (s *Store) LogSince(obj model.ObjectID, since model.Version) (entries []LoggedWrite, complete bool) {
+func (s *Store) LogSince(obj model.ObjectID, since model.Version) (entries []model.Copy, complete bool) {
 	st := s.lock(obj)
 	defer s.mu.Unlock()
 	if !since.Less(st.copyVal.Ver) {
@@ -556,10 +550,7 @@ func (s *Store) LogSince(obj model.ObjectID, since model.Version) (entries []Log
 		// Logging disabled, or writes newer than `since` were evicted.
 		if jl, ok := s.journal.(journalLog); ok {
 			if recs, ok := jl.LogSince(obj, since); ok {
-				for _, r := range recs {
-					entries = append(entries, LoggedWrite{Val: r.Val, Ver: r.Ver})
-				}
-				return entries, true
+				return recs, true
 			}
 		}
 		return nil, false
@@ -574,7 +565,7 @@ func (s *Store) LogSince(obj model.ObjectID, since model.Version) (entries []Log
 
 // ApplyLog replays missed writes onto the local copy, skipping entries
 // not newer than the current version. It returns the number applied.
-func (s *Store) ApplyLog(obj model.ObjectID, entries []LoggedWrite) int {
+func (s *Store) ApplyLog(obj model.ObjectID, entries []model.Copy) int {
 	st := s.lock(obj)
 	n := 0
 	for _, e := range entries {

@@ -12,22 +12,9 @@
 //	uvarint       To   (ProcID)
 //	...           message body, fixed field order per kind (below)
 //
-// Scalar encodings:
-//
-//	unsigned ints (seqnos, counters, tags)  uvarint
-//	signed ints   (values, deltas, starts)  zigzag uvarint
-//	processor ids                           uvarint of the two's-complement
-//	bools / enums                           one byte
-//	strings (object ids, reasons)           uvarint length + raw bytes
-//	slices / maps                           uvarint count + elements
-//	                                        (map entries sorted by key, so
-//	                                        encoding is byte-deterministic)
-//
-// Composite encodings:
-//
-//	VPID     = uvarint N, proc P
-//	TxnID    = zigzag Start, proc P, uvarint Seq
-//	Version  = VPID Date, uvarint Ctr, TxnID Writer
+// Scalars, ids and versions are spelled by internal/varint; enums are
+// one byte, and maps are a count plus entries sorted by key, so encoding
+// is byte-deterministic.
 //
 // Decoding never panics on garbage: every read is bounds-checked, slice
 // counts are validated against the remaining payload before any
@@ -48,6 +35,7 @@ import (
 	"sort"
 
 	"github.com/virtualpartitions/vp/internal/model"
+	"github.com/virtualpartitions/vp/internal/varint"
 )
 
 // binaryKindFlag is set on the first payload byte of every frame. A
@@ -62,9 +50,9 @@ const ctxKindFlag = 0x40
 
 // appendCtx writes a non-zero trace context.
 func appendCtx(b []byte, ctx model.TraceCtx) []byte {
-	b = appendUvarint(b, ctx.Trace)
-	b = appendUvarint(b, uint64(ctx.Span))
-	return appendUvarint(b, uint64(ctx.Parent))
+	b = varint.AppendU(b, ctx.Trace)
+	b = varint.AppendU(b, uint64(ctx.Span))
+	return varint.AppendU(b, uint64(ctx.Parent))
 }
 
 // CodecID names a wire codec. The binary codec is the only one:
@@ -132,65 +120,11 @@ func (e *FrameEncoder) AppendFrame(dst []byte, env *Envelope) ([]byte, error) {
 	return dst, nil
 }
 
-func appendUvarint(b []byte, v uint64) []byte {
-	// Single-byte fast path: ids, counts, and small counters dominate.
-	if v < 0x80 {
-		return append(b, byte(v))
-	}
-	return binary.AppendUvarint(b, v)
-}
-
-// appendZigzag encodes a signed integer as a zigzag uvarint.
-func appendZigzag(b []byte, v int64) []byte {
-	return binary.AppendUvarint(b, uint64(v<<1)^uint64(v>>63))
-}
-
-func appendProc(b []byte, p model.ProcID) []byte {
-	return appendUvarint(b, uint64(p))
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendVPID(b []byte, v model.VPID) []byte {
-	b = appendUvarint(b, v.N)
-	return appendProc(b, v.P)
-}
-
-func appendTxnID(b []byte, t model.TxnID) []byte {
-	b = appendZigzag(b, t.Start)
-	b = appendProc(b, t.P)
-	return appendUvarint(b, t.Seq)
-}
-
-func appendVersion(b []byte, v model.Version) []byte {
-	b = appendVPID(b, v.Date)
-	b = appendUvarint(b, v.Ctr)
-	return appendTxnID(b, v.Writer)
-}
-
-func appendProcs(b []byte, ps []model.ProcID) []byte {
-	b = appendUvarint(b, uint64(len(ps)))
-	for _, p := range ps {
-		b = appendProc(b, p)
-	}
-	return b
-}
-
 func appendDigest(b []byte, d *Digest) []byte {
-	b = appendVersion(b, d.Newest)
-	b = appendUvarint(b, uint64(len(d.Staged)))
+	b = varint.AppendVersion(b, d.Newest)
+	b = varint.AppendU(b, uint64(len(d.Staged)))
 	for _, o := range d.Staged {
-		b = appendString(b, string(o))
+		b = varint.AppendString(b, string(o))
 	}
 	return b
 }
@@ -218,9 +152,9 @@ const (
 )
 
 func appendObjWrite(b []byte, w *ObjWrite) []byte {
-	b = appendString(b, string(w.Obj))
-	b = appendZigzag(b, int64(w.Val))
-	b = appendVersion(b, w.Ver)
+	b = varint.AppendString(b, string(w.Obj))
+	b = varint.AppendZ(b, int64(w.Val))
+	b = varint.AppendVersion(b, w.Ver)
 	// One flags byte where Delta's bool was: a write without Lock encodes
 	// as it always did.
 	var flags byte
@@ -231,27 +165,27 @@ func appendObjWrite(b []byte, w *ObjWrite) []byte {
 		flags |= writeLock
 	}
 	b = append(b, flags)
-	b = appendProcs(b, w.MissedBy)
+	b = varint.AppendProcs(b, w.MissedBy)
 	if w.Lock {
-		b = appendVersion(b, w.Base)
+		b = varint.AppendVersion(b, w.Base)
 	}
 	return b
 }
 
 func appendOp(b []byte, op *Op) []byte {
 	b = append(b, byte(op.Kind))
-	b = appendString(b, string(op.Obj))
-	b = appendString(b, string(op.Src))
-	b = appendZigzag(b, op.Const)
-	return appendBool(b, op.UseSrc)
+	b = varint.AppendString(b, string(op.Obj))
+	b = varint.AppendString(b, string(op.Src))
+	b = varint.AppendZ(b, op.Const)
+	return varint.AppendBool(b, op.UseSrc)
 }
 
 func appendObjVals(b []byte, vs []ObjVal) []byte {
-	b = appendUvarint(b, uint64(len(vs)))
+	b = varint.AppendU(b, uint64(len(vs)))
 	for i := range vs {
-		b = appendString(b, string(vs[i].Obj))
-		b = appendZigzag(b, int64(vs[i].Val))
-		b = appendVersion(b, vs[i].Ver)
+		b = varint.AppendString(b, string(vs[i].Obj))
+		b = varint.AppendZ(b, int64(vs[i].Val))
+		b = varint.AppendVersion(b, vs[i].Ver)
 	}
 	return b
 }
@@ -268,8 +202,8 @@ func appendEnvelope(b []byte, env *Envelope) ([]byte, error) {
 		tag |= ctxKindFlag
 	}
 	b = append(b, tag)
-	b = appendProc(b, env.From)
-	b = appendProc(b, env.To)
+	b = varint.AppendProc(b, env.From)
+	b = varint.AppendProc(b, env.To)
 	if traced {
 		b = appendCtx(b, env.Ctx)
 	}
@@ -289,94 +223,94 @@ func appendMsgBody(b []byte, k kindID, msg Message) ([]byte, error) {
 		if ik == kindShardMsg {
 			return nil, fmt.Errorf("wire: encode: nested ShardMsg")
 		}
-		b = appendUvarint(b, uint64(m.Shard))
+		b = varint.AppendU(b, uint64(m.Shard))
 		b = append(b, byte(ik))
 		return appendMsgBody(b, ik, m.Msg)
 	case ShardEpochReq:
-		b = appendUvarint(b, uint64(m.Shard))
+		b = varint.AppendU(b, uint64(m.Shard))
 		return b, nil
 	case ShardEpochResp:
-		b = appendUvarint(b, uint64(m.Shard))
-		b = appendVPID(b, m.VP)
-		b = appendBool(b, m.Has)
-		b = appendProcs(b, m.View)
+		b = varint.AppendU(b, uint64(m.Shard))
+		b = varint.AppendVPID(b, m.VP)
+		b = varint.AppendBool(b, m.Has)
+		b = varint.AppendProcs(b, m.View)
 		return b, nil
 	}
 	switch m := msg.(type) {
 	case NewVP:
-		b = appendVPID(b, m.ID)
+		b = varint.AppendVPID(b, m.ID)
 	case AcceptVP:
-		b = appendVPID(b, m.ID)
-		b = appendProc(b, m.From)
-		b = appendVPID(b, m.Prev)
+		b = varint.AppendVPID(b, m.ID)
+		b = varint.AppendProc(b, m.From)
+		b = varint.AppendVPID(b, m.Prev)
 		b = appendDigest(b, &m.Digest)
 	case CommitVP:
-		b = appendVPID(b, m.ID)
-		b = appendProcs(b, m.View)
+		b = varint.AppendVPID(b, m.ID)
+		b = varint.AppendProcs(b, m.View)
 		// Map entries sorted by key so encoding is byte-deterministic.
-		b = appendUvarint(b, uint64(len(m.Prevs)))
+		b = varint.AppendU(b, uint64(len(m.Prevs)))
 		for _, p := range sortedKeys(m.Prevs) {
-			b = appendProc(b, p)
-			b = appendVPID(b, m.Prevs[p])
+			b = varint.AppendProc(b, p)
+			b = varint.AppendVPID(b, m.Prevs[p])
 		}
-		b = appendUvarint(b, uint64(len(m.Digests)))
+		b = varint.AppendU(b, uint64(len(m.Digests)))
 		for _, p := range sortedKeys(m.Digests) {
 			d := m.Digests[p]
-			b = appendProc(b, p)
+			b = varint.AppendProc(b, p)
 			b = appendDigest(b, &d)
 		}
 	case Probe:
-		b = appendProc(b, m.From)
-		b = appendVPID(b, m.VP)
-		b = appendUvarint(b, m.Seq)
+		b = varint.AppendProc(b, m.From)
+		b = varint.AppendVPID(b, m.VP)
+		b = varint.AppendU(b, m.Seq)
 	case ProbeAck:
-		b = appendProc(b, m.From)
-		b = appendUvarint(b, m.Seq)
+		b = varint.AppendProc(b, m.From)
+		b = varint.AppendU(b, m.Seq)
 	case RecoverRead:
-		b = appendString(b, string(m.Obj))
-		b = appendVPID(b, m.VP)
-		b = appendUvarint(b, m.Seq)
+		b = varint.AppendString(b, string(m.Obj))
+		b = varint.AppendVPID(b, m.VP)
+		b = varint.AppendU(b, m.Seq)
 	case RecoverReadResp:
-		b = appendString(b, string(m.Obj))
-		b = appendUvarint(b, m.Seq)
-		b = appendBool(b, m.OK)
-		b = appendBool(b, m.Busy)
-		b = appendZigzag(b, int64(m.Val))
-		b = appendVersion(b, m.Ver)
-		b = appendUvarint(b, uint64(len(m.Comps)))
+		b = varint.AppendString(b, string(m.Obj))
+		b = varint.AppendU(b, m.Seq)
+		b = varint.AppendBool(b, m.OK)
+		b = varint.AppendBool(b, m.Busy)
+		b = varint.AppendZ(b, int64(m.Val))
+		b = varint.AppendVersion(b, m.Ver)
+		b = varint.AppendU(b, uint64(len(m.Comps)))
 		for i := range m.Comps {
-			b = appendProc(b, m.Comps[i].P)
-			b = appendVersion(b, m.Comps[i].Ver)
-			b = appendZigzag(b, int64(m.Comps[i].Total))
+			b = varint.AppendProc(b, m.Comps[i].P)
+			b = varint.AppendVersion(b, m.Comps[i].Ver)
+			b = varint.AppendZ(b, int64(m.Comps[i].Total))
 		}
 	case CatchupReq:
-		b = appendVPID(b, m.VP)
-		b = appendUvarint(b, uint64(len(m.Objs)))
+		b = varint.AppendVPID(b, m.VP)
+		b = varint.AppendU(b, uint64(len(m.Objs)))
 		for i := range m.Objs {
-			b = appendString(b, string(m.Objs[i].Obj))
-			b = appendVersion(b, m.Objs[i].Since)
-			b = appendUvarint(b, m.Objs[i].Seq)
+			b = varint.AppendString(b, string(m.Objs[i].Obj))
+			b = varint.AppendVersion(b, m.Objs[i].Since)
+			b = varint.AppendU(b, m.Objs[i].Seq)
 		}
 	case CatchupResp:
-		b = appendBool(b, m.OK)
-		b = appendUvarint(b, uint64(len(m.Objs)))
+		b = varint.AppendBool(b, m.OK)
+		b = varint.AppendU(b, uint64(len(m.Objs)))
 		for i := range m.Objs {
 			o := &m.Objs[i]
-			b = appendString(b, string(o.Obj))
-			b = appendUvarint(b, o.Seq)
-			b = appendBool(b, o.Busy)
-			b = appendBool(b, o.Complete)
-			b = appendUvarint(b, uint64(len(o.Entries)))
+			b = varint.AppendString(b, string(o.Obj))
+			b = varint.AppendU(b, o.Seq)
+			b = varint.AppendBool(b, o.Busy)
+			b = varint.AppendBool(b, o.Complete)
+			b = varint.AppendU(b, uint64(len(o.Entries)))
 			for j := range o.Entries {
-				b = appendZigzag(b, int64(o.Entries[j].Val))
-				b = appendVersion(b, o.Entries[j].Ver)
+				b = varint.AppendZ(b, int64(o.Entries[j].Val))
+				b = varint.AppendVersion(b, o.Entries[j].Ver)
 			}
 		}
 	case LockReq:
-		b = appendTxnID(b, m.Txn)
-		b = appendString(b, string(m.Obj))
+		b = varint.AppendTxnID(b, m.Txn)
+		b = varint.AppendString(b, string(m.Obj))
 		b = append(b, byte(m.Mode))
-		b = appendVPID(b, m.Epoch)
+		b = varint.AppendVPID(b, m.Epoch)
 		var flags byte // HasEpoch in bit 0, where the bool was
 		if m.HasEpoch {
 			flags |= lockHasEpoch
@@ -386,17 +320,17 @@ func appendMsgBody(b []byte, k kindID, msg Message) ([]byte, error) {
 		}
 		b = append(b, flags)
 	case LockResp:
-		b = appendTxnID(b, m.Txn)
-		b = appendString(b, string(m.Obj))
+		b = varint.AppendTxnID(b, m.Txn)
+		b = varint.AppendString(b, string(m.Obj))
 		b = append(b, byte(m.Status))
-		b = appendZigzag(b, int64(m.Val))
-		b = appendVersion(b, m.Ver)
-		b = appendVPID(b, m.Epoch)
-		b = appendBool(b, m.HasEpoch)
-		b = appendBool(b, m.HasMissing)
+		b = varint.AppendZ(b, int64(m.Val))
+		b = varint.AppendVersion(b, m.Ver)
+		b = varint.AppendVPID(b, m.Epoch)
+		b = varint.AppendBool(b, m.HasEpoch)
+		b = varint.AppendBool(b, m.HasMissing)
 	case Prepare:
-		b = appendTxnID(b, m.Txn)
-		b = appendVPID(b, m.Epoch)
+		b = varint.AppendTxnID(b, m.Txn)
+		b = varint.AppendVPID(b, m.Epoch)
 		var flags byte
 		if m.HasEpoch {
 			flags |= prepHasEpoch
@@ -405,45 +339,45 @@ func appendMsgBody(b []byte, k kindID, msg Message) ([]byte, error) {
 			flags |= prepRecollect
 		}
 		b = append(b, flags)
-		b = appendUvarint(b, uint64(len(m.Writes)))
+		b = varint.AppendU(b, uint64(len(m.Writes)))
 		for i := range m.Writes {
 			b = appendObjWrite(b, &m.Writes[i])
 		}
 	case Vote:
-		b = appendTxnID(b, m.Txn)
-		b = appendProc(b, m.From)
+		b = varint.AppendTxnID(b, m.Txn)
+		b = varint.AppendProc(b, m.From)
 		// OK in bit 0, where the bool was; Why above it.
 		ok := byte(m.Why) << 1
 		if m.OK {
 			ok |= 1
 		}
 		b = append(b, ok)
-		b = appendVPID(b, m.Epoch)
-		b = appendBool(b, m.HasEpoch)
+		b = varint.AppendVPID(b, m.Epoch)
+		b = varint.AppendBool(b, m.HasEpoch)
 	case Decide:
-		b = appendTxnID(b, m.Txn)
-		b = appendBool(b, m.Commit)
+		b = varint.AppendTxnID(b, m.Txn)
+		b = varint.AppendBool(b, m.Commit)
 	case DecideAck:
-		b = appendTxnID(b, m.Txn)
-		b = appendProc(b, m.From)
+		b = varint.AppendTxnID(b, m.Txn)
+		b = varint.AppendProc(b, m.From)
 	case DecideQuery:
-		b = appendTxnID(b, m.Txn)
-		b = appendProc(b, m.From)
+		b = varint.AppendTxnID(b, m.Txn)
+		b = varint.AppendProc(b, m.From)
 	case Release:
-		b = appendTxnID(b, m.Txn)
-		b = appendString(b, string(m.Obj))
+		b = varint.AppendTxnID(b, m.Txn)
+		b = varint.AppendString(b, string(m.Obj))
 	case ClientTxn:
-		b = appendUvarint(b, m.Tag)
-		b = appendUvarint(b, uint64(len(m.Ops)))
+		b = varint.AppendU(b, m.Tag)
+		b = varint.AppendU(b, uint64(len(m.Ops)))
 		for i := range m.Ops {
 			b = appendOp(b, &m.Ops[i])
 		}
 	case ClientResult:
-		b = appendUvarint(b, m.Tag)
-		b = appendTxnID(b, m.Txn)
-		b = appendBool(b, m.Committed)
-		b = appendBool(b, m.Denied)
-		b = appendString(b, m.Reason)
+		b = varint.AppendU(b, m.Tag)
+		b = varint.AppendTxnID(b, m.Txn)
+		b = varint.AppendBool(b, m.Committed)
+		b = varint.AppendBool(b, m.Denied)
+		b = varint.AppendString(b, m.Reason)
 		b = appendObjVals(b, m.Reads)
 		b = appendObjVals(b, m.Writes)
 	default:
@@ -463,101 +397,6 @@ var errDecode = fmt.Errorf("wire: decode: malformed binary frame")
 
 // errNotBinary refuses a frame whose first byte lacks binaryKindFlag.
 var errNotBinary = fmt.Errorf("wire: decode: first byte lacks the binary kind bit")
-
-// cursor walks a frame payload with a sticky error: any out-of-bounds
-// read flips bad and every subsequent read returns a zero value, so
-// decode paths stay straight-line and check once at the end.
-type cursor struct {
-	b   []byte
-	bad bool
-}
-
-func (c *cursor) u() uint64 {
-	// Fast path: single-byte varints dominate (ids, counts, small
-	// counters). Kept small enough to inline; the multi-byte and error
-	// cases live in uSlow.
-	if !c.bad && len(c.b) > 0 && c.b[0] < 0x80 {
-		v := uint64(c.b[0])
-		c.b = c.b[1:]
-		return v
-	}
-	return c.uSlow()
-}
-
-func (c *cursor) uSlow() uint64 {
-	if c.bad {
-		return 0
-	}
-	v, n := binary.Uvarint(c.b)
-	if n <= 0 {
-		c.bad = true
-		return 0
-	}
-	c.b = c.b[n:]
-	return v
-}
-
-func (c *cursor) z() int64 {
-	v := c.u()
-	return int64(v>>1) ^ -int64(v&1)
-}
-
-func (c *cursor) byte() byte {
-	if c.bad || len(c.b) == 0 {
-		c.bad = true
-		return 0
-	}
-	v := c.b[0]
-	c.b = c.b[1:]
-	return v
-}
-
-func (c *cursor) bool() bool { return c.byte() != 0 }
-
-// count reads a slice length and validates it against the remaining
-// payload (each element costs at least elemMin bytes), so a corrupt
-// count cannot trigger an unbounded allocation.
-func (c *cursor) count(elemMin int) int {
-	v := c.u()
-	if c.bad {
-		return 0
-	}
-	if elemMin < 1 {
-		elemMin = 1
-	}
-	if v > uint64(len(c.b)/elemMin) {
-		c.bad = true
-		return 0
-	}
-	return int(v)
-}
-
-// strBytes returns the raw bytes of a length-prefixed string, aliasing
-// the frame.
-func (c *cursor) strBytes() []byte {
-	n := c.u()
-	if c.bad || n > uint64(len(c.b)) {
-		c.bad = true
-		return nil
-	}
-	s := c.b[:n]
-	c.b = c.b[n:]
-	return s
-}
-
-func (c *cursor) proc() model.ProcID { return model.ProcID(c.u()) }
-
-func (c *cursor) vpid() model.VPID {
-	return model.VPID{N: c.u(), P: c.proc()}
-}
-
-func (c *cursor) txn() model.TxnID {
-	return model.TxnID{Start: c.z(), P: c.proc(), Seq: c.u()}
-}
-
-func (c *cursor) version() model.Version {
-	return model.Version{Date: c.vpid(), Ctr: c.u(), Writer: c.txn()}
-}
 
 // binScratch holds the reusable backings DecodeBorrowed hands out. One
 // instance per decoder; the contract is "valid until the next decode".
@@ -612,17 +451,17 @@ func (d *Decoder) intern(b []byte) string {
 	return s
 }
 
-func (d *Decoder) str(c *cursor) string { return d.intern(c.strBytes()) }
+func (d *Decoder) str(c *varint.Cursor) string { return d.intern(c.StrBytes()) }
 
-func (d *Decoder) obj(c *cursor) model.ObjectID { return model.ObjectID(d.str(c)) }
+func (d *Decoder) obj(c *varint.Cursor) model.ObjectID { return model.ObjectID(d.str(c)) }
 
 // digest reads a write digest, always owned: digests are retained past
 // the next decode.
-func (d *Decoder) digest(c *cursor) Digest {
-	dg := Digest{Newest: c.version()}
-	if n := c.count(1); n > 0 && !c.bad {
+func (d *Decoder) digest(c *varint.Cursor) Digest {
+	dg := Digest{Newest: c.Version()}
+	if n := c.Count(1); n > 0 && !c.Bad() {
 		dg.Staged = make([]model.ObjectID, n)
-		for i := 0; i < n && !c.bad; i++ {
+		for i := 0; i < n && !c.Bad(); i++ {
 			dg.Staged[i] = d.obj(c)
 		}
 	}
@@ -676,18 +515,18 @@ func (d *Decoder) decode(frame []byte, env *Envelope, borrowed bool) error {
 		return errNotBinary
 	}
 	k := kindID(frame[0] &^ (binaryKindFlag | ctxKindFlag))
-	c := cursor{b: frame[1:]}
-	from := c.proc()
-	to := c.proc()
+	c := varint.NewCursor(frame[1:])
+	from := c.Proc()
+	to := c.Proc()
 	var ctx model.TraceCtx
 	if frame[0]&ctxKindFlag != 0 {
-		ctx = model.TraceCtx{Trace: c.u(), Span: uint32(c.u()), Parent: uint32(c.u())}
+		ctx = model.TraceCtx{Trace: c.U(), Span: uint32(c.U()), Parent: uint32(c.U())}
 	}
 	msg, err := d.decodeBody(&c, k, borrowed)
 	if err != nil {
 		return err
 	}
-	if c.bad || len(c.b) != 0 {
+	if !c.Done() {
 		return errDecode
 	}
 	env.From, env.To, env.Msg, env.Ctx = from, to, msg, ctx
@@ -698,13 +537,13 @@ func (d *Decoder) decode(frame []byte, env *Envelope, borrowed bool) error {
 // recurses exactly once for its inner body (nesting is rejected) and
 // always decodes the inner message owned: routers re-dispatch it across
 // handler boundaries, where a borrowed backing would be unsafe.
-func (d *Decoder) decodeBody(c *cursor, k kindID, borrowed bool) (Message, error) {
+func (d *Decoder) decodeBody(c *varint.Cursor, k kindID, borrowed bool) (Message, error) {
 	var msg Message
 	switch k {
 	case kindShardMsg:
-		shard := model.ShardID(c.u())
-		ik := kindID(c.byte())
-		if c.bad {
+		shard := model.ShardID(c.U())
+		ik := kindID(c.Byte())
+		if c.Bad() {
 			return nil, errDecode
 		}
 		if ik == kindShardMsg {
@@ -716,88 +555,80 @@ func (d *Decoder) decodeBody(c *cursor, k kindID, borrowed bool) (Message, error
 		}
 		return ShardMsg{Shard: shard, Msg: inner}, nil
 	case kindShardEpochReq:
-		return ShardEpochReq{Shard: model.ShardID(c.u())}, nil
+		return ShardEpochReq{Shard: model.ShardID(c.U())}, nil
 	case kindShardEpochResp:
-		m := ShardEpochResp{Shard: model.ShardID(c.u()), VP: c.vpid(), Has: c.bool()}
-		n := c.count(1)
-		if n > 0 && !c.bad {
-			m.View = make([]model.ProcID, n)
-			for i := 0; i < n && !c.bad; i++ {
-				m.View[i] = c.proc()
-			}
-		}
-		return m, nil
+		return ShardEpochResp{Shard: model.ShardID(c.U()), VP: c.VPID(), Has: c.Bool(), View: c.Procs()}, nil
 	}
 	switch k {
 	case kindNewVP:
-		msg = NewVP{ID: c.vpid()}
+		msg = NewVP{ID: c.VPID()}
 	case kindAcceptVP:
-		msg = AcceptVP{ID: c.vpid(), From: c.proc(), Prev: c.vpid(), Digest: d.digest(c)}
+		msg = AcceptVP{ID: c.VPID(), From: c.Proc(), Prev: c.VPID(), Digest: d.digest(c)}
 	case kindCommitVP:
-		m := CommitVP{ID: c.vpid()}
-		n := c.count(1)
+		m := CommitVP{ID: c.VPID()}
+		n := c.Count(1)
 		m.View = borrow(&d.scr.view, n, borrowed)
-		for i := 0; i < n && !c.bad; i++ {
-			m.View[i] = c.proc()
+		for i := 0; i < n && !c.Bad(); i++ {
+			m.View[i] = c.Proc()
 		}
-		pn := c.count(3)
-		if pn > 0 && !c.bad {
+		pn := c.Count(3)
+		if pn > 0 && !c.Bad() {
 			m.Prevs = make(map[model.ProcID]model.VPID, pn)
-			for i := 0; i < pn && !c.bad; i++ {
-				p := c.proc()
-				m.Prevs[p] = c.vpid()
+			for i := 0; i < pn && !c.Bad(); i++ {
+				p := c.Proc()
+				m.Prevs[p] = c.VPID()
 			}
 		}
-		if dn := c.count(8); dn > 0 && !c.bad {
+		if dn := c.Count(8); dn > 0 && !c.Bad() {
 			m.Digests = make(map[model.ProcID]Digest, dn)
-			for i := 0; i < dn && !c.bad; i++ {
-				p := c.proc()
+			for i := 0; i < dn && !c.Bad(); i++ {
+				p := c.Proc()
 				m.Digests[p] = d.digest(c)
 			}
 		}
 		msg = m
 	case kindProbe:
-		msg = Probe{From: c.proc(), VP: c.vpid(), Seq: c.u()}
+		msg = Probe{From: c.Proc(), VP: c.VPID(), Seq: c.U()}
 	case kindProbeAck:
-		msg = ProbeAck{From: c.proc(), Seq: c.u()}
+		msg = ProbeAck{From: c.Proc(), Seq: c.U()}
 	case kindRecoverRead:
-		msg = RecoverRead{Obj: d.obj(c), VP: c.vpid(), Seq: c.u()}
+		msg = RecoverRead{Obj: d.obj(c), VP: c.VPID(), Seq: c.U()}
 	case kindRecoverReadResp:
-		m := RecoverReadResp{Obj: d.obj(c), Seq: c.u(), OK: c.bool(), Busy: c.bool(),
-			Val: model.Value(c.z()), Ver: c.version()}
-		n := c.count(6)
+		m := RecoverReadResp{Obj: d.obj(c), Seq: c.U(), OK: c.Bool(), Busy: c.Bool(),
+			Val: model.Value(c.Z()), Ver: c.Version()}
+		n := c.Count(6)
 		m.Comps = borrow(&d.scr.comps, n, borrowed)
-		for i := 0; i < n && !c.bad; i++ {
-			m.Comps[i] = CompEntry{P: c.proc(), Ver: c.version(), Total: model.Value(c.z())}
+		for i := 0; i < n && !c.Bad(); i++ {
+			m.Comps[i] = CompEntry{P: c.Proc(), Ver: c.Version(), Total: model.Value(c.Z())}
 		}
 		msg = m
 	case kindCatchupReq:
-		m := CatchupReq{VP: c.vpid()}
-		n := c.count(8)
+		m := CatchupReq{VP: c.VPID()}
+		n := c.Count(8)
 		m.Objs = borrow(&d.scr.sinces, n, borrowed)
-		for i := 0; i < n && !c.bad; i++ {
-			m.Objs[i] = ObjSince{Obj: d.obj(c), Since: c.version(), Seq: c.u()}
+		for i := 0; i < n && !c.Bad(); i++ {
+			m.Objs[i] = ObjSince{Obj: d.obj(c), Since: c.Version(), Seq: c.U()}
 		}
 		msg = m
 	case kindCatchupResp:
-		m := CatchupResp{OK: c.bool()}
-		n := c.count(5)
+		m := CatchupResp{OK: c.Bool()}
+		n := c.Count(5)
 		m.Objs = borrow(&d.scr.deltas, n, borrowed)
-		for i := 0; i < n && !c.bad; i++ {
+		for i := 0; i < n && !c.Bad(); i++ {
 			o := &m.Objs[i]
 			o.Obj = d.obj(c)
-			o.Seq = c.u()
-			o.Busy = c.bool()
-			o.Complete = c.bool()
+			o.Seq = c.U()
+			o.Busy = c.Bool()
+			o.Complete = c.Bool()
 			// Entries nest inside the borrowed Objs slice, so they are
 			// allocated fresh even in borrowed mode (same policy as
 			// Prepare.MissedBy: nested backings are not worth the scratch
 			// bookkeeping).
-			en := c.count(6)
-			if en > 0 && !c.bad {
-				o.Entries = make([]LogEntry, en)
-				for j := 0; j < en && !c.bad; j++ {
-					o.Entries[j] = LogEntry{Val: model.Value(c.z()), Ver: c.version()}
+			en := c.Count(6)
+			if en > 0 && !c.Bad() {
+				o.Entries = make([]model.Copy, en)
+				for j := 0; j < en && !c.Bad(); j++ {
+					o.Entries[j] = model.Copy{Val: model.Value(c.Z()), Ver: c.Version()}
 				}
 			} else {
 				o.Entries = nil
@@ -805,84 +636,76 @@ func (d *Decoder) decodeBody(c *cursor, k kindID, borrowed bool) (Message, error
 		}
 		msg = m
 	case kindLockReq:
-		m := LockReq{Txn: c.txn(), Obj: d.obj(c), Mode: model.LockMode(c.byte()), Epoch: c.vpid()}
-		lf := c.byte()
+		m := LockReq{Txn: c.TxnID(), Obj: d.obj(c), Mode: model.LockMode(c.Byte()), Epoch: c.VPID()}
+		lf := c.Byte()
 		m.HasEpoch, m.Patient = lf&lockHasEpoch != 0, lf&lockPatient != 0
 		msg = m
 	case kindLockResp:
-		msg = LockResp{Txn: c.txn(), Obj: d.obj(c), Status: LockStatus(c.byte()),
-			Val: model.Value(c.z()), Ver: c.version(), Epoch: c.vpid(),
-			HasEpoch: c.bool(), HasMissing: c.bool()}
+		msg = LockResp{Txn: c.TxnID(), Obj: d.obj(c), Status: LockStatus(c.Byte()),
+			Val: model.Value(c.Z()), Ver: c.Version(), Epoch: c.VPID(),
+			HasEpoch: c.Bool(), HasMissing: c.Bool()}
 	case kindPrepare:
-		m := Prepare{Txn: c.txn(), Epoch: c.vpid()}
-		pf := c.byte()
+		m := Prepare{Txn: c.TxnID(), Epoch: c.VPID()}
+		pf := c.Byte()
 		m.HasEpoch, m.Recollect = pf&prepHasEpoch != 0, pf&prepRecollect != 0
-		n := c.count(8)
+		n := c.Count(8)
 		m.Writes = borrow(&d.scr.writes, n, borrowed)
-		for i := 0; i < n && !c.bad; i++ {
+		for i := 0; i < n && !c.Bad(); i++ {
 			w := &m.Writes[i]
 			w.Obj = d.obj(c)
-			w.Val = model.Value(c.z())
-			w.Ver = c.version()
-			wf := c.byte()
+			w.Val = model.Value(c.Z())
+			w.Ver = c.Version()
+			wf := c.Byte()
 			w.Delta, w.Lock = wf&writeDelta != 0, wf&writeLock != 0
 			// MissedBy is almost always empty; when present it is
 			// allocated fresh even in borrowed mode (nested backings are
 			// not worth the scratch bookkeeping).
-			mn := c.count(1)
-			if mn > 0 && !c.bad {
-				w.MissedBy = make([]model.ProcID, mn)
-				for j := 0; j < mn && !c.bad; j++ {
-					w.MissedBy[j] = c.proc()
-				}
-			} else {
-				w.MissedBy = nil
-			}
+			w.MissedBy = c.Procs()
 			w.Base = model.Version{}
 			if w.Lock {
-				w.Base = c.version()
+				w.Base = c.Version()
 			}
 		}
 		msg = m
 	case kindVote:
-		m := Vote{Txn: c.txn(), From: c.proc()}
-		ok := c.byte()
+		m := Vote{Txn: c.TxnID(), From: c.Proc()}
+		ok := c.Byte()
 		m.OK, m.Why = ok&1 != 0, NoVote(ok>>1)
-		m.Epoch, m.HasEpoch = c.vpid(), c.bool()
+		m.Epoch, m.HasEpoch = c.VPID(), c.Bool()
 		msg = m
 	case kindDecide:
-		msg = Decide{Txn: c.txn(), Commit: c.bool()}
+		msg = Decide{Txn: c.TxnID(), Commit: c.Bool()}
 	case kindDecideAck:
-		msg = DecideAck{Txn: c.txn(), From: c.proc()}
+		msg = DecideAck{Txn: c.TxnID(), From: c.Proc()}
 	case kindDecideQuery:
-		msg = DecideQuery{Txn: c.txn(), From: c.proc()}
+		msg = DecideQuery{Txn: c.TxnID(), From: c.Proc()}
 	case kindRelease:
-		msg = Release{Txn: c.txn(), Obj: d.obj(c)}
+		msg = Release{Txn: c.TxnID(), Obj: d.obj(c)}
 	case kindClientTxn:
-		m := ClientTxn{Tag: c.u()}
-		n := c.count(5)
+		m := ClientTxn{Tag: c.U()}
+		n := c.Count(5)
 		m.Ops = borrow(&d.scr.ops, n, borrowed)
-		for i := 0; i < n && !c.bad; i++ {
+		for i := 0; i < n && !c.Bad(); i++ {
 			op := &m.Ops[i]
-			op.Kind = OpKind(c.byte())
+			op.Kind = OpKind(c.Byte())
 			op.Obj = d.obj(c)
 			op.Src = model.ObjectID(d.str(c))
-			op.Const = c.z()
-			op.UseSrc = c.bool()
+			op.Const = c.Z()
+			op.UseSrc = c.Bool()
 		}
 		msg = m
 	case kindClientResult:
-		m := ClientResult{Tag: c.u(), Txn: c.txn(), Committed: c.bool(), Denied: c.bool(),
+		m := ClientResult{Tag: c.U(), Txn: c.TxnID(), Committed: c.Bool(), Denied: c.Bool(),
 			Reason: d.str(c)}
-		rn := c.count(4)
+		rn := c.Count(4)
 		m.Reads = borrow(&d.scr.reads, rn, borrowed)
-		for i := 0; i < rn && !c.bad; i++ {
-			m.Reads[i] = ObjVal{Obj: d.obj(c), Val: model.Value(c.z()), Ver: c.version()}
+		for i := 0; i < rn && !c.Bad(); i++ {
+			m.Reads[i] = ObjVal{Obj: d.obj(c), Val: model.Value(c.Z()), Ver: c.Version()}
 		}
-		wn := c.count(4)
+		wn := c.Count(4)
 		m.Writes = borrow(&d.scr.wvals, wn, borrowed)
-		for i := 0; i < wn && !c.bad; i++ {
-			m.Writes[i] = ObjVal{Obj: d.obj(c), Val: model.Value(c.z()), Ver: c.version()}
+		for i := 0; i < wn && !c.Bad(); i++ {
+			m.Writes[i] = ObjVal{Obj: d.obj(c), Val: model.Value(c.Z()), Ver: c.Version()}
 		}
 		msg = m
 	default:

@@ -58,7 +58,7 @@ func binaryEnvelopes() []Envelope {
 			{Obj: "account/7", Seq: 1 << 33}}}},
 		{From: 2, To: 1, Msg: CatchupResp{OK: true, Objs: []ObjDelta{
 			{Obj: "x", Seq: 1, Complete: true,
-				Entries: []LogEntry{{Val: 3, Ver: ver}, {Val: -7, Ver: model.Version{Date: big}}}},
+				Entries: []model.Copy{{Val: 3, Ver: ver}, {Val: -7, Ver: model.Version{Date: big}}}},
 			{Obj: "account/7", Seq: 1 << 33, Busy: true}}}},
 		{From: 1, To: 2, Msg: ShardMsg{Shard: 3,
 			Msg: LockReq{Txn: txn, Obj: "x", Mode: model.LockShared, Epoch: vp, HasEpoch: true}}},

@@ -166,6 +166,34 @@ func readCorpus(t *testing.T) map[string][]byte {
 	return corpus
 }
 
+// TestCorpusReencodesToItsOwnBytes pins the wire bytes to the committed
+// corpus: every checked-in seed that decodes must re-encode to exactly
+// itself. FuzzCodecRoundTrip only checks that one build agrees with
+// itself, so an encoder change that altered every frame consistently
+// would pass it; peers of different builds would not agree.
+func TestCorpusReencodesToItsOwnBytes(t *testing.T) {
+	n := 0
+	for name, seed := range readCorpus(t) {
+		env, err := NewDecoder().Decode(seed)
+		if err != nil {
+			continue
+		}
+		n++
+		got, err := new(FrameEncoder).Encode(&env)
+		if err != nil {
+			t.Fatalf("%s: re-encode: %v", name, err)
+		}
+		if !bytes.Equal(got, seed) {
+			t.Errorf("%s: re-encodes to different bytes:\n got %x\nwant %x", name, got, seed)
+		}
+	}
+	// 25 of the committed seeds are well-formed binary frames; the rest
+	// are gob frames, retired kinds and deliberate damage.
+	if n < 25 {
+		t.Fatalf("only %d corpus seeds decode, want 25", n)
+	}
+}
+
 // decodeGracefully runs one Decode and converts a panic into a test
 // failure naming the offending mutation. A successful decode must also
 // re-encode: the decoder may not hand upper layers an envelope the codec

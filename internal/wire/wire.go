@@ -126,12 +126,6 @@ type RecoverReadResp struct {
 	Comps []CompEntry
 }
 
-// LogEntry is one logged physical write.
-type LogEntry struct {
-	Val model.Value
-	Ver model.Version
-}
-
 // ObjSince names one out-of-date copy in a batched catch-up request:
 // the object, the version the requester's copy already holds (its §5
 // "date"), and the per-object refresh sequence number that guards the
@@ -162,7 +156,7 @@ type ObjDelta struct {
 	Seq      uint64
 	Busy     bool // copy has a prepared write; retry later (§6 condition (3))
 	Complete bool // false: log truncated below Since; requester must full-copy
-	Entries  []LogEntry
+	Entries  []model.Copy
 }
 
 // CatchupResp answers a CatchupReq. OK false means the responder is not
