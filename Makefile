@@ -57,10 +57,12 @@ bench-wire:
 # EXPERIMENTS.md for the format). Benchmarks run sequentially so numbers
 # are not skewed by each other. benchjson refuses to overwrite numbers
 # recorded on different hardware; pass BENCHJSON_FLAGS=-force after an
-# intentional host change.
+# intentional host change. Formation is a fresh three-processor boot on
+# the simulator, run until all three have joined one view, at 1k, 8k and
+# 32k objects.
 bench-hotpath:
-	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineCancel|WireRoundTrip|RunnerGrid' \
-		-benchmem -count=1 ./internal/sim ./internal/wire ./internal/bench \
+	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineCancel|WireRoundTrip|RunnerGrid|Formation' \
+		-benchmem -count=1 ./internal/sim ./internal/wire ./internal/bench ./internal/core \
 		| $(GO) run ./cmd/benchjson -out BENCH_hotpath.json $(BENCHJSON_FLAGS)
 	@cat BENCH_hotpath.json
 

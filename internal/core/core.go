@@ -93,6 +93,9 @@ type Node struct {
 	maxID    model.VPID // max-id
 	assigned bool       // assigned
 	lview    model.ProcSet
+	// access[i] is the accessibility rule for copy set i of the catalog
+	// (model.Catalog.SetIndex) in lview, decided once per view (setView).
+	access []bool
 	// prevs[q] = the partition q departed to join curID (§6), collected
 	// in phase 1 and distributed in phase 2 at no extra message cost.
 	prevs map[model.ProcID]model.VPID
@@ -220,12 +223,12 @@ func New(id model.ProcID, cfg Config, cat *model.Catalog, hist *onecopy.History,
 		curID:      model.VPID{N: 0, P: id}, // Figure 3 line 3: init (0, myid)
 		maxID:      model.VPID{N: 0, P: id},
 		assigned:   true, // Figure 3 line 4
-		lview:      model.NewProcSet(id),
 		prevs:      map[model.ProcID]model.VPID{},
 		heard:      map[model.ProcID]time.Duration{},
 		refreshing: make(map[model.ObjectID]*refreshState),
 	}
 	n.Base = node.NewBase(id, cfg.Config, cat, (*vpStrategy)(n), hist)
+	n.setView(model.NewProcSet(id))
 	n.Base.OnHalt = func(err error) {
 		if n.Observer != nil {
 			n.Observer(HaltEvent{Proc: id, Err: err})

@@ -42,14 +42,29 @@ import (
 // Experiment E16 measures the availability gained and verifies the
 // no-lost-updates invariant.
 
-// objAccessible is the accessibility rule: weighted majority (R1) in
-// normal mode, any-copy-in-view in mergeable mode.
-func (n *Node) objAccessible(obj model.ObjectID, view model.ProcSet) bool {
-	if n.cfg.Mergeable {
-		pl := n.Cat.Placement(obj)
-		return pl != nil && pl.Holders.Intersect(view).Len() > 0
+// setView makes view the local view and decides the accessibility rule
+// for every copy set in it: weighted majority (R1) in normal mode,
+// any-copy-in-view in mergeable mode.
+func (n *Node) setView(view model.ProcSet) {
+	n.lview = view
+	n.access = accessFlags(n.Cat, view, n.cfg.Mergeable)
+}
+
+func accessFlags(cat *model.Catalog, view model.ProcSet, mergeable bool) []bool {
+	if !mergeable {
+		return cat.AccessibleSets(view)
 	}
-	return n.Cat.Accessible(obj, view)
+	flags := make([]bool, len(cat.Sets()))
+	for i, pl := range cat.Sets() {
+		flags[i] = pl.WeightIn(view) > 0
+	}
+	return flags
+}
+
+// objAccessible reports whether obj is accessible in the local view.
+func (n *Node) objAccessible(obj model.ObjectID) bool {
+	i := n.Cat.SetIndex(obj)
+	return i >= 0 && n.access[i]
 }
 
 // UseDeltaWrites implements node.DeltaWriter: in mergeable mode writes

@@ -55,7 +55,7 @@ func (s *vpStrategy) ReadPlan(rt net.Runtime, obj model.ObjectID) (node.Plan, er
 	if !n.assigned {
 		return node.Plan{}, ErrNotAssigned
 	}
-	if !n.objAccessible(obj, n.lview) {
+	if !n.objAccessible(obj) {
 		return node.Plan{}, ErrInaccessible
 	}
 	candidates := n.Cat.Copies(obj).Intersect(n.lview)
@@ -82,7 +82,7 @@ func (s *vpStrategy) WritePlan(rt net.Runtime, obj model.ObjectID) (node.Plan, e
 	if !n.assigned {
 		return node.Plan{}, ErrNotAssigned
 	}
-	if !n.objAccessible(obj, n.lview) {
+	if !n.objAccessible(obj) {
 		return node.Plan{}, ErrInaccessible
 	}
 	targets := n.Cat.Copies(obj).Intersect(n.lview).Sorted()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/virtualpartitions/vp/internal/metrics"
 	"github.com/virtualpartitions/vp/internal/model"
 	"github.com/virtualpartitions/vp/internal/net"
@@ -244,7 +246,7 @@ func (n *Node) join(rt net.Runtime, id model.VPID, view model.ProcSet, prevs map
 	oldView := n.lview
 	n.curID = id
 	n.bumpMaxID(id)
-	n.lview = view
+	n.setView(view)
 	n.prevs = prevs
 	n.digests = digests
 	n.assigned = true
@@ -283,12 +285,11 @@ func (n *Node) join(rt net.Runtime, id model.VPID, view model.ProcSet, prevs map
 	}
 
 	// locked ← {l | l ∈ L & accessible(l, lview) & l ∈ local}
-	// (Figure 5 line 18 / Figure 6 lines 15–17).
-	var locked []model.ObjectID
-	for _, obj := range n.Cat.Local(rt.ID()).Sorted() {
-		if n.objAccessible(obj, n.lview) {
-			locked = append(locked, obj)
-		}
+	// (Figure 5 line 18 / Figure 6 lines 15–17). With every copy set
+	// accessible that is all of local, which nobody mutates.
+	locked := n.Cat.Local(rt.ID())
+	if slices.Contains(n.access, false) {
+		locked = slices.DeleteFunc(slices.Clone(locked), func(obj model.ObjectID) bool { return !n.objAccessible(obj) })
 	}
 	if len(locked) == 0 {
 		n.FlushDeferred(rt)
@@ -324,10 +325,11 @@ func (n *Node) join(rt net.Runtime, id model.VPID, view model.ProcSet, prevs map
 // staleCopies returns the objects, of the accessible local copies objs,
 // whose refresh could change something: some other member lists the
 // object as staged, or the copy is older than some other member's newest
-// version. A member without a digest makes every copy stale.
+// version. A member without a digest makes every copy stale; members
+// that have seen no write and stage nothing make none stale.
 func (n *Node) staleCopies(rt net.Runtime, objs []model.ObjectID) []model.ObjectID {
 	var newest model.Version
-	staged := make(map[model.ObjectID]bool)
+	var staged map[model.ObjectID]bool
 	for p := range n.lview {
 		if p == rt.ID() {
 			continue
@@ -340,8 +342,14 @@ func (n *Node) staleCopies(rt net.Runtime, objs []model.ObjectID) []model.Object
 			newest = d.Newest
 		}
 		for _, o := range d.Staged {
+			if staged == nil {
+				staged = make(map[model.ObjectID]bool)
+			}
 			staged[o] = true
 		}
+	}
+	if !(model.Version{}).Less(newest) && staged == nil {
+		return nil
 	}
 	var stale []model.ObjectID
 	for _, obj := range objs {

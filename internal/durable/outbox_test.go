@@ -91,6 +91,9 @@ func TestBarriersBehindAnInFlightFsyncShareTheNext(t *testing.T) {
 	if w := reg.Samples(metrics.SJournalWaiters); w.Count != 2 || w.Max != n {
 		t.Fatalf("waiters per fsync: %d flushes, max %v; want 2 flushes, max %d", w.Count, w.Max, n)
 	}
+	if f := reg.Samples(metrics.SJournalFlush); f.Count != 2 || f.Max <= 0 {
+		t.Fatalf("flush time: %d flushes, max %vms; want 2 flushes, the frozen one above 0", f.Count, f.Max)
+	}
 	if j.Pending() != 0 {
 		t.Fatalf("%d records left unsynced", j.Pending())
 	}

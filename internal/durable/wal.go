@@ -553,9 +553,11 @@ func (j *FileJournal) flush() (synced bool, err error) {
 	j.buf, j.spare, j.pending, j.flying = j.spare[:0], nil, 0, batch
 	j.mu.Unlock()
 
+	start := time.Now()
 	if _, err = seg.Write(batch); err == nil {
 		err = seg.Sync()
 	}
+	took := time.Since(start)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -573,6 +575,7 @@ func (j *FileJournal) flush() (synced bool, err error) {
 		j.reg.Inc(metrics.CJournalFsyncs, 1)
 		j.reg.Observe(metrics.SJournalBatch, float64(recs))
 		j.reg.ObserveDuration(metrics.SJournalLag, time.Since(oldest))
+		j.reg.ObserveDuration(metrics.SJournalFlush, took)
 	}
 	if j.segSize >= j.opts.SegmentBytes {
 		j.rollLocked()

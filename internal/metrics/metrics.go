@@ -326,6 +326,9 @@ const (
 	// SJournalBarrierWait is the time from a node registering a barrier
 	// to its continuation running on the event loop, in milliseconds.
 	SJournalBarrierWait = "journal.barrier.wait.ms"
+	// SJournalFlush is the write+fsync time of one group commit, in
+	// milliseconds: the disk's share of a barrier's wait.
+	SJournalFlush = "journal.flush.ms"
 	// SRecovery is the duration of a journal replay at startup, in
 	// milliseconds (observed once per Open).
 	SRecovery = "journal.recovery.ms"

@@ -1,8 +1,10 @@
 package model
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // Placement describes where the copies of one logical object live and how
@@ -61,23 +63,32 @@ func (pl *Placement) AccessibleIn(set ProcSet) bool {
 // together with the placement of their copies. The catalog is static for
 // the lifetime of a cluster (the paper does not consider copy creation or
 // migration) and is replicated in full at every processor.
+//
+// Rule R1 depends on an object's copy set, never on the object, so the
+// catalog interns placements: objects with equal holders and weights
+// share one copy set, numbered by SetIndex, and a view's accessibility
+// is decided once per copy set (AccessibleSets).
 type Catalog struct {
-	placements map[ObjectID]*Placement
-	objects    []ObjectID // sorted, for deterministic iteration
-	local      map[ProcID]ObjSet
+	sets    []*Placement          // the distinct copy sets; Object unset
+	setOf   map[ObjectID]int32    // object → index into sets
+	objects []ObjectID            // sorted, for deterministic iteration
+	local   map[ProcID][]ObjectID // sorted local_p lists
 }
 
 // NewCatalog builds a catalog from the given placements. It panics on a
 // duplicate object or an object with no copies: both are configuration
-// errors that can never be valid.
+// errors that can never be valid. The holders and weights of each
+// distinct copy set are copied once; later changes to the caller's sets
+// do not reach the catalog.
 func NewCatalog(placements ...Placement) *Catalog {
-	c := &Catalog{
-		placements: make(map[ObjectID]*Placement, len(placements)),
-		local:      make(map[ProcID]ObjSet),
-	}
+	c := &Catalog{setOf: make(map[ObjectID]int32, len(placements))}
+	objects := make([]ObjectID, 0, len(placements))
+	index := make(map[string]int32) // copy-set key → index into sets
+	var key []byte
+	var ps []ProcID
 	for i := range placements {
-		pl := placements[i]
-		if _, dup := c.placements[pl.Object]; dup {
+		pl := &placements[i]
+		if _, dup := c.setOf[pl.Object]; dup {
 			panic(fmt.Sprintf("catalog: duplicate object %q", pl.Object))
 		}
 		if pl.Holders.Len() == 0 {
@@ -91,62 +102,113 @@ func NewCatalog(placements ...Placement) *Catalog {
 				panic(fmt.Sprintf("catalog: object %q weights non-holder %s", pl.Object, p))
 			}
 		}
-		held := pl.Holders.Clone()
-		pl.Holders = held
-		c.placements[pl.Object] = &pl
-		c.objects = append(c.objects, pl.Object)
-		for p := range held {
-			if c.local[p] == nil {
-				c.local[p] = NewObjSet()
-			}
-			c.local[p].Add(pl.Object)
+		// The key is the (processor, weight) pairs in processor order.
+		ps = ps[:0]
+		for p := range pl.Holders {
+			ps = append(ps, p)
+		}
+		slices.Sort(ps)
+		key = key[:0]
+		for _, p := range ps {
+			key = binary.AppendVarint(key, int64(p))
+			key = binary.AppendVarint(key, int64(pl.Weight(p)))
+		}
+		idx, ok := index[string(key)]
+		if !ok {
+			idx = int32(len(c.sets))
+			index[string(key)] = idx
+			c.sets = append(c.sets, &Placement{Holders: pl.Holders.Clone(), Weights: maps.Clone(pl.Weights)})
+		}
+		c.setOf[pl.Object] = idx
+		objects = append(objects, pl.Object)
+	}
+	if !slices.IsSorted(objects) {
+		slices.Sort(objects)
+	}
+	c.objects = objects
+	// local_p lists; with one copy set every holder's is the object list.
+	c.local = make(map[ProcID][]ObjectID)
+	if len(c.sets) == 1 {
+		for p := range c.sets[0].Holders {
+			c.local[p] = objects
+		}
+		return c
+	}
+	for _, obj := range objects {
+		for p := range c.sets[c.setOf[obj]].Holders {
+			c.local[p] = append(c.local[p], obj)
 		}
 	}
-	sort.Slice(c.objects, func(i, j int) bool { return c.objects[i] < c.objects[j] })
 	return c
 }
 
 // FullyReplicated builds a catalog in which each of the given objects has
 // an unweighted copy at every one of the n processors 1..n.
 func FullyReplicated(n int, objects ...ObjectID) *Catalog {
-	ps := make([]ProcID, n)
-	for i := range ps {
-		ps[i] = ProcID(i + 1)
+	all := make(ProcSet, n)
+	for i := 1; i <= n; i++ {
+		all.Add(ProcID(i))
 	}
 	pls := make([]Placement, len(objects))
 	for i, o := range objects {
-		pls[i] = Placement{Object: o, Holders: NewProcSet(ps...)}
+		pls[i] = Placement{Object: o, Holders: all}
 	}
 	return NewCatalog(pls...)
 }
 
-// Placement returns the placement of obj, or nil if the object is not in
-// the database.
-func (c *Catalog) Placement(obj ObjectID) *Placement { return c.placements[obj] }
+// Placement returns the placement of obj's copy set, or nil if the
+// object is not in the database. It is shared by every object with the
+// same copy set, so its Object field is empty; it must not be mutated.
+func (c *Catalog) Placement(obj ObjectID) *Placement {
+	if i, ok := c.setOf[obj]; ok {
+		return c.sets[i]
+	}
+	return nil
+}
 
-// Copies returns copies(obj): the holders of physical copies.
+// Copies returns copies(obj): the holders of physical copies. The set is
+// shared with every object of the same copy set and must not be mutated.
 func (c *Catalog) Copies(obj ObjectID) ProcSet {
-	if pl := c.placements[obj]; pl != nil {
+	if pl := c.Placement(obj); pl != nil {
 		return pl.Holders
 	}
 	return nil
 }
 
-// Objects returns every logical object, sorted.
+// Objects returns every logical object, sorted. The slice must not be
+// mutated.
 func (c *Catalog) Objects() []ObjectID { return c.objects }
 
 // Local returns the set "local_p" of Figure 3: the objects with a copy at
-// p. The returned set must not be mutated.
-func (c *Catalog) Local(p ProcID) ObjSet {
-	if s, ok := c.local[p]; ok {
-		return s
-	}
-	return NewObjSet()
-}
+// p, sorted. The returned slice must not be mutated.
+func (c *Catalog) Local(p ProcID) []ObjectID { return c.local[p] }
 
 // Accessible reports whether obj is accessible from a processor whose
 // view is the given set (rule R1).
 func (c *Catalog) Accessible(obj ObjectID, view ProcSet) bool {
-	pl := c.placements[obj]
+	pl := c.Placement(obj)
 	return pl != nil && pl.AccessibleIn(view)
+}
+
+// SetIndex returns the index of obj's copy set in Sets, or -1 if the
+// object is not in the database.
+func (c *Catalog) SetIndex(obj ObjectID) int {
+	if i, ok := c.setOf[obj]; ok {
+		return int(i)
+	}
+	return -1
+}
+
+// Sets returns the distinct copy sets, indexed by SetIndex. Neither the
+// slice nor the placements may be mutated.
+func (c *Catalog) Sets() []*Placement { return c.sets }
+
+// AccessibleSets evaluates rule R1 once per copy set: flags[i] reports
+// whether Sets()[i] is accessible in view.
+func (c *Catalog) AccessibleSets(view ProcSet) []bool {
+	flags := make([]bool, len(c.sets))
+	for i, pl := range c.sets {
+		flags[i] = pl.AccessibleIn(view)
+	}
+	return flags
 }

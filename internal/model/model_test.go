@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -234,6 +235,37 @@ func TestExample2Weights(t *testing.T) {
 	}
 }
 
+// Objects with equal holders and weights share one copy set, copied
+// once from the caller's: changing the caller's sets afterwards must not
+// reach the catalog.
+func TestCatalogInternsCopiesOfCallerSets(t *testing.T) {
+	held := NewProcSet(1, 2, 3)
+	w := map[ProcID]int{1: 2}
+	cat := NewCatalog(
+		Placement{Object: "x", Holders: held, Weights: w},
+		Placement{Object: "y", Holders: held, Weights: map[ProcID]int{1: 2, 2: 1}},
+		Placement{Object: "z", Holders: held},
+	)
+	held.Remove(1)
+	held.Add(9)
+	w[1] = 7
+	for _, obj := range []ObjectID{"x", "y", "z"} {
+		if got := cat.Copies(obj); !got.Equal(NewProcSet(1, 2, 3)) {
+			t.Fatalf("Copies(%s) = %v after the caller's set changed", obj, got)
+		}
+	}
+	if got := cat.Placement("x").Weight(1); got != 2 {
+		t.Fatalf("weight of x at 1 = %d after the caller's map changed", got)
+	}
+	if cat.SetIndex("x") != cat.SetIndex("y") || cat.SetIndex("x") == cat.SetIndex("z") || len(cat.Sets()) != 2 {
+		t.Fatalf("set indexes x=%d y=%d z=%d of %d sets; want x=y≠z of 2",
+			cat.SetIndex("x"), cat.SetIndex("y"), cat.SetIndex("z"), len(cat.Sets()))
+	}
+	if cat.SetIndex("nope") != -1 {
+		t.Fatal("unknown object has a copy set")
+	}
+}
+
 func TestCatalogBasics(t *testing.T) {
 	cat := FullyReplicated(3, "x", "y")
 	if got := cat.Objects(); len(got) != 2 || got[0] != "x" || got[1] != "y" {
@@ -245,10 +277,10 @@ func TestCatalogBasics(t *testing.T) {
 	if cat.Copies("zzz") != nil {
 		t.Fatal("unknown object should have nil copies")
 	}
-	if !cat.Local(2).Has("y") {
+	if !slices.Contains(cat.Local(2), "y") {
 		t.Fatal("P2 should hold y")
 	}
-	if cat.Local(9).Len() != 0 {
+	if len(cat.Local(9)) != 0 {
 		t.Fatal("P9 holds nothing")
 	}
 	if !cat.Accessible("x", NewProcSet(1, 2)) {

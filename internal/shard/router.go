@@ -64,6 +64,8 @@ type epochCache struct {
 	has  bool
 	vp   model.VPID
 	view model.ProcSet
+	// access[i] is rule R1 for the shard catalog's copy set i in view.
+	access []bool
 }
 
 // NewRouter builds the router of processor id. Its shard nodes and
@@ -291,6 +293,7 @@ func (r *Router) onEpochResp(rt net.Runtime, resp wire.ShardEpochResp) {
 	c.has = true
 	c.vp = resp.VP
 	c.view = model.ProcSetOf(resp.View)
+	c.access = r.m.ShardCatalog(resp.Shard).AccessibleSets(c.view)
 	if changed {
 		// The remote shard moved to a new partition: everything pinned
 		// to its old epoch is doomed (rule R4); abort now instead of at

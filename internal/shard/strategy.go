@@ -127,14 +127,14 @@ func (r *Router) remotePlan(rt net.Runtime, s model.ShardID, obj model.ObjectID,
 		return node.Plan{}, errEpochUnknown
 	}
 	cat := r.m.ShardCatalog(s)
-	pl := cat.Placement(obj)
-	if pl == nil {
+	i := cat.SetIndex(obj)
+	if i < 0 {
 		return node.Plan{}, fmt.Errorf("object %q not in shard %v catalog", obj, s)
 	}
-	if !pl.AccessibleIn(c.view) {
+	if !c.access[i] {
 		return node.Plan{}, core.ErrInaccessible
 	}
-	candidates := pl.Holders.Intersect(c.view)
+	candidates := cat.Sets()[i].Holders.Intersect(c.view)
 	if mode == model.LockShared {
 		best := model.NoProc
 		var bestD time.Duration

@@ -31,7 +31,7 @@ type objectState struct {
 	staged   *model.Copy
 	stagedBy model.TxnID
 	// missing marks processors whose copies missed a write of this
-	// object (missing-writes baseline only).
+	// object (missing-writes baseline only; nil while there are none).
 	missing model.ProcSet
 	log     []model.Copy // the per-object write log, oldest first
 	// logBase is the version of the newest write ever evicted from the
@@ -72,6 +72,8 @@ type Store struct {
 	// newest is the newest version any copy here has held: every apply,
 	// restore and log replay raises it, so a write digest costs O(1).
 	newest model.Version
+	// nlocked counts the copies in the locked set.
+	nlocked int
 }
 
 // SetJournal replaces the store's journal, a durable.MemJournal of its
@@ -82,19 +84,19 @@ func (s *Store) SetJournal(j durable.Journal) { s.journal = j }
 // by the catalog, all initialized to initVal with the zero version (the
 // paper's "suitably initialized" value/date functions).
 func New(p model.ProcID, cat *model.Catalog, initVal model.Value, logCap int) *Store {
+	local := cat.Local(p)
 	s := &Store{
 		owner:      p,
-		objects:    make(map[model.ObjectID]*objectState),
+		objects:    make(map[model.ObjectID]*objectState, len(local)),
 		logCap:     logCap,
 		initVal:    initVal,
 		journal:    durable.NewMemJournal(),
 		stagedObjs: make(map[model.TxnID][]model.ObjectID),
 	}
-	for obj := range cat.Local(p) {
-		s.objects[obj] = &objectState{
-			copyVal: model.Copy{Val: initVal},
-			missing: model.NewProcSet(),
-		}
+	states := make([]objectState, len(local))
+	for i, obj := range local {
+		states[i].copyVal.Val = initVal
+		s.objects[obj] = &states[i]
 	}
 	return s
 }
@@ -236,7 +238,10 @@ func (s *Store) Restore(copies map[model.ObjectID]model.Copy,
 func (s *Store) LockForRecovery(objs []model.ObjectID) {
 	for _, obj := range objs {
 		if st, ok := s.tryLock(obj); ok {
-			st.locked = true
+			if !st.locked {
+				st.locked = true
+				s.nlocked++
+			}
 			s.mu.Unlock()
 		}
 	}
@@ -245,7 +250,10 @@ func (s *Store) LockForRecovery(objs []model.ObjectID) {
 // UnlockRecovered removes obj from the locked set (Figure 9 line 17).
 func (s *Store) UnlockRecovered(obj model.ObjectID) {
 	if st, ok := s.tryLock(obj); ok {
-		st.locked = false
+		if st.locked {
+			st.locked = false
+			s.nlocked--
+		}
 		s.mu.Unlock()
 	}
 }
@@ -254,8 +262,11 @@ func (s *Store) UnlockRecovered(obj model.ObjectID) {
 // in-progress refresh because it departed to yet another partition.
 func (s *Store) UnlockAllRecovery() {
 	s.mu.Lock()
-	for _, st := range s.objects {
-		st.locked = false
+	if s.nlocked > 0 {
+		for _, st := range s.objects {
+			st.locked = false
+		}
+		s.nlocked = 0
 	}
 	s.mu.Unlock()
 }
@@ -497,6 +508,9 @@ func (s *Store) DropAllStagedBy(txn model.TxnID) {
 // write of obj.
 func (s *Store) MarkMissing(obj model.ObjectID, procs []model.ProcID) {
 	st := s.lock(obj)
+	if st.missing == nil {
+		st.missing = model.NewProcSet()
+	}
 	for _, p := range procs {
 		st.missing.Add(p)
 	}
@@ -517,7 +531,7 @@ func (s *Store) HasMissing(obj model.ObjectID) bool {
 // ClearMissing removes all missing-write marks of obj.
 func (s *Store) ClearMissing(obj model.ObjectID) {
 	if st, ok := s.tryLock(obj); ok {
-		st.missing = model.NewProcSet()
+		st.missing = nil
 		s.mu.Unlock()
 	}
 }

@@ -26,10 +26,7 @@ func seedObjects(s *Store, prefix string, n int) []model.ObjectID {
 	for i := range objs {
 		o := model.ObjectID(fmt.Sprintf("%s-obj-%02d", prefix, i))
 		objs[i] = o
-		s.objects[o] = &objectState{
-			copyVal: model.Copy{Val: s.initVal},
-			missing: model.NewProcSet(),
-		}
+		s.objects[o] = &objectState{copyVal: model.Copy{Val: s.initVal}}
 	}
 	return objs
 }
@@ -236,6 +233,41 @@ func TestMissingMarks(t *testing.T) {
 		t.Fatal("ClearMissing failed")
 	}
 	s.ClearMissing("z") // non-local: no-op, no panic
+}
+
+// Every participant clears the marks of every write that reached all
+// copies, marks or not: with none to clear that must allocate nothing.
+func TestClearMissingAllocatesNothing(t *testing.T) {
+	s := newTestStore(8)
+	s.MarkMissing("x", []model.ProcID{2})
+	s.ClearMissing("x")
+	if n := testing.AllocsPerRun(100, func() { s.ClearMissing("x") }); n != 0 {
+		t.Fatalf("ClearMissing allocated %v times per call, want 0", n)
+	}
+	if s.HasMissing("x") {
+		t.Fatal("marks survived ClearMissing")
+	}
+}
+
+// The locked set is counted, not swept, when it is empty; the count must
+// follow every way in and out of it.
+func TestUnlockAllRecoveryAfterPartialUnlock(t *testing.T) {
+	s := newTestStore(8)
+	s.LockForRecovery([]model.ObjectID{"x", "y"})
+	s.LockForRecovery([]model.ObjectID{"x"})
+	s.UnlockRecovered("x")
+	if s.RecoveryLocked("x") || !s.RecoveryLocked("y") {
+		t.Fatal("UnlockRecovered released the wrong copies")
+	}
+	s.UnlockAllRecovery()
+	if s.RecoveryLocked("y") {
+		t.Fatal("UnlockAllRecovery left y locked")
+	}
+	s.LockForRecovery([]model.ObjectID{"y"})
+	s.UnlockAllRecovery()
+	if got := s.LockedObjects(); len(got) != 0 {
+		t.Fatalf("locked after UnlockAllRecovery: %v", got)
+	}
 }
 
 func TestLogSinceComplete(t *testing.T) {
