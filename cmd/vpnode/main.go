@@ -88,10 +88,13 @@ func parseArgs(args []string) (*options, error) {
 	if err != nil {
 		return nil, err
 	}
-	if *id < 1 {
+	if *id == 0 {
 		return nil, fmt.Errorf("-id is required")
 	}
 	me := model.ProcID(*id)
+	if err := model.CheckProc(me); err != nil {
+		return nil, fmt.Errorf("-id: %w", err)
+	}
 	if _, ok := addrs[me]; !ok {
 		return nil, fmt.Errorf("id %d not in -cluster", *id)
 	}

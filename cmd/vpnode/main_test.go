@@ -88,16 +88,23 @@ func TestParseArgsFixedSettings(t *testing.T) {
 
 func TestParseArgsErrors(t *testing.T) {
 	cases := [][]string{
-		{},                                // no cluster
-		{"-cluster", "1=a:1"},             // no id
-		{"-id", "2", "-cluster", "1=a:1"}, // id not in cluster
-		{"-id", "1", "-cluster", "zap"},   // malformed entry
-		{"-id", "1", "-cluster", "0=a:1"}, // bad processor id
+		{},                                 // no cluster
+		{"-cluster", "1=a:1"},              // no id
+		{"-id", "2", "-cluster", "1=a:1"},  // id not in cluster
+		{"-id", "1", "-cluster", "zap"},    // malformed entry
+		{"-id", "1", "-cluster", "0=a:1"},  // bad processor id
+		{"-id", "1", "-cluster", "65=a:1"}, // processor id past 64
 		{"-id", "1", "-cluster", "1=a:1", "-objects", " , "}, // no objects
 	}
 	for _, args := range cases {
 		if _, err := parseArgs(args); err == nil {
 			t.Errorf("parseArgs(%v) accepted", args)
+		}
+	}
+	for _, id := range []string{"65", "-1"} {
+		_, err := parseArgs([]string{"-id", id, "-cluster", "1=a:1"})
+		if err == nil || !strings.Contains(err.Error(), "-id: processor id") {
+			t.Errorf("-id %s: err = %v, want the range refusal", id, err)
 		}
 	}
 }

@@ -41,6 +41,11 @@ func main() {
 		traceOut = flag.String("trace-out", "", "write the structured JSONL event trace to this file")
 	)
 	flag.Parse()
+	if *n < 2 || *n > int(model.MaxProc) {
+		// A split needs a processor on each side.
+		fmt.Fprintf(os.Stderr, "vpsim: -n %d: want 2..%d processors\n", *n, model.MaxProc)
+		os.Exit(2)
+	}
 
 	switch *scenario {
 	case "split-heal":

@@ -33,16 +33,16 @@ var vp1 = model.VPID{N: 1, P: 1}
 func goodTrace() []trace.Event {
 	txn := model.TxnID{Start: 5, P: 1, Seq: 1}
 	return []trace.Event{
-		{Kind: trace.EvPlacement, Obj: "x", Procs: []model.ProcID{1, 2, 3}},
+		{Kind: trace.EvPlacement, Obj: "x", Procs: model.NewProcSet(1, 2, 3)},
 		{Kind: trace.EvVPInvite, Proc: 1, VP: vp1, At: time.Millisecond},
 		{Kind: trace.EvVPDepart, Proc: 2, VP: model.VPID{N: 0, P: 2}, At: time.Millisecond},
-		{Kind: trace.EvVPCommit, Proc: 1, VP: vp1, At: 3 * time.Millisecond, Procs: []model.ProcID{1, 2, 3}},
-		{Kind: trace.EvVPJoin, Proc: 1, VP: vp1, At: 3 * time.Millisecond, Procs: []model.ProcID{1, 2, 3}},
-		{Kind: trace.EvVPJoin, Proc: 2, VP: vp1, At: 4 * time.Millisecond, Procs: []model.ProcID{1, 2, 3}},
-		{Kind: trace.EvVPJoin, Proc: 3, VP: vp1, At: 4 * time.Millisecond, Procs: []model.ProcID{1, 2, 3}},
+		{Kind: trace.EvVPCommit, Proc: 1, VP: vp1, At: 3 * time.Millisecond, Procs: model.NewProcSet(1, 2, 3)},
+		{Kind: trace.EvVPJoin, Proc: 1, VP: vp1, At: 3 * time.Millisecond, Procs: model.NewProcSet(1, 2, 3)},
+		{Kind: trace.EvVPJoin, Proc: 2, VP: vp1, At: 4 * time.Millisecond, Procs: model.NewProcSet(1, 2, 3)},
+		{Kind: trace.EvVPJoin, Proc: 3, VP: vp1, At: 4 * time.Millisecond, Procs: model.NewProcSet(1, 2, 3)},
 		{Kind: trace.EvTxnBegin, Proc: 1, VP: vp1, Txn: txn, At: 5 * time.Millisecond},
-		{Kind: trace.EvTxnRead, Proc: 1, Txn: txn, Obj: "x", Procs: []model.ProcID{1}, At: 6 * time.Millisecond},
-		{Kind: trace.EvTxnWrite, Proc: 1, Txn: txn, Obj: "x", Procs: []model.ProcID{1, 2, 3}, At: 7 * time.Millisecond},
+		{Kind: trace.EvTxnRead, Proc: 1, Txn: txn, Obj: "x", Procs: model.NewProcSet(1), At: 6 * time.Millisecond},
+		{Kind: trace.EvTxnWrite, Proc: 1, Txn: txn, Obj: "x", Procs: model.NewProcSet(1, 2, 3), At: 7 * time.Millisecond},
 		{Kind: trace.EvTxnCommit, Proc: 1, Txn: txn, At: 8 * time.Millisecond},
 	}
 }
@@ -60,7 +60,7 @@ func TestCheckCleanTrace(t *testing.T) {
 
 func TestCheckViolationExitsNonZero(t *testing.T) {
 	evs := goodTrace()
-	evs[5].Procs = []model.ProcID{1, 2} // P2 disagrees on the view: S1
+	evs[5].Procs = model.NewProcSet(1, 2) // P2 disagrees on the view: S1
 	path := writeTrace(t, evs)
 	var out bytes.Buffer
 	if code := run([]string{"check", path}, nil, &out, &out); code != 1 {

@@ -23,7 +23,10 @@ type fixture struct {
 
 func newFixture(t *testing.T, cat *model.Catalog, n int, seed int64) *fixture {
 	t.Helper()
-	topo := net.NewTopology(n, time.Millisecond)
+	topo, err := net.NewTopology(n, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := &fixture{
 		topo:    topo,
 		cluster: net.NewSimCluster(topo, seed),

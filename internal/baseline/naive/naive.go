@@ -41,17 +41,17 @@ type strategy struct {
 // processor known to the catalog's placements — callers normally reset
 // it with SetView.
 func New(id model.ProcID, cfg node.Config, cat *model.Catalog, hist *onecopy.History, initial model.ProcSet) *Node {
-	s := &strategy{cat: cat, view: initial.Clone()}
+	s := &strategy{cat: cat, view: initial}
 	base := node.NewBase(id, cfg, cat, s, hist)
 	return &Node{SimpleNode: node.NewSimpleNode(base), strat: s}
 }
 
 // SetView replaces the node's local view, unilaterally — exactly the
 // behavior that Examples 1 and 2 exploit.
-func (n *Node) SetView(view model.ProcSet) { n.strat.view = view.Clone() }
+func (n *Node) SetView(view model.ProcSet) { n.strat.view = view }
 
 // View returns the current local view.
-func (n *Node) View() model.ProcSet { return n.strat.view.Clone() }
+func (n *Node) View() model.ProcSet { return n.strat.view }
 
 var errInaccessible = errors.New("no majority of copies in view")
 
@@ -67,10 +67,9 @@ func (s *strategy) ReadPlan(rt net.Runtime, obj model.ObjectID) (node.Plan, erro
 	if !s.cat.Accessible(obj, s.view) {
 		return node.Plan{}, errInaccessible
 	}
-	candidates := s.cat.Copies(obj).Intersect(s.view)
 	best := model.NoProc
 	var bestD time.Duration
-	for _, p := range candidates.Sorted() {
+	for _, p := range (s.cat.Copies(obj) & s.view).Sorted() {
 		d := rt.Distance(p)
 		if best == model.NoProc || d < bestD {
 			best, bestD = p, d
@@ -83,7 +82,7 @@ func (s *strategy) WritePlan(rt net.Runtime, obj model.ObjectID) (node.Plan, err
 	if !s.cat.Accessible(obj, s.view) {
 		return node.Plan{}, errInaccessible
 	}
-	return node.AllOf(s.cat, obj, s.cat.Copies(obj).Intersect(s.view).Sorted()), nil
+	return node.AllOf(s.cat, obj, (s.cat.Copies(obj) & s.view).Sorted()), nil
 }
 
 func (s *strategy) EscalateRead(rt net.Runtime, obj model.ObjectID, got map[model.ProcID]wire.LockResp) []model.ProcID {

@@ -23,7 +23,10 @@ type fixture struct {
 
 func newFixture(t *testing.T, cat *model.Catalog, n int) *fixture {
 	t.Helper()
-	topo := net.NewTopology(n, time.Millisecond)
+	topo, err := net.NewTopology(n, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := &fixture{
 		topo:    topo,
 		cluster: net.NewSimCluster(topo, 1),
@@ -85,7 +88,7 @@ func TestViewRestrictsAccess(t *testing.T) {
 	if res.Committed {
 		t.Fatal("read committed without a majority in view")
 	}
-	if got := f.nodes[1].View(); !got.Equal(model.NewProcSet(1)) {
+	if got := f.nodes[1].View(); got != model.NewProcSet(1) {
 		t.Fatalf("View = %v", got)
 	}
 }

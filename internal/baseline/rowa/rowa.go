@@ -37,7 +37,7 @@ func (s *strategy) StillValid(rt net.Runtime, _ model.ShardID, e node.Epoch) boo
 
 func (s *strategy) ReadPlan(rt net.Runtime, obj model.ObjectID) (node.Plan, error) {
 	copies := s.cat.Copies(obj)
-	if copies == nil {
+	if copies == 0 {
 		return node.Plan{}, errUnknown
 	}
 	best := model.NoProc
@@ -52,7 +52,7 @@ func (s *strategy) ReadPlan(rt net.Runtime, obj model.ObjectID) (node.Plan, erro
 
 func (s *strategy) WritePlan(rt net.Runtime, obj model.ObjectID) (node.Plan, error) {
 	copies := s.cat.Copies(obj)
-	if copies == nil {
+	if copies == 0 {
 		return node.Plan{}, errUnknown
 	}
 	plan := node.AllOf(s.cat, obj, copies.Sorted())

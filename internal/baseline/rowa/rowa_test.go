@@ -14,7 +14,10 @@ import (
 
 func newCluster(t *testing.T, n int, seed int64) (*net.Topology, *net.SimCluster, *onecopy.History, map[uint64]wire.ClientResult) {
 	t.Helper()
-	topo := net.NewTopology(n, time.Millisecond)
+	topo, err := net.NewTopology(n, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cluster := net.NewSimCluster(topo, seed)
 	hist := onecopy.NewHistory()
 	cat := model.FullyReplicated(n, "x")

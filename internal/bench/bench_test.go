@@ -64,11 +64,9 @@ func TestSpecCatalog(t *testing.T) {
 		t.Fatal("replication factor ignored")
 	}
 	// Round-robin placement spreads copies.
-	holders := model.NewProcSet()
+	var holders model.ProcSet
 	for _, o := range part.Objects() {
-		for p := range part.Copies(o) {
-			holders.Add(p)
-		}
+		holders |= part.Copies(o)
 	}
 	if holders.Len() != 5 {
 		t.Fatalf("placement concentrated on %v", holders)

@@ -349,7 +349,7 @@ func E6(seed int64) *Table {
 					var id model.VPID
 					for i, p := range r.Topo.Procs() {
 						nd := r.VPNode(p)
-						if !nd.Assigned() || !nd.View().Equal(want) {
+						if !nd.Assigned() || nd.View() != want {
 							return
 						}
 						if i == 0 {

@@ -130,7 +130,10 @@ func NewRunner(spec Spec) *Runner {
 	// Link latency well under δ: the protocol's timing model assumes
 	// messages arrive within δ, and the simulation must honor it with
 	// slack for multi-hop exchanges inside one window.
-	topo := net.NewTopology(spec.N, spec.Delta/4)
+	topo, err := net.NewTopology(spec.N, spec.Delta/4)
+	if err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
+	}
 	cat := spec.Catalog()
 	r := &Runner{
 		Spec:       spec,
@@ -204,7 +207,7 @@ func (r *Runner) EnableTrace(capacity int) *trace.Recorder {
 	rec.SetEnabled(true)
 	r.Cluster.Rec = rec
 	for _, obj := range r.Cat.Objects() {
-		rec.Record(trace.Event{Kind: trace.EvPlacement, Obj: obj, Procs: r.Cat.Copies(obj).Sorted()})
+		rec.Record(trace.Event{Kind: trace.EvPlacement, Obj: obj, Procs: r.Cat.Copies(obj)})
 	}
 	return rec
 }

@@ -538,7 +538,7 @@ func injectViolation(kind string, snap *Snapshot) {
 			Kind:  trace.EvVPJoin,
 			Proc:  1,
 			VP:    model.VPID{N: 0, P: 2},
-			Procs: []model.ProcID{2, 3},
+			Procs: model.NewProcSet(2, 3),
 		})
 	case InjectHistory:
 		// A committed write-skew pair on two otherwise-untouched objects:

@@ -100,7 +100,7 @@ func Start(cfg Config) (*Cluster, error) {
 		c.rec = trace.New(1 << 18)
 		c.rec.SetEnabled(true)
 		for _, obj := range cat.Objects() {
-			c.rec.Record(trace.Event{Kind: trace.EvPlacement, Obj: obj, Procs: cat.Copies(obj).Sorted()})
+			c.rec.Record(trace.Event{Kind: trace.EvPlacement, Obj: obj, Procs: cat.Copies(obj)})
 		}
 	}
 	for p := model.ProcID(1); int(p) <= cfg.N; p++ {
@@ -218,8 +218,11 @@ func ParseAddrs(s string) (map[model.ProcID]string, error) {
 			return nil, fmt.Errorf("bad -cluster entry %q (want id=host:port)", part)
 		}
 		id, err := strconv.Atoi(kv[0])
-		if err != nil || id < 1 {
-			return nil, fmt.Errorf("bad processor id %q in -cluster", kv[0])
+		if err == nil {
+			err = model.CheckProc(model.ProcID(id))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bad processor id %q in -cluster: %w", kv[0], err)
 		}
 		out[model.ProcID(id)] = kv[1]
 	}

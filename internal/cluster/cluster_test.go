@@ -151,7 +151,7 @@ func TestStopAndBootRestoresFromJournal(t *testing.T) {
 					assigned, joined = true, true
 					for _, nd := range coreNodes(c.Handler(p)) {
 						assigned = assigned && nd.Assigned()
-						joined = joined && nd.Assigned() && nd.View().Equal(all) && !nd.Refreshing()
+						joined = joined && nd.Assigned() && nd.View() == all && !nd.Refreshing()
 					}
 				})
 				return assigned, joined
@@ -212,6 +212,8 @@ func TestParseAddrs(t *testing.T) {
 		{in: "", err: "-cluster is required"},
 		{in: "zap", err: `bad -cluster entry "zap"`},
 		{in: "0=a:1", err: `bad processor id "0"`},
+		{in: "1=a:1,65=b:1", err: `bad processor id "65"`},
+		{in: "64=a:1", want: map[model.ProcID]string{64: "a:1"}},
 		{in: "x=a:1", err: `bad processor id "x"`},
 	} {
 		got, err := ParseAddrs(tc.in)

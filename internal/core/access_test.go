@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/virtualpartitions/vp/internal/core"
@@ -12,8 +13,9 @@ import (
 // The accessibility rule is decided once per copy set and view; for every
 // object and every view over the processors that decision must be the
 // object's own rule: Placement.AccessibleIn (R1), or any copy in the view
-// for mergeable counters.
-func TestAccessFlagsAreTheRule(t *testing.T) {
+// for mergeable counters. An accessible set's targets are its holders in
+// the view, ascending.
+func TestAccessTargetsAreTheRule(t *testing.T) {
 	const A, B, C, D = 1, 2, 3, 4
 	catalogs := map[string]*model.Catalog{
 		// The shape of Figure 1 (experiment E2): weighted pairs.
@@ -42,22 +44,28 @@ func TestAccessFlagsAreTheRule(t *testing.T) {
 
 	for name, cat := range catalogs {
 		for mask := 0; mask < 1<<len(procs); mask++ {
-			view := model.NewProcSet()
+			var view model.ProcSet
 			for i, p := range procs {
 				if mask&(1<<i) != 0 {
 					view.Add(p)
 				}
 			}
-			r1 := core.AccessFlags(cat, view, false)
-			merge := core.AccessFlags(cat, view, true)
+			r1 := core.NewTargets(cat, view, false)
+			merge := core.NewTargets(cat, view, true)
 			for _, obj := range cat.Objects() {
 				pl := cat.Placement(obj)
 				i := cat.SetIndex(obj)
-				if got, want := r1[i], pl.AccessibleIn(view); got != want {
-					t.Fatalf("%s: R1 of %q in %v: flag %v, AccessibleIn %v", name, obj, view, got, want)
+				in := (pl.Holders & view).Sorted()
+				if got, want := r1[i] != nil, pl.AccessibleIn(view); got != want {
+					t.Fatalf("%s: R1 of %q in %v: accessible %v, AccessibleIn %v", name, obj, view, got, want)
 				}
-				if got, want := merge[i], pl.Holders.Intersect(view).Len() > 0; got != want {
-					t.Fatalf("%s: mergeable rule of %q in %v: flag %v, want %v", name, obj, view, got, want)
+				if got, want := merge[i] != nil, in != nil; got != want {
+					t.Fatalf("%s: mergeable rule of %q in %v: accessible %v, want %v", name, obj, view, got, want)
+				}
+				for _, ts := range []core.Targets{r1, merge} {
+					if ts[i] != nil && !slices.Equal(ts[i], in) {
+						t.Fatalf("%s: targets of %q in %v = %v, want %v", name, obj, view, ts[i], in)
+					}
 				}
 			}
 		}

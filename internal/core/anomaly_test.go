@@ -33,7 +33,10 @@ type naiveFixture struct {
 
 func newNaiveFixture(t *testing.T, cat *model.Catalog, n int, seed int64) *naiveFixture {
 	t.Helper()
-	topo := net.NewTopology(n, time.Millisecond)
+	topo, err := net.NewTopology(n, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := &naiveFixture{
 		topo:    topo,
 		cluster: net.NewSimCluster(topo, seed),

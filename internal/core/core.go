@@ -93,9 +93,9 @@ type Node struct {
 	maxID    model.VPID // max-id
 	assigned bool       // assigned
 	lview    model.ProcSet
-	// access[i] is the accessibility rule for copy set i of the catalog
-	// (model.Catalog.SetIndex) in lview, decided once per view (setView).
-	access []bool
+	// targets is the accessibility rule in lview, decided once per copy
+	// set of the catalog when the view is installed (setView).
+	targets Targets
 	// prevs[q] = the partition q departed to join curID (§6), collected
 	// in phase 1 and distributed in phase 2 at no extra message cost.
 	prevs map[model.ProcID]model.VPID
@@ -260,8 +260,8 @@ func (n *Node) Assigned() bool { return n.assigned }
 // (meaningful only when Assigned).
 func (n *Node) CurID() model.VPID { return n.curID }
 
-// View returns view(p), a copy of the processor's local view.
-func (n *Node) View() model.ProcSet { return n.lview.Clone() }
+// View returns view(p), the processor's local view.
+func (n *Node) View() model.ProcSet { return n.lview }
 
 // Refreshing reports whether any object is still locked for R5 recovery.
 func (n *Node) Refreshing() bool { return len(n.refreshing) > 0 }
@@ -307,6 +307,12 @@ func (n *Node) OnMessage(rt net.Runtime, from model.ProcID, m wire.Message) {
 		// silent too: acking a view change or serving a catch-up read
 		// would let the partition count on max-id and copies a dead
 		// journal can no longer preserve across the real restart.
+		return
+	}
+	if model.CheckProc(from) != nil {
+		// Not a processor (a client, or a corrupt frame): it takes no
+		// part in view management, whatever it sent.
+		n.HandleMessage(rt, from, m)
 		return
 	}
 	n.heard[from] = rt.Now()

@@ -42,7 +42,10 @@ func fixtureConfig() Config {
 
 func newFixtureCfg(t *testing.T, cat *model.Catalog, n int, cfg Config, seed int64) *fixture {
 	t.Helper()
-	topo := net.NewTopology(n, time.Millisecond)
+	topo, err := net.NewTopology(n, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := &fixture{
 		t:       t,
 		topo:    topo,
@@ -122,7 +125,7 @@ func (f *fixture) requireCommonView(set ...model.ProcID) {
 			f.t.Fatalf("%v in %v, %v in %v: same clique, different partitions",
 				set[0], id, p, nd.CurID())
 		}
-		if !nd.View().Equal(want) {
+		if nd.View() != want {
 			f.t.Fatalf("%v view = %v, want %v", p, nd.View(), want)
 		}
 	}
@@ -143,7 +146,7 @@ func (f *fixture) checkS1S2() {
 			if q <= p || !other.Assigned() {
 				continue
 			}
-			if nd.CurID() == other.CurID() && !nd.View().Equal(other.View()) {
+			if nd.CurID() == other.CurID() && nd.View() != other.View() {
 				f.t.Fatalf("S1 violated: vp(%v)=vp(%v)=%v but views %v ≠ %v",
 					p, q, nd.CurID(), nd.View(), other.View())
 			}
@@ -213,7 +216,7 @@ func TestLivenessBound(t *testing.T) {
 			var id model.VPID
 			for i, p := range f.topo.Procs() {
 				nd := f.nodes[p]
-				if !nd.Assigned() || !nd.View().Equal(want) {
+				if !nd.Assigned() || nd.View() != want {
 					return
 				}
 				if i == 0 {
@@ -275,10 +278,7 @@ func checkS3(t *testing.T, events []any) int {
 		switch e := ev.(type) {
 		case JoinEvent:
 			joins = append(joins, joinRec{i, e.Proc, e.VP, e.View})
-			if members[e.VP] == nil {
-				members[e.VP] = model.NewProcSet()
-			}
-			members[e.VP].Add(e.Proc)
+			members[e.VP] |= model.NewProcSet(e.Proc)
 		case DepartEvent:
 			departs[e.Proc] = append(departs[e.Proc], departRec{i, e.Proc, e.VP})
 		}
@@ -290,7 +290,7 @@ func checkS3(t *testing.T, events []any) int {
 			if !v.Less(jw.vp) {
 				continue
 			}
-			for p := range mem {
+			for _, p := range mem.Sorted() {
 				if !jw.view.Has(p) {
 					continue
 				}

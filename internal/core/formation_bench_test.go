@@ -27,7 +27,10 @@ func BenchmarkFormation(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cat := model.FullyReplicated(3, objs...)
-				topo := net.NewTopology(3, time.Millisecond)
+				topo, err := net.NewTopology(3, time.Millisecond)
+				if err != nil {
+					b.Fatal(err)
+				}
 				cluster := net.NewSimCluster(topo, 1)
 				hist := onecopy.NewHistory()
 				joined := 0

@@ -202,7 +202,10 @@ func TestStaleInvitation(t *testing.T) {
 func TestRestartBehindRejoinsAtMessageSpeed(t *testing.T) {
 	const victim = model.ProcID(3)
 	cat := model.FullyReplicated(3, "x")
-	topo := net.NewTopology(3, tHop)
+	topo, err := net.NewTopology(3, tHop)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cluster := net.NewSimCluster(topo, 16)
 	hist := onecopy.NewHistory()
 	f := &fixture{t: t, topo: topo, cluster: cluster, hist: hist,

@@ -44,7 +44,10 @@ func (k *killable) OnTimer(rt net.Runtime, key any) {
 func TestMaxIDNeverLeavesBeforeItIsDurable(t *testing.T) {
 	const victim = model.ProcID(3)
 	cat := model.FullyReplicated(3, "x")
-	topo := net.NewTopology(3, time.Millisecond)
+	topo, err := net.NewTopology(3, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cluster := net.NewSimCluster(topo, 91)
 	cluster.Rec = trace.New(trace.DefaultCap)
 	cluster.Rec.SetEnabled(true)
@@ -123,9 +126,9 @@ func TestMaxIDNeverLeavesBeforeItIsDurable(t *testing.T) {
 		if !n.Assigned() {
 			t.Fatalf("node %v unassigned after the restart settled", p)
 		}
-		if view == nil {
+		if view == 0 {
 			view = n.View()
-		} else if !view.Equal(n.View()) {
+		} else if view != n.View() {
 			t.Fatalf("views differ after the restart: %v vs %v", view, n.View())
 		}
 	}

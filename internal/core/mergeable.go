@@ -47,24 +47,12 @@ import (
 // any-copy-in-view in mergeable mode.
 func (n *Node) setView(view model.ProcSet) {
 	n.lview = view
-	n.access = accessFlags(n.Cat, view, n.cfg.Mergeable)
-}
-
-func accessFlags(cat *model.Catalog, view model.ProcSet, mergeable bool) []bool {
-	if !mergeable {
-		return cat.AccessibleSets(view)
-	}
-	flags := make([]bool, len(cat.Sets()))
-	for i, pl := range cat.Sets() {
-		flags[i] = pl.WeightIn(view) > 0
-	}
-	return flags
+	n.targets = NewTargets(n.Cat, view, n.cfg.Mergeable)
 }
 
 // objAccessible reports whether obj is accessible in the local view.
 func (n *Node) objAccessible(obj model.ObjectID) bool {
-	i := n.Cat.SetIndex(obj)
-	return i >= 0 && n.access[i]
+	return n.targets.of(n.Cat, obj) != nil
 }
 
 // UseDeltaWrites implements node.DeltaWriter: in mergeable mode writes

@@ -64,7 +64,7 @@ func buildRandomFaultTrial(t *testing.T, seed int64, weakR4 bool) *fixture {
 			holders = model.NewProcSet(1, 2)
 		}
 		weights := map[model.ProcID]int{}
-		for p := range holders {
+		for _, p := range holders.Sorted() {
 			if rng.Intn(3) == 0 {
 				weights[p] = 2
 			}
@@ -163,7 +163,7 @@ func finishRandomFaultTrial(t *testing.T, seed int64, f *fixture) {
 	f.requireCommonView(f.topo.Procs()...)
 	for _, o := range objects {
 		vals := map[model.Value]bool{}
-		for p := range cat.Copies(o) {
+		for _, p := range cat.Copies(o).Sorted() {
 			vals[f.nodes[p].Store.Get(o).Val] = true
 		}
 		if len(vals) != 1 {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"github.com/virtualpartitions/vp/internal/metrics"
@@ -83,14 +82,13 @@ func (n *Node) startRefresh(rt net.Runtime, objs []model.ObjectID) {
 	n.retryObjs = make(map[model.ProcID][]*refreshState)
 	n.peerRefusals = make(map[model.ProcID]int)
 	batches := make(map[model.ProcID][]wire.ObjSince)
+	var peers model.ProcSet
 	for _, obj := range objs {
 		n.refreshSeq++
 		cur := n.Store.Get(obj)
 		st := &refreshState{
 			obj:     obj,
 			seq:     n.refreshSeq,
-			pending: model.NewProcSet(),
-			busy:    model.NewProcSet(),
 			bestVal: cur.Val,
 			bestVer: cur.Ver,
 			logMode: n.cfg.UseLogCatchup,
@@ -100,11 +98,8 @@ func (n *Node) startRefresh(rt net.Runtime, objs []model.ObjectID) {
 		}
 		// R ← copies(l) ∩ lview (Figure 9 line 7); the local copy is the
 		// initial best candidate, so only peers are contacted.
-		for _, p := range n.Cat.Copies(obj).Intersect(n.lview).Sorted() {
-			if p != rt.ID() {
-				st.pending.Add(p)
-			}
-		}
+		st.pending = n.Cat.Copies(obj) & n.lview
+		st.pending.Remove(rt.ID())
 		n.refreshing[obj] = st
 		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvRefreshStart, VP: n.curID, Obj: obj, Aux: int64(st.pending.Len())})
 		if st.pending.Len() == 0 {
@@ -114,19 +109,15 @@ func (n *Node) startRefresh(rt net.Runtime, objs []model.ObjectID) {
 		for _, p := range st.pending.Sorted() {
 			if st.logMode {
 				batches[p] = append(batches[p], wire.ObjSince{Obj: obj, Since: cur.Ver, Seq: st.seq})
+				peers.Add(p)
 			} else {
 				n.sendRecover(rt, st, p)
 			}
 		}
 		n.extendRefreshDeadline(rt, st)
 	}
-	// Peers in sorted order so the send sequence is deterministic.
-	peers := make([]model.ProcID, 0, len(batches))
-	for p := range batches {
-		peers = append(peers, p)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	for _, p := range peers {
+	// Peers in ascending order so the send sequence is deterministic.
+	for _, p := range peers.Sorted() {
 		rt.SendCtx(p, wire.CatchupReq{VP: n.curID, Objs: batches[p]}, n.vcCtx)
 	}
 }

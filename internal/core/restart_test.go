@@ -28,7 +28,10 @@ type durableFixture struct {
 func newDurableFixture(t *testing.T, cat *model.Catalog, n int, seed int64,
 	restored map[model.ProcID]*durable.State) *durableFixture {
 	t.Helper()
-	topo := net.NewTopology(n, time.Millisecond)
+	topo, err := net.NewTopology(n, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := &fixture{
 		t:       t,
 		topo:    topo,

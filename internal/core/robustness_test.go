@@ -230,3 +230,27 @@ func TestAbortReportsReason(t *testing.T) {
 		t.Fatal("abort without a reason string")
 	}
 }
+
+// A message whose sender is no processor id in 1..model.MaxProc — a
+// client's NoProc, or a corrupt frame's — takes no part in view
+// management: it neither panics the node nor enters its sets.
+func TestNonProcessorSenderIsIgnored(t *testing.T) {
+	f := newFixture(t, model.FullyReplicated(3, "x"), 3, 1)
+	f.run(tDeltaBound * 3)
+	f.requireCommonView(1, 2, 3)
+	n, rt := f.nodes[1], f.cluster.RuntimeFor(1)
+	n.probeOpen = true
+	for _, from := range []model.ProcID{model.NoProc, -1, model.MaxProc + 1} {
+		for _, m := range []wire.Message{
+			wire.ProbeAck{From: from, Seq: n.probeSeq},
+			wire.Probe{From: from, VP: n.CurID(), Seq: 1},
+			wire.NewVP{ID: model.VPID{N: 1 << 20, P: 2}},
+			wire.RecoverReadResp{Obj: "x", Busy: true},
+		} {
+			n.OnMessage(rt, from, m)
+		}
+	}
+	if n.probeAcks.Has(model.NoProc) || !n.Assigned() || n.View() != model.NewProcSet(1, 2, 3) {
+		t.Fatalf("acks %v, assigned %v, view %v after messages from non-processors", n.probeAcks, n.Assigned(), n.View())
+	}
+}

@@ -47,52 +47,85 @@ func (s *vpStrategy) StillValid(rt net.Runtime, _ model.ShardID, e node.Epoch) b
 	return n.assigned && e.Has && e.VP == n.curID
 }
 
-// ReadPlan implements node.Strategy: Logical-Read of Figure 10. The
-// nearest copy in the view is selected by network distance with the
-// processor itself at distance zero, so a local copy is always preferred.
+// Targets is the accessibility rule of one view, decided once per copy
+// set of a catalog: Targets[i] lists, ascending, the holders of copy set
+// i (model.Catalog.SetIndex) that are in the view, and is nil when the
+// rule refuses the set. Every view gets fresh slices, so a plan built
+// under an earlier view keeps its targets.
+type Targets [][]model.ProcID
+
+// NewTargets decides the rule for every copy set of cat in view:
+// weighted majority (R1), or in mergeable mode any copy in the view.
+func NewTargets(cat *model.Catalog, view model.ProcSet, mergeable bool) Targets {
+	ts := make(Targets, len(cat.Sets()))
+	for i, pl := range cat.Sets() {
+		if in := pl.Holders & view; in != 0 && (mergeable || pl.AccessibleIn(view)) {
+			ts[i] = in.Sorted()
+		}
+	}
+	return ts
+}
+
+// of returns the in-view holders of obj's copy set: nil when the rule
+// refuses it or obj is not in cat.
+func (ts Targets) of(cat *model.Catalog, obj model.ObjectID) []model.ProcID {
+	if i := cat.SetIndex(obj); i >= 0 {
+		return ts[i]
+	}
+	return nil
+}
+
+// ReadPlan is Logical-Read of Figure 10 over ts: the nearest copy in the
+// view (R2), by network distance with the processor itself at distance
+// zero, so a local copy is always preferred. The target is a one-element
+// subslice clipped to its length: a coordinator that appends to it
+// (EscalateRead) copies instead of writing into ts.
+func (ts Targets) ReadPlan(rt net.Runtime, cat *model.Catalog, obj model.ObjectID) (node.Plan, error) {
+	t := ts.of(cat, obj)
+	if t == nil {
+		return node.Plan{}, ErrInaccessible
+	}
+	j, bestD := 0, rt.Distance(t[0])
+	for i := 1; i < len(t); i++ {
+		if d := rt.Distance(t[i]); d < bestD {
+			j, bestD = i, d
+		}
+	}
+	return node.AllOf(cat, obj, t[j:j+1:j+1]), nil
+}
+
+// WritePlan is Logical-Write of Figure 11 over ts: all copies on
+// processors in the view (R3), every one of which must succeed.
+func (ts Targets) WritePlan(cat *model.Catalog, obj model.ObjectID) (node.Plan, error) {
+	t := ts.of(cat, obj)
+	if t == nil {
+		return node.Plan{}, ErrInaccessible
+	}
+	return node.AllOf(cat, obj, t), nil
+}
+
+// ReadPlan implements node.Strategy (rules R1 and R2).
 func (s *vpStrategy) ReadPlan(rt net.Runtime, obj model.ObjectID) (node.Plan, error) {
 	n := s.node()
 	if !n.assigned {
 		return node.Plan{}, ErrNotAssigned
 	}
-	if !n.objAccessible(obj) {
-		return node.Plan{}, ErrInaccessible
-	}
-	candidates := n.Cat.Copies(obj).Intersect(n.lview)
-	best := model.NoProc
-	var bestD time.Duration
-	for _, p := range candidates.Sorted() {
-		d := rt.Distance(p)
-		if best == model.NoProc || d < bestD {
-			best, bestD = p, d
-		}
-	}
-	if best == model.NoProc {
-		// Accessible implies a majority of copies in view, so this
-		// cannot happen; defend anyway.
-		return node.Plan{}, ErrInaccessible
-	}
-	return node.AllOf(n.Cat, obj, []model.ProcID{best}), nil
+	return n.targets.ReadPlan(rt, n.Cat, obj)
 }
 
-// WritePlan implements node.Strategy: Logical-Write of Figure 11 — all
-// copies on processors in the view, every one of which must succeed.
+// WritePlan implements node.Strategy (rules R1 and R3).
 func (s *vpStrategy) WritePlan(rt net.Runtime, obj model.ObjectID) (node.Plan, error) {
 	n := s.node()
 	if !n.assigned {
 		return node.Plan{}, ErrNotAssigned
 	}
-	if !n.objAccessible(obj) {
-		return node.Plan{}, ErrInaccessible
-	}
-	targets := n.Cat.Copies(obj).Intersect(n.lview).Sorted()
-	plan := node.AllOf(n.Cat, obj, targets)
+	plan, err := n.targets.WritePlan(n.Cat, obj)
 	// Rule R5 made every copy in the view current before it became
 	// readable and rule R3 has kept them in step since, so the version a
 	// read returned is every target's version. Not so for mergeable
 	// counters, whose copies merge by component and need not agree on it.
-	plan.LockAtPrepare = !n.cfg.Mergeable
-	return plan, nil
+	plan.LockAtPrepare = err == nil && !n.cfg.Mergeable
+	return plan, err
 }
 
 // EscalateRead implements node.Strategy: the VP protocol never escalates

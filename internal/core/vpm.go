@@ -148,11 +148,11 @@ func (n *Node) onCreateWindow(rt net.Runtime, id model.VPID) {
 		// armed). Nothing to do.
 		return
 	}
-	view := make([]model.ProcID, 0, len(n.accepts))
+	var view model.ProcSet
 	prevs := make(map[model.ProcID]model.VPID, len(n.accepts))
 	digests := make(map[model.ProcID]wire.Digest, len(n.accepts))
 	for p, a := range n.accepts {
-		view = append(view, p)
+		view.Add(p)
 		prevs[p] = a.Prev
 		digests[p] = a.Digest
 	}
@@ -160,16 +160,16 @@ func (n *Node) onCreateWindow(rt net.Runtime, id model.VPID) {
 	rt.Metrics().Inc(createdByCause.Name(n.createCause), 1)
 	// Send the commits before joining locally: join starts rule R5
 	// recovery, whose reads must not overtake the commit messages.
-	viewSet := model.NewProcSet(view...)
 	if tr := rt.Tracer(); tr.Enabled() {
-		tr.Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvVPCommit, VP: id, Procs: viewSet.Sorted()})
+		tr.Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvVPCommit, VP: id, Procs: view})
 	}
-	for _, p := range viewSet.Sorted() {
+	members := view.Sorted()
+	for _, p := range members {
 		if p != rt.ID() {
-			rt.Send(p, wire.CommitVP{ID: id, View: viewSet.Sorted(), Prevs: prevs, Digests: digests})
+			rt.Send(p, wire.CommitVP{ID: id, View: members, Prevs: prevs, Digests: digests})
 		}
 	}
-	n.join(rt, id, viewSet, prevs, digests, n.createCause)
+	n.join(rt, id, view, prevs, digests, n.createCause)
 }
 
 // onNewVP handles an invitation (Figure 6 lines 5–10): accept iff it is
@@ -208,7 +208,7 @@ func (n *Node) onCommitVP(rt net.Runtime, from model.ProcID, m wire.CommitVP) {
 		return
 	}
 	n.cancelAcceptTimer(rt)
-	n.join(rt, m.ID, model.ProcSetOf(m.View), m.Prevs, m.Digests, "")
+	n.join(rt, m.ID, model.NewProcSet(m.View...), m.Prevs, m.Digests, "")
 }
 
 // onAcceptTimeout fires when a commit never arrived within 3δ of an
@@ -273,11 +273,11 @@ func (n *Node) join(rt net.Runtime, id model.VPID, view model.ProcSet, prevs map
 		n.departedSet = false
 	}
 	if tr := rt.Tracer(); tr.Enabled() {
-		tr.Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvVPJoin, VP: id, Procs: view.Sorted()})
+		tr.Record(trace.Event{At: rt.Now(), Proc: rt.ID(), Kind: trace.EvVPJoin, VP: id, Procs: view})
 	}
 	rt.Logf("joined %v view=%v", id, view)
 	if n.Observer != nil {
-		n.Observer(JoinEvent{Proc: rt.ID(), VP: id, View: view.Clone(), At: rt.Now(), Cause: cause})
+		n.Observer(JoinEvent{Proc: rt.ID(), VP: id, View: view, At: rt.Now(), Cause: cause})
 	}
 
 	if n.cfg.WeakR4 {
@@ -288,7 +288,7 @@ func (n *Node) join(rt net.Runtime, id model.VPID, view model.ProcSet, prevs map
 	// (Figure 5 line 18 / Figure 6 lines 15–17). With every copy set
 	// accessible that is all of local, which nobody mutates.
 	locked := n.Cat.Local(rt.ID())
-	if slices.Contains(n.access, false) {
+	if slices.ContainsFunc(n.targets, func(t []model.ProcID) bool { return t == nil }) {
 		locked = slices.DeleteFunc(slices.Clone(locked), func(obj model.ObjectID) bool { return !n.objAccessible(obj) })
 	}
 	if len(locked) == 0 {
@@ -330,7 +330,7 @@ func (n *Node) join(rt net.Runtime, id model.VPID, view model.ProcSet, prevs map
 func (n *Node) staleCopies(rt net.Runtime, objs []model.ObjectID) []model.ObjectID {
 	var newest model.Version
 	var staged map[model.ObjectID]bool
-	for p := range n.lview {
+	for _, p := range n.lview.Sorted() {
 		if p == rt.ID() {
 			continue
 		}
@@ -363,7 +363,7 @@ func (n *Node) staleCopies(rt net.Runtime, objs []model.ObjectID) []model.Object
 func (n *Node) allPrevsEqual() bool {
 	var common model.VPID
 	first := true
-	for p := range n.lview {
+	for _, p := range n.lview.Sorted() {
 		prev, ok := n.prevs[p]
 		if !ok {
 			return false
@@ -395,7 +395,7 @@ func (n *Node) migrateOrAbort(rt net.Runtime, oldView model.ProcSet) {
 					return false
 				}
 				copies := n.Cat.Copies(o)
-				if !copies.Intersect(n.lview).Equal(copies.Intersect(oldView)) {
+				if copies&n.lview != copies&oldView {
 					return false
 				}
 			}
@@ -436,7 +436,7 @@ func (n *Node) onProbeWindow(rt net.Runtime, seq uint64) {
 	// and the view triggers a new partition. The acks answer the
 	// partition the round was opened in; a processor that has changed
 	// partitions since holds them against nothing.
-	if n.assigned && n.curID == n.probeVP && !n.probeAcks.Equal(n.lview) {
+	if n.assigned && n.curID == n.probeVP && n.probeAcks != n.lview {
 		rt.Logf("probe %d: acks %v ≠ view %v", seq, n.probeAcks, n.lview)
 		n.CreateNewVP(rt, causeProbeMismatch)
 	}

@@ -475,7 +475,11 @@ func TestCommittingJournalRefusesAnEngineThatCannotPost(t *testing.T) {
 	defer j.Close()
 	nd := rowa.New(1, node.Config{Delta: time.Millisecond}, cat, onecopy.NewHistory())
 	nd.Journal = j
-	sim := net.NewSimCluster(net.NewTopology(1, time.Millisecond), 1)
+	topo, err := net.NewTopology(1, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := net.NewSimCluster(topo, 1)
 	sim.AddNode(1, nd)
 	defer func() {
 		if recover() == nil {

@@ -32,22 +32,18 @@ func (pl *Placement) Weight(p ProcID) int {
 }
 
 // TotalWeight returns the sum of all copy weights.
-func (pl *Placement) TotalWeight() int {
-	t := 0
-	for p := range pl.Holders {
-		t += pl.Weight(p)
-	}
-	return t
-}
+func (pl *Placement) TotalWeight() int { return pl.WeightIn(pl.Holders) }
 
 // WeightIn returns the combined weight of the copies held by processors
 // in the given set.
 func (pl *Placement) WeightIn(set ProcSet) int {
+	in := pl.Holders & set
+	if pl.Weights == nil {
+		return in.Len()
+	}
 	t := 0
-	for p := range pl.Holders {
-		if set.Has(p) {
-			t += pl.Weight(p)
-		}
+	for _, p := range in.Sorted() {
+		t += pl.Weight(p)
 	}
 	return t
 }
@@ -67,7 +63,7 @@ func (pl *Placement) AccessibleIn(set ProcSet) bool {
 // Rule R1 depends on an object's copy set, never on the object, so the
 // catalog interns placements: objects with equal holders and weights
 // share one copy set, numbered by SetIndex, and a view's accessibility
-// is decided once per copy set (AccessibleSets).
+// can be decided once per copy set (Sets).
 type Catalog struct {
 	sets    []*Placement          // the distinct copy sets; Object unset
 	setOf   map[ObjectID]int32    // object → index into sets
@@ -77,15 +73,14 @@ type Catalog struct {
 
 // NewCatalog builds a catalog from the given placements. It panics on a
 // duplicate object or an object with no copies: both are configuration
-// errors that can never be valid. The holders and weights of each
-// distinct copy set are copied once; later changes to the caller's sets
-// do not reach the catalog.
+// errors that can never be valid. The weights of each distinct copy set
+// are copied once; later changes to the caller's maps do not reach the
+// catalog.
 func NewCatalog(placements ...Placement) *Catalog {
 	c := &Catalog{setOf: make(map[ObjectID]int32, len(placements))}
 	objects := make([]ObjectID, 0, len(placements))
 	index := make(map[string]int32) // copy-set key → index into sets
 	var key []byte
-	var ps []ProcID
 	for i := range placements {
 		pl := &placements[i]
 		if _, dup := c.setOf[pl.Object]; dup {
@@ -102,22 +97,22 @@ func NewCatalog(placements ...Placement) *Catalog {
 				panic(fmt.Sprintf("catalog: object %q weights non-holder %s", pl.Object, p))
 			}
 		}
-		// The key is the (processor, weight) pairs in processor order.
-		ps = ps[:0]
-		for p := range pl.Holders {
-			ps = append(ps, p)
-		}
-		slices.Sort(ps)
-		key = key[:0]
-		for _, p := range ps {
-			key = binary.AppendVarint(key, int64(p))
-			key = binary.AppendVarint(key, int64(pl.Weight(p)))
+		// The key is the holders, then the (processor, weight) pairs of
+		// the copies that do not weigh 1, in processor order.
+		key = binary.AppendUvarint(key[:0], uint64(pl.Holders))
+		if pl.Weights != nil {
+			for _, p := range pl.Holders.Sorted() {
+				if w := pl.Weight(p); w != 1 {
+					key = binary.AppendUvarint(key, uint64(p))
+					key = binary.AppendUvarint(key, uint64(w))
+				}
+			}
 		}
 		idx, ok := index[string(key)]
 		if !ok {
 			idx = int32(len(c.sets))
 			index[string(key)] = idx
-			c.sets = append(c.sets, &Placement{Holders: pl.Holders.Clone(), Weights: maps.Clone(pl.Weights)})
+			c.sets = append(c.sets, &Placement{Holders: pl.Holders, Weights: maps.Clone(pl.Weights)})
 		}
 		c.setOf[pl.Object] = idx
 		objects = append(objects, pl.Object)
@@ -129,13 +124,13 @@ func NewCatalog(placements ...Placement) *Catalog {
 	// local_p lists; with one copy set every holder's is the object list.
 	c.local = make(map[ProcID][]ObjectID)
 	if len(c.sets) == 1 {
-		for p := range c.sets[0].Holders {
+		for _, p := range c.sets[0].Holders.Sorted() {
 			c.local[p] = objects
 		}
 		return c
 	}
 	for _, obj := range objects {
-		for p := range c.sets[c.setOf[obj]].Holders {
+		for _, p := range c.sets[c.setOf[obj]].Holders.Sorted() {
 			c.local[p] = append(c.local[p], obj)
 		}
 	}
@@ -145,7 +140,7 @@ func NewCatalog(placements ...Placement) *Catalog {
 // FullyReplicated builds a catalog in which each of the given objects has
 // an unweighted copy at every one of the n processors 1..n.
 func FullyReplicated(n int, objects ...ObjectID) *Catalog {
-	all := make(ProcSet, n)
+	var all ProcSet
 	for i := 1; i <= n; i++ {
 		all.Add(ProcID(i))
 	}
@@ -166,13 +161,13 @@ func (c *Catalog) Placement(obj ObjectID) *Placement {
 	return nil
 }
 
-// Copies returns copies(obj): the holders of physical copies. The set is
-// shared with every object of the same copy set and must not be mutated.
+// Copies returns copies(obj): the holders of physical copies, or the
+// empty set if the object is not in the database.
 func (c *Catalog) Copies(obj ObjectID) ProcSet {
 	if pl := c.Placement(obj); pl != nil {
 		return pl.Holders
 	}
-	return nil
+	return 0
 }
 
 // Objects returns every logical object, sorted. The slice must not be
@@ -202,13 +197,3 @@ func (c *Catalog) SetIndex(obj ObjectID) int {
 // Sets returns the distinct copy sets, indexed by SetIndex. Neither the
 // slice nor the placements may be mutated.
 func (c *Catalog) Sets() []*Placement { return c.sets }
-
-// AccessibleSets evaluates rule R1 once per copy set: flags[i] reports
-// whether Sets()[i] is accessible in view.
-func (c *Catalog) AccessibleSets(view ProcSet) []bool {
-	flags := make([]bool, len(c.sets))
-	for i, pl := range c.sets {
-		flags[i] = pl.AccessibleIn(view)
-	}
-	return flags
-}

@@ -1,8 +1,12 @@
 package model
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -129,22 +133,131 @@ func TestProcSetBasics(t *testing.T) {
 func TestProcSetAlgebra(t *testing.T) {
 	a := NewProcSet(1, 2, 3)
 	b := NewProcSet(2, 3, 4)
-	if got := a.Intersect(b); !got.Equal(NewProcSet(2, 3)) {
-		t.Errorf("Intersect = %v", got)
+	if got := a & b; got != NewProcSet(2, 3) {
+		t.Errorf("a & b = %v", got)
 	}
-	if got := a.Union(b); !got.Equal(NewProcSet(1, 2, 3, 4)) {
-		t.Errorf("Union = %v", got)
+	if got := a | b; got != NewProcSet(1, 2, 3, 4) {
+		t.Errorf("a | b = %v", got)
 	}
 	if !NewProcSet(2, 3).Subset(a) || a.Subset(NewProcSet(1, 2)) {
 		t.Error("Subset wrong")
 	}
-	c := a.Clone()
+	c := a
 	c.Add(9)
 	if a.Has(9) {
-		t.Error("Clone aliases the original")
+		t.Error("a copy aliases the original")
 	}
-	if !a.Equal(NewProcSet(3, 2, 1)) || a.Equal(b) {
-		t.Error("Equal wrong")
+	if a != NewProcSet(3, 2, 1) || a == b {
+		t.Error("== wrong")
+	}
+}
+
+// procModel is the reference a ProcSet is checked against: a map, as the
+// set was before it became a bitmask.
+type procModel map[ProcID]bool
+
+func (m procModel) sorted() []ProcID {
+	var out []ProcID
+	for p := range m {
+		out = append(out, p)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// Every ProcSet operation agrees with the map model over random subsets
+// of 1..MaxProc, the extremes 1 and MaxProc included.
+func TestProcSetMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	random := func() (ProcSet, procModel) {
+		var s ProcSet
+		m := procModel{}
+		density := rng.Intn(4) // empty-ish to nearly full
+		for p := ProcID(1); p <= MaxProc; p++ {
+			if density > 0 && rng.Intn(4) < density {
+				s.Add(p)
+				m[p] = true
+			}
+		}
+		return s, m
+	}
+	for i := 0; i < 2000; i++ {
+		a, am := random()
+		b, bm := random()
+		inter, union := procModel{}, procModel{}
+		for p := range am {
+			union[p] = true
+			if bm[p] {
+				inter[p] = true
+			}
+		}
+		for p := range bm {
+			union[p] = true
+		}
+		subset := len(inter) == len(am)
+		ops := []struct {
+			name      string
+			got, want any
+		}{
+			{"Len", a.Len(), len(am)},
+			{"Sorted", a.Sorted(), am.sorted()},
+			{"&", (a & b).Sorted(), inter.sorted()},
+			{"|", (a | b).Sorted(), union.sorted()},
+			{"==", a == b, slices.Equal(am.sorted(), bm.sorted())},
+			{"Subset", a.Subset(b), subset},
+			{"NewProcSet", NewProcSet(am.sorted()...), a},
+		}
+		for _, op := range ops {
+			if !reflect.DeepEqual(op.got, op.want) {
+				t.Fatalf("%s of %v, %v: got %v, want %v", op.name, a, b, op.got, op.want)
+			}
+		}
+		if want := "{" + strings.Join(strings.Fields(strings.Trim(fmt.Sprint(am.sorted()), "[]")), ",") + "}"; a.String() != want {
+			t.Fatalf("String = %q, want %q", a.String(), want)
+		}
+		for p := ProcID(-1); p <= MaxProc+2; p++ {
+			if a.Has(p) != am[p] {
+				t.Fatalf("Has(%d) of %v = %v", p, a, a.Has(p))
+			}
+		}
+		p := ProcID(1 + rng.Intn(int(MaxProc)))
+		c := a
+		c.Add(p)
+		am[p] = true
+		if !reflect.DeepEqual(c.Sorted(), am.sorted()) {
+			t.Fatalf("Add(%d): %v, want %v", p, c, am.sorted())
+		}
+		c.Remove(p)
+		delete(am, p)
+		if !reflect.DeepEqual(c.Sorted(), am.sorted()) {
+			t.Fatalf("Remove(%d): %v, want %v", p, c, am.sorted())
+		}
+	}
+	var zero ProcSet
+	if zero.Len() != 0 || zero.Sorted() != nil || zero.String() != "{}" {
+		t.Fatalf("zero set: %v (len %d)", zero, zero.Len())
+	}
+}
+
+func TestProcSetRefusesIDsOutOfRange(t *testing.T) {
+	for _, p := range []ProcID{NoProc, -1, MaxProc + 1, 1000} {
+		if CheckProc(p) == nil {
+			t.Errorf("CheckProc(%d) accepted", p)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add(%d) did not panic", p)
+				}
+			}()
+			var s ProcSet
+			s.Add(p)
+		}()
+	}
+	for _, p := range []ProcID{1, MaxProc} {
+		if err := CheckProc(p); err != nil {
+			t.Errorf("CheckProc(%d): %v", p, err)
+		}
 	}
 }
 
@@ -160,8 +273,8 @@ func TestProcSetAlgebraProperties(t *testing.T) {
 	}
 	f := func(x, y uint8) bool {
 		a, b := mk(x), mk(y)
-		inter := a.Intersect(b)
-		uni := a.Union(b)
+		inter := a & b
+		uni := a | b
 		// |A| + |B| = |A∪B| + |A∩B|
 		if a.Len()+b.Len() != uni.Len()+inter.Len() {
 			return false
@@ -250,7 +363,7 @@ func TestCatalogInternsCopiesOfCallerSets(t *testing.T) {
 	held.Add(9)
 	w[1] = 7
 	for _, obj := range []ObjectID{"x", "y", "z"} {
-		if got := cat.Copies(obj); !got.Equal(NewProcSet(1, 2, 3)) {
+		if got := cat.Copies(obj); got != NewProcSet(1, 2, 3) {
 			t.Fatalf("Copies(%s) = %v after the caller's set changed", obj, got)
 		}
 	}
@@ -274,7 +387,7 @@ func TestCatalogBasics(t *testing.T) {
 	if cat.Copies("x").Len() != 3 {
 		t.Fatal("x should have 3 copies")
 	}
-	if cat.Copies("zzz") != nil {
+	if cat.Copies("zzz") != 0 {
 		t.Fatal("unknown object should have nil copies")
 	}
 	if !slices.Contains(cat.Local(2), "y") {
@@ -349,7 +462,7 @@ func TestAccessibilityMonotone(t *testing.T) {
 	// (the majority-rule exclusion that underlies the whole protocol).
 	for _, v1 := range views {
 		for _, v2 := range views {
-			if v1.Intersect(v2).Len() == 0 &&
+			if v1&v2 == 0 &&
 				cat.Accessible("a", v1) && cat.Accessible("a", v2) {
 				t.Fatalf("disjoint views %v and %v both have a majority", v1, v2)
 			}

@@ -1,112 +1,93 @@
 package model
 
 import (
+	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
 
 // ProcSet is a set of processors, e.g. a view, the membership of a
 // virtual partition, or the placement copies(l) of a logical object.
-type ProcSet map[ProcID]struct{}
+// Processors are numbered 1..MaxProc and bit p-1 stands for processor p,
+// so a set is a value: assignment copies it, & and | intersect and
+// unite, == compares, and the zero value is the empty set.
+type ProcSet uint64
 
-// NewProcSet builds a set from the given processors.
+// MaxProc is the largest processor id a ProcSet holds. Every id that
+// enters the program from outside is checked against it (CheckProc).
+const MaxProc ProcID = 64
+
+// CheckProc refuses a processor id outside 1..MaxProc.
+func CheckProc(p ProcID) error {
+	if p < 1 || p > MaxProc {
+		return fmt.Errorf("processor id %d outside 1..%d", int(p), int(MaxProc))
+	}
+	return nil
+}
+
+// NewProcSet builds a set from the given processors. It panics on an id
+// outside 1..MaxProc: such an id was refused where it entered.
 func NewProcSet(ps ...ProcID) ProcSet {
-	s := make(ProcSet, len(ps))
+	var s ProcSet
 	for _, p := range ps {
-		s[p] = struct{}{}
+		s.Add(p)
 	}
 	return s
 }
 
 // Has reports membership.
 func (s ProcSet) Has(p ProcID) bool {
-	_, ok := s[p]
-	return ok
+	return p >= 1 && p <= MaxProc && s&(1<<(p-1)) != 0
 }
 
-// Add inserts p.
-func (s ProcSet) Add(p ProcID) { s[p] = struct{}{} }
+// Add inserts p. It panics on an id outside 1..MaxProc.
+func (s *ProcSet) Add(p ProcID) {
+	if err := CheckProc(p); err != nil {
+		panic(err)
+	}
+	*s |= 1 << (p - 1)
+}
 
 // Remove deletes p.
-func (s ProcSet) Remove(p ProcID) { delete(s, p) }
+func (s *ProcSet) Remove(p ProcID) {
+	if p >= 1 && p <= MaxProc {
+		*s &^= 1 << (p - 1)
+	}
+}
 
 // Len returns the cardinality.
-func (s ProcSet) Len() int { return len(s) }
-
-// Clone returns an independent copy of s.
-func (s ProcSet) Clone() ProcSet {
-	c := make(ProcSet, len(s))
-	for p := range s {
-		c[p] = struct{}{}
-	}
-	return c
-}
-
-// Equal reports whether s and t contain the same processors.
-func (s ProcSet) Equal(t ProcSet) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for p := range s {
-		if !t.Has(p) {
-			return false
-		}
-	}
-	return true
-}
-
-// Intersect returns s ∩ t.
-func (s ProcSet) Intersect(t ProcSet) ProcSet {
-	out := make(ProcSet)
-	for p := range s {
-		if t.Has(p) {
-			out.Add(p)
-		}
-	}
-	return out
-}
-
-// Union returns s ∪ t.
-func (s ProcSet) Union(t ProcSet) ProcSet {
-	out := s.Clone()
-	for p := range t {
-		out.Add(p)
-	}
-	return out
-}
+func (s ProcSet) Len() int { return bits.OnesCount64(uint64(s)) }
 
 // Subset reports whether s ⊆ t.
-func (s ProcSet) Subset(t ProcSet) bool {
-	for p := range s {
-		if !t.Has(p) {
-			return false
-		}
-	}
-	return true
-}
+func (s ProcSet) Subset(t ProcSet) bool { return s&^t == 0 }
 
-// Sorted returns the members in ascending order. The deterministic order
-// matters: protocol code must never iterate a map when the iteration
-// order can influence messages or timers.
+// Sorted returns the members in ascending order; it is how a set is
+// iterated. The order matters: protocol code must never let an
+// arbitrary order influence messages or timers.
 func (s ProcSet) Sorted() []ProcID {
-	out := make([]ProcID, 0, len(s))
-	for p := range s {
-		out = append(out, p)
+	if s == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]ProcID, 0, s.Len())
+	for rest := uint64(s); rest != 0; rest &= rest - 1 {
+		out = append(out, ProcID(bits.TrailingZeros64(rest)+1))
+	}
 	return out
 }
 
 func (s ProcSet) String() string {
-	parts := make([]string, 0, len(s))
-	for _, p := range s.Sorted() {
-		parts = append(parts, p.String())
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, p := range s.Sorted() {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(p.String())
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	b.WriteByte('}')
+	return b.String()
 }
-
-// ProcSetOf converts a slice (e.g. a view carried in a message) into a set.
-func ProcSetOf(ps []ProcID) ProcSet { return NewProcSet(ps...) }
 
 // ObjSet is a set of logical objects, e.g. the "locked" variable of the
 // replica control protocol (Figure 3, line 6).

@@ -243,7 +243,7 @@ func (r *simRuntime) SetTimer(d time.Duration, key any) TimerID {
 	r.nextTID++
 	id := r.nextTID
 	h := r.c.nodes[r.id]
-	handle := r.c.Engine.After(d, fmt.Sprintf("timer-%v-%v", r.id, key), func() {
+	handle := r.c.Engine.After(d, "timer", func() {
 		delete(r.timers, id)
 		r.cur = model.TraceCtx{}
 		h.OnTimer(r, key)

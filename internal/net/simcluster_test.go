@@ -46,7 +46,10 @@ func (p *proberNode) OnMessage(rt Runtime, from model.ProcID, m wire.Message) {
 }
 
 func TestSimClusterRoundTrip(t *testing.T) {
-	topo := NewTopology(2, time.Millisecond)
+	topo, err := NewTopology(2, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := NewSimCluster(topo, 1)
 	a := &proberNode{}
 	b := &echoNode{}
@@ -71,7 +74,10 @@ func TestSimClusterRoundTrip(t *testing.T) {
 }
 
 func TestSimClusterPartitionDropsMessages(t *testing.T) {
-	topo := NewTopology(2, time.Millisecond)
+	topo, err := NewTopology(2, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	topo.Partition([]model.ProcID{1}, []model.ProcID{2})
 	c := NewSimCluster(topo, 1)
 	a := &proberNode{}
@@ -89,7 +95,10 @@ func TestSimClusterPartitionDropsMessages(t *testing.T) {
 }
 
 func TestSimClusterInFlightDrop(t *testing.T) {
-	topo := NewTopology(2, 5*time.Millisecond)
+	topo, err := NewTopology(2, 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := NewSimCluster(topo, 1)
 	a := &proberNode{}
 	b := &echoNode{}
@@ -103,7 +112,10 @@ func TestSimClusterInFlightDrop(t *testing.T) {
 		t.Fatal("in-flight message should be lost when the link goes down")
 	}
 	// With DropInFlight disabled, the message survives.
-	topo2 := NewTopology(2, 5*time.Millisecond)
+	topo2, err := NewTopology(2, 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c2 := NewSimCluster(topo2, 1)
 	c2.DropInFlight = false
 	a2 := &proberNode{}
@@ -140,7 +152,10 @@ func (n *timerNode) OnTimer(rt Runtime, key any) {
 }
 
 func TestSimClusterTimers(t *testing.T) {
-	topo := NewTopology(1, time.Millisecond)
+	topo, err := NewTopology(1, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := NewSimCluster(topo, 1)
 	n := &timerNode{}
 	c.AddNode(1, n)
@@ -160,7 +175,10 @@ func (n *resultNode) OnMessage(rt Runtime, from model.ProcID, m wire.Message) {
 }
 
 func TestSimClusterClientPath(t *testing.T) {
-	topo := NewTopology(1, time.Millisecond)
+	topo, err := NewTopology(1, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := NewSimCluster(topo, 1)
 	c.AddNode(1, &resultNode{})
 	var results []wire.ClientResult
@@ -179,7 +197,10 @@ func TestSimClusterClientPath(t *testing.T) {
 }
 
 func TestSimClusterDropProb(t *testing.T) {
-	topo := NewTopology(2, time.Millisecond)
+	topo, err := NewTopology(2, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	topo.SetDropProb(1.0)
 	c := NewSimCluster(topo, 1)
 	a := &proberNode{}
@@ -194,7 +215,10 @@ func TestSimClusterDropProb(t *testing.T) {
 }
 
 func TestSimClusterDistance(t *testing.T) {
-	topo := NewTopology(3, time.Millisecond)
+	topo, err := NewTopology(3, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	topo.SetLatency(1, 3, 9*time.Millisecond)
 	c := NewSimCluster(topo, 1)
 	n := &echoNode{}
@@ -214,7 +238,10 @@ func TestSimClusterDistance(t *testing.T) {
 
 func TestSimClusterDeterminism(t *testing.T) {
 	run := func() int64 {
-		topo := NewTopology(2, time.Millisecond)
+		topo, err := NewTopology(2, time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
 		topo.SetDropProb(0.3)
 		c := NewSimCluster(topo, 99)
 		a := &proberNode{}

@@ -327,7 +327,10 @@ func (recvLog) OnTimer(Runtime, any)                                      {}
 func TestTCPTopologyInterceptor(t *testing.T) {
 	ports := freePorts(t, 3)
 	addrs := map[model.ProcID]string{1: ports[0], 2: ports[1], 3: ports[2]}
-	topo := NewTopology(3, time.Millisecond)
+	topo, err := NewTopology(3, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nodes := map[model.ProcID]*TCPNode{}
 	logs := map[model.ProcID]recvLog{}
 	for p := model.ProcID(1); p <= 3; p++ {

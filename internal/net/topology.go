@@ -39,13 +39,14 @@ func edgeKey(a, b model.ProcID) [2]model.ProcID {
 }
 
 // NewTopology returns a fully connected topology over processors 1..n
-// with the given uniform base latency on every link.
-func NewTopology(n int, baseLatency time.Duration) *Topology {
-	if n < 1 {
-		panic("net: topology needs at least one processor")
+// with the given uniform base latency on every link. It refuses n
+// outside 1..model.MaxProc and a non-positive latency.
+func NewTopology(n int, baseLatency time.Duration) (*Topology, error) {
+	if n < 1 || n > int(model.MaxProc) {
+		return nil, fmt.Errorf("net: topology of %d processors, want 1..%d", n, model.MaxProc)
 	}
 	if baseLatency <= 0 {
-		panic("net: base latency must be positive")
+		return nil, fmt.Errorf("net: base latency %v, want > 0", baseLatency)
 	}
 	t := &Topology{
 		n:       n,
@@ -54,7 +55,7 @@ func NewTopology(n int, baseLatency time.Duration) *Topology {
 		baseLat: baseLatency,
 	}
 	t.FullMesh()
-	return t
+	return t, nil
 }
 
 // N returns the number of processors.
@@ -268,25 +269,18 @@ func (t *Topology) Neighbors(a model.ProcID) model.ProcSet {
 // (non-transitive states have no clean clique decomposition).
 func (t *Topology) Cliques() []model.ProcSet {
 	var out []model.ProcSet
-	seen := model.NewProcSet()
+	var seen model.ProcSet
 	for _, p := range t.Procs() {
 		if seen.Has(p) {
 			continue
 		}
 		nb := t.Neighbors(p)
-		consistent := true
-		for q := range nb {
-			if !t.Neighbors(q).Equal(nb) {
-				consistent = false
-				break
+		for _, q := range nb.Sorted() {
+			if t.Neighbors(q) != nb {
+				return nil
 			}
 		}
-		if !consistent {
-			return nil
-		}
-		for q := range nb {
-			seen.Add(q)
-		}
+		seen |= nb
 		out = append(out, nb)
 	}
 	return out

@@ -8,7 +8,10 @@ import (
 )
 
 func TestTopologyFullMesh(t *testing.T) {
-	topo := NewTopology(4, time.Millisecond)
+	topo, err := NewTopology(4, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, a := range topo.Procs() {
 		for _, b := range topo.Procs() {
 			if !topo.Connected(a, b) {
@@ -22,7 +25,10 @@ func TestTopologyFullMesh(t *testing.T) {
 }
 
 func TestTopologySelfAlwaysConnected(t *testing.T) {
-	topo := NewTopology(3, time.Millisecond)
+	topo, err := NewTopology(3, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	topo.Crash(2)
 	if !topo.Connected(2, 2) {
 		t.Fatal("self-communication must survive a crash (property S2)")
@@ -39,7 +45,10 @@ func TestTopologySelfAlwaysConnected(t *testing.T) {
 // TestNonTransitiveGraph builds the paper's Figure 1: A–C and B–C up,
 // A–B down.
 func TestNonTransitiveGraph(t *testing.T) {
-	topo := NewTopology(3, time.Millisecond)
+	topo, err := NewTopology(3, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const a, b, c = 1, 2, 3
 	topo.SetLink(a, b, false)
 	if topo.Connected(a, b) {
@@ -49,7 +58,7 @@ func TestNonTransitiveGraph(t *testing.T) {
 		t.Fatal("A-C and B-C should be up")
 	}
 	nb := topo.Neighbors(c)
-	if !nb.Equal(model.NewProcSet(a, b, c)) {
+	if nb != model.NewProcSet(a, b, c) {
 		t.Fatalf("Neighbors(C) = %v", nb)
 	}
 	if topo.Cliques() != nil {
@@ -58,7 +67,10 @@ func TestNonTransitiveGraph(t *testing.T) {
 }
 
 func TestPartitionAndCliques(t *testing.T) {
-	topo := NewTopology(5, time.Millisecond)
+	topo, err := NewTopology(5, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	topo.Partition([]model.ProcID{1, 2}, []model.ProcID{3, 4})
 	if topo.Connected(1, 3) || topo.Connected(2, 4) {
 		t.Fatal("cross-partition links should be down")
@@ -83,7 +95,10 @@ func TestPartitionAndCliques(t *testing.T) {
 }
 
 func TestPartitionDuplicatePanics(t *testing.T) {
-	topo := NewTopology(3, time.Millisecond)
+	topo, err := NewTopology(3, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for duplicate group member")
@@ -93,7 +108,10 @@ func TestPartitionDuplicatePanics(t *testing.T) {
 }
 
 func TestCrashAndRecover(t *testing.T) {
-	topo := NewTopology(3, time.Millisecond)
+	topo, err := NewTopology(3, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	topo.Crash(1)
 	if topo.Connected(1, 2) || topo.Connected(1, 3) {
 		t.Fatal("crashed node should be isolated")
@@ -108,7 +126,10 @@ func TestCrashAndRecover(t *testing.T) {
 }
 
 func TestLatencyOverride(t *testing.T) {
-	topo := NewTopology(3, time.Millisecond)
+	topo, err := NewTopology(3, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if topo.Latency(1, 2) != time.Millisecond {
 		t.Fatal("base latency wrong")
 	}
@@ -122,7 +143,10 @@ func TestLatencyOverride(t *testing.T) {
 }
 
 func TestDropProb(t *testing.T) {
-	topo := NewTopology(2, time.Millisecond)
+	topo, err := NewTopology(2, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if topo.DropProb() != 0 {
 		t.Fatal("default drop prob should be 0")
 	}
@@ -147,9 +171,21 @@ func TestTopologyValidation(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("zero nodes", func() { NewTopology(0, time.Millisecond) })
-	mustPanic("zero latency", func() { NewTopology(2, 0) })
-	topo := NewTopology(2, time.Millisecond)
+	for _, bad := range []struct {
+		n   int
+		lat time.Duration
+	}{{0, time.Millisecond}, {-1, time.Millisecond}, {65, time.Millisecond}, {2, 0}} {
+		if _, err := NewTopology(bad.n, bad.lat); err == nil {
+			t.Errorf("NewTopology(%d, %v) accepted", bad.n, bad.lat)
+		}
+	}
+	if _, err := NewTopology(64, time.Millisecond); err != nil {
+		t.Errorf("NewTopology(64): %v", err)
+	}
+	topo, err := NewTopology(2, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mustPanic("out of range", func() { topo.Connected(1, 9) })
 	mustPanic("bad latency", func() { topo.SetLatency(1, 2, 0) })
 }

@@ -55,7 +55,10 @@ type durableFixture struct {
 
 func newDurableFixture(t *testing.T, n int, objects ...model.ObjectID) *durableFixture {
 	t.Helper()
-	topo := net.NewTopology(n, time.Millisecond)
+	topo, err := net.NewTopology(n, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := &durableFixture{
 		fixture: &fixture{
 			topo:    topo,

@@ -540,7 +540,7 @@ func (b *Base) completeOp(rt net.Runtime, t *txn) {
 		t.readVers[op.Obj] = maxResp.Ver
 		if tr := rt.Tracer(); tr.Enabled() {
 			tr.Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnRead, VP: ep.VP, Shard: t.planShard, Txn: t.id, Obj: op.Obj,
-				Procs: append([]model.ProcID(nil), grantedProcs...)})
+				Procs: model.NewProcSet(grantedProcs...)})
 		}
 	case wire.OpWrite:
 		var missed []model.ProcID
@@ -554,7 +554,7 @@ func (b *Base) completeOp(rt net.Runtime, t *txn) {
 		t.bufferWrite(op, grantedProcs, missed)
 		if tr := rt.Tracer(); tr.Enabled() {
 			tr.Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnWrite, VP: ep.VP, Shard: t.planShard, Txn: t.id, Obj: op.Obj,
-				Procs: append([]model.ProcID(nil), grantedProcs...)})
+				Procs: model.NewProcSet(grantedProcs...)})
 		}
 	}
 	if !t.opCtx.IsZero() {
@@ -1029,7 +1029,7 @@ func (b *Base) finish(rt net.Runtime, t *txn, committed bool, cause, reason stri
 			for _, o := range t.lockLate.Sorted() {
 				s := b.shardOf(o)
 				tr.Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnWrite, VP: t.epochs[s].VP, Shard: s, Txn: t.id, Obj: o,
-					Procs: append([]model.ProcID(nil), t.writeParts[o]...)})
+					Procs: model.NewProcSet(t.writeParts[o]...)})
 			}
 		}
 		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnCommit, VP: t.epochs[model.NoShard].VP, Txn: t.id})

@@ -71,7 +71,10 @@ type epochFixture struct {
 
 func newEpochFixture(t *testing.T, n int) *epochFixture {
 	t.Helper()
-	topo := net.NewTopology(n, time.Millisecond)
+	topo, err := net.NewTopology(n, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := &epochFixture{
 		cluster: net.NewSimCluster(topo, 5),
 		bases:   make(map[model.ProcID]*Base),

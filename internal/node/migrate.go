@@ -78,7 +78,7 @@ func (t *txn) footprint() ([]model.ObjectID, model.ProcSet) {
 			objs.Add(op.Src)
 		}
 	}
-	procs := model.NewProcSet()
+	var procs model.ProcSet
 	for k := range t.sParts {
 		procs.Add(k.P)
 	}

@@ -29,7 +29,7 @@ func (s *rowaStrategy) StillValid(rt net.Runtime, _ model.ShardID, e Epoch) bool
 
 func (s *rowaStrategy) ReadPlan(rt net.Runtime, obj model.ObjectID) (Plan, error) {
 	copies := s.cat.Copies(obj)
-	if copies == nil {
+	if copies == 0 {
 		return Plan{}, errors.New("unknown object")
 	}
 	best := model.NoProc
@@ -45,7 +45,7 @@ func (s *rowaStrategy) ReadPlan(rt net.Runtime, obj model.ObjectID) (Plan, error
 
 func (s *rowaStrategy) WritePlan(rt net.Runtime, obj model.ObjectID) (Plan, error) {
 	copies := s.cat.Copies(obj)
-	if copies == nil {
+	if copies == 0 {
 		return Plan{}, errors.New("unknown object")
 	}
 	plan := AllOf(s.cat, obj, copies.Sorted())
@@ -73,7 +73,10 @@ type fixture struct {
 
 func newFixture(t *testing.T, n int, objects ...model.ObjectID) *fixture {
 	t.Helper()
-	topo := net.NewTopology(n, time.Millisecond)
+	topo, err := net.NewTopology(n, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cat := model.FullyReplicated(n, objects...)
 	f := &fixture{
 		topo:    topo,

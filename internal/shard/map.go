@@ -77,9 +77,12 @@ func NewMap(cfg Config) (*Map, error) {
 	}
 	procs := append([]model.ProcID(nil), cfg.Procs...)
 	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
-	for i := 1; i < len(procs); i++ {
-		if procs[i] == procs[i-1] {
-			return nil, fmt.Errorf("shard map: duplicate processor %v", procs[i])
+	for i, p := range procs {
+		if err := model.CheckProc(p); err != nil {
+			return nil, fmt.Errorf("shard map: %w", err)
+		}
+		if i > 0 && p == procs[i-1] {
+			return nil, fmt.Errorf("shard map: duplicate processor %v", p)
 		}
 	}
 	rf := cfg.Replicas
@@ -103,13 +106,14 @@ func NewMap(cfg Config) (*Map, error) {
 	for s := 1; s <= cfg.Shards; s++ {
 		rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(s)))
 		perm := rng.Perm(len(procs))
-		set := model.NewProcSet()
+		var set model.ProcSet
 		for _, idx := range perm[:rf] {
 			set.Add(procs[idx])
 		}
+		sorted := set.Sorted()
 		m.members = append(m.members, set)
-		m.memSort = append(m.memSort, set.Sorted())
-		for _, p := range set.Sorted() {
+		m.memSort = append(m.memSort, sorted)
+		for _, p := range sorted {
 			m.hosted[p] = append(m.hosted[p], model.ShardID(s))
 		}
 	}
@@ -131,7 +135,7 @@ func NewMap(cfg Config) (*Map, error) {
 		pl := model.Placement{Object: o, Holders: m.members[s-1]}
 		if cfg.Weights != nil {
 			w := make(map[model.ProcID]int)
-			for p := range pl.Holders {
+			for _, p := range m.memSort[s-1] {
 				if wt, ok := cfg.Weights[p]; ok {
 					w[p] = wt
 				}
@@ -165,10 +169,10 @@ func (m *Map) ShardOf(obj model.ObjectID) model.ShardID {
 	return model.ShardID(1 + h.Sum64()%uint64(m.k))
 }
 
-// Members returns the copy set of shard s (not to be mutated).
+// Members returns the copy set of shard s.
 func (m *Map) Members(s model.ShardID) model.ProcSet {
 	if s < 1 || int(s) > m.k {
-		return nil
+		return 0
 	}
 	return m.members[s-1]
 }

@@ -61,11 +61,11 @@ type Router struct {
 }
 
 type epochCache struct {
-	has  bool
-	vp   model.VPID
-	view model.ProcSet
-	// access[i] is rule R1 for the shard catalog's copy set i in view.
-	access []bool
+	has bool
+	vp  model.VPID
+	// targets is rule R1 in the cached view, per copy set of the shard
+	// catalog, decided as a hosted shard node decides it (core.NewTargets).
+	targets core.Targets
 }
 
 // NewRouter builds the router of processor id. Its shard nodes and
@@ -292,8 +292,7 @@ func (r *Router) onEpochResp(rt net.Runtime, resp wire.ShardEpochResp) {
 	changed := c.has && c.vp != resp.VP
 	c.has = true
 	c.vp = resp.VP
-	c.view = model.ProcSetOf(resp.View)
-	c.access = r.m.ShardCatalog(resp.Shard).AccessibleSets(c.view)
+	c.targets = core.NewTargets(r.m.ShardCatalog(resp.Shard), model.NewProcSet(resp.View...), false)
 	if changed {
 		// The remote shard moved to a new partition: everything pinned
 		// to its old epoch is doomed (rule R4); abort now instead of at

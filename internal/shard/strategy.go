@@ -117,9 +117,10 @@ func (st *routerStrategy) OnNoResponse(rt net.Runtime, s model.ShardID, suspects
 }
 
 // remotePlan plans a physical access against a shard this processor
-// does not host, using the cached epoch's view: nearest member for a
-// read (R2), all members in view for a write (R3), refusal when the
-// cached view holds no weighted majority of the shard's copies (R1).
+// does not host from the cached epoch's view, with the planner a hosted
+// shard node uses (core.Targets): nearest copy in view for a read (R2),
+// all copies in view for a write (R3), refusal when the cached view holds
+// no weighted majority of the object's copies (R1).
 func (r *Router) remotePlan(rt net.Runtime, s model.ShardID, obj model.ObjectID, mode model.LockMode) (node.Plan, error) {
 	c := r.caches[s]
 	if c == nil || !c.has {
@@ -127,29 +128,10 @@ func (r *Router) remotePlan(rt net.Runtime, s model.ShardID, obj model.ObjectID,
 		return node.Plan{}, errEpochUnknown
 	}
 	cat := r.m.ShardCatalog(s)
-	i := cat.SetIndex(obj)
-	if i < 0 {
-		return node.Plan{}, fmt.Errorf("object %q not in shard %v catalog", obj, s)
-	}
-	if !c.access[i] {
-		return node.Plan{}, core.ErrInaccessible
-	}
-	candidates := cat.Sets()[i].Holders.Intersect(c.view)
 	if mode == model.LockShared {
-		best := model.NoProc
-		var bestD time.Duration
-		for _, p := range candidates.Sorted() {
-			d := rt.Distance(p)
-			if best == model.NoProc || d < bestD {
-				best, bestD = p, d
-			}
-		}
-		if best == model.NoProc {
-			return node.Plan{}, core.ErrInaccessible
-		}
-		return node.AllOf(cat, obj, []model.ProcID{best}), nil
+		return c.targets.ReadPlan(rt, cat, obj)
 	}
-	plan := node.AllOf(cat, obj, candidates.Sorted())
-	plan.LockAtPrepare = true // as the shard's own strategy says of its view
-	return plan, nil
+	plan, err := c.targets.WritePlan(cat, obj)
+	plan.LockAtPrepare = err == nil // as the shard's own strategy says of its view
+	return plan, err
 }

@@ -47,9 +47,6 @@ type Engine struct {
 
 	rng     *rand.Rand
 	stopped bool
-	// Trace, if non-nil, receives a line per executed event when tracing
-	// is enabled by the harness.
-	Trace func(at time.Duration, label string)
 }
 
 type event struct {
@@ -84,6 +81,7 @@ type Handle struct {
 
 // At schedules fn to run at the given absolute virtual time. Scheduling
 // in the past runs at the current time (i.e. before any later events).
+// label names the event in diagnostics.
 func (e *Engine) At(t time.Duration, label string, fn func()) Handle {
 	if t < e.now {
 		t = e.now
@@ -217,12 +215,9 @@ func (e *Engine) step() bool {
 	}
 	e.now = ev.at
 	// Copy out before recycling: fn may schedule into this very slot.
-	fn, label := ev.fn, ev.label
+	fn := ev.fn
 	e.recycle(idx)
 	e.live--
-	if e.Trace != nil {
-		e.Trace(e.now, label)
-	}
 	fn()
 	return true
 }

@@ -31,7 +31,7 @@ type objectState struct {
 	staged   *model.Copy
 	stagedBy model.TxnID
 	// missing marks processors whose copies missed a write of this
-	// object (missing-writes baseline only; nil while there are none).
+	// object (missing-writes baseline only).
 	missing model.ProcSet
 	log     []model.Copy // the per-object write log, oldest first
 	// logBase is the version of the newest write ever evicted from the
@@ -508,9 +508,6 @@ func (s *Store) DropAllStagedBy(txn model.TxnID) {
 // write of obj.
 func (s *Store) MarkMissing(obj model.ObjectID, procs []model.ProcID) {
 	st := s.lock(obj)
-	if st.missing == nil {
-		st.missing = model.NewProcSet()
-	}
 	for _, p := range procs {
 		st.missing.Add(p)
 	}
@@ -523,7 +520,7 @@ func (s *Store) HasMissing(obj model.ObjectID) bool {
 	if !ok {
 		return false
 	}
-	missing := st.missing.Len() > 0
+	missing := st.missing != 0
 	s.mu.Unlock()
 	return missing
 }
@@ -531,7 +528,7 @@ func (s *Store) HasMissing(obj model.ObjectID) bool {
 // ClearMissing removes all missing-write marks of obj.
 func (s *Store) ClearMissing(obj model.ObjectID) {
 	if st, ok := s.tryLock(obj); ok {
-		st.missing = nil
+		st.missing = 0
 		s.mu.Unlock()
 	}
 }

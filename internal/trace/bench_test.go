@@ -61,7 +61,7 @@ func BenchmarkTraceRecordWithProcs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ev := benchEvent
 		ev.Kind = EvTxnWrite
-		ev.Procs = append([]model.ProcID(nil), targets...)
+		ev.Procs = model.NewProcSet(targets...)
 		r.Record(ev)
 	}
 }

@@ -58,33 +58,6 @@ func (r *Report) violate(rule string, seq uint64, proc model.ProcID, format stri
 	})
 }
 
-func sortedProcs(ps []model.ProcID) []model.ProcID {
-	out := append([]model.ProcID(nil), ps...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sameProcs(a, b []model.ProcID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsProc(ps []model.ProcID, p model.ProcID) bool {
-	for _, q := range ps {
-		if q == p {
-			return true
-		}
-	}
-	return false
-}
-
 // txnFacts accumulates what the trace says about one transaction.
 type txnFacts struct {
 	epoch     model.VPID
@@ -119,9 +92,9 @@ func Check(events []Event) *Report {
 		proc  model.ProcID
 		shard model.ShardID
 	}
-	placement := map[model.ObjectID][]model.ProcID{} // sorted holders
-	views := map[shardVP][]model.ProcID{}            // first sorted view seen per (shard, VP)
-	lastJoined := map[procShard]model.VPID{}         // per-(proc, shard) last assignment
+	placement := map[model.ObjectID]model.ProcSet{} // holders
+	views := map[shardVP]model.ProcSet{}            // first view seen per (shard, VP)
+	lastJoined := map[procShard]model.VPID{}        // per-(proc, shard) last assignment
 	hasJoined := map[procShard]bool{}
 	txns := map[model.TxnID]*txnFacts{}
 	var txnOrder []model.TxnID
@@ -129,20 +102,20 @@ func Check(events []Event) *Report {
 	for _, e := range evs {
 		switch e.Kind {
 		case EvPlacement:
-			placement[e.Obj] = sortedProcs(e.Procs)
+			placement[e.Obj] = e.Procs
 
 		case EvVPJoin:
-			view := sortedProcs(e.Procs)
+			view := e.Procs
 			// S2: reflexivity.
 			rep.Checked["S2"]++
-			if !containsProc(view, e.Proc) {
+			if !view.Has(e.Proc) {
 				rep.violate("S2", e.Seq, e.Proc, "view %v of %v does not contain the processor", view, e.VP)
 			}
 			// S1: all views of one partition identical.
 			rep.Checked["S1"]++
 			vpKey := shardVP{e.Shard, e.VP}
 			if prev, ok := views[vpKey]; ok {
-				if !sameProcs(prev, view) {
+				if prev != view {
 					rep.violate("S1", e.Seq, e.Proc, "view %v of %v differs from previously seen view %v", view, e.VP, prev)
 				}
 			} else {
@@ -210,14 +183,14 @@ func Check(events []Event) *Report {
 				continue
 			}
 			rep.Checked["R2"]++
-			if len(e.Procs) != 1 {
-				rep.violate("R2", e.Seq, e.Proc, "logical read of %s in %v used %d physical copies, want 1", e.Obj, epoch, len(e.Procs))
+			if e.Procs.Len() != 1 {
+				rep.violate("R2", e.Seq, e.Proc, "logical read of %s in %v used %d physical copies, want 1", e.Obj, epoch, e.Procs.Len())
 				continue
 			}
-			target := e.Procs[0]
-			if !containsProc(view, target) {
+			target := e.Procs.Sorted()[0]
+			if !view.Has(target) {
 				rep.violate("R2", e.Seq, e.Proc, "read of %s targeted %v outside view %v of %v", e.Obj, target, view, epoch)
-			} else if !containsProc(holders, target) {
+			} else if !holders.Has(target) {
 				rep.violate("R2", e.Seq, e.Proc, "read of %s targeted %v which holds no copy (holders %v)", e.Obj, target, holders)
 			}
 		}
@@ -231,24 +204,12 @@ func Check(events []Event) *Report {
 				continue
 			}
 			rep.Checked["R3"]++
-			want := intersectProcs(holders, view)
-			got := sortedProcs(e.Procs)
-			if !sameProcs(got, want) {
-				rep.violate("R3", e.Seq, e.Proc, "write of %s in %v targeted %v, want copies∩view = %v", e.Obj, epoch, got, want)
+			if want := holders & view; e.Procs != want {
+				rep.violate("R3", e.Seq, e.Proc, "write of %s in %v targeted %v, want copies∩view = %v", e.Obj, epoch, e.Procs, want)
 			}
 		}
 	}
 	return rep
-}
-
-func intersectProcs(a, b []model.ProcID) []model.ProcID {
-	var out []model.ProcID
-	for _, p := range a {
-		if containsProc(b, p) {
-			out = append(out, p)
-		}
-	}
-	return sortedProcs(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -307,7 +268,7 @@ func Timelines(events []Event) []VPTimeline {
 		case EvVPJoin:
 			t := get(e.VP)
 			if len(t.View) == 0 {
-				t.View = sortedProcs(e.Procs)
+				t.View = e.Procs.Sorted()
 			}
 			t.Joins = append(t.Joins, JoinRec{Proc: e.Proc, At: e.At})
 			if len(t.Joins) == 1 || e.At < t.FirstJoin {

@@ -25,13 +25,13 @@ var (
 
 func cleanTrace() []Event {
 	return seqd([]Event{
-		{Kind: EvPlacement, Obj: "x", Procs: []model.ProcID{1, 2, 3}},
-		{Kind: EvVPJoin, Proc: 1, VP: vpA, Procs: []model.ProcID{1, 2, 3}},
-		{Kind: EvVPJoin, Proc: 2, VP: vpA, Procs: []model.ProcID{1, 2, 3}},
-		{Kind: EvVPJoin, Proc: 3, VP: vpA, Procs: []model.ProcID{1, 2, 3}},
+		{Kind: EvPlacement, Obj: "x", Procs: model.NewProcSet(1, 2, 3)},
+		{Kind: EvVPJoin, Proc: 1, VP: vpA, Procs: model.NewProcSet(1, 2, 3)},
+		{Kind: EvVPJoin, Proc: 2, VP: vpA, Procs: model.NewProcSet(1, 2, 3)},
+		{Kind: EvVPJoin, Proc: 3, VP: vpA, Procs: model.NewProcSet(1, 2, 3)},
 		{Kind: EvTxnBegin, Proc: 1, VP: vpA, Txn: txn1},
-		{Kind: EvTxnRead, Proc: 1, Txn: txn1, Obj: "x", Procs: []model.ProcID{2}},
-		{Kind: EvTxnWrite, Proc: 1, Txn: txn1, Obj: "x", Procs: []model.ProcID{1, 2, 3}},
+		{Kind: EvTxnRead, Proc: 1, Txn: txn1, Obj: "x", Procs: model.NewProcSet(2)},
+		{Kind: EvTxnWrite, Proc: 1, Txn: txn1, Obj: "x", Procs: model.NewProcSet(1, 2, 3)},
 		{Kind: EvTxnCommit, Proc: 1, Txn: txn1},
 	})
 }
@@ -50,7 +50,7 @@ func TestCheckCleanTracePasses(t *testing.T) {
 
 func TestCheckS1ViewDisagreement(t *testing.T) {
 	evs := cleanTrace()
-	evs[2].Procs = []model.ProcID{1, 2} // P2's view of vpA omits P3
+	evs[2].Procs = model.NewProcSet(1, 2) // P2's view of vpA omits P3
 	rep := Check(evs)
 	if rep.OK() {
 		t.Fatal("diverged views not flagged")
@@ -62,7 +62,7 @@ func TestCheckS1ViewDisagreement(t *testing.T) {
 
 func TestCheckS2MissingSelf(t *testing.T) {
 	evs := seqd([]Event{
-		{Kind: EvVPJoin, Proc: 4, VP: vpA, Procs: []model.ProcID{1, 2, 3}},
+		{Kind: EvVPJoin, Proc: 4, VP: vpA, Procs: model.NewProcSet(1, 2, 3)},
 	})
 	rep := Check(evs)
 	if rep.OK() || rep.Violations[0].Rule != "S2" {
@@ -72,8 +72,8 @@ func TestCheckS2MissingSelf(t *testing.T) {
 
 func TestCheckS3OutOfOrderJoins(t *testing.T) {
 	evs := seqd([]Event{
-		{Kind: EvVPJoin, Proc: 1, VP: vpB, Procs: []model.ProcID{1}},
-		{Kind: EvVPJoin, Proc: 1, VP: vpA, Procs: []model.ProcID{1}}, // vpA ≺ vpB: illegal
+		{Kind: EvVPJoin, Proc: 1, VP: vpB, Procs: model.NewProcSet(1)},
+		{Kind: EvVPJoin, Proc: 1, VP: vpA, Procs: model.NewProcSet(1)}, // vpA ≺ vpB: illegal
 	})
 	rep := Check(evs)
 	if rep.OK() || rep.Violations[0].Rule != "S3" {
@@ -82,8 +82,8 @@ func TestCheckS3OutOfOrderJoins(t *testing.T) {
 	// Equal ids are just as illegal: joining the same partition twice in
 	// a row must be flagged too.
 	evs = seqd([]Event{
-		{Kind: EvVPJoin, Proc: 1, VP: vpA, Procs: []model.ProcID{1}},
-		{Kind: EvVPJoin, Proc: 1, VP: vpA, Procs: []model.ProcID{1}},
+		{Kind: EvVPJoin, Proc: 1, VP: vpA, Procs: model.NewProcSet(1)},
+		{Kind: EvVPJoin, Proc: 1, VP: vpA, Procs: model.NewProcSet(1)},
 	})
 	if rep := Check(evs); rep.OK() {
 		t.Fatal("repeated join of the same VP not flagged")
@@ -92,7 +92,7 @@ func TestCheckS3OutOfOrderJoins(t *testing.T) {
 
 func TestCheckR2MultiCopyRead(t *testing.T) {
 	evs := cleanTrace()
-	evs[5].Procs = []model.ProcID{2, 3} // read-one became read-two
+	evs[5].Procs = model.NewProcSet(2, 3) // read-one became read-two
 	rep := Check(evs)
 	if rep.OK() || rep.Violations[0].Rule != "R2" {
 		t.Fatalf("want R2 violation, got %v", rep.Violations)
@@ -101,7 +101,7 @@ func TestCheckR2MultiCopyRead(t *testing.T) {
 
 func TestCheckR2ReadOutsideView(t *testing.T) {
 	evs := cleanTrace()
-	evs[5].Procs = []model.ProcID{4} // target outside view (and no copy)
+	evs[5].Procs = model.NewProcSet(4) // target outside view (and no copy)
 	rep := Check(evs)
 	if rep.OK() || rep.Violations[0].Rule != "R2" {
 		t.Fatalf("want R2 violation, got %v", rep.Violations)
@@ -110,7 +110,7 @@ func TestCheckR2ReadOutsideView(t *testing.T) {
 
 func TestCheckR3MissedCopy(t *testing.T) {
 	evs := cleanTrace()
-	evs[6].Procs = []model.ProcID{1, 2} // write-all missed P3's copy
+	evs[6].Procs = model.NewProcSet(1, 2) // write-all missed P3's copy
 	rep := Check(evs)
 	if rep.OK() || rep.Violations[0].Rule != "R3" {
 		t.Fatalf("want R3 violation, got %v", rep.Violations)
@@ -121,11 +121,11 @@ func TestCheckR3ViewScoped(t *testing.T) {
 	// A minority-excluded copy is legitimately missed: view {1,2} of a
 	// 3-copy object needs writes only on {1,2}.
 	evs := seqd([]Event{
-		{Kind: EvPlacement, Obj: "x", Procs: []model.ProcID{1, 2, 3}},
-		{Kind: EvVPJoin, Proc: 1, VP: vpA, Procs: []model.ProcID{1, 2}},
-		{Kind: EvVPJoin, Proc: 2, VP: vpA, Procs: []model.ProcID{1, 2}},
+		{Kind: EvPlacement, Obj: "x", Procs: model.NewProcSet(1, 2, 3)},
+		{Kind: EvVPJoin, Proc: 1, VP: vpA, Procs: model.NewProcSet(1, 2)},
+		{Kind: EvVPJoin, Proc: 2, VP: vpA, Procs: model.NewProcSet(1, 2)},
 		{Kind: EvTxnBegin, Proc: 1, VP: vpA, Txn: txn1},
-		{Kind: EvTxnWrite, Proc: 1, Txn: txn1, Obj: "x", Procs: []model.ProcID{1, 2}},
+		{Kind: EvTxnWrite, Proc: 1, Txn: txn1, Obj: "x", Procs: model.NewProcSet(1, 2)},
 		{Kind: EvTxnCommit, Proc: 1, Txn: txn1},
 	})
 	if rep := Check(evs); !rep.OK() {
@@ -135,15 +135,15 @@ func TestCheckR3ViewScoped(t *testing.T) {
 
 func TestCheckSkipsUncommittedAndPartitionFree(t *testing.T) {
 	evs := seqd([]Event{
-		{Kind: EvPlacement, Obj: "x", Procs: []model.ProcID{1, 2, 3}},
-		{Kind: EvVPJoin, Proc: 1, VP: vpA, Procs: []model.ProcID{1}},
+		{Kind: EvPlacement, Obj: "x", Procs: model.NewProcSet(1, 2, 3)},
+		{Kind: EvVPJoin, Proc: 1, VP: vpA, Procs: model.NewProcSet(1)},
 		// Aborted txn with an over-wide read: not checked.
 		{Kind: EvTxnBegin, Proc: 1, VP: vpA, Txn: txn1},
-		{Kind: EvTxnRead, Proc: 1, Txn: txn1, Obj: "x", Procs: []model.ProcID{2, 3}},
+		{Kind: EvTxnRead, Proc: 1, Txn: txn1, Obj: "x", Procs: model.NewProcSet(2, 3)},
 		{Kind: EvTxnAbort, Proc: 1, Txn: txn1},
 		// Partition-free txn (zero epoch) reading a majority: not checked.
 		{Kind: EvTxnBegin, Proc: 2, Txn: model.TxnID{Start: 11, P: 2, Seq: 1}},
-		{Kind: EvTxnRead, Proc: 2, Txn: model.TxnID{Start: 11, P: 2, Seq: 1}, Obj: "x", Procs: []model.ProcID{1, 2}},
+		{Kind: EvTxnRead, Proc: 2, Txn: model.TxnID{Start: 11, P: 2, Seq: 1}, Obj: "x", Procs: model.NewProcSet(1, 2)},
 		{Kind: EvTxnCommit, Proc: 2, Txn: model.TxnID{Start: 11, P: 2, Seq: 1}},
 	})
 	rep := Check(evs)
@@ -175,10 +175,10 @@ func TestCheckWithoutPlacementSkipsAccessRules(t *testing.T) {
 func TestTimelines(t *testing.T) {
 	evs := seqd([]Event{
 		{Kind: EvVPInvite, Proc: 1, VP: vpB, At: 10 * time.Millisecond},
-		{Kind: EvVPCommit, Proc: 1, VP: vpB, At: 14 * time.Millisecond, Procs: []model.ProcID{1, 2}},
-		{Kind: EvVPJoin, Proc: 1, VP: vpB, At: 14 * time.Millisecond, Procs: []model.ProcID{1, 2}},
-		{Kind: EvVPJoin, Proc: 2, VP: vpB, At: 15 * time.Millisecond, Procs: []model.ProcID{1, 2}},
-		{Kind: EvVPJoin, Proc: 3, VP: vpA, At: 2 * time.Millisecond, Procs: []model.ProcID{3}},
+		{Kind: EvVPCommit, Proc: 1, VP: vpB, At: 14 * time.Millisecond, Procs: model.NewProcSet(1, 2)},
+		{Kind: EvVPJoin, Proc: 1, VP: vpB, At: 14 * time.Millisecond, Procs: model.NewProcSet(1, 2)},
+		{Kind: EvVPJoin, Proc: 2, VP: vpB, At: 15 * time.Millisecond, Procs: model.NewProcSet(1, 2)},
+		{Kind: EvVPJoin, Proc: 3, VP: vpA, At: 2 * time.Millisecond, Procs: model.NewProcSet(3)},
 	})
 	tls := Timelines(evs)
 	if len(tls) != 2 {
@@ -202,11 +202,11 @@ func TestTimelines(t *testing.T) {
 func TestViewChangeLatencies(t *testing.T) {
 	evs := seqd([]Event{
 		{Kind: EvVPDepart, Proc: 1, VP: vpA, At: 10 * time.Millisecond},
-		{Kind: EvVPJoin, Proc: 1, VP: vpB, At: 16 * time.Millisecond, Procs: []model.ProcID{1}},
+		{Kind: EvVPJoin, Proc: 1, VP: vpB, At: 16 * time.Millisecond, Procs: model.NewProcSet(1)},
 		{Kind: EvVPDepart, Proc: 1, VP: vpB, At: 30 * time.Millisecond},
-		{Kind: EvVPJoin, Proc: 1, VP: model.VPID{N: 3, P: 1}, At: 32 * time.Millisecond, Procs: []model.ProcID{1}},
+		{Kind: EvVPJoin, Proc: 1, VP: model.VPID{N: 3, P: 1}, At: 32 * time.Millisecond, Procs: model.NewProcSet(1)},
 		// A join without a preceding depart (initial assignment) is ignored.
-		{Kind: EvVPJoin, Proc: 2, VP: vpB, At: 16 * time.Millisecond, Procs: []model.ProcID{2}},
+		{Kind: EvVPJoin, Proc: 2, VP: vpB, At: 16 * time.Millisecond, Procs: model.NewProcSet(2)},
 	})
 	stats := ViewChangeLatencies(evs)
 	if len(stats) != 1 {

@@ -63,11 +63,8 @@ func toJSON(e Event) jsonEvent {
 		Parent: e.Ctx.Parent,
 		Shard:  int(e.Shard),
 	}
-	if len(e.Procs) > 0 {
-		je.Procs = make([]int, len(e.Procs))
-		for i, p := range e.Procs {
-			je.Procs[i] = int(p)
-		}
+	for _, p := range e.Procs.Sorted() {
+		je.Procs = append(je.Procs, int(p))
 	}
 	return je
 }
@@ -91,11 +88,11 @@ func fromJSON(je jsonEvent) (Event, error) {
 		Ctx:   model.TraceCtx{Trace: je.Trace, Span: je.Span, Parent: je.Parent},
 		Shard: model.ShardID(je.Shard),
 	}
-	if len(je.Procs) > 0 {
-		e.Procs = make([]model.ProcID, len(je.Procs))
-		for i, p := range je.Procs {
-			e.Procs[i] = model.ProcID(p)
+	for _, p := range je.Procs {
+		if err := model.CheckProc(model.ProcID(p)); err != nil {
+			return Event{}, fmt.Errorf("trace: event %d: %w", je.Seq, err)
 		}
+		e.Procs.Add(model.ProcID(p))
 	}
 	return e, nil
 }

@@ -162,10 +162,9 @@ type Event struct {
 	// Ctx is the causal trace context for EvSpan events: the span's own id
 	// and parent within its trace.
 	Ctx model.TraceCtx
-	// Procs is a processor list (view for joins/commits, plan targets for
-	// logical accesses, holders for placements). The one field whose use
-	// costs an allocation; events that need it are off the hottest paths.
-	Procs []model.ProcID
+	// Procs is a processor set (view for joins/commits, plan targets for
+	// logical accesses, holders for placements).
+	Procs model.ProcSet
 	// Shard scopes the event to one shard of a sharded deployment (see
 	// internal/shard). Zero in unsharded runs, where a single partition
 	// governs the cluster.

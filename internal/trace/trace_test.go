@@ -117,13 +117,13 @@ func TestKindStringRoundTrip(t *testing.T) {
 func TestJSONLRoundTrip(t *testing.T) {
 	in := []Event{
 		{Seq: 1, At: 125 * time.Millisecond, Proc: 2, Kind: EvVPJoin,
-			VP: model.VPID{N: 3, P: 1}, Procs: []model.ProcID{1, 2, 3}},
+			VP: model.VPID{N: 3, P: 1}, Procs: model.NewProcSet(1, 2, 3)},
 		{Seq: 2, At: 126 * time.Millisecond, Proc: 1, Kind: EvTxnBegin,
 			VP:  model.VPID{N: 3, P: 1},
 			Txn: model.TxnID{Start: 99, P: 1, Seq: 7}, Aux: 2},
 		{Seq: 3, At: 127 * time.Millisecond, Proc: 1, Kind: EvTxnRead,
 			Txn: model.TxnID{Start: 99, P: 1, Seq: 7}, Obj: "x",
-			Procs: []model.ProcID{2}},
+			Procs: model.NewProcSet(2)},
 		{Seq: 4, At: 128 * time.Millisecond, Proc: 3, Kind: EvMsgSend,
 			Peer: 1, Msg: "lockreq"},
 		{Seq: 5, Kind: EvLog, Msg: "free-form text with \"quotes\""},
@@ -140,10 +140,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: got %d events, want %d", len(out), len(in))
 	}
 	for i := range in {
-		a, b := in[i], out[i]
-		if a.Seq != b.Seq || a.At != b.At || a.Proc != b.Proc || a.Kind != b.Kind ||
-			a.VP != b.VP || a.Txn != b.Txn || a.Obj != b.Obj || a.Peer != b.Peer ||
-			a.Msg != b.Msg || a.Aux != b.Aux || !sameProcs(a.Procs, b.Procs) {
+		if a, b := in[i], out[i]; a != b {
 			t.Errorf("event %d mismatch:\n in: %+v\nout: %+v", i, a, b)
 		}
 	}
@@ -155,6 +152,12 @@ func TestJSONLRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadJSONL(strings.NewReader(`{"seq":1,"at_ns":0,"kind":"bogus"}` + "\n")); err == nil {
 		t.Error("unknown kind accepted")
+	}
+	for _, procs := range []string{"[1,65]", "[0,1]", "[-3]"} {
+		line := `{"seq":1,"at_ns":0,"kind":"vp-join","procs":` + procs + "}\n"
+		if _, err := ReadJSONL(strings.NewReader(line)); err == nil {
+			t.Errorf("processor list %s accepted", procs)
+		}
 	}
 }
 
@@ -186,9 +189,8 @@ func TestLogfSkipsFormattingWhenDisabled(t *testing.T) {
 }
 
 // TestRecordAllocBudget is the regression gate for the tracing hot path:
-// an event without a processor list must record with zero allocations,
-// and one alloc is the ceiling even when the call site attaches a Procs
-// slice (the copy is the allocation).
+// every event records with zero allocations, one that carries a
+// processor set included.
 func TestRecordAllocBudget(t *testing.T) {
 	r := New(1 << 12)
 	r.SetEnabled(true)
@@ -203,10 +205,10 @@ func TestRecordAllocBudget(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() {
 		e := ev
 		e.Kind = EvTxnWrite
-		e.Procs = append([]model.ProcID(nil), targets...)
+		e.Procs = model.NewProcSet(targets...)
 		r.Record(e)
-	}); allocs > 1 {
-		t.Errorf("Record with a copied Procs list costs %.1f allocs/event, want ≤1", allocs)
+	}); allocs > 0 {
+		t.Errorf("Record with a Procs set costs %.1f allocs/event, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { r.Record(ev) }); allocs > 0 {
 		// Re-check after wrap: overwriting slots must not allocate either.

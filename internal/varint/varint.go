@@ -201,6 +201,18 @@ func (c *Cursor) Str() string { return string(c.StrBytes()) }
 // Proc reads a processor id.
 func (c *Cursor) Proc() model.ProcID { return model.ProcID(c.U()) }
 
+// Member reads the id of a processor that can belong to a view: one in
+// 1..model.MaxProc. Any other id fails the cursor, so a corrupt frame or
+// record never reaches a model.ProcSet.
+func (c *Cursor) Member() model.ProcID {
+	v := c.U()
+	if v < 1 || v > uint64(model.MaxProc) {
+		c.bad = true
+		return model.NoProc
+	}
+	return model.ProcID(v)
+}
+
 // VPID reads a virtual partition id.
 func (c *Cursor) VPID() model.VPID {
 	return model.VPID{N: c.U(), P: c.Proc()}
@@ -216,7 +228,8 @@ func (c *Cursor) Version() model.Version {
 	return model.Version{Date: c.VPID(), Ctr: c.U(), Writer: c.TxnID()}
 }
 
-// Procs reads a counted processor list; an empty one is nil.
+// Procs reads a counted list of processors, each read by Member; an
+// empty list is nil.
 func (c *Cursor) Procs() []model.ProcID {
 	n := c.Count(1)
 	if n == 0 {
@@ -224,7 +237,7 @@ func (c *Cursor) Procs() []model.ProcID {
 	}
 	ps := make([]model.ProcID, n)
 	for i := 0; i < n && !c.bad; i++ {
-		ps[i] = c.Proc()
+		ps[i] = c.Member()
 	}
 	return ps
 }

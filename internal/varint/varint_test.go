@@ -20,7 +20,7 @@ func TestRoundTrip(t *testing.T) {
 	b = AppendString(b, "obj-1")
 	b = AppendString(b, "")
 	b = AppendVersion(b, ver)
-	b = AppendProcs(b, []model.ProcID{1, 200})
+	b = AppendProcs(b, []model.ProcID{1, 64})
 	b = AppendProcs(b, nil)
 	b = AppendShards(b, []model.ShardID{0, 5})
 
@@ -40,7 +40,7 @@ func TestRoundTrip(t *testing.T) {
 	if got := c.Version(); got != ver {
 		t.Fatalf("Version = %+v, want %+v", got, ver)
 	}
-	if got := c.Procs(); !reflect.DeepEqual(got, []model.ProcID{1, 200}) {
+	if got := c.Procs(); !reflect.DeepEqual(got, []model.ProcID{1, 64}) {
 		t.Fatalf("Procs = %v", got)
 	}
 	if got := c.Procs(); got != nil {
@@ -66,6 +66,10 @@ func TestCursorIsSticky(t *testing.T) {
 		"overflow":            {append(bytes.Repeat([]byte{0xff}, 10), 1, 1), func(c *Cursor) { c.U() }},
 		"string past the end": {[]byte{3, 'a'}, func(c *Cursor) { c.Str() }},
 		"count past the end":  {[]byte{9, 1, 1}, func(c *Cursor) { c.Procs() }},
+		"member 65":           {[]byte{65}, func(c *Cursor) { c.Member() }},
+		"member 0":            {[]byte{0}, func(c *Cursor) { c.Member() }},
+		"listed processor 65": {[]byte{2, 1, 65}, func(c *Cursor) { c.Procs() }},
+		"listed processor 0":  {[]byte{2, 0, 1}, func(c *Cursor) { c.Procs() }},
 	} {
 		c := NewCursor(tc.in)
 		tc.read(&c)

@@ -563,13 +563,13 @@ func (d *Decoder) decodeBody(c *varint.Cursor, k kindID, borrowed bool) (Message
 	case kindNewVP:
 		msg = NewVP{ID: c.VPID()}
 	case kindAcceptVP:
-		msg = AcceptVP{ID: c.VPID(), From: c.Proc(), Prev: c.VPID(), Digest: d.digest(c)}
+		msg = AcceptVP{ID: c.VPID(), From: c.Member(), Prev: c.VPID(), Digest: d.digest(c)}
 	case kindCommitVP:
 		m := CommitVP{ID: c.VPID()}
 		n := c.Count(1)
 		m.View = borrow(&d.scr.view, n, borrowed)
 		for i := 0; i < n && !c.Bad(); i++ {
-			m.View[i] = c.Proc()
+			m.View[i] = c.Member()
 		}
 		pn := c.Count(3)
 		if pn > 0 && !c.Bad() {

@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/virtualpartitions/vp/internal/model"
 )
 
 // fuzzSeeds returns two frames per message kind: the binary frame, and
@@ -135,7 +137,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // readCorpus loads the checked-in go-fuzz v1 seed files, so the mutation
 // test exercises exactly what is committed rather than what the current
 // generator produces. The odd-numbered seeds up to seed-53, and seed-57,
-// seed-59 and seed-62, are gob-codec frames.
+// seed-59 and seed-62, are gob-codec frames; seed-67 names processor 65.
 func readCorpus(t *testing.T) map[string][]byte {
 	t.Helper()
 	dir := filepath.Join("testdata", "fuzz", "FuzzCodecRoundTrip")
@@ -270,5 +272,27 @@ func TestRetiredKindRejected(t *testing.T) {
 		if err := NewDecoder().DecodeInto(seed, &env); err == nil || env.Msg != nil {
 			t.Errorf("%s: retired kind gave err=%v msg=%#v", name, err, env.Msg)
 		}
+	}
+}
+
+// TestProcessorPast64Refused: seed-67 is a CommitVP whose view lists
+// processor 65, which no view can hold; it decodes to an error. The same
+// frame with 65 replaced by 3 decodes, so the id alone is refused.
+func TestProcessorPast64Refused(t *testing.T) {
+	seed := readCorpus(t)["seed-67"]
+	if len(seed) == 0 || kindID(seed[0]&0x3f) != kindCommitVP {
+		t.Fatalf("seed-67 is not a CommitVP frame: %x", seed)
+	}
+	var env Envelope
+	if err := NewDecoder().DecodeInto(seed, &env); err == nil {
+		t.Fatalf("a view with processor 65 decoded: %#v", env.Msg)
+	}
+	fixed := bytes.ReplaceAll(seed, []byte{65}, []byte{3})
+	env, err := NewDecoder().Decode(fixed)
+	if err != nil {
+		t.Fatalf("seed-67 with 65 replaced by 3: %v", err)
+	}
+	if m, ok := env.Msg.(CommitVP); !ok || !reflect.DeepEqual(m.View, []model.ProcID{1, 3}) {
+		t.Fatalf("decoded %#v, want a CommitVP of view [1 3]", env.Msg)
 	}
 }

@@ -56,7 +56,7 @@ type Object struct {
 
 // Config configures a cluster.
 type Config struct {
-	// Nodes is the number of processors (≥ 1).
+	// Nodes is the number of processors, 1..64.
 	Nodes int
 	// Objects is the replicated database schema.
 	Objects []Object
@@ -164,24 +164,25 @@ type Cluster struct {
 // New validates the configuration and builds a cluster. Call Start to
 // run it.
 func New(cfg Config) (*Cluster, error) {
-	if cfg.Nodes < 1 {
-		return nil, errors.New("vp: Nodes must be ≥ 1")
-	}
-	if len(cfg.Objects) == 0 {
-		return nil, errors.New("vp: at least one Object is required")
-	}
 	if cfg.Delta <= 0 {
 		cfg.Delta = 5 * time.Millisecond
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Second
 	}
+	topo, err := net.NewTopology(cfg.Nodes, cfg.Delta)
+	if err != nil {
+		return nil, fmt.Errorf("vp: Nodes: %w", err)
+	}
+	if len(cfg.Objects) == 0 {
+		return nil, errors.New("vp: at least one Object is required")
+	}
 	placements := make([]model.Placement, len(cfg.Objects))
 	for i, o := range cfg.Objects {
 		if o.Name == "" {
 			return nil, fmt.Errorf("vp: object %d has no name", i)
 		}
-		holders := model.NewProcSet()
+		var holders model.ProcSet
 		if len(o.Replicas) == 0 {
 			for p := 1; p <= cfg.Nodes; p++ {
 				holders.Add(model.ProcID(p))
@@ -216,7 +217,7 @@ func New(cfg Config) (*Cluster, error) {
 	return &Cluster{
 		cfg:  cfg,
 		cat:  model.NewCatalog(placements...),
-		topo: net.NewTopology(cfg.Nodes, cfg.Delta),
+		topo: topo,
 		ccfg: core.Config{
 			Config: node.Config{
 				Delta:     cfg.Delta,
@@ -372,11 +373,11 @@ func (c *Cluster) state(p model.ProcID) (view model.ProcSet, id model.VPID, assi
 	bc := c.c
 	c.mu.Unlock()
 	if bc == nil {
-		return nil, id, false
+		return 0, id, false
 	}
 	tn := bc.Node(p)
 	if tn == nil {
-		return nil, id, false
+		return 0, id, false
 	}
 	nd := bc.Handler(p).(*core.Node)
 	tn.Post(func(net.Runtime) {
@@ -397,10 +398,14 @@ func (c *Cluster) ConvergenceBound() time.Duration {
 
 // WaitForView blocks until every listed processor is assigned to one
 // common virtual partition whose view is exactly that set, or the
-// timeout elapses. It returns whether convergence was observed.
+// timeout elapses. It returns whether convergence was observed; a
+// processor outside 1..Nodes never converges.
 func (c *Cluster) WaitForView(timeout time.Duration, procs ...int) bool {
-	want := model.NewProcSet()
+	var want model.ProcSet
 	for _, p := range procs {
+		if p < 1 || p > c.cfg.Nodes {
+			return false
+		}
 		want.Add(model.ProcID(p))
 	}
 	deadline := time.Now().Add(timeout)
@@ -416,9 +421,9 @@ func (c *Cluster) WaitForView(timeout time.Duration, procs ...int) bool {
 func (c *Cluster) viewsConverged(want model.ProcSet) bool {
 	var id model.VPID
 	first := true
-	for p := range want {
+	for _, p := range want.Sorted() {
 		view, pid, assigned := c.state(p)
-		if !assigned || !view.Equal(want) {
+		if !assigned || view != want {
 			return false
 		}
 		if first {

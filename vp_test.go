@@ -40,6 +40,7 @@ func newTestCluster(t *testing.T, nodes int, objects ...Object) *Cluster {
 func TestConfigValidation(t *testing.T) {
 	cases := []Config{
 		{Nodes: 0, Objects: []Object{{Name: "x"}}},
+		{Nodes: 65, Objects: []Object{{Name: "x"}}}, // processor ids are 1..64
 		{Nodes: 2},
 		{Nodes: 2, Objects: []Object{{Name: ""}}},
 		{Nodes: 2, Objects: []Object{{Name: "x", Replicas: []int{9}}}},
