@@ -59,10 +59,11 @@ bench-wire:
 # recorded on different hardware; pass BENCHJSON_FLAGS=-force after an
 # intentional host change. Formation is a fresh three-processor boot on
 # the simulator, run until all three have joined one view, at 1k, 8k and
-# 32k objects.
+# 32k objects. SimCell is one sim cell of specs/chaos.json end to end,
+# per nemesis profile, with the simulator's events/s and cells/s.
 bench-hotpath:
-	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineCancel|WireRoundTrip|RunnerGrid|Formation' \
-		-benchmem -count=1 ./internal/sim ./internal/wire ./internal/bench ./internal/core \
+	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineCancel|WireRoundTrip|RunnerGrid|Formation|SimCell' \
+		-benchmem -count=1 ./internal/sim ./internal/wire ./internal/bench ./internal/core ./internal/campaign \
 		| $(GO) run ./cmd/benchjson -out BENCH_hotpath.json $(BENCHJSON_FLAGS)
 	@cat BENCH_hotpath.json
 

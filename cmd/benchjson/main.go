@@ -32,6 +32,9 @@ type benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	// Metrics holds what the benchmark reported with b.ReportMetric,
+	// keyed by unit (e.g. "events/s").
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 type report struct {
@@ -110,7 +113,7 @@ func fatal(err error) {
 //	BenchmarkWireRoundTrip-4  743631  1776 ns/op  328 B/op  5 allocs/op
 //
 // The -benchmem columns are optional; a line without them records only
-// timing.
+// timing. Any other column pair is a reported metric.
 func parseLine(line string) (benchmark, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 {
@@ -137,6 +140,14 @@ func parseLine(line string) (benchmark, bool) {
 			b.BytesPerOp, err = strconv.ParseInt(val, 10, 64)
 		case "allocs/op":
 			b.AllocsPerOp, err = strconv.ParseInt(val, 10, 64)
+		default:
+			var v float64
+			if v, err = strconv.ParseFloat(val, 64); err == nil {
+				if b.Metrics == nil {
+					b.Metrics = make(map[string]float64)
+				}
+				b.Metrics[unit] = v
+			}
 		}
 		if err != nil {
 			return benchmark{}, false

@@ -108,3 +108,19 @@ func TestParseLine(t *testing.T) {
 		}
 	}
 }
+
+func TestParseLineKeepsReportedMetrics(t *testing.T) {
+	b, ok := parseLine("BenchmarkSimCell/mixed-2  8  140000000 ns/op  7.1 cells/s  251000 events/s  90000000 B/op  900000 allocs/op")
+	if !ok {
+		t.Fatal("line not parsed")
+	}
+	if b.NsPerOp != 140000000 || b.AllocsPerOp != 900000 || b.BytesPerOp != 90000000 {
+		t.Errorf("standard columns misparsed: %+v", b)
+	}
+	if len(b.Metrics) != 2 || b.Metrics["cells/s"] != 7.1 || b.Metrics["events/s"] != 251000 {
+		t.Errorf("metrics = %v, want cells/s and events/s", b.Metrics)
+	}
+	if b, _ := parseLine("BenchmarkBar  100  50 ns/op  8 B/op  1 allocs/op"); b.Metrics != nil {
+		t.Errorf("a line without reported metrics has %v", b.Metrics)
+	}
+}

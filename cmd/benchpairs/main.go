@@ -4,7 +4,10 @@
 // runs the deployed-stack harness (benchmark/run.sh) on one workload in
 // both trees N times — a fresh seed per pair, the side that goes first
 // alternating — and prints, per end-to-end metric, each side's median
-// and quartiles and how many pairs the working tree won.
+// and quartiles and how many pairs the working tree won. Beside them it
+// prints each run's CPU per operation in the nodes and in the gateway,
+// read from that tree's benchmark/out/results.json, which tells host
+// drift (both sides move) from node work (one side moves).
 //
 //	go run ./cmd/benchpairs -w write_n3 -base HEAD~1 -n 12
 //
@@ -14,7 +17,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -22,18 +24,26 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
+// result is one run of one workload as the harness records it in
+// benchmark/out/results.json.
 type result struct {
-	Correct   bool `json:"correct"`
-	Attempted int  `json:"attempted"`
-	Failed    int  `json:"failed"`
-	Metrics   map[string]struct {
-		Value float64 `json:"value"`
-		Unit  string  `json:"unit"`
-	} `json:"metrics"`
+	Workload  string `json:"workload"`
+	Correct   bool   `json:"correct"`
+	Attempted int    `json:"attempted"`
+	Failed    int    `json:"failed"`
+	EndToEnd  values `json:"end_to_end"`
+	PerLayer  values `json:"per_layer"`
 }
+
+type values map[string]struct {
+	Value float64 `json:"value"`
+}
+
+// layerNames are the per-layer metrics printed beside the end-to-end
+// ones; lower is better for both.
+var layerNames = []string{"node.cpu_us_per_op", "gw.cpu_us_per_op"}
 
 // better reads, from BENCHMARK.json, which direction improves each
 // end-to-end metric.
@@ -55,23 +65,41 @@ func better(root string) (map[string]string, error) {
 	return dir, nil
 }
 
-// runOnce runs the harness in tree and parses the JSON on its last
-// stdout line.
+// runOnce runs the harness in tree and reads the run back from the
+// result set it left there.
 func runOnce(tree, workload string, seed, seconds int) (result, error) {
 	cmd := exec.Command("bash", "benchmark/run.sh", "--workload", workload,
 		"--seed", fmt.Sprint(seed), "--seconds", fmt.Sprint(seconds), "--trace", "0")
-	cmd.Dir = tree
-	var out bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, os.Stderr
+	cmd.Dir, cmd.Stderr = tree, os.Stderr
 	if err := cmd.Run(); err != nil {
 		return result{}, fmt.Errorf("%s: benchmark/run.sh: %w", tree, err)
 	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	var res result
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &res); err != nil {
-		return result{}, fmt.Errorf("%s: last stdout line is not the result JSON: %w", tree, err)
+	return readResult(tree, workload)
+}
+
+// readResult reads workload's run, with every layerName, from the
+// result set in tree.
+func readResult(tree, workload string) (result, error) {
+	path := filepath.Join(tree, "benchmark", "out", "results.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return result{}, err
 	}
-	return res, nil
+	var set struct{ Results []result }
+	if err := json.Unmarshal(raw, &set); err != nil {
+		return result{}, fmt.Errorf("%s: %w", path, err)
+	}
+	for i := len(set.Results) - 1; i >= 0; i-- {
+		if r := set.Results[i]; r.Workload == workload {
+			for _, name := range layerNames {
+				if _, ok := r.PerLayer[name]; !ok {
+					return result{}, fmt.Errorf("%s: %s has no %s", path, workload, name)
+				}
+			}
+			return r, nil
+		}
+	}
+	return result{}, fmt.Errorf("%s: no result for %s", path, workload)
 }
 
 // unpack extracts rev's committed files into dir, replacing what was there.
@@ -232,18 +260,28 @@ func main() {
 		line := fmt.Sprintf("pair %2d seed %d:", i+1, *seed+i)
 		for name := range dirs {
 			v := vals[name]
-			v[0] = append(v[0], res[0].Metrics[name].Value)
-			v[1] = append(v[1], res[1].Metrics[name].Value)
+			v[0] = append(v[0], res[0].EndToEnd[name].Value)
+			v[1] = append(v[1], res[1].EndToEnd[name].Value)
 			vals[name] = v
 		}
 		for _, name := range sortedKeys(dirs) {
-			line += fmt.Sprintf("  %s %.4f → %.4f", name, res[0].Metrics[name].Value, res[1].Metrics[name].Value)
+			line += fmt.Sprintf("  %s %.4f → %.4f", name, res[0].EndToEnd[name].Value, res[1].EndToEnd[name].Value)
+		}
+		for _, name := range layerNames {
+			v := vals[name]
+			v[0] = append(v[0], res[0].PerLayer[name].Value)
+			v[1] = append(v[1], res[1].PerLayer[name].Value)
+			vals[name] = v
+			line += fmt.Sprintf("  %s %.1f → %.1f", name, v[0][i], v[1][i])
 		}
 		fmt.Println(line)
 	}
 	fmt.Printf("\n%s, %d pairs, base %s (failed ops: base %d, change %d)\n", *workload, *n, *base, failed[0], failed[1])
 	for _, name := range sortedKeys(dirs) {
 		fmt.Println(summarize(name, dirs[name], vals[name][0], vals[name][1]))
+	}
+	for _, name := range layerNames {
+		fmt.Println(summarize(name, "lower", vals[name][0], vals[name][1]))
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"github.com/virtualpartitions/vp/internal/cluster"
 	"github.com/virtualpartitions/vp/internal/gateway"
@@ -45,9 +44,6 @@ func parseArgs(args []string) (*options, error) {
 	var (
 		listen      = fs.String("listen", ":8080", "HTTP listen address")
 		clusterFlag = fs.String("cluster", "", "comma-separated id=host:port node addresses (required)")
-		batching    = fs.Bool("batch", true, "coalesce concurrent writes into group-commit rounds")
-		batchWindow = fs.Duration("batch-window", 2*time.Millisecond, "group-commit coalescing window")
-		batchMax    = fs.Int("batch-max", 64, "flush a round at this many coalesced writes")
 		traceSamp   = fs.Int("trace-sample", 0, "causally trace 1-in-N client requests end to end (0 disables)")
 		traceOut    = fs.String("trace", "", "write the gateway's trace (incl. spans) as JSONL here on shutdown")
 		shards      = fs.Int("shards", 1, "route by shard: must match the cluster's -shards")
@@ -66,7 +62,6 @@ func parseArgs(args []string) (*options, error) {
 		traceOut: *traceOut,
 		cfg: gateway.Config{
 			Cluster: addrs, TraceSample: *traceSamp,
-			Batching: *batching, BatchWindow: *batchWindow, BatchMax: *batchMax,
 			Shards: *shards, ShardSeed: *shardSeed, ShardReplicas: *shardRep,
 		},
 	}
@@ -95,16 +90,12 @@ func main() {
 		os.Exit(1)
 	}
 	defer srv.Close()
-	mode := "off"
-	if opt.cfg.Batching {
-		mode = fmt.Sprintf("window=%v max=%d", opt.cfg.BatchWindow, opt.cfg.BatchMax)
-	}
 	shardInfo := ""
 	if opt.cfg.Shards > 1 {
 		shardInfo = fmt.Sprintf(", %d shards", opt.cfg.Shards)
 	}
-	fmt.Printf("vpgateway serving on http://%s (%d nodes%s, batching %s)\n",
-		addr, len(opt.cfg.Cluster), shardInfo, mode)
+	fmt.Printf("vpgateway serving on http://%s (%d nodes%s)\n",
+		addr, len(opt.cfg.Cluster), shardInfo)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/virtualpartitions/vp/internal/gateway"
 	"github.com/virtualpartitions/vp/internal/model"
@@ -28,10 +27,11 @@ func TestParseArgsHarnessFlags(t *testing.T) {
 }
 
 // TestParseArgsRefusesRemovedFlags: the health poller's flag and the
-// limits that only ever ran at their defaults are gone, not silently
-// ignored.
+// limits and batching settings that only ever ran at their defaults are
+// gone, not silently ignored.
 func TestParseArgsRefusesRemovedFlags(t *testing.T) {
-	for _, f := range []string{"-health", "-max-inflight", "-max-queue", "-per-try", "-deadline", "-session-marks"} {
+	for _, f := range []string{"-health", "-max-inflight", "-max-queue", "-per-try", "-deadline", "-session-marks",
+		"-batch", "-batch-window", "-batch-max"} {
 		_, err := parseArgs([]string{"-cluster", "1=localhost:7001", f, "1"})
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("%s: err = %v, want it undefined", f, err)
@@ -39,16 +39,14 @@ func TestParseArgsRefusesRemovedFlags(t *testing.T) {
 	}
 }
 
-// TestParseArgsFixedSettings: with no tuning flags the gateway batches
-// with a 2ms window and 64-write rounds, traces nothing and routes
-// unsharded.
+// TestParseArgsFixedSettings: with no tuning flags the gateway traces
+// nothing and routes unsharded.
 func TestParseArgsFixedSettings(t *testing.T) {
 	opt, err := parseArgs([]string{"-cluster", "1=localhost:7001"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := gateway.Config{Cluster: map[model.ProcID]string{1: "localhost:7001"},
-		Batching: true, BatchWindow: 2 * time.Millisecond, BatchMax: 64, Shards: 1, ShardSeed: 1}
+	want := gateway.Config{Cluster: map[model.ProcID]string{1: "localhost:7001"}, Shards: 1, ShardSeed: 1}
 	if opt.listen != ":8080" || opt.traceOut != "" || !reflect.DeepEqual(opt.cfg, want) {
 		t.Fatalf("options = %+v, want config %+v", opt, want)
 	}

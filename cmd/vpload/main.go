@@ -152,8 +152,7 @@ type shardSide struct {
 	CommittedTPS float64 `json:"committed_tps"`
 	LatencyMS    latency `json:"latency_ms"`
 	// BatchRounds is the gateway's group-commit round count for this
-	// shard's conveyor lane (0 when batching is off or the target does
-	// not expose stats).
+	// shard's conveyor lane (0 when the target does not expose stats).
 	BatchRounds int64 `json:"batch_rounds,omitempty"`
 }
 

@@ -30,7 +30,7 @@ func TestLoadAgainstGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	g := gateway.New(gateway.Config{Cluster: c.Addrs(), Batching: true, BatchWindow: 2 * time.Millisecond})
+	g := gateway.New(gateway.Config{Cluster: c.Addrs()})
 	defer g.Close()
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()

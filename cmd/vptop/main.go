@@ -121,11 +121,7 @@ type nodeRow struct {
 
 // snapshot scrapes everything once and renders one screenful.
 func snapshot(opt *options, client *http.Client, w io.Writer) {
-	ids := make([]model.ProcID, 0, len(opt.nodes))
-	for id := range opt.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := model.SortedKeys(opt.nodes)
 
 	rows := make([]nodeRow, 0, len(ids))
 	for _, id := range ids {

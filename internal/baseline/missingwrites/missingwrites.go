@@ -54,12 +54,7 @@ func New(id model.ProcID, cfg node.Config, cat *model.Catalog, hist *onecopy.His
 
 // Suspects returns the processors currently written around (for tests).
 func (n *Node) Suspects() []model.ProcID {
-	out := make([]model.ProcID, 0, len(n.strat.suspects))
-	for p := range n.strat.suspects {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return model.SortedKeys(n.strat.suspects)
 }
 
 type strategy struct {

@@ -509,12 +509,7 @@ func digest(snap *Snapshot) string {
 	h := sha256.New()
 	h.Write([]byte(snap.Hist.String()))
 	h.Write([]byte("\n---\n"))
-	keys := make([]string, 0, len(snap.Counters))
-	for k := range snap.Counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range model.SortedKeys(snap.Counters) {
 		fmt.Fprintf(h, "%s=%d\n", k, snap.Counters[k])
 	}
 	h.Write([]byte("---\n"))

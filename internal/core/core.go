@@ -309,7 +309,7 @@ func (n *Node) OnMessage(rt net.Runtime, from model.ProcID, m wire.Message) {
 		// journal can no longer preserve across the real restart.
 		return
 	}
-	if model.CheckProc(from) != nil {
+	if !model.IsProc(from) {
 		// Not a processor (a client, or a corrupt frame): it takes no
 		// part in view management, whatever it sent.
 		n.HandleMessage(rt, from, m)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/virtualpartitions/vp/internal/model"
+	"github.com/virtualpartitions/vp/internal/wire"
 )
 
 // Planning an access reads the targets the view decided; it allocates
@@ -41,5 +42,19 @@ func TestPlansAllocateNothing(t *testing.T) {
 	f.nodes[2].setView(model.NewProcSet(2, 3))
 	if !slices.Equal(write.Targets, []model.ProcID{1, 2, 3}) {
 		t.Fatalf("the old view's write plan changed to %v", write.Targets)
+	}
+}
+
+// Telling a client's request from a processor's message costs nothing:
+// a message from NoProc that the coordinator drops (an ack of no
+// transaction it knows) allocates nothing on its way.
+func TestClientMessageAllocatesNothing(t *testing.T) {
+	f := newFixture(t, model.FullyReplicated(3, "x"), 3, 1)
+	f.run(tDeltaBound * 3)
+	f.requireCommonView(1, 2, 3)
+	n, rt := f.nodes[2], f.cluster.RuntimeFor(2)
+	var m wire.Message = wire.DecideAck{Txn: model.TxnID{Start: 1, P: 2, Seq: 99}}
+	if a := testing.AllocsPerRun(1000, func() { n.OnMessage(rt, model.NoProc, m) }); a != 0 {
+		t.Errorf("OnMessage from NoProc: %.1f allocs/op, want 0", a)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sort"
 
 	"github.com/virtualpartitions/vp/internal/model"
 	"github.com/virtualpartitions/vp/internal/varint"
@@ -115,56 +114,38 @@ func appendState(dst []byte, s *State) []byte {
 	dst = varint.AppendVPID(dst, s.MaxID)
 
 	dst = varint.AppendU(dst, uint64(len(s.Copies)))
-	for _, o := range sortedObjs(s.Copies) {
+	for _, o := range model.SortedKeys(s.Copies) {
 		c := s.Copies[o]
 		dst = varint.AppendString(dst, string(o))
 		dst = varint.AppendZ(dst, int64(c.Val))
 		dst = varint.AppendVersion(dst, c.Ver)
 	}
 
-	txns := sortedTxns(s.Staged)
+	txns := model.SortedTxns(s.Staged)
 	dst = varint.AppendU(dst, uint64(len(txns)))
 	for _, t := range txns {
 		ws := s.Staged[t]
 		dst = varint.AppendTxnID(dst, t)
 		dst = varint.AppendU(dst, uint64(len(ws)))
-		for _, o := range sortedObjs(ws) {
+		for _, o := range model.SortedKeys(ws) {
 			dst = varint.AppendString(dst, string(o))
 			dst = appendStagedWrite(dst, ws[o])
 		}
 	}
 
-	txns = sortedTxns(s.Decides)
+	txns = model.SortedTxns(s.Decides)
 	dst = varint.AppendU(dst, uint64(len(txns)))
 	for _, t := range txns {
 		dst = appendDecision(dst, t, s.Decides[t])
 	}
 
-	txns = sortedTxns(s.Votes)
+	txns = model.SortedTxns(s.Votes)
 	dst = varint.AppendU(dst, uint64(len(txns)))
 	for _, t := range txns {
 		dst = varint.AppendTxnID(dst, t)
 		dst = appendVoteRec(dst, s.Votes[t])
 	}
 	return dst
-}
-
-func sortedTxns[V any](m map[model.TxnID]V) []model.TxnID {
-	txns := make([]model.TxnID, 0, len(m))
-	for t := range m {
-		txns = append(txns, t)
-	}
-	sort.Slice(txns, func(i, j int) bool { return txns[i].Less(txns[j]) })
-	return txns
-}
-
-func sortedObjs[V any](m map[model.ObjectID]V) []model.ObjectID {
-	objs := make([]model.ObjectID, 0, len(m))
-	for o := range m {
-		objs = append(objs, o)
-	}
-	slices.Sort(objs)
-	return objs
 }
 
 func appendStagedWrite(dst []byte, w StagedWrite) []byte {

@@ -347,7 +347,7 @@ func resolveDecidedStages(st *State) (int, []record) {
 	// deterministic sequence.
 	resolved := 0
 	var repairs []record
-	for _, txn := range sortedTxns(st.Staged) {
+	for _, txn := range model.SortedTxns(st.Staged) {
 		ws := st.Staged[txn]
 		evidenced := false
 		for obj, w := range ws {
@@ -359,7 +359,7 @@ func resolveDecidedStages(st *State) (int, []record) {
 		if !evidenced {
 			continue
 		}
-		for _, obj := range sortedObjs(ws) {
+		for _, obj := range model.SortedKeys(ws) {
 			w := ws[obj]
 			c := st.Copies[obj]
 			if !c.Ver.Less(w.Ver) {

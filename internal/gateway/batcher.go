@@ -80,12 +80,6 @@ type batchReply struct {
 func newBatcher(window time.Duration, maxSize int, depth func(model.ShardID) int, backend submitter,
 	tags *tagSource, spans *spanSource, reg *metrics.Registry, tr *trace.Recorder,
 	clock func() time.Duration) *batcher {
-	if window <= 0 {
-		window = 2 * time.Millisecond
-	}
-	if maxSize <= 0 {
-		maxSize = 64
-	}
 	if spans == nil {
 		spans = &spanSource{}
 	}

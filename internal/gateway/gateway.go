@@ -33,19 +33,16 @@ const (
 	// end-to-end budget of one client request.
 	perTry          = 500 * time.Millisecond
 	requestDeadline = 5 * time.Second
+	// Every batchable write goes through group commit (see batcher): an
+	// entry queues at most batchWindow, a lane at most batchMax entries.
+	batchWindow = 2 * time.Millisecond
+	batchMax    = 64
 )
 
 // Config parameterizes a gateway instance.
 type Config struct {
 	// Cluster maps node ids to their client-facing TCP addresses.
 	Cluster map[model.ProcID]string
-
-	// Batching enables group commit; BatchWindow is the coalescing
-	// window (default 2ms), BatchMax the round-size flush threshold
-	// (default 64).
-	Batching    bool
-	BatchWindow time.Duration
-	BatchMax    int
 
 	// Shards, when > 1, enables shard-aware routing: submissions prefer
 	// a node that hosts the target object's shard, and batchable writes
@@ -72,12 +69,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 64
-	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
 	}
@@ -175,7 +166,7 @@ func New(cfg Config) *Gateway {
 	g := newWithBackend(cfg, nil)
 	g.pool = newPool(cfg.Cluster, cfg.Metrics)
 	g.backend = g.pool
-	g.batch = newBatcher(cfg.BatchWindow, cfg.BatchMax, g.laneDepth, g.pool, g.tags, g.spans,
+	g.batch = newBatcher(batchWindow, batchMax, g.laneDepth, g.pool, g.tags, g.spans,
 		g.reg, g.tr, g.clock)
 	return g
 }
@@ -208,7 +199,7 @@ func newWithBackend(cfg Config, backend submitter) *Gateway {
 		g.smap = m
 	}
 	if backend != nil {
-		g.batch = newBatcher(cfg.BatchWindow, cfg.BatchMax, g.laneDepth, backend, g.tags, g.spans,
+		g.batch = newBatcher(batchWindow, batchMax, g.laneDepth, backend, g.tags, g.spans,
 			g.reg, g.tr, g.clock)
 	}
 	g.mux = http.NewServeMux()
@@ -380,7 +371,7 @@ func (g *Gateway) handleTxn(w http.ResponseWriter, r *http.Request) {
 	beganClk := g.clock()
 	sh := g.shardOf(ops[0].Obj)
 	preferred := g.routeShard(sh, sess.Node)
-	if g.cfg.Batching && g.batch != nil && wire.Batchable(ops) {
+	if wire.Batchable(ops) {
 		res, servedBy, err = g.batch.submit(wire.BatchEntry{Tag: g.tags.next(), Ops: ops}, rctx, preferred, sh)
 	} else {
 		txn := wire.ClientTxn{Tag: g.tags.next(), Ops: ops}

@@ -173,7 +173,7 @@ func TestBatchingCoalescesConcurrentIncrements(t *testing.T) {
 			Writes: []wire.ObjVal{{Obj: "x", Val: model.Value(total), Ver: ver(1, 1, ctr)}}}, 1, nil
 	}}
 	reg := metrics.NewRegistry()
-	g := newWithBackend(Config{Batching: true, BatchWindow: 5 * time.Millisecond, Metrics: reg}, backend)
+	g := newWithBackend(Config{Metrics: reg}, backend)
 	defer g.Close()
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
@@ -215,9 +215,9 @@ func TestBatchingCoalescesConcurrentIncrements(t *testing.T) {
 // TestShardLanesFlushIndependently pins the per-shard conveyor
 // property: with one shard's round stuck in flight at the backend, a
 // write to a DIFFERENT shard flushes immediately (idle lane), instead
-// of waiting out the stuck round or the coalescing window.
+// of waiting out the stuck round.
 func TestShardLanesFlushIndependently(t *testing.T) {
-	const window = 500 * time.Millisecond
+	const bound = 250 * time.Millisecond
 	blockA := make(chan struct{})
 	var objA, objB model.ObjectID
 
@@ -237,9 +237,8 @@ func TestShardLanesFlushIndependently(t *testing.T) {
 			Writes: []wire.ObjVal{{Obj: obj, Val: val, Ver: ver(1, 1, 1)}}}, 1, nil
 	}}
 	g := newWithBackend(Config{
-		Cluster:  map[model.ProcID]string{1: "", 2: "", 3: ""},
-		Batching: true, BatchWindow: window,
-		Shards: 4, ShardSeed: 7,
+		Cluster: map[model.ProcID]string{1: "", 2: "", 3: ""},
+		Shards:  4, ShardSeed: 7,
 	}, backend)
 	defer g.Close()
 	srv := httptest.NewServer(g.Handler())
@@ -274,8 +273,8 @@ func TestShardLanesFlushIndependently(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !tr.Committed {
 		t.Fatalf("objB write: status %d %+v", resp.StatusCode, tr)
 	}
-	if tookB >= window/2 {
-		t.Errorf("objB write took %v with objA's round in flight — lane not independent (window %v)", tookB, window)
+	if tookB >= bound {
+		t.Errorf("objB write took %v with objA's round in flight — lane not independent", tookB)
 	}
 
 	close(blockA)
@@ -313,7 +312,7 @@ func TestGatewayReadYourWrites(t *testing.T) {
 	addrs, hist, _, stop := bootCluster(t, false, "x", "y", "z")
 	defer stop()
 
-	g := New(Config{Cluster: addrs, Batching: true, BatchWindow: 2 * time.Millisecond})
+	g := New(Config{Cluster: addrs})
 	defer g.Close()
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
@@ -375,18 +374,18 @@ func TestGatewayReadYourWrites(t *testing.T) {
 	}
 }
 
-// TestGatewayBatchingAblation runs the same contended increment load
-// with batching off and on against live clusters and asserts the
-// measurable claim: batching uses fewer 2PC rounds per logical write.
+// TestGatewayBatchingAblation runs contended increments on one object
+// against a live cluster and asserts the measurable claim of group
+// commit: fewer 2PC rounds than logical writes, and no lost update.
 func TestGatewayBatchingAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live cluster test")
 	}
-	run := func(batching bool) (rounds, committed int64, sum int64) {
+	run := func() (rounds, committed int64, sum int64) {
 		addrs, _, _, stop := bootCluster(t, false, "x")
 		defer stop()
 		reg := metrics.NewRegistry()
-		g := New(Config{Cluster: addrs, Batching: batching, BatchWindow: 5 * time.Millisecond, Metrics: reg})
+		g := New(Config{Cluster: addrs, Metrics: reg})
 		defer g.Close()
 		srv := httptest.NewServer(g.Handler())
 		defer srv.Close()
@@ -418,23 +417,18 @@ func TestGatewayBatchingAblation(t *testing.T) {
 		return reg.Get(metrics.CGwWriteTxns), reg.Get(metrics.CGwWriteCommitted), int64(tr.Reads[0].Value)
 	}
 
-	offRounds, offCommitted, offSum := run(false)
-	onRounds, onCommitted, onSum := run(true)
+	rounds, committed, sum := run()
 	const want = 8 * 6
-	if offCommitted != want || onCommitted != want {
-		t.Fatalf("committed writes: off=%d on=%d, want %d", offCommitted, onCommitted, want)
+	if committed != want {
+		t.Fatalf("committed writes: %d, want %d", committed, want)
 	}
-	if offSum != want || onSum != want {
-		t.Fatalf("lost updates: final value off=%d on=%d, want %d", offSum, onSum, want)
+	if sum != want {
+		t.Fatalf("lost updates: final value %d, want %d", sum, want)
 	}
-	if offRounds < want {
-		t.Errorf("batching off: %d rounds for %d writes (expected >= one round each)", offRounds, want)
+	if rounds >= want {
+		t.Errorf("%d rounds for %d writes — no amortization", rounds, want)
 	}
-	if onRounds >= offRounds {
-		t.Errorf("batching on used %d rounds vs %d off — no amortization", onRounds, offRounds)
-	}
-	t.Logf("2PC rounds per logical write: off %.2f, on %.2f",
-		float64(offRounds)/float64(offCommitted), float64(onRounds)/float64(onCommitted))
+	t.Logf("2PC rounds per logical write: %.2f", float64(rounds)/float64(committed))
 }
 
 // TestTracedWriteProducesSpanTree is the end-to-end acceptance test for
@@ -452,8 +446,7 @@ func TestTracedWriteProducesSpanTree(t *testing.T) {
 	gwRec := trace.New(trace.DefaultCap)
 	gwRec.SetEnabled(true)
 	recs = append(recs, gwRec)
-	g := New(Config{Cluster: addrs, Batching: true, BatchWindow: 2 * time.Millisecond,
-		Tracer: gwRec, TraceSample: 1})
+	g := New(Config{Cluster: addrs, Tracer: gwRec, TraceSample: 1})
 	defer g.Close()
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()

@@ -11,7 +11,7 @@ package locks
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/virtualpartitions/vp/internal/model"
@@ -64,32 +64,34 @@ type lockState struct {
 type Manager struct {
 	mu    sync.Mutex
 	table map[model.ObjectID]*lockState
-	// txns indexes, per transaction, the objects it holds or waits for:
-	// what ReleaseAll frees and Txns lists.
-	txns map[model.TxnID]model.ObjSet
+	// txns indexes, per transaction, the objects it holds or waits for,
+	// sorted: what ReleaseAll frees and Txns lists.
+	txns map[model.TxnID][]model.ObjectID
 }
 
 // NewManager returns an empty lock table.
 func NewManager() *Manager {
 	return &Manager{
 		table: make(map[model.ObjectID]*lockState),
-		txns:  make(map[model.TxnID]model.ObjSet),
+		txns:  make(map[model.TxnID][]model.ObjectID),
 	}
 }
 
 // note records that txn holds or waits for obj.
 func (m *Manager) note(txn model.TxnID, obj model.ObjectID) {
-	if m.txns[txn] == nil {
-		m.txns[txn] = model.NewObjSet()
+	objs := m.txns[txn]
+	if i, ok := slices.BinarySearch(objs, obj); !ok {
+		m.txns[txn] = slices.Insert(objs, i, obj)
 	}
-	m.txns[txn].Add(obj)
 }
 
 func (m *Manager) unnote(txn model.TxnID, obj model.ObjectID) {
-	if s := m.txns[txn]; s != nil {
-		s.Remove(obj)
-		if s.Len() == 0 {
+	objs := m.txns[txn]
+	if i, ok := slices.BinarySearch(objs, obj); ok {
+		if len(objs) == 1 {
 			delete(m.txns, txn)
+		} else {
+			m.txns[txn] = slices.Delete(objs, i, i+1)
 		}
 	}
 }
@@ -231,8 +233,10 @@ func (m *Manager) Release(obj model.ObjectID, txn model.TxnID) []Grant {
 func (m *Manager) ReleaseAll(txn model.TxnID) []Grant {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	objs := m.txns[txn]
+	delete(m.txns, txn)
 	var grants []Grant
-	for _, o := range m.txns[txn].Sorted() {
+	for _, o := range objs {
 		grants = append(grants, m.release(o, txn)...)
 	}
 	return grants
@@ -254,18 +258,12 @@ func (m *Manager) Holds(obj model.ObjectID, txn model.TxnID, mode model.LockMode
 // HoldersOf returns the transactions holding obj, sorted by age.
 func (m *Manager) HoldersOf(obj model.ObjectID) []model.TxnID {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	st, ok := m.table[obj]
 	if !ok {
-		m.mu.Unlock()
 		return nil
 	}
-	out := make([]model.TxnID, 0, len(st.holders))
-	for t := range st.holders {
-		out = append(out, t)
-	}
-	m.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	return model.SortedTxns(st.holders)
 }
 
 // Txns returns every transaction holding or waiting for any lock, sorted
@@ -273,13 +271,8 @@ func (m *Manager) HoldersOf(obj model.ObjectID) []model.TxnID {
 // virtual partition (rule R4).
 func (m *Manager) Txns() []model.TxnID {
 	m.mu.Lock()
-	out := make([]model.TxnID, 0, len(m.txns))
-	for t := range m.txns {
-		out = append(out, t)
-	}
-	m.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	defer m.mu.Unlock()
+	return model.SortedTxns(m.txns)
 }
 
 // QueueLen returns the number of waiters on obj.
@@ -296,12 +289,8 @@ func (m *Manager) QueueLen(obj model.ObjectID) int {
 func (m *Manager) String() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	objs := model.NewObjSet()
-	for o := range m.table {
-		objs.Add(o)
-	}
 	out := ""
-	for _, o := range objs.Sorted() {
+	for _, o := range model.SortedKeys(m.table) {
 		st := m.table[o]
 		out += fmt.Sprintf("%s: holders=%v queue=%v\n", o, st.holders, st.queue)
 	}

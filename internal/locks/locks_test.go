@@ -153,6 +153,30 @@ func TestReleaseAll(t *testing.T) {
 	}
 }
 
+// TestReleaseAllInObjectOrder: whatever order a transaction took its
+// locks in, and whichever it gave back one by one, ReleaseAll frees the
+// rest in object order, so the grants it returns come in that order.
+func TestReleaseAllInObjectOrder(t *testing.T) {
+	m := NewManager()
+	for _, o := range []model.ObjectID{"z", "w", "x", "y"} {
+		m.Acquire(o, tx(2), model.LockExclusive)
+		m.Acquire(o, tx(1), model.LockExclusive) // older: queued
+	}
+	if g := m.Release("w", tx(2)); len(g) != 1 || g[0].Obj != "w" {
+		t.Fatalf("Release(w) grants = %v", g)
+	}
+	var got []model.ObjectID
+	for _, g := range m.ReleaseAll(tx(2)) {
+		got = append(got, g.Obj)
+	}
+	if len(got) != 3 || got[0] != "x" || got[1] != "y" || got[2] != "z" {
+		t.Fatalf("ReleaseAll grants objects %v, want [x y z]", got)
+	}
+	if txns := m.Txns(); len(txns) != 1 || txns[0] != tx(1) {
+		t.Fatalf("Txns = %v, want only %v", txns, tx(1))
+	}
+}
+
 func TestHoldsAndTxns(t *testing.T) {
 	m := NewManager()
 	if m.Holds("x", tx(1), model.LockShared) {

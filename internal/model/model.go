@@ -10,7 +10,10 @@
 // "date").
 package model
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // ProcID identifies a processor. Processors are numbered 1..n; 0 is
 // reserved as "no processor" and is also used as the pseudo-sender for
@@ -82,14 +85,17 @@ type TxnID struct {
 
 // Less reports whether t is older than u (started earlier, with ties
 // broken by processor then sequence number).
-func (t TxnID) Less(u TxnID) bool {
+func (t TxnID) Less(u TxnID) bool { return t.Compare(u) < 0 }
+
+// Compare orders t and u as Less does: -1, 0 or +1.
+func (t TxnID) Compare(u TxnID) int {
 	if t.Start != u.Start {
-		return t.Start < u.Start
+		return cmp.Compare(t.Start, u.Start)
 	}
 	if t.P != u.P {
-		return t.P < u.P
+		return cmp.Compare(t.P, u.P)
 	}
-	return t.Seq < u.Seq
+	return cmp.Compare(t.Seq, u.Seq)
 }
 
 // IsZero reports whether t is the zero TxnID, which tags initial values.

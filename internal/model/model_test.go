@@ -287,19 +287,6 @@ func TestProcSetAlgebraProperties(t *testing.T) {
 	}
 }
 
-func TestObjSet(t *testing.T) {
-	s := NewObjSet("b", "a")
-	s.Add("c")
-	s.Remove("b")
-	if s.Len() != 2 || !s.Has("a") || s.Has("b") {
-		t.Fatalf("bad set")
-	}
-	got := s.Sorted()
-	if len(got) != 2 || got[0] != "a" || got[1] != "c" {
-		t.Fatalf("Sorted = %v", got)
-	}
-}
-
 func TestPlacementWeights(t *testing.T) {
 	pl := Placement{
 		Object:  "a",
@@ -467,5 +454,20 @@ func TestAccessibilityMonotone(t *testing.T) {
 				t.Fatalf("disjoint views %v and %v both have a majority", v1, v2)
 			}
 		}
+	}
+}
+
+func TestSortedKeys(t *testing.T) {
+	objs := SortedKeys(map[ObjectID]int{"c": 1, "a": 2, "b": 3})
+	if len(objs) != 3 || objs[0] != "a" || objs[1] != "b" || objs[2] != "c" {
+		t.Errorf("SortedKeys = %v", objs)
+	}
+	txns := SortedTxns(map[TxnID]bool{{Start: 2, P: 1}: true, {Start: 1, P: 2}: true, {Start: 1, P: 1, Seq: 5}: true})
+	want := []TxnID{{Start: 1, P: 1, Seq: 5}, {Start: 1, P: 2}, {Start: 2, P: 1}}
+	if len(txns) != 3 || txns[0] != want[0] || txns[1] != want[1] || txns[2] != want[2] {
+		t.Errorf("SortedTxns = %v, want %v", txns, want)
+	}
+	if SortedKeys(map[ProcID]bool(nil)) == nil {
+		t.Error("SortedKeys of an empty map is nil, want empty")
 	}
 }

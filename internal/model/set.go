@@ -1,9 +1,10 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -18,9 +19,13 @@ type ProcSet uint64
 // enters the program from outside is checked against it (CheckProc).
 const MaxProc ProcID = 64
 
+// IsProc reports whether p is a processor id, in 1..MaxProc. Clients
+// (NoProc) are not.
+func IsProc(p ProcID) bool { return p >= 1 && p <= MaxProc }
+
 // CheckProc refuses a processor id outside 1..MaxProc.
 func CheckProc(p ProcID) error {
-	if p < 1 || p > MaxProc {
+	if !IsProc(p) {
 		return fmt.Errorf("processor id %d outside 1..%d", int(p), int(MaxProc))
 	}
 	return nil
@@ -38,7 +43,7 @@ func NewProcSet(ps ...ProcID) ProcSet {
 
 // Has reports membership.
 func (s ProcSet) Has(p ProcID) bool {
-	return p >= 1 && p <= MaxProc && s&(1<<(p-1)) != 0
+	return IsProc(p) && s&(1<<(p-1)) != 0
 }
 
 // Add inserts p. It panics on an id outside 1..MaxProc.
@@ -51,7 +56,7 @@ func (s *ProcSet) Add(p ProcID) {
 
 // Remove deletes p.
 func (s *ProcSet) Remove(p ProcID) {
-	if p >= 1 && p <= MaxProc {
+	if IsProc(p) {
 		*s &^= 1 << (p - 1)
 	}
 }
@@ -89,40 +94,23 @@ func (s ProcSet) String() string {
 	return b.String()
 }
 
-// ObjSet is a set of logical objects, e.g. the "locked" variable of the
-// replica control protocol (Figure 3, line 6).
-type ObjSet map[ObjectID]struct{}
-
-// NewObjSet builds a set from the given objects.
-func NewObjSet(objs ...ObjectID) ObjSet {
-	s := make(ObjSet, len(objs))
-	for _, o := range objs {
-		s[o] = struct{}{}
+// SortedKeys returns m's keys in ascending order. It is how a map is
+// iterated wherever the order can reach a message, a timer or the disk.
+func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return s
+	slices.Sort(keys)
+	return keys
 }
 
-// Has reports membership.
-func (s ObjSet) Has(o ObjectID) bool {
-	_, ok := s[o]
-	return ok
-}
-
-// Add inserts o.
-func (s ObjSet) Add(o ObjectID) { s[o] = struct{}{} }
-
-// Remove deletes o.
-func (s ObjSet) Remove(o ObjectID) { delete(s, o) }
-
-// Len returns the cardinality.
-func (s ObjSet) Len() int { return len(s) }
-
-// Sorted returns the objects in lexicographic order.
-func (s ObjSet) Sorted() []ObjectID {
-	out := make([]ObjectID, 0, len(s))
-	for o := range s {
-		out = append(out, o)
+// SortedTxns is SortedKeys for a map keyed by transaction: oldest first.
+func SortedTxns[V any](m map[TxnID]V) []TxnID {
+	txns := make([]TxnID, 0, len(m))
+	for t := range m {
+		txns = append(txns, t)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.SortFunc(txns, TxnID.Compare)
+	return txns
 }

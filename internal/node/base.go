@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -171,25 +172,26 @@ func (b *Base) InitBase(rt net.Runtime) {
 	rt.SetTimer(b.Cfg.LockTimeout, leaseSweep{})
 	for id, rec := range b.resumed {
 		t := &txn{
-			id:          id,
-			phase:       phaseDeciding,
-			announced:   true, // the record was replayed, so it is durable
-			commit:      rec.Commit,
-			pendingAcks: newPartSet(),
+			id:        id,
+			phase:     phaseDeciding,
+			announced: true, // the record was replayed, so it is durable
+			commit:    rec.Commit,
 		}
 		for i, p := range rec.Pending {
 			k := partKey{P: p}
 			if i < len(rec.Shards) {
 				k.S = rec.Shards[i]
 			}
-			t.pendingAcks.Add(k)
+			t.part(k).writes = noWrites
 		}
+		t.voters = len(t.parts)
+		t.unacked = t.voters
 		b.active[id] = t
 		if b.Hist != nil {
 			b.Hist.Resolve(id, rec.Commit) // decided, then killed before it could say so
 		}
-		for _, k := range t.pendingAcks.Sorted() {
-			b.sendPartPlain(rt, k, wire.Decide{Txn: id, Commit: rec.Commit})
+		for _, p := range t.parts {
+			b.sendPartPlain(rt, p.partKey, wire.Decide{Txn: id, Commit: rec.Commit})
 		}
 		t.retryTimer = rt.SetTimer(b.Cfg.DecideRetry, decideRetry{txn: id})
 	}
@@ -199,12 +201,7 @@ func (b *Base) InitBase(rt net.Runtime) {
 	// way the participants' durable votes say which — each repeats the
 	// vote it is bound to, all yes commits, any no aborts — so ask them,
 	// under the epochs the prepares carried, until all have answered.
-	ids := make([]model.TxnID, 0, len(b.resumedVotes))
-	for id := range b.resumedVotes {
-		ids = append(ids, id)
-	}
-	sortTxnIDs(ids)
-	for _, id := range ids {
+	for _, id := range model.SortedTxns(b.resumedVotes) {
 		rec := b.resumedVotes[id]
 		t := &txn{
 			id:          id,
@@ -212,10 +209,6 @@ func (b *Base) InitBase(rt net.Runtime) {
 			recollect:   true,
 			voteCast:    true,
 			voteDurable: true,
-			votesNeeded: newPartSet(),
-			voteFrom:    newPartSet(),
-			sParts:      newPartSet(),
-			epochs:      make(map[model.ShardID]Epoch),
 		}
 		for i, p := range rec.Parts {
 			k := partKey{P: p}
@@ -223,10 +216,11 @@ func (b *Base) InitBase(rt net.Runtime) {
 				k.S = rec.Shards[i]
 			}
 			if rec.Epochs != nil {
-				t.epochs[k.S] = Epoch{VP: rec.Epochs[i], Has: true}
+				t.pin(k.S, Epoch{VP: rec.Epochs[i], Has: true})
 			}
-			t.votesNeeded.Add(k)
+			t.part(k).writes = noWrites
 		}
+		t.voters = len(t.parts)
 		b.active[id] = t
 		rt.Metrics().Inc(metrics.CTxnRecollect, 1)
 		rt.Metrics().Inc(metrics.CTxnInDoubt, 1)
@@ -245,24 +239,25 @@ func (b *Base) RestoreDurable(st *durable.State) {
 	for txnID, objs := range st.Staged {
 		// Under one journal per processor a transaction can have staged
 		// writes at a co-hosted shard too; those are that shard node's.
-		objSet := model.NewObjSet()
+		var held []model.ObjectID
 		for o := range objs {
 			if b.Store.Has(o) {
-				objSet.Add(o)
+				held = append(held, o)
 			}
 		}
-		if objSet.Len() == 0 {
+		if len(held) == 0 {
 			continue
 		}
-		writes := make([]wire.ObjWrite, 0, objSet.Len())
-		for _, o := range objSet.Sorted() {
+		slices.Sort(held)
+		writes := make([]wire.ObjWrite, 0, len(held))
+		for _, o := range held {
 			w := objs[o]
 			writes = append(writes, wire.ObjWrite{Obj: o, Val: w.Val, Ver: w.Ver, MissedBy: w.MissedBy})
 		}
 		b.prepared[txnID] = &preparedTxn{writes: writes, voted: true}
 		// The participant re-holds the exclusive locks its promise
 		// implies, so nothing else can touch the copies before Decide.
-		for _, o := range objSet.Sorted() {
+		for _, o := range held {
 			b.Locks.Acquire(o, txnID, model.LockExclusive)
 		}
 	}
@@ -404,11 +399,3 @@ func (b *Base) ActiveTxns() int { return len(b.active) }
 // PreparedTxns returns the number of prepared-but-undecided transactions
 // at this node's server side.
 func (b *Base) PreparedTxns() int { return len(b.prepared) }
-
-func sortTxnIDs(ids []model.TxnID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j].Less(ids[j-1]); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}

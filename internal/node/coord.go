@@ -1,7 +1,10 @@
 package node
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"github.com/virtualpartitions/vp/internal/durable"
@@ -45,21 +48,20 @@ type txn struct {
 	id  model.TxnID
 	tag uint64
 	// epochs holds the epoch pinned per touched shard (rule R4 applied
-	// shard by shard; model.NoShard alone when unsharded) and shards
-	// lists them in ascending order for deterministic iteration. Trace
-	// and history records carry the model.NoShard epoch, zero for a
-	// sharded transaction.
-	epochs map[model.ShardID]Epoch
-	shards []model.ShardID
+	// shard by shard; model.NoShard alone when unsharded), in ascending
+	// shard order. Trace and history records carry the model.NoShard
+	// epoch, zero for a sharded transaction.
+	epochs []shardEpoch
 	ops    []wire.Op
 	opIdx  int
 	phase  txnPhase
 
-	regs      map[model.ObjectID]model.Value   // register file: last read value
-	readVers  map[model.ObjectID]model.Version // version observed per read
-	writes    map[model.ObjectID]model.Value   // buffered logical writes
-	writeVers map[model.ObjectID]model.Version // version assigned per write
-	maxSeen   map[model.ObjectID]model.Version // max version among locked copies
+	// objs holds one record per object the operations name, sorted by
+	// object id; parts one per participant, sorted by (processor,
+	// shard). Every fan-out walks one of them, so their order is the
+	// order the messages leave in.
+	objs  []txnObj
+	parts []txnPart
 
 	// current operation state. An access plan targets one object, and an
 	// object lives in exactly one shard, so got stays processor-keyed;
@@ -77,20 +79,11 @@ type txn struct {
 	// no-response exception measures a suspect's silence from.
 	sentAt time.Duration
 
-	// participants, keyed (processor, shard); see shard.go
-	sParts     partSet                           // participants granted any shared lock
-	writeParts map[model.ObjectID][]model.ProcID // write targets per object: granted, or (lockLate) planned
-	missedBy   map[model.ObjectID][]model.ProcID // write targets that never granted
-	// lockLate holds the writes that ran no lock round: the transaction
-	// already holds the object's version under a read lock, so the
-	// exclusive locks are taken by the Prepare (wire.ObjWrite.Lock). Nil
-	// until there is one.
-	lockLate model.ObjSet
-
-	// two-phase commit
-	voteFrom    partSet
-	votesNeeded partSet
-	voteTimer   net.TimerID
+	// two-phase commit: voters counts the participants with a prepare,
+	// yes their yes-votes so far and unacked those yet to acknowledge
+	// the decision.
+	voters, yes, unacked int
+	voteTimer            net.TimerID
 	// selfVotes counts the votes still out at this processor's own copies
 	// (shard by shard); the coordinator's vote record follows the last
 	// one, behind their stage records in the one journal. voteCast: the
@@ -106,12 +99,8 @@ type txn struct {
 	commit    bool
 	// announced is set once the decision's journal record is durable;
 	// until then no remote participant and no DecideQuery may learn it.
-	announced   bool
-	pendingAcks partSet
-	retryTimer  net.TimerID
-	// prepare payload per participant, retained so a weak-R4 migration
-	// can re-issue it under the new epoch
-	prepares map[partKey][]wire.ObjWrite
+	announced  bool
+	retryTimer net.TimerID
 
 	// tracing: ctx is the transaction's root span (zero when untraced);
 	// the phase contexts parent outbound fan-outs so participant spans
@@ -124,6 +113,70 @@ type txn struct {
 	prepStart time.Duration
 	decCtx    model.TraceCtx // coord-decide span
 	decStart  time.Duration
+}
+
+// txnObj is what a transaction knows of one object.
+type txnObj struct {
+	id    model.ObjectID
+	shard model.ShardID
+	// read: val and readVer are the value read and its version.
+	read    bool
+	val     model.Value
+	readVer model.Version
+	// write: wval is the buffered write, targets the copies it goes to
+	// (granted, or planned when lockLate), missedBy the targets that
+	// never granted; writeVer is assigned at commit.
+	write    bool
+	wval     model.Value
+	writeVer model.Version
+	targets  []model.ProcID
+	missedBy []model.ProcID
+	// maxSeen is the newest version among the copies locked; the zero
+	// version is below every version a copy holds.
+	maxSeen model.Version
+	// lockLate marks a write that ran no lock round: the transaction
+	// already holds the object's version under a read lock, so the
+	// exclusive locks are taken by the Prepare (wire.ObjWrite.Lock).
+	lockLate bool
+}
+
+// shardEpoch is the epoch a transaction pinned for one shard.
+type shardEpoch struct {
+	shard model.ShardID
+	ep    Epoch
+}
+
+// obj returns the record of o, which one of t's operations names.
+func (t *txn) obj(o model.ObjectID) *txnObj {
+	i, _ := t.findObj(o)
+	return &t.objs[i]
+}
+
+// findObj is where o's record is or would go in t.objs.
+func (t *txn) findObj(o model.ObjectID) (int, bool) {
+	return slices.BinarySearchFunc(t.objs, o, func(r txnObj, o model.ObjectID) int { return strings.Compare(string(r.id), string(o)) })
+}
+
+// epochAt is where shard s's epoch is, or would go, in t.epochs.
+func (t *txn) epochAt(s model.ShardID) (int, bool) {
+	return slices.BinarySearchFunc(t.epochs, s, func(e shardEpoch, s model.ShardID) int { return cmp.Compare(e.shard, s) })
+}
+
+// epoch returns the epoch t pinned for shard s (zero when none).
+func (t *txn) epoch(s model.ShardID) Epoch {
+	if i, ok := t.epochAt(s); ok {
+		return t.epochs[i].ep
+	}
+	return Epoch{}
+}
+
+// pin sets the epoch of shard s.
+func (t *txn) pin(s model.ShardID, ep Epoch) {
+	i, ok := t.epochAt(s)
+	if !ok {
+		t.epochs = slices.Insert(t.epochs, i, shardEpoch{shard: s})
+	}
+	t.epochs[i].ep = ep
 }
 
 // stamp is the age of a transaction starting now — what wait-die orders
@@ -171,9 +224,12 @@ func (b *Base) awaitsDecide(ops []wire.Op) bool {
 // told ends the hold t's commit put on its objects — its Decide has left
 // — and starts, in arrival order, whatever was waiting for that.
 func (b *Base) told(rt net.Runtime, t *txn) {
-	for o := range t.writes {
-		if b.telling[o]--; b.telling[o] == 0 {
-			delete(b.telling, o)
+	for _, o := range t.objs {
+		if !o.write {
+			continue
+		}
+		if b.telling[o.id]--; b.telling[o.id] == 0 {
+			delete(b.telling, o.id)
 		}
 	}
 	held := b.held
@@ -204,14 +260,19 @@ func (b *Base) startTxn(rt net.Runtime, ct wire.ClientTxn, parent model.TraceCtx
 		b.hurry(rt)
 		return
 	}
-	// Pin one epoch per touched shard up-front (rule R4 per shard): a
-	// transaction whose footprint includes an inaccessible shard is
-	// denied before it takes any locks anywhere.
-	epochs := make(map[model.ShardID]Epoch)
-	var shardIDs []model.ShardID
+	// One record per object, each with its shard; and one epoch pinned
+	// per touched shard up-front (rule R4 per shard), asked for in
+	// operation order: a transaction whose footprint includes an
+	// inaccessible shard is denied before it takes any locks anywhere.
+	t := &txn{tag: ct.Tag, ops: ct.Ops, objs: make([]txnObj, 0, len(ct.Ops))}
 	for _, op := range ct.Ops {
+		i, known := t.findObj(op.Obj)
+		if known {
+			continue
+		}
 		s := b.shardOf(op.Obj)
-		if _, ok := epochs[s]; ok {
+		t.objs = slices.Insert(t.objs, i, txnObj{id: op.Obj, shard: s})
+		if _, ok := t.epochAt(s); ok {
 			continue
 		}
 		e, err := b.Strat.Begin(rt, s)
@@ -219,26 +280,10 @@ func (b *Base) startTxn(rt net.Runtime, ct wire.ClientTxn, parent model.TraceCtx
 			deny(err.Error())
 			return
 		}
-		epochs[s] = e
-		shardIDs = append(shardIDs, s)
+		t.pin(s, e)
 	}
-	sortShardIDs(shardIDs)
 	b.seq++
-	t := &txn{
-		id:         model.TxnID{Start: b.stamp(rt), P: b.ID, Seq: b.seq},
-		tag:        ct.Tag,
-		epochs:     epochs,
-		shards:     shardIDs,
-		ops:        ct.Ops,
-		regs:       make(map[model.ObjectID]model.Value),
-		readVers:   make(map[model.ObjectID]model.Version),
-		writes:     make(map[model.ObjectID]model.Value),
-		writeVers:  make(map[model.ObjectID]model.Version),
-		maxSeen:    make(map[model.ObjectID]model.Version),
-		sParts:     newPartSet(),
-		writeParts: make(map[model.ObjectID][]model.ProcID),
-		missedBy:   make(map[model.ObjectID][]model.ProcID),
-	}
+	t.id = model.TxnID{Start: b.stamp(rt), P: b.ID, Seq: b.seq}
 	b.active[t.id] = t
 	if rt.Tracer().Enabled() {
 		if parent.IsZero() {
@@ -255,7 +300,7 @@ func (b *Base) startTxn(rt net.Runtime, ct wire.ClientTxn, parent model.TraceCtx
 			t.begun = rt.Now()
 		}
 	}
-	rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnBegin, VP: epochs[model.NoShard].VP, Txn: t.id, Aux: int64(len(ct.Ops))})
+	rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnBegin, VP: t.epoch(model.NoShard).VP, Txn: t.id, Aux: int64(len(ct.Ops))})
 	b.step(rt, t)
 }
 
@@ -265,13 +310,11 @@ func validateOps(ops []wire.Op) error {
 	if len(ops) == 0 {
 		return fmt.Errorf("empty transaction")
 	}
-	read := model.NewObjSet()
 	for i, op := range ops {
 		switch op.Kind {
 		case wire.OpRead:
-			read.Add(op.Obj)
 		case wire.OpWrite:
-			if op.UseSrc && !read.Has(op.Src) {
+			if op.UseSrc && !slices.ContainsFunc(ops[:i], func(r wire.Op) bool { return r.Kind == wire.OpRead && r.Obj == op.Src }) {
 				return fmt.Errorf("op %d writes %s from unread register %s", i, op.Obj, op.Src)
 			}
 		default:
@@ -313,29 +356,27 @@ func (b *Base) step(rt net.Runtime, t *txn) {
 			b.abortTxn(rt, t, abortInaccessible, "empty access plan for "+string(op.Obj))
 			return
 		}
-		if _, held := t.readVers[op.Obj]; held && op.Kind == wire.OpWrite && plan.LockAtPrepare {
+		o := t.obj(op.Obj)
+		if o.read && op.Kind == wire.OpWrite && plan.LockAtPrepare {
 			// Figure 11 as written: one physical-write request per copy.
 			// The version to derive the new one from is in hand, read
 			// under a lock this transaction still holds, and every target
 			// either has that version or votes no.
 			t.bufferWrite(op, plan.Targets, nil)
-			if t.lockLate == nil {
-				t.lockLate = model.NewObjSet()
-			}
-			t.lockLate.Add(op.Obj)
+			o.lockLate = true
 			t.opIdx++
 			continue
 		}
 		t.plan = plan
 		t.planObj = op.Obj
-		t.planShard = b.shardOf(op.Obj)
+		t.planShard = o.shard
 		t.planMode = mode
 		t.got = make(map[model.ProcID]wire.LockResp)
 		t.escalated = false
 		if !t.ctx.IsZero() {
 			t.opCtx, t.opStart = t.ctx.Child(b.NextSpan()), rt.Now()
 		}
-		ep := t.epochs[t.planShard]
+		ep := t.epoch(t.planShard)
 		// The transaction's first request, if it goes to one copy, finds
 		// it holding nothing: it may wait where wait-die would kill it.
 		patient := t.opIdx == 0 && len(plan.Targets) == 1
@@ -361,11 +402,10 @@ func (b *Base) armOpTimer(rt net.Runtime, t *txn) {
 func (t *txn) bufferWrite(op wire.Op, targets, missed []model.ProcID) {
 	val := model.Value(op.Const)
 	if op.UseSrc {
-		val += t.regs[op.Src]
+		val += t.obj(op.Src).val
 	}
-	t.writes[op.Obj] = val
-	t.writeParts[op.Obj] = targets
-	t.missedBy[op.Obj] = missed
+	o := t.obj(op.Obj)
+	o.write, o.wval, o.targets, o.missedBy = true, val, targets, missed
 }
 
 func (b *Base) handleLockResp(rt net.Runtime, from model.ProcID, s model.ShardID, resp wire.LockResp) {
@@ -389,7 +429,7 @@ func (b *Base) handleLockResp(rt net.Runtime, from model.ProcID, s model.ShardID
 	}
 	// A response addressed to an epoch the transaction no longer runs in
 	// is stale (weak-R4 migration re-issued the request): ignore it.
-	ep := t.epochs[s]
+	ep := t.epoch(s)
 	stale := resp.HasEpoch != ep.Has || (resp.HasEpoch && resp.Epoch != ep.VP)
 	switch resp.Status {
 	case wire.LockDenied:
@@ -408,14 +448,7 @@ func (b *Base) handleLockResp(rt net.Runtime, from model.ProcID, s model.ShardID
 		b.abortTxn(rt, t, abortEpochChanged, "physical access refused: different partition")
 		return
 	}
-	inPlan := false
-	for _, p := range t.plan.Targets {
-		if p == from {
-			inPlan = true
-			break
-		}
-	}
-	if !inPlan {
+	if !slices.Contains(t.plan.Targets, from) {
 		return
 	}
 	t.got[from] = resp
@@ -492,10 +525,11 @@ func (b *Base) completeOp(rt net.Runtime, t *txn) {
 			first = false
 		}
 	}
-	if cur, ok := t.maxSeen[op.Obj]; !ok || cur.Less(maxResp.Ver) {
-		t.maxSeen[op.Obj] = maxResp.Ver
+	o := t.obj(op.Obj)
+	if o.maxSeen.Less(maxResp.Ver) {
+		o.maxSeen = maxResp.Ver
 	}
-	ep := t.epochs[t.planShard]
+	ep := t.epoch(t.planShard)
 	switch op.Kind {
 	case wire.OpRead:
 		if !t.escalated {
@@ -503,14 +537,7 @@ func (b *Base) completeOp(rt net.Runtime, t *txn) {
 				t.escalated = true
 				added := 0
 				for _, p := range extra {
-					already := false
-					for _, q := range t.plan.Targets {
-						if q == p {
-							already = true
-							break
-						}
-					}
-					if already {
+					if slices.Contains(t.plan.Targets, p) {
 						continue
 					}
 					t.plan.Targets = append(t.plan.Targets, p)
@@ -529,15 +556,14 @@ func (b *Base) completeOp(rt net.Runtime, t *txn) {
 			}
 		}
 		for _, p := range grantedProcs {
-			t.sParts.Add(partKey{P: p, S: t.planShard})
+			t.part(partKey{P: p, S: t.planShard}).shared = true
 		}
 		for _, p := range t.plan.Targets {
 			if _, ok := t.got[p]; !ok {
 				b.sendPartPlain(rt, partKey{P: p, S: t.planShard}, wire.Release{Txn: t.id, Obj: op.Obj})
 			}
 		}
-		t.regs[op.Obj] = maxResp.Val
-		t.readVers[op.Obj] = maxResp.Ver
+		o.read, o.val, o.readVer = true, maxResp.Val, maxResp.Ver
 		if tr := rt.Tracer(); tr.Enabled() {
 			tr.Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnRead, VP: ep.VP, Shard: t.planShard, Txn: t.id, Obj: op.Obj,
 				Procs: model.NewProcSet(grantedProcs...)})
@@ -568,12 +594,14 @@ func (b *Base) completeOp(rt net.Runtime, t *txn) {
 }
 
 func (b *Base) beginCommit(rt net.Runtime, t *txn) {
-	if len(t.writes) == 0 {
+	if !slices.ContainsFunc(t.objs, func(o txnObj) bool { return o.write }) {
 		// Read-only: release shared locks and report. No 2PC needed —
 		// strict 2PL already placed the reads correctly.
 		t.phase = phaseDone
-		for _, k := range t.sParts.Sorted() {
-			b.sendPartPlain(rt, k, wire.Release{Txn: t.id})
+		for _, p := range t.parts {
+			if p.shared {
+				b.sendPartPlain(rt, p.partKey, wire.Release{Txn: t.id})
+			}
 		}
 		b.finish(rt, t, true, "", "")
 		return
@@ -582,52 +610,52 @@ func (b *Base) beginCommit(rt net.Runtime, t *txn) {
 		b.abortTxn(rt, t, abortEpochChanged, "partition changed before commit")
 		return
 	}
-	// Assign versions and group writes per participant.
+	// Assign versions and add each write to its targets' prepares.
 	deltaMode := false
 	if dw, ok := b.Strat.(DeltaWriter); ok && dw.UseDeltaWrites() {
 		deltaMode = true
 	}
-	perPart := make(map[partKey][]wire.ObjWrite)
-	objs := model.NewObjSet()
-	for o := range t.writes {
-		objs.Add(o)
+	n := 0
+	for _, o := range t.objs {
+		n += len(o.targets)
 	}
-	for _, o := range objs.Sorted() {
-		s := b.shardOf(o)
-		ver := model.Version{
-			Date:   t.epochs[s].VP, // zero for partition-free protocols
-			Ctr:    t.maxSeen[o].Ctr + 1,
+	t.parts = slices.Grow(t.parts, n)
+	for i := range t.objs {
+		o := &t.objs[i]
+		if !o.write {
+			continue
+		}
+		o.writeVer = model.Version{
+			Date:   t.epoch(o.shard).VP, // zero for partition-free protocols
+			Ctr:    o.maxSeen.Ctr + 1,
 			Writer: t.id,
 		}
-		t.writeVers[o] = ver
-		val := t.writes[o]
+		val := o.wval
 		if deltaMode {
 			// Component increment: the written value relative to what
 			// the transaction read (read-modify-write required).
-			base, read := t.regs[o]
-			if !read {
-				b.abortTxn(rt, t, abortInaccessible, "mergeable write of "+string(o)+" without a prior read")
+			if !o.read {
+				b.abortTxn(rt, t, abortInaccessible, "mergeable write of "+string(o.id)+" without a prior read")
 				return
 			}
-			val -= base
+			val -= o.val
 		}
-		w := wire.ObjWrite{Obj: o, Val: val, Ver: ver, Delta: deltaMode, MissedBy: t.missedBy[o]}
-		if t.lockLate.Has(o) {
-			w.Lock, w.Base = true, t.maxSeen[o]
+		w := wire.ObjWrite{Obj: o.id, Val: val, Ver: o.writeVer, Delta: deltaMode, MissedBy: o.missedBy}
+		if o.lockLate {
+			w.Lock, w.Base = true, o.maxSeen
 		}
-		for _, p := range t.writeParts[o] {
-			k := partKey{P: p, S: s}
-			perPart[k] = append(perPart[k], w)
+		for _, p := range o.targets {
+			pt := t.part(partKey{P: p, S: o.shard})
+			pt.writes = append(pt.writes, w)
 		}
 	}
 	t.phase = phaseVoting
-	t.voteFrom = newPartSet()
-	t.votesNeeded = newPartSet()
-	t.prepares = perPart
-	for k := range perPart {
-		t.votesNeeded.Add(k)
+	for _, p := range t.parts {
+		if p.voter() {
+			t.voters++
+		}
 	}
-	if !t.ctx.IsZero() && t.votesNeeded.Len() > 0 {
+	if !t.ctx.IsZero() && t.voters > 0 {
 		t.prepCtx, t.prepStart = t.ctx.Child(b.NextSpan()), rt.Now()
 	}
 	b.sendPrepares(rt, t, t.prepCtx)
@@ -640,20 +668,23 @@ func (b *Base) sendPrepares(rt net.Runtime, t *txn, ctx model.TraceCtx) {
 		rt.Metrics().Inc(metrics.CTxnInDoubt, -1) // voting afresh; castVote counts it again
 	}
 	t.selfVotes, t.voteCast, t.voteDurable = 0, false, false
-	for _, k := range t.votesNeeded.Sorted() {
-		if k.P == b.ID {
+	for _, p := range t.parts {
+		if !p.voter() {
+			continue
+		}
+		if p.P == b.ID {
 			t.selfVotes++
 		}
-		ep := t.epochs[k.S]
-		b.sendPart(rt, k, wire.Prepare{
+		ep := t.epoch(p.S)
+		b.sendPart(rt, p.partKey, wire.Prepare{
 			Txn: t.id, Epoch: ep.VP, HasEpoch: ep.Has,
-			Writes: t.prepares[k],
+			Writes: p.writes,
 		}, ctx)
 	}
 	// A prepare that has locks to take may wait in a queue as a lock
 	// request does, and gets a lock request's time to answer.
 	wait := b.Cfg.voteWait()
-	if t.lockLate.Len() > 0 {
+	if slices.ContainsFunc(t.objs, func(o txnObj) bool { return o.lockLate }) {
 		wait = b.Cfg.LockTimeout
 	}
 	t.sentAt = rt.Now()
@@ -694,14 +725,15 @@ func (b *Base) castVote(rt net.Runtime, t *txn) {
 
 // voteRec is the journal's view of the prepares that are out.
 func (t *txn) voteRec() durable.VoteRec {
-	parts := t.votesNeeded.Sorted()
 	rec := durable.VoteRec{}
-	rec.Parts, rec.Shards = splitParts(parts)
+	rec.Parts, rec.Shards = t.voterList()
 	for _, e := range t.epochs {
-		if e.Has {
-			rec.Epochs = make([]model.VPID, len(parts))
-			for i, k := range parts {
-				rec.Epochs[i] = t.epochs[k.S].VP
+		if e.ep.Has {
+			rec.Epochs = make([]model.VPID, 0, t.voters)
+			for _, p := range t.parts {
+				if p.voter() {
+					rec.Epochs = append(rec.Epochs, t.epoch(p.S).VP)
+				}
 			}
 			break
 		}
@@ -719,11 +751,14 @@ var noVotes = [...]struct{ cause, reason string }{
 
 func (b *Base) handleVote(rt net.Runtime, from model.ProcID, s model.ShardID, v wire.Vote) {
 	t, ok := b.active[v.Txn]
-	k := partKey{P: from, S: s}
-	if !ok || t.phase != phaseVoting || !t.votesNeeded.Has(k) || t.voteFrom.Has(k) {
+	if !ok || t.phase != phaseVoting {
 		return
 	}
-	ep := t.epochs[s]
+	p := t.findPart(partKey{P: from, S: s})
+	if p == nil || !p.voter() || p.voted {
+		return
+	}
+	ep := t.epoch(s)
 	if v.HasEpoch != ep.Has || (v.HasEpoch && v.Epoch != ep.VP) {
 		return // stale vote for a pre-migration prepare
 	}
@@ -738,8 +773,9 @@ func (b *Base) handleVote(rt net.Runtime, from model.ProcID, s model.ShardID, v 
 		b.decide(rt, t, false, why.cause, why.reason)
 		return
 	}
-	t.voteFrom.Add(k)
-	if k.P == b.ID && !t.voteCast {
+	p.voted = true
+	t.yes++
+	if from == b.ID && !t.voteCast {
 		if t.selfVotes--; t.selfVotes == 0 {
 			b.castVote(rt, t)
 			return // tryCommit follows the barrier
@@ -753,7 +789,7 @@ func (b *Base) handleVote(rt net.Runtime, from model.ProcID, s model.ShardID, v 
 // ones arrived, the coordinator's own barrier has released. Nothing else
 // is waited for; the decision record is appended, not forced.
 func (b *Base) tryCommit(rt net.Runtime, t *txn) {
-	if !t.voteDurable || !t.voteFrom.Equal(t.votesNeeded) {
+	if !t.voteDurable || t.yes < t.voters {
 		return
 	}
 	if !t.recollect && !b.stillValid(rt, t) {
@@ -770,17 +806,19 @@ func (b *Base) handleVoteTimeout(rt net.Runtime, k voteTimeout) {
 	}
 	// With the locks riding the prepare this is the only place a dead
 	// write target shows: report who did not vote, shard by shard.
-	silent := make(map[model.ShardID][]model.ProcID)
-	for _, k := range t.votesNeeded.Sorted() {
-		if !t.voteFrom.Has(k) {
-			silent[k.S] = append(silent[k.S], k.P)
+	silent := make([][]model.ProcID, len(t.epochs))
+	for i, e := range t.epochs {
+		for _, p := range t.parts {
+			if p.S == e.shard && p.voter() && !p.voted {
+				silent[i] = append(silent[i], p.P)
+			}
 		}
 	}
 	sent := t.sentAt
 	b.decide(rt, t, false, abortVoteTimeout, "prepare timed out")
-	for _, s := range t.shards {
-		if len(silent[s]) > 0 {
-			b.Strat.OnNoResponse(rt, s, silent[s], sent)
+	for i, e := range t.epochs {
+		if len(silent[i]) > 0 {
+			b.Strat.OnNoResponse(rt, e.shard, silent[i], sent)
 		}
 	}
 }
@@ -814,8 +852,8 @@ func (b *Base) decide(rt net.Runtime, t *txn, commit bool, cause, reason string)
 	}
 	t.phase = phaseDeciding
 	t.commit = commit
-	t.pendingAcks = t.votesNeeded.Clone()
-	procs, shards := splitParts(t.pendingAcks.Sorted())
+	t.unacked = t.voters
+	procs, shards := t.voterList()
 	b.Journal.Decide(t.id, commit, procs, shards)
 	if t.voteCast {
 		rt.Metrics().Inc(metrics.CTxnInDoubt, -1)
@@ -824,21 +862,23 @@ func (b *Base) decide(rt net.Runtime, t *txn, commit bool, cause, reason string)
 	// read-only participants are released outright, the client answered,
 	// the Decide to the coordinator's own copies.
 	local := func(rt net.Runtime) {
-		for _, k := range t.sParts.Sorted() {
-			if !t.votesNeeded.Has(k) {
-				b.sendPartPlain(rt, k, wire.Release{Txn: t.id})
+		for _, p := range t.parts {
+			if p.shared && !p.voter() {
+				b.sendPartPlain(rt, p.partKey, wire.Release{Txn: t.id})
 			}
 		}
-		for _, k := range t.pendingAcks.Sorted() {
-			if k.P == b.ID {
-				b.sendPartPlain(rt, k, wire.Decide{Txn: t.id, Commit: commit})
+		for _, p := range t.parts {
+			if p.awaitsAck() && p.P == b.ID {
+				b.sendPartPlain(rt, p.partKey, wire.Decide{Txn: t.id, Commit: commit})
 			}
 		}
 		b.finish(rt, t, commit, cause, reason)
 	}
 	if commit {
-		for o := range t.writes {
-			b.telling[o]++
+		for _, o := range t.objs {
+			if o.write {
+				b.telling[o.id]++
+			}
 		}
 		local(rt)
 	}
@@ -847,13 +887,13 @@ func (b *Base) decide(rt net.Runtime, t *txn, commit bool, cause, reason string)
 		if !commit {
 			local(rt)
 		}
-		if t.pendingAcks.Len() > 0 { // else only own copies took part, and they have answered
+		if t.unacked > 0 { // else only own copies took part, and they have answered
 			if !t.ctx.IsZero() {
 				t.decCtx, t.decStart = t.ctx.Child(b.NextSpan()), rt.Now()
 			}
-			for _, k := range t.pendingAcks.Sorted() {
-				if k.P != b.ID {
-					b.sendPart(rt, k, wire.Decide{Txn: t.id, Commit: commit}, t.decCtx)
+			for _, p := range t.parts {
+				if p.awaitsAck() && p.P != b.ID {
+					b.sendPart(rt, p.partKey, wire.Decide{Txn: t.id, Commit: commit}, t.decCtx)
 				}
 			}
 			t.retryTimer = rt.SetTimer(b.Cfg.DecideRetry, decideRetry{txn: t.id})
@@ -869,8 +909,11 @@ func (b *Base) handleDecideAck(rt net.Runtime, from model.ProcID, s model.ShardI
 	if !ok || t.phase != phaseDeciding {
 		return
 	}
-	t.pendingAcks.Remove(partKey{P: from, S: s})
-	if t.pendingAcks.Len() == 0 {
+	if p := t.findPart(partKey{P: from, S: s}); p != nil && p.awaitsAck() {
+		p.acked = true
+		t.unacked--
+	}
+	if t.unacked == 0 {
 		rt.CancelTimer(t.retryTimer)
 		if !t.decCtx.IsZero() {
 			rt.Tracer().Span(b.ID, t.decCtx, "coord-decide", t.decStart, rt.Now(), t.id)
@@ -919,8 +962,10 @@ func (b *Base) handleDecideRetry(rt net.Runtime, k decideRetry) {
 	}
 	switch {
 	case t.phase == phaseDeciding:
-		for _, k := range t.pendingAcks.Sorted() {
-			b.sendPart(rt, k, wire.Decide{Txn: t.id, Commit: t.commit}, t.decCtx)
+		for _, p := range t.parts {
+			if p.awaitsAck() {
+				b.sendPart(rt, p.partKey, wire.Decide{Txn: t.id, Commit: t.commit}, t.decCtx)
+			}
 		}
 	case t.phase == phaseVoting && t.recollect:
 		b.askAgain(rt, t)
@@ -939,10 +984,10 @@ func (b *Base) hurry(rt net.Runtime) {
 // askAgain sends a recollecting transaction's question to every
 // participant whose vote is still out.
 func (b *Base) askAgain(rt net.Runtime, t *txn) {
-	for _, k := range t.votesNeeded.Sorted() {
-		if !t.voteFrom.Has(k) {
-			ep := t.epochs[k.S]
-			b.sendPartPlain(rt, k, wire.Prepare{Txn: t.id, Epoch: ep.VP, HasEpoch: ep.Has, Recollect: true})
+	for _, p := range t.parts {
+		if p.voter() && !p.voted {
+			ep := t.epoch(p.S)
+			b.sendPartPlain(rt, p.partKey, wire.Prepare{Txn: t.id, Epoch: ep.VP, HasEpoch: ep.Has, Recollect: true})
 		}
 	}
 }
@@ -970,20 +1015,28 @@ func (b *Base) abortTxn(rt net.Runtime, t *txn, cause, reason string) {
 	// sweep covers lost Release messages). The targets of a write whose
 	// locks were left to the prepare have not been touched.
 	t.phase = phaseDone
-	touched := t.sParts.Clone()
-	for o, procs := range t.writeParts {
-		if t.lockLate.Has(o) {
-			continue
+	var touched []partKey
+	touch := func(k partKey) {
+		if i, ok := slices.BinarySearchFunc(touched, k, partKey.cmp); !ok {
+			touched = slices.Insert(touched, i, k)
 		}
-		s := b.shardOf(o)
-		for _, p := range procs {
-			touched.Add(partKey{P: p, S: s})
+	}
+	for _, p := range t.parts {
+		if p.shared {
+			touch(p.partKey)
+		}
+	}
+	for _, o := range t.objs {
+		if o.write && !o.lockLate {
+			for _, p := range o.targets {
+				touch(partKey{P: p, S: o.shard})
+			}
 		}
 	}
 	for _, p := range t.plan.Targets {
-		touched.Add(partKey{P: p, S: t.planShard})
+		touch(partKey{P: p, S: t.planShard})
 	}
-	for _, k := range touched.Sorted() {
+	for _, k := range touched {
 		b.sendPartPlain(rt, k, wire.Release{Txn: t.id})
 	}
 	b.finish(rt, t, false, cause, reason)
@@ -993,17 +1046,17 @@ func (b *Base) abortTxn(rt net.Runtime, t *txn, cause, reason string) {
 func (b *Base) histRecord(t *txn, committed bool) onecopy.TxnRecord {
 	rec := onecopy.TxnRecord{
 		ID:        t.id,
-		Epoch:     t.epochs[model.NoShard].VP,
+		Epoch:     t.epoch(model.NoShard).VP,
 		Committed: committed,
-		Reads:     make(map[model.ObjectID]model.Version, len(t.readVers)),
-		Writes:    make(map[model.ObjectID]model.Version, len(t.writeVers)),
+		Reads:     make(map[model.ObjectID]model.Version),
+		Writes:    make(map[model.ObjectID]model.Version),
 	}
-	for o, v := range t.readVers {
-		rec.Reads[o] = v
-	}
-	if committed {
-		for o, v := range t.writeVers {
-			rec.Writes[o] = v
+	for _, o := range t.objs {
+		if o.read {
+			rec.Reads[o.id] = o.readVer
+		}
+		if o.write && committed {
+			rec.Writes[o.id] = o.writeVer
 		}
 	}
 	return rec
@@ -1026,36 +1079,31 @@ func (b *Base) finish(rt net.Runtime, t *txn, committed bool, cause, reason stri
 		rt.Metrics().Inc(metrics.CTxnCommit, 1)
 		if tr := rt.Tracer(); tr.Enabled() {
 			// The copies that voted yes are the copies written (rule R3).
-			for _, o := range t.lockLate.Sorted() {
-				s := b.shardOf(o)
-				tr.Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnWrite, VP: t.epochs[s].VP, Shard: s, Txn: t.id, Obj: o,
-					Procs: model.NewProcSet(t.writeParts[o]...)})
+			for _, o := range t.objs {
+				if o.lockLate {
+					tr.Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnWrite, VP: t.epoch(o.shard).VP, Shard: o.shard, Txn: t.id, Obj: o.id,
+						Procs: model.NewProcSet(o.targets...)})
+				}
 			}
 		}
-		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnCommit, VP: t.epochs[model.NoShard].VP, Txn: t.id})
+		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnCommit, VP: t.epoch(model.NoShard).VP, Txn: t.id})
 	} else {
 		rt.Metrics().Inc(metrics.CTxnAbort, 1)
 		rt.Metrics().Inc(abortByCause.Name(cause), 1)
-		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnAbort, VP: t.epochs[model.NoShard].VP, Txn: t.id, Msg: reason})
+		rt.Tracer().Record(trace.Event{At: rt.Now(), Proc: b.ID, Kind: trace.EvTxnAbort, VP: t.epoch(model.NoShard).VP, Txn: t.id, Msg: reason})
 	}
 	if b.Hist != nil {
 		b.Hist.Record(b.histRecord(t, committed))
 	}
 	var reads, writes []wire.ObjVal
 	if committed {
-		objs := model.NewObjSet()
-		for o := range t.regs {
-			objs.Add(o)
-		}
-		for _, o := range objs.Sorted() {
-			reads = append(reads, wire.ObjVal{Obj: o, Val: t.regs[o], Ver: t.readVers[o]})
-		}
-		wobjs := model.NewObjSet()
-		for o := range t.writes {
-			wobjs.Add(o)
-		}
-		for _, o := range wobjs.Sorted() {
-			writes = append(writes, wire.ObjVal{Obj: o, Val: t.writes[o], Ver: t.writeVers[o]})
+		for _, o := range t.objs {
+			if o.read {
+				reads = append(reads, wire.ObjVal{Obj: o.id, Val: o.val, Ver: o.readVer})
+			}
+			if o.write {
+				writes = append(writes, wire.ObjVal{Obj: o.id, Val: o.wval, Ver: o.writeVer})
+			}
 		}
 	}
 	if !t.ctx.IsZero() {

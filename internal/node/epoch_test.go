@@ -219,14 +219,14 @@ func TestRestoreDurableRebuildsPrepared(t *testing.T) {
 	}
 }
 
+// TestSortTxnIDs: the coordinator walks its transactions oldest first.
 func TestSortTxnIDs(t *testing.T) {
-	ids := []model.TxnID{
-		{Start: 3, P: 1, Seq: 1},
-		{Start: 1, P: 2, Seq: 1},
-		{Start: 1, P: 1, Seq: 1},
-	}
-	sortTxnIDs(ids)
-	if !(ids[0].Less(ids[1]) && ids[1].Less(ids[2])) {
+	ids := model.SortedTxns(map[model.TxnID]bool{
+		{Start: 3, P: 1, Seq: 1}: true,
+		{Start: 1, P: 2, Seq: 1}: true,
+		{Start: 1, P: 1, Seq: 1}: true,
+	})
+	if len(ids) != 3 || !(ids[0].Less(ids[1]) && ids[1].Less(ids[2])) {
 		t.Fatalf("not sorted: %v", ids)
 	}
 }

@@ -23,12 +23,7 @@ import (
 func (b *Base) MigrateActive(rt net.Runtime, newEpoch Epoch,
 	canMigrate func(objs []model.ObjectID, procs model.ProcSet) bool, reason string) {
 
-	ids := make([]model.TxnID, 0, len(b.active))
-	for id := range b.active {
-		ids = append(ids, id)
-	}
-	sortTxnIDs(ids)
-	for _, id := range ids {
+	for _, id := range model.SortedTxns(b.active) {
 		t := b.active[id]
 		if !t.undecided() {
 			continue // decided, or the votes' to decide; retransmission continues regardless
@@ -38,7 +33,7 @@ func (b *Base) MigrateActive(rt net.Runtime, newEpoch Epoch,
 			b.abortTxn(rt, t, abortEpochChanged, reason)
 			continue
 		}
-		t.epochs[model.NoShard] = newEpoch // weak R4 runs unsharded only
+		t.pin(model.NoShard, newEpoch) // weak R4 runs unsharded only
 		switch t.phase {
 		case phaseRunning:
 			// Re-issue the unanswered requests of the current operation
@@ -61,7 +56,10 @@ func (b *Base) MigrateActive(rt net.Runtime, newEpoch Epoch,
 			// (duplicate prepares are votes "yes" at prepared servers). The
 			// coordinator votes again as well: its record names the epoch
 			// a restart would ask under.
-			t.voteFrom = newPartSet()
+			for i := range t.parts {
+				t.parts[i].voted = false
+			}
+			t.yes = 0
 			rt.CancelTimer(t.voteTimer)
 			b.sendPrepares(rt, t, rt.TraceCtx())
 		}
@@ -71,29 +69,21 @@ func (b *Base) MigrateActive(rt net.Runtime, newEpoch Epoch,
 // footprint returns every object the transaction's operations reference
 // and every processor it has physically contacted so far.
 func (t *txn) footprint() ([]model.ObjectID, model.ProcSet) {
-	objs := model.NewObjSet()
-	for _, op := range t.ops {
-		objs.Add(op.Obj)
-		if op.UseSrc {
-			objs.Add(op.Src)
+	objs := make([]model.ObjectID, len(t.objs))
+	var procs model.ProcSet
+	for i, o := range t.objs {
+		objs[i] = o.id
+		if o.write {
+			procs |= model.NewProcSet(o.targets...)
 		}
 	}
-	var procs model.ProcSet
-	for k := range t.sParts {
-		procs.Add(k.P)
-	}
-	for _, ps := range t.writeParts {
-		for _, p := range ps {
-			procs.Add(p)
+	for _, p := range t.parts {
+		if p.shared || p.voter() {
+			procs.Add(p.P)
 		}
 	}
 	if t.phase == phaseRunning && t.got != nil {
-		for _, p := range t.plan.Targets {
-			procs.Add(p)
-		}
+		procs |= model.NewProcSet(t.plan.Targets...)
 	}
-	for k := range t.votesNeeded {
-		procs.Add(k.P)
-	}
-	return objs.Sorted(), procs
+	return objs, procs
 }

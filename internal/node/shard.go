@@ -1,7 +1,8 @@
 package node
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/virtualpartitions/vp/internal/model"
 	"github.com/virtualpartitions/vp/internal/net"
@@ -29,82 +30,81 @@ type partKey struct {
 	S model.ShardID
 }
 
-// partSet is a set of participants.
-type partSet map[partKey]struct{}
-
-func newPartSet() partSet { return make(partSet) }
-
-func (s partSet) Has(k partKey) bool {
-	_, ok := s[k]
-	return ok
+func (k partKey) cmp(o partKey) int {
+	if k.P != o.P {
+		return cmp.Compare(k.P, o.P)
+	}
+	return cmp.Compare(k.S, o.S)
 }
 
-func (s partSet) Add(k partKey)    { s[k] = struct{}{} }
-func (s partSet) Remove(k partKey) { delete(s, k) }
-func (s partSet) Len() int         { return len(s) }
-
-func (s partSet) Clone() partSet {
-	c := make(partSet, len(s))
-	for k := range s {
-		c[k] = struct{}{}
-	}
-	return c
+// txnPart is what a transaction knows of one participant. With every
+// shard zero, the (processor, shard) order of a transaction's parts is
+// the processor order the unsharded coordinator always used, which keeps
+// its fan-out sequences byte-identical.
+type txnPart struct {
+	partKey
+	shared bool // granted a shared lock
+	// writes is the participant's prepare. Non-nil makes it a voter: a
+	// participant of the commit, whose vote and then ack are waited for.
+	// A restart that knows the voters but not their writes (InitBase)
+	// gives them noWrites.
+	writes []wire.ObjWrite
+	voted  bool
+	acked  bool
 }
 
-func (s partSet) Equal(t partSet) bool {
-	if len(s) != len(t) {
-		return false
+// noWrites is the prepare of a voter restored from the journal.
+var noWrites = []wire.ObjWrite{}
+
+func (p *txnPart) voter() bool { return p.writes != nil }
+
+// awaitsAck reports whether the decision waits for p's ack.
+func (p *txnPart) awaitsAck() bool { return p.voter() && !p.acked }
+
+// findPart returns t's record of participant k, or nil.
+func (t *txn) findPart(k partKey) *txnPart {
+	if i, ok := t.partIndex(k); ok {
+		return &t.parts[i]
 	}
-	for k := range s {
-		if !t.Has(k) {
-			return false
-		}
-	}
-	return true
+	return nil
 }
 
-// Sorted returns the members ordered by (processor, shard). With every
-// shard zero this is exactly the processor order the unsharded
-// coordinator used, which keeps its fan-out sequences byte-identical.
-func (s partSet) Sorted() []partKey {
-	out := make([]partKey, 0, len(s))
-	for k := range s {
-		out = append(out, k)
+// part returns t's record of participant k, adding it if t has none.
+// The pointer is good until the next part.
+func (t *txn) part(k partKey) *txnPart {
+	i, ok := t.partIndex(k)
+	if !ok {
+		t.parts = slices.Insert(t.parts, i, txnPart{partKey: k})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].P != out[j].P {
-			return out[i].P < out[j].P
-		}
-		return out[i].S < out[j].S
-	})
-	return out
+	return &t.parts[i]
 }
 
-// splitParts separates sorted participant keys into the parallel
-// processor and shard slices the durable journal records. The shard
-// slice is nil when every participant is unsharded, so unsharded
-// journal bytes are unchanged.
-func splitParts(parts []partKey) ([]model.ProcID, []model.ShardID) {
-	procs := make([]model.ProcID, len(parts))
+func (t *txn) partIndex(k partKey) (int, bool) {
+	return slices.BinarySearchFunc(t.parts, k, func(p txnPart, k partKey) int { return p.cmp(k) })
+}
+
+// voterList lists the voters as the durable journal records them:
+// parallel processor and shard slices. The shard slice is nil when
+// every voter is unsharded, so unsharded journal bytes are unchanged.
+func (t *txn) voterList() ([]model.ProcID, []model.ShardID) {
+	procs := make([]model.ProcID, 0, t.voters)
 	sharded := false
-	for i, k := range parts {
-		procs[i] = k.P
-		if k.S != model.NoShard {
-			sharded = true
+	for _, p := range t.parts {
+		if p.voter() {
+			procs = append(procs, p.P)
+			sharded = sharded || p.S != model.NoShard
 		}
 	}
 	if !sharded {
 		return procs, nil
 	}
-	shards := make([]model.ShardID, len(parts))
-	for i, k := range parts {
-		shards[i] = k.S
+	shards := make([]model.ShardID, 0, len(procs))
+	for _, p := range t.parts {
+		if p.voter() {
+			shards = append(shards, p.S)
+		}
 	}
 	return procs, shards
-}
-
-func sortShardIDs(ss []model.ShardID) {
-	sort.Slice(ss, func(i, j int) bool { return ss[i] < ss[j] })
 }
 
 // shardWrap tags m for shard s. Shard zero means the message travels
@@ -138,8 +138,8 @@ func (b *Base) shardOf(obj model.ObjectID) model.ShardID {
 // transaction commits only if no shard it touched changed partitions
 // underneath it.
 func (b *Base) stillValid(rt net.Runtime, t *txn) bool {
-	for _, s := range t.shards {
-		if !b.Strat.StillValid(rt, s, t.epochs[s]) {
+	for _, e := range t.epochs {
+		if !b.Strat.StillValid(rt, e.shard, e.ep) {
 			return false
 		}
 	}
@@ -176,17 +176,12 @@ func (b *Base) HandleShardMessage(rt net.Runtime, from model.ProcID, s model.Sha
 // avoids the shard keep running: that isolation is the point of
 // per-shard virtual partitions.
 func (b *Base) ShardEpochChanged(rt net.Runtime, s model.ShardID, reason string) {
-	ids := make([]model.TxnID, 0, len(b.active))
-	for id := range b.active {
-		ids = append(ids, id)
-	}
-	sortTxnIDs(ids)
-	for _, id := range ids {
+	for _, id := range model.SortedTxns(b.active) {
 		t := b.active[id]
 		if !t.undecided() {
 			continue // decided, or the votes' to decide: keep at it
 		}
-		if _, ok := t.epochs[s]; ok {
+		if _, ok := t.epochAt(s); ok {
 			b.abortTxn(rt, t, abortEpochChanged, reason)
 		}
 	}

@@ -14,7 +14,6 @@ package onecopy
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/virtualpartitions/vp/internal/model"
@@ -115,22 +114,13 @@ func (h *History) String() string {
 	out := ""
 	for _, r := range h.Committed() {
 		out += fmt.Sprintf("%s in %s:", r.ID, r.Epoch)
-		for _, obj := range sortedObjs(r.Reads) {
+		for _, obj := range model.SortedKeys(r.Reads) {
 			out += fmt.Sprintf(" r(%s)<-%s", obj, r.Reads[obj].Writer)
 		}
-		for _, obj := range sortedObjs(r.Writes) {
+		for _, obj := range model.SortedKeys(r.Writes) {
 			out += fmt.Sprintf(" w(%s)", obj)
 		}
 		out += "\n"
 	}
-	return out
-}
-
-func sortedObjs(m map[model.ObjectID]model.Version) []model.ObjectID {
-	out := make([]model.ObjectID, 0, len(m))
-	for o := range m {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

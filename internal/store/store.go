@@ -114,13 +114,9 @@ func (s *Store) Has(obj model.ObjectID) bool {
 
 // Objects returns the objects stored here, sorted.
 func (s *Store) Objects() []model.ObjectID {
-	set := model.NewObjSet()
 	s.mu.Lock()
-	for o := range s.objects {
-		set.Add(o)
-	}
-	s.mu.Unlock()
-	return set.Sorted()
+	defer s.mu.Unlock()
+	return model.SortedKeys(s.objects)
 }
 
 // lock locks the store and returns obj's state; the caller must unlock
@@ -284,15 +280,16 @@ func (s *Store) RecoveryLocked(obj model.ObjectID) bool {
 
 // LockedObjects returns the objects currently under recovery, sorted.
 func (s *Store) LockedObjects() []model.ObjectID {
-	set := model.NewObjSet()
+	var objs []model.ObjectID
 	s.mu.Lock()
 	for o, st := range s.objects {
 		if st.locked {
-			set.Add(o)
+			objs = append(objs, o)
 		}
 	}
 	s.mu.Unlock()
-	return set.Sorted()
+	slices.Sort(objs)
+	return objs
 }
 
 // ---------------------------------------------------------------------------

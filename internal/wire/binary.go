@@ -32,7 +32,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"github.com/virtualpartitions/vp/internal/model"
 	"github.com/virtualpartitions/vp/internal/varint"
@@ -127,17 +126,6 @@ func appendDigest(b []byte, d *Digest) []byte {
 		b = varint.AppendString(b, string(o))
 	}
 	return b
-}
-
-// sortedKeys returns a per-processor map's keys in ascending order, so
-// map-carrying messages encode byte-deterministically.
-func sortedKeys[V any](m map[model.ProcID]V) []model.ProcID {
-	ps := make([]model.ProcID, 0, len(m))
-	for p := range m {
-		ps = append(ps, p)
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-	return ps
 }
 
 // Flag bits of a LockReq, a Prepare and each ObjWrite in it. Bit 0 is the
@@ -249,12 +237,12 @@ func appendMsgBody(b []byte, k kindID, msg Message) ([]byte, error) {
 		b = varint.AppendProcs(b, m.View)
 		// Map entries sorted by key so encoding is byte-deterministic.
 		b = varint.AppendU(b, uint64(len(m.Prevs)))
-		for _, p := range sortedKeys(m.Prevs) {
+		for _, p := range model.SortedKeys(m.Prevs) {
 			b = varint.AppendProc(b, p)
 			b = varint.AppendVPID(b, m.Prevs[p])
 		}
 		b = varint.AppendU(b, uint64(len(m.Digests)))
-		for _, p := range sortedKeys(m.Digests) {
+		for _, p := range model.SortedKeys(m.Digests) {
 			d := m.Digests[p]
 			b = varint.AppendProc(b, p)
 			b = appendDigest(b, &d)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/virtualpartitions/vp/internal/model"
@@ -104,13 +105,13 @@ func (g *Generator) Next() Txn {
 	coordinator := g.procs[g.rng.Intn(len(g.procs))]
 	if g.rng.Float64() < g.mix.ReadFraction {
 		ops := make([]wire.Op, g.mix.OpsPerRead)
-		seen := model.NewObjSet()
+		seen := make([]model.ObjectID, 0, len(ops))
 		for i := range ops {
 			o := g.pickObject()
-			for seen.Has(o) && seen.Len() < len(g.objects) {
+			for slices.Contains(seen, o) && len(seen) < len(g.objects) {
 				o = g.pickObject()
 			}
-			seen.Add(o)
+			seen = append(seen, o)
 			ops[i] = wire.ReadOp(o)
 		}
 		return Txn{Coordinator: coordinator, ReadOnly: true,
