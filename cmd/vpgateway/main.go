@@ -1,7 +1,7 @@
 // Command vpgateway runs the client gateway: a long-lived HTTP service
 // fronting a vpnode cluster that adds sessions (read-your-writes and
 // monotonic reads via an opaque token), group-commit batching of
-// concurrent writes, admission control with fast shedding, and pooled
+// concurrent increments, admission control with fast shedding, and pooled
 // persistent connections to the cluster.
 //
 // Example, against the three-node cluster from the vpnode docs:

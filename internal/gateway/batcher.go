@@ -10,32 +10,31 @@ import (
 	"github.com/virtualpartitions/vp/internal/wire"
 )
 
-// batcher implements group commit: concurrent single-object logical
-// writes are coalesced (wire.Batch) into ONE shared transaction round,
-// so one pass of locking and two-phase commit carries many logical
-// writes. Under contention this is the difference between N serialized
-// lock/2PC rounds (each txn waiting out or aborting its predecessors
-// under wait-die) and one round per conveyor slot.
+// batcher implements group commit: concurrent increments are coalesced
+// into ONE shared transaction round, so one pass of locking and
+// two-phase commit carries many logical writes. Increments on one
+// object merge by summing their deltas (read o; write o := o + Σδ runs
+// all of them back to back), and increments on distinct objects ride
+// side by side, so a forming round never refuses an entry. Under
+// contention this is the difference between N serialized lock/2PC
+// rounds (each txn waiting out or aborting its predecessors under
+// wait-die) and one round per conveyor slot.
 //
 // The protocol orders only CONFLICTING accesses (strict two-phase
 // locking per copy), so the conveyor does too. A single goroutine owns
 // every lane's queue and applies one departure rule (batcher.pump): an
 // entry leaves in a round as soon as no in-flight round of its lane
-// touches its object and the lane is below its depth bound. A write on
-// an idle object therefore departs the moment it arrives, as its own
-// round, however many unrelated rounds are in flight; a write on a busy
-// object — or one that finds the lane full — queues, and everything the
-// next completion unblocks rides out together as one round. Rounds on a
-// hot object thus still size themselves to the natural commit latency.
+// touches its object and the lane is below its depth bound. An
+// increment of an idle object therefore departs the moment it arrives,
+// as its own round, however many unrelated rounds are in flight; one of
+// a busy object — or one that finds the lane full — queues, and
+// everything the next completion unblocks rides out together as one
+// round. Rounds on a hot object thus still size themselves to the
+// natural commit latency.
 //
 // The window is only an upper bound on how long an entry may queue
 // (covering slow in-flight rounds), and maxSize on how many may: past
 // either the queue departs regardless of what is in flight.
-//
-// Entries a forming round refuses (conflicting blind writes, see
-// wire.Batch.Add) stay queued for the NEXT round, preserving the
-// serial-equivalence argument; later entries on the same object stay
-// behind them, so one object's writes depart in arrival order.
 //
 // Sharded deployments run one conveyor LANE per shard inside the same
 // goroutine: every round is single-shard (so the backend transaction
@@ -59,15 +58,15 @@ type batcher struct {
 	doneCh chan struct{}
 }
 
-// batchReq is one logical write awaiting its round.
+// batchReq is one increment awaiting its round.
 type batchReq struct {
-	entry wire.BatchEntry
-	obj   model.ObjectID // the one object the entry writes
+	obj   model.ObjectID
+	delta int64
 	ctx   model.TraceCtx // trace context of the constituent (zero if unsampled)
 	node  model.ProcID   // session-preferred node of the FIRST constituent routes the round
 	shard model.ShardID  // conveyor lane (NoShard when unsharded)
 	at    time.Duration  // submit time on the batcher's clock
-	due   time.Duration  // latest departure: at + window, restarted when a forced round refuses the entry
+	due   time.Duration  // latest departure: at + window
 	reply chan batchReply
 }
 
@@ -94,21 +93,19 @@ func newBatcher(window time.Duration, maxSize int, depth func(model.ShardID) int
 	return b
 }
 
-// request stamps one batchable logical write for the conveyor. A
-// batchable entry is a single-object write and its first op names the
-// object (wire.Batchable).
-func (b *batcher) request(e wire.BatchEntry, ctx model.TraceCtx, node model.ProcID, shard model.ShardID) batchReq {
+// request stamps one increment of obj by delta for the conveyor.
+func (b *batcher) request(obj model.ObjectID, delta int64, ctx model.TraceCtx, node model.ProcID, shard model.ShardID) batchReq {
 	now := b.clock()
-	return batchReq{entry: e, obj: e.Ops[0].Obj, ctx: ctx, node: node, shard: shard,
+	return batchReq{obj: obj, delta: delta, ctx: ctx, node: node, shard: shard,
 		at: now, due: now + b.window, reply: make(chan batchReply, 1)}
 }
 
-// submit hands one batchable logical write to the batcher and waits for
-// its individual result out of the shared round, reporting which node
-// served it. shard selects the conveyor lane the write coalesces in
-// (model.NoShard when the deployment is unsharded).
-func (b *batcher) submit(e wire.BatchEntry, ctx model.TraceCtx, node model.ProcID, shard model.ShardID) (wire.ClientResult, model.ProcID, error) {
-	req := b.request(e, ctx, node, shard)
+// submit hands one increment to the batcher and waits for its own
+// result out of the shared round, reporting which node served it. shard
+// selects the conveyor lane the increment coalesces in (model.NoShard
+// when the deployment is unsharded).
+func (b *batcher) submit(obj model.ObjectID, delta int64, ctx model.TraceCtx, node model.ProcID, shard model.ShardID) (wire.ClientResult, model.ProcID, error) {
+	req := b.request(obj, delta, ctx, node, shard)
 	select {
 	case b.reqCh <- req:
 	case <-b.stopCh:
@@ -124,14 +121,57 @@ func (b *batcher) submit(e wire.BatchEntry, ctx model.TraceCtx, node model.ProcI
 
 // round is one departed group-commit round.
 type round struct {
-	batch *wire.Batch
-	reqs  []batchReq // constituents, in batch order
-	lane  *lane
-	node  model.ProcID
+	objs   []model.ObjectID // written objects, in first-touch order
+	deltas []int64          // summed delta per object, beside objs
+	reqs   []batchReq       // constituents, in arrival order
+	lane   *lane
+	node   model.ProcID
 	// ctx is the trace context of the first SAMPLED constituent; the
 	// round's shared backend transaction rides under it as a
 	// gw-batch-round child span.
 	ctx model.TraceCtx
+}
+
+// add merges one constituent into the round.
+func (r *round) add(req batchReq) {
+	r.reqs = append(r.reqs, req)
+	if r.ctx.IsZero() {
+		r.ctx = req.ctx
+	}
+	for i, o := range r.objs {
+		if o == req.obj {
+			r.deltas[i] += req.delta
+			return
+		}
+	}
+	r.objs = append(r.objs, req.obj)
+	r.deltas = append(r.deltas, req.delta)
+}
+
+// txn is the round's shared transaction: per object, one read and one
+// write of the read value plus the summed delta.
+func (r *round) txn(tag uint64) wire.ClientTxn {
+	ops := make([]wire.Op, 0, 2*len(r.objs))
+	for i, o := range r.objs {
+		ops = append(ops, wire.IncrementOps(o, r.deltas[i])...)
+	}
+	return wire.ClientTxn{Tag: tag, Ops: ops}
+}
+
+// result slices constituent req's result out of the shared one: the
+// round's fate and, on commit, the committed value and version of req's
+// object, which is the mark its session needs for read-your-writes.
+func (r *round) result(res wire.ClientResult, req batchReq) wire.ClientResult {
+	out := wire.ClientResult{Txn: res.Txn, Committed: res.Committed, Denied: res.Denied, Reason: res.Reason}
+	if res.Committed {
+		for _, w := range res.Writes {
+			if w.Obj == req.obj {
+				out.Writes = []wire.ObjVal{w}
+				break
+			}
+		}
+	}
+	return out
 }
 
 // lane is one shard's conveyor state: the entries that could not depart
@@ -154,47 +194,27 @@ type lane struct {
 // pump is the conveyor's one departure rule. It forms at most one round
 // from the queued entries that may leave now — object untouched by any
 // in-flight round, lane below its depth bound — and sends it off. force
-// (window expiry, queue at maxSize) waives both conditions. Entries the
-// forming round refuses, and later entries on their objects, stay
-// queued.
+// (window expiry, queue at maxSize) waives both conditions, so a forced
+// round takes the whole queue.
 func (b *batcher) pump(ln *lane, force bool, done chan<- *round) {
 	if len(ln.queue) == 0 || (!force && ln.rounds >= ln.depth) {
 		return
 	}
 	now := b.clock()
 	var r *round
-	var held map[model.ObjectID]bool // objects whose entry the forming round refused
 	kept := ln.queue[:0]
 	for _, req := range ln.queue {
-		leave := held[req.obj] || (!force && ln.flying[req.obj] > 0)
-		if !leave {
-			if r == nil {
-				r = &round{batch: wire.NewBatch(b.tags.next()), lane: ln, node: req.node}
-			}
-			if leave = !r.batch.Add(req.entry); leave {
-				if r.batch.Len() == 0 {
-					panic("gateway: unbatchable entry reached the batcher")
-				}
-				if held == nil {
-					held = make(map[model.ObjectID]bool)
-				}
-				held[req.obj] = true
-			}
-		}
-		if leave {
-			if force {
-				req.due = now + b.window // left behind by a forced round: a fresh window for the next
-			}
+		if !force && ln.flying[req.obj] > 0 {
 			kept = append(kept, req)
 			continue
 		}
-		if r.ctx.IsZero() {
-			r.ctx = req.ctx
+		if r == nil {
+			r = &round{lane: ln, node: req.node}
 		}
 		if !req.ctx.IsZero() {
 			b.tr.Span(model.NoProc, req.ctx.Child(b.spans.next()), "gw-lane-wait", req.at, now, model.TxnID{})
 		}
-		r.reqs = append(r.reqs, req)
+		r.add(req)
 	}
 	clear(ln.queue[len(kept):]) // drop the departed entries' reply channels
 	ln.queue = kept
@@ -291,7 +311,7 @@ func (b *batcher) run() {
 // flush submits one round's shared transaction and fans the result back
 // to every constituent.
 func (b *batcher) flush(r *round) {
-	n := r.batch.Len()
+	n := len(r.reqs)
 	b.reg.Inc(metrics.CGwBatchRounds, 1)
 	b.reg.Inc(metrics.CGwBatchedWrites, int64(n))
 	b.reg.Inc(metrics.CGwWriteTxns, 1) // the round is ONE backend 2PC pass
@@ -308,7 +328,7 @@ func (b *batcher) flush(r *round) {
 	if !r.ctx.IsZero() {
 		rctx = r.ctx.Child(b.spans.next())
 	}
-	res, node, err := b.backend.Submit(r.batch.Txn(), rctx, r.node, time.Now().Add(requestDeadline))
+	res, node, err := b.backend.Submit(r.txn(b.tags.next()), rctx, r.node, time.Now().Add(requestDeadline))
 	if !rctx.IsZero() {
 		b.tr.Span(model.NoProc, rctx, "gw-batch-round", start, b.clock(), res.Txn)
 	}
@@ -318,8 +338,8 @@ func (b *batcher) flush(r *round) {
 		}
 		return
 	}
-	for i, cres := range r.batch.Results(res) {
-		r.reqs[i].reply <- batchReply{res: cres, node: node}
+	for _, req := range r.reqs {
+		req.reply <- batchReply{res: r.result(res, req), node: node}
 	}
 }
 

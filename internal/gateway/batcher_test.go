@@ -3,6 +3,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -102,12 +103,12 @@ func newTestBatcher(backend submitter, depth int) (*batcher, *metrics.Registry) 
 	return b, reg
 }
 
-// post hands one write to the batcher as submit does, but returns as
-// soon as the batcher goroutine has TAKEN it: entries posted in sequence
-// are queued in that order, and a later post returning proves the
-// earlier entry has been pumped.
-func post(b *batcher, ops []wire.Op) chan batchReply {
-	req := b.request(wire.BatchEntry{Tag: b.tags.next(), Ops: ops}, model.TraceCtx{}, model.NoProc, model.NoShard)
+// post hands one increment to the batcher as submit does, but returns
+// as soon as the batcher goroutine has TAKEN it: entries posted in
+// sequence are queued in that order, and a later post returning proves
+// the earlier entry has been pumped.
+func post(b *batcher, obj model.ObjectID, delta int64) chan batchReply {
+	req := b.request(obj, delta, model.TraceCtx{}, model.NoProc, model.NoShard)
 	b.reqCh <- req
 	return req.reply
 }
@@ -131,9 +132,9 @@ func TestConveyorDisjointObjectsOverlap(t *testing.T) {
 	b, reg := newTestBatcher(backend, 3)
 	defer b.close()
 
-	rx := post(b, wire.IncrementOps("x", 1))
+	rx := post(b, "x", 1)
 	cx := backend.next(t)
-	ry := post(b, wire.IncrementOps("y", 1))
+	ry := post(b, "y", 1)
 	cy := backend.next(t) // reaches the backend with x's round still inside
 	if backend.maxTotal != 2 {
 		t.Fatalf("backend held %d rounds at once, want 2", backend.maxTotal)
@@ -155,12 +156,12 @@ func TestConveyorSameObjectSerializes(t *testing.T) {
 	b, _ := newTestBatcher(backend, 3)
 	defer b.close()
 
-	r1 := post(b, wire.IncrementOps("x", 1))
+	r1 := post(b, "x", 1)
 	c1 := backend.next(t)
-	r2 := post(b, wire.IncrementOps("x", 2))
+	r2 := post(b, "x", 2)
 	// A disjoint write posted after r2 reaches the backend: by then the
 	// batcher has pumped r2 and left it queued behind x's round.
-	ry := post(b, wire.IncrementOps("y", 1))
+	ry := post(b, "y", 1)
 	cy := backend.next(t)
 	if objs := writtenObjects(cy.txn); len(objs) != 1 || objs[0] != "y" {
 		t.Fatalf("second round in the backend writes %v, want [y]", objs)
@@ -184,42 +185,6 @@ func TestConveyorSameObjectSerializes(t *testing.T) {
 	}
 }
 
-func TestConveyorBlindWriteAfterIncrRidesNextRound(t *testing.T) {
-	backend := newGatedBackend()
-	b, _ := newTestBatcher(backend, 3)
-	defer b.close()
-
-	r1 := post(b, wire.IncrementOps("x", 1))
-	c1 := backend.next(t)
-	// Queued behind x's round, in this order: an increment, a blind write
-	// the increment's round must refuse, and an increment that may not
-	// overtake the blind write.
-	r2 := post(b, wire.IncrementOps("x", 2))
-	r3 := post(b, []wire.Op{wire.WriteOp("x", 40)})
-	r4 := post(b, wire.IncrementOps("x", 4))
-
-	close(c1.release)
-	await(t, r1)
-	c2 := backend.next(t)
-	if ops := c2.txn.Ops; len(ops) != 2 || !ops[1].UseSrc || ops[1].Const != 2 {
-		t.Fatalf("round after the first carries %+v, want the one increment by 2", ops)
-	}
-	close(c2.release)
-	await(t, r2)
-	c3 := backend.next(t)
-	if ops := c3.txn.Ops; len(ops) != 1 || ops[0].UseSrc || ops[0].Const != 40 {
-		t.Fatalf("next round carries %+v, want the blind write alone", ops)
-	}
-	close(c3.release)
-	await(t, r3)
-	c4 := backend.next(t)
-	if ops := c4.txn.Ops; len(ops) != 2 || ops[1].Const != 4 {
-		t.Fatalf("last round carries %+v, want the increment by 4", ops)
-	}
-	close(c4.release)
-	await(t, r4)
-}
-
 func TestConveyorCoalescesPastDepthBound(t *testing.T) {
 	const depth, extra = 2, 5
 	backend := newGatedBackend()
@@ -229,12 +194,12 @@ func TestConveyorCoalescesPastDepthBound(t *testing.T) {
 	var replies []chan batchReply
 	var inFlight []*gatedCall
 	for i := 0; i < depth; i++ {
-		replies = append(replies, post(b, wire.IncrementOps(model.ObjectID(fmt.Sprintf("o%d", i)), 1)))
+		replies = append(replies, post(b, model.ObjectID(fmt.Sprintf("o%d", i)), 1))
 		inFlight = append(inFlight, backend.next(t))
 	}
 	// The lane is full: writes on idle objects queue all the same.
 	for i := depth; i < depth+extra; i++ {
-		replies = append(replies, post(b, wire.IncrementOps(model.ObjectID(fmt.Sprintf("o%d", i)), 1)))
+		replies = append(replies, post(b, model.ObjectID(fmt.Sprintf("o%d", i)), 1))
 	}
 	close(inFlight[0].release)
 	coalesced := backend.next(t) // the completion sends them off as ONE round
@@ -262,8 +227,7 @@ func TestConveyorCloseFailsEveryWaiter(t *testing.T) {
 	errs := make(chan error, 5) // one per writer
 	write := func(obj model.ObjectID) {
 		go func() {
-			_, _, err := b.submit(wire.BatchEntry{Tag: b.tags.next(), Ops: wire.IncrementOps(obj, 1)},
-				model.TraceCtx{}, model.NoProc, model.NoShard)
+			_, _, err := b.submit(obj, 1, model.TraceCtx{}, model.NoProc, model.NoShard)
 			errs <- err
 		}()
 	}
@@ -297,5 +261,60 @@ func TestConveyorCloseFailsEveryWaiter(t *testing.T) {
 	}
 	if got := reg.Get(metrics.CGwBatchRounds); got != 2 {
 		t.Errorf("%d rounds departed, want 2 (close sends nothing)", got)
+	}
+}
+
+func TestRoundSumsIncrementsPerObject(t *testing.T) {
+	r := &round{}
+	for i := 0; i < 5; i++ {
+		r.add(batchReq{obj: "x", delta: int64(i + 1)})
+	}
+	if len(r.reqs) != 5 || len(r.objs) != 1 {
+		t.Fatalf("round holds %d constituents over %d objects, want 5 over 1", len(r.reqs), len(r.objs))
+	}
+	txn := r.txn(99)
+	want := wire.IncrementOps("x", 1+2+3+4+5)
+	if txn.Tag != 99 || !reflect.DeepEqual(txn.Ops, want) {
+		t.Fatalf("round txn = %+v, want tag 99 and ops %+v", txn, want)
+	}
+}
+
+func TestRoundMixesObjects(t *testing.T) {
+	r := &round{}
+	for i, obj := range []model.ObjectID{"x", "y", "x", "x", "y"} {
+		r.add(batchReq{obj: obj, delta: int64(i + 1)})
+	}
+	// One read-and-write pair per object, in first-touch order, each
+	// carrying that object's summed delta.
+	txn := r.txn(99)
+	want := append(wire.IncrementOps("x", 1+3+4), wire.IncrementOps("y", 2+5)...)
+	if txn.Tag != 99 || !reflect.DeepEqual(txn.Ops, want) {
+		t.Fatalf("round txn = %+v, want tag 99 and ops %+v", txn, want)
+	}
+}
+
+func TestRoundResultsCarryOwnObject(t *testing.T) {
+	r := &round{}
+	reqs := []batchReq{{obj: "x", delta: 1}, {obj: "x", delta: 2}, {obj: "y", delta: 5}}
+	for _, req := range reqs {
+		r.add(req)
+	}
+	vx, vy := ver(3, 1, 9), ver(3, 1, 10)
+	shared := wire.ClientResult{
+		Tag: 7, Txn: model.TxnID{Start: 1, P: 1, Seq: 4}, Committed: true,
+		Writes: []wire.ObjVal{{Obj: "y", Val: 5, Ver: vy}, {Obj: "x", Val: 3, Ver: vx}},
+	}
+	for i, want := range []wire.ObjVal{shared.Writes[1], shared.Writes[1], shared.Writes[0]} {
+		got := r.result(shared, reqs[i])
+		if !got.Committed || got.Txn != shared.Txn || !reflect.DeepEqual(got.Writes, []wire.ObjVal{want}) {
+			t.Errorf("constituent %d result = %+v, want its own write %+v", i, got, want)
+		}
+	}
+	// An aborted round fails every constituent.
+	aborted := wire.ClientResult{Tag: 7, Reason: "lock denied (wait-die)"}
+	for i, req := range reqs {
+		if got := r.result(aborted, req); got.Committed || got.Reason == "" || len(got.Writes) != 0 {
+			t.Errorf("aborted constituent %d = %+v", i, got)
+		}
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -33,7 +35,7 @@ const (
 	// end-to-end budget of one client request.
 	perTry          = 500 * time.Millisecond
 	requestDeadline = 5 * time.Second
-	// Every batchable write goes through group commit (see batcher): an
+	// Every increment goes through group commit (see batcher): an
 	// entry queues at most batchWindow, a lane at most batchMax entries.
 	batchWindow = 2 * time.Millisecond
 	batchMax    = 64
@@ -45,7 +47,7 @@ type Config struct {
 	Cluster map[model.ProcID]string
 
 	// Shards, when > 1, enables shard-aware routing: submissions prefer
-	// a node that hosts the target object's shard, and batchable writes
+	// a node that hosts the target object's shard, and increments
 	// coalesce in per-shard conveyor lanes so every group-commit round
 	// is single-shard (no cross-shard 2PC on the batched path).
 	// ShardSeed and ShardReplicas must match the cluster's own -shards
@@ -289,7 +291,12 @@ type TxnResponse struct {
 	Session   string      `json:"session,omitempty"`
 }
 
-func toOps(req TxnRequest) ([]wire.Op, error) {
+// toOps decodes a POST /txn body into the transaction's ops.
+func toOps(body io.Reader) ([]wire.Op, error) {
+	var req TxnRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return nil, fmt.Errorf("bad request body: %v", err)
+	}
 	var ops []wire.Op
 	for _, o := range req.Ops {
 		if o.Obj == "" {
@@ -313,6 +320,15 @@ func toOps(req TxnRequest) ([]wire.Op, error) {
 	return ops, nil
 }
 
+// increment reports the object and delta of ops that are exactly one
+// "incr" op: no other request yields a write of a read value.
+func increment(ops []wire.Op) (model.ObjectID, int64, bool) {
+	if len(ops) == 2 && ops[1].UseSrc && ops[1].Src == ops[0].Obj && ops[1].Obj == ops[0].Obj {
+		return ops[1].Obj, ops[1].Const, true
+	}
+	return "", 0, false
+}
+
 // --- handlers ---
 
 func httpErr(w http.ResponseWriter, code int, format string, args ...any) {
@@ -321,22 +337,38 @@ func httpErr(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)}) //nolint:errcheck
 }
 
-// admit runs the admission gate shared by the request handlers. It
-// reports whether the request may proceed; on false the 503 has been
-// written.
-func (g *Gateway) admit(w http.ResponseWriter) (func(), bool) {
+func (g *Gateway) handleTxn(w http.ResponseWriter, r *http.Request) {
+	ops, err := toOps(r.Body)
+	if err != nil {
+		httpErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	g.serve(w, r, ops)
+}
+
+func (g *Gateway) handleRead(w http.ResponseWriter, r *http.Request) {
+	obj := model.ObjectID(r.URL.Query().Get("obj"))
+	if obj == "" {
+		httpErr(w, http.StatusBadRequest, "missing ?obj=")
+		return
+	}
+	g.serve(w, r, []wire.Op{wire.ReadOp(obj)})
+}
+
+// serve runs one client request to its response: admission, the
+// session, routing, the submission and the gw-request span around all
+// of it. A committed read-only transaction carries the session's
+// freshness guarantee: a result with a read older than the session's
+// mark for its object is retried — rotating away from the stale node —
+// rather than returned, so a session never observes state older than
+// its own last committed write (or its own previous reads). A
+// transaction with a write is never retried: a retried write may apply
+// twice.
+func (g *Gateway) serve(w http.ResponseWriter, r *http.Request, ops []wire.Op) {
 	release := g.adm.acquire(queueWait)
 	if release == nil {
 		w.Header().Set("Retry-After", "1")
 		httpErr(w, http.StatusServiceUnavailable, "gateway overloaded, retry later")
-		return nil, false
-	}
-	return release, true
-}
-
-func (g *Gateway) handleTxn(w http.ResponseWriter, r *http.Request) {
-	release, ok := g.admit(w)
-	if !ok {
 		return
 	}
 	defer release()
@@ -347,43 +379,39 @@ func (g *Gateway) handleTxn(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var req TxnRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	ops, err := toOps(req)
-	if err != nil {
-		httpErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	var res wire.ClientResult
-	servedBy := sess.Node
-	hasWrite := false
-	for _, op := range ops {
-		if op.Kind == wire.OpWrite {
-			hasWrite = true
-			break
-		}
-	}
-	rctx := g.mintRoot()
-	beganClk := g.clock()
+	hasWrite := slices.ContainsFunc(ops, func(op wire.Op) bool { return op.Kind == wire.OpWrite })
+	deadline := began.Add(requestDeadline)
 	sh := g.shardOf(ops[0].Obj)
 	preferred := g.routeShard(sh, sess.Node)
-	if wire.Batchable(ops) {
-		res, servedBy, err = g.batch.submit(wire.BatchEntry{Tag: g.tags.next(), Ops: ops}, rctx, preferred, sh)
-	} else {
-		txn := wire.ClientTxn{Tag: g.tags.next(), Ops: ops}
-		if hasWrite {
-			g.reg.Inc(metrics.CGwWriteTxns, 1)
+	rctx := g.mintRoot()
+	beganClk := g.clock()
+	var res wire.ClientResult
+	defer func() {
+		if !rctx.IsZero() {
+			// One gw-request span per request, spanning every retry;
+			// errors still close it.
+			g.tr.Span(model.NoProc, rctx, "gw-request", beganClk, g.clock(), res.Txn)
 		}
-		res, servedBy, err = g.backend.Submit(txn, rctx, preferred, began.Add(requestDeadline))
-	}
-	if !rctx.IsZero() {
-		// The gw-request root span covers admission to backend result,
-		// batched or not; errors still close it.
-		g.tr.Span(model.NoProc, rctx, "gw-request", beganClk, g.clock(), res.Txn)
+	}()
+	res, servedBy, err := g.submit(ops, hasWrite, rctx, preferred, sh, deadline)
+	for attempt := 1; err == nil && res.Committed && !hasWrite; attempt++ {
+		stale := sess.StaleReads(res)
+		if len(stale) == 0 {
+			break
+		}
+		g.reg.Inc(metrics.CGwStaleRetries, 1)
+		if g.tr.Enabled() {
+			g.tr.Record(trace.Event{At: g.clock(), Kind: trace.EvGwStale, Obj: stale[0], Aux: int64(attempt)})
+		}
+		if !time.Now().Before(deadline) {
+			g.reg.Inc(metrics.CGwFailed, 1)
+			httpErr(w, http.StatusGatewayTimeout,
+				"read of %q could not reach session freshness before the deadline", stale[0])
+			return
+		}
+		// Rotate off the node that served the stale copy; the pool's
+		// rotation picks a different one next.
+		res, servedBy, err = g.submit(ops, hasWrite, rctx, model.NoProc, sh, deadline)
 	}
 	if err != nil {
 		g.reg.Inc(metrics.CGwFailed, 1)
@@ -404,80 +432,18 @@ func (g *Gateway) handleTxn(w http.ResponseWriter, r *http.Request) {
 	g.writeResult(w, res, sess)
 }
 
-// handleRead serves GET /read?obj=x with the session's freshness
-// guarantee: a result whose version predates the session's mark for the
-// object is retried — rotating away from the stale node — rather than
-// returned, so a session never observes state older than its own last
-// committed write (or its own previous reads).
-func (g *Gateway) handleRead(w http.ResponseWriter, r *http.Request) {
-	release, ok := g.admit(w)
-	if !ok {
-		return
+// submit sends one attempt of a request's transaction: an increment to
+// group commit, everything else straight to the backend under a fresh
+// tag.
+func (g *Gateway) submit(ops []wire.Op, hasWrite bool, rctx model.TraceCtx, preferred model.ProcID,
+	sh model.ShardID, deadline time.Time) (wire.ClientResult, model.ProcID, error) {
+	if obj, delta, ok := increment(ops); ok {
+		return g.batch.submit(obj, delta, rctx, preferred, sh)
 	}
-	defer release()
-	began := time.Now()
-
-	sess, err := ParseSession(r.Header.Get(SessionHeader))
-	if err != nil {
-		httpErr(w, http.StatusBadRequest, "%v", err)
-		return
+	if hasWrite {
+		g.reg.Inc(metrics.CGwWriteTxns, 1)
 	}
-	obj := model.ObjectID(r.URL.Query().Get("obj"))
-	if obj == "" {
-		httpErr(w, http.StatusBadRequest, "missing ?obj=")
-		return
-	}
-
-	deadline := began.Add(requestDeadline)
-	preferred := g.routeShard(g.shardOf(obj), sess.Node)
-	var res wire.ClientResult
-	var servedBy model.ProcID
-	rctx := g.mintRoot()
-	beganClk := g.clock()
-	defer func() {
-		if !rctx.IsZero() {
-			// One gw-request span per read, spanning all freshness retries.
-			g.tr.Span(model.NoProc, rctx, "gw-request", beganClk, g.clock(), res.Txn)
-		}
-	}()
-	for attempt := 1; ; attempt++ {
-		// A fresh tag per attempt: each retry is a new transaction.
-		txn := wire.ClientTxn{Tag: g.tags.next(), Ops: []wire.Op{wire.ReadOp(obj)}}
-		res, servedBy, err = g.backend.Submit(txn, rctx, preferred, deadline)
-		if err != nil {
-			g.reg.Inc(metrics.CGwFailed, 1)
-			httpErr(w, http.StatusBadGateway, "%v", err)
-			return
-		}
-		if !res.Committed {
-			break
-		}
-		if stale := sess.StaleReads(res); len(stale) != 0 {
-			g.reg.Inc(metrics.CGwStaleRetries, 1)
-			if g.tr.Enabled() {
-				g.tr.Record(trace.Event{At: g.clock(), Kind: trace.EvGwStale, Obj: stale[0], Aux: int64(attempt)})
-			}
-			if time.Now().Before(deadline) {
-				// Rotate off the node that served the stale copy; the
-				// pool's rotation picks a different one next.
-				preferred = model.NoProc
-				continue
-			}
-			g.reg.Inc(metrics.CGwFailed, 1)
-			httpErr(w, http.StatusGatewayTimeout,
-				"read of %q could not reach session freshness before the deadline", obj)
-			return
-		}
-		break
-	}
-	if res.Committed {
-		sess.ObserveResult(servedBy, res)
-		g.reg.Inc(metrics.CGwReadCommitted, 1)
-	} else {
-		g.reg.Inc(metrics.CGwFailed, 1)
-	}
-	g.reg.ObserveDuration(metrics.SGwLatency, time.Since(began))
-	g.writeResult(w, res, sess)
+	return g.backend.Submit(wire.ClientTxn{Tag: g.tags.next(), Ops: ops}, rctx, preferred, deadline)
 }
 
 func (g *Gateway) writeResult(w http.ResponseWriter, res wire.ClientResult, sess *Session) {

@@ -113,20 +113,67 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 	}
 }
 
+// TestReadRetriesUntilSessionFresh: a read-only request, GET /read or
+// POST /txn, whose result predates the session's mark is retried until
+// it is fresh.
 func TestReadRetriesUntilSessionFresh(t *testing.T) {
-	// The backend serves a stale version of x twice (as if from a replica
-	// that missed the session's write), then the fresh one.
+	sess := &Session{}
+	sess.Observe("x", ver(1, 1, 8)) // the session committed ctr 8
+	for _, tc := range []struct {
+		name, method, path string
+		body               any
+	}{
+		{"GET /read", "GET", "/read?obj=x", nil},
+		{"POST /txn", "POST", "/txn", TxnRequest{Ops: []TxnOp{{Kind: "read", Obj: "x"}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The backend serves a stale version of x twice (as if from a
+			// replica that missed the session's write), then the fresh one.
+			var calls atomic.Int64
+			backend := &fakeBackend{fn: func(txn wire.ClientTxn, _ model.ProcID) (wire.ClientResult, model.ProcID, error) {
+				n := calls.Add(1)
+				v := ver(1, 1, 3) // pre-session
+				val := model.Value(10)
+				if n >= 3 {
+					v = ver(1, 1, 8) // the session's own write
+					val = 42
+				}
+				return wire.ClientResult{Tag: txn.Tag, Committed: true,
+					Reads: []wire.ObjVal{{Obj: "x", Val: val, Ver: v}}}, 1, nil
+			}}
+			reg := metrics.NewRegistry()
+			g := newWithBackend(Config{Metrics: reg}, backend)
+			defer g.Close()
+			srv := httptest.NewServer(g.Handler())
+			defer srv.Close()
+
+			resp, tr := doJSON(t, srv.Client(), tc.method, srv.URL+tc.path, sess.Token(), tc.body)
+			if resp.StatusCode != http.StatusOK || !tr.Committed {
+				t.Fatalf("read: status %d, %+v", resp.StatusCode, tr)
+			}
+			if len(tr.Reads) != 1 || tr.Reads[0].Value != 42 || tr.Reads[0].Version.Ctr != 8 {
+				t.Errorf("served a stale read: %+v", tr.Reads)
+			}
+			if got := reg.Get(metrics.CGwStaleRetries); got != 2 {
+				t.Errorf("%s = %d, want 2", metrics.CGwStaleRetries, got)
+			}
+			if calls.Load() != 3 {
+				t.Errorf("backend calls = %d, want 3", calls.Load())
+			}
+		})
+	}
+}
+
+// TestStaleResultWithWriteIsNotRetried: a committed transaction with a
+// write is returned as it is, even when its read predates the session's
+// mark, because a retried write may apply twice.
+func TestStaleResultWithWriteIsNotRetried(t *testing.T) {
 	var calls atomic.Int64
 	backend := &fakeBackend{fn: func(txn wire.ClientTxn, _ model.ProcID) (wire.ClientResult, model.ProcID, error) {
-		n := calls.Add(1)
-		v := ver(1, 1, 3) // pre-session
-		val := model.Value(10)
-		if n >= 3 {
-			v = ver(1, 1, 8) // the session's own write
-			val = 42
-		}
+		calls.Add(1)
 		return wire.ClientResult{Tag: txn.Tag, Committed: true,
-			Reads: []wire.ObjVal{{Obj: "x", Val: val, Ver: v}}}, 1, nil
+			Reads:  []wire.ObjVal{{Obj: "x", Val: 10, Ver: ver(1, 1, 3)}},
+			Writes: []wire.ObjVal{{Obj: "y", Val: 1, Ver: ver(1, 1, 9)}}}, 1, nil
 	}}
 	reg := metrics.NewRegistry()
 	g := newWithBackend(Config{Metrics: reg}, backend)
@@ -135,19 +182,45 @@ func TestReadRetriesUntilSessionFresh(t *testing.T) {
 	defer srv.Close()
 
 	sess := &Session{}
-	sess.Observe("x", ver(1, 1, 8)) // the session committed ctr 8
-	resp, tr := doJSON(t, srv.Client(), "GET", srv.URL+"/read?obj=x", sess.Token(), nil)
+	sess.Observe("x", ver(1, 1, 8))
+	resp, tr := doJSON(t, srv.Client(), "POST", srv.URL+"/txn", sess.Token(),
+		TxnRequest{Ops: []TxnOp{{Kind: "read", Obj: "x"}, {Kind: "write", Obj: "y", Value: 1}}})
 	if resp.StatusCode != http.StatusOK || !tr.Committed {
-		t.Fatalf("read: status %d, %+v", resp.StatusCode, tr)
+		t.Fatalf("txn: status %d, %+v", resp.StatusCode, tr)
 	}
-	if len(tr.Reads) != 1 || tr.Reads[0].Value != 42 || tr.Reads[0].Version.Ctr != 8 {
-		t.Errorf("served a stale read: %+v", tr.Reads)
+	if len(tr.Reads) != 1 || tr.Reads[0].Version.Ctr != 3 {
+		t.Errorf("reads = %+v, want the stale read as committed", tr.Reads)
 	}
-	if got := reg.Get(metrics.CGwStaleRetries); got != 2 {
-		t.Errorf("%s = %d, want 2", metrics.CGwStaleRetries, got)
+	if calls.Load() != 1 || reg.Get(metrics.CGwStaleRetries) != 0 {
+		t.Errorf("backend calls = %d, %s = %d; want 1 and 0", calls.Load(),
+			metrics.CGwStaleRetries, reg.Get(metrics.CGwStaleRetries))
 	}
-	if calls.Load() != 3 {
-		t.Errorf("backend calls = %d, want 3", calls.Load())
+}
+
+// TestBlindWriteGoesDirect: group commit takes only increments; a blind
+// write is its own backend transaction.
+func TestBlindWriteGoesDirect(t *testing.T) {
+	backend := &fakeBackend{fn: func(txn wire.ClientTxn, _ model.ProcID) (wire.ClientResult, model.ProcID, error) {
+		return wire.ClientResult{Tag: txn.Tag, Committed: true,
+			Writes: []wire.ObjVal{{Obj: "x", Val: 5, Ver: ver(1, 1, 1)}}}, 1, nil
+	}}
+	reg := metrics.NewRegistry()
+	g := newWithBackend(Config{Metrics: reg}, backend)
+	defer g.Close()
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+
+	resp, tr := doJSON(t, srv.Client(), "POST", srv.URL+"/txn", "",
+		TxnRequest{Ops: []TxnOp{{Kind: "write", Obj: "x", Value: 5}}})
+	if resp.StatusCode != http.StatusOK || !tr.Committed || len(tr.Writes) != 1 {
+		t.Fatalf("write: status %d, %+v", resp.StatusCode, tr)
+	}
+	for name, want := range map[string]int64{
+		metrics.CGwWriteTxns: 1, metrics.CGwBatchRounds: 0, metrics.CGwWriteCommitted: 1,
+	} {
+		if got := reg.Get(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 
@@ -259,22 +332,22 @@ func TestShardLanesFlushIndependently(t *testing.T) {
 	go func() { // shard A's round flushes immediately (idle) and blocks in the backend
 		defer wg.Done()
 		resp, tr := doJSON(t, srv.Client(), "POST", srv.URL+"/txn", "",
-			TxnRequest{Ops: []TxnOp{{Kind: "write", Obj: string(objA), Value: 1}}})
+			TxnRequest{Ops: []TxnOp{{Kind: "incr", Obj: string(objA), Delta: 1}}})
 		if resp.StatusCode != http.StatusOK || !tr.Committed {
-			t.Errorf("objA write: status %d %+v", resp.StatusCode, tr)
+			t.Errorf("objA incr: status %d %+v", resp.StatusCode, tr)
 		}
 	}()
 	time.Sleep(50 * time.Millisecond) // let A's round reach the backend
 
 	startB := time.Now()
 	resp, tr := doJSON(t, srv.Client(), "POST", srv.URL+"/txn", "",
-		TxnRequest{Ops: []TxnOp{{Kind: "write", Obj: string(objB), Value: 7}}})
+		TxnRequest{Ops: []TxnOp{{Kind: "incr", Obj: string(objB), Delta: 7}}})
 	tookB := time.Since(startB)
 	if resp.StatusCode != http.StatusOK || !tr.Committed {
-		t.Fatalf("objB write: status %d %+v", resp.StatusCode, tr)
+		t.Fatalf("objB incr: status %d %+v", resp.StatusCode, tr)
 	}
 	if tookB >= bound {
-		t.Errorf("objB write took %v with objA's round in flight — lane not independent", tookB)
+		t.Errorf("objB incr took %v with objA's round in flight — lane not independent", tookB)
 	}
 
 	close(blockA)

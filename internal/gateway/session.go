@@ -5,10 +5,12 @@
 // out:
 //
 //   - sessions with read-your-writes and monotonic reads, carried in a
-//     stateless token so any gateway instance can serve any request;
-//   - group-commit batching, coalescing concurrent single-object
-//     logical writes into shared transaction rounds that amortize the
-//     locking and two-phase commit cost (wire.Batch);
+//     stateless token so any gateway instance can serve any request,
+//     and checked on the one request path that serves GET /read and
+//     POST /txn alike;
+//   - group commit, coalescing concurrent increments into shared
+//     transaction rounds that amortize the locking and two-phase commit
+//     cost (batcher); every other transaction is submitted directly;
 //   - admission control: a bounded in-flight budget with queue-depth
 //     shedding, so overload degrades into fast 503s instead of
 //     collapse;

@@ -141,7 +141,7 @@ func (c *SimCluster) Run(until time.Duration) { c.Engine.Run(until) }
 func (c *SimCluster) deliver(from, to model.ProcID, m wire.Message, ctx model.TraceCtx) {
 	if from == to {
 		if h, ok := c.nodes[to]; ok {
-			c.Engine.After(0, "self-"+wire.Kind(m), func() {
+			c.Engine.After(0, "self", func() {
 				rt := c.runtimes[to]
 				rt.cur = ctx
 				h.OnMessage(rt, from, m)
@@ -181,7 +181,7 @@ func (c *SimCluster) deliver(from, to model.ProcID, m wire.Message, ctx model.Tr
 		return
 	}
 	lat := c.Topo.Latency(from, to)
-	c.Engine.After(lat, "deliver-"+kind, func() {
+	c.Engine.After(lat, "deliver", func() {
 		if c.DropInFlight && !c.Topo.Connected(from, to) {
 			c.drop(from, to, kind)
 			return

@@ -170,7 +170,8 @@ func (b *Base) InitBase(rt net.Runtime) {
 		}
 	}
 	rt.SetTimer(b.Cfg.LockTimeout, leaseSweep{})
-	for id, rec := range b.resumed {
+	for _, id := range model.SortedTxns(b.resumed) {
+		rec := b.resumed[id]
 		t := &txn{
 			id:        id,
 			phase:     phaseDeciding,

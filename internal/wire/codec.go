@@ -1,5 +1,7 @@
 package wire
 
+import "fmt"
+
 // The TCP transport frames every message with a 4-byte big-endian length
 // prefix. FrameHeaderLen is that prefix's size; MaxFrame bounds a frame's
 // payload so a corrupt peer cannot make a reader allocate without limit.
@@ -40,6 +42,61 @@ const (
 	kindShardEpochReq
 	kindShardEpochResp
 )
+
+// kindNames names each kind for metrics and tracing (see Kind). The
+// names are part of the per-kind message counters and of the trace's Msg
+// field: never change one.
+var kindNames = [...]string{
+	kindNewVP:           "newvp",
+	kindAcceptVP:        "acceptvp",
+	kindCommitVP:        "commitvp",
+	kindProbe:           "probe",
+	kindProbeAck:        "probeack",
+	kindRecoverRead:     "recoverread",
+	kindRecoverReadResp: "recoverreadresp",
+	kindLockReq:         "lockreq",
+	kindLockResp:        "lockresp",
+	kindPrepare:         "prepare",
+	kindVote:            "vote",
+	kindDecide:          "decide",
+	kindDecideAck:       "decideack",
+	kindRelease:         "release",
+	kindClientTxn:       "clienttxn",
+	kindClientResult:    "clientresult",
+	kindCatchupReq:      "catchupreq",
+	kindCatchupResp:     "catchupresp",
+	kindDecideQuery:     "decidequery",
+	kindShardMsg:        "shard",
+	kindShardEpochReq:   "shardepochreq",
+	kindShardEpochResp:  "shardepochresp",
+}
+
+// shardKindNames names a ShardMsg by its inner kind, "shard:<inner>",
+// precomputed so naming one allocates nothing.
+var shardKindNames = func() (names [len(kindNames)]string) {
+	for k, name := range kindNames {
+		if name != "" && kindID(k) != kindShardMsg {
+			names[k] = kindNames[kindShardMsg] + ":" + name
+		}
+	}
+	return names
+}()
+
+// Kind returns a short stable name for a message's type, for metrics.
+func Kind(m Message) string {
+	k := kindOf(m)
+	if k == kindShardMsg {
+		inner := m.(ShardMsg).Msg
+		if name := shardKindNames[kindOf(inner)]; name != "" {
+			return name
+		}
+		return "shard:" + Kind(inner)
+	}
+	if name := kindNames[k]; name != "" {
+		return name
+	}
+	return fmt.Sprintf("unknown(%T)", m)
+}
 
 func kindOf(m Message) kindID {
 	switch m.(type) {

@@ -40,23 +40,18 @@ func unflagged(frame []byte) []byte {
 }
 
 // fuzzExtraSeeds extends the corpus with frames the basic per-kind seeds
-// miss: group-commit batches (Batch-built ClientTxn frames carry many
-// tags in one envelope) and the two frame shapes a nemesis era produces
-// on a real link — duplicated (self-concatenated) and truncated frames.
-// Extras are appended AFTER fuzzSeeds so existing seed-NN files keep
-// their indices.
+// miss: a group-commit round (one ClientTxn incrementing several
+// objects) and the two frame shapes a nemesis era produces on a real
+// link — duplicated (self-concatenated) and truncated frames. Extras
+// are appended AFTER fuzzSeeds so existing seed-NN files keep their
+// indices.
 func fuzzExtraSeeds(tb testing.TB) [][]byte {
-	batch := NewBatch(77)
-	if !batch.Add(BatchEntry{Tag: 1, Ops: IncrementOps("x", 1)}) ||
-		!batch.Add(BatchEntry{Tag: 2, Ops: IncrementOps("y", -3)}) ||
-		!batch.Add(BatchEntry{Tag: 3, Ops: IncrementOps("x", 2)}) {
-		tb.Fatal("batch seed entries rejected")
-	}
-	env := Envelope{From: 4, To: 1, Msg: batch.Txn()}
+	round := ClientTxn{Tag: 77, Ops: append(IncrementOps("x", 1+2), IncrementOps("y", -3)...)}
+	env := Envelope{From: 4, To: 1, Msg: round}
 
 	bin, err := new(FrameEncoder).Encode(&env)
 	if err != nil {
-		tb.Fatalf("batch seed: %v", err)
+		tb.Fatalf("round seed: %v", err)
 	}
 	dup := append(append([]byte(nil), bin...), bin...)
 	var seeds [][]byte

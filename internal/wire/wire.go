@@ -8,12 +8,7 @@
 // binary.go).
 package wire
 
-import (
-	"fmt"
-	"sync"
-
-	"github.com/virtualpartitions/vp/internal/model"
-)
+import "github.com/virtualpartitions/vp/internal/model"
 
 // Message is any protocol message. The concrete types below are the full
 // vocabulary; Kind classifies them for metrics and tracing.
@@ -447,69 +442,4 @@ type ClientResult struct {
 	// committed per written object. Session layers use the versions as
 	// high-water marks for read-your-writes routing.
 	Writes []ObjVal
-}
-
-// shardKinds caches the "shard:"-prefixed kind string per inner kind so
-// the hot path stays allocation-free after the first message of each
-// inner type.
-var shardKinds sync.Map // string -> string
-
-// Kind returns a short stable name for a message's type, for metrics.
-func Kind(m Message) string {
-	switch msg := m.(type) {
-	case ShardMsg:
-		inner := Kind(msg.Msg)
-		if k, ok := shardKinds.Load(inner); ok {
-			return k.(string)
-		}
-		k := "shard:" + inner
-		shardKinds.Store(inner, k)
-		return k
-	case ShardEpochReq:
-		return "shardepochreq"
-	case ShardEpochResp:
-		return "shardepochresp"
-	}
-	switch m.(type) {
-	case NewVP:
-		return "newvp"
-	case AcceptVP:
-		return "acceptvp"
-	case CommitVP:
-		return "commitvp"
-	case Probe:
-		return "probe"
-	case ProbeAck:
-		return "probeack"
-	case RecoverRead:
-		return "recoverread"
-	case RecoverReadResp:
-		return "recoverreadresp"
-	case CatchupReq:
-		return "catchupreq"
-	case CatchupResp:
-		return "catchupresp"
-	case LockReq:
-		return "lockreq"
-	case LockResp:
-		return "lockresp"
-	case Prepare:
-		return "prepare"
-	case Vote:
-		return "vote"
-	case Decide:
-		return "decide"
-	case DecideAck:
-		return "decideack"
-	case DecideQuery:
-		return "decidequery"
-	case Release:
-		return "release"
-	case ClientTxn:
-		return "clienttxn"
-	case ClientResult:
-		return "clientresult"
-	default:
-		return fmt.Sprintf("unknown(%T)", m)
-	}
 }

@@ -4,29 +4,6 @@ import (
 	"testing"
 )
 
-func TestKindCoversAllMessages(t *testing.T) {
-	msgs := []Message{
-		NewVP{}, AcceptVP{}, CommitVP{}, Probe{}, ProbeAck{},
-		RecoverRead{}, RecoverReadResp{},
-		LockReq{}, LockResp{}, Prepare{}, Vote{}, Decide{}, DecideAck{},
-		DecideQuery{}, Release{}, ClientTxn{}, ClientResult{},
-	}
-	seen := map[string]bool{}
-	for _, m := range msgs {
-		k := Kind(m)
-		if k == "" || seen[k] {
-			t.Fatalf("Kind(%T) = %q (empty or duplicate)", m, k)
-		}
-		if len(k) > 7 && k[:7] == "unknown" {
-			t.Fatalf("Kind(%T) unknown", m)
-		}
-		seen[k] = true
-	}
-	if Kind(struct{ X int }{})[:7] != "unknown" {
-		t.Fatal("unregistered type should be unknown")
-	}
-}
-
 func TestDecodeGarbage(t *testing.T) {
 	if _, err := NewDecoder().Decode([]byte("not a frame")); err == nil {
 		t.Fatal("expected error decoding garbage")
@@ -54,5 +31,58 @@ func TestLockStatusString(t *testing.T) {
 	if LockGranted.String() != "granted" || LockDenied.String() != "denied" ||
 		LockWrongEpoch.String() != "wrong-epoch" {
 		t.Fatal("LockStatus strings wrong")
+	}
+}
+
+// TestKindCoversAllMessages pins every kind's name, which the per-kind
+// message counters and the trace's Msg field carry: each kind but
+// kindInvalid and the two reserved ones has one, a ShardMsg is named
+// "shard:" and its inner kind, naming allocates nothing, and a type
+// outside the vocabulary is unknown.
+func TestKindCoversAllMessages(t *testing.T) {
+	want := map[kindID]string{
+		kindNewVP: "newvp", kindAcceptVP: "acceptvp", kindCommitVP: "commitvp",
+		kindProbe: "probe", kindProbeAck: "probeack",
+		kindRecoverRead: "recoverread", kindRecoverReadResp: "recoverreadresp",
+		kindLockReq: "lockreq", kindLockResp: "lockresp", kindPrepare: "prepare",
+		kindVote: "vote", kindDecide: "decide", kindDecideAck: "decideack",
+		kindRelease: "release", kindClientTxn: "clienttxn", kindClientResult: "clientresult",
+		kindCatchupReq: "catchupreq", kindCatchupResp: "catchupresp",
+		kindDecideQuery: "decidequery", kindShardMsg: "shard",
+		kindShardEpochReq: "shardepochreq", kindShardEpochResp: "shardepochresp",
+	}
+	for k := range kindNames {
+		switch kindID(k) {
+		case kindInvalid, kindRecoverLog, kindRecoverLogResp:
+			if kindNames[k] != "" {
+				t.Errorf("kind %d is unnamed on the wire but named %q", k, kindNames[k])
+			}
+		default:
+			if kindNames[k] != want[kindID(k)] {
+				t.Errorf("kind %d named %q, want %q", k, kindNames[k], want[kindID(k)])
+			}
+		}
+	}
+	msgs := []Message{
+		NewVP{}, AcceptVP{}, CommitVP{}, Probe{}, ProbeAck{},
+		RecoverRead{}, RecoverReadResp{}, CatchupReq{}, CatchupResp{},
+		LockReq{}, LockResp{}, Prepare{}, Vote{}, Decide{}, DecideAck{},
+		DecideQuery{}, Release{}, ClientTxn{}, ClientResult{},
+		ShardEpochReq{}, ShardEpochResp{},
+	}
+	for _, m := range msgs {
+		if got := Kind(m); got != want[kindOf(m)] {
+			t.Errorf("Kind(%T) = %q, want %q", m, got, want[kindOf(m)])
+		}
+		var sm Message = ShardMsg{Shard: 2, Msg: m}
+		if got := Kind(sm); got != "shard:"+Kind(m) {
+			t.Errorf("Kind(ShardMsg{%T}) = %q, want %q", m, got, "shard:"+Kind(m))
+		}
+		if n := testing.AllocsPerRun(100, func() { Kind(m); Kind(sm) }); n != 0 {
+			t.Errorf("Kind(%T) allocates %.1f times", m, n)
+		}
+	}
+	if got := Kind(struct{ X int }{}); got != "unknown(struct { X int })" {
+		t.Errorf("Kind of an unregistered type = %q", got)
 	}
 }
