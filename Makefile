@@ -5,7 +5,8 @@
 # the in-process cluster builder, the TCP transport, the nemesis fault
 # injector, the parallel experiment harness, the client gateway, the
 # journal's committer, the shard router, the commit path's barrier
-# and recovery tests and vpnode's boot over a committing journal);
+# and recovery tests, vpnode's boot over a committing journal and
+# vpload's per-client load loops against a live gateway);
 # `make chaos` is the seeded fault-injection gate and `make
 # bench-stack-smoke` drives the deployed stack (benchmark/).
 
@@ -28,7 +29,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -count=1 . ./internal/cluster/... ./internal/net/... ./internal/nemesis/... ./internal/bench/... ./internal/gateway/... ./internal/locks/... ./internal/store/... ./internal/durable/... ./internal/campaign/... ./internal/trace/... ./internal/node/... ./internal/core/... ./internal/shard/... ./cmd/vpcampaign/... ./cmd/vpnode/...
+	$(GO) test -race -count=1 . ./internal/cluster/... ./internal/net/... ./internal/nemesis/... ./internal/bench/... ./internal/gateway/... ./internal/locks/... ./internal/store/... ./internal/durable/... ./internal/campaign/... ./internal/trace/... ./internal/node/... ./internal/core/... ./internal/shard/... ./cmd/vpcampaign/... ./cmd/vpnode/... ./cmd/vpload/...
 
 # Repeat the packages whose tests cross goroutines on the request path —
 # the journal's committer releasing barriers into handler turns, the

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/virtualpartitions/vp/internal/metrics"
@@ -21,41 +22,36 @@ import (
 // wait-die) and one round per conveyor slot.
 //
 // The protocol orders only CONFLICTING accesses (strict two-phase
-// locking per copy), so the conveyor does too. A single goroutine owns
-// every lane's queue and applies one departure rule (batcher.pump): an
+// locking per copy), so the conveyor does too. One mutex guards every
+// lane's queue, and one departure rule (batcher.pump) runs under it: an
 // entry leaves in a round as soon as no in-flight round of its lane
-// touches its object and the lane is below its depth bound. An
-// increment of an idle object therefore departs the moment it arrives,
-// as its own round, however many unrelated rounds are in flight; one of
-// a busy object — or one that finds the lane full — queues, and
-// everything the next completion unblocks rides out together as one
-// round. Rounds on a hot object thus still size themselves to the
-// natural commit latency.
+// touches its object and the lane is below its depth bound. A round
+// runs on the request goroutine of its first constituent; the batcher
+// owns none. An increment of an idle object therefore departs the
+// moment it arrives, as its own round on its own goroutine, however
+// many unrelated rounds are in flight; one of a busy object — or one
+// that finds the lane full — queues, and everything the next completion
+// unblocks rides out together as one round. Rounds on a hot object thus
+// still size themselves to the natural commit latency.
 //
 // The window is only an upper bound on how long an entry may queue
 // (covering slow in-flight rounds), and maxSize on how many may: past
 // either the queue departs regardless of what is in flight.
 //
-// Sharded deployments run one conveyor LANE per shard inside the same
-// goroutine: every round is single-shard (so the backend transaction
-// never needs cross-shard two-phase commit), each lane keeps its own
-// queue and in-flight set, and one timer is armed to the earliest queued
-// deadline. The unsharded gateway degenerates to a single model.NoShard
-// lane.
+// Sharded deployments run one conveyor LANE per shard: every round is
+// single-shard (so the backend transaction never needs cross-shard
+// two-phase commit), each lane keeps its own queue and in-flight set,
+// and one timer is armed to the earliest queued deadline. The unsharded
+// gateway degenerates to a single model.NoShard lane.
 type batcher struct {
+	g       *Gateway // backend, tags, spans, metrics, tracer, clock, lane depth
 	window  time.Duration
 	maxSize int
-	depth   func(model.ShardID) int // lane depth bound, see lane.depth
-	backend submitter
-	tags    *tagSource
-	spans   *spanSource
-	reg     *metrics.Registry
-	tr      *trace.Recorder
-	clock   func() time.Duration
 
-	reqCh  chan batchReq
-	stopCh chan struct{}
-	doneCh chan struct{}
+	mu     sync.Mutex
+	lanes  map[model.ShardID]*lane
+	timer  *time.Timer // fires at the earliest queued deadline (expire)
+	closed bool
 }
 
 // batchReq is one increment awaiting its round.
@@ -64,59 +60,76 @@ type batchReq struct {
 	delta int64
 	ctx   model.TraceCtx // trace context of the constituent (zero if unsampled)
 	node  model.ProcID   // session-preferred node of the FIRST constituent routes the round
-	shard model.ShardID  // conveyor lane (NoShard when unsharded)
-	at    time.Duration  // submit time on the batcher's clock
+	at    time.Duration  // submit time on the gateway's clock
 	due   time.Duration  // latest departure: at + window
 	reply chan batchReply
 }
 
+// batchReply is the round a queued entry is to run (once, its first
+// constituent's), or the entry's own result.
 type batchReply struct {
+	run  *round
 	res  wire.ClientResult
 	node model.ProcID // node that served the shared round
 	err  error
 }
 
-func newBatcher(window time.Duration, maxSize int, depth func(model.ShardID) int, backend submitter,
-	tags *tagSource, spans *spanSource, reg *metrics.Registry, tr *trace.Recorder,
-	clock func() time.Duration) *batcher {
-	if spans == nil {
-		spans = &spanSource{}
-	}
-	b := &batcher{
-		window: window, maxSize: maxSize, depth: depth, backend: backend, tags: tags, spans: spans,
-		reg: reg, tr: tr, clock: clock,
-		reqCh:  make(chan batchReq),
-		stopCh: make(chan struct{}),
-		doneCh: make(chan struct{}),
-	}
-	go b.run()
+func newBatcher(g *Gateway, window time.Duration, maxSize int) *batcher {
+	b := &batcher{g: g, window: window, maxSize: maxSize, lanes: make(map[model.ShardID]*lane)}
+	b.timer = time.AfterFunc(time.Hour, b.expire)
+	b.timer.Stop()
 	return b
 }
 
-// request stamps one increment of obj by delta for the conveyor.
-func (b *batcher) request(obj model.ObjectID, delta int64, ctx model.TraceCtx, node model.ProcID, shard model.ShardID) batchReq {
-	now := b.clock()
-	return batchReq{obj: obj, delta: delta, ctx: ctx, node: node, shard: shard,
-		at: now, due: now + b.window, reply: make(chan batchReply, 1)}
+// submit queues one increment and waits for its own result out of the
+// shared round, reporting which node served it. shard selects the
+// conveyor lane the increment coalesces in (model.NoShard when the
+// deployment is unsharded).
+func (b *batcher) submit(obj model.ObjectID, delta int64, ctx model.TraceCtx, node model.ProcID, shard model.ShardID) (wire.ClientResult, model.ProcID, error) {
+	req, ok := b.enqueue(obj, delta, ctx, node, shard)
+	if !ok {
+		return wire.ClientResult{}, model.NoProc, errGatewayClosed
+	}
+	return b.wait(req)
 }
 
-// submit hands one increment to the batcher and waits for its own
-// result out of the shared round, reporting which node served it. shard
-// selects the conveyor lane the increment coalesces in (model.NoShard
-// when the deployment is unsharded).
-func (b *batcher) submit(obj model.ObjectID, delta int64, ctx model.TraceCtx, node model.ProcID, shard model.ShardID) (wire.ClientResult, model.ProcID, error) {
-	req := b.request(obj, delta, ctx, node, shard)
-	select {
-	case b.reqCh <- req:
-	case <-b.stopCh:
-		return wire.ClientResult{}, model.NoProc, errGatewayClosed
+// enqueue stamps one increment, queues it in shard's lane and pumps the
+// lane; false once the batcher is closed.
+func (b *batcher) enqueue(obj model.ObjectID, delta int64, ctx model.TraceCtx, node model.ProcID, shard model.ShardID) (batchReq, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	now := b.g.clock()
+	req := batchReq{obj: obj, delta: delta, ctx: ctx, node: node, at: now, due: now + b.window,
+		reply: make(chan batchReply, 1)}
+	if b.closed {
+		return req, false
 	}
-	select {
-	case rep := <-req.reply:
-		return rep.res, rep.node, rep.err
-	case <-b.stopCh:
-		return wire.ClientResult{}, model.NoProc, errGatewayClosed
+	ln := b.lanes[shard]
+	if ln == nil {
+		ln = &lane{flying: make(map[model.ObjectID]int), depth: max(b.g.laneDepth(shard), 1)}
+		if shard != model.NoShard {
+			ln.roundsName = fmt.Sprintf("%s.s%d", metrics.CGwBatchRounds, shard)
+			ln.writesName = fmt.Sprintf("%s.s%d", metrics.CGwBatchedWrites, shard)
+		}
+		b.lanes[shard] = ln
 	}
+	ln.queue = append(ln.queue, req)
+	b.pump(ln, len(ln.queue) >= b.maxSize)
+	b.rearm()
+	return req, true
+}
+
+// wait blocks until req's result arrives. When req is the first
+// constituent of its round, the round arrives first: wait runs it,
+// retires it and then takes its own result like every constituent.
+func (b *batcher) wait(req batchReq) (wire.ClientResult, model.ProcID, error) {
+	rep := <-req.reply
+	if r := rep.run; r != nil {
+		b.flush(r)
+		b.retire(r)
+		rep = <-req.reply
+	}
+	return rep.res, rep.node, rep.err
 }
 
 // round is one departed group-commit round.
@@ -191,16 +204,17 @@ type lane struct {
 	roundsName, writesName string
 }
 
-// pump is the conveyor's one departure rule. It forms at most one round
-// from the queued entries that may leave now — object untouched by any
-// in-flight round, lane below its depth bound — and sends it off. force
-// (window expiry, queue at maxSize) waives both conditions, so a forced
-// round takes the whole queue.
-func (b *batcher) pump(ln *lane, force bool, done chan<- *round) {
+// pump is the conveyor's one departure rule; callers hold b.mu. It
+// forms at most one round from the queued entries that may leave now —
+// object untouched by any in-flight round, lane below its depth bound —
+// and hands it to its first constituent to run. force (window expiry,
+// queue at maxSize) waives both conditions, so a forced round takes the
+// whole queue.
+func (b *batcher) pump(ln *lane, force bool) {
 	if len(ln.queue) == 0 || (!force && ln.rounds >= ln.depth) {
 		return
 	}
-	now := b.clock()
+	now := b.g.clock()
 	var r *round
 	kept := ln.queue[:0]
 	for _, req := range ln.queue {
@@ -212,7 +226,7 @@ func (b *batcher) pump(ln *lane, force bool, done chan<- *round) {
 			r = &round{lane: ln, node: req.node}
 		}
 		if !req.ctx.IsZero() {
-			b.tr.Span(model.NoProc, req.ctx.Child(b.spans.next()), "gw-lane-wait", req.at, now, model.TxnID{})
+			b.g.tr.Span(model.NoProc, req.ctx.Child(b.g.spans.next()), "gw-lane-wait", req.at, now, model.TxnID{})
 		}
 		r.add(req)
 	}
@@ -225,128 +239,100 @@ func (b *batcher) pump(ln *lane, force bool, done chan<- *round) {
 		ln.flying[req.obj]++
 	}
 	if ln.rounds > 0 {
-		b.reg.Inc(metrics.CGwBatchOverlap, 1)
+		b.g.reg.Inc(metrics.CGwBatchOverlap, 1)
 	}
 	ln.rounds++
-	go func() {
-		b.flush(r)
-		select {
-		case done <- r:
-		case <-b.stopCh:
-		}
-	}()
+	r.reqs[0].reply <- batchReply{run: r} // buffered and empty: the entry was queued
 }
 
-// run is the batcher's single goroutine: every arrival, completion and
-// deadline updates its lane and pumps it. Lanes are independent: shard
+// retire takes a finished round out of its lane and pumps the lane:
+// what the round held back rides out now. Lanes are independent: shard
 // A's in-flight rounds never delay shard B's departures.
-func (b *batcher) run() {
-	defer close(b.doneCh)
-	var (
-		lanes = make(map[model.ShardID]*lane)
-		done  = make(chan *round)
-		timer = time.NewTimer(time.Hour)
-	)
-	timer.Stop()
-
-	laneOf := func(s model.ShardID) *lane {
-		ln := lanes[s]
-		if ln == nil {
-			ln = &lane{flying: make(map[model.ObjectID]int), depth: max(b.depth(s), 1)}
-			if s != model.NoShard {
-				ln.roundsName = fmt.Sprintf("%s.s%d", metrics.CGwBatchRounds, s)
-				ln.writesName = fmt.Sprintf("%s.s%d", metrics.CGwBatchedWrites, s)
-			}
-			lanes[s] = ln
-		}
-		return ln
-	}
-	// rearm points the shared timer at the earliest queued deadline
-	// across all lanes (a stale tick from a prior Reset only triggers a
-	// harmless deadline scan).
-	rearm := func() {
-		earliest := time.Duration(-1)
-		for _, ln := range lanes {
-			if len(ln.queue) > 0 && (earliest < 0 || ln.queue[0].due < earliest) {
-				earliest = ln.queue[0].due
-			}
-		}
-		if earliest < 0 {
-			timer.Stop()
-		} else {
-			timer.Reset(earliest - b.clock())
+func (b *batcher) retire(r *round) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	ln := r.lane
+	ln.rounds--
+	for _, req := range r.reqs {
+		if ln.flying[req.obj]--; ln.flying[req.obj] == 0 {
+			delete(ln.flying, req.obj)
 		}
 	}
+	b.pump(ln, false)
+	b.rearm()
+}
 
-	for {
-		select {
-		case <-b.stopCh:
-			// Queued entries never depart; their submitters fail on stopCh.
-			return
-		case r := <-done:
-			ln := r.lane
-			ln.rounds--
-			for _, req := range r.reqs {
-				if ln.flying[req.obj]--; ln.flying[req.obj] == 0 {
-					delete(ln.flying, req.obj)
-				}
-			}
-			b.pump(ln, false, done) // conveyor: what the round blocked rides out now
-		case <-timer.C:
-			now := b.clock()
-			for _, ln := range lanes {
-				if len(ln.queue) > 0 && ln.queue[0].due <= now {
-					b.pump(ln, true, done)
-				}
-			}
-		case req := <-b.reqCh:
-			ln := laneOf(req.shard)
-			ln.queue = append(ln.queue, req)
-			b.pump(ln, len(ln.queue) >= b.maxSize, done)
+// expire forces out every lane whose oldest entry is past its window.
+func (b *batcher) expire() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	now := b.g.clock()
+	for _, ln := range b.lanes {
+		if len(ln.queue) > 0 && ln.queue[0].due <= now {
+			b.pump(ln, true)
 		}
-		rearm()
+	}
+	b.rearm()
+}
+
+// rearm points the timer at the earliest queued deadline across all
+// lanes; callers hold b.mu. A stale firing only triggers a harmless
+// deadline scan.
+func (b *batcher) rearm() {
+	earliest := time.Duration(-1)
+	for _, ln := range b.lanes {
+		if len(ln.queue) > 0 && (earliest < 0 || ln.queue[0].due < earliest) {
+			earliest = ln.queue[0].due
+		}
+	}
+	if earliest < 0 {
+		b.timer.Stop()
+	} else {
+		b.timer.Reset(earliest - b.g.clock())
 	}
 }
 
 // flush submits one round's shared transaction and fans the result back
 // to every constituent.
 func (b *batcher) flush(r *round) {
-	n := len(r.reqs)
-	b.reg.Inc(metrics.CGwBatchRounds, 1)
-	b.reg.Inc(metrics.CGwBatchedWrites, int64(n))
-	b.reg.Inc(metrics.CGwWriteTxns, 1) // the round is ONE backend 2PC pass
-	b.reg.Observe(metrics.SGwBatchSize, float64(n))
+	g, n := b.g, len(r.reqs)
+	g.reg.Inc(metrics.CGwBatchRounds, 1)
+	g.reg.Inc(metrics.CGwBatchedWrites, int64(n))
+	g.reg.Inc(metrics.CGwWriteTxns, 1) // the round is ONE backend 2PC pass
+	g.reg.Observe(metrics.SGwBatchSize, float64(n))
 	if r.lane.roundsName != "" {
-		b.reg.Inc(r.lane.roundsName, 1)
-		b.reg.Inc(r.lane.writesName, int64(n))
+		g.reg.Inc(r.lane.roundsName, 1)
+		g.reg.Inc(r.lane.writesName, int64(n))
 	}
-	if b.tr.Enabled() {
-		b.tr.Record(trace.Event{At: b.clock(), Kind: trace.EvGwBatch, Aux: int64(n)})
+	if g.tr.Enabled() {
+		g.tr.Record(trace.Event{At: g.clock(), Kind: trace.EvGwBatch, Aux: int64(n)})
 	}
 	var rctx model.TraceCtx
-	start := b.clock()
+	start := g.clock()
 	if !r.ctx.IsZero() {
-		rctx = r.ctx.Child(b.spans.next())
+		rctx = r.ctx.Child(g.spans.next())
 	}
-	res, node, err := b.backend.Submit(r.txn(b.tags.next()), rctx, r.node, time.Now().Add(requestDeadline))
+	res, node, err := g.backend.Submit(r.txn(g.tags.next()), rctx, r.node, time.Now().Add(requestDeadline))
 	if !rctx.IsZero() {
-		b.tr.Span(model.NoProc, rctx, "gw-batch-round", start, b.clock(), res.Txn)
-	}
-	if err != nil {
-		for _, req := range r.reqs {
-			req.reply <- batchReply{err: err}
-		}
-		return
+		g.tr.Span(model.NoProc, rctx, "gw-batch-round", start, g.clock(), res.Txn)
 	}
 	for _, req := range r.reqs {
-		req.reply <- batchReply{res: r.result(res, req), node: node}
+		req.reply <- batchReply{res: r.result(res, req), node: node, err: err}
 	}
 }
 
-// close stops the batcher: queued entries never depart and every waiter
-// fails fast on stopCh. Rounds already in flight run to their backend
-// result, which nobody is left to read.
+// close fails every queued entry with errGatewayClosed and refuses new
+// ones. A round already in flight runs to its backend result, which
+// reaches each of its constituents as usual.
 func (b *batcher) close() {
-	close(b.stopCh)
-	<-b.doneCh
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.closed = true
+	b.timer.Stop()
+	for _, ln := range b.lanes {
+		for _, req := range ln.queue {
+			req.reply <- batchReply{err: errGatewayClosed}
+		}
+		ln.queue = nil
+	}
 }

@@ -1,10 +1,12 @@
 package gateway
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -92,25 +94,41 @@ func (g *gatedBackend) next(t *testing.T) *gatedCall {
 	}
 }
 
+// testGateway is a gateway over backend whose conveyor lanes have the
+// given depth bound: the size of its unsharded cluster.
+func testGateway(backend submitter, depth int) *Gateway {
+	cluster := make(map[model.ProcID]string, depth)
+	for p := 1; p <= depth; p++ {
+		cluster[model.ProcID(p)] = ""
+	}
+	return newWithBackend(Config{Cluster: cluster}, backend)
+}
+
 // newTestBatcher builds a batcher over backend whose window and size
 // backstops cannot fire within a test, so every departure is the
 // conveyor rule's. The caller closes it.
 func newTestBatcher(backend submitter, depth int) (*batcher, *metrics.Registry) {
-	reg := metrics.NewRegistry()
-	start := time.Now()
-	b := newBatcher(time.Minute, 1<<20, func(model.ShardID) int { return depth }, backend,
-		&tagSource{}, nil, reg, nil, func() time.Duration { return time.Since(start) })
-	return b, reg
+	g := testGateway(backend, depth)
+	return newBatcher(g, time.Minute, 1<<20), g.reg
 }
 
 // post hands one increment to the batcher as submit does, but returns
-// as soon as the batcher goroutine has TAKEN it: entries posted in
-// sequence are queued in that order, and a later post returning proves
-// the earlier entry has been pumped.
+// as soon as it is queued and its lane pumped: entries posted in
+// sequence are queued in that order. A goroutine of its own then waits
+// for the entry as submit's caller would, running its round if the
+// entry is the first constituent of one, and forwards the reply.
 func post(b *batcher, obj model.ObjectID, delta int64) chan batchReply {
-	req := b.request(obj, delta, model.TraceCtx{}, model.NoProc, model.NoShard)
-	b.reqCh <- req
-	return req.reply
+	req, ok := b.enqueue(obj, delta, model.TraceCtx{}, model.NoProc, model.NoShard)
+	out := make(chan batchReply, 1)
+	if !ok {
+		out <- batchReply{err: errGatewayClosed}
+		return out
+	}
+	go func() {
+		res, node, err := b.wait(req)
+		out <- batchReply{res: res, node: node, err: err}
+	}()
+	return out
 }
 
 func await(t *testing.T, ch chan batchReply) batchReply {
@@ -219,38 +237,52 @@ func TestConveyorCoalescesPastDepthBound(t *testing.T) {
 	}
 }
 
+// TestConveyorCloseFailsEveryWaiter: close fails every queued entry at
+// once, while the rounds already in the backend run to their result and
+// hand it to their own constituents.
 func TestConveyorCloseFailsEveryWaiter(t *testing.T) {
 	before := runtime.NumGoroutine()
 	backend := newGatedBackend()
 	b, reg := newTestBatcher(backend, 2)
 
-	errs := make(chan error, 5) // one per writer
+	outs := make(chan batchReply, 5) // one per writer
 	write := func(obj model.ObjectID) {
 		go func() {
-			_, _, err := b.submit(obj, 1, model.TraceCtx{}, model.NoProc, model.NoShard)
-			errs <- err
+			res, node, err := b.submit(obj, 1, model.TraceCtx{}, model.NoProc, model.NoShard)
+			outs <- batchReply{res: res, node: node, err: err}
 		}()
 	}
 	write("a")
 	write("b")
 	inFlight := []*gatedCall{backend.next(t), backend.next(t)}
 	for i := 0; i < 3; i++ {
-		write("a") // blocked behind a's round (or not yet taken: either way it must fail)
+		write("a") // blocked behind a's round (or not yet queued: either way it must fail)
 	}
 	b.close()
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 3; i++ {
 		select {
-		case err := <-errs:
-			if !errors.Is(err, errGatewayClosed) {
-				t.Errorf("waiter got %v, want errGatewayClosed", err)
+		case rep := <-outs:
+			if !errors.Is(rep.err, errGatewayClosed) {
+				t.Errorf("queued waiter got %+v, want errGatewayClosed", rep)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("a waiter is still blocked after close")
+			t.Fatal("a queued waiter is still blocked after close")
 		}
 	}
-	// The in-flight rounds finish against a closed batcher and exit.
+	// The in-flight rounds finish against a closed batcher, and their
+	// waiters get what the backend committed.
 	for _, c := range inFlight {
 		close(c.release)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case rep := <-outs:
+			if rep.err != nil || !rep.res.Committed {
+				t.Errorf("in-flight waiter got %+v, want its round's commit", rep)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("an in-flight waiter got no result")
+		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before {
@@ -261,6 +293,91 @@ func TestConveyorCloseFailsEveryWaiter(t *testing.T) {
 	}
 	if got := reg.Get(metrics.CGwBatchRounds); got != 2 {
 		t.Errorf("%d rounds departed, want 2 (close sends nothing)", got)
+	}
+}
+
+// TestIdleIncrementRunsOnItsSubmitter: an increment of an idle object
+// is its own round, run on the goroutine that submitted it.
+func TestIdleIncrementRunsOnItsSubmitter(t *testing.T) {
+	var stack []byte
+	backend := &fakeBackend{fn: func(txn wire.ClientTxn, _ model.ProcID) (wire.ClientResult, model.ProcID, error) {
+		stack = debug.Stack()
+		return wire.ClientResult{Tag: txn.Tag, Committed: true}, 1, nil
+	}}
+	b, _ := newTestBatcher(backend, 1)
+	defer b.close()
+	if _, _, err := b.submit("x", 1, model.TraceCtx{}, model.NoProc, model.NoShard); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(stack, []byte(".TestIdleIncrementRunsOnItsSubmitter(")) {
+		t.Fatalf("the round ran on another goroutine:\n%s", stack)
+	}
+}
+
+// TestWindowForcesQueuedIncrementOut: an increment queued behind an
+// in-flight round on its object departs when the window expires, with
+// that round still in the backend.
+func TestWindowForcesQueuedIncrementOut(t *testing.T) {
+	const window = 20 * time.Millisecond
+	backend := newGatedBackend()
+	b := newBatcher(testGateway(backend, 3), window, 1<<20)
+	defer b.close()
+
+	r1 := post(b, "x", 1)
+	c1 := backend.next(t)
+	queued := time.Now()
+	r2 := post(b, "x", 2)
+	c2 := backend.next(t)
+	if waited := time.Since(queued); waited < window {
+		t.Errorf("queued increment departed after %v, before the %v window", waited, window)
+	}
+	if objs := writtenObjects(c2.txn); len(objs) != 1 || objs[0] != "x" {
+		t.Fatalf("forced round writes %v, want [x]", objs)
+	}
+	backend.mu.Lock()
+	onX := backend.maxOf["x"]
+	backend.mu.Unlock()
+	if onX != 2 {
+		t.Errorf("backend held %d rounds on x at once, want 2 (the window overrides the conveyor)", onX)
+	}
+	close(c2.release)
+	await(t, r2)
+	close(c1.release)
+	await(t, r1)
+}
+
+// TestFullQueueDepartsAsOneRound: the entry that brings a full lane's
+// queue to the cap sends the whole queue off at once, as one round.
+func TestFullQueueDepartsAsOneRound(t *testing.T) {
+	const maxSize = 4
+	backend := newGatedBackend()
+	b := newBatcher(testGateway(backend, 1), time.Minute, maxSize)
+	defer b.close()
+
+	replies := []chan batchReply{post(b, "o0", 1)}
+	first := backend.next(t) // the lane is at its depth bound
+	for i := 1; i <= maxSize; i++ {
+		if i == maxSize {
+			b.mu.Lock()
+			held := len(b.lanes[model.NoShard].queue)
+			b.mu.Unlock()
+			if held != maxSize-1 {
+				t.Fatalf("%d entries queued below the cap, want %d", held, maxSize-1)
+			}
+		}
+		replies = append(replies, post(b, model.ObjectID(fmt.Sprintf("o%d", i)), 1))
+	}
+	full := backend.next(t)
+	if got := len(writtenObjects(full.txn)); got != maxSize {
+		t.Fatalf("forced round writes %d objects, want the whole queue of %d", got, maxSize)
+	}
+	close(first.release)
+	close(full.release)
+	for _, ch := range replies {
+		await(t, ch)
+	}
+	if backend.maxTotal != 2 {
+		t.Errorf("backend held %d rounds at once, want 2 (the cap overrides the depth bound)", backend.maxTotal)
 	}
 }
 

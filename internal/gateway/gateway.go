@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -68,12 +69,6 @@ type Config struct {
 	// both default to fresh/disabled instances when nil.
 	Metrics *metrics.Registry
 	Tracer  *trace.Recorder
-}
-
-func (c *Config) fill() {
-	if c.Metrics == nil {
-		c.Metrics = metrics.NewRegistry()
-	}
 }
 
 // tagSource allocates gateway-unique transaction tags. Tags only need
@@ -164,25 +159,21 @@ func (g *Gateway) mintRoot() model.TraceCtx {
 
 // New builds a gateway over a live cluster.
 func New(cfg Config) *Gateway {
-	cfg.fill()
 	g := newWithBackend(cfg, nil)
-	g.pool = newPool(cfg.Cluster, cfg.Metrics)
+	g.pool = newPool(cfg.Cluster, g.reg)
 	g.backend = g.pool
-	g.batch = newBatcher(batchWindow, batchMax, g.laneDepth, g.pool, g.tags, g.spans,
-		g.reg, g.tr, g.clock)
 	return g
 }
 
-// newWithBackend wires everything except the pool/batcher, letting
-// tests substitute the backend.
+// newWithBackend wires everything except the pool, letting tests
+// substitute the backend.
 func newWithBackend(cfg Config, backend submitter) *Gateway {
-	cfg.fill()
 	g := &Gateway{
 		cfg:     cfg,
 		backend: backend,
 		tags:    &tagSource{},
 		spans:   &spanSource{},
-		reg:     cfg.Metrics,
+		reg:     cmp.Or(cfg.Metrics, metrics.NewRegistry()),
 		tr:      cfg.Tracer,
 		start:   time.Now(),
 	}
@@ -200,10 +191,7 @@ func newWithBackend(cfg Config, backend submitter) *Gateway {
 		}
 		g.smap = m
 	}
-	if backend != nil {
-		g.batch = newBatcher(batchWindow, batchMax, g.laneDepth, backend, g.tags, g.spans,
-			g.reg, g.tr, g.clock)
-	}
+	g.batch = newBatcher(g, batchWindow, batchMax)
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("POST /txn", g.handleTxn)
 	g.mux.HandleFunc("GET /read", g.handleRead)
@@ -231,12 +219,10 @@ func (g *Gateway) Serve(addr string) (*http.Server, string, error) {
 	return srv, l.Addr().String(), nil
 }
 
-// Close stops the batcher (writes still queued fail with
-// errGatewayClosed) and tears down the pool.
+// Close fails the writes still queued with errGatewayClosed and tears
+// down the pool, which fails what is in flight there.
 func (g *Gateway) Close() {
-	if g.batch != nil {
-		g.batch.close()
-	}
+	g.batch.close()
 	if g.pool != nil {
 		g.pool.close()
 	}

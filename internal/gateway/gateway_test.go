@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -352,6 +355,80 @@ func TestShardLanesFlushIndependently(t *testing.T) {
 
 	close(blockA)
 	wg.Wait()
+}
+
+// gatewayGoroutines returns the stacks, by goroutine header, of the
+// goroutines running in a gateway method or in a node client.
+func gatewayGoroutines() map[string]string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	out := map[string]string{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "internal/gateway.(*") || strings.Contains(g, "internal/net.(*Client)") {
+			head, _, _ := strings.Cut(g, " [")
+			out[head] = g
+		}
+	}
+	return out
+}
+
+// TestCloseWithIncrementInFlight: Close with an increment in flight at a
+// node that never answers fails that increment at once, and leaves no
+// goroutine of the gateway behind.
+func TestCloseWithIncrementInFlight(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	arrived := make(chan net.Conn, 1)
+	go func() { // accept, take the request's first bytes, never answer
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		c.Read(make([]byte, 1)) //nolint:errcheck // any outcome means the frame was sent
+		arrived <- c
+	}()
+	before := gatewayGoroutines()
+	g := New(Config{Cluster: map[model.ProcID]string{1: l.Addr().String()}})
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := g.submit(wire.IncrementOps("x", 1), true, model.TraceCtx{}, 1, model.NoShard,
+			time.Now().Add(requestDeadline))
+		errc <- err
+	}()
+	select {
+	case c := <-arrived:
+		defer c.Close()
+	case <-time.After(5 * time.Second):
+		t.Fatal("the increment never reached the node")
+	}
+	g.Close()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("increment in flight at Close succeeded against a node that never answers")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("increment in flight at Close got no result within 1s")
+	}
+	deadline := time.Now().Add(time.Second)
+	for {
+		var left []string
+		for head, stack := range gatewayGoroutines() {
+			if _, ok := before[head]; !ok {
+				left = append(left, stack)
+			}
+		}
+		if len(left) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d gateway goroutines left 1s after Close:\n%s", len(left), strings.Join(left, "\n\n"))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // --- live cluster tests ---

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -108,9 +109,10 @@ func (p *pool) markDown(id model.ProcID) {
 // until the transaction commits or the deadline passes. Transport
 // errors open the node's breaker and move on; denied results (object
 // inaccessible from that node's partition — rule R1) retry elsewhere,
-// since another partition may hold the objects. Like SubmitTCPRetry
-// this is an at-least-once contract: an attempt whose result was lost
-// may have executed.
+// since another partition may hold the objects. After close it fails
+// at once with errGatewayClosed. Like SubmitTCPRetry this is an
+// at-least-once contract: an attempt whose result was lost may have
+// executed.
 func (p *pool) Submit(t wire.ClientTxn, ctx model.TraceCtx, preferred model.ProcID, deadline time.Time) (wire.ClientResult, model.ProcID, error) {
 	// The first retry is immediate: the common abort is a wait-die victim
 	// racing a lock its predecessor has already logically released (the
@@ -132,6 +134,9 @@ func (p *pool) Submit(t wire.ClientTxn, ctx model.TraceCtx, preferred model.Proc
 			}
 			try := min(perTry, remain)
 			res, err := p.clients[id].SubmitCtx(t, ctx, try)
+			if errors.Is(err, vnet.ErrClientClosed) {
+				return wire.ClientResult{}, model.NoProc, errGatewayClosed // the pool is closed: no node will answer
+			}
 			if err != nil {
 				p.markDown(id)
 				lastErr, lastNode = err, id
