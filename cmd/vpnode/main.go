@@ -16,11 +16,12 @@
 // Killing a node (or a minority of nodes) leaves the survivors
 // operating; a restarted node rejoins and rule R5 refreshes its copies.
 //
-// Without -data the node keeps its state in memory (a durable.MemJournal)
-// and a restart starts it fresh; with -data it journals to that
-// directory and a restart restores it from there. Either way the node is
-// built by internal/cluster (NewNode, CoreConfig, JournalOptions), the
-// same builder the in-process clusters and the chaos campaign boot.
+// With -data the node journals to that directory and a restart restores
+// it from there; without it the node runs the same journal, with the
+// same options, on an in-memory filesystem, and a restart starts it
+// fresh. Either way the node is built by internal/cluster (NewNode,
+// CoreConfig, JournalOptions), the same builder the in-process clusters
+// and the chaos campaign boot.
 //
 // Observability: -debug-addr serves live Prometheus-text /metrics plus
 // /debug/vars (expvar) and /debug/pprof; -trace records the structured
@@ -73,7 +74,7 @@ func parseArgs(args []string) (*options, error) {
 		clusterFlag = fs.String("cluster", "", "comma-separated id=host:port pairs (required)")
 		objects     = fs.String("objects", "x", "comma-separated logical object names")
 		delta       = fs.Duration("delta", 50*time.Millisecond, "assumed message delay bound δ; the probe period π is 20δ")
-		dataDir     = fs.String("data", "", "durable state directory (empty: in-memory only; with it, the node survives restarts)")
+		dataDir     = fs.String("data", "", "durable state directory (empty: the same journal, in memory, lost when the process ends; with it, the node survives restarts)")
 		verbose     = fs.Bool("v", false, "log view changes")
 		debugAddr   = fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 		traceOut    = fs.String("trace", "", "record the structured event trace; write JSONL here on shutdown")
@@ -127,6 +128,16 @@ func main() {
 	}
 }
 
+// journalAt is where processor opt.id keeps its journal, and how:
+// cluster.JournalOptions in opt.dataDir, or without -data the same
+// options on a fresh in-memory filesystem.
+func journalAt(opt *options, m *shard.Map) (string, durable.Options) {
+	if opt.dataDir != "" {
+		return opt.dataDir, cluster.JournalOptions(nil, opt.id, m)
+	}
+	return "journal", cluster.JournalOptions(durable.Memory(), opt.id, m)
+}
+
 // run boots the processor opt describes, serves it until ctx is done,
 // then stops it and writes its trace. Progress goes to stdout, a halt to
 // stderr.
@@ -154,15 +165,12 @@ func run(ctx context.Context, opt *options, stdout, stderr io.Writer) error {
 		cfg.Catalog = model.FullyReplicated(len(opt.addrs), opt.objects...)
 	}
 
-	var journal durable.Journal // nil: a MemJournal, volatile
-	var state *durable.State
+	st, fj, err := durable.OpenOptions(journalAt(opt, cfg.Shards))
+	if err != nil {
+		return err
+	}
+	defer fj.Close()
 	if opt.dataDir != "" {
-		st, fj, err := durable.OpenOptions(opt.dataDir, cluster.JournalOptions(nil, opt.id, cfg.Shards))
-		if err != nil {
-			return err
-		}
-		defer fj.Close()
-		journal, state = fj, st
 		rs := fj.Recovery()
 		if rs.Torn {
 			fmt.Fprintf(stdout, "vpnode %v: repaired torn journal tail (%d bytes dropped)\n", opt.id, rs.TornBytes)
@@ -221,7 +229,7 @@ func run(ctx context.Context, opt *options, stdout, stderr io.Writer) error {
 		rec = trace.New(trace.DefaultCap)
 		rec.SetEnabled(true)
 	}
-	tcp, h := cluster.NewNode(cfg, opt.id, opt.addrs, nil, rec, journal, state)
+	tcp, h := cluster.NewNode(cfg, opt.id, opt.addrs, nil, rec, fj, st)
 	if nd, ok := h.(*core.Node); ok {
 		health.Set(nd.Assigned(), nd.CurID(), nd.View().Sorted()) // not serving yet
 	}

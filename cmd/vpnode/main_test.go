@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -112,8 +113,8 @@ func TestParseArgsErrors(t *testing.T) {
 // TestMetricsEndpointOverTCPCluster boots a 3-node cluster through
 // vpnode's own run, without -data, commits one transaction through it,
 // and scrapes a node's /metrics endpoint: the Prometheus text output
-// must show the commit and per-kind message counters the transaction
-// incremented.
+// must show the commit, the per-kind message counters the transaction
+// incremented, and the fsyncs of the journal's committer.
 func TestMetricsEndpointOverTCPCluster(t *testing.T) {
 	procs := bootCluster(t, 3, nil)
 	deadline := commitIncr(t, procs[0])
@@ -136,10 +137,47 @@ func TestMetricsEndpointOverTCPCluster(t *testing.T) {
 		`vp_net_msg_sent{kind="prepare"}`,
 		`vp_net_msg_sent{kind="decide"}`,
 		"# TYPE vp_net_msg_delivered counter",
+		// The in-memory journal is the file journal, committer included.
+		"vp_journal_fsync ",
+		"vp_journal_waiters_per_fsync_count",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestJournalWithoutDataIsInMemory: without -data the node opens the
+// journal a -data node opens, with cluster.JournalOptions and so a
+// committer, on an in-memory filesystem instead of a directory.
+func TestJournalWithoutDataIsInMemory(t *testing.T) {
+	opt, err := parseArgs([]string{"-id", "2", "-cluster", "1=a:1,2=a:2,3=a:3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, o := journalAt(opt, nil)
+	if o.FS == nil || reflect.TypeOf(o.FS) == reflect.TypeOf(durable.OS()) {
+		t.Fatalf("journal without -data on %T, want the memory filesystem", o.FS)
+	}
+	if want := cluster.JournalOptions(o.FS, 2, nil); !reflect.DeepEqual(o, want) {
+		t.Fatalf("options %+v, want cluster.JournalOptions %+v", o, want)
+	}
+	st, j, err := durable.OpenOptions(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if !st.Fresh() || !j.Committing() {
+		t.Fatalf("fresh=%v committing=%v, want a fresh journal with a committer", st.Fresh(), j.Committing())
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("journal without -data reached the disk at %q: %v", dir, err)
+	}
+
+	opt.dataDir = t.TempDir()
+	dir, o = journalAt(opt, nil)
+	if want := cluster.JournalOptions(nil, 2, nil); dir != opt.dataDir || !reflect.DeepEqual(o, want) {
+		t.Fatalf("with -data: %q %+v, want %q %+v", dir, o, opt.dataDir, want)
 	}
 }
 

@@ -48,7 +48,7 @@ func New(id model.ProcID, cfg node.Config, cat *model.Catalog, hist *onecopy.His
 		suspectTTL = 10 * cfg.LockTimeout
 	}
 	s := &strategy{cat: cat, ttl: suspectTTL, suspects: map[model.ProcID]time.Duration{}}
-	base := node.NewBase(id, cfg, cat, s, hist)
+	base := node.NewBase(id, cfg, cat, s, hist, nil)
 	return &Node{SimpleNode: node.NewSimpleNode(base), strat: s}
 }
 

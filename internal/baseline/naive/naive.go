@@ -42,7 +42,7 @@ type strategy struct {
 // it with SetView.
 func New(id model.ProcID, cfg node.Config, cat *model.Catalog, hist *onecopy.History, initial model.ProcSet) *Node {
 	s := &strategy{cat: cat, view: initial}
-	base := node.NewBase(id, cfg, cat, s, hist)
+	base := node.NewBase(id, cfg, cat, s, hist, nil)
 	return &Node{SimpleNode: node.NewSimpleNode(base), strat: s}
 }
 

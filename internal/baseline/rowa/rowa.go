@@ -18,7 +18,7 @@ import (
 
 // New constructs a ROWA node.
 func New(id model.ProcID, cfg node.Config, cat *model.Catalog, hist *onecopy.History) node.SimpleNode {
-	return node.NewSimpleNode(node.NewBase(id, cfg, cat, &strategy{cat: cat}, hist))
+	return node.NewSimpleNode(node.NewBase(id, cfg, cat, &strategy{cat: cat}, hist, nil))
 }
 
 type strategy struct {

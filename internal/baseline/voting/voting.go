@@ -55,7 +55,7 @@ func New(id model.ProcID, cfg node.Config, cat *model.Catalog, hist *onecopy.His
 		opts.WriteWeight = Majority
 	}
 	s := &strategy{cat: cat, opts: opts}
-	return node.NewSimpleNode(node.NewBase(id, cfg, cat, s, hist))
+	return node.NewSimpleNode(node.NewBase(id, cfg, cat, s, hist, nil))
 }
 
 type strategy struct {

@@ -117,13 +117,6 @@ type Runner struct {
 	roTag     map[uint64]bool
 }
 
-// simTranscode is a test hook: when non-nil, NewRunner installs it as
-// the cluster's Transcode so every delivered remote message is routed
-// through a wire codec round-trip — including inside the Runners that
-// experiments construct internally, which tests cannot reach directly.
-// Set only by the codec equivalence test; nil in normal runs.
-var simTranscode func(wire.Envelope) wire.Envelope
-
 // NewRunner builds a cluster per the spec.
 func NewRunner(spec Spec) *Runner {
 	spec = spec.withDefaults()
@@ -148,7 +141,6 @@ func NewRunner(spec Spec) *Runner {
 		submitted:  make(map[uint64]time.Duration),
 		roTag:      make(map[uint64]bool),
 	}
-	r.Cluster.Transcode = simTranscode
 	ncfg := node.Config{Delta: spec.Delta, LogCap: spec.LogCap}
 	for _, p := range topo.Procs() {
 		var h net.Handler

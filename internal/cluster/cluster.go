@@ -49,7 +49,7 @@ type Config struct {
 	// Journal opens processor p's journal at every boot and returns it
 	// with its replayed state, from which the constructor decides fresh
 	// versus restored. The caller owns, and closes, what it opens. Nil
-	// gives every boot a fresh durable.MemJournal.
+	// gives every boot a fresh journal in memory (see node.NewBase).
 	Journal func(p model.ProcID) (durable.Journal, *durable.State, error)
 	// Trace records the placement of every object and every node's
 	// protocol events into one shared recorder (Tracer).
@@ -140,7 +140,7 @@ func (c *Cluster) Boot(p model.ProcID) error {
 // NewNode builds processor p of the cluster cfg describes, to serve at
 // addrs[p] once Run: the handler of its layer's one constructor —
 // core.New, or shard.NewRouter when cfg.Shards is set — over journal j
-// (nil: a fresh durable.MemJournal) and its replayed state st,
+// (nil: a fresh journal in memory) and its replayed state st,
 // recording into hist; cfg's Observer and Interceptor and the recorder
 // rec installed (each may be nil); node.halted exported at 0 and, over
 // a file journal, the journal's counters and replay time exported in

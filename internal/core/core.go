@@ -206,9 +206,8 @@ type catchupRetry struct {
 }
 
 // New constructs the protocol node of processor id, writing its
-// protocol-critical state through to j; a nil j gets a fresh
-// durable.MemJournal, which keeps nothing across a restart but runs the
-// same promise path as a file. st is j's replayed state; a fresh one
+// protocol-critical state through to j (nil: a journal in memory, see
+// node.NewBase). st is j's replayed state; a fresh one
 // (State.Fresh) starts the node assigned to its trivial partition
 // (Figure 3 lines 3–4). Otherwise the node is
 // restored — copies keep their dates (R5 refresh, not blind trust, makes
@@ -227,18 +226,13 @@ func New(id model.ProcID, cfg Config, cat *model.Catalog, hist *onecopy.History,
 		heard:      map[model.ProcID]time.Duration{},
 		refreshing: make(map[model.ObjectID]*refreshState),
 	}
-	n.Base = node.NewBase(id, cfg.Config, cat, (*vpStrategy)(n), hist)
+	n.Base = node.NewBase(id, cfg.Config, cat, (*vpStrategy)(n), hist, j)
 	n.setView(model.NewProcSet(id))
 	n.Base.OnHalt = func(err error) {
 		if n.Observer != nil {
 			n.Observer(HaltEvent{Proc: id, Err: err})
 		}
 	}
-	if j == nil {
-		j = durable.NewMemJournal()
-	}
-	n.Base.Journal = j
-	n.Store.SetJournal(j)
 	if st.Fresh() {
 		return n
 	}

@@ -34,6 +34,45 @@ type fixture struct {
 	nextTag uint64
 	// joins/departs, in delivery order, for S3 checking
 	events []any
+	// onSend, when set, sees every message a node sends as it leaves
+	// (see sendSpy), so a test can act at that instant.
+	onSend func(from, to model.ProcID, m wire.Message)
+}
+
+// sendSpy runs a node with a runtime that shows each of its sends to the
+// fixture's onSend first.
+type sendSpy struct {
+	*Node
+	f *fixture
+}
+
+func (s sendSpy) Init(rt net.Runtime) { s.Node.Init(spyRuntime{rt, s.f}) }
+
+func (s sendSpy) OnMessage(rt net.Runtime, from model.ProcID, m wire.Message) {
+	s.Node.OnMessage(spyRuntime{rt, s.f}, from, m)
+}
+
+func (s sendSpy) OnTimer(rt net.Runtime, key any) { s.Node.OnTimer(spyRuntime{rt, s.f}, key) }
+
+type spyRuntime struct {
+	net.Runtime
+	f *fixture
+}
+
+func (r spyRuntime) Send(to model.ProcID, m wire.Message) {
+	r.seen(to, m)
+	r.Runtime.Send(to, m)
+}
+
+func (r spyRuntime) SendCtx(to model.ProcID, m wire.Message, ctx model.TraceCtx) {
+	r.seen(to, m)
+	r.Runtime.SendCtx(to, m, ctx)
+}
+
+func (r spyRuntime) seen(to model.ProcID, m wire.Message) {
+	if r.f.onSend != nil {
+		r.f.onSend(r.ID(), to, m)
+	}
 }
 
 func fixtureConfig() Config {
@@ -58,7 +97,7 @@ func newFixtureCfg(t *testing.T, cat *model.Catalog, n int, cfg Config, seed int
 		nd := New(p, cfg, cat, f.hist, nil, nil)
 		nd.Observer = func(ev any) { f.events = append(f.events, ev) }
 		f.nodes[p] = nd
-		f.cluster.AddNode(p, nd)
+		f.cluster.AddNode(p, sendSpy{nd, f})
 	}
 	f.cluster.OnClientResult = func(from model.ProcID, res wire.ClientResult) {
 		f.results[res.Tag] = res

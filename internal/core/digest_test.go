@@ -143,12 +143,11 @@ func TestDigestStagedWriteForcesRefresh(t *testing.T) {
 	// The coordinator's Decide to P2 is lost: the cut from {2,3} happens
 	// as it leaves, so P2 keeps the write prepared across the partition.
 	cut := false
-	f.cluster.Transcode = func(env wire.Envelope) wire.Envelope {
-		if d, ok := env.Msg.(wire.Decide); ok && d.Commit && env.From == 1 && env.To == 2 && !cut {
+	f.onSend = func(from, to model.ProcID, m wire.Message) {
+		if d, ok := m.(wire.Decide); ok && d.Commit && from == 1 && to == 2 && !cut {
 			cut = true
 			f.topo.Partition([]model.ProcID{1}, []model.ProcID{2, 3})
 		}
-		return env
 	}
 	at := tSettled + 2*tDeltaBound
 	tag := f.submit(at, 1, wire.IncrementOps("x", 5))
@@ -384,12 +383,11 @@ func TestSplitOffAfterUnfinishedRefresh(t *testing.T) {
 	}
 	// P1 dies as its refresh answer to P3 leaves.
 	died := false
-	f.cluster.Transcode = func(env wire.Envelope) wire.Envelope {
-		if _, ok := env.Msg.(wire.RecoverReadResp); ok && env.From == 1 && env.To == 3 && !died {
+	f.onSend = func(from, to model.ProcID, m wire.Message) {
+		if _, ok := m.(wire.RecoverReadResp); ok && from == 1 && to == 3 && !died {
 			died = true
 			f.topo.Crash(1)
 		}
-		return env
 	}
 	healAt := at + tDeltaBound
 	f.cluster.At(healAt, "heal", func() { f.topo.FullMesh() })

@@ -212,16 +212,22 @@ func TestRestartBehindRejoinsAtMessageSpeed(t *testing.T) {
 		nodes: map[model.ProcID]*Node{}, results: map[uint64]wire.ClientResult{}}
 	cluster.OnClientResult = func(_ model.ProcID, res wire.ClientResult) { f.results[res.Tag] = res }
 	hosts := map[model.ProcID]*killable{}
-	journals := map[model.ProcID]*durable.MemJournal{}
-	boot := func(p model.ProcID, st *durable.State) {
-		journals[p] = durable.NewMemJournal()
-		f.nodes[p] = New(p, fixtureConfig(), cat, hist, journals[p], st)
+	disks := map[model.ProcID]durable.VFS{}
+	journals := map[model.ProcID]*durable.FileJournal{}
+	// boot opens p's journal on its disk and builds p from what it
+	// replays; it returns the replayed max-id.
+	boot := func(p model.ProcID) model.VPID {
+		st, j := openJournal(t, disks[p])
+		journals[p] = j
+		f.nodes[p] = New(p, fixtureConfig(), cat, hist, j, st)
 		f.nodes[p].Observer = func(ev any) { f.events = append(f.events, ev) }
 		hosts[p].n = f.nodes[p]
+		return st.MaxID
 	}
 	for _, p := range topo.Procs() {
 		hosts[p] = &killable{}
-		boot(p, nil)
+		disks[p] = durable.Memory()
+		boot(p)
 		cluster.AddNode(p, hosts[p])
 	}
 	cluster.Start()
@@ -231,12 +237,14 @@ func TestRestartBehindRejoinsAtMessageSpeed(t *testing.T) {
 	// two more creations take the cluster's number two past anything the
 	// victim's journal has seen.
 	kill := tSettled + tPi
-	var st *durable.State
 	cluster.At(kill, "kill", func() {
 		topo.Crash(victim)
 		// A crash departs the partition without saying so (for checkS3).
 		f.events = append(f.events, DepartEvent{Proc: victim, VP: f.nodes[victim].CurID(), At: kill})
-		hosts[victim].n, st = nil, journals[victim].St
+		hosts[victim].n = nil
+		if err := journals[victim].Close(); err != nil {
+			t.Fatal(err)
+		}
 	})
 	for i := 1; i <= 2; i++ {
 		cluster.At(kill+time.Duration(i)*tDeltaBound, "churn", func() {
@@ -250,12 +258,12 @@ func TestRestartBehindRejoinsAtMessageSpeed(t *testing.T) {
 	restart := kill + 4*tDeltaBound
 	var before int64
 	cluster.At(restart, "restart", func() {
-		if behind := f.nodes[1].maxID.N - st.MaxID.N; behind < 3 {
-			t.Fatalf("cluster at %v, victim's journal at %v: its first invitation would not be stale", f.nodes[1].maxID, st.MaxID)
+		replayed := boot(victim)
+		if behind := f.nodes[1].maxID.N - replayed.N; behind < 3 {
+			t.Fatalf("cluster at %v, victim's journal at %v: its first invitation would not be stale", f.nodes[1].maxID, replayed)
 		}
 		before = f.created()
 		topo.Recover(victim)
-		boot(victim, st)
 		hosts[victim].Init(cluster.RuntimeFor(victim))
 	})
 	f.run(restart + 3*tDelta - 1)

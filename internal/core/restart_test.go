@@ -17,16 +17,23 @@ import (
 // these tests check the three properties durability exists for — max-id
 // uniqueness, copy dates, and prepared-write survival.
 
-// durableFixture runs a sim cluster whose nodes all write through
-// MemJournals, so a "restart" is building a new cluster from the
-// captured states.
+// durableFixture runs a sim cluster whose nodes each write through a
+// FileJournal on a memory disk of their own, so a "restart" is building
+// a new cluster over the same disks: every node replays the bytes its
+// journal wrote.
 type durableFixture struct {
 	*fixture
-	journals map[model.ProcID]*durable.MemJournal
+	disks    map[model.ProcID]durable.VFS
+	journals map[model.ProcID]*durable.FileJournal
 }
 
+// journalDir is where a test node keeps its journal on its disk.
+const journalDir = "journal"
+
+// newDurableFixture boots every processor from its disk in disks, a
+// fresh one where none is given.
 func newDurableFixture(t *testing.T, cat *model.Catalog, n int, seed int64,
-	restored map[model.ProcID]*durable.State) *durableFixture {
+	disks map[model.ProcID]durable.VFS) *durableFixture {
 	t.Helper()
 	topo, err := net.NewTopology(n, time.Millisecond)
 	if err != nil {
@@ -40,11 +47,16 @@ func newDurableFixture(t *testing.T, cat *model.Catalog, n int, seed int64,
 		nodes:   make(map[model.ProcID]*Node),
 		results: make(map[uint64]wire.ClientResult),
 	}
-	df := &durableFixture{fixture: f, journals: make(map[model.ProcID]*durable.MemJournal)}
+	df := &durableFixture{fixture: f, disks: make(map[model.ProcID]durable.VFS),
+		journals: make(map[model.ProcID]*durable.FileJournal)}
 	for _, p := range topo.Procs() {
-		j := durable.NewMemJournal()
-		df.journals[p] = j
-		nd := New(p, fixtureConfig(), cat, f.hist, j, restored[p])
+		disk := disks[p]
+		if disk == nil {
+			disk = durable.Memory()
+		}
+		st, j := openJournal(t, disk)
+		df.disks[p], df.journals[p] = disk, j
+		nd := New(p, fixtureConfig(), cat, f.hist, j, st)
 		f.nodes[p] = nd
 		f.cluster.AddNode(p, nd)
 	}
@@ -53,6 +65,72 @@ func newDurableFixture(t *testing.T, cat *model.Catalog, n int, seed int64,
 	}
 	f.cluster.Start()
 	return df
+}
+
+// powerOff closes every journal, which writes out what it buffered, and
+// returns the disks to boot the next cluster from.
+func (df *durableFixture) powerOff() map[model.ProcID]durable.VFS {
+	for p, j := range df.journals {
+		if err := j.Close(); err != nil {
+			df.t.Fatalf("close journal of %v: %v", p, err)
+		}
+	}
+	return df.disks
+}
+
+// openJournal opens the journal on disk as a restart would, and fails
+// the test if recovery had to finish a decided transaction: with no torn
+// tail that means a decide left its staged writes on disk, which a
+// replay must report rather than repair.
+func openJournal(t *testing.T, disk durable.VFS) (*durable.State, *durable.FileJournal) {
+	t.Helper()
+	st, j, err := durable.OpenOptions(journalDir, durable.Options{FS: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := j.Recovery().Resolved; n != 0 {
+		t.Fatalf("journal recovery resolved %d staged transaction(s) left on disk", n)
+	}
+	return st, j
+}
+
+// replay reads p's journal back from its disk, as a restart would.
+func (df *durableFixture) replay(p model.ProcID) *durable.State {
+	df.t.Helper()
+	if err := df.journals[p].Sync(); err != nil {
+		df.t.Fatal(err)
+	}
+	st, j := openJournal(df.t, df.disks[p])
+	if err := j.Close(); err != nil {
+		df.t.Fatal(err)
+	}
+	return st
+}
+
+// diskWith returns a memory disk whose journal replays as st.
+func diskWith(t *testing.T, st *durable.State) durable.VFS {
+	t.Helper()
+	disk := durable.Memory()
+	_, j, err := durable.OpenOptions(journalDir, durable.Options{FS: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.MaxID(st.MaxID)
+	for o, c := range st.Copies {
+		j.Apply(o, c.Val, c.Ver)
+	}
+	for txn, ws := range st.Staged {
+		for o, w := range ws {
+			j.Stage(txn, o, w)
+		}
+	}
+	for txn, d := range st.Decides {
+		j.Decide(txn, d.Commit, d.Pending, d.Shards)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return disk
 }
 
 func TestRestartPreservesDataAndMaxID(t *testing.T) {
@@ -72,11 +150,7 @@ func TestRestartPreservesDataAndMaxID(t *testing.T) {
 
 	// "Power off" the whole cluster and rebuild every node from its
 	// journal.
-	restored := map[model.ProcID]*durable.State{}
-	for p, j := range f1.journals {
-		restored[p] = j.St
-	}
-	f2 := newDurableFixture(t, cat, 3, 82, restored)
+	f2 := newDurableFixture(t, cat, 3, 82, f1.powerOff())
 	// Restored nodes create new partitions immediately; give them time.
 	f2.run(2 * tDeltaBound)
 	f2.requireCommonView(1, 2, 3)
@@ -129,14 +203,11 @@ func TestSingleNodeAmnesiaPrevented(t *testing.T) {
 
 	// Restart everyone from journals (3's journal has the stale copy
 	// with its old date — NOT a blank value).
-	restored := map[model.ProcID]*durable.State{}
-	for p, j := range f1.journals {
-		restored[p] = j.St
+	disks := f1.powerOff()
+	if x := f1.replay(3).Copies["x"]; x.Val != 7 {
+		t.Fatalf("3's journal should hold the stale value 7, got %+v", x)
 	}
-	if restored[3].Copies["x"].Val != 7 {
-		t.Fatalf("3's journal should hold the stale value 7, got %+v", restored[3].Copies["x"])
-	}
-	f2 := newDurableFixture(t, cat, 3, 84, restored)
+	f2 := newDurableFixture(t, cat, 3, 84, disks)
 	f2.run(2 * tDeltaBound)
 	f2.requireCommonView(1, 2, 3)
 	// R5 must have refreshed 3's copy to 8 (dates decide, not luck).
@@ -170,7 +241,7 @@ func TestPreparedWriteSurvivesRestart(t *testing.T) {
 	st1.MaxID = ver.Date
 	st1.Decides[blockedTxn] = durable.DecideRec{Commit: true, Pending: []model.ProcID{3}}
 
-	f := newDurableFixture(t, cat, 3, 85, map[model.ProcID]*durable.State{1: st1, 3: st3})
+	f := newDurableFixture(t, cat, 3, 85, map[model.ProcID]durable.VFS{1: diskWith(t, st1), 3: diskWith(t, st3)})
 	f.run(2 * tDeltaBound)
 	f.requireCommonView(1, 2, 3)
 	// The resumed Decide must have committed the staged write at 3.
@@ -181,11 +252,11 @@ func TestPreparedWriteSurvivesRestart(t *testing.T) {
 		t.Fatalf("staged write not applied: %+v", got)
 	}
 	// The journal must no longer carry the decision.
-	if len(f.journals[1].St.Decides) != 0 {
-		t.Fatalf("decision not cleared from coordinator journal: %+v", f.journals[1].St.Decides)
+	if decides := f.replay(1).Decides; len(decides) != 0 {
+		t.Fatalf("decision not cleared from coordinator journal: %+v", decides)
 	}
-	if len(f.journals[3].St.Staged) != 0 {
-		t.Fatalf("staged write not cleared from participant journal: %+v", f.journals[3].St.Staged)
+	if staged := f.replay(3).Staged; len(staged) != 0 {
+		t.Fatalf("staged write not cleared from participant journal: %+v", staged)
 	}
 }
 
@@ -208,7 +279,7 @@ func TestNewDecidesFreshOrRestored(t *testing.T) {
 		{"max-id", withMaxID, false},
 		{"copy", withCopy, false},
 	} {
-		nd := New(1, fixtureConfig(), cat, nil, durable.NewMemJournal(), tc.st)
+		nd := New(1, fixtureConfig(), cat, nil, nil, tc.st)
 		if nd.Assigned() != tc.fresh || nd.recovered == tc.fresh {
 			t.Errorf("%s state: assigned=%v restored=%v, want fresh=%v", tc.name, nd.Assigned(), nd.recovered, tc.fresh)
 		}

@@ -29,11 +29,7 @@
 // State used to seed a restarted node.
 package durable
 
-import (
-	"sync"
-
-	"github.com/virtualpartitions/vp/internal/model"
-)
+import "github.com/virtualpartitions/vp/internal/model"
 
 // StagedWrite is a prepared-but-undecided write at a participant.
 type StagedWrite struct {
@@ -94,8 +90,9 @@ func (s *State) Fresh() bool { return s == nil || s.MaxID.IsZero() && len(s.Copi
 // Journal receives every durable state change. Implementations must be
 // safe for concurrent use: the sharded store (internal/store) journals
 // committed writes from whichever stripe applies them. Every node runs
-// over one: the constructors give a node built without a journal a
-// MemJournal, which is not durable.
+// over one: node.NewBase gives a node built without a journal a
+// FileJournal on a fresh Memory filesystem, which a restart does not
+// keep.
 //
 // Record methods (MaxID, Apply, Stage, ...) may buffer; a record is
 // only promised to disk once a Barrier registered after it reports nil.
@@ -128,9 +125,9 @@ type Journal interface {
 	DecideDone(txn model.TxnID)
 	// Barrier is the durable outbox: it gates whatever the caller wants
 	// to let out of the processor on every record passed so far being
-	// durable. A journal with no committer (MemJournal, a FileJournal
-	// opened without Options.Committer) makes them durable on the
-	// caller's goroutine and returns done=true with the outcome; release
+	// durable. A journal with no committer (a FileJournal opened
+	// without Options.Committer) makes them durable on the caller's
+	// goroutine and returns done=true with the outcome; release
 	// is then never called. A committing journal returns done=false at
 	// once and calls release(err) later, from its committer goroutine,
 	// after the fsync that covers the records — one fsync shared by
@@ -223,54 +220,3 @@ func (s *State) apply(r *record) {
 		s.Votes[*r.VoteTxn] = r.VoteRec
 	}
 }
-
-// MemJournal is an in-memory Journal for tests and the simulation
-// engine: it maintains a State directly, so "restart" is simply reading
-// State. Safe for concurrent use like any Journal.
-type MemJournal struct {
-	mu sync.Mutex
-	St *State
-}
-
-// NewMemJournal returns an empty in-memory journal.
-func NewMemJournal() *MemJournal { return &MemJournal{St: NewState()} }
-
-func (m *MemJournal) apply(r *record) {
-	m.mu.Lock()
-	m.St.apply(r)
-	m.mu.Unlock()
-}
-
-// MaxID implements Journal.
-func (m *MemJournal) MaxID(v model.VPID) { m.apply(&record{SetMaxID: &v}) }
-
-// Apply implements Journal.
-func (m *MemJournal) Apply(obj model.ObjectID, val model.Value, ver model.Version) {
-	m.apply(&record{ApplyObj: obj, ApplyVal: val, ApplyVer: &ver})
-}
-
-// Stage implements Journal.
-func (m *MemJournal) Stage(txn model.TxnID, obj model.ObjectID, w StagedWrite) {
-	m.apply(&record{StageTxn: &txn, StageObj: obj, StageW: &w})
-}
-
-// DropStage implements Journal.
-func (m *MemJournal) DropStage(txn model.TxnID, obj model.ObjectID) {
-	m.apply(&record{DropTxn: &txn, DropObj: obj})
-}
-
-// Vote implements Journal.
-func (m *MemJournal) Vote(txn model.TxnID, v VoteRec) { m.apply(&record{VoteTxn: &txn, VoteRec: v}) }
-
-// Decide implements Journal.
-func (m *MemJournal) Decide(txn model.TxnID, commit bool, pending []model.ProcID, shards []model.ShardID) {
-	m.apply(&record{DecideTxn: &txn, DecideCommit: commit, DecidePending: pending, DecideShards: shards})
-}
-
-// DecideDone implements Journal.
-func (m *MemJournal) DecideDone(txn model.TxnID) { m.apply(&record{DoneTxn: &txn}) }
-
-// Barrier implements Journal: memory is always "durable".
-func (m *MemJournal) Barrier(bool, func(error)) (bool, error) { return true, nil }
-
-var _ Journal = (*MemJournal)(nil)

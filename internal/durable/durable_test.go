@@ -269,25 +269,6 @@ func TestCorruptionInOlderSegmentIsFatal(t *testing.T) {
 	}
 }
 
-func TestMemJournal(t *testing.T) {
-	m := NewMemJournal()
-	m.MaxID(v(5, 1))
-	m.Apply("x", 9, ver(5, 1))
-	m.Stage(txn(1), "x", StagedWrite{Val: 10, Ver: ver(5, 2)})
-	m.Decide(txn(1), true, []model.ProcID{2}, nil)
-	if done, err := m.Barrier(true, nil); !done || err != nil {
-		t.Fatalf("Barrier = %v, %v; memory is always durable", done, err)
-	}
-	if m.St.MaxID != v(5, 1) || m.St.Copies["x"].Val != 9 {
-		t.Fatalf("state = %+v", m.St)
-	}
-	m.DropStage(txn(1), "")
-	m.DecideDone(txn(1))
-	if len(m.St.Staged) != 0 || len(m.St.Decides) != 0 {
-		t.Fatal("drops not applied")
-	}
-}
-
 func TestOpenCreatesDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "a", "b")
 	_, j, err := Open(dir)

@@ -41,6 +41,28 @@ func frameOffsets(t *testing.T, data []byte) []int {
 	return ends
 }
 
+// refJournal is the reference model TestEveryOffsetTruncation checks
+// recovery against: it builds each record from the call's arguments and
+// applies it to a State, with no framing, buffering or files between.
+type refJournal struct{ st *State }
+
+func (m refJournal) MaxID(v model.VPID) { m.st.apply(&record{SetMaxID: &v}) }
+func (m refJournal) Apply(obj model.ObjectID, val model.Value, ver model.Version) {
+	m.st.apply(&record{ApplyObj: obj, ApplyVal: val, ApplyVer: &ver})
+}
+func (m refJournal) Stage(txn model.TxnID, obj model.ObjectID, w StagedWrite) {
+	m.st.apply(&record{StageTxn: &txn, StageObj: obj, StageW: &w})
+}
+func (m refJournal) DropStage(txn model.TxnID, obj model.ObjectID) {
+	m.st.apply(&record{DropTxn: &txn, DropObj: obj})
+}
+func (m refJournal) Vote(txn model.TxnID, v VoteRec) { m.st.apply(&record{VoteTxn: &txn, VoteRec: v}) }
+func (m refJournal) Decide(txn model.TxnID, commit bool, pending []model.ProcID, shards []model.ShardID) {
+	m.st.apply(&record{DecideTxn: &txn, DecideCommit: commit, DecidePending: pending, DecideShards: shards})
+}
+func (m refJournal) DecideDone(txn model.TxnID)              { m.st.apply(&record{DoneTxn: &txn}) }
+func (m refJournal) Barrier(bool, func(error)) (bool, error) { return true, nil }
+
 // TestEveryOffsetTruncation is the crash-consistency property test: for
 // EVERY byte offset of the segment, truncating there and recovering
 // must succeed, yield exactly the state after some whole-record prefix
@@ -54,13 +76,13 @@ func TestEveryOffsetTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A scripted history mixing every record kind, mirrored into a
-	// MemJournal after each step to know the expected state per prefix.
-	m := NewMemJournal()
+	// refJournal after each step to know the expected state per prefix.
+	m := refJournal{NewState()}
 	var expected []*State
 	step := func(f func(Journal)) {
 		f(j)
 		f(m)
-		expected = append(expected, cloneState(m.St))
+		expected = append(expected, cloneState(m.st))
 	}
 	step(func(q Journal) { q.MaxID(v(1, 1)) })
 	for i := 0; i < 6; i++ {

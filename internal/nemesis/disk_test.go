@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -119,13 +118,31 @@ func TestDiskFaultsCrash(t *testing.T) {
 // TestDiskFaultsLoseOnlyUnsynced holds LoseUnsynced to the crash model:
 // the bytes a completed fsync covered always survive, and the bytes
 // after the last sync may be lost. At the journal level, a record whose
-// barrier flushed survives every seed.
+// barrier flushed survives every seed. It runs over the real filesystem
+// and over the memory one.
 func TestDiskFaultsLoseOnlyUnsynced(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		disk func() durable.VFS
+	}{
+		{"os", durable.OS},
+		{"memory", durable.Memory},
+	} {
+		t.Run(tc.name, func(t *testing.T) { loseOnlyUnsynced(t, tc.disk) })
+	}
+}
+
+func loseOnlyUnsynced(t *testing.T, newDisk func() durable.VFS) {
 	const synced, unsynced = "synced|", "written, never synced"
 	lostSome, keptSome := false, false
 	for seed := int64(0); seed < 20; seed++ {
-		d := NewDiskFaults(nil)
-		name := filepath.Join(t.TempDir(), "f")
+		inner := newDisk()
+		d := NewDiskFaults(inner)
+		dir := t.TempDir()
+		if err := inner.MkdirAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		name := filepath.Join(dir, "f")
 		f, err := d.Create(name)
 		if err != nil {
 			t.Fatal(err)
@@ -140,7 +157,7 @@ func TestDiskFaultsLoseOnlyUnsynced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(name)
+		data, err := inner.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +173,8 @@ func TestDiskFaultsLoseOnlyUnsynced(t *testing.T) {
 
 	for seed := int64(0); seed < 20; seed++ {
 		dir := t.TempDir()
-		d := NewDiskFaults(nil)
+		inner := newDisk()
+		d := NewDiskFaults(inner)
 		_, j, err := durable.OpenOptions(dir, durable.Options{FS: d})
 		if err != nil {
 			t.Fatal(err)
@@ -176,7 +194,7 @@ func TestDiskFaultsLoseOnlyUnsynced(t *testing.T) {
 		if _, err := d.LoseUnsynced(rand.New(rand.NewSource(seed))); err != nil {
 			t.Fatal(err)
 		}
-		st, j2, err := durable.Open(dir)
+		st, j2, err := durable.OpenOptions(dir, durable.Options{FS: inner})
 		if err != nil {
 			t.Fatalf("seed %d: reopen: %v", seed, err)
 		}

@@ -31,19 +31,10 @@ type SimCluster struct {
 	// model.NoProc. From identifies the coordinator.
 	OnClientResult func(from model.ProcID, res wire.ClientResult)
 
-	// DropInFlight, when true (the default), re-checks connectivity at
-	// delivery time so messages in flight across a link that goes down
-	// are lost — the adversarial interpretation of a partition.
-	DropInFlight bool
-
-	// Transcode, when set, is applied to every remote message at send
-	// time and its result is what gets delivered. The cross-codec
-	// equivalence test uses it to route the deterministic scenarios
-	// through a real wire codec round-trip: if an encode/decode pair
-	// alters any message, the divergence shows up in the run's results.
-	// Self-sends are exempt (they are local procedure calls and never
-	// touch a wire).
-	Transcode func(wire.Envelope) wire.Envelope
+	// enc and dec carry every message that leaves a processor, as
+	// one long-lived connection's pair does (see deliver).
+	enc wire.FrameEncoder
+	dec *wire.Decoder
 
 	// TraceEnabled turns Runtime.Logf into engine trace output.
 	TraceEnabled bool
@@ -55,12 +46,12 @@ type SimCluster struct {
 // NewSimCluster creates a cluster over the topology with the given seed.
 func NewSimCluster(topo *Topology, seed int64) *SimCluster {
 	return &SimCluster{
-		Engine:       sim.New(seed),
-		Topo:         topo,
-		Reg:          metrics.NewRegistry(),
-		nodes:        make(map[model.ProcID]Handler),
-		runtimes:     make(map[model.ProcID]*simRuntime),
-		DropInFlight: true,
+		Engine:   sim.New(seed),
+		Topo:     topo,
+		Reg:      metrics.NewRegistry(),
+		nodes:    make(map[model.ProcID]Handler),
+		runtimes: make(map[model.ProcID]*simRuntime),
+		dec:      wire.NewDecoder(),
 	}
 }
 
@@ -137,7 +128,12 @@ func (c *SimCluster) Run(until time.Duration) { c.Engine.Run(until) }
 // deliver routes one message. Self-sends are local procedure calls: they
 // are delivered on the next event tick, never fail, and do not count as
 // network messages (reading one's own copy is free in the paper's cost
-// model).
+// model). Every other message, to a peer or to the client sink, is
+// encoded with the binary wire codec, and what decodes is what arrives,
+// as over TCP. A message the codec refuses, or a frame that does not
+// decode, panics: a codec defect must not pass as an omission. A message
+// in flight across a link that goes down is lost, the adversarial
+// reading of a partition.
 func (c *SimCluster) deliver(from, to model.ProcID, m wire.Message, ctx model.TraceCtx) {
 	if from == to {
 		if h, ok := c.nodes[to]; ok {
@@ -149,30 +145,28 @@ func (c *SimCluster) deliver(from, to model.ProcID, m wire.Message, ctx model.Tr
 		}
 		return
 	}
-	if c.Transcode != nil {
-		env := c.Transcode(wire.Envelope{From: from, To: to, Msg: m, Ctx: ctx})
-		m, ctx = env.Msg, env.Ctx
+	frame, err := c.enc.EncodeFrame(&wire.Envelope{From: from, To: to, Msg: m, Ctx: ctx})
+	if err != nil {
+		panic(fmt.Sprintf("net: sim cannot encode %T from %v to %v: %v", m, from, to, err))
 	}
+	env, err := c.dec.Decode(frame[wire.FrameHeaderLen:])
+	if err != nil {
+		panic(fmt.Sprintf("net: sim cannot decode the frame of %T from %v to %v: %v", m, from, to, err))
+	}
+	m, ctx = env.Msg, env.Ctx
 	kind := wire.Kind(m)
 	c.Reg.Inc(metrics.CMsgSent, 1)
 	c.Reg.Inc(sentByKind.Name(kind), 1)
 	c.Rec.Record(trace.Event{At: c.Engine.Now(), Proc: from, Kind: trace.EvMsgSend, Peer: to, Msg: kind})
 	if to == model.NoProc {
 		// Client sink: local, reliable.
-		if c.OnClientResult != nil {
-			if res, ok := m.(wire.ClientResult); ok {
-				res := res
-				c.Engine.After(0, "client-result", func() { c.OnClientResult(from, res) })
-			}
+		if res, ok := m.(wire.ClientResult); ok && c.OnClientResult != nil {
+			c.Engine.After(0, "client-result", func() { c.OnClientResult(from, res) })
 		}
 		return
 	}
 	h, ok := c.nodes[to]
-	if !ok {
-		c.drop(from, to, kind)
-		return
-	}
-	if !c.Topo.Connected(from, to) {
+	if !ok || !c.Topo.Connected(from, to) {
 		c.drop(from, to, kind)
 		return
 	}
@@ -182,7 +176,7 @@ func (c *SimCluster) deliver(from, to model.ProcID, m wire.Message, ctx model.Tr
 	}
 	lat := c.Topo.Latency(from, to)
 	c.Engine.After(lat, "deliver", func() {
-		if c.DropInFlight && !c.Topo.Connected(from, to) {
+		if !c.Topo.Connected(from, to) {
 			c.drop(from, to, kind)
 			return
 		}

@@ -1,6 +1,7 @@
 package net
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -111,23 +112,41 @@ func TestSimClusterInFlightDrop(t *testing.T) {
 	if len(b.got) != 0 {
 		t.Fatal("in-flight message should be lost when the link goes down")
 	}
-	// With DropInFlight disabled, the message survives.
-	topo2, err := NewTopology(2, 5*time.Millisecond)
+}
+
+// unencodable is a message type the wire codec does not know.
+type unencodable struct{ N int }
+
+// senderNode sends one message to 2 at Init.
+type senderNode struct {
+	echoNode
+	msg wire.Message
+}
+
+func (s *senderNode) Init(rt Runtime) { rt.Send(2, s.msg) }
+
+// TestSimClusterCodecDefectPanics: a message the codec cannot carry is a
+// defect of the program, not a lost message, so the simulator stops and
+// names its type instead of counting an omission.
+func TestSimClusterCodecDefectPanics(t *testing.T) {
+	topo, err := NewTopology(2, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewSimCluster(topo2, 1)
-	c2.DropInFlight = false
-	a2 := &proberNode{}
-	b2 := &echoNode{}
-	c2.AddNode(1, a2)
-	c2.AddNode(2, b2)
-	c2.At(2*time.Millisecond, "cut", func() { topo2.SetLink(1, 2, false) })
-	c2.Start()
-	c2.Run(20 * time.Millisecond)
-	if len(b2.got) != 1 {
-		t.Fatal("message should be delivered when DropInFlight is off")
-	}
+	c := NewSimCluster(topo, 1)
+	c.AddNode(1, &senderNode{msg: unencodable{N: 1}})
+	c.AddNode(2, &echoNode{})
+	c.Start()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "net.unencodable") {
+			t.Fatalf("panic %q, want one naming net.unencodable", msg)
+		}
+		if n := c.Reg.Get(metrics.CMsgDropped); n != 0 {
+			t.Fatalf("%d messages counted dropped", n)
+		}
+	}()
+	c.Run(10 * time.Millisecond)
 }
 
 type timerNode struct {

@@ -103,9 +103,7 @@ func (f *durableFixture) boot(p model.ProcID) {
 		f.t.Fatalf("open journal of node %v: %v", p, err)
 	}
 	j.SetMetrics(f.regs[p])
-	base := NewBase(p, Config{Delta: 2 * time.Millisecond}, f.cat, &rowaStrategy{cat: f.cat}, f.hist)
-	base.Journal = j
-	base.Store.SetJournal(j)
+	base := NewBase(p, Config{Delta: 2 * time.Millisecond}, f.cat, &rowaStrategy{cat: f.cat}, f.hist, j)
 	base.Store.Restore(st.Copies, st.Staged)
 	base.RestoreDurable(st)
 	f.bases[p], f.journals[p], f.restored[p] = base, j, st

@@ -33,8 +33,8 @@ type Base struct {
 	// the one-copy serializability checker.
 	Hist *onecopy.History
 	// Journal receives prepared writes and commit decisions for
-	// crash-restart durability (see internal/durable); NewBase starts it
-	// as a durable.MemJournal shared with Store.
+	// crash-restart durability (see internal/durable); Store writes
+	// through the same one.
 	Journal durable.Journal
 
 	// --- server side ---
@@ -132,10 +132,21 @@ type voteTimeout struct{ txn model.TxnID }
 type decideRetry struct{ txn model.TxnID }
 type leaseSweep struct{}
 
-// NewBase constructs the shared node machinery for processor id.
-func NewBase(id model.ProcID, cfg Config, cat *model.Catalog, strat Strategy, hist *onecopy.History) *Base {
+// NewBase constructs the shared node machinery for processor id, writing
+// through journal j. A nil j gets a FileJournal of its own on a fresh
+// durable.Memory filesystem, opened without a committer so that every
+// barrier completes on the caller's goroutine: the node runs the
+// deployed journal, and keeps nothing across a restart.
+func NewBase(id model.ProcID, cfg Config, cat *model.Catalog, strat Strategy, hist *onecopy.History,
+	j durable.Journal) *Base {
 	cfg = cfg.WithDefaults()
-	j := durable.NewMemJournal()
+	if j == nil {
+		_, fj, err := durable.OpenOptions("journal", durable.Options{FS: durable.Memory()})
+		if err != nil {
+			panic(fmt.Sprintf("node: in-memory journal: %v", err))
+		}
+		j = fj
+	}
 	b := &Base{
 		ID:       id,
 		Cfg:      cfg,

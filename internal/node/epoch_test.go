@@ -85,7 +85,7 @@ func newEpochFixture(t *testing.T, n int) *epochFixture {
 	hist := onecopy.NewHistory()
 	for _, p := range topo.Procs() {
 		strat := &epochStrategy{cat: cat, epoch: &f.epoch, transition: &f.transition}
-		b := NewBase(p, Config{Delta: 2 * time.Millisecond}, cat, strat, hist)
+		b := NewBase(p, Config{Delta: 2 * time.Millisecond}, cat, strat, hist, nil)
 		f.bases[p] = b
 		f.cluster.AddNode(p, NewSimpleNode(b))
 	}

@@ -87,7 +87,7 @@ func newFixture(t *testing.T, n int, objects ...model.ObjectID) *fixture {
 	}
 	cfg := Config{Delta: 2 * time.Millisecond}
 	for _, p := range topo.Procs() {
-		base := NewBase(p, cfg, cat, &rowaStrategy{cat: cat}, f.hist)
+		base := NewBase(p, cfg, cat, &rowaStrategy{cat: cat}, f.hist, nil)
 		f.bases[p] = base
 		f.cluster.AddNode(p, NewSimpleNode(base))
 	}

@@ -12,7 +12,8 @@ import (
 // its next event, and then comes back onto the event loop through
 // net.Poster after the fsync (shared with every other promise that was
 // waiting). With a journal that syncs on the caller's goroutine (a
-// durable.MemJournal, as every simulated node runs), then runs before
+// durable.FileJournal without a committer, as every simulated node runs
+// on its in-memory filesystem), then runs after that sync and before
 // Promise returns, which keeps simulated runs in the exact order they
 // had when the barrier was inline.
 //

@@ -31,21 +31,19 @@ func TestResumedDecisionsGoOutInTxnOrder(t *testing.T) {
 		want = append(want, id, id) // one Decide to 2, then one to 3
 	}
 	slices.SortFunc(want, model.TxnID.Compare)
-	for _, p := range topo.Procs() {
-		base := NewBase(p, Config{Delta: 2 * time.Millisecond}, cat, &rowaStrategy{cat: cat}, hist)
-		if p == 1 {
-			base.RestoreDurable(st)
-		}
-		cluster.AddNode(p, NewSimpleNode(base))
-	}
 	var sent []model.TxnID
 	var to []model.ProcID
-	cluster.Transcode = func(env wire.Envelope) wire.Envelope {
-		if d, ok := env.Msg.(wire.Decide); ok && env.From == 1 {
-			sent = append(sent, d.Txn)
-			to = append(to, env.To)
+	for _, p := range topo.Procs() {
+		base := NewBase(p, Config{Delta: 2 * time.Millisecond}, cat, &rowaStrategy{cat: cat}, hist, nil)
+		if p != 1 {
+			cluster.AddNode(p, NewSimpleNode(base))
+			continue
 		}
-		return env
+		base.RestoreDurable(st)
+		cluster.AddNode(p, decideSpy{NewSimpleNode(base), func(d wire.Decide, dest model.ProcID) {
+			sent = append(sent, d.Txn)
+			to = append(to, dest)
+		}})
 	}
 	cluster.Start()
 	cluster.Run(0) // the Init events only
@@ -57,4 +55,29 @@ func TestResumedDecisionsGoOutInTxnOrder(t *testing.T) {
 			t.Fatalf("resumed Decide %d went to %v, want each decision to 2 then 3: %v", i, p, to)
 		}
 	}
+}
+
+// decideSpy runs a node whose Init (all this test runs of it) sends
+// through a runtime that shows each Decide to seen first.
+type decideSpy struct {
+	net.Handler
+	seen func(d wire.Decide, to model.ProcID)
+}
+
+func (s decideSpy) Init(rt net.Runtime) { s.Handler.Init(decideRuntime{rt, s.seen}) }
+
+type decideRuntime struct {
+	net.Runtime
+	seen func(d wire.Decide, to model.ProcID)
+}
+
+func (r decideRuntime) Send(to model.ProcID, m wire.Message) {
+	r.SendCtx(to, m, r.TraceCtx())
+}
+
+func (r decideRuntime) SendCtx(to model.ProcID, m wire.Message, ctx model.TraceCtx) {
+	if d, ok := m.(wire.Decide); ok {
+		r.seen(d, to)
+	}
+	r.Runtime.SendCtx(to, m, ctx)
 }

@@ -69,11 +69,11 @@ type epochCache struct {
 }
 
 // NewRouter builds the router of processor id. Its shard nodes and
-// coordinator all write through j (nil: a fresh durable.MemJournal):
-// one processor has ONE journal. Nothing scopes it per shard: every
-// copy and staged write a shard node records or drops names its object,
-// an object belongs to one shard, and max-id only ever rises. st is j's
-// replayed state. Every hosted
+// coordinator all write through j (nil: one journal in memory, see
+// node.NewBase): one processor has ONE journal. Nothing scopes it per
+// shard: every copy and staged write a shard node records or drops
+// names its object, an object belongs to one shard, and max-id only
+// ever rises. st is j's replayed state. Every hosted
 // shard node gets its max-id, copies and staged writes and restores
 // those of its own objects (or starts fresh when there is nothing to
 // restore, see core.New); partition identifiers come from one counter
@@ -89,9 +89,6 @@ func NewRouter(id model.ProcID, cfg core.Config, m *Map, hist *onecopy.History,
 	// shard nodes run the strict rule (departures abort via the epoch
 	// pin, exactly the paper's R4).
 	cfg.WeakR4 = false
-	if j == nil {
-		j = durable.NewMemJournal()
-	}
 
 	r := &Router{
 		id:      id,
@@ -101,7 +98,8 @@ func NewRouter(id model.ProcID, cfg core.Config, m *Map, hist *onecopy.History,
 		caches:  make(map[model.ShardID]*epochCache),
 		tracers: make(map[model.ShardID]*trace.Recorder),
 	}
-	r.coord = node.NewBase(id, cfg.Config, m.Catalog(), &routerStrategy{r: r}, hist)
+	r.coord = node.NewBase(id, cfg.Config, m.Catalog(), &routerStrategy{r: r}, hist, j)
+	j = r.coord.Journal
 	r.coord.OnHalt = func(err error) {
 		if r.Observer != nil {
 			r.Observer(model.NoShard, core.HaltEvent{Proc: id, Err: err})
@@ -119,7 +117,6 @@ func NewRouter(id model.ProcID, cfg core.Config, m *Map, hist *onecopy.History,
 		r.nodes[s] = n
 		r.order = append(r.order, s)
 	}
-	r.coord.Journal = j
 	if st != nil {
 		r.coord.RestoreDurable(&durable.State{Decides: st.Decides, Votes: st.Votes})
 	}

@@ -176,15 +176,19 @@ type fixture struct {
 	hist     *onecopy.History
 	m        *Map
 	routers  map[model.ProcID]*Router
-	journals map[model.ProcID]*durable.MemJournal
+	disks    map[model.ProcID]durable.VFS
+	journals map[model.ProcID]*durable.FileJournal
 	results  map[uint64]wire.ClientResult
 	nextTag  uint64
 }
 
+// journalDir is where a test processor keeps its journal on its disk.
+const journalDir = "journal"
+
 // newFixture builds a router cluster. With durable true every processor
-// writes through a MemJournal; restored (optional) rebuilds the listed
-// processors from the given states, each over a MemJournal that holds
-// its state, as the journal it was replayed from would.
+// writes through a FileJournal on a memory disk of its own; restored
+// (optional) rebuilds the listed processors from a disk whose journal
+// holds the given state, and so replays it.
 func newFixture(t *testing.T, m *Map, n int, seed int64, durableNodes bool,
 	restored map[model.ProcID]*durable.State) *fixture {
 	t.Helper()
@@ -199,17 +203,20 @@ func newFixture(t *testing.T, m *Map, n int, seed int64, durableNodes bool,
 		hist:     onecopy.NewHistory(),
 		m:        m,
 		routers:  make(map[model.ProcID]*Router),
-		journals: make(map[model.ProcID]*durable.MemJournal),
+		disks:    make(map[model.ProcID]durable.VFS),
+		journals: make(map[model.ProcID]*durable.FileJournal),
 		results:  make(map[uint64]wire.ClientResult),
 	}
 	for _, p := range topo.Procs() {
 		var j durable.Journal
+		var st *durable.State
 		if durableNodes || restored[p] != nil {
-			mj := journalOf(restored[p])
-			f.journals[p] = mj
-			j = mj
+			f.disks[p] = diskWith(t, restored[p])
+			var fj *durable.FileJournal
+			st, fj = openJournal(t, f.disks[p])
+			f.journals[p], j = fj, fj
 		}
-		r := NewRouter(p, testConfig(), m, f.hist, j, restored[p])
+		r := NewRouter(p, testConfig(), m, f.hist, j, st)
 		f.routers[p] = r
 		f.cluster.AddNode(p, r)
 	}
@@ -220,11 +227,22 @@ func newFixture(t *testing.T, m *Map, n int, seed int64, durableNodes bool,
 	return f
 }
 
-// journalOf returns a MemJournal that has recorded st (nil: nothing).
-func journalOf(st *durable.State) *durable.MemJournal {
-	j := durable.NewMemJournal()
+// diskWith returns a memory disk whose journal has recorded st (nil:
+// nothing).
+func diskWith(t *testing.T, st *durable.State) durable.VFS {
+	t.Helper()
+	disk := durable.Memory()
+	_, j, err := durable.OpenOptions(journalDir, durable.Options{FS: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
 	if st == nil {
-		return j
+		return disk
 	}
 	j.MaxID(st.MaxID)
 	for o, c := range st.Copies {
@@ -241,7 +259,36 @@ func journalOf(st *durable.State) *durable.MemJournal {
 	for txn, v := range st.Votes {
 		j.Vote(txn, v)
 	}
-	return j
+	return disk
+}
+
+// openJournal opens the journal on disk as a restart would, and fails
+// the test if recovery had to finish a decided transaction: with no torn
+// tail that means a decide left its staged writes on disk, which a
+// replay must report rather than repair.
+func openJournal(t *testing.T, disk durable.VFS) (*durable.State, *durable.FileJournal) {
+	t.Helper()
+	st, j, err := durable.OpenOptions(journalDir, durable.Options{FS: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := j.Recovery().Resolved; n != 0 {
+		t.Fatalf("journal recovery resolved %d staged transaction(s) left on disk", n)
+	}
+	return st, j
+}
+
+// replay reads p's journal back from its disk, as a restart would.
+func (f *fixture) replay(p model.ProcID) *durable.State {
+	f.t.Helper()
+	if err := f.journals[p].Sync(); err != nil {
+		f.t.Fatal(err)
+	}
+	st, j := openJournal(f.t, f.disks[p])
+	if err := j.Close(); err != nil {
+		f.t.Fatal(err)
+	}
+	return st
 }
 
 func (f *fixture) run(until time.Duration) { f.cluster.Run(until) }
@@ -410,11 +457,11 @@ func TestCrossShardDecideSurvivesCoordinatorCrash(t *testing.T) {
 		t.Fatalf("shard %v staged write not applied: %+v", sB, got)
 	}
 	// The handshake drained both journals.
-	if n := len(f.journals[1].St.Decides); n != 0 {
-		t.Fatalf("decision not cleared from coordinator journal: %+v", f.journals[1].St.Decides)
+	if decides := f.replay(1).Decides; len(decides) != 0 {
+		t.Fatalf("decision not cleared from coordinator journal: %+v", decides)
 	}
-	if n := len(f.journals[3].St.Staged); n != 0 {
-		t.Fatalf("staged writes not cleared from participant journal: %+v", f.journals[3].St.Staged)
+	if staged := f.replay(3).Staged; len(staged) != 0 {
+		t.Fatalf("staged writes not cleared from participant journal: %+v", staged)
 	}
 
 	// The committed values are visible cluster-wide (rule R5 spread the
@@ -452,7 +499,7 @@ func TestDecideLeavesCoHostedShardsStageAlone(t *testing.T) {
 	})
 	f.run(2 * tDelta)
 
-	staged := f.journals[3].St.Staged[txn]
+	staged := f.replay(3).Staged[txn]
 	if _, ok := staged[oA]; ok {
 		t.Errorf("shard %v's Decide left its staged write of %s in the journal", sA, oA)
 	}
@@ -727,11 +774,11 @@ func TestCrossShardVoteRecordIsCollectedAgain(t *testing.T) {
 					t.Errorf("shard %v: %s still staged", s, o)
 				}
 			}
-			if n := len(f.journals[1].St.Votes) + len(f.journals[1].St.Decides); n != 0 {
-				t.Errorf("coordinator journal not drained: %+v %+v", f.journals[1].St.Votes, f.journals[1].St.Decides)
+			if coord := f.replay(1); len(coord.Votes)+len(coord.Decides) != 0 {
+				t.Errorf("coordinator journal not drained: %+v %+v", coord.Votes, coord.Decides)
 			}
-			if n := len(f.journals[3].St.Staged); n != 0 {
-				t.Errorf("participant journal not drained: %+v", f.journals[3].St.Staged)
+			if staged := f.replay(3).Staged; len(staged) != 0 {
+				t.Errorf("participant journal not drained: %+v", staged)
 			}
 		})
 	}
@@ -751,7 +798,7 @@ func TestNewRouterDecidesFreshOrRestored(t *testing.T) {
 		st    *durable.State
 		fresh bool
 	}{{durable.NewState(), true}, {restored, false}} {
-		r := NewRouter(1, testConfig(), m, nil, durable.NewMemJournal(), tc.st)
+		r := NewRouter(1, testConfig(), m, nil, nil, tc.st)
 		for _, s := range r.Hosted() {
 			if r.Node(s).Assigned() != tc.fresh {
 				t.Errorf("shard %v: assigned=%v, want %v", s, r.Node(s).Assigned(), tc.fresh)

@@ -161,10 +161,21 @@ func TestRestoreSeedsStore(t *testing.T) {
 
 func TestSetJournalWritesThrough(t *testing.T) {
 	s := newTestStore(8)
-	j := durable.NewMemJournal()
+	disk := durable.Memory()
+	_, j, err := durable.OpenOptions("journal", durable.Options{FS: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.SetJournal(j)
 	s.Apply("x", 42, ver(1, 1))
-	if j.St.Copies["x"].Val != 42 {
-		t.Fatalf("journal = %+v", j.St.Copies)
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := durable.OpenOptions("journal", durable.Options{FS: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Copies["x"].Val != 42 {
+		t.Fatalf("journal = %+v", st.Copies)
 	}
 }

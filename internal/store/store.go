@@ -76,8 +76,9 @@ type Store struct {
 	nlocked int
 }
 
-// SetJournal replaces the store's journal, a durable.MemJournal of its
-// own until then.
+// SetJournal sets the journal every committed write goes to. A store
+// without one (as New returns it) journals nothing; a node always sets
+// its own (node.NewBase).
 func (s *Store) SetJournal(j durable.Journal) { s.journal = j }
 
 // New creates the store for processor p holding the copies assigned to it
@@ -90,7 +91,6 @@ func New(p model.ProcID, cat *model.Catalog, initVal model.Value, logCap int) *S
 		objects:    make(map[model.ObjectID]*objectState, len(local)),
 		logCap:     logCap,
 		initVal:    initVal,
-		journal:    durable.NewMemJournal(),
 		stagedObjs: make(map[model.TxnID][]model.ObjectID),
 	}
 	states := make([]objectState, len(local))
@@ -158,7 +158,9 @@ func (s *Store) Get(obj model.ObjectID) model.Copy {
 func (s *Store) applyLocked(st *objectState, obj model.ObjectID, val model.Value, ver model.Version) {
 	st.copyVal = model.Copy{Val: val, Ver: ver}
 	s.raiseNewest(ver)
-	s.journal.Apply(obj, val, ver)
+	if s.journal != nil {
+		s.journal.Apply(obj, val, ver)
+	}
 	if s.logCap > 0 {
 		st.log = append(st.log, model.Copy{Val: val, Ver: ver})
 		for len(st.log) > s.logCap {
