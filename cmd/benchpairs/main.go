@@ -24,6 +24,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+
+	"github.com/virtualpartitions/vp/internal/model"
 )
 
 // result is one run of one workload as the harness records it in
@@ -264,7 +266,7 @@ func main() {
 			v[1] = append(v[1], res[1].EndToEnd[name].Value)
 			vals[name] = v
 		}
-		for _, name := range sortedKeys(dirs) {
+		for _, name := range model.SortedKeys(dirs) {
 			line += fmt.Sprintf("  %s %.4f → %.4f", name, res[0].EndToEnd[name].Value, res[1].EndToEnd[name].Value)
 		}
 		for _, name := range layerNames {
@@ -277,19 +279,10 @@ func main() {
 		fmt.Println(line)
 	}
 	fmt.Printf("\n%s, %d pairs, base %s (failed ops: base %d, change %d)\n", *workload, *n, *base, failed[0], failed[1])
-	for _, name := range sortedKeys(dirs) {
+	for _, name := range model.SortedKeys(dirs) {
 		fmt.Println(summarize(name, dirs[name], vals[name][0], vals[name][1]))
 	}
 	for _, name := range layerNames {
 		fmt.Println(summarize(name, "lower", vals[name][0], vals[name][1]))
 	}
-}
-
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/virtualpartitions/vp/internal/nemesis"
@@ -121,11 +122,26 @@ func TestCellSeedsAreStable(t *testing.T) {
 // TestSimReplayDeterministic replays each sim cell of make chaos's spec
 // (specs/chaos.json) at a second seed twice, and demands that every gate
 // passes and that the two runs of a cell are byte-identical even with
-// partitions, crash/restarts and flaky links injected mid-run.
+// partitions, crash/restarts and flaky links injected mid-run. Each
+// cell's digest must also equal the one pinned in
+// testdata/chaos_seed11_sim.digests ("<cell id> <digest>" a line), so a
+// change that moves any simulated event fails here. Re-pin only for a
+// change that is meant to alter the protocol's behaviour or its fault
+// schedules, with the digests this test reports.
 func TestSimReplayDeterministic(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "..", "specs", "chaos.json"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	pins, err := os.ReadFile(filepath.Join("testdata", "chaos_seed11_sim.digests"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(pins)), "\n") {
+		if id, digest, ok := strings.Cut(line, " "); ok {
+			pinned[id] = digest
+		}
 	}
 	var spec Spec
 	if err := json.Unmarshal(raw, &spec); err != nil {
@@ -152,6 +168,9 @@ func TestSimReplayDeterministic(t *testing.T) {
 		if first.Digest == "" || first.Digest != second.Digest {
 			t.Errorf("cell %s: replay digest %q != %q", c.ID, second.Digest, first.Digest)
 		}
+		if first.Digest != pinned[c.ID] {
+			t.Errorf("cell %s: digest %s, pinned %q", c.ID, first.Digest, pinned[c.ID])
+		}
 		if !bytes.Equal(marshalCells(t, []CellResult{first}), marshalCells(t, []CellResult{second})) {
 			t.Errorf("cell %s: two replays differ byte-for-byte", c.ID)
 		}
@@ -159,6 +178,9 @@ func TestSimReplayDeterministic(t *testing.T) {
 	}
 	if replayed == 0 {
 		t.Fatal("chaos spec has no sim cells")
+	}
+	if replayed != len(pinned) {
+		t.Errorf("replayed %d sim cells, %d pinned", replayed, len(pinned))
 	}
 	if faults[nemesis.StepPartition]+faults[nemesis.StepIsolateOne] == 0 || faults[nemesis.StepCrash] == 0 {
 		t.Errorf("sim cells inject no partitions or no crashes: %v", faults)

@@ -28,8 +28,9 @@ const killLeadIn = 60 * time.Millisecond
 // nodes (internal/cluster): the deployed transport, codec and journal,
 // wall-clock time. It sits between the sim (no real concurrency) and the
 // deployed stack (separate processes): races, sockets, timers and fsyncs
-// are real, message loss is injected by the nemesis.Injector, the
-// cell's interceptor.
+// are real. The network steps go through nemesis.Apply to a seeded
+// net.Topology, every node's interceptor, as they go to the simulator's
+// topology.
 //
 // Every processor runs the deployed protocol (cluster.CoreConfig) and
 // journals to a file in a per-cell temp dir, opened with the deployed
@@ -40,7 +41,7 @@ const killLeadIn = 60 * time.Millisecond
 // instead. The sim backend has no process to stop and isolates a
 // crashed processor (nemesis.ApplyToSim).
 type inprocPlatform struct {
-	inj     *nemesis.Injector
+	topo    *vnet.Topology
 	c       *cluster.Cluster
 	dir     string
 	shards  *shard.Map
@@ -71,12 +72,16 @@ func (p *inprocPlatform) Start(cfg ClusterConfig) error {
 	if p.c != nil {
 		return fmt.Errorf("campaign/inproc: Start on a started platform")
 	}
+	topo, err := vnet.NewTopology(cfg.N, time.Millisecond)
+	if err != nil {
+		return fmt.Errorf("campaign/inproc: %w", err)
+	}
+	topo.Seed(cfg.Seed)
 	dir, err := os.MkdirTemp("", "vp-inproc-")
 	if err != nil {
 		return fmt.Errorf("campaign/inproc: %w", err)
 	}
-	p.dir, p.shards = dir, cfg.Shards
-	p.inj = nemesis.NewInjector(cfg.Seed)
+	p.dir, p.shards, p.topo = dir, cfg.Shards, topo
 	p.rng = rand.New(rand.NewSource(cfg.Seed ^ 0x6b696c6c39)) // "kill9"
 	p.journals = make(map[model.ProcID]*durable.FileJournal, cfg.N)
 	p.disks = make(map[model.ProcID]*nemesis.DiskFaults, cfg.N)
@@ -86,7 +91,7 @@ func (p *inprocPlatform) Start(cfg ClusterConfig) error {
 		N:           cfg.N,
 		Shards:      cfg.Shards,
 		Core:        cluster.CoreConfig(cfg.Delta),
-		Interceptor: p.inj,
+		Interceptor: topo,
 		Journal:     p.openJournal,
 		Trace:       true,
 	}
@@ -189,15 +194,15 @@ func (p *inprocPlatform) Drive(plan Plan) error {
 	return nil
 }
 
-// fault realizes one schedule step. The injector takes the network
-// faults. A crash stops the victim and closes its journal. A kill arms
+// fault realizes one schedule step. nemesis.Apply takes the network
+// steps. A crash stops the victim and closes its journal. A kill arms
 // the disk fault its lead event did not, freezes the disk 5ms later,
 // stops the victim, abandons its journal unsynced and loses what no
 // fsync covered. A restart boots the victim again from its journal.
 func (p *inprocPlatform) fault(st nemesis.Step, tearFirst bool) error {
 	v := st.Victim
 	switch {
-	case p.inj.Apply(st):
+	case nemesis.Apply(p.topo, st):
 	case st.Kind == nemesis.StepRestart:
 		if p.c.Node(v) == nil {
 			return p.c.Boot(v)

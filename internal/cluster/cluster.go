@@ -44,7 +44,7 @@ type Config struct {
 	// Core configures every processor's protocol.
 	Core core.Config
 	// Interceptor, when set, is consulted on every remote send of every
-	// node: a net.Topology or a nemesis.Injector.
+	// node: the net.Topology that holds the cluster's network faults.
 	Interceptor net.Interceptor
 	// Journal opens processor p's journal at every boot and returns it
 	// with its replayed state, from which the constructor decides fresh

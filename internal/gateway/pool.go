@@ -3,7 +3,6 @@ package gateway
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,9 +59,8 @@ func newPool(cluster map[model.ProcID]string, reg *metrics.Registry) *pool {
 	}
 	for id, addr := range cluster {
 		p.clients[id] = vnet.NewClient(addr, perTry)
-		p.ids = append(p.ids, id)
 	}
-	sort.Slice(p.ids, func(i, j int) bool { return p.ids[i] < p.ids[j] })
+	p.ids = model.SortedKeys(cluster)
 	return p
 }
 

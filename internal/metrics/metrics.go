@@ -14,6 +14,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/virtualpartitions/vp/internal/model"
 )
 
 // DefaultSampleCap bounds how many raw observations a distribution
@@ -171,12 +173,7 @@ func (r *Registry) Samples(name string) Summary {
 func (r *Registry) SampleNames() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.samples))
-	for k := range r.samples {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return model.SortedKeys(r.samples)
 }
 
 // Reset clears all counters and samples.
@@ -190,13 +187,8 @@ func (r *Registry) Reset() {
 // String renders every counter on one line each, sorted by name.
 func (r *Registry) String() string {
 	c := r.Counters()
-	names := make([]string, 0, len(c))
-	for k := range c {
-		names = append(names, k)
-	}
-	sort.Strings(names)
 	var b strings.Builder
-	for _, k := range names {
+	for _, k := range model.SortedKeys(c) {
 		fmt.Fprintf(&b, "%-32s %d\n", k, c[k])
 	}
 	return b.String()

@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"github.com/virtualpartitions/vp/internal/model"
 )
 
 // This file renders a Registry in the Prometheus text exposition format
@@ -63,12 +65,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fam, kind := splitKind(name)
 		families[fam] = append(families[fam], series{kind: kind, val: v})
 	}
-	famNames := make([]string, 0, len(families))
-	for f := range families {
-		famNames = append(famNames, f)
-	}
-	sort.Strings(famNames)
-	for _, fam := range famNames {
+	for _, fam := range model.SortedKeys(families) {
 		pn := promName(fam)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", pn); err != nil {
 			return err

@@ -3,10 +3,10 @@ package nemesis
 import (
 	"errors"
 	"math/rand"
-	"slices"
 	"sync"
 
 	"github.com/virtualpartitions/vp/internal/durable"
+	"github.com/virtualpartitions/vp/internal/model"
 )
 
 // Injected disk-fault errors. They are distinct sentinels so tests can
@@ -238,13 +238,9 @@ func (d *DiskFaults) Size(name string) (int64, error) {
 func (d *DiskFaults) LoseUnsynced(rng *rand.Rand) (int64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	names := make([]string, 0, len(d.synced))
-	for name := range d.synced {
-		names = append(names, name)
-	}
-	slices.Sort(names) // one rng draw per file, in a seed-stable order
 	var lost int64
-	for _, name := range names {
+	// One rng draw per file, in a seed-stable order.
+	for _, name := range model.SortedKeys(d.synced) {
 		size, err := d.inner.Size(name)
 		if durable.IsNotExist(err) {
 			continue

@@ -6,14 +6,14 @@
 // delivery thrown in because retransmitting protocols must tolerate it
 // anyway.
 //
-// A Schedule is backend-agnostic. The same schedule can be applied to
-//
-//   - the deterministic sim engine, by translating steps into Topology
-//     mutations at virtual times (see ApplyToSim), and
-//   - live TCP clusters, by feeding the steps to an Injector, which
-//     implements net.Interceptor, while the harness handles crash, kill
-//     and restart by actually stopping nodes and booting them again from
-//     their journals.
+// A Schedule is backend-agnostic, and so is its network state: one
+// function, Apply, turns every network step into a change of a
+// net.Topology, the paper's can-communicate relation (§3). The
+// deterministic sim engine delivers by that topology, with the steps
+// scheduled at virtual times (ApplyToSim). A live TCP cluster has it
+// installed as every node's interceptor (Topology.Outbound), and its
+// harness handles crash, kill and restart by stopping nodes and booting
+// them again from their journals.
 //
 // Generate builds a randomized schedule from a seed; the same seed always
 // yields the same schedule, so a failing chaos run is reproducible by
@@ -59,11 +59,11 @@ const (
 	StepRestart StepKind = "restart"
 	// StepDropProb makes every link lose messages with Step.Prob.
 	StepDropProb StepKind = "drop-prob"
-	// StepDelay adds Step.Delay to every message (sim: overrides link
-	// latency to base+Delay).
+	// StepDelay adds Step.Delay to every message: every link's latency
+	// becomes base+Delay.
 	StepDelay StepKind = "delay"
 	// StepDuplicate delivers messages twice with Step.Prob. The sim
-	// engine has no duplicate path; ApplyToSim ignores this step.
+	// engine has no duplicate path, so only live backends duplicate.
 	StepDuplicate StepKind = "duplicate"
 	// StepIsolateOne partitions Step.Victim away from everyone else
 	// while the rest stay connected (the paper's Example 2 shape).
@@ -72,9 +72,9 @@ const (
 	// Step.Groups: cross-group messages carrying that shard's frames are
 	// lost while every other shard's traffic flows normally. This is the
 	// sharded deployment's signature fault — one shard's weighted
-	// majority splits, the rest of the cluster must not notice. Only the
-	// Injector realizes it (it needs to inspect frames); ApplyToSim
-	// ignores it.
+	// majority splits, the rest of the cluster must not notice. Only
+	// live backends realize it (Topology.Outbound inspects the frames);
+	// the sim engine does not look at a shard cut.
 	StepShardPartition StepKind = "shard-partition"
 )
 
@@ -100,7 +100,7 @@ type Step struct {
 
 func (s Step) String() string {
 	switch s.Kind {
-	case StepShardPartition:
+	case StepPartition, StepShardPartition:
 		parts := make([]string, len(s.Groups))
 		for i, g := range s.Groups {
 			ids := make([]string, len(g))
@@ -109,17 +109,11 @@ func (s Step) String() string {
 			}
 			parts[i] = "{" + strings.Join(ids, ",") + "}"
 		}
-		return fmt.Sprintf("%8s %-12s shard %v %s", s.At.Round(time.Millisecond), s.Kind, s.Shard, strings.Join(parts, " "))
-	case StepPartition:
-		parts := make([]string, len(s.Groups))
-		for i, g := range s.Groups {
-			ids := make([]string, len(g))
-			for j, p := range g {
-				ids[j] = fmt.Sprint(p)
-			}
-			parts[i] = "{" + strings.Join(ids, ",") + "}"
+		scope := ""
+		if s.Kind == StepShardPartition {
+			scope = fmt.Sprintf("shard %v ", s.Shard)
 		}
-		return fmt.Sprintf("%8s %-12s %s", s.At.Round(time.Millisecond), s.Kind, strings.Join(parts, " "))
+		return fmt.Sprintf("%8s %-12s %s%s", s.At.Round(time.Millisecond), s.Kind, scope, strings.Join(parts, " "))
 	case StepCrash, StepKill, StepRestart, StepIsolateOne:
 		return fmt.Sprintf("%8s %-12s p%d", s.At.Round(time.Millisecond), s.Kind, s.Victim)
 	case StepDropProb, StepDuplicate:

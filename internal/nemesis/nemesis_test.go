@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/virtualpartitions/vp/internal/model"
+	"github.com/virtualpartitions/vp/internal/net"
 	"github.com/virtualpartitions/vp/internal/wire"
 )
 
@@ -99,76 +100,114 @@ func TestGenerateConstraints(t *testing.T) {
 	}
 }
 
-// TestInjectorPartition: cross-group sends drop, intra-group pass, heal
+// topo returns a fault-free topology over processors 1..n.
+func topo(t *testing.T, n int) *net.Topology {
+	t.Helper()
+	tp, err := net.NewTopology(n, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tp
+}
+
+// TestApplyPartition: cross-group sends drop, intra-group pass, heal
 // restores everything.
-func TestInjectorPartition(t *testing.T) {
-	in := NewInjector(1)
-	in.Apply(Step{Kind: StepPartition, Groups: [][]model.ProcID{{1, 2}, {3}}})
-	if v := in.Outbound(1, 3, wire.Probe{}); !v.Drop {
+func TestApplyPartition(t *testing.T) {
+	tp := topo(t, 3)
+	Apply(tp, Step{Kind: StepPartition, Groups: [][]model.ProcID{{1, 2}, {3}}})
+	if v := tp.Outbound(1, 3, wire.Probe{}); !v.Drop {
 		t.Fatal("cross-group send must drop")
 	}
-	if v := in.Outbound(1, 2, wire.Probe{}); v.Drop {
+	if v := tp.Outbound(1, 2, wire.Probe{}); v.Drop {
 		t.Fatal("intra-group send must pass")
 	}
-	in.Apply(Step{Kind: StepHeal})
-	if v := in.Outbound(1, 3, wire.Probe{}); v.Drop {
+	Apply(tp, Step{Kind: StepHeal})
+	if v := tp.Outbound(1, 3, wire.Probe{}); v.Drop {
 		t.Fatal("heal must reconnect")
 	}
 }
 
-// TestInjectorIsolateOne: only the victim's links are cut.
-func TestInjectorIsolateOne(t *testing.T) {
-	in := NewInjector(1)
-	in.Apply(Step{Kind: StepIsolateOne, Victim: 2})
-	if v := in.Outbound(1, 2, wire.Probe{}); !v.Drop {
+// TestApplyIsolateOne: only the victim's links are cut.
+func TestApplyIsolateOne(t *testing.T) {
+	tp := topo(t, 3)
+	Apply(tp, Step{Kind: StepIsolateOne, Victim: 2})
+	if v := tp.Outbound(1, 2, wire.Probe{}); !v.Drop {
 		t.Fatal("send to isolated proc must drop")
 	}
-	if v := in.Outbound(2, 3, wire.Probe{}); !v.Drop {
+	if v := tp.Outbound(2, 3, wire.Probe{}); !v.Drop {
 		t.Fatal("send from isolated proc must drop")
 	}
-	if v := in.Outbound(1, 3, wire.Probe{}); v.Drop {
+	if v := tp.Outbound(1, 3, wire.Probe{}); v.Drop {
 		t.Fatal("bystanders must stay connected")
 	}
-	in.Apply(Step{Kind: StepHeal})
-	if v := in.Outbound(1, 2, wire.Probe{}); v.Drop {
+	Apply(tp, Step{Kind: StepHeal})
+	if v := tp.Outbound(1, 2, wire.Probe{}); v.Drop {
 		t.Fatal("heal must reconnect the victim")
 	}
 }
 
-// TestInjectorFlaky: drop-prob, delay and duplicate verdicts.
-func TestInjectorFlaky(t *testing.T) {
-	in := NewInjector(7)
-	in.Apply(Step{Kind: StepDropProb, Prob: 1})
-	if v := in.Outbound(1, 2, wire.Probe{}); !v.Drop {
+// TestApplyFlaky: drop-prob, delay and duplicate verdicts.
+func TestApplyFlaky(t *testing.T) {
+	tp := topo(t, 2)
+	tp.Seed(7)
+	Apply(tp, Step{Kind: StepDropProb, Prob: 1})
+	if v := tp.Outbound(1, 2, wire.Probe{}); !v.Drop {
 		t.Fatal("prob 1 must drop everything")
 	}
-	in.Apply(Step{Kind: StepHeal})
+	Apply(tp, Step{Kind: StepHeal})
 
-	in.Apply(Step{Kind: StepDelay, Delay: 30 * time.Millisecond})
-	if v := in.Outbound(1, 2, wire.Probe{}); v.Delay != 30*time.Millisecond {
+	Apply(tp, Step{Kind: StepDelay, Delay: 30 * time.Millisecond})
+	if v := tp.Outbound(1, 2, wire.Probe{}); v.Delay != 30*time.Millisecond {
 		t.Fatalf("delay verdict = %v, want 30ms", v.Delay)
 	}
-	in.Apply(Step{Kind: StepDuplicate, Prob: 1})
-	if v := in.Outbound(1, 2, wire.Probe{}); !v.Duplicate {
+	Apply(tp, Step{Kind: StepDuplicate, Prob: 1})
+	if v := tp.Outbound(1, 2, wire.Probe{}); !v.Duplicate {
 		t.Fatal("prob 1 must duplicate everything")
 	}
-	in.Apply(Step{Kind: StepHeal})
-	v := in.Outbound(1, 2, wire.Probe{})
+	Apply(tp, Step{Kind: StepHeal})
+	v := tp.Outbound(1, 2, wire.Probe{})
 	if v.Drop || v.Delay != 0 || v.Duplicate {
 		t.Fatalf("heal must clear flaky state, got %+v", v)
 	}
 }
 
-// TestInjectorCrashNotNetwork: crash/restart are the harness's job.
-func TestInjectorCrashNotNetwork(t *testing.T) {
-	in := NewInjector(1)
-	if in.Apply(Step{Kind: StepCrash, Victim: 1}) {
-		t.Fatal("crash must not be handled by the injector")
+// TestApplyCrashNotNetwork: crash, kill and restart are the harness's
+// job.
+func TestApplyCrashNotNetwork(t *testing.T) {
+	tp := topo(t, 2)
+	for _, k := range []StepKind{StepCrash, StepKill, StepRestart} {
+		if Apply(tp, Step{Kind: k, Victim: 1}) {
+			t.Fatalf("%s must not be a network step", k)
+		}
 	}
-	if in.Apply(Step{Kind: StepRestart, Victim: 1}) {
-		t.Fatal("restart must not be handled by the injector")
-	}
-	if v := in.Outbound(1, 2, wire.Probe{}); v.Drop {
+	if v := tp.Outbound(1, 2, wire.Probe{}); v.Drop {
 		t.Fatal("crash step must not mutate network state")
+	}
+}
+
+// TestApplyReadsAlike: after every network step of a flaky schedule
+// without loss, the sim's reading of the topology (Connected) and a TCP
+// node's (Outbound) agree on every pair.
+func TestApplyReadsAlike(t *testing.T) {
+	tp := topo(t, 5)
+	// Seed 7 draws every network step kind but shard-partition.
+	sched := Generate(7, Options{Procs: procs(5), MinPartitions: 6, Flaky: true})
+	if c := sched.Counts(); c[StepIsolateOne]*c[StepPartition]*c[StepDropProb]*c[StepDelay]*c[StepDuplicate] == 0 {
+		t.Fatalf("schedule misses a network step kind: %v", c)
+	}
+	for _, st := range sched.Steps {
+		if st.Kind == StepDropProb {
+			st.Prob = 0
+		}
+		if !Apply(tp, st) {
+			continue
+		}
+		for a := model.ProcID(1); a <= 5; a++ {
+			for b := model.ProcID(1); b <= 5; b++ {
+				if c, v := tp.Connected(a, b), tp.Outbound(a, b, wire.Probe{}); c == v.Drop {
+					t.Fatalf("after %v: Connected(%v, %v) = %v, Outbound %+v", st, a, b, c, v)
+				}
+			}
+		}
 	}
 }

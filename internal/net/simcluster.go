@@ -86,17 +86,7 @@ func (c *SimCluster) Start() {
 		panic("net: double Start")
 	}
 	c.started = true
-	ids := make([]model.ProcID, 0, len(c.nodes))
-	for p := range c.nodes {
-		ids = append(ids, p)
-	}
-	// Sort without importing sort for a 3-line slice: insertion sort.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	for _, p := range ids {
+	for _, p := range model.SortedKeys(c.nodes) {
 		h, rt := c.nodes[p], c.runtimes[p]
 		c.Engine.After(0, "init", func() { h.Init(rt) })
 	}

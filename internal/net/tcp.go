@@ -655,12 +655,7 @@ func (n *TCPNode) ID() model.ProcID { return n.id }
 
 // Procs implements Runtime: all configured processors, ascending.
 func (n *TCPNode) Procs() []model.ProcID {
-	out := make([]model.ProcID, 0, len(n.addrs))
-	for p := range n.addrs {
-		out = append(out, p)
-	}
-	slices.Sort(out)
-	return out
+	return model.SortedKeys(n.addrs)
 }
 
 // Now implements Runtime.

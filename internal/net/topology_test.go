@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/virtualpartitions/vp/internal/model"
+	"github.com/virtualpartitions/vp/internal/wire"
 )
 
 func TestTopologyFullMesh(t *testing.T) {
@@ -19,7 +20,7 @@ func TestTopologyFullMesh(t *testing.T) {
 			}
 		}
 	}
-	if topo.N() != 4 || len(topo.Procs()) != 4 {
+	if len(topo.Procs()) != 4 {
 		t.Fatal("wrong size")
 	}
 }
@@ -57,13 +58,6 @@ func TestNonTransitiveGraph(t *testing.T) {
 	if !topo.Connected(a, c) || !topo.Connected(b, c) {
 		t.Fatal("A-C and B-C should be up")
 	}
-	nb := topo.Neighbors(c)
-	if nb != model.NewProcSet(a, b, c) {
-		t.Fatalf("Neighbors(C) = %v", nb)
-	}
-	if topo.Cliques() != nil {
-		t.Fatal("non-transitive graph has no clique decomposition")
-	}
 }
 
 func TestPartitionAndCliques(t *testing.T) {
@@ -81,16 +75,30 @@ func TestPartitionAndCliques(t *testing.T) {
 	if topo.Connected(5, 1) || topo.Connected(5, 3) {
 		t.Fatal("unlisted processor should be isolated")
 	}
-	cl := topo.Cliques()
-	if len(cl) != 3 {
-		t.Fatalf("Cliques = %v", cl)
+}
+
+// TestPartitionShard: a shard's cut drops only the frames that name that
+// shard, epoch probes included, and Heal lifts it.
+func TestPartitionShard(t *testing.T) {
+	topo, err := NewTopology(3, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sizes := map[int]int{}
-	for _, c := range cl {
-		sizes[c.Len()]++
+	topo.PartitionShard(1, []model.ProcID{1, 2}, []model.ProcID{3})
+	for _, m := range []wire.Message{wire.ShardMsg{Shard: 1, Msg: wire.Probe{}}, wire.ShardEpochReq{Shard: 1}, wire.ShardEpochResp{Shard: 1}} {
+		if !topo.Outbound(1, 3, m).Drop || topo.Outbound(1, 2, m).Drop {
+			t.Fatalf("%T of the cut shard: want dropped across the cut only", m)
+		}
 	}
-	if sizes[2] != 2 || sizes[1] != 1 {
-		t.Fatalf("clique sizes wrong: %v", cl)
+	if topo.Outbound(1, 3, wire.ShardMsg{Shard: 2, Msg: wire.Probe{}}).Drop || topo.Outbound(1, 3, wire.Probe{}).Drop {
+		t.Fatal("traffic of other shards must cross the cut")
+	}
+	if !topo.Connected(1, 3) {
+		t.Fatal("a shard cut must leave the graph up")
+	}
+	topo.Heal()
+	if topo.Outbound(1, 3, wire.ShardEpochReq{Shard: 1}).Drop {
+		t.Fatal("heal must lift the shard cut")
 	}
 }
 

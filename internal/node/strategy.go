@@ -159,8 +159,9 @@ type Config struct {
 	DecideRetry time.Duration
 	// InitValue is the initial value of every copy.
 	InitValue model.Value
-	// LogCap bounds the per-object write log (0 disables logging and
-	// with it the §6 log-based catch-up).
+	// LogCap bounds the per-object in-memory write log (0 keeps none).
+	// The §6 log-based catch-up falls back to the node's journal past
+	// it, so 0 does not disable it.
 	LogCap int
 }
 

@@ -269,7 +269,7 @@ func CheckGraphRecords(recs []TxnRecord) Result {
 			node int
 			next []int
 		}
-		frames := []frame{{s, neighbors(adj, s)}}
+		frames := []frame{{s, model.SortedKeys(adj[s])}}
 		color[s] = 1
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
@@ -286,19 +286,9 @@ func CheckGraphRecords(recs []TxnRecord) Result {
 					"serialization graph cycle through %s", recs[n].ID)}
 			case 0:
 				color[n] = 1
-				frames = append(frames, frame{n, neighbors(adj, n)})
+				frames = append(frames, frame{n, model.SortedKeys(adj[n])})
 			}
 		}
 	}
 	return Result{OK: true}
-}
-
-func neighbors(adj map[int]map[int]struct{}, n int) []int {
-	m := adj[n]
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

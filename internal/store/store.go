@@ -58,8 +58,8 @@ type Store struct {
 	owner   model.ProcID
 	mu      sync.Mutex
 	objects map[model.ObjectID]*objectState
-	// LogCap bounds each object's write log; 0 disables logging. A
-	// truncated log forces full-value recovery, mirroring real systems.
+	// LogCap bounds each object's in-memory write log; 0 keeps none.
+	// Past the log, LogSince asks the journal's retained segments.
 	logCap  int
 	initVal model.Value
 	// journal receives every committed physical write for crash-restart

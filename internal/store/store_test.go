@@ -322,6 +322,22 @@ func TestLogDisabled(t *testing.T) {
 	if s.LogLen("x") != 0 {
 		t.Fatal("disabled log should stay empty")
 	}
+
+	// Over a file journal, a store without an in-memory log serves the
+	// §6 catch-up from the journal's retained segments, complete.
+	s = newTestStore(0)
+	_, j, err := durable.OpenOptions("journal", durable.Options{FS: durable.Memory()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetJournal(j)
+	s.Apply("x", 1, ver(1, 1))
+	s.Apply("x", 2, ver(1, 2))
+	got, complete := s.LogSince("x", model.Version{})
+	want := []model.Copy{{Val: 1, Ver: ver(1, 1)}, {Val: 2, Ver: ver(1, 2)}}
+	if !complete || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("LogSince over the journal = %v, %v; want %v, complete", got, complete, want)
+	}
 }
 
 func TestApplyLog(t *testing.T) {
